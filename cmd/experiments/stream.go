@@ -72,15 +72,22 @@ func runStreamScale(targets int, window int, artifact string, v2 bool, blockSize
 		log.Fatalf("streaming compile failed: %v", err)
 	}
 	elapsed := time.Since(start)
-	fmt.Print(streamReport(artifact, stats, elapsed))
+	priced, pruned := src.PricedPruned()
+	fmt.Print(streamReport(artifact, stats, elapsed, priced, pruned, len(c.VPs)))
 }
 
 // streamReport renders the run's stats; experiments -out and the
-// results/ ledger both consume this block verbatim.
-func streamReport(artifact string, s dataset.StreamStats, elapsed time.Duration) string {
+// results/ ledger both consume this block verbatim. priced and pruned
+// are the campaign's VP-selection counters (core.StreamCampaign.
+// PricedPruned): useful work over attempts, per measured target.
+func streamReport(artifact string, s dataset.StreamStats, elapsed time.Duration, priced, pruned int64, vps int) string {
 	format := "GEODSET1 (in-RAM decode)"
 	if s.Blocks > 0 {
 		format = fmt.Sprintf("GEODSET2 (%d blocks)", s.Blocks)
+	}
+	perTarget := "none measured (every window reused)"
+	if priced+pruned > 0 {
+		perTarget = fmt.Sprintf("%.1f of %d", float64(priced)/float64(priced+pruned)*float64(vps), vps)
 	}
 	return fmt.Sprintf(`streaming campaign complete
   targets:        %d
@@ -91,7 +98,8 @@ func streamReport(artifact string, s dataset.StreamStats, elapsed time.Duration)
   artifact bytes: %d
   format:         %s
   wall time:      %.1fs (%.0f targets/s)
+  VPs priced per target: %s
 `, s.Targets, s.Records, s.Windows, s.WindowsReused, s.SpillBytes,
 		artifact, s.ArtifactBytes, format, elapsed.Seconds(),
-		float64(s.Targets)/elapsed.Seconds())
+		float64(s.Targets)/elapsed.Seconds(), perTarget)
 }

@@ -153,15 +153,22 @@ func decodeHeader(payload []byte) (Header, error) {
 
 // frame serializes one record into its on-disk frame.
 func frame(k Kind, payload []byte) []byte {
-	buf := make([]byte, frameOverhead+len(payload))
-	buf[0] = byte(k)
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(buf[:1])
-	crc.Write(payload)
-	binary.LittleEndian.PutUint32(buf[5:], crc.Sum32())
-	copy(buf[frameOverhead:], payload)
-	return buf
+	return AppendFrame(make([]byte, 0, frameOverhead+len(payload)), k, payload)
+}
+
+// AppendFrame appends one record's on-disk frame to dst and returns the
+// extended slice. A writer that produces many small records at once (a
+// dataset spill run) frames them all into one reused buffer and commits
+// it with Journal.AppendFrames: one write instead of one per record.
+// Unlike Journal.Append it does not police the record size limit; it is
+// for payloads of a known small size.
+func AppendFrame(dst []byte, k Kind, payload []byte) []byte {
+	dst = append(dst, byte(k))
+	crc := crc32.Update(0, crc32.IEEETable, dst[len(dst)-1:])
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	return append(dst, payload...)
 }
 
 // Decode parses a journal image. It returns the header, the records after
@@ -344,15 +351,21 @@ func (j *Journal) Append(k Kind, payload []byte) error {
 	if len(payload) > maxPayload {
 		return fmt.Errorf("checkpoint: record payload %d bytes exceeds limit", len(payload))
 	}
-	buf := frame(k, payload)
+	return j.AppendFrames(frame(k, payload), 1)
+}
+
+// AppendFrames writes frames — n records framed back to back by
+// AppendFrame — in a single write: the bytes on disk are those n Append
+// calls would have left. Like Append it does not fsync.
+func (j *Journal) AppendFrames(frames []byte, n int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(buf); err != nil {
+	if _, err := j.f.Write(frames); err != nil {
 		return err
 	}
-	j.dirty++
-	meters.appends.Inc()
-	meters.bytes.Add(int64(len(buf)))
+	j.dirty += n
+	meters.appends.Add(int64(n))
+	meters.bytes.Add(int64(len(frames)))
 	return nil
 }
 

@@ -412,12 +412,12 @@ func (p *progressMeter) restored(rows int, clockUSec int64) {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.done += rows
 	if clockUSec > p.clockUSec {
 		p.clockUSec = clockUSec
 	}
-	p.mu.Unlock()
-	p.emit("restore")
+	p.emitLocked("restore")
 }
 
 // row accounts one live-measured row (clockUSec is its source's final
@@ -428,22 +428,22 @@ func (p *progressMeter) row(phase string, clockUSec int64) {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.done++
 	if clockUSec > p.clockUSec {
 		p.clockUSec = clockUSec
 	}
-	done := p.done
-	p.mu.Unlock()
-	if done%p.every == 0 || done == p.total {
-		p.emit(phase)
+	if p.done%p.every == 0 || p.done == p.total {
+		p.emitLocked(phase)
 	}
 }
 
-func (p *progressMeter) emit(phase string) {
-	p.mu.Lock()
-	done, clk := p.done, p.clockUSec
-	p.mu.Unlock()
-	simS := float64(clk) / 1e6
+// emitLocked logs one record with p.mu held: the count it reports is the
+// one its caller just set, and records reach the logger in that order —
+// workers finishing back to back can neither repeat nor skip a count.
+func (p *progressMeter) emitLocked(phase string) {
+	done := p.done
+	simS := float64(p.clockUSec) / 1e6
 	attrs := []any{
 		slog.String("phase", phase),
 		slog.Int("rows_done", done),

@@ -12,10 +12,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"geoloc/internal/cbg"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
+	"geoloc/internal/par"
 	"geoloc/internal/rhash"
 )
 
@@ -34,6 +36,13 @@ const DefaultVPsPerTarget = 16
 
 // maxVPsPerTarget bounds the selection so it fits fixed scratch.
 const maxVPsPerTarget = 64
+
+// nearPerK sizes each city's shortlist of nearest VPs in multiples of K.
+// About a third of a VP's pings go unanswered and RTT order is distance
+// order only up to the path factor, so 3·K nearest VPs all but always
+// hold the K lowest RTTs — which is what makes the selection bound bite
+// on the very first VP outside the shortlist.
+const nearPerK = 3
 
 // DefaultStreamBase is the first /24 of the synthetic target range:
 // 64.0.0.0/24, far from the world allocator's 10.0.0.0/8 hosts, so
@@ -75,6 +84,18 @@ type StreamCampaign struct {
 	vpTrig     []geo.Trig
 	vpLastMile []float64
 	vpResp     []float64
+
+	// Selection bound (DESIGN.md §3.9): each VP's unit vector, and for
+	// each city the nearN VPs closest to its centre — nearest first in
+	// near, as a bitmap of nearWords words over VP indices in nearSet.
+	vpUnit    []geo.Unit
+	near      []int32
+	nearSet   []uint64
+	nearN     int
+	nearWords int
+
+	// VPs priced and VPs the bound skipped, over every MeasureTarget call.
+	priced, pruned atomic.Int64
 }
 
 // NewStreamCampaign prepares a streaming campaign over c's VP set. The
@@ -115,14 +136,47 @@ func NewStreamCampaign(c *Campaign, spec StreamSpec) (*StreamCampaign, error) {
 		vpTrig:     make([]geo.Trig, len(c.VPs)),
 		vpLastMile: make([]float64, len(c.VPs)),
 		vpResp:     make([]float64, len(c.VPs)),
+		vpUnit:     make([]geo.Unit, len(c.VPs)),
 	}
 	for i, h := range c.VPs {
 		s.vpLoc[i] = h.Reported
 		s.vpTrig[i] = geo.MakeTrig(h.Loc)
 		s.vpLastMile[i] = h.LastMileMs
 		s.vpResp[i] = h.RespScore
+		s.vpUnit[i] = s.vpTrig[i].Unit()
 	}
+	s.buildNear()
 	return s, nil
+}
+
+// buildNear fills near and nearSet: per city, a bounded max-heap over
+// (chord to the city centre, VP index) keeps the nearN closest VPs, and
+// popping it back to front leaves them nearest first. Which VPs make a
+// shortlist changes how much MeasureTarget prunes, never what it
+// returns, so the cheap chord stands in for the great-circle distance.
+func (s *StreamCampaign) buildNear() {
+	cities := s.C.W.Cities
+	s.nearN = min(nearPerK*s.Spec.VPsPerTarget, len(s.vpUnit))
+	s.nearWords = (len(s.vpUnit) + 63) / 64
+	s.near = make([]int32, len(cities)*s.nearN)
+	s.nearSet = make([]uint64, len(cities)*s.nearWords)
+	par.For(len(cities), func(ci int) {
+		cu := geo.MakeTrig(cities[ci].Loc).Unit()
+		var heap [nearPerK * maxVPsPerTarget]vpRTT
+		n := 0
+		for vp, u := range s.vpUnit {
+			n = pushBounded(heap[:s.nearN], n, vpRTT{rtt: geo.ChordLowerBoundKm(u, cu), vp: int32(vp)})
+		}
+		near := s.near[ci*s.nearN : (ci+1)*s.nearN]
+		set := s.nearSet[ci*s.nearWords : (ci+1)*s.nearWords]
+		for ; n > 0; n-- {
+			vp := heap[0].vp
+			near[n-1] = vp
+			set[vp>>6] |= 1 << (vp & 63)
+			heap[0] = heap[n-1]
+			siftDown(heap[:n-1], 0)
+		}
+	})
 }
 
 // ConfigHash canonically identifies the streaming campaign: the parent
@@ -167,9 +221,18 @@ type vpRTT struct {
 // roll lands on a BadLastMile city reproduces §5.1.5's inflated access
 // delays. Pure in t: repeated calls, any order, any goroutine, same
 // bytes.
+//
+// The selection is a branch-and-bound. The K smallest candidates under
+// the total order (rtt, vp) are one set whatever order the VPs are
+// visited in, and each (target, VP) pair draws from its own keyed
+// stream, so MeasureTarget prices the city's nearest VPs first and then
+// skips every VP whose cheapest possible RTT (rttLowerBound) already
+// exceeds the worst of the K it holds — before the hash, the haversine,
+// the asin and the log that pricing it would cost.
 func (s *StreamCampaign) MeasureTarget(t int, buf []cbg.Measurement) (ipaddr.Prefix24, []cbg.Measurement) {
 	st := rhash.New(s.seed, saltStreamTarget, uint64(t))
-	city := &s.C.W.Cities[st.Intn(len(s.C.W.Cities))]
+	ci := st.Intn(len(s.C.W.Cities))
+	city := &s.C.W.Cities[ci]
 	bearing := st.Range(0, 360)
 	dist := city.RadiusKm * math.Sqrt(st.Float64())
 	loc := geo.Destination(city.Loc, bearing, dist)
@@ -178,33 +241,38 @@ func (s *StreamCampaign) MeasureTarget(t int, buf []cbg.Measurement) (ipaddr.Pre
 		lastMile += st.Range(4, 12)
 	}
 	tt := geo.MakeTrig(loc)
+	tu := tt.Unit()
 
 	// Keep the K lowest-RTT responsive VPs in a fixed-size max-heap
 	// (worst candidate at the root), then emit them in VP order. Ties
 	// break toward the lower VP index so selection is total-ordered.
+	// Once the heap holds K, a VP is priced only if its lower bound does
+	// not strictly exceed the root: a bound equal to the root may still
+	// win the tie on VP index. Visiting order: the city's shortlist,
+	// nearest first, then every other VP by index.
 	k := s.Spec.VPsPerTarget
 	var heap [maxVPsPerTarget]vpRTT
-	n := 0
-	for vp := range s.vpTrig {
-		pv := rhash.New(s.seed, saltStreamPing, uint64(t), uint64(vp))
-		if !pv.Bool(s.vpResp[vp]) {
+	n, priced := 0, 0
+	near := s.near[ci*s.nearN : (ci+1)*s.nearN]
+	inNear := s.nearSet[ci*s.nearWords : (ci+1)*s.nearWords]
+	for i := 0; i < len(near)+len(s.vpUnit); i++ {
+		vp := i - len(near)
+		if i < len(near) {
+			vp = int(near[i])
+		} else if inNear[vp>>6]>>(vp&63)&1 != 0 {
+			continue // had its turn on the shortlist
+		}
+		if n == k && rttLowerBound(s.vpUnit[vp], tu, lastMile, s.vpLastMile[vp]) > heap[0].rtt {
 			continue
 		}
-		d := geo.TrigDistance(s.vpTrig[vp], tt)
-		inflate := 1.05 + 0.9*pv.Float64()
-		rtt := geo.DistanceToRTTMs(d, geo.TwoThirdsC)*inflate +
-			lastMile + s.vpLastMile[vp] + pv.Exp(0.3)
-		c := vpRTT{rtt: rtt, vp: int32(vp)}
-		switch {
-		case n < k:
-			heap[n] = c
-			n++
-			siftUp(heap[:n], n-1)
-		case lessVPRTT(c, heap[0]):
-			heap[0] = c
-			siftDown(heap[:n], 0)
+		priced++
+		if c, ok := s.price(t, vp, tt, lastMile); ok {
+			n = pushBounded(heap[:k], n, c)
 		}
 	}
+	s.priced.Add(int64(priced))
+	s.pruned.Add(int64(len(s.vpUnit) - priced))
+
 	// Selection sort by VP index: n ≤ 64, and measurement order must be
 	// ascending-VP like every other pipeline.
 	sel := heap[:n]
@@ -222,6 +290,62 @@ func (s *StreamCampaign) MeasureTarget(t int, buf []cbg.Measurement) (ipaddr.Pre
 		buf = append(buf, cbg.Measurement{VP: s.vpLoc[c.vp], RTTMs: c.rtt})
 	}
 	return s.TargetPrefix(t), buf
+}
+
+// minInflate is the floor of the keyed path factor price draws.
+const minInflate = 1.05
+
+// pathRTT is the stream campaign's RTT model short of its jitter, shared
+// by price and rttLowerBound so both evaluate one expression tree.
+func pathRTT(distKm, inflate, lastMile, vpLastMile float64) float64 {
+	return geo.DistanceToRTTMs(distKm, geo.TwoThirdsC)*inflate + lastMile + vpLastMile
+}
+
+// price draws target t's measurement from vp; ok is false when the VP
+// does not answer this target.
+func (s *StreamCampaign) price(t, vp int, tt geo.Trig, lastMile float64) (c vpRTT, ok bool) {
+	pv := rhash.New(s.seed, saltStreamPing, uint64(t), uint64(vp))
+	if !pv.Bool(s.vpResp[vp]) {
+		return vpRTT{}, false
+	}
+	d := geo.TrigDistance(s.vpTrig[vp], tt)
+	inflate := minInflate + 0.9*pv.Float64()
+	rtt := pathRTT(d, inflate, lastMile, s.vpLastMile[vp]) + pv.Exp(0.3)
+	return vpRTT{rtt: rtt, vp: int32(vp)}, true
+}
+
+// rttLowerBound never exceeds the RTT price would return for the VP with
+// unit vector vu and last mile vpLastMile. It is price's own expression
+// with each input at its floor — the chord bound for the distance
+// (geo.ChordLowerBoundKm ≤ TrigDistance), minInflate for the path factor
+// (0.9·u ≥ 0), no jitter (−0.3·log u ≥ 0 for u < 1) — and every
+// operation in that expression is nondecreasing in those inputs and
+// rounds to nearest, which preserves order.
+func rttLowerBound(vu, tu geo.Unit, lastMile, vpLastMile float64) float64 {
+	return pathRTT(geo.ChordLowerBoundKm(vu, tu), minInflate, lastMile, vpLastMile)
+}
+
+// PricedPruned reports how many VPs MeasureTarget has priced and how
+// many the selection bound let it skip, summed over every call so far:
+// priced + pruned = calls × VPs.
+func (s *StreamCampaign) PricedPruned() (priced, pruned int64) {
+	return s.priced.Load(), s.pruned.Load()
+}
+
+// pushBounded offers c to the bounded max-heap h[:n] of capacity len(h)
+// and returns the new size: c is added while there is room and replaces
+// the root when it orders below it.
+func pushBounded(h []vpRTT, n int, c vpRTT) int {
+	switch {
+	case n < len(h):
+		h[n] = c
+		n++
+		siftUp(h[:n], n-1)
+	case lessVPRTT(c, h[0]):
+		h[0] = c
+		siftDown(h, 0)
+	}
+	return n
 }
 
 // lessVPRTT orders candidates by RTT then VP index; the heap keeps the

@@ -197,7 +197,11 @@ func decodeHeader(payload []byte) (Header, error) {
 
 // encodeRecord serializes one Record payload.
 func encodeRecord(r Record) []byte {
-	buf := make([]byte, 0, recordPayloadLen)
+	return appendRecord(make([]byte, 0, recordPayloadLen), r)
+}
+
+// appendRecord appends r's payload (recordPayloadLen bytes) to buf.
+func appendRecord(buf []byte, r Record) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Prefix))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Centroid.Lat))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Centroid.Lon))

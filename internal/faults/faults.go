@@ -262,17 +262,17 @@ func (p *Profile) Enabled() bool {
 // a lost packet is a packet the fault layer dropped, not a different
 // packet.
 var (
-	kPathLoss  = rhash.HashString("faults/pathloss")
-	kPktLoss   = rhash.HashString("faults/pkt")
-	kFlapSel   = rhash.HashString("faults/flapsel")
-	kFlapPer   = rhash.HashString("faults/flapperiod")
-	kFlapPhase = rhash.HashString("faults/flapphase")
-	kTrunc     = rhash.HashString("faults/trunc")
-	kTruncHop  = rhash.HashString("faults/trunchop")
-	kHopLoss   = rhash.HashString("faults/hoploss")
-	kSubmit    = rhash.HashString("faults/submit")
-	kStall     = rhash.HashString("faults/stall")
-	kLookup    = rhash.HashString("faults/maplookup")
+	kPathLoss   = rhash.HashString("faults/pathloss")
+	kPktLoss    = rhash.HashString("faults/pkt")
+	kFlapSel    = rhash.HashString("faults/flapsel")
+	kFlapPer    = rhash.HashString("faults/flapperiod")
+	kFlapPhase  = rhash.HashString("faults/flapphase")
+	kTrunc      = rhash.HashString("faults/trunc")
+	kTruncHop   = rhash.HashString("faults/trunchop")
+	kHopLoss    = rhash.HashString("faults/hoploss")
+	kSubmit     = rhash.HashString("faults/submit")
+	kStall      = rhash.HashString("faults/stall")
+	kLookup     = rhash.HashString("faults/maplookup")
 	kStaleSel   = rhash.HashString("faults/stalesel")
 	kStaleBrg   = rhash.HashString("faults/stalebearing")
 	kStaleDist  = rhash.HashString("faults/staledist")

@@ -273,3 +273,39 @@ func TrigCuts(a, b Trig, ra, rb float64) bool {
 	}
 	return !(2*EarthRadiusKm*math.Asin(x)+ra <= rb)
 }
+
+// Unit is a point's unit vector on the sphere. Two unit vectors give the
+// straight-line chord between their points for a handful of multiplies
+// and no libm call, which is what a screen that runs once per candidate
+// (core's stream VP selection) can afford.
+type Unit struct{ X, Y, Z float64 }
+
+// Unit returns t's unit vector, built from the same cached radians and
+// cosine latitude TrigDistance reads.
+func (t Trig) Unit() Unit {
+	return Unit{
+		X: t.CosLat * math.Cos(t.LonRad),
+		Y: t.CosLat * math.Sin(t.LonRad),
+		Z: math.Sin(t.LatRad),
+	}
+}
+
+// chordPadKm absolutely pads ChordLowerBoundKm: each unit-vector
+// component carries ~1e-16 of rounding, so the computed chord of two
+// nearly coincident points can exceed the true one by ~1e-12 km — an
+// error the relative margin cannot cover when the chord itself is near
+// zero. One millimetre does, a million times over.
+const chordPadKm = 1e-6
+
+// ChordLowerBoundKm returns a distance that never exceeds
+// TrigDistance(a, b) for the Trigs the two unit vectors came from: the
+// arc 2R·asin(chord/2) is at least its chord R·chord, shaved by
+// distBoundMargin and chordPadKm so that no rounding in either
+// evaluation can lift it above the computed haversine. The bound is
+// tight for near points (within 1e-9 relative below ~1 km, 0.4 % at
+// 2,000 km) and loose for far ones (2R against πR at the antipode). It
+// is negative for points closer than the pad; DistanceToRTTMs clamps.
+func ChordLowerBoundKm(a, b Unit) float64 {
+	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
+	return EarthRadiusKm*(1-distBoundMargin)*math.Sqrt(dx*dx+dy*dy+dz*dz) - chordPadKm
+}

@@ -141,3 +141,72 @@ func TestTrigCutsMatchesDistance(t *testing.T) {
 		}
 	}
 }
+
+// TestChordLowerBound is the property core's stream VP selection rests
+// on: ChordLowerBoundKm never exceeds the computed TrigDistance, on
+// uniform pairs, on pairs at log-uniform separations from a micrometre
+// to the antipode (uniform pairs are almost never close, and close is
+// where the chord is tight), and on the corners where either evaluation
+// loses digits. It also pins the bound from below, so a bound that is
+// merely small cannot pass.
+func TestChordLowerBound(t *testing.T) {
+	check := func(a, b Point) {
+		t.Helper()
+		ta, tb := MakeTrig(a), MakeTrig(b)
+		d := TrigDistance(ta, tb)
+		lb := ChordLowerBoundKm(ta.Unit(), tb.Unit())
+		if !(lb <= d) {
+			t.Fatalf("chord bound %v exceeds TrigDistance %v for %v, %v", lb, d, a, b)
+		}
+		if rev := ChordLowerBoundKm(tb.Unit(), ta.Unit()); rev != lb {
+			t.Fatalf("chord bound not symmetric for %v, %v: %v vs %v", a, b, lb, rev)
+		}
+		// The chord of an arc θ is short by θ²/24 of it; allow twice that,
+		// the margin and the pad.
+		theta := d / EarthRadiusKm
+		if floor := d*(1-theta*theta/12-2*distBoundMargin) - 2*chordPadKm; lb < floor {
+			t.Fatalf("chord bound %v uselessly far below TrigDistance %v for %v, %v", lb, d, a, b)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	pairs := 1_000_000
+	if testing.Short() {
+		pairs = 100_000
+	}
+	for i := 0; i < pairs; i++ {
+		a := randPoint(rng)
+		if i%2 == 0 {
+			check(a, randPoint(rng))
+			continue
+		}
+		// 1e-9 km .. ~20,000 km, log-uniform.
+		dist := math.Pow(10, -9+13.3*rng.Float64())
+		check(a, Destination(a, rng.Float64()*360, dist))
+	}
+
+	const tiny = 1e-9 // degrees: a tenth of a millimetre
+	for _, lat := range []float64{0, 37.5, -63, 89.999999, 90, -90} {
+		for _, lon := range []float64{0, 12.25, 179.999999999, 180, -180} {
+			p := Point{Lat: lat, Lon: lon}
+			check(p, p)
+			check(p, Point{Lat: lat, Lon: lon + tiny})
+			check(p, Point{Lat: lat, Lon: lon - tiny})
+			if lat+tiny <= 90 {
+				check(p, Point{Lat: lat + tiny, Lon: lon})
+			}
+			if lat-tiny >= -90 {
+				check(p, Point{Lat: lat - tiny, Lon: lon})
+			}
+			anti := Point{Lat: -lat, Lon: lon - 180}
+			if anti.Lon < -180 {
+				anti.Lon += 360
+			}
+			check(p, anti)
+			check(p, Point{Lat: anti.Lat, Lon: anti.Lon + tiny})
+			check(p, Point{Lat: lat, Lon: -lon}) // ±180° are one meridian
+			check(p, Point{Lat: 90, Lon: lon + 77})
+			check(p, Point{Lat: -90, Lon: lon - 77})
+		}
+	}
+}

@@ -25,7 +25,7 @@ type fakeReplica struct {
 	lookups  atomic.Int64
 	batches  atomic.Int64
 	ready    atomic.Bool
-	fail     atomic.Bool // 500 every data request
+	fail     atomic.Bool  // 500 every data request
 	stallDur atomic.Int64 // ns to sleep before answering /lookup
 	ts       *httptest.Server
 }
