@@ -56,9 +56,7 @@ type options struct {
 	writePath   string
 	faultName   string
 	unsanitized bool
-	cacheSize   int
 	maxBatch    int
-	mmap        bool
 
 	maxInflight    int
 	maxQueue       int
@@ -107,9 +105,6 @@ func main() {
 	flag.StringVar(&o.writePath, "write", "", "write the compiled dataset artifact here and exit instead of serving")
 	flag.StringVar(&o.faultName, "faults", "none", "serving fault profile: none, realistic, degraded, hostile")
 	flag.BoolVar(&o.unsanitized, "unsanitized", false, "include removed anchors as unsanitized reported-location records")
-	flag.IntVar(&o.cacheSize, "cache", 0, "ipindex LRU entries per shard (0 = default, negative = disabled)")
-	flag.BoolVar(&o.mmap, "mmap", false,
-		"serve block-indexed GEODSET2 artifacts zero-copy through a memory mapping (falls back to positioned reads where unsupported)")
 	flag.IntVar(&o.maxBatch, "max-batch", serve.DefaultMaxBatch, "maximum IPs accepted in one /batch request")
 
 	flag.IntVar(&o.maxInflight, "max-inflight", serve.DefaultMaxInflight,
@@ -204,7 +199,7 @@ func run(o options) error {
 
 	// A numeric -scale (e.g. 1e6) selects the streaming pipeline: the
 	// artifact is external-merge compiled to disk as a block-indexed
-	// GEODSET2 and served via positioned reads, never decoded whole.
+	// GEODSET2 and served out of a mapping of the file, never decoded whole.
 	if n, ok := streamScale(o.scale); ok && o.dsPath == "" {
 		path, cleanup, err := streamCompile(n, o.writePath)
 		if err != nil {
@@ -251,9 +246,7 @@ func run(o options) error {
 
 	srv := serve.New(serve.Config{
 		Prof:           prof,
-		CacheSize:      o.cacheSize,
 		MaxBatch:       o.maxBatch,
-		Mmap:           o.mmap,
 		MaxInflight:    o.maxInflight,
 		MaxQueue:       o.maxQueue,
 		QueueTimeout:   o.queueTimeout,
@@ -277,8 +270,8 @@ func run(o options) error {
 		if err != nil {
 			return fmt.Errorf("open block-indexed dataset: %w", err)
 		}
-		mode := "positioned reads"
-		if art.R2 != nil && art.R2.Mapped() {
+		mode := "read into memory"
+		if art.R2.Mapped() {
 			mode = "mmap"
 		}
 		log.Printf("serving block-indexed artifact: %d records from %s (%s)", art.Records, o.dsPath, mode)

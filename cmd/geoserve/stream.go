@@ -59,7 +59,7 @@ func streamCompile(n int, out string) (string, func(), error) {
 }
 
 // isBlockIndexed sniffs whether the artifact at path is a GEODSET2 —
-// served via positioned block reads rather than decoded whole. Short or
+// served out of a mapping of the file rather than decoded whole. Short or
 // unreadable files answer false so the GEODSET1 loader reports its
 // usual named error.
 func isBlockIndexed(path string) bool {

@@ -78,6 +78,9 @@ var (
 	ErrTruncated = errors.New("dataset: artifact truncated")
 	// ErrNoHeader: no decodable header record at the start of the file.
 	ErrNoHeader = errors.New("dataset: missing header record")
+	// ErrClosed: a Reader2 was used after its last reference dropped (the
+	// owner's Close and every TryPin's Unpin); its image is gone.
+	ErrClosed = errors.New("dataset: reader closed")
 )
 
 // Method tags which technique produced a record's estimate.
@@ -409,12 +412,12 @@ func (d *Dataset) Find(addr ipaddr.Addr) (Record, bool) {
 
 // Index builds the serving index over the dataset: one /24 entry per
 // record, the entry value being the record's position in Records.
-func (d *Dataset) Index(cacheSize int) *ipindex.Index {
+func (d *Dataset) Index() *ipindex.Index {
 	entries := make([]ipindex.Entry, len(d.Records))
 	for i, r := range d.Records {
 		entries[i] = ipindex.Entry{Prefix: ipindex.From24(r.Prefix), Value: int32(i)}
 	}
-	return ipindex.Build(entries, cacheSize)
+	return ipindex.Build(entries)
 }
 
 // Options tunes Compile.

@@ -1,11 +1,11 @@
 package dataset
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -136,11 +136,6 @@ func patchFrameCRC(img []byte, off int) {
 	binary.LittleEndian.PutUint32(img[off+5:], crc.Sum32())
 }
 
-// openBytes runs NewReader2 over an in-memory image.
-func openBytes(img []byte) (*Reader2, error) {
-	return NewReader2(bytes.NewReader(img), int64(len(img)))
-}
-
 // TestDataset2ErrorTaxonomy: every way a GEODSET2 file can be damaged
 // maps to a named error, and damage the open-time validation cannot see
 // (inside a block) surfaces at read time — never as a silent wrong
@@ -156,7 +151,7 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 	t.Run("bad-magic", func(t *testing.T) {
 		bad := append([]byte(nil), img...)
 		bad[0] ^= 0x01
-		if _, err := openBytes(bad); !errors.Is(err, ErrBadMagic) {
+		if _, err := NewReader2(bad); !errors.Is(err, ErrBadMagic) {
 			t.Fatalf("got %v, want ErrBadMagic", err)
 		}
 	})
@@ -166,7 +161,7 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 		// thing written, so any truncation destroys it) and must map to a
 		// named error.
 		for cut := 0; cut < len(img); cut++ {
-			_, err := openBytes(img[:cut])
+			_, err := NewReader2(img[:cut])
 			if err == nil {
 				t.Fatalf("cut %d: truncated file opened cleanly", cut)
 			}
@@ -180,7 +175,7 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 	t.Run("footer-crc", func(t *testing.T) {
 		bad := append([]byte(nil), img...)
 		bad[len(bad)-footerLen] ^= 0x01 // indexOff byte; footer CRC now stale
-		if _, err := openBytes(bad); !errors.Is(err, ErrCorrupt) {
+		if _, err := NewReader2(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("got %v, want ErrCorrupt", err)
 		}
 	})
@@ -189,8 +184,21 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 		bad := append([]byte(nil), img...)
 		bad[len(Magic2)+frameOverhead] = 3 // header payload version u32, low byte
 		patchFrameCRC(bad, len(Magic2))
-		if _, err := openBytes(bad); !errors.Is(err, ErrBadVersion) {
+		if _, err := NewReader2(bad); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("got %v, want ErrBadVersion", err)
+		}
+	})
+
+	t.Run("block-offset-wraps", func(t *testing.T) {
+		// An index entry whose offset sits just below MaxInt64 makes
+		// off+overhead+plen wrap negative; the range check must not be
+		// fooled into slicing the image with it.
+		indexOff := int(binary.LittleEndian.Uint64(img[len(img)-footerLen:]))
+		bad := append([]byte(nil), img...)
+		binary.LittleEndian.PutUint64(bad[indexOff+frameOverhead+12:], math.MaxInt64-5)
+		patchFrameCRC(bad, indexOff)
+		if _, err := NewReader2(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("got %v, want ErrCorrupt", err)
 		}
 	})
 
@@ -202,7 +210,7 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 		blockOff := len(Magic2) + frameOverhead + hdrPlen
 		bad := append([]byte(nil), img...)
 		bad[blockOff+frameOverhead+2+8] ^= 0x40 // a centroid byte of record 0
-		r2, err := openBytes(bad)
+		r2, err := NewReader2(bad)
 		if err != nil {
 			t.Fatalf("open rejected lazy-validated damage: %v", err)
 		}
@@ -226,7 +234,7 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 		copy(bad[r0:r0+recordPayloadLen], bad[r0+recordPayloadLen:r0+2*recordPayloadLen])
 		copy(bad[r0+recordPayloadLen:r0+2*recordPayloadLen], tmpRec)
 		patchFrameCRC(bad, blockOff)
-		r2, err := openBytes(bad)
+		r2, err := NewReader2(bad)
 		if err != nil {
 			// The index carries per-block first keys, so open-time
 			// validation may already spot the mismatch; that's fine as long
@@ -257,29 +265,6 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 			t.Fatal("descending prefix accepted")
 		}
 	})
-}
-
-// TestDataset2CacheBounded: a full scan plus scattered lookups never
-// grows the decoded-block cache past its capacity — the property that
-// keeps Reader2's resident memory O(1) in artifact size.
-func TestDataset2CacheBounded(t *testing.T) {
-	ds := compiled(t)
-	r2, err := Open2(writeV2(t, ds, 1)) // one record per block = max block count
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if err := r2.All(func(Record) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range ds.Records {
-		if _, _, err := r2.Lookup(r.Prefix); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n, cap := r2.cache.len(), r2.cache.capacity(); n > cap {
-		t.Fatalf("cache holds %d blocks, cap is %d", n, cap)
-	}
 }
 
 // TestLoadAny covers the format-sniffing loader used by client-side

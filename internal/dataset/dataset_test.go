@@ -226,7 +226,7 @@ func TestDecodeRejectsUnsortedRecords(t *testing.T) {
 
 func TestFindAndIndexAgree(t *testing.T) {
 	d := compiled(t)
-	ix := d.Index(0)
+	ix := d.Index()
 	if ix.Len() != len(d.Records) {
 		t.Fatalf("index has %d prefixes, dataset %d records", ix.Len(), len(d.Records))
 	}

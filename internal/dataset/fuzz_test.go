@@ -132,7 +132,7 @@ func FuzzDataset2Decoder(f *testing.F) {
 			errors.Is(err, ErrNoHeader)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r2, err := NewReader2(bytes.NewReader(data), int64(len(data)))
+		r2, err := NewReader2(data)
 		if err != nil {
 			if !named(err) {
 				t.Fatalf("unnamed open error: %v", err)

@@ -7,8 +7,8 @@ import (
 	"os"
 )
 
-// mmapSupported gates OpenMapped's zero-copy path; on platforms without
-// it OpenMapped silently degrades to the positioned-read reader.
+// mmapSupported says whether mmapFile can succeed on this platform;
+// without it Open2 reads the artifact onto the heap.
 const mmapSupported = false
 
 var errMmapUnsupported = errors.New("dataset: mmap not supported on this platform")

@@ -13,39 +13,46 @@ import (
 )
 
 // openMappedBytes writes an in-memory image to a file and opens it with
-// OpenMapped — the corruption tests work on byte images, the mapped
-// reader only opens files.
+// Open2 — the corruption tests work on byte images, a mapping needs a
+// file.
 func openMappedBytes(t *testing.T, img []byte) (*Reader2, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "img.geodset2")
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return OpenMapped(path)
+	return Open2(path)
 }
 
-// TestOpenMappedOracle: the mapped reader, the positioned reader, and a
-// linear scan of the source records agree on every probe — present
-// prefixes, absent neighbours, and the key-space extremes — and the
-// mapped reader actually mapped (on platforms that support it).
+// TestOpenMappedOracle: the reader over a mapping, the reader over the
+// same bytes on the heap, and a linear scan of the source records agree
+// on every probe — present prefixes, absent neighbours, and the key-space
+// extremes — and Open2 actually mapped (on platforms that support it).
 func TestOpenMappedOracle(t *testing.T) {
 	ds := compiled(t)
 	for _, blockSize := range []int{1, 4, len(ds.Records) + 7} {
 		t.Run(fmt.Sprintf("block=%d", blockSize), func(t *testing.T) {
 			path := writeV2(t, ds, blockSize)
-			m, err := OpenMapped(path)
+			m, err := Open2(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer m.Close()
 			if mmapSupported && !m.Mapped() {
-				t.Fatal("mmap is supported here but OpenMapped fell back to positioned reads")
+				t.Fatal("mmap is supported here but Open2 fell back to the heap")
 			}
-			r2, err := Open2(path)
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := NewReader2(img)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r2.Close()
+			if r2.Mapped() {
+				t.Fatal("a reader over caller-supplied bytes reports a mapping")
+			}
 
 			linear := func(p ipaddr.Prefix24) (Record, bool) {
 				for _, r := range ds.Records {
@@ -67,17 +74,17 @@ func TestOpenMappedOracle(t *testing.T) {
 			}
 			for _, p := range probes {
 				wantR, wantOK := linear(p)
-				preadR, preadOK, err := r2.Lookup(p)
+				heapR, heapOK, err := r2.Lookup(p)
 				if err != nil {
-					t.Fatalf("pread lookup %s: %v", p, err)
+					t.Fatalf("heap lookup %s: %v", p, err)
 				}
 				mapR, mapOK, err := m.Lookup(p)
 				if err != nil {
 					t.Fatalf("mapped lookup %s: %v", p, err)
 				}
-				if mapOK != wantOK || mapR != wantR || preadOK != wantOK || preadR != wantR {
-					t.Fatalf("lookup %s: mapped (%+v, %v), pread (%+v, %v), linear scan says (%+v, %v)",
-						p, mapR, mapOK, preadR, preadOK, wantR, wantOK)
+				if mapOK != wantOK || mapR != wantR || heapOK != wantOK || heapR != wantR {
+					t.Fatalf("lookup %s: mapped (%+v, %v), heap (%+v, %v), linear scan says (%+v, %v)",
+						p, mapR, mapOK, heapR, heapOK, wantR, wantOK)
 				}
 			}
 
@@ -121,8 +128,8 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 	})
 
 	t.Run("truncation-sweep", func(t *testing.T) {
-		// Same contract as the positioned reader: a cut anywhere fails at
-		// open with a named error. Sampled cuts plus the structural
+		// Same contract as over heap bytes: a cut anywhere fails at open
+		// with a named error. Sampled cuts plus the structural
 		// boundaries keep the file-backed sweep fast.
 		cuts := []int{0, 1, len(Magic2), len(Magic2) + frameOverhead,
 			len(img) - footerLen, len(img) - footerLen + 16, len(img) - 1}
@@ -204,6 +211,31 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 			t.Fatalf("mapped lookup into reordered block: got %v, want ErrCorrupt", err)
 		}
 	})
+
+	t.Run("use-after-close", func(t *testing.T) {
+		// Once the last reference is gone the image is gone (unmapped, for
+		// a mapping): every read must answer ErrClosed, not touch it.
+		mapped, err := Open2(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap, err := NewReader2(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r2 := range map[string]*Reader2{"mapped": mapped, "heap": heap} {
+			r2.Close()
+			if _, _, err := r2.Lookup(ds.Records[0].Prefix); !errors.Is(err, ErrClosed) {
+				t.Fatalf("%s Lookup after Close: got %v, want ErrClosed", name, err)
+			}
+			if _, _, err := r2.Find(ds.Records[0].Prefix.Addr(7)); !errors.Is(err, ErrClosed) {
+				t.Fatalf("%s Find after Close: got %v, want ErrClosed", name, err)
+			}
+			if err := r2.All(func(Record) error { return nil }); !errors.Is(err, ErrClosed) {
+				t.Fatalf("%s All after Close: got %v, want ErrClosed", name, err)
+			}
+		}
+	})
 }
 
 // TestMappedPinLifecycle: the generation-pinned close protocol. A pinned
@@ -212,7 +244,7 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 // reader can never be re-pinned; Close is idempotent.
 func TestMappedPinLifecycle(t *testing.T) {
 	ds := compiled(t)
-	m, err := OpenMapped(writeV2(t, ds, 4))
+	m, err := Open2(writeV2(t, ds, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +276,7 @@ func TestMappedPinLifecycle(t *testing.T) {
 // (run under -race in CI).
 func TestMappedConcurrentFirstTouch(t *testing.T) {
 	ds := compiled(t)
-	m, err := OpenMapped(writeV2(t, ds, 2))
+	m, err := Open2(writeV2(t, ds, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,64 +306,11 @@ func TestMappedConcurrentFirstTouch(t *testing.T) {
 	}
 }
 
-// TestWarmBlocksMapped: warming a mapped reader verifies exactly the
-// intersecting blocks (their verified bits flip), and warming a
-// positioned reader fills the LRU without overflowing it.
-func TestWarmBlocks(t *testing.T) {
-	ds := compiled(t)
-	path := writeV2(t, ds, 4)
-	lo := ds.Records[0].Prefix
-	hi := ds.Records[len(ds.Records)/2].Prefix
-
-	m, err := OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.Mapped() {
-		n, err := m.WarmBlocks(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			t.Fatal("mapped warm touched no blocks")
-		}
-	}
-
-	r2, err := Open2(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	r2.SetCacheRange(lo, hi)
-	n, err := r2.WarmBlocks(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("pread warm filled no blocks")
-	}
-	if got, capacity := r2.cache.len(), r2.cache.capacity(); got > capacity || got == 0 {
-		t.Fatalf("warm left %d cached blocks, capacity %d", got, capacity)
-	}
-	// Out-of-range lookups answer but are not admitted to the cache.
-	before := r2.cache.len()
-	out := ds.Records[len(ds.Records)-1]
-	if out.Prefix > hi {
-		if got, ok, err := r2.Lookup(out.Prefix); err != nil || !ok || got != out {
-			t.Fatalf("out-of-range lookup: (%+v, %v, %v)", got, ok, err)
-		}
-		if after := r2.cache.len(); after != before {
-			t.Fatalf("out-of-range lookup changed cache population %d -> %d", before, after)
-		}
-	}
-}
-
 // TestMappedLookupAllocs gates the mapped hot path: after first touch, a
 // lookup through the mapping is allocation-free.
 func TestMappedLookupAllocs(t *testing.T) {
 	ds := compiled(t)
-	m, err := OpenMapped(writeV2(t, ds, 4))
+	m, err := Open2(writeV2(t, ds, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

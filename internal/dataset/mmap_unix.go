@@ -7,8 +7,8 @@ import (
 	"syscall"
 )
 
-// mmapSupported gates OpenMapped's zero-copy path; on platforms without
-// it OpenMapped silently degrades to the positioned-read reader.
+// mmapSupported says whether mmapFile can succeed on this platform;
+// without it Open2 reads the artifact onto the heap.
 const mmapSupported = true
 
 // mmapFile maps size bytes of f read-only and shared. The mapping

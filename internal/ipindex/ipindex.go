@@ -1,7 +1,6 @@
 // Package ipindex answers "which dataset prefix covers this IP?" at
 // serving speed: an immutable longest-prefix-match index over arbitrary
-// IPv4 prefixes, sharded by top octet, with a small per-shard LRU for hot
-// prefixes.
+// IPv4 prefixes, sharded by top octet.
 //
 // The Longitudinal Study of an IP Geolocation Database (arXiv:2107.03988)
 // shows public geolocation datasets are consumed as per-prefix lookup
@@ -10,17 +9,15 @@
 // labelled with its deepest covering prefix — prefixes either nest or are
 // disjoint, never partially overlap, so the flattening is exact. A lookup
 // is then a single binary search in the shard owning the address's top
-// octet: O(log n) with no per-query allocation, and the index is never
+// octet: O(log n) with no per-query allocation, no lock and no cache (the
+// sharding shortens the search; it caches nothing), and the index is never
 // mutated after Build, so any number of goroutines may query it
-// concurrently. The only mutable state is the per-shard LRU, which has its
-// own lock; shards containing prefixes longer than /24 disable their cache
-// (a cached /24 answer would be wrong when a longer prefix splits the /24).
+// concurrently.
 package ipindex
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"geoloc/internal/ipaddr"
 	"geoloc/internal/telemetry"
@@ -87,25 +84,17 @@ type Match struct {
 
 // meters holds the package's instrumentation (observational only).
 var meters = struct {
-	lookups     *telemetry.Counter
-	matches     *telemetry.Counter
-	noMatch     *telemetry.Counter
-	cacheHits   *telemetry.Counter
-	cacheMisses *telemetry.Counter
+	lookups *telemetry.Counter
+	matches *telemetry.Counter
+	noMatch *telemetry.Counter
 }{
-	lookups:     telemetry.Default().Counter("ipindex.lookups"),
-	matches:     telemetry.Default().Counter("ipindex.matches"),
-	noMatch:     telemetry.Default().Counter("ipindex.no_match"),
-	cacheHits:   telemetry.Default().Counter("ipindex.cache_hits"),
-	cacheMisses: telemetry.Default().Counter("ipindex.cache_misses"),
+	lookups: telemetry.Default().Counter("ipindex.lookups"),
+	matches: telemetry.Default().Counter("ipindex.matches"),
+	noMatch: telemetry.Default().Counter("ipindex.no_match"),
 }
 
 // numShards is one shard per top octet.
 const numShards = 256
-
-// DefaultCacheSize is the per-shard LRU capacity Build uses when the
-// caller passes cacheSize 0.
-const DefaultCacheSize = 128
 
 // shard holds the disjoint intervals of one top octet, sorted by start.
 // starts/ends/owner are parallel slices (owner indexes Index.entries);
@@ -114,13 +103,6 @@ type shard struct {
 	starts []uint32
 	ends   []uint32
 	owner  []int32
-
-	// cache maps a /24 key (ip>>8) to the interval index covering it, -1
-	// for a cached no-match. nil when caching is disabled for the shard —
-	// either by cacheSize < 0 or because a prefix longer than /24 makes
-	// /24-keyed answers unsound.
-	mu    sync.Mutex
-	cache *lruCache
 }
 
 // Index is an immutable longest-prefix-match index. All read paths are
@@ -129,20 +111,13 @@ type Index struct {
 	entries []Entry
 	shards  [numShards]shard
 	spans   int
-
-	// admitLo/admitHi bound cache admission as inclusive /24 keys
-	// (ip>>8); lookups outside the range skip the LRU entirely. Defaults
-	// to the whole address space; RestrictCache narrows it.
-	admitLo, admitHi uint32
 }
 
 // Build constructs the index. Entries with identical (normalized)
-// prefixes collapse to the first occurrence. cacheSize sets the per-shard
-// LRU capacity: 0 means DefaultCacheSize, negative disables caching.
-func Build(entries []Entry, cacheSize int) *Index {
-	ix := &Index{entries: make([]Entry, 0, len(entries)), admitHi: 0x00FF_FFFF}
+// prefixes collapse to the first occurrence.
+func Build(entries []Entry) *Index {
+	ix := &Index{entries: make([]Entry, 0, len(entries))}
 	seen := make(map[Prefix]bool, len(entries))
-	longIn := [numShards]bool{} // shards holding prefixes longer than /24
 	for _, e := range entries {
 		p := Make(e.Prefix.Bits, e.Prefix.Len)
 		if seen[p] {
@@ -150,9 +125,6 @@ func Build(entries []Entry, cacheSize int) *Index {
 		}
 		seen[p] = true
 		ix.entries = append(ix.entries, Entry{Prefix: p, Value: e.Value})
-		if p.Len > 24 {
-			longIn[uint32(p.Bits)>>24] = true
-		}
 	}
 
 	// Sort by (start asc, length asc): parents come before the children
@@ -235,16 +207,6 @@ func Build(entries []Entry, cacheSize int) *Index {
 			sh.owner = append(sh.owner, sp.owner)
 		}
 	}
-	if cacheSize >= 0 {
-		if cacheSize == 0 {
-			cacheSize = DefaultCacheSize
-		}
-		for s := range ix.shards {
-			if !longIn[s] && len(ix.shards[s].starts) > 0 {
-				ix.shards[s].cache = newLRU(cacheSize)
-			}
-		}
-	}
 	return ix
 }
 
@@ -282,94 +244,24 @@ func (sh *shard) find(ip uint32) int32 {
 	return int32(i - 1)
 }
 
-// Lookup returns the longest prefix covering the address, consulting the
-// shard's LRU first. Safe for concurrent use.
+// Lookup returns the longest prefix covering the address: one binary
+// search in the shard owning its top octet. Safe for concurrent use.
 func (ix *Index) Lookup(a ipaddr.Addr) (Match, bool) {
 	meters.lookups.Inc()
 	ip := uint32(a)
 	sh := &ix.shards[ip>>24]
-	iv := int32(-1)
-	cached := false
-	key := ip >> 8
-	useCache := sh.cache != nil && key >= ix.admitLo && key <= ix.admitHi
-	if useCache {
-		sh.mu.Lock()
-		iv, cached = sh.cache.get(key)
-		sh.mu.Unlock()
-		if cached {
-			meters.cacheHits.Inc()
-		} else {
-			meters.cacheMisses.Inc()
-		}
-	}
-	if !cached {
-		iv = sh.find(ip)
-		if useCache {
-			sh.mu.Lock()
-			sh.cache.put(key, iv)
-			sh.mu.Unlock()
-		}
-	}
+	iv := sh.find(ip)
 	if iv < 0 {
 		meters.noMatch.Inc()
 		return Match{}, false
 	}
+	meters.matches.Inc()
 	e := ix.entries[sh.owner[iv]]
 	return Match{Prefix: e.Prefix, Value: e.Value}, true
 }
 
-// RestrictCache narrows cache admission to the inclusive address range
-// [lo, hi]: lookups outside it still answer from the interval search but
-// never displace cached in-range entries. In a partitioned deployment
-// each replica restricts to its partition, so stray out-of-range traffic
-// (a routing transient) cannot flush the caches its own partition's
-// traffic depends on. Call before the index starts serving — the bounds
-// are read unsynchronized on the lookup path.
-func (ix *Index) RestrictCache(lo, hi ipaddr.Addr) {
-	ix.admitLo, ix.admitHi = uint32(lo)>>8, uint32(hi)>>8
-}
-
-// Prewarm seeds every shard's LRU with the /24 keys its intervals cover
-// inside the admitted range, up to cache capacity, so a freshly
-// published index answers its partition's first requests from warm
-// caches instead of paying a cold search-and-fill per /24. Returns the
-// number of keys seeded. Cached-shard intervals are /24-aligned (caches
-// are disabled where longer prefixes exist), so each seeded key maps to
-// exactly one interval.
-func (ix *Index) Prewarm() int {
-	total := 0
-	for s := range ix.shards {
-		sh := &ix.shards[s]
-		if sh.cache == nil {
-			continue
-		}
-		sh.mu.Lock()
-		seeded := 0
-		for i := 0; i < len(sh.starts) && seeded < sh.cache.cap; i++ {
-			loKey := max32(sh.starts[i]>>8, ix.admitLo)
-			hiKey := min32(sh.ends[i]>>8, ix.admitHi)
-			for key := loKey; key <= hiKey && seeded < sh.cache.cap; key++ {
-				if _, ok := sh.cache.get(key); !ok {
-					sh.cache.put(key, int32(i))
-					seeded++
-				}
-			}
-		}
-		sh.mu.Unlock()
-		total += seeded
-	}
-	return total
-}
-
-// LookupUncached bypasses the LRU (tests use it to cross-check cache
-// coherence; benchmarks use it to isolate the search cost).
-func (ix *Index) LookupUncached(a ipaddr.Addr) (Match, bool) {
-	ip := uint32(a)
-	sh := &ix.shards[ip>>24]
-	iv := sh.find(ip)
-	if iv < 0 {
-		return Match{}, false
-	}
-	e := ix.entries[sh.owner[iv]]
-	return Match{Prefix: e.Prefix, Value: e.Value}, true
-}
+// LookupUncached is Lookup.
+//
+// Deprecated: the index has no cache to bypass. Kept for one release
+// because benchmark/ names it.
+func (ix *Index) LookupUncached(a ipaddr.Addr) (Match, bool) { return ix.Lookup(a) }

@@ -29,11 +29,17 @@ func fleetTinyDataset() *dataset.Dataset {
 	return fleetTinyDS
 }
 
-// newFleetRouter stands up a LocalFleet of n real serve replicas plus a
-// router (probes running) in front of it.
+// newFleetRouter stands up a LocalFleet of n real serve replicas over the
+// tiny dataset plus a router (probes running) in front of it.
 func newFleetRouter(t *testing.T, n int, cfg Config) (*LocalFleet, *Router, *httptest.Server) {
 	t.Helper()
-	fleet, err := NewLocalFleet(n, fleetTinyDataset(), "test:tiny", serve.Config{})
+	return startFleetRouter(t, fleetTinyDataset(), "test:tiny", n, serve.Config{}, cfg)
+}
+
+// startFleetRouter is newFleetRouter over any dataset and replica config.
+func startFleetRouter(t *testing.T, ds *dataset.Dataset, source string, n int, scfg serve.Config, cfg Config) (*LocalFleet, *Router, *httptest.Server) {
+	t.Helper()
+	fleet, err := NewLocalFleet(n, ds, source, scfg)
 	if err != nil {
 		t.Fatalf("NewLocalFleet: %v", err)
 	}

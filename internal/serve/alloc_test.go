@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 
-	"geoloc/internal/dataset"
 	"geoloc/internal/ipaddr"
 	"geoloc/internal/telemetry"
 )
@@ -26,23 +24,8 @@ func (w *discardWriter) WriteHeader(int)             {}
 // artifact on a fresh server.
 func writeMappedServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	ds := tinyDataset()
-	path := filepath.Join(t.TempDir(), "tiny.geodset2")
-	w, err := dataset.NewWriter2(path, ds.Hdr, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range ds.Records {
-		if err := w.Add(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Mmap = true
 	srv := New(cfg, telemetry.New())
-	if _, err := srv.Reload(path); err != nil {
+	if _, err := srv.Reload(writeV2File(t, tinyDataset(), t.TempDir(), "tiny.geodset2")); err != nil {
 		t.Fatal(err)
 	}
 	return srv
@@ -77,7 +60,7 @@ func TestServeAllocs(t *testing.T) {
 			t.Run(sc.name+"/"+tc.name, func(t *testing.T) {
 				req := httptest.NewRequest(http.MethodGet, "/lookup?ip="+tc.ip, nil)
 				w := &discardWriter{h: make(http.Header)}
-				sc.srv.handleLookup(w, req) // prime: first-touch verify, caches, pool
+				sc.srv.handleLookup(w, req) // prime: first-touch verify, pool
 				if n := testing.AllocsPerRun(200, func() {
 					sc.srv.handleLookup(w, req)
 				}); n != 0 {

@@ -56,33 +56,19 @@ const (
 	DefaultRetryAfter     = 1 * time.Second
 )
 
-// WarmRange is an inclusive address range a partitioned deployment
-// expects this server to answer for. It steers cache admission, not
-// correctness: lookups outside the range still answer, they just never
-// displace in-range cache entries (DESIGN.md §3.10).
-type WarmRange struct {
-	Lo, Hi ipaddr.Addr
-}
-
 // Config tunes a Server. The zero value gets sane production defaults;
 // set a field negative where documented to disable that limit.
 type Config struct {
 	// Prof injects deterministic serving faults (nil = none).
 	Prof *faults.Profile
-	// CacheSize tunes the ipindex LRU of every index the server builds
-	// (0 = ipindex default, negative = disabled).
-	CacheSize int
 	// MaxBatch caps /batch (0 = DefaultMaxBatch).
 	MaxBatch int
 
-	// Mmap serves GEODSET2 artifacts zero-copy through dataset.OpenMapped
-	// where the platform supports it; positioned block reads otherwise.
+	// Mmap has no effect.
+	//
+	// Deprecated: every GEODSET2 artifact is mapped where the platform can
+	// (dataset.Open2). Kept for one release because benchmark/ sets it.
 	Mmap bool
-	// Warm, when set, keys every published artifact's caches to one
-	// address range: blocks and /24s outside it are never admitted, and
-	// in-range blocks are pre-warmed at swap time so a fresh artifact
-	// starts hot (nil = admit everything, warm nothing).
-	Warm *WarmRange
 
 	// MaxInflight bounds concurrently executing data-plane requests
 	// (0 = DefaultMaxInflight, negative = unlimited: admission off).
@@ -210,7 +196,7 @@ func New(cfg Config, reg *telemetry.Registry) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		swapper: NewSwapper(reg, cfg.CacheSize, cfg.Mmap, cfg.Warm),
+		swapper: NewSwapper(reg),
 		sleep:   ctxSleep,
 
 		reqLookup:  reg.Counter("geoserve.requests_lookup"),

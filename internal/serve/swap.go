@@ -12,13 +12,13 @@
 //
 // Two artifact formats serve behind the same snapshot type: a decoded
 // in-RAM GEODSET1 (dataset + LPM index) and a block-indexed GEODSET2
-// read either via positioned block reads or zero-copy through a memory
-// mapping (DESIGN.md §3.9, §3.10), which is how a full-IPv4-scale
-// artifact serves with O(blocks-touched) resident memory. Reload sniffs
-// the file's magic and picks the right opener.
+// read in place out of a memory mapping of the file (DESIGN.md §3.9,
+// §3.10), which is how a full-IPv4-scale artifact serves with
+// O(blocks-touched) resident memory. Reload sniffs the file's magic and
+// picks the format's opener.
 //
-// GEODSET2 readers own kernel resources (a descriptor or a mapping), so
-// a swapped-out reader is reference-counted: each in-flight request pins
+// A GEODSET2 reader owns its image (a mapping to unmap), so a
+// swapped-out reader is reference-counted: each in-flight request pins
 // the snapshot it captured (Artifact.pin/release), the swap drops the
 // owner reference, and the last pin out actually closes. A swap under
 // zero load closes the old reader immediately; under load it closes the
@@ -104,10 +104,6 @@ func (a *Artifact) release() {
 // snapshot side-by-side with the old artifact still serving and
 // publishes with one atomic store.
 type Swapper struct {
-	cacheSize int
-	mmap      bool
-	warm      *WarmRange
-
 	swaps     *telemetry.Counter
 	swapFails *telemetry.Counter
 
@@ -117,14 +113,9 @@ type Swapper struct {
 }
 
 // NewSwapper returns an empty swapper (Current is nil until the first
-// Publish). cacheSize tunes the ipindex LRU of every index it builds;
-// mmap selects the zero-copy GEODSET2 opener on Reload; warm keys cache
-// admission and swap-time pre-warming to one address range (nil = off).
-func NewSwapper(reg *telemetry.Registry, cacheSize int, mmap bool, warm *WarmRange) *Swapper {
+// Publish).
+func NewSwapper(reg *telemetry.Registry) *Swapper {
 	return &Swapper{
-		cacheSize: cacheSize,
-		mmap:      mmap,
-		warm:      warm,
 		swaps:     reg.Counter("geoserve.swaps"),
 		swapFails: reg.Counter("geoserve.swap_failures"),
 	}
@@ -157,15 +148,11 @@ func (sw *Swapper) Publish(ds *dataset.Dataset, source string) *Artifact {
 	sw.gen++
 	a := &Artifact{
 		DS:      ds,
-		Idx:     ds.Index(sw.cacheSize),
+		Idx:     ds.Index(),
 		Hdr:     ds.Hdr,
 		Records: len(ds.Records),
 		Gen:     sw.gen,
 		Source:  source,
-	}
-	if sw.warm != nil {
-		a.Idx.RestrictCache(sw.warm.Lo, sw.warm.Hi)
-		a.Idx.Prewarm()
 	}
 	sw.store(a)
 	return a
@@ -183,21 +170,10 @@ func (sw *Swapper) store(a *Artifact) {
 }
 
 // PublishReader atomically makes a block-indexed GEODSET2 reader the
-// active artifact. With a warm range configured, the reader's block
-// cache is keyed to the range and the in-range blocks are touched —
-// verified and paged in (mmap) or decoded into the LRU (pread) — before
-// the swap, so the new generation starts answering its partition hot.
+// active artifact.
 func (sw *Swapper) PublishReader(r2 *dataset.Reader2, source string) *Artifact {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if sw.warm != nil {
-		lo := ipaddr.Prefix24Of(sw.warm.Lo)
-		hi := ipaddr.Prefix24Of(sw.warm.Hi)
-		r2.SetCacheRange(lo, hi)
-		// Pre-warm is best-effort: a damaged block fails here exactly as
-		// it would at serve time, and serve time is where it's reported.
-		_, _ = r2.WarmBlocks(lo, hi)
-	}
 	sw.gen++
 	a := &Artifact{
 		R2:      r2,
@@ -222,13 +198,7 @@ func (sw *Swapper) Reload(path string) (*Artifact, error) {
 		return nil, fmt.Errorf("reload rejected, still serving generation %d: %w", sw.Generation(), err)
 	}
 	if magic == dataset.Magic2 {
-		open := dataset.Open2
-		if sw.mmap {
-			// OpenMapped itself degrades to Open2 on platforms without
-			// mmap support, so the flag is safe everywhere.
-			open = dataset.OpenMapped
-		}
-		r2, err := open(path)
+		r2, err := dataset.Open2(path)
 		if err != nil {
 			sw.swapFails.Inc()
 			return nil, fmt.Errorf("reload rejected, still serving generation %d: %w", sw.Generation(), err)

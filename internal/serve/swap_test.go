@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,7 +42,7 @@ func tinyVariantDataset() *dataset.Dataset {
 // (rollback by non-publish) and counts a swap failure.
 func TestSwapGenerationAndRollback(t *testing.T) {
 	reg := telemetry.New()
-	sw := NewSwapper(reg, 0, false, nil)
+	sw := NewSwapper(reg)
 	if sw.Current() != nil || sw.Generation() != 0 {
 		t.Fatal("fresh swapper should have no artifact, generation 0")
 	}
@@ -313,6 +315,50 @@ func writeV2File(t *testing.T, ds *dataset.Dataset, dir, name string) string {
 	return path
 }
 
+// TestReadFailureAnswers503: a lookup the artifact cannot answer — a
+// block that fails its first-touch check, a reader whose image is already
+// released — is a counted 503 read failure (clients retry), never a 404
+// and never a panic.
+func TestReadFailureAnswers503(t *testing.T) {
+	ds := tinyDataset()
+	hit := ds.Records[0].Prefix.Addr(3)
+	path := writeV2File(t, ds, t.TempDir(), "torn.geodset2")
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a centroid byte of record 0 in the first block, which starts
+	// after the magic and the header frame (kind u8 | plen u32 | crc u32).
+	const frameOverhead = 9
+	blockOff := len(dataset.Magic2) + frameOverhead + int(binary.LittleEndian.Uint32(img[len(dataset.Magic2)+1:]))
+	img[blockOff+frameOverhead+2+8] ^= 0x40
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.New()
+	srv := New(Config{}, reg)
+	art, err := srv.Reload(path)
+	if err != nil {
+		t.Fatalf("open rejected lazily-validated damage: %v", err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/lookup?ip="+hit.String(), nil))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "artifact read failed") {
+		t.Fatalf("lookup into torn block: %d %q, want 503 read failure", rec.Code, rec.Body.String())
+	}
+
+	// A request always pins the reader it resolves against, so only a
+	// caller that skips the pin can meet a released one.
+	art.R2.Close()
+	if _, kind := srv.resolveRec(context.Background(), art, hit); kind != resolveReadFail {
+		t.Fatalf("resolve against a closed reader: kind %d, want read failure", kind)
+	}
+	if got := reg.Counter("geoserve.read_failures").Value(); got != 2 {
+		t.Fatalf("geoserve.read_failures = %d, want 2", got)
+	}
+}
+
 // TestMmapHotSwapUnderLoad hammers /lookup while mapped GEODSET2
 // artifacts hot-swap underneath: every swap closes the retired mapping
 // as soon as its last pinned request drains (generation-pinned munmap),
@@ -324,7 +370,7 @@ func TestMmapHotSwapUnderLoad(t *testing.T) {
 	pathA := writeV2File(t, tinyDataset(), dir, "a.geodset2")
 	pathB := writeV2File(t, tinyVariantDataset(), dir, "b.geodset2")
 
-	srv := New(Config{Mmap: true}, telemetry.New())
+	srv := New(Config{}, telemetry.New())
 	if _, err := srv.Reload(pathA); err != nil {
 		t.Fatal(err)
 	}
