@@ -185,12 +185,15 @@ chaos-smoke:
 	rm -rf .chaos-smoke
 
 # Streaming-scale proof (DESIGN.md §3.9–3.10): external-merge compile a
-# 50k /24 campaign in bounded windows into a block-indexed GEODSET2, then
-# serve it out of its mapping under a seeded strict geobench pass. The
-# bench materializes the same artifact as its client-side oracle, so
-# hit/miss classification also exercises the v2 decode path end to end.
-# (The reader's two backings — mapping and heap bytes — are compared
-# answer for answer by TestDifferentialOracle in internal/router.)
+# 50k /24 campaign in bounded windows into a GEODSET2 artifact, then serve
+# it out of its mapping under a seeded strict geobench pass — once from a
+# single node, once through -router in front of a 4-replica fleet whose
+# members each map the same file — and require the two status ledgers to
+# be identical. The bench materializes the same artifact as its
+# client-side oracle, so hit/miss classification also exercises the
+# decode path end to end. (The reader's two backings — mapping and heap
+# bytes — are compared answer for answer by TestDifferentialOracle in
+# internal/router.)
 scale-smoke:
 	rm -rf .scale-smoke && mkdir -p .scale-smoke
 	$(GO) build -o .scale-smoke/exp ./cmd/experiments
@@ -205,16 +208,29 @@ scale-smoke:
 	./.scale-smoke/geobench -addr http://127.0.0.1:18070 \
 		-dataset .scale-smoke/stream.geodset2 -wait-ready 15s \
 		-requests 3000 -workers 8 \
-		-strict -out .scale-smoke/serve.json
-	sed -n '/"statuses"/,/}/p' .scale-smoke/serve.json
+		-strict -out .scale-smoke/single.json
+	set -e; \
+	./.scale-smoke/geoserve -dataset .scale-smoke/stream.geodset2 \
+		-addr 127.0.0.1:18071 -router -replicas 4 -replication 2 -log-level warn & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT; \
+	./.scale-smoke/geobench -addr http://127.0.0.1:18071 \
+		-dataset .scale-smoke/stream.geodset2 -wait-ready 15s \
+		-requests 3000 -workers 8 \
+		-strict -out .scale-smoke/router.json
+	set -e; for mode in single router; do \
+		sed -n '/"statuses"/,/}/p' .scale-smoke/$$mode.json | tee .scale-smoke/$$mode.ledger; \
+	done; \
+	cmp .scale-smoke/single.ledger .scale-smoke/router.ledger
 	rm -rf .scale-smoke
 
 # Short coverage-guided fuzz of the binary decoders — the checkpoint
-# journal and both dataset artifact generations (their seed corpora also
-# run as plain tests in `make test`).
+# journal and the one dataset artifact reader, fed arbitrary images
+# (FuzzDataset2Decoder) and Encode's framing of arbitrary records
+# (FuzzDatasetDecoder). Their seed corpora also run as plain tests in
+# `make test`.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecoder -fuzztime 10s -run '^$$' ./internal/checkpoint
+	$(GO) test -fuzz FuzzDataset2Decoder -fuzztime 20s -run '^$$' ./internal/dataset
 	$(GO) test -fuzz FuzzDatasetDecoder -fuzztime 10s -run '^$$' ./internal/dataset
-	$(GO) test -fuzz FuzzDataset2Decoder -fuzztime 10s -run '^$$' ./internal/dataset
 
 ci: vet build race

@@ -134,67 +134,25 @@ func BenchmarkStreetLevelGeolocate(b *testing.B) {
 	}
 }
 
-// BenchmarkLookupParallel measures the dataset-serving hot path: compile
-// the medium campaign into a dataset once, then hammer the longest-prefix
-// index from GOMAXPROCS goroutines the way cmd/geoserve does under load.
-// The query mix alternates covered addresses and misses so both branches
-// stay hot. Hits and misses of the final run are
-// attached so BENCH.json records the mix alongside the timing.
-func BenchmarkLookupParallel(b *testing.B) {
-	c := benchSetup(b)
-	ds := dataset.Compile(c, dataset.Options{})
-	idx := ds.Index()
-	queries := make([]ipaddr.Addr, 0, 2*len(ds.Records))
-	for i, r := range ds.Records {
-		queries = append(queries, r.Prefix.Addr(byte(i))) // covered
-		queries = append(queries, ipaddr.Addr(0xC0000200+uint32(i)))
-	}
-	var hits, misses int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var h, m int64
-		var i int
-		for pb.Next() {
-			if _, ok := idx.Lookup(queries[i%len(queries)]); ok {
-				h++
-			} else {
-				m++
-			}
-			i++
-		}
-		atomic.AddInt64(&hits, h)
-		atomic.AddInt64(&misses, m)
-	})
-	b.ReportMetric(float64(atomic.LoadInt64(&hits)), "hits")
-	b.ReportMetric(float64(atomic.LoadInt64(&misses)), "misses")
-}
-
-// writeBench2 serializes the compiled dataset as a block-indexed
-// GEODSET2 artifact for the on-disk serving benchmarks.
+// writeBench2 stores the compiled dataset as an artifact file for the
+// on-disk serving benchmarks.
 func writeBench2(b *testing.B, ds *dataset.Dataset) string {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "bench.geodset2")
-	w, err := dataset.NewWriter2(path, ds.Hdr, dataset.DefaultBlockSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range ds.Records {
-		if err := w.Add(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := w.Finish(); err != nil {
+	if err := ds.Write(path); err != nil {
 		b.Fatal(err)
 	}
 	return path
 }
 
 // BenchmarkLookup2Parallel measures concurrent GEODSET2 lookups: compile
-// the medium campaign, write it as a block-indexed artifact, then hammer
-// Find from GOMAXPROCS goroutines with the same covered/miss mix
-// BenchmarkLookupParallel uses. Every block is a slice of the shared
-// read-only mapping, verified once on first touch, so goroutines share no
-// mutable state at all.
+// the medium campaign, write it as an artifact file, then hammer Find from
+// GOMAXPROCS goroutines the way cmd/geoserve does under load. The query
+// mix alternates covered addresses and misses so both branches stay hot;
+// hits and misses of the final run are attached so BENCH.json records the
+// mix alongside the timing. Every block is a slice of the shared read-only
+// mapping, verified once on first touch, so goroutines share no mutable
+// state at all.
 func BenchmarkLookup2Parallel(b *testing.B) {
 	c := benchSetup(b)
 	ds := dataset.Compile(c, dataset.Options{})

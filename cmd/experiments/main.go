@@ -47,7 +47,6 @@ func main() {
 	scale := flag.String("scale", "paper", "campaign scale: tiny, medium, paper, or a target count (e.g. 1e6) for the streaming pipeline")
 	window := flag.Int("window", dataset.DefaultStreamWindow, "streaming spill window in targets (numeric -scale only)")
 	artifact := flag.String("artifact", "", "streaming artifact output path (numeric -scale only; default geodset.bin next to the spill dir)")
-	v2 := flag.Bool("v2", true, "write the streaming artifact block-indexed (GEODSET2) instead of flat GEODSET1")
 	blockSize := flag.Int("block-size", 0, "GEODSET2 records per block (0 = format default)")
 	keepSpill := flag.Bool("keep-spill", false, "keep sealed spill runs after a successful streaming compile")
 	run := flag.String("run", "", "run only this experiment ID (default: all)")
@@ -81,7 +80,7 @@ func main() {
 			}
 			out = filepath.Join(dir, "geodset.bin")
 		}
-		runStreamScale(n, *window, out, *v2, *blockSize, *ckptDir, *resume, *keepSpill)
+		runStreamScale(n, *window, out, *blockSize, *ckptDir, *resume, *keepSpill)
 		return
 	}
 

@@ -27,9 +27,9 @@ func streamScale(s string) (int, bool) {
 
 // runStreamScale measures targets /24s in bounded windows, spills each
 // window as a sealed checkpoint run, and k-way merges the runs into a
-// GEODSET artifact. Peak memory is proportional to the window, not to
+// GEODSET2 artifact. Peak memory is proportional to the window, not to
 // targets — the property the dataset memory-ceiling test pins.
-func runStreamScale(targets int, window int, artifact string, v2 bool, blockSize int, ckptDir string, resume, keepSpill bool) {
+func runStreamScale(targets int, window int, artifact string, blockSize int, ckptDir string, resume, keepSpill bool) {
 	start := time.Now()
 	log.Printf("streaming campaign: %d targets, window %d", targets, window)
 
@@ -57,7 +57,6 @@ func runStreamScale(targets int, window int, artifact string, v2 bool, blockSize
 		SpillDir:  spill,
 		Resume:    resume,
 		KeepSpill: keepSpill,
-		V2:        v2,
 		BlockSize: blockSize,
 		OnWindowSpilled: func(w int) error {
 			if time.Since(lastLog) >= 5*time.Second || w == windows-1 {
@@ -81,10 +80,6 @@ func runStreamScale(targets int, window int, artifact string, v2 bool, blockSize
 // are the campaign's VP-selection counters (core.StreamCampaign.
 // PricedPruned): useful work over attempts, per measured target.
 func streamReport(artifact string, s dataset.StreamStats, elapsed time.Duration, priced, pruned int64, vps int) string {
-	format := "GEODSET1 (in-RAM decode)"
-	if s.Blocks > 0 {
-		format = fmt.Sprintf("GEODSET2 (%d blocks)", s.Blocks)
-	}
 	perTarget := "none measured (every window reused)"
 	if priced+pruned > 0 {
 		perTarget = fmt.Sprintf("%.1f of %d", float64(priced)/float64(priced+pruned)*float64(vps), vps)
@@ -96,10 +91,10 @@ func streamReport(artifact string, s dataset.StreamStats, elapsed time.Duration,
   spill bytes:    %d
   artifact:       %s
   artifact bytes: %d
-  format:         %s
+  format:         GEODSET2 (%d blocks)
   wall time:      %.1fs (%.0f targets/s)
   VPs priced per target: %s
 `, s.Targets, s.Records, s.Windows, s.WindowsReused, s.SpillBytes,
-		artifact, s.ArtifactBytes, format, elapsed.Seconds(),
+		artifact, s.ArtifactBytes, s.Blocks, elapsed.Seconds(),
 		float64(s.Targets)/elapsed.Seconds(), perTarget)
 }

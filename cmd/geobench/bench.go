@@ -323,10 +323,10 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Requests <= 0 || cfg.Workers <= 0 {
 		return nil, fmt.Errorf("requests (%d) and workers (%d) must be positive", cfg.Requests, cfg.Workers)
 	}
-	// LoadAny accepts either artifact format: the bench is a client-side
-	// oracle, so a GEODSET2 baseline is simply materialized in RAM — the
-	// bounded-memory claim belongs to the server under test.
-	ds, err := dataset.LoadAny(cfg.DatasetPath)
+	// The bench is a client-side oracle, so the baseline artifact is simply
+	// materialized in RAM — the bounded-memory claim belongs to the server
+	// under test.
+	ds, err := dataset.Load(cfg.DatasetPath)
 	if err != nil {
 		return nil, fmt.Errorf("baseline dataset: %w", err)
 	}

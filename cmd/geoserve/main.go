@@ -196,10 +196,14 @@ func run(o options) error {
 	default:
 		return fmt.Errorf("unknown fault profile %q (want none, realistic, degraded, hostile)", o.faultName)
 	}
+	if o.writePath != "" && o.dsPath != "" {
+		return fmt.Errorf("-write with -dataset: the artifact is already on disk at %s", o.dsPath)
+	}
 
-	// A numeric -scale (e.g. 1e6) selects the streaming pipeline: the
-	// artifact is external-merge compiled to disk as a block-indexed
-	// GEODSET2 and served out of a mapping of the file, never decoded whole.
+	// Obtain the artifact: a file (-dataset, or a numeric -scale such as
+	// 1e6, which external-merge compiles straight to disk) or a dataset
+	// compiled in-process from a named -scale.
+	var ds *dataset.Dataset
 	if n, ok := streamScale(o.scale); ok && o.dsPath == "" {
 		path, cleanup, err := streamCompile(n, o.writePath)
 		if err != nil {
@@ -211,40 +215,24 @@ func run(o options) error {
 		}
 		defer cleanup()
 		o.dsPath = path
-	}
-
-	var ds *dataset.Dataset
-	serveBlockIndexed := o.dsPath != "" && isBlockIndexed(o.dsPath)
-	if !serveBlockIndexed {
+	} else if o.dsPath == "" {
 		var err error
-		ds, err = obtainDataset(o.dsPath, o.scale, o.unsanitized)
-		if err != nil {
+		if ds, err = compileDataset(o.scale, o.unsanitized); err != nil {
 			return err
 		}
-	}
-	if o.writePath != "" {
-		if serveBlockIndexed {
-			return fmt.Errorf("-write with a block-indexed -dataset: the artifact is already on disk at %s", o.dsPath)
+		if o.writePath != "" {
+			if err := ds.Write(o.writePath); err != nil {
+				return fmt.Errorf("write dataset: %w", err)
+			}
+			log.Printf("wrote %d records to %s", len(ds.Records), o.writePath)
+			return nil
 		}
-		if err := ds.Write(o.writePath); err != nil {
-			return fmt.Errorf("write dataset: %w", err)
-		}
-		log.Printf("wrote %d records to %s", len(ds.Records), o.writePath)
-		return nil
 	}
 
-	source := o.dsPath
-	if source == "" {
-		source = "compiled:" + o.scale
-	}
-	if o.routerMode {
-		if serveBlockIndexed {
-			return fmt.Errorf("-router serves decoded GEODSET1 replicas; convert the artifact or serve it single-node")
-		}
-		return runRouter(o, prof, ds, source)
-	}
-
-	srv := serve.New(serve.Config{
+	// The serving config both modes share. Router-mode replicas carry no
+	// admin token — fleet control goes through the router, not individual
+	// replicas — and get their metrics label from the fleet.
+	cfg := serve.Config{
 		Prof:           prof,
 		MaxBatch:       o.maxBatch,
 		MaxInflight:    o.maxInflight,
@@ -252,7 +240,6 @@ func run(o options) error {
 		QueueTimeout:   o.queueTimeout,
 		RequestTimeout: o.requestTimeout,
 		RetryAfter:     o.retryAfter,
-		AdminToken:     o.adminToken,
 
 		AccessLog:   o.accessLog,
 		LogSample:   o.logSample,
@@ -263,25 +250,35 @@ func run(o options) error {
 			LatencyBudgetMs:       float64(o.sloLatencyBudget) / float64(time.Millisecond),
 		},
 		BurnThreshold: o.sloBurnThreshold,
-		MetricsLabel:  "geoserve",
-	}, o.reg)
-	if serveBlockIndexed {
-		art, err := srv.Reload(o.dsPath)
-		if err != nil {
-			return fmt.Errorf("open block-indexed dataset: %w", err)
-		}
-		mode := "read into memory"
-		if art.R2.Mapped() {
-			mode = "mmap"
-		}
-		log.Printf("serving block-indexed artifact: %d records from %s (%s)", art.Records, o.dsPath, mode)
-	} else {
-		srv.Publish(ds, source)
+	}
+	if o.routerMode {
+		return runRouter(o, cfg, ds)
 	}
 
+	cfg.AdminToken = o.adminToken
+	cfg.MetricsLabel = "geoserve"
+	srv := serve.New(cfg, o.reg)
+	var err error
+	if ds != nil {
+		_, err = srv.Publish(ds, "compiled:"+o.scale)
+	} else {
+		_, err = srv.Reload(o.dsPath)
+	}
+	if err != nil {
+		return err
+	}
+	art := srv.Current()
+	log.Printf("serving %d records from %s on %s (faults=%s, generation %d, mapped=%v)",
+		art.Records, art.Source, o.addr, o.faultName, art.Gen, art.R2.Mapped())
+	return listenAndServe(o, srv.Handler(), []*serve.Server{srv}, srv.StartDrain)
+}
+
+// listenAndServe is the lifecycle both modes share: serve h on -addr,
+// hot-swap on SIGHUP, drain on SIGINT/SIGTERM.
+func listenAndServe(o options, h http.Handler, servers []*serve.Server, startDrain func()) error {
 	httpSrv := &http.Server{
 		Addr:              o.addr,
-		Handler:           srv.Handler(),
+		Handler:           h,
 		ReadTimeout:       o.readTimeout,
 		ReadHeaderTimeout: o.readHeaderTimeout,
 		WriteTimeout:      o.writeTimeout,
@@ -289,21 +286,25 @@ func run(o options) error {
 	}
 
 	// SIGHUP hot-swaps the artifact from its source file under live
-	// traffic; a failed reload keeps the old artifact serving.
+	// traffic, server by server, each one atomically; a failed reload keeps
+	// the old artifact serving.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
 	go func() {
 		for range hup {
 			if o.dsPath == "" {
-				log.Printf("SIGHUP ignored: serving a compiled dataset, nothing to reload (use /admin/reload)")
+				log.Printf("SIGHUP ignored: serving a compiled dataset, nothing to reload")
 				continue
 			}
-			art, err := srv.Reload(o.dsPath)
-			if err != nil {
-				log.Printf("SIGHUP reload failed: %v", err)
-				continue
+			for i, s := range servers {
+				art, err := s.Reload(o.dsPath)
+				if err != nil {
+					log.Printf("SIGHUP reload failed (server %d): %v", i, err)
+					continue
+				}
+				log.Printf("SIGHUP swap: server %d now generation %d, %d records from %s", i, art.Gen, art.Records, art.Source)
 			}
-			log.Printf("SIGHUP swap: generation %d, %d records from %s", art.Gen, art.Records, art.Source)
 		}
 	}()
 
@@ -316,7 +317,7 @@ func run(o options) error {
 	go func() {
 		defer close(drained)
 		<-ctx.Done()
-		srv.StartDrain()
+		startDrain()
 		log.Printf("draining: /readyz now 503, closing listener in %s", o.drainWait)
 		time.Sleep(o.drainWait)
 		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -326,8 +327,6 @@ func run(o options) error {
 		}
 	}()
 
-	log.Printf("serving %d records on %s (faults=%s, generation %d)",
-		srv.Current().Records, o.addr, o.faultName, srv.Current().Gen)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
@@ -336,16 +335,9 @@ func run(o options) error {
 	return nil
 }
 
-// obtainDataset loads an artifact or compiles one from a fresh
-// deterministic campaign at the requested scale.
-func obtainDataset(path, scale string, unsanitized bool) (*dataset.Dataset, error) {
-	if path != "" {
-		ds, err := dataset.Load(path)
-		if err != nil {
-			return nil, fmt.Errorf("load dataset: %w", err)
-		}
-		return ds, nil
-	}
+// compileDataset compiles a dataset from a fresh deterministic campaign at
+// the requested named scale.
+func compileDataset(scale string, unsanitized bool) (*dataset.Dataset, error) {
 	var cfg world.Config
 	switch scale {
 	case "tiny":
@@ -355,7 +347,7 @@ func obtainDataset(path, scale string, unsanitized bool) (*dataset.Dataset, erro
 	case "paper":
 		cfg = world.DefaultConfig()
 	default:
-		return nil, fmt.Errorf("unknown scale %q (want tiny, medium, paper)", scale)
+		return nil, fmt.Errorf("unknown scale %q (want tiny, medium, paper, or a target count)", scale)
 	}
 	log.Printf("compiling %s-scale dataset (no -dataset given)...", scale)
 	c := core.NewCampaign(cfg)

@@ -7,55 +7,31 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"log"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"geoloc/internal/dataset"
 	"geoloc/internal/faults"
-	"geoloc/internal/obs"
 	"geoloc/internal/router"
 	"geoloc/internal/serve"
 )
 
-// replicaServeConfig is the per-replica serving config in router mode:
-// the same knobs as single-server mode, minus the admin token (fleet
-// control goes through the router, not individual replicas).
-func replicaServeConfig(o options, prof *faults.Profile) serve.Config {
-	return serve.Config{
-		Prof:           prof,
-		MaxBatch:       o.maxBatch,
-		MaxInflight:    o.maxInflight,
-		MaxQueue:       o.maxQueue,
-		QueueTimeout:   o.queueTimeout,
-		RequestTimeout: o.requestTimeout,
-		RetryAfter:     o.retryAfter,
-
-		AccessLog:   o.accessLog,
-		LogSample:   o.logSample,
-		TraceSample: o.traceSample,
-		SLO: &obs.SLOConfig{
-			AvailabilityObjective: o.sloAvailability,
-			LatencyObjective:      o.sloLatencyP99,
-			LatencyBudgetMs:       float64(o.sloLatencyBudget) / float64(time.Millisecond),
-		},
-		BurnThreshold: o.sloBurnThreshold,
+// runRouter is run()'s -router branch: fleet up — over the artifact file
+// when there is one, over the in-process dataset otherwise — router in
+// front, the same SIGHUP/drain lifecycle as single-server mode.
+func runRouter(o options, cfg serve.Config, ds *dataset.Dataset) error {
+	var fleet *router.LocalFleet
+	var err error
+	if ds != nil {
+		fleet, err = router.NewLocalFleet(o.replicas, ds, "compiled:"+o.scale, cfg)
+	} else {
+		fleet, err = router.NewFileFleet(o.replicas, o.dsPath, cfg)
 	}
-}
-
-// runRouter is run()'s -router branch: fleet up, router in front,
-// the same SIGHUP/drain lifecycle as single-server mode.
-func runRouter(o options, prof *faults.Profile, ds *dataset.Dataset, source string) error {
-	fleet, err := router.NewLocalFleet(o.replicas, ds, source, replicaServeConfig(o, prof))
 	if err != nil {
 		return err
 	}
 	defer fleet.Close()
+	art := fleet.Servers()[0].Current()
 
 	rt, err := router.New(router.Config{
 		ReplicaURLs:     fleet.Addrs(),
@@ -71,8 +47,8 @@ func runRouter(o options, prof *faults.Profile, ds *dataset.Dataset, source stri
 		DownAfter:       o.downAfter,
 		UpAfter:         o.upAfter,
 		RetryAfter:      o.retryAfter,
-		Seed:            ds.Hdr.Seed,
-		Prof:            prof,
+		Seed:            art.Hdr.Seed,
+		Prof:            cfg.Prof,
 		AdminToken:      o.adminToken,
 		Controller:      fleet,
 		MetricsLabel:    "georouter",
@@ -88,68 +64,16 @@ func runRouter(o options, prof *faults.Profile, ds *dataset.Dataset, source stri
 	// profile's schedule (same seed → same outage windows).
 	chaosStop := make(chan struct{})
 	defer close(chaosStop)
-	if prof != nil && (prof.ReplicaCrashProb > 0 || prof.ReplicaFlapPeriodSec > 0) {
-		go replicaChaosLoop(fleet, prof, ds.Hdr.Seed, o.replicas, chaosStop)
+	if prof := cfg.Prof; prof != nil && (prof.ReplicaCrashProb > 0 || prof.ReplicaFlapPeriodSec > 0) {
+		go replicaChaosLoop(fleet, prof, art.Hdr.Seed, o.replicas, chaosStop)
 	}
 
-	httpSrv := &http.Server{
-		Addr:              o.addr,
-		Handler:           rt.Handler(),
-		ReadTimeout:       o.readTimeout,
-		ReadHeaderTimeout: o.readHeaderTimeout,
-		WriteTimeout:      o.writeTimeout,
-		IdleTimeout:       o.idleTimeout,
-	}
-
-	// SIGHUP reloads the artifact and republishes it to every replica —
-	// the fleet swaps member by member, each one atomically.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			if o.dsPath == "" {
-				log.Printf("SIGHUP ignored: serving a compiled dataset, nothing to reload")
-				continue
-			}
-			nds, err := dataset.Load(o.dsPath)
-			if err != nil {
-				log.Printf("SIGHUP reload failed: %v", err)
-				continue
-			}
-			for i, s := range fleet.Servers() {
-				art := s.Publish(nds, o.dsPath)
-				log.Printf("SIGHUP swap: replica %d now generation %d (%d records)", i, art.Gen, art.Records)
-			}
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		rt.StartDrain()
-		log.Printf("draining: router /readyz now 503, closing listener in %s", o.drainWait)
-		time.Sleep(o.drainWait)
-		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shCtx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-	}()
-
-	log.Printf("routing %d records across %d replicas on %s (replication=%d, hedge=%v, faults=%s)",
-		len(ds.Records), o.replicas, o.addr, o.replication, o.hedge, o.faultName)
+	log.Printf("routing %d records from %s across %d replicas on %s (replication=%d, hedge=%v, faults=%s, mapped=%v)",
+		art.Records, art.Source, o.replicas, o.addr, o.replication, o.hedge, o.faultName, art.R2.Mapped())
 	for i, r := range rt.Ranges() {
 		log.Printf("  replica %d: %s-%s", i, r.Lo, r.Hi)
 	}
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	<-drained
-	log.Printf("drained, exiting")
-	return nil
+	return listenAndServe(o, rt.Handler(), fleet.Servers(), rt.StartDrain)
 }
 
 // replicaChaosLoop applies the fault profile's replica-lifecycle

@@ -23,7 +23,7 @@ func streamScale(s string) (int, bool) {
 }
 
 // streamCompile external-merge compiles an n-target streaming campaign
-// into a block-indexed GEODSET2 artifact. With out set the artifact
+// into an artifact file. With out set the artifact
 // lands there (for -write); otherwise it goes to a temp directory and
 // the returned cleanup removes it after serving ends.
 func streamCompile(n int, out string) (string, func(), error) {
@@ -48,7 +48,6 @@ func streamCompile(n int, out string) (string, func(), error) {
 	hdr := dataset.Header{ConfigHash: src.ConfigHash(), Seed: c.W.Cfg.Seed, Profile: "stream"}
 	stats, err := dataset.CompileExternal(out, src, hdr, dataset.Options{}, nil, dataset.StreamConfig{
 		SpillDir: filepath.Join(dir, "spill"),
-		V2:       true,
 	})
 	if err != nil {
 		cleanup()
@@ -56,21 +55,4 @@ func streamCompile(n int, out string) (string, func(), error) {
 	}
 	log.Printf("streamed %d records into %d blocks (%.1fs)", stats.Records, stats.Blocks, time.Since(start).Seconds())
 	return out, cleanup, nil
-}
-
-// isBlockIndexed sniffs whether the artifact at path is a GEODSET2 —
-// served out of a mapping of the file rather than decoded whole. Short or
-// unreadable files answer false so the GEODSET1 loader reports its
-// usual named error.
-func isBlockIndexed(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var m [8]byte
-	if _, err := f.Read(m[:]); err != nil {
-		return false
-	}
-	return string(m[:]) == dataset.Magic2
 }

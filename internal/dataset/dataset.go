@@ -6,27 +6,22 @@
 // the estimate, and a sanitized flag recording whether the underlying
 // vantage data survived the paper's §4.3 speed-of-Internet sanitization.
 //
-// The on-disk artifact reuses the checkpoint journal's framing style
-// (DESIGN.md §3.3) because it earned its keep there:
-//
-//	magic "GEODSET1" (8 bytes)
-//	record*            kind u8 | payloadLen u32 | crc32(kind‖payload) u32 | payload
-//
-// with a mandatory first header record (format version, campaign config
-// hash, world seed, fault profile). Unlike a journal, a dataset file is
-// written atomically and never appended to, so a torn tail is not a
-// crash signature but damage: the decoder rejects it with ErrTruncated
-// instead of dropping it.
+// The on-disk artifact is GEODSET2, the block-indexed format laid out at
+// the top of dataset2.go: the one format this package writes (Writer2,
+// Dataset.Write, Dataset.Encode, CompileExternal) and reads (Reader2). It
+// reuses the checkpoint journal's framing style (DESIGN.md §3.3) — kind u8
+// | payloadLen u32 | crc32(kind‖payload) u32 | payload — but unlike a
+// journal a dataset file is written atomically and never appended to, so a
+// torn tail is not a crash signature but damage: the reader rejects it
+// with ErrTruncated instead of dropping it.
 package dataset
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -34,16 +29,12 @@ import (
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
-	"geoloc/internal/ipindex"
 	"geoloc/internal/streetlevel"
 	"geoloc/internal/telemetry"
 )
 
-// Magic identifies a dataset artifact file.
-const Magic = "GEODSET1"
-
-// Version is the current dataset format version.
-const Version = 1
+// Version is the dataset format version every header carries.
+const Version = 2
 
 // maxPayload bounds a single record frame so corrupt length bytes cannot
 // drive a huge allocation.
@@ -52,10 +43,11 @@ const maxPayload = 1 << 20
 // frameOverhead is kind (1) + payload length (4) + CRC (4).
 const frameOverhead = 9
 
-// Record kinds.
+// Frame kinds. (1 was the per-record frame of the retired flat format.)
 const (
 	kindHeader byte = 0
-	kindRecord byte = 1
+	kindBlock  byte = 2
+	kindIndex  byte = 3
 )
 
 // recordPayloadLen is the fixed encoded size of one Record payload:
@@ -198,11 +190,6 @@ func decodeHeader(payload []byte) (Header, error) {
 	return h, nil
 }
 
-// encodeRecord serializes one Record payload.
-func encodeRecord(r Record) []byte {
-	return appendRecord(make([]byte, 0, recordPayloadLen), r)
-}
-
 // appendRecord appends r's payload (recordPayloadLen bytes) to buf.
 func appendRecord(buf []byte, r Record) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Prefix))
@@ -251,146 +238,55 @@ func decodeRecord(payload []byte) (Record, error) {
 	return r, nil
 }
 
-// frame serializes one frame (identical layout to checkpoint frames).
-func frame(kind byte, payload []byte) []byte {
-	buf := make([]byte, frameOverhead+len(payload))
-	buf[0] = kind
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(buf[:1])
-	crc.Write(payload)
-	binary.LittleEndian.PutUint32(buf[5:], crc.Sum32())
-	copy(buf[frameOverhead:], payload)
-	return buf
-}
-
-// Encode serializes the dataset. Records must already be sorted by
-// prefix; Compile and Decode both guarantee it.
+// Encode serializes the dataset into a GEODSET2 image at DefaultBlockSize —
+// for sorted records, the bytes Write stores. Records are encoded as
+// given: an image of unsorted or malformed records is well-framed, and
+// NewReader2 or the first touch of the offending block rejects it with
+// ErrCorrupt.
 func (d *Dataset) Encode() []byte {
-	hdr := d.Hdr
-	hdr.Version = Version
-	out := make([]byte, 0, len(Magic)+len(d.Records)*(frameOverhead+recordPayloadLen)+64)
-	out = append(out, Magic...)
-	out = append(out, frame(kindHeader, encodeHeader(hdr))...)
+	var buf bytes.Buffer
+	// An upper bound on the image: framing costs ~76 bytes plus 35 per block.
+	buf.Grow(len(d.Records)*(recordPayloadLen+1) + len(d.Hdr.Profile) + 128)
+	// Writes to a bytes.Buffer cannot fail, and the encoder has no other
+	// error to give.
+	e, _ := newEncoder(&buf, d.Hdr, DefaultBlockSize)
 	for _, r := range d.Records {
-		out = append(out, frame(kindRecord, encodeRecord(r))...)
+		_ = e.add(r)
 	}
-	meters.encodes.Inc()
-	return out
+	_, _ = e.finish()
+	return buf.Bytes()
 }
 
-// Decode parses a dataset image. Every failure is one of the package's
-// named errors; arbitrary input never panics (FuzzDatasetDecoder enforces
-// both). Beyond framing, Decode validates the artifact's invariants:
-// records strictly sorted by prefix (no duplicates) and well-formed
-// geometry — a file violating them was not produced by Encode.
-func Decode(data []byte) (*Dataset, error) {
-	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
-		return nil, ErrBadMagic
-	}
-	d := &Dataset{}
-	off := len(Magic)
-	first := true
-	for off < len(data) {
-		rest := len(data) - off
-		if rest < frameOverhead {
-			return nil, fmt.Errorf("%w: %d trailing bytes at offset %d", ErrTruncated, rest, off)
-		}
-		kind := data[off]
-		plen := int(binary.LittleEndian.Uint32(data[off+1:]))
-		want := binary.LittleEndian.Uint32(data[off+5:])
-		if plen > maxPayload {
-			return nil, fmt.Errorf("%w: frame at offset %d claims %d-byte payload", ErrCorrupt, off, plen)
-		}
-		if rest < frameOverhead+plen {
-			return nil, fmt.Errorf("%w: frame at offset %d runs past EOF", ErrTruncated, off)
-		}
-		payload := data[off+frameOverhead : off+frameOverhead+plen]
-		crc := crc32.NewIEEE()
-		crc.Write(data[off : off+1])
-		crc.Write(payload)
-		if crc.Sum32() != want {
-			return nil, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
-		}
-		off += frameOverhead + plen
-		if first {
-			first = false
-			if kind != kindHeader {
-				return nil, fmt.Errorf("%w: first record has kind %d", ErrNoHeader, kind)
-			}
-			hdr, err := decodeHeader(payload)
-			if err != nil {
-				return nil, err
-			}
-			if hdr.Version != Version {
-				return nil, fmt.Errorf("%w: artifact version %d, decoder version %d",
-					ErrBadVersion, hdr.Version, Version)
-			}
-			d.Hdr = hdr
-			continue
-		}
-		switch kind {
-		case kindRecord:
-			r, err := decodeRecord(payload)
-			if err != nil {
-				return nil, err
-			}
-			if n := len(d.Records); n > 0 && d.Records[n-1].Prefix >= r.Prefix {
-				return nil, fmt.Errorf("%w: records not strictly sorted at offset %d", ErrCorrupt, off)
-			}
-			d.Records = append(d.Records, r)
-		case kindHeader:
-			return nil, fmt.Errorf("%w: duplicate header at offset %d", ErrCorrupt, off)
-		default:
-			return nil, fmt.Errorf("%w: unknown record kind %d at offset %d", ErrCorrupt, kind, off)
-		}
-	}
-	if first {
-		return nil, ErrNoHeader
-	}
-	meters.decodes.Inc()
-	return d, nil
-}
-
-// Write stores the dataset atomically: encode to a temporary file in the
-// destination directory, fsync, rename. A crash leaves either the old
-// artifact or the new one, never a torn hybrid — which is why the decoder
-// can treat truncation as damage.
+// Write stores the dataset atomically at path through Writer2 (temporary
+// file, fsync, rename): a crash leaves either the old artifact or the new
+// one, never a torn hybrid — which is why the reader can treat truncation
+// as damage. Records must be strictly ascending by prefix; Compile and
+// Load both guarantee it.
 func (d *Dataset) Write(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	w, err := NewWriter2(path, d.Hdr, 0)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(d.Encode()); err == nil {
-		err = f.Sync()
+	for _, r := range d.Records {
+		if err := w.Add(r); err != nil {
+			w.Abort()
+			return err
+		}
 	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+	_, err = w.Finish()
+	return err
 }
 
-// Load reads and decodes an artifact file.
+// Load reads an artifact file fully into memory, verifying every block —
+// for client-side tools (the geobench baseline oracle) that want slice
+// access. Servers read in place through Open2.
 func Load(path string) (*Dataset, error) {
-	data, err := os.ReadFile(path)
+	r, err := Open2(path)
 	if err != nil {
 		return nil, err
 	}
-	d, err := Decode(data)
+	defer r.Close()
+	d, err := r.Materialize()
 	if err != nil {
 		meters.badLoads.Inc()
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -400,7 +296,7 @@ func Load(path string) (*Dataset, error) {
 
 // Find returns the record covering the /24 of addr (records are sorted,
 // so this is a binary search), or false. Serving traffic goes through
-// ipindex instead; Find is the small-scale convenience accessor.
+// Reader2 instead; Find is the in-RAM convenience accessor.
 func (d *Dataset) Find(addr ipaddr.Addr) (Record, bool) {
 	p := ipaddr.Prefix24Of(addr)
 	i := sort.Search(len(d.Records), func(i int) bool { return d.Records[i].Prefix >= p })
@@ -408,16 +304,6 @@ func (d *Dataset) Find(addr ipaddr.Addr) (Record, bool) {
 		return d.Records[i], true
 	}
 	return Record{}, false
-}
-
-// Index builds the serving index over the dataset: one /24 entry per
-// record, the entry value being the record's position in Records.
-func (d *Dataset) Index() *ipindex.Index {
-	entries := make([]ipindex.Entry, len(d.Records))
-	for i, r := range d.Records {
-		entries[i] = ipindex.Entry{Prefix: ipindex.From24(r.Prefix), Value: int32(i)}
-	}
-	return ipindex.Build(entries)
 }
 
 // Options tunes Compile.

@@ -1,8 +1,6 @@
-// GEODSET2: the block-indexed artifact variant (DESIGN.md §3.9). The
-// flat GEODSET1 format must be decoded whole, so serving it costs RAM
-// proportional to the dataset. GEODSET2 keeps the same record payloads
-// and frame discipline but groups records into fixed-size sorted blocks
-// with a trailing per-block key index and a fixed-size footer:
+// GEODSET2: the dataset artifact format (DESIGN.md §3.9). Records are
+// fixed-size payloads grouped into sorted blocks, followed by a per-block
+// key index and a fixed-size footer, every frame CRC-protected:
 //
 //	magic "GEODSET2" (8 bytes)
 //	header frame      kind 0 | payloadLen u32 | crc32 u32 | header payload (Version=2)
@@ -12,9 +10,8 @@
 //
 // A reader maps the file, validates footer, index and header, and
 // thereafter touches only the blocks a lookup lands in — O(blocks-touched)
-// resident pages at any artifact size. Like GEODSET1 the file is written
-// atomically (tmp + fsync + rename), so truncation is damage, not a crash
-// tail.
+// resident pages at any artifact size. The file is written atomically
+// (tmp + fsync + rename), so truncation is damage, not a crash tail.
 package dataset
 
 import (
@@ -31,18 +28,8 @@ import (
 	"geoloc/internal/ipaddr"
 )
 
-// Magic2 identifies a block-indexed dataset artifact.
+// Magic2 identifies a dataset artifact.
 const Magic2 = "GEODSET2"
-
-// Version2 is the GEODSET2 format version, carried in the same header
-// payload layout as GEODSET1.
-const Version2 = 2
-
-// GEODSET2 frame kinds (kindHeader is shared with GEODSET1).
-const (
-	kindBlock byte = 2
-	kindIndex byte = 3
-)
 
 // DefaultBlockSize is the records-per-block default: 256 records ≈ 7.7 KB
 // per block frame, a few disk pages.
@@ -75,21 +62,121 @@ type blockMeta struct {
 	plen        uint32
 }
 
+// encoder writes a GEODSET2 image — magic, header frame, block frames,
+// index frame, footer — into any io.Writer. It is the one place the format
+// is produced: Writer2 points it at a file, Dataset.Encode at a byte
+// buffer. It holds one block payload plus the (small) index, so encoding
+// a full-IPv4-scale artifact is O(block). Records are encoded as given;
+// ordering is Writer2.Add's check on the way in and the reader's on the
+// way out.
+type encoder struct {
+	w           io.Writer
+	blockSize   int
+	fh          [frameOverhead]byte // frame header scratch
+	block       []byte              // the open block's payload: count u16 | records
+	n           int                 // records in the open block
+	first, last ipaddr.Prefix24     // the open block's first key; the last key added
+	index       []blockMeta
+	off         int64
+	records     uint64
+}
+
+// newEncoder writes the magic and the header frame. blockSize must be in
+// [1, maxBlockRecords].
+func newEncoder(w io.Writer, hdr Header, blockSize int) (*encoder, error) {
+	hdr.Version = Version
+	e := &encoder{w: w, blockSize: blockSize, block: make([]byte, 2, 2+blockSize*recordPayloadLen)}
+	if _, err := io.WriteString(w, Magic2); err != nil {
+		return nil, err
+	}
+	e.off = int64(len(Magic2))
+	return e, e.writeFrame(kindHeader, encodeHeader(hdr))
+}
+
+// writeFrame writes one frame (identical layout to checkpoint frames).
+func (e *encoder) writeFrame(kind byte, payload []byte) error {
+	e.fh[0] = kind
+	binary.LittleEndian.PutUint32(e.fh[1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(e.fh[5:], crc32.Update(crc32.ChecksumIEEE(e.fh[:1]), crc32.IEEETable, payload))
+	if _, err := e.w.Write(e.fh[:]); err != nil {
+		return err
+	}
+	_, err := e.w.Write(payload)
+	e.off += int64(frameOverhead + len(payload))
+	return err
+}
+
+func (e *encoder) add(r Record) error {
+	if e.n == 0 {
+		e.first = r.Prefix
+	}
+	e.last = r.Prefix
+	e.block = appendRecord(e.block, r)
+	e.n++
+	e.records++
+	if e.n == e.blockSize {
+		return e.flushBlock()
+	}
+	return nil
+}
+
+func (e *encoder) flushBlock() error {
+	if e.n == 0 {
+		return nil
+	}
+	binary.LittleEndian.PutUint16(e.block, uint16(e.n))
+	e.index = append(e.index, blockMeta{
+		first: e.first,
+		last:  e.last,
+		count: uint32(e.n),
+		off:   e.off,
+		plen:  uint32(len(e.block)),
+	})
+	err := e.writeFrame(kindBlock, e.block)
+	e.block, e.n = e.block[:2], 0
+	return err
+}
+
+// finish flushes the last block and writes the index frame and the
+// footer. Returns the image size.
+func (e *encoder) finish() (int64, error) {
+	if err := e.flushBlock(); err != nil {
+		return 0, err
+	}
+	indexOff := e.off
+	payload := make([]byte, 0, len(e.index)*indexEntryLen)
+	for _, b := range e.index {
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(b.first))
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(b.last))
+		payload = binary.LittleEndian.AppendUint32(payload, b.count)
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(b.off))
+		payload = binary.LittleEndian.AppendUint32(payload, b.plen)
+	}
+	if err := e.writeFrame(kindIndex, payload); err != nil {
+		return 0, err
+	}
+	footer := make([]byte, 0, footerLen)
+	footer = binary.LittleEndian.AppendUint64(footer, uint64(indexOff))
+	footer = binary.LittleEndian.AppendUint64(footer, e.records)
+	footer = binary.LittleEndian.AppendUint32(footer, crc32.ChecksumIEEE(footer[:16]))
+	footer = append(footer, tailMagic...)
+	if _, err := e.w.Write(footer); err != nil {
+		return 0, err
+	}
+	e.off += footerLen
+	meters.encodes.Inc()
+	return e.off, nil
+}
+
 // Writer2 streams records into a GEODSET2 file in ascending prefix
-// order. It holds one block plus the (small) index in memory, so writing
-// a full-IPv4-scale artifact is O(block). The file appears atomically at
-// path on Finish; Abort (or a crash) leaves only a .tmp.
+// order. The file appears atomically at path on Finish. Abort and a
+// failed Finish remove the temporary file; a crash leaves at most a .tmp
+// beside path, never a partial artifact at it.
 type Writer2 struct {
+	enc       *encoder
 	path, tmp string
 	f         *os.File
-	w         *bufio.Writer
-	blockSize int
-	hdr       Header
-	cur       []Record
-	index     []blockMeta
-	off       int64
-	records   uint64
-	last      ipaddr.Prefix24
+	bw        *bufio.Writer
 	finished  bool
 }
 
@@ -107,116 +194,50 @@ func NewWriter2(path string, hdr Header, blockSize int) (*Writer2, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr.Version = Version2
-	w := &Writer2{
-		path: path, tmp: tmp, f: f, w: bufio.NewWriterSize(f, 64<<10),
-		blockSize: blockSize, hdr: hdr, cur: make([]Record, 0, blockSize),
-	}
-	if _, err := w.w.WriteString(Magic2); err != nil {
+	w := &Writer2{path: path, tmp: tmp, f: f, bw: bufio.NewWriterSize(f, 64<<10)}
+	if w.enc, err = newEncoder(w.bw, hdr, blockSize); err != nil {
 		w.Abort()
 		return nil, err
 	}
-	hb := frame(kindHeader, encodeHeader(hdr))
-	if _, err := w.w.Write(hb); err != nil {
-		w.Abort()
-		return nil, err
-	}
-	w.off = int64(len(Magic2) + len(hb))
 	return w, nil
 }
 
 // Add appends one record; prefixes must be strictly ascending.
 func (w *Writer2) Add(r Record) error {
-	if w.records > 0 && r.Prefix <= w.last {
-		return fmt.Errorf("dataset: records out of order (%s after %s)", r.Prefix, w.last)
+	if w.enc.records > 0 && r.Prefix <= w.enc.last {
+		return fmt.Errorf("dataset: records out of order (%s after %s)", r.Prefix, w.enc.last)
 	}
-	w.cur = append(w.cur, r)
-	w.last = r.Prefix
-	w.records++
-	if len(w.cur) == w.blockSize {
-		return w.flushBlock()
-	}
-	return nil
+	return w.enc.add(r)
 }
 
-func (w *Writer2) flushBlock() error {
-	if len(w.cur) == 0 {
-		return nil
-	}
-	payload := make([]byte, 0, 2+len(w.cur)*recordPayloadLen)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(w.cur)))
-	for _, r := range w.cur {
-		payload = append(payload, encodeRecord(r)...)
-	}
-	fb := frame(kindBlock, payload)
-	if _, err := w.w.Write(fb); err != nil {
-		return err
-	}
-	w.index = append(w.index, blockMeta{
-		first: w.cur[0].Prefix,
-		last:  w.cur[len(w.cur)-1].Prefix,
-		count: uint32(len(w.cur)),
-		off:   w.off,
-		plen:  uint32(len(payload)),
-	})
-	w.off += int64(len(fb))
-	w.cur = w.cur[:0]
-	return nil
-}
-
-// Finish flushes the last block, writes the index and footer, fsyncs,
-// and atomically renames the file into place. Returns the final size.
+// Finish completes the image and commits it — the package's one commit:
+// flush, fsync, close, rename into place, sync the directory. Returns the
+// final size. Any failure removes the temporary file and leaves path as
+// it was.
 func (w *Writer2) Finish() (int64, error) {
-	if err := w.flushBlock(); err != nil {
+	size, err := w.enc.finish()
+	if err == nil {
+		err = w.bw.Flush()
+	}
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if err == nil {
+		err = w.f.Close()
+	}
+	if err == nil {
+		err = os.Rename(w.tmp, w.path)
+	}
+	if err != nil {
 		w.Abort()
-		return 0, err
-	}
-	indexOff := w.off
-	payload := make([]byte, 0, len(w.index)*indexEntryLen)
-	for _, b := range w.index {
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(b.first))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(b.last))
-		payload = binary.LittleEndian.AppendUint32(payload, b.count)
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(b.off))
-		payload = binary.LittleEndian.AppendUint32(payload, b.plen)
-	}
-	fb := frame(kindIndex, payload)
-	if _, err := w.w.Write(fb); err != nil {
-		w.Abort()
-		return 0, err
-	}
-	w.off += int64(len(fb))
-	footer := make([]byte, 0, footerLen)
-	footer = binary.LittleEndian.AppendUint64(footer, uint64(indexOff))
-	footer = binary.LittleEndian.AppendUint64(footer, w.records)
-	footer = binary.LittleEndian.AppendUint32(footer, crc32.ChecksumIEEE(footer[:16]))
-	footer = append(footer, tailMagic...)
-	if _, err := w.w.Write(footer); err != nil {
-		w.Abort()
-		return 0, err
-	}
-	w.off += footerLen
-	if err := w.w.Flush(); err != nil {
-		w.Abort()
-		return 0, err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.Abort()
-		return 0, err
-	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.tmp)
 		return 0, err
 	}
 	w.finished = true
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		return 0, err
-	}
 	if dir, err := os.Open(filepath.Dir(w.path)); err == nil {
 		dir.Sync()
 		dir.Close()
 	}
-	return w.off, nil
+	return size, nil
 }
 
 // Abort discards the partial file. Safe after Finish (no-op).
@@ -224,13 +245,13 @@ func (w *Writer2) Abort() {
 	if w.finished {
 		return
 	}
-	w.f.Close()
-	os.Remove(w.tmp)
 	w.finished = true
+	w.f.Close() // a second Close after a failed Finish is harmless
+	os.Remove(w.tmp)
 }
 
 // NumBlocks reports how many blocks have been flushed so far.
-func (w *Writer2) NumBlocks() int { return len(w.index) }
+func (w *Writer2) NumBlocks() int { return len(w.enc.index) }
 
 // Reader2 serves lookups out of a GEODSET2 artifact image held as one
 // byte slice: a read-only mapping of the file where the platform and
@@ -346,9 +367,9 @@ func NewReader2(data []byte) (*Reader2, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hdr.Version != Version2 {
-		return nil, fmt.Errorf("%w: artifact version %d, GEODSET2 decoder version %d",
-			ErrBadVersion, hdr.Version, Version2)
+	if hdr.Version != Version {
+		return nil, fmt.Errorf("%w: artifact version %d, reader version %d",
+			ErrBadVersion, hdr.Version, Version)
 	}
 	d.hdr = hdr
 
@@ -628,9 +649,8 @@ func (d *Reader2) All(fn func(Record) error) error {
 	return nil
 }
 
-// Materialize decodes the whole artifact into an in-RAM Dataset — for
-// client-side tools (the geobench baseline oracle) that want slice
-// access and don't care about the block reader's memory bound.
+// Materialize decodes the whole artifact into an in-RAM Dataset,
+// verifying every block on the way (Load's second half).
 func (d *Reader2) Materialize() (*Dataset, error) {
 	ds := &Dataset{Hdr: d.hdr, Records: make([]Record, 0, d.records)}
 	if err := d.All(func(r Record) error {
@@ -640,28 +660,4 @@ func (d *Reader2) Materialize() (*Dataset, error) {
 		return nil, err
 	}
 	return ds, nil
-}
-
-// LoadAny loads an artifact of either format fully into memory: a
-// GEODSET1 is decoded as Load does, a GEODSET2 is materialized block by
-// block. Servers wanting the bounded-memory path should use Open2
-// directly; this is for tools.
-func LoadAny(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		meters.badLoads.Inc()
-		return nil, err
-	}
-	var m [8]byte
-	_, rerr := io.ReadFull(f, m[:])
-	f.Close()
-	if rerr == nil && string(m[:]) == Magic2 {
-		r2, err := Open2(path)
-		if err != nil {
-			return nil, err
-		}
-		defer r2.Close()
-		return r2.Materialize()
-	}
-	return Load(path)
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
 )
 
@@ -35,7 +36,7 @@ func writeV2(t *testing.T, ds *Dataset, blockSize int) string {
 
 // TestDataset2RoundTrip: every record written through Writer2 comes
 // back through the block reader — scan order, lookup hits, and header
-// provenance all matching the in-RAM GEODSET1 fixture.
+// provenance all matching the in-RAM fixture.
 func TestDataset2RoundTrip(t *testing.T) {
 	ds := compiled(t)
 	for _, blockSize := range []int{1, 3, 16, len(ds.Records), len(ds.Records) + 7} {
@@ -53,7 +54,7 @@ func TestDataset2RoundTrip(t *testing.T) {
 				t.Fatalf("%d blocks, want %d", r2.NumBlocks(), wantBlocks)
 			}
 			hdr := r2.Header()
-			if hdr.Version != Version2 || hdr.ConfigHash != ds.Hdr.ConfigHash ||
+			if hdr.Version != Version || hdr.ConfigHash != ds.Hdr.ConfigHash ||
 				hdr.Seed != ds.Hdr.Seed || hdr.Profile != ds.Hdr.Profile {
 				t.Fatalf("header %+v does not carry fixture provenance %+v", hdr, ds.Hdr)
 			}
@@ -134,6 +135,63 @@ func patchFrameCRC(img []byte, off int) {
 	crc.Write(img[off : off+1])
 	crc.Write(img[off+frameOverhead : off+frameOverhead+plen])
 	binary.LittleEndian.PutUint32(img[off+5:], crc.Sum32())
+}
+
+// firstBlockOff is where block 0's frame starts: after the magic and the
+// header frame.
+func firstBlockOff(img []byte) int {
+	return len(Magic2) + frameOverhead + int(binary.LittleEndian.Uint32(img[len(Magic2)+1:]))
+}
+
+// badRecordCases names the ways one record can break an invariant
+// verifyBlock checks.
+var badRecordCases = []string{"lat-95", "nan-radius", "negative-radius", "unknown-method",
+	"unknown-flags", "prefix-over-24-bits", "unsorted", "duplicate-prefix"}
+
+// badRecordDataset returns three records, the middle one broken as named.
+// The outer two are sound, so the index entry Encode derives from them
+// passes open-time validation and the damage is only visible inside the
+// block.
+func badRecordDataset(t *testing.T, name string) *Dataset {
+	t.Helper()
+	good := func(p ipaddr.Prefix24) Record {
+		return Record{Prefix: p, Centroid: geo.Point{Lat: 10, Lon: 20}, RadiusKm: 5, Method: MethodCBG, Sanitized: true}
+	}
+	mid := good(20)
+	switch name {
+	case "lat-95":
+		mid.Centroid.Lat = 95
+	case "nan-radius":
+		mid.RadiusKm = math.NaN()
+	case "negative-radius":
+		mid.RadiusKm = -1
+	case "unknown-method":
+		mid.Method = numMethods
+	case "unknown-flags":
+		// No Record field carries flag bits: badRecordImage patches the byte.
+	case "prefix-over-24-bits":
+		mid.Prefix = 1 << 24
+	case "unsorted":
+		mid.Prefix = 5
+	case "duplicate-prefix":
+		mid.Prefix = 10
+	default:
+		t.Fatalf("unknown bad-record case %q", name)
+	}
+	return &Dataset{Hdr: Header{Seed: 1, Profile: "none"}, Records: []Record{good(10), mid, good(30)}}
+}
+
+// badRecordImage is the case's dataset as Encode frames it: one block with
+// a valid CRC around the bad record.
+func badRecordImage(t *testing.T, name string) []byte {
+	t.Helper()
+	img := badRecordDataset(t, name).Encode()
+	if name == "unknown-flags" {
+		off := firstBlockOff(img)
+		img[off+frameOverhead+2+recordPayloadLen+recordPayloadLen-1] |= 0x80 // middle record's flags byte
+		patchFrameCRC(img, off)
+	}
+	return img
 }
 
 // TestDataset2ErrorTaxonomy: every way a GEODSET2 file can be damaged
@@ -249,6 +307,36 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 		}
 	})
 
+	t.Run("bad-record", func(t *testing.T) {
+		// A block whose CRC is sound but which holds one record the decoder
+		// must refuse: open succeeds on both backings, every read that
+		// touches the block answers ErrCorrupt, and keeps answering it.
+		for _, name := range badRecordCases {
+			t.Run(name, func(t *testing.T) {
+				img := badRecordImage(t, name)
+				heap, err := NewReader2(img)
+				if err != nil {
+					t.Fatalf("heap open rejected lazily-validated damage: %v", err)
+				}
+				mapped, err := openMappedBytes(t, img)
+				if err != nil {
+					t.Fatalf("mapped open rejected lazily-validated damage: %v", err)
+				}
+				defer mapped.Close()
+				for backing, r2 := range map[string]*Reader2{"heap": heap, "mapped": mapped} {
+					for try := 0; try < 2; try++ {
+						if _, _, err := r2.Lookup(10); !errors.Is(err, ErrCorrupt) {
+							t.Fatalf("%s try %d: lookup of the sound first record: got %v, want ErrCorrupt", backing, try, err)
+						}
+					}
+					if err := r2.All(func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%s: scan: got %v, want ErrCorrupt", backing, err)
+					}
+				}
+			})
+		}
+	})
+
 	t.Run("writer-rejects-disorder", func(t *testing.T) {
 		w, err := NewWriter2(filepath.Join(t.TempDir(), "x.geodset2"), ds.Hdr, 4)
 		if err != nil {
@@ -265,39 +353,4 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 			t.Fatal("descending prefix accepted")
 		}
 	})
-}
-
-// TestLoadAny covers the format-sniffing loader used by client-side
-// tools: both artifact generations load into the same in-RAM view.
-func TestLoadAny(t *testing.T) {
-	ds := compiled(t)
-	dir := t.TempDir()
-
-	v1 := filepath.Join(dir, "v1.bin")
-	if err := ds.Write(v1); err != nil {
-		t.Fatal(err)
-	}
-	v2 := writeV2(t, ds, 8)
-
-	for name, path := range map[string]string{"v1": v1, "v2": v2} {
-		got, err := LoadAny(path)
-		if err != nil {
-			t.Fatalf("LoadAny(%s): %v", name, err)
-		}
-		if len(got.Records) != len(ds.Records) {
-			t.Fatalf("LoadAny(%s): %d records, want %d", name, len(got.Records), len(ds.Records))
-		}
-		for i := range got.Records {
-			if got.Records[i] != ds.Records[i] {
-				t.Fatalf("LoadAny(%s): record %d mismatch", name, i)
-			}
-		}
-		if got.Hdr.ConfigHash != ds.Hdr.ConfigHash || got.Hdr.Seed != ds.Hdr.Seed {
-			t.Fatalf("LoadAny(%s): header provenance mismatch", name)
-		}
-	}
-
-	if _, err := LoadAny(filepath.Join(dir, "missing.bin")); err == nil {
-		t.Fatal("LoadAny on missing file succeeded")
-	}
 }

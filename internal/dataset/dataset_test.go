@@ -1,8 +1,8 @@
 package dataset
 
 import (
+	"bytes"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -134,13 +134,19 @@ func TestCompileDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip: Encode's image read back through the one
+// reader is the dataset again — header (Version included) and every record.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	d := compiled(t)
-	got, err := Decode(d.Encode())
+	r2, err := NewReader2(d.Encode())
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("NewReader2: %v", err)
 	}
-	if got.Hdr != d.Hdr {
+	got, err := r2.Materialize()
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+	if got.Hdr != d.Hdr || got.Hdr.Version != Version {
 		t.Fatalf("header round-trip: %+v vs %+v", got.Hdr, d.Hdr)
 	}
 	if len(got.Records) != len(d.Records) {
@@ -155,7 +161,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestWriteLoad(t *testing.T) {
 	d := compiled(t)
-	path := filepath.Join(t.TempDir(), "tiny.geodset")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tiny.geodset")
 	if err := d.Write(path); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
@@ -169,10 +176,40 @@ func TestWriteLoad(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("temporary file left behind")
 	}
+	if img, err := os.ReadFile(path); err != nil || !bytes.Equal(img, d.Encode()) {
+		t.Fatalf("Write stored different bytes than Encode returns (read error %v)", err)
+	}
+
+	// A commit that cannot rename — the destination is a non-empty
+	// directory — returns the error and removes its temporary file.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "occupant"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(blocked); err == nil {
+		t.Fatal("Write onto a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(blocked + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("temporary file left behind by a failed commit")
+	}
 }
 
+// loadBytes stores img as a file and Loads it.
+func loadBytes(t *testing.T, img []byte) (*Dataset, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "img.geodset2")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return Load(path)
+}
+
+// TestDecodeNamedErrors: Load decodes the whole file or fails with a named
+// error — eagerly, damage inside a block included, where Open2 would only
+// report that on the block's first touch.
 func TestDecodeNamedErrors(t *testing.T) {
 	good := compiled(t).Encode()
+	firstRecord := firstBlockOff(good) + frameOverhead + 2
 	cases := []struct {
 		name string
 		data []byte
@@ -180,17 +217,19 @@ func TestDecodeNamedErrors(t *testing.T) {
 	}{
 		{"empty", nil, ErrBadMagic},
 		{"bad magic", []byte("NOTADSET................"), ErrBadMagic},
-		{"magic only", []byte(Magic), ErrNoHeader},
+		{"magic only", []byte(Magic2), ErrTruncated},
 		{"torn tail", good[:len(good)-3], ErrTruncated},
-		{"torn mid frame", good[:len(Magic)+4], ErrTruncated},
-		{"flipped byte", flip(good, len(good)-2), ErrCorrupt},
-		{"flipped header byte", flip(good, len(Magic)+frameOverhead+1), ErrCorrupt},
+		{"torn mid frame", good[:len(Magic2)+4], ErrTruncated},
+		{"flipped record byte", flip(good, firstRecord+8), ErrCorrupt},
+		{"flipped header byte", flip(good, len(Magic2)+frameOverhead+1), ErrCorrupt},
 	}
 	for _, c := range cases {
-		_, err := Decode(c.data)
-		if !errors.Is(err, c.want) {
-			t.Errorf("%s: Decode err = %v, want %v", c.name, err, c.want)
+		if _, err := loadBytes(t, c.data); !errors.Is(err, c.want) {
+			t.Errorf("%s: Load err = %v, want %v", c.name, err, c.want)
 		}
+	}
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.bin")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: Load err = %v, want os.ErrNotExist", err)
 	}
 }
 
@@ -200,45 +239,51 @@ func flip(data []byte, i int) []byte {
 	return out
 }
 
+// TestDecodeRejectsBadVersion: a header carrying any version but the
+// current one — the retired flat format's 1 included — is refused.
 func TestDecodeRejectsBadVersion(t *testing.T) {
-	d := compiled(t)
-	d2 := &Dataset{Hdr: d.Hdr, Records: d.Records}
-	d2.Hdr.Version = Version + 1
-	// Encode forces the current version, so hand-build the bad frame.
-	raw := append([]byte(Magic), frame(kindHeader, encodeHeader(d2.Hdr))...)
-	if _, err := Decode(raw); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("err = %v, want ErrBadVersion", err)
+	good := compiled(t).Encode()
+	for _, v := range []byte{Version - 1, Version + 1} {
+		bad := append([]byte(nil), good...)
+		bad[len(Magic2)+frameOverhead] = v // header payload version u32, low byte
+		patchFrameCRC(bad, len(Magic2))
+		if _, err := loadBytes(t, bad); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("version %d: err = %v, want ErrBadVersion", v, err)
+		}
 	}
 }
 
+// TestDecodeRejectsUnsortedRecords: neither end of the format lets
+// disorder through — Write refuses to store it (and leaves nothing
+// behind), Load refuses an image that holds it.
 func TestDecodeRejectsUnsortedRecords(t *testing.T) {
-	d := compiled(t)
-	if len(d.Records) < 2 {
-		t.Skip("need two records")
-	}
-	raw := append([]byte(Magic), frame(kindHeader, encodeHeader(d.Hdr))...)
-	raw = append(raw, frame(kindRecord, encodeRecord(d.Records[1]))...)
-	raw = append(raw, frame(kindRecord, encodeRecord(d.Records[0]))...)
-	if _, err := Decode(raw); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt for unsorted records", err)
+	for _, name := range []string{"unsorted", "duplicate-prefix"} {
+		ds := badRecordDataset(t, name)
+		path := filepath.Join(t.TempDir(), "x.geodset2")
+		if err := ds.Write(path); err == nil {
+			t.Errorf("%s: Write accepted the records", name)
+		}
+		for _, p := range []string{path, path + ".tmp"} {
+			if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s: rejected Write left %s behind", name, p)
+			}
+		}
+		if _, err := loadBytes(t, ds.Encode()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Load err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
+// TestFindAndIndexAgree: Dataset.Find answers every record's /24. (The
+// index it used to be compared with no longer serves; the reader's
+// agreement with a linear scan is TestDataset2LookupOracle.)
 func TestFindAndIndexAgree(t *testing.T) {
 	d := compiled(t)
-	ix := d.Index()
-	if ix.Len() != len(d.Records) {
-		t.Fatalf("index has %d prefixes, dataset %d records", ix.Len(), len(d.Records))
-	}
-	for i, r := range d.Records {
+	for _, r := range d.Records {
 		addr := r.Prefix.Addr(17)
 		fr, ok := d.Find(addr)
 		if !ok || fr != r {
 			t.Fatalf("Find(%s) = %+v, %v", addr, fr, ok)
-		}
-		m, ok := ix.Lookup(addr)
-		if !ok || int(m.Value) != i {
-			t.Fatalf("index Lookup(%s) = %+v, %v; want record %d", addr, m, ok, i)
 		}
 	}
 	if _, ok := d.Find(ipaddr.MustParse("203.0.113.9")); ok {
@@ -305,18 +350,12 @@ func TestMethodStrings(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsBadGeometry: Load never hands back a record whose
+// geometry is out of range, however well-framed the image around it.
 func TestDecodeRejectsBadGeometry(t *testing.T) {
-	hdr := Header{Version: Version, Seed: 1, Profile: "none"}
-	bad := []Record{
-		{Prefix: 1, Centroid: geo.Point{Lat: 95, Lon: 0}, Method: MethodCBG},
-		{Prefix: 1, Centroid: geo.Point{Lat: 0, Lon: 0}, RadiusKm: math.NaN(), Method: MethodCBG},
-		{Prefix: 1, Centroid: geo.Point{Lat: 0, Lon: 0}, RadiusKm: -1, Method: MethodCBG},
-	}
-	for i, r := range bad {
-		raw := append([]byte(Magic), frame(kindHeader, encodeHeader(hdr))...)
-		raw = append(raw, frame(kindRecord, encodeRecord(r))...)
-		if _, err := Decode(raw); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("bad record %d: err = %v, want ErrCorrupt", i, err)
+	for _, name := range []string{"lat-95", "nan-radius", "negative-radius"} {
+		if _, err := loadBytes(t, badRecordDataset(t, name).Encode()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 }

@@ -238,6 +238,56 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 	})
 }
 
+// TestRewriteUnderLiveMapping pins what every served file relies on:
+// writers commit by rename, so replacing the artifact at a path leaves a
+// live MAP_SHARED mapping on the old inode — intact, no fault — while a
+// fresh open sees the new file. (Writing over the file in place would
+// instead change or truncate the pages under the mapping: SIGBUS, which no
+// ErrCorrupt path can catch. Nothing in this repository does that.)
+func TestRewriteUnderLiveMapping(t *testing.T) {
+	before := compiled(t)
+	after := Compile(tinyCampaign(t), Options{}) // no unsanitized records: a different artifact
+	path := filepath.Join(t.TempDir(), "served.geodset2")
+	if err := before.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open2(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	// No block has been touched yet: every page is faulted in after the
+	// rewrite, from the old inode.
+	if err := after.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for _, want := range before.Records {
+		if got, ok, err := m.Lookup(want.Prefix); err != nil || !ok || got != want {
+			t.Fatalf("old reader, lookup %s after the rewrite: (%+v, %v, %v)", want.Prefix, got, ok, err)
+		}
+		if _, ok := after.Find(want.Prefix.Addr(1)); !ok {
+			dropped++
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("fixture: the rewrite dropped no record, old and new readers cannot be told apart")
+	}
+	fresh, err := Open2(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if fresh.NumRecords() != len(after.Records) {
+		t.Fatalf("fresh open sees %d records, the rewrite stored %d", fresh.NumRecords(), len(after.Records))
+	}
+	for _, want := range after.Records {
+		if got, ok, err := fresh.Lookup(want.Prefix); err != nil || !ok || got != want {
+			t.Fatalf("fresh reader, lookup %s: (%+v, %v, %v)", want.Prefix, got, ok, err)
+		}
+	}
+}
+
 // TestMappedPinLifecycle: the generation-pinned close protocol. A pinned
 // reader survives Close (the hot-swap case: in-flight requests still
 // hold the retired generation); the last Unpin releases it; a released

@@ -26,7 +26,7 @@ func writeRunPerRecord(path string, hdr checkpoint.Header, window, first uint32,
 	}
 	crc := crc32.NewIEEE()
 	for _, r := range recs {
-		payload := encodeRecord(r)
+		payload := appendRecord(make([]byte, 0, recordPayloadLen), r)
 		crc.Write(payload)
 		if err := j.Append(checkpoint.KindRow, payload); err != nil {
 			j.Close()

@@ -19,7 +19,6 @@
 package dataset
 
 import (
-	"bufio"
 	"container/heap"
 	"encoding/binary"
 	"errors"
@@ -149,10 +148,12 @@ type StreamConfig struct {
 	// KeepSpill leaves the run files in place after a successful merge
 	// (for debugging); by default they are deleted.
 	KeepSpill bool
-	// V2 writes the block-indexed GEODSET2 format instead of GEODSET1.
+	// V2 has no effect.
+	//
+	// Deprecated: GEODSET2 is the only format. Kept for one release because
+	// benchmark/ sets it.
 	V2 bool
-	// BlockSize is the GEODSET2 records-per-block (DefaultBlockSize when
-	// <= 0). Ignored for GEODSET1.
+	// BlockSize is the records-per-block (DefaultBlockSize when <= 0).
 	BlockSize int
 	// OnWindowSpilled, when set, runs after window w's run file is sealed
 	// and fsynced. Returning an error aborts the compilation with that
@@ -169,7 +170,7 @@ type StreamStats struct {
 	WindowsReused int   // sealed runs replayed from a previous invocation
 	SpillBytes    int64 // total size of the run files merged
 	ArtifactBytes int64 // final artifact size on disk
-	Blocks        int   // GEODSET2 blocks (0 for GEODSET1)
+	Blocks        int   // blocks in the final artifact
 }
 
 // Spill-run constants. A run is a checkpoint journal whose rows are
@@ -345,19 +346,12 @@ func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*runReader)) }
 func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// artifactWriter abstracts the two output formats for the merge.
-type artifactWriter interface {
-	add(Record) error
-	finish() (bytes int64, blocks int, err error)
-	abort()
-}
-
 // CompileExternal is the bounded-memory equivalent of Compile: it
 // measures src in windows, spills each window as a sorted run, and
-// k-way merges the runs into the artifact at path — GEODSET1 bytes
-// identical to CompileFromSource(...).Write(path), or GEODSET2 when
-// cfg.V2 is set. Peak heap is O(Window + runs·8KB) regardless of
-// src.NumTargets(); the memory-ceiling test enforces it.
+// k-way merges the runs into the artifact at path — at DefaultBlockSize,
+// bytes identical to CompileFromSource(...).Write(path). Peak heap is
+// O(Window + runs·8KB) regardless of src.NumTargets(); the memory-ceiling
+// test enforces it.
 func CompileExternal(path string, src Source, hdr Header, opts Options, extra []Record, cfg StreamConfig) (StreamStats, error) {
 	defer telemetry.Default().StartSpan("phase.dataset_external").End()
 	var stats StreamStats
@@ -477,18 +471,13 @@ func CompileExternal(path string, src Source, hdr Header, opts Options, extra []
 // writer, folding duplicate prefixes with the same better() rule — and
 // the same encounter order — as the in-RAM sortRecords.
 func mergeRuns(path string, hdr Header, runPaths []string, cfg StreamConfig) (records int, bytes int64, blocks int, err error) {
-	var w artifactWriter
-	if cfg.V2 {
-		w, err = newWriter2(path, hdr, cfg.BlockSize)
-	} else {
-		w, err = newWriter1(path, hdr)
-	}
+	w, err := NewWriter2(path, hdr, cfg.BlockSize)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer func() {
 		if err != nil {
-			w.abort()
+			w.Abort()
 		}
 	}()
 
@@ -537,7 +526,7 @@ func mergeRuns(path string, hdr Header, runPaths []string, cfg StreamConfig) (re
 				best = r
 			}
 		default:
-			if err = w.add(best); err != nil {
+			if err = w.Add(best); err != nil {
 				return 0, 0, 0, err
 			}
 			records++
@@ -545,112 +534,13 @@ func mergeRuns(path string, hdr Header, runPaths []string, cfg StreamConfig) (re
 		}
 	}
 	if have {
-		if err = w.add(best); err != nil {
+		if err = w.Add(best); err != nil {
 			return 0, 0, 0, err
 		}
 		records++
 	}
-	bytes, blocks, err = w.finish()
-	if err != nil {
+	if bytes, err = w.Finish(); err != nil {
 		return 0, 0, 0, err
 	}
-	return records, bytes, blocks, nil
+	return records, bytes, w.NumBlocks(), nil
 }
-
-// writer1 streams a GEODSET1 artifact: exactly the bytes
-// Dataset.Encode would produce, written through a bufio.Writer to a
-// temp file and renamed into place — so the external-merge path's
-// GEODSET1 output is bit-identical to the in-RAM one by construction
-// (the property test verifies it anyway).
-type writer1 struct {
-	path, tmp string
-	f         *os.File
-	w         *bufio.Writer
-	size      int64
-	finished  bool
-}
-
-func newWriter1(path string, hdr Header) (*writer1, error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	hdr.Version = Version
-	w := &writer1{path: path, tmp: tmp, f: f, w: bufio.NewWriterSize(f, 64<<10)}
-	if _, err := w.w.WriteString(Magic); err != nil {
-		w.abort()
-		return nil, err
-	}
-	hb := frame(kindHeader, encodeHeader(hdr))
-	if _, err := w.w.Write(hb); err != nil {
-		w.abort()
-		return nil, err
-	}
-	w.size = int64(len(Magic) + len(hb))
-	return w, nil
-}
-
-func (w *writer1) add(r Record) error {
-	fb := frame(kindRecord, encodeRecord(r))
-	_, err := w.w.Write(fb)
-	w.size += int64(len(fb))
-	return err
-}
-
-func (w *writer1) finish() (int64, int, error) {
-	if err := w.w.Flush(); err != nil {
-		w.abort()
-		return 0, 0, err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.abort()
-		return 0, 0, err
-	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.tmp)
-		return 0, 0, err
-	}
-	w.finished = true
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		return 0, 0, err
-	}
-	if dir, err := os.Open(filepath.Dir(w.path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	meters.encodes.Inc()
-	return w.size, 0, nil
-}
-
-func (w *writer1) abort() {
-	if w.finished {
-		return
-	}
-	w.f.Close()
-	os.Remove(w.tmp)
-	w.finished = true
-}
-
-// writer2 adapts Writer2 to the merge's artifactWriter seam.
-type writer2 struct{ w *Writer2 }
-
-func newWriter2(path string, hdr Header, blockSize int) (*writer2, error) {
-	w, err := NewWriter2(path, hdr, blockSize)
-	if err != nil {
-		return nil, err
-	}
-	return &writer2{w: w}, nil
-}
-
-func (w *writer2) add(r Record) error { return w.w.Add(r) }
-
-func (w *writer2) finish() (int64, int, error) {
-	size, err := w.w.Finish()
-	if err != nil {
-		return 0, 0, err
-	}
-	return size, w.w.NumBlocks(), nil
-}
-
-func (w *writer2) abort() { w.w.Abort() }

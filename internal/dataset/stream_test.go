@@ -29,11 +29,13 @@ func streamHeader(s *core.StreamCampaign) Header {
 }
 
 // TestCompileExternalBitIdentical is the tentpole property test: the
-// external-merge compiler's GEODSET1 output must match the in-RAM
-// oracle byte for byte — across window sizes (1 = every target its own
-// run, 7 = windows that straddle /24 duplicates unevenly, 64, N = one
-// run) and GOMAXPROCS (the par determinism-digest pattern), with and
-// without the unsanitized extras that exercise cross-run dedupe.
+// external-merge compiler's output must match the in-RAM oracle's Write
+// byte for byte — across window sizes (1 = every target its own run, 7 =
+// windows that straddle /24 duplicates unevenly, 64, N = one run) and
+// GOMAXPROCS (the par determinism-digest pattern), with and without the
+// unsanitized extras that exercise cross-run dedupe. One more case leaves
+// the default block size, where no Write bytes exist to compare with, and
+// checks the artifact through the reader instead.
 func TestCompileExternalBitIdentical(t *testing.T) {
 	c := tinyCampaign(t)
 	src := NewCampaignSource(c)
@@ -85,56 +87,48 @@ func TestCompileExternalBitIdentical(t *testing.T) {
 			}
 		}
 	}
-}
 
-// TestCompileExternalV2MatchesOracle checks the GEODSET2 leg: same
-// records, same order, same provenance as the in-RAM oracle, read back
-// through the block-indexed reader.
-func TestCompileExternalV2MatchesOracle(t *testing.T) {
-	c := tinyCampaign(t)
-	opts := Options{IncludeUnsanitized: true}
-	oracle := Compile(c, opts)
-	dir := t.TempDir()
-	out := filepath.Join(dir, "ext.geodset2")
-	stats, err := CompileExternal(out, NewCampaignSource(c), CampaignHeader(c), opts,
-		CampaignExtras(c, opts), StreamConfig{
+	t.Run("blocksize=32", func(t *testing.T) {
+		opts := Options{IncludeUnsanitized: true}
+		oracle := Compile(c, opts)
+		dir := t.TempDir()
+		out := filepath.Join(dir, "ext.geodset2")
+		stats, err := CompileExternal(out, src, hdr, opts, CampaignExtras(c, opts), StreamConfig{
 			Window:    48,
 			SpillDir:  filepath.Join(dir, "spill"),
-			V2:        true,
 			BlockSize: 32,
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Open2(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	wantHdr := oracle.Hdr
-	wantHdr.Version = Version2 // the only field the format rewrites
-	if r2.Header() != wantHdr {
-		t.Fatalf("header %+v, want %+v", r2.Header(), wantHdr)
-	}
-	if r2.NumRecords() != len(oracle.Records) {
-		t.Fatalf("%d records, oracle has %d", r2.NumRecords(), len(oracle.Records))
-	}
-	if stats.Blocks != r2.NumBlocks() || stats.Blocks != (len(oracle.Records)+31)/32 {
-		t.Fatalf("stats report %d blocks, reader %d", stats.Blocks, r2.NumBlocks())
-	}
-	i := 0
-	if err := r2.All(func(r Record) error {
-		if r != oracle.Records[i] {
-			return fmt.Errorf("record %d: got %+v want %+v", i, r, oracle.Records[i])
+		if err != nil {
+			t.Fatal(err)
 		}
-		i++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if i != len(oracle.Records) {
-		t.Fatalf("scan yielded %d records, oracle has %d", i, len(oracle.Records))
-	}
+		r2, err := Open2(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r2.Close()
+		if r2.Header() != oracle.Hdr {
+			t.Fatalf("header %+v, want %+v", r2.Header(), oracle.Hdr)
+		}
+		if r2.NumRecords() != len(oracle.Records) {
+			t.Fatalf("%d records, oracle has %d", r2.NumRecords(), len(oracle.Records))
+		}
+		if stats.Blocks != r2.NumBlocks() || stats.Blocks != (len(oracle.Records)+31)/32 {
+			t.Fatalf("stats report %d blocks, reader %d", stats.Blocks, r2.NumBlocks())
+		}
+		i := 0
+		if err := r2.All(func(r Record) error {
+			if r != oracle.Records[i] {
+				return fmt.Errorf("record %d: got %+v want %+v", i, r, oracle.Records[i])
+			}
+			i++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if i != len(oracle.Records) {
+			t.Fatalf("scan yielded %d records, oracle has %d", i, len(oracle.Records))
+		}
+	})
 }
 
 var errInjectedKill = errors.New("injected kill")

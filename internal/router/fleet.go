@@ -40,9 +40,35 @@ type localReplica struct {
 }
 
 // NewLocalFleet builds, publishes, and starts n replicas over the same
-// dataset. Every replica gets a private registry and an instance label
-// ("replica-i") so scraping any member stays unambiguous.
+// in-process dataset: it is encoded once and every replica reads the
+// shared image through its own reader (blocks verify on first touch, as
+// for a file).
 func NewLocalFleet(n int, ds *dataset.Dataset, source string, cfg serve.Config) (*LocalFleet, error) {
+	img := ds.Encode()
+	return newFleet(n, cfg, func(srv *serve.Server) error {
+		r2, err := dataset.NewReader2(img)
+		if err != nil {
+			return err
+		}
+		srv.PublishReader(r2, source)
+		return nil
+	})
+}
+
+// NewFileFleet is NewLocalFleet over an artifact file: every replica
+// Reloads path, so the fleet's mappings share one page-cache copy and a
+// hot-swap is Reload on each of Servers().
+func NewFileFleet(n int, path string, cfg serve.Config) (*LocalFleet, error) {
+	return newFleet(n, cfg, func(srv *serve.Server) error {
+		_, err := srv.Reload(path)
+		return err
+	})
+}
+
+// newFleet starts n replicas, each published to by publish. Every replica
+// gets a private registry and an instance label ("replica-i") so scraping
+// any member stays unambiguous.
+func newFleet(n int, cfg serve.Config, publish func(*serve.Server) error) (*LocalFleet, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("router: fleet needs at least 1 replica, got %d", n)
 	}
@@ -54,10 +80,13 @@ func NewLocalFleet(n int, ds *dataset.Dataset, source string, cfg serve.Config) 
 		} else {
 			rcfg.MetricsLabel = fmt.Sprintf("%s-replica-%d", cfg.MetricsLabel, i)
 		}
-		srv := serve.New(rcfg, telemetry.New())
-		srv.Publish(ds, source)
-		r := &localReplica{srv: srv}
-		r.handler = stallWrap(&r.stalled, srv.Handler())
+		r := &localReplica{srv: serve.New(rcfg, telemetry.New())}
+		f.replicas = append(f.replicas, r) // before any failure, so Close releases what was published
+		if err := publish(r.srv); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("router: publish to replica %d: %w", i, err)
+		}
+		r.handler = stallWrap(&r.stalled, r.srv.Handler())
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			f.Close()
@@ -65,7 +94,6 @@ func NewLocalFleet(n int, ds *dataset.Dataset, source string, cfg serve.Config) 
 		}
 		r.addr = ln.Addr().String()
 		r.serveOn(ln)
-		f.replicas = append(f.replicas, r)
 	}
 	return f, nil
 }
@@ -105,8 +133,8 @@ func (f *LocalFleet) Addrs() []string {
 	return out
 }
 
-// Servers returns the underlying serve.Servers (for republishing a
-// reloaded dataset to the whole fleet).
+// Servers returns the underlying serve.Servers (for reloading an
+// artifact into the whole fleet).
 func (f *LocalFleet) Servers() []*serve.Server {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -181,7 +209,9 @@ func (f *LocalFleet) Running(i int) bool {
 	return err == nil && r.running
 }
 
-// Close stops every running replica.
+// Close stops every running replica and releases every replica's reader
+// (for a file-backed fleet, its mapping — once the last in-flight request
+// has unpinned it).
 func (f *LocalFleet) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -189,6 +219,9 @@ func (f *LocalFleet) Close() {
 		if r.running {
 			r.running = false
 			r.httpSrv.Close() //nolint:errcheck // shutdown path
+		}
+		if a := r.srv.Current(); a != nil {
+			a.R2.Close()
 		}
 	}
 }

@@ -43,6 +43,14 @@ func startFleetRouter(t *testing.T, ds *dataset.Dataset, source string, n int, s
 	if err != nil {
 		t.Fatalf("NewLocalFleet: %v", err)
 	}
+	rt, ts := frontFleet(t, fleet, cfg)
+	return fleet, rt, ts
+}
+
+// frontFleet puts a started router (and an httptest listener) in front of
+// fleet; the test's cleanup closes all three.
+func frontFleet(t *testing.T, fleet *LocalFleet, cfg Config) (*Router, *httptest.Server) {
+	t.Helper()
 	t.Cleanup(fleet.Close)
 	cfg.ReplicaURLs = fleet.Addrs()
 	cfg.Controller = fleet
@@ -60,7 +68,7 @@ func startFleetRouter(t *testing.T, ds *dataset.Dataset, source string, n int, s
 	t.Cleanup(rt.Close)
 	ts := httptest.NewServer(rt.Handler())
 	t.Cleanup(ts.Close)
-	return fleet, rt, ts
+	return rt, ts
 }
 
 // hotIP returns an address the tiny dataset actually has a record for —

@@ -71,10 +71,11 @@ func via(h http.Handler) func(method, target, body string) answer {
 // the system can answer it. A linear scan of the source records is the
 // oracle; Reader2 over a mapping and over the same bytes on the heap must
 // return its record, and the serve handler over the GEODSET2 file, the
-// serve handler over the published in-RAM dataset and the router in front
-// of a two-replica fleet must return the status and the exact JSON bytes
-// the oracle's record renders to — for hits, misses, malformed input,
-// empty input and an over-limit batch alike.
+// serve handler over the published in-process dataset and the router in
+// front of a two-replica fleet — once sharing the dataset's heap image,
+// once with every replica mapping the file — must return the status and
+// the exact JSON bytes the oracle's record renders to — for hits, misses,
+// malformed input, empty input and an over-limit batch alike.
 func TestDifferentialOracle(t *testing.T) {
 	ds := oracleDataset()
 	linear := func(a ipaddr.Addr) (dataset.Record, bool) {
@@ -120,7 +121,7 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 	readers := map[string]*dataset.Reader2{"reader2/mapped": mapped, "reader2/heap": heap}
 
-	// The three HTTP paths.
+	// The four HTTP paths.
 	scfg := serve.Config{MaxBatch: oracleMaxBatch}
 	fileSrv := serve.New(scfg, telemetry.New())
 	art, err := fileSrv.Reload(path)
@@ -129,8 +130,15 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 	defer art.R2.Close()
 	ramSrv := serve.New(scfg, telemetry.New())
-	ramSrv.Publish(ds, "test:oracle")
+	if _, err := ramSrv.Publish(ds, "test:oracle"); err != nil {
+		t.Fatal(err)
+	}
 	_, rt, _ := startFleetRouter(t, ds, "test:oracle", 2, scfg, Config{MaxBatch: oracleMaxBatch})
+	fileFleet, err := NewFileFleet(2, path, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileRt, _ := frontFleet(t, fileFleet, Config{MaxBatch: oracleMaxBatch})
 	paths := []struct {
 		name string
 		do   func(method, target, body string) answer
@@ -138,6 +146,12 @@ func TestDifferentialOracle(t *testing.T) {
 		{"serve/geodset2", via(fileSrv.Handler())},
 		{"serve/published", via(ramSrv.Handler())},
 		{"router/fleet", via(rt.Handler())}, // the replicas behind it are on sockets
+		{"router/file-fleet", via(fileRt.Handler())},
+	}
+	for i, srv := range fileFleet.Servers() {
+		if r2 := srv.Current().R2; r2.Mapped() != mapped.Mapped() {
+			t.Fatalf("file-fleet replica %d: mapped=%v, Open2 of the same file says %v", i, r2.Mapped(), mapped.Mapped())
+		}
 	}
 
 	// Probes: every record; first and last key of every block ±1 (block
@@ -257,5 +271,19 @@ func TestDifferentialOracle(t *testing.T) {
 			t.Errorf("%s %s %q via %s: status %d, want %d", c.method, c.target, c.body, paths[0].name, want.status, c.status)
 		}
 		check(c.target+" "+c.body, c.method, c.target, c.body, want)
+	}
+
+	// Closing the fleet releases every replica's reader: none may be
+	// pinned again, so no mapping outlives the fleet, and a request that
+	// still reaches a replica's handler is turned away, not left spinning
+	// for a swap that will never come.
+	fileFleet.Close()
+	for i, srv := range fileFleet.Servers() {
+		if srv.Current().R2.TryPin() {
+			t.Errorf("file-fleet replica %d: reader still pinnable after fleet.Close", i)
+		}
+		if got := via(srv.Handler())(http.MethodGet, "/lookup?ip=10.20.0.1", ""); got.status != http.StatusServiceUnavailable {
+			t.Errorf("file-fleet replica %d: lookup after fleet.Close = %d, want 503", i, got.status)
+		}
 	}
 }

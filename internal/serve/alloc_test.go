@@ -34,10 +34,10 @@ func writeMappedServer(t *testing.T, cfg Config) *Server {
 // TestServeAllocs is the hot-path allocation gate (DESIGN.md §3.10): a
 // steady-state /lookup — artifact pin, query parse, resolve, JSON
 // render, write — performs zero heap allocations per request, for both
-// the in-RAM artifact and the mapped GEODSET2 reader, on hits and
-// misses alike. CI runs this test by name (make allocs-smoke), so an
-// allocation regressing into the hot path fails the build, not just a
-// benchmark trend.
+// backings of the one reader — the heap image of a published dataset
+// ("in-ram") and the mapped file — on hits and misses alike. CI runs
+// this test by name (make allocs-smoke), so an allocation regressing into
+// the hot path fails the build, not just a benchmark trend.
 func TestServeAllocs(t *testing.T) {
 	ds := tinyDataset()
 	hitIP := ds.Records[0].Prefix.Addr(7).String()

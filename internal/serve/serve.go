@@ -230,9 +230,17 @@ func New(cfg Config, reg *telemetry.Registry) *Server {
 	return s
 }
 
-// Publish makes ds the active artifact (see Swapper.Publish).
-func (s *Server) Publish(ds *dataset.Dataset, source string) *Artifact {
+// Publish makes ds the active artifact, or keeps the old one and says why
+// ds cannot be served (see Swapper.Publish).
+func (s *Server) Publish(ds *dataset.Dataset, source string) (*Artifact, error) {
 	return s.swapper.Publish(ds, source)
+}
+
+// PublishReader makes r2 the active artifact and takes ownership of it
+// (see Swapper.PublishReader) — for callers that hold an image already,
+// such as a fleet whose replicas share one.
+func (s *Server) PublishReader(r2 *dataset.Reader2, source string) *Artifact {
+	return s.swapper.PublishReader(r2, source)
 }
 
 // Reload loads and publishes the artifact file at path, keeping the old
@@ -242,13 +250,25 @@ func (s *Server) Reload(path string) (*Artifact, error) { return s.swapper.Reloa
 // Current returns the active artifact (nil before the first Publish).
 func (s *Server) Current() *Artifact { return s.swapper.Current() }
 
-// Index exposes the active serving index (benchmarks hit it directly);
-// nil before the first Publish.
+// Index builds an ipindex over the active artifact's records (entry value
+// = record position); nil before the first Publish.
+//
+// Deprecated: no request is answered from an ipindex; this is its only
+// importer. Kept for one release because benchmark/ peels it.
 func (s *Server) Index() *ipindex.Index {
-	if a := s.Current(); a != nil {
-		return a.Idx
+	a := s.acquire()
+	if a == nil {
+		return nil
 	}
-	return nil
+	defer a.release()
+	entries := make([]ipindex.Entry, 0, a.Records)
+	if err := a.R2.All(func(r dataset.Record) error {
+		entries = append(entries, ipindex.Entry{Prefix: ipindex.From24(r.Prefix), Value: int32(len(entries))})
+		return nil
+	}); err != nil {
+		return nil
+	}
+	return ipindex.Build(entries)
 }
 
 // StartDrain flips readiness: /readyz answers 503 from now on while the
@@ -416,7 +436,7 @@ func (s *Server) resolveRec(ctx context.Context, art *Artifact, a ipaddr.Addr) (
 		s.injectFail.Inc()
 		return dataset.Record{}, resolveInjected
 	}
-	r, ok, err := art.Find(a)
+	r, ok, err := art.R2.Find(a)
 	if err != nil {
 		s.readFails.Inc()
 		return dataset.Record{}, resolveReadFail
@@ -437,12 +457,17 @@ func (s *Server) observeSince(start time.Time) {
 // acquire captures the current artifact and pins its reader against a
 // concurrent swap's close. The retry loop covers the one racy window:
 // Current loaded an artifact that a swap retired (and closed) before the
-// pin landed — the next load sees the new generation.
+// pin landed — the next load sees the new generation. A reader closed
+// while still current was closed by its owner shutting down
+// (LocalFleet.Close), not by a swap: there is nothing left to serve.
 func (s *Server) acquire() *Artifact {
 	for {
 		a := s.swapper.Current()
 		if a == nil || a.pin() {
 			return a
+		}
+		if s.swapper.Current() == a {
+			return nil
 		}
 	}
 }

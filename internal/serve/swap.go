@@ -10,14 +10,13 @@
 // fails to decode leaves the old artifact serving — rollback is the
 // absence of a publish.
 //
-// Two artifact formats serve behind the same snapshot type: a decoded
-// in-RAM GEODSET1 (dataset + LPM index) and a block-indexed GEODSET2
-// read in place out of a memory mapping of the file (DESIGN.md §3.9,
-// §3.10), which is how a full-IPv4-scale artifact serves with
-// O(blocks-touched) resident memory. Reload sniffs the file's magic and
-// picks the format's opener.
+// Every artifact is served the same way: a dataset.Reader2 over its
+// GEODSET2 image (DESIGN.md §3.9, §3.10) — a memory mapping of the file
+// for Reload, which is how a full-IPv4-scale artifact serves with
+// O(blocks-touched) resident memory, and the encoded image on the heap
+// for a dataset compiled in-process (Publish).
 //
-// A GEODSET2 reader owns its image (a mapping to unmap), so a
+// A reader owns its image (for a file, a mapping to unmap), so a
 // swapped-out reader is reference-counted: each in-flight request pins
 // the snapshot it captured (Artifact.pin/release), the swap drops the
 // owner reference, and the last pin out actually closes. A swap under
@@ -27,33 +26,24 @@ package serve
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 
 	"geoloc/internal/dataset"
-	"geoloc/internal/ipaddr"
-	"geoloc/internal/ipindex"
 	"geoloc/internal/telemetry"
 )
 
 // Artifact is one published serving snapshot plus swap bookkeeping. All
 // fields are immutable after publish; concurrent readers share it
-// freely. Exactly one of DS (with Idx) and R2 is non-nil.
+// freely.
 type Artifact struct {
-	// DS is the decoded in-RAM dataset (GEODSET1 artifacts and datasets
-	// compiled in-process); nil when serving a block-indexed artifact.
-	DS *dataset.Dataset
-	// Idx is the serving index over DS; nil when DS is nil.
-	Idx *ipindex.Index
-	// R2 is the block-indexed GEODSET2 reader; nil for in-RAM artifacts.
-	// Swapping it out closes it via the reader's reference count once
-	// the last pinned request finishes (see pin/release).
+	// R2 reads the artifact's image in place. Swapping it out closes it
+	// via the reader's reference count once the last pinned request
+	// finishes (see pin/release).
 	R2 *dataset.Reader2
-	// Hdr is the artifact's provenance header (both formats).
+	// Hdr is the artifact's provenance header.
 	Hdr dataset.Header
-	// Records is the artifact's record count (both formats).
+	// Records is the artifact's record count.
 	Records int
 	// Gen is the swap generation: 1 for the first published artifact,
 	// incremented by every successful swap. Monotonic across the life of
@@ -64,40 +54,14 @@ type Artifact struct {
 	Source string
 }
 
-// Find answers one address from the snapshot: LPM index + record slice
-// for in-RAM artifacts, a block-index lookup (reading at most one
-// block) for GEODSET2. The error is always nil for in-RAM artifacts; a
-// block-read failure surfaces it so the caller can answer 503 rather
-// than fake a miss.
-func (a *Artifact) Find(addr ipaddr.Addr) (dataset.Record, bool, error) {
-	if a.DS != nil {
-		m, ok := a.Idx.Lookup(addr)
-		if !ok {
-			return dataset.Record{}, false, nil
-		}
-		return a.DS.Records[m.Value], true, nil
-	}
-	return a.R2.Find(addr)
-}
-
 // pin takes a reference on the snapshot's reader so a concurrent swap
-// cannot close it mid-request. In-RAM artifacts are garbage-collected
-// like any other value and pin trivially. Reports false when the reader
-// already closed (the caller re-reads Current and retries).
-func (a *Artifact) pin() bool {
-	if a.R2 == nil {
-		return true
-	}
-	return a.R2.TryPin()
-}
+// cannot close it mid-request. Reports false when the reader already
+// closed (the caller re-reads Current and retries).
+func (a *Artifact) pin() bool { return a.R2.TryPin() }
 
 // release drops the reference pin took; the last release after a swap
 // closes the retired reader.
-func (a *Artifact) release() {
-	if a.R2 != nil {
-		a.R2.Unpin()
-	}
-}
+func (a *Artifact) release() { a.R2.Unpin() }
 
 // Swapper owns the atomic artifact pointer. The read side (Current) is a
 // single atomic load; the write side (Publish, Reload) builds the new
@@ -135,27 +99,23 @@ func (sw *Swapper) Generation() uint64 {
 	return 0
 }
 
-// Publish builds the index for ds and atomically makes it the active
-// artifact. The old artifact keeps serving until the store, and stays
-// alive as long as any in-flight request holds it.
-func (sw *Swapper) Publish(ds *dataset.Dataset, source string) *Artifact {
-	// Index construction is the expensive part; do it before taking the
-	// writer lock only if we were contention-sensitive — swaps are rare,
-	// so building under mu keeps Gen assignment and store trivially
-	// ordered instead.
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	sw.gen++
-	a := &Artifact{
-		DS:      ds,
-		Idx:     ds.Index(),
-		Hdr:     ds.Hdr,
-		Records: len(ds.Records),
-		Gen:     sw.gen,
-		Source:  source,
+// Publish makes a dataset built in-process the active artifact: it is
+// encoded into a GEODSET2 image on the heap and served through a reader
+// over that image, like any file. Every block is verified before the
+// store, so records no reader would accept (unsorted, duplicate prefix,
+// out-of-range geometry) are refused here with the reader's named error
+// — swap_failures counts it, the old artifact keeps serving — rather than
+// on some request's first touch.
+func (sw *Swapper) Publish(ds *dataset.Dataset, source string) (*Artifact, error) {
+	r2, err := dataset.NewReader2(ds.Encode())
+	if err == nil {
+		err = r2.All(func(dataset.Record) error { return nil })
 	}
-	sw.store(a)
-	return a
+	if err != nil {
+		sw.swapFails.Inc()
+		return nil, fmt.Errorf("publish rejected, still serving generation %d: %w", sw.Generation(), err)
+	}
+	return sw.PublishReader(r2, source), nil
 }
 
 // store publishes the snapshot and retires the one it replaces: the
@@ -164,13 +124,13 @@ func (sw *Swapper) Publish(ds *dataset.Dataset, source string) *Artifact {
 func (sw *Swapper) store(a *Artifact) {
 	old := sw.cur.Swap(a)
 	sw.swaps.Inc()
-	if old != nil && old.R2 != nil && old.R2 != a.R2 {
+	if old != nil && old.R2 != a.R2 {
 		old.R2.Close()
 	}
 }
 
-// PublishReader atomically makes a block-indexed GEODSET2 reader the
-// active artifact.
+// PublishReader atomically makes r2 the active artifact and takes
+// ownership of it.
 func (sw *Swapper) PublishReader(r2 *dataset.Reader2, source string) *Artifact {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -186,45 +146,16 @@ func (sw *Swapper) PublishReader(r2 *dataset.Reader2, source string) *Artifact {
 	return a
 }
 
-// Reload opens the artifact file at path — sniffing its magic to pick
-// GEODSET1 (decoded whole) or GEODSET2 (block-indexed) — and publishes
-// it. On any failure — unreadable file, bad magic, corrupt frame, wrong
-// version — the active artifact is untouched (the rollback guarantee)
-// and the swap_failures counter records the attempt.
+// Reload opens the artifact file at path and publishes it; blocks are
+// verified as requests first touch them. On any failure — unreadable
+// file, bad magic, corrupt frame, wrong version — the active artifact is
+// untouched (the rollback guarantee) and the swap_failures counter
+// records the attempt.
 func (sw *Swapper) Reload(path string) (*Artifact, error) {
-	magic, err := sniffMagic(path)
+	r2, err := dataset.Open2(path)
 	if err != nil {
 		sw.swapFails.Inc()
 		return nil, fmt.Errorf("reload rejected, still serving generation %d: %w", sw.Generation(), err)
 	}
-	if magic == dataset.Magic2 {
-		r2, err := dataset.Open2(path)
-		if err != nil {
-			sw.swapFails.Inc()
-			return nil, fmt.Errorf("reload rejected, still serving generation %d: %w", sw.Generation(), err)
-		}
-		return sw.PublishReader(r2, path), nil
-	}
-	ds, err := dataset.Load(path)
-	if err != nil {
-		sw.swapFails.Inc()
-		return nil, fmt.Errorf("reload rejected, still serving generation %d: %w", sw.Generation(), err)
-	}
-	return sw.Publish(ds, path), nil
-}
-
-// sniffMagic reads a file's leading magic string. A file too short to
-// hold one returns "" (not an error) so the GEODSET1 loader can report
-// its usual named failure.
-func sniffMagic(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	var m [8]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return "", nil
-	}
-	return string(m[:]), nil
+	return sw.PublishReader(r2, path), nil
 }

@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +18,8 @@ import (
 
 	"geoloc/internal/core"
 	"geoloc/internal/dataset"
+	"geoloc/internal/geo"
+	"geoloc/internal/ipaddr"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
 )
@@ -46,11 +50,11 @@ func TestSwapGenerationAndRollback(t *testing.T) {
 	if sw.Current() != nil || sw.Generation() != 0 {
 		t.Fatal("fresh swapper should have no artifact, generation 0")
 	}
-	a1 := sw.Publish(tinyDataset(), "v1")
+	a1, _ := sw.Publish(tinyDataset(), "v1")
 	if a1.Gen != 1 || sw.Generation() != 1 {
 		t.Fatalf("first publish generation = %d, want 1", a1.Gen)
 	}
-	a2 := sw.Publish(tinyVariantDataset(), "v2")
+	a2, _ := sw.Publish(tinyVariantDataset(), "v2")
 	if a2.Gen != 2 || sw.Current() != a2 {
 		t.Fatalf("second publish generation = %d, want 2 and current", a2.Gen)
 	}
@@ -58,7 +62,7 @@ func TestSwapGenerationAndRollback(t *testing.T) {
 	dir := t.TempDir()
 	// A corrupt file: valid magic, garbage after.
 	bad := filepath.Join(dir, "bad.geodset")
-	if err := os.WriteFile(bad, []byte(dataset.Magic+"garbage-not-frames"), 0o644); err != nil {
+	if err := os.WriteFile(bad, []byte(dataset.Magic2+"garbage-not-frames"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sw.Reload(bad); err == nil {
@@ -89,6 +93,69 @@ func TestSwapGenerationAndRollback(t *testing.T) {
 	if a3.Gen != 3 || a3.Source != good {
 		t.Fatalf("reload generation = %d source = %q, want 3 %q", a3.Gen, a3.Source, good)
 	}
+}
+
+// TestPublishRejectsInvalidDataset: an in-process dataset no reader would
+// accept is refused at Publish with the reader's named error — counted as
+// a swap failure, the old generation still serving — never stored to fail
+// (or mislead) requests later.
+func TestPublishRejectsInvalidDataset(t *testing.T) {
+	good := func(p ipaddr.Prefix24) dataset.Record {
+		return dataset.Record{Prefix: p, Centroid: geo.Point{Lat: 10, Lon: 20}, RadiusKm: 5, Method: dataset.MethodCBG, Sanitized: true}
+	}
+	with := func(r dataset.Record, edit func(*dataset.Record)) dataset.Record {
+		edit(&r)
+		return r
+	}
+	cases := []struct {
+		name string
+		recs []dataset.Record
+	}{
+		{"unsorted", []dataset.Record{good(10), good(30), good(20)}},
+		{"unsorted across blocks", append(manyRecords(dataset.DefaultBlockSize, 1000), good(5))},
+		{"duplicate prefix", []dataset.Record{good(10), good(10), good(20)}},
+		{"prefix over 24 bits", []dataset.Record{good(10), good(1 << 24)}},
+		{"latitude out of range", []dataset.Record{good(10), with(good(20), func(r *dataset.Record) { r.Centroid.Lat = 95 }), good(30)}},
+		{"NaN radius", []dataset.Record{with(good(10), func(r *dataset.Record) { r.RadiusKm = math.NaN() })}},
+		{"negative radius", []dataset.Record{good(10), with(good(20), func(r *dataset.Record) { r.RadiusKm = -1 })}},
+		{"unknown method", []dataset.Record{good(10), with(good(20), func(r *dataset.Record) { r.Method = 99 })}},
+	}
+	reg := telemetry.New()
+	srv := New(Config{}, reg)
+	old, err := srv.Publish(tinyDataset(), "good")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cases {
+		art, err := srv.Publish(&dataset.Dataset{Hdr: tinyDataset().Hdr, Records: c.recs}, c.name)
+		if art != nil || !errors.Is(err, dataset.ErrCorrupt) {
+			t.Errorf("%s: Publish = (%v, %v), want (nil, ErrCorrupt)", c.name, art, err)
+		}
+		if srv.Current() != old {
+			t.Fatalf("%s: rejected publish replaced the serving artifact", c.name)
+		}
+		if got := reg.Counter("geoserve.swap_failures").Value(); got != int64(i+1) {
+			t.Errorf("%s: swap_failures = %d, want %d", c.name, got, i+1)
+		}
+	}
+	rec := httptest.NewRecorder()
+	hit := tinyDataset().Records[0].Prefix.Addr(3).String()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/lookup?ip="+hit, nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("lookup after the rejected publishes = %d, want 200", rec.Code)
+	}
+	if got := reg.Counter("geoserve.swaps").Value(); got != 1 {
+		t.Errorf("swaps = %d, want 1", got)
+	}
+}
+
+// manyRecords fabricates n sound records in ascending order from base.
+func manyRecords(n int, base ipaddr.Prefix24) []dataset.Record {
+	recs := make([]dataset.Record, n)
+	for i := range recs {
+		recs[i] = dataset.Record{Prefix: base + ipaddr.Prefix24(i), Centroid: geo.Point{Lat: 1, Lon: 2}, Method: dataset.MethodCBG, Sanitized: true}
+	}
+	return recs
 }
 
 // TestAdminReload drives the guarded HTTP reload path: auth required,
@@ -150,7 +217,7 @@ func TestAdminReload(t *testing.T) {
 	if status != http.StatusOK || !strings.Contains(body, `"generation":2`) {
 		t.Fatalf("reload v2 = %d %s, want 200 generation 2", status, body)
 	}
-	if got := len(srv.Current().DS.Records); got != len(tinyVariantDataset().Records) {
+	if got := srv.Current().Records; got != len(tinyVariantDataset().Records) {
 		t.Errorf("serving %d records after swap, want %d", got, len(tinyVariantDataset().Records))
 	}
 
