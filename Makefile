@@ -1,9 +1,11 @@
 # Developer entry points. `make ci` is what the CI workflow's test job runs
-# (CI additionally runs staticcheck and a bench smoke pass).
+# (CI additionally runs staticcheck and the smoke jobs below). The
+# performance gate is not here: it is the benchmark (BENCHMARK.json,
+# benchmark/README.md), run as alternating parent/change pairs.
 
 GO ?= go
 
-.PHONY: all build test race vet staticcheck bench bench-check allocs-smoke profile experiments ci resume-check fuzz-smoke load-smoke chaos-smoke scale-smoke
+.PHONY: all build test race vet staticcheck allocs-smoke profile experiments ci resume-check fuzz-smoke load-smoke chaos-smoke scale-smoke
 
 all: build
 
@@ -37,45 +39,21 @@ vet:
 staticcheck:
 	staticcheck ./...
 
-# The packages that carry benchmarks: the paper's figures and the serving
-# stack at the root; the write path's two layers next to the unexported
-# code and test-only oracles they time (stream VP selection in core, the
-# spill run in dataset).
-BENCH_PKGS = . ./internal/core/ ./internal/dataset/
-
-# One iteration of every benchmark, parsed into BENCH.json (name → ns/op,
-# allocs/op, and any custom metrics such as BenchmarkChaos registry totals).
-# benchjson is built ahead of the run: `go run` in the pipe would compile
-# it concurrently with the first benchmarks and skew their timings.
-bench:
-	@mkdir -p .bin
-	$(GO) build -o .bin/benchjson ./cmd/benchjson
-	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' $(BENCH_PKGS) | ./.bin/benchjson -o BENCH.json
-
-# Regression gate: rerun the benchmarks and fail when any committed
-# BENCH.json entry regressed beyond the thresholds (generous on ns/op
-# because shared runners are noisy; tight on B/op because allocation
-# counts are deterministic).
-bench-check:
-	@mkdir -p .bin
-	$(GO) build -o .bin/benchjson ./cmd/benchjson
-	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' $(BENCH_PKGS) | \
-		./.bin/benchjson -o /dev/null -compare BENCH.json \
-		-max-regress 100 -max-regress-bytes 25 -max-regress-allocs 25
-
-# Hard zero-allocation gate of the serving hot path (DESIGN.md §3.10):
-# a steady-state /lookup — pin, parse, resolve, render, write — and a
-# steady-state GEODSET2 lookup must perform zero heap allocations
-# per request. Run by name: the percentage-based bench-check gate cannot
-# express "still exactly zero", so a new allocation sneaking into the
-# hot path fails THIS target, not a trend threshold.
+# Hard allocation gate of the serving hot path (DESIGN.md §3.10): a
+# steady-state /lookup — pin, parse, resolve, render, write — and a
+# steady-state GEODSET2 lookup must perform zero heap allocations per
+# request, and the middleware chain around the handler may not exceed its
+# pinned count. Run by name, so a new allocation sneaking into the hot
+# path fails THIS target, not a trend threshold.
 allocs-smoke:
 	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs' \
 		./internal/serve ./internal/dataset
 
 # CPU + heap profiles of the costliest analysis benchmark (Fig 2a drives
 # ~58k CBG locates through the sampling kernels). Inspect with
-# `go tool pprof profiles/fig2a.cpu.pprof`.
+# `go tool pprof profiles/fig2a.cpu.pprof`. The Benchmark* functions at the
+# root and in internal/core and internal/dataset are profiling entry
+# points like this one; nothing gates on their timings.
 profile:
 	mkdir -p profiles
 	$(GO) test -bench 'Fig2a' -benchtime 1x -run '^$$' \

@@ -53,8 +53,7 @@ func freshCtx(b *testing.B) *experiments.Context {
 // garbage left by whichever benchmark ran before this one — with
 // -benchtime 1x a single collection triggered by a predecessor's heap
 // otherwise lands inside the measured window and dominates run-to-run
-// noise, which the CI bench-regression gate then has to absorb in its
-// thresholds.
+// noise.
 func benchExperiment(b *testing.B, f func(*experiments.Context) *experiments.Report) {
 	benchSetup(b)
 	runtime.GC()
@@ -91,7 +90,7 @@ func BenchmarkBaseline(b *testing.B) { benchExperiment(b, experiments.Baseline) 
 // builds, CBG) on the tiny world. It is the cost of one `-run chaos`.
 // The attached metrics are campaign-registry totals of the last iteration
 // (they are identical every iteration — the sweep is deterministic), so
-// BENCH.json records the resilience workload alongside the timing.
+// the output records the resilience workload alongside the timing.
 func BenchmarkChaos(b *testing.B) {
 	var retries, credits, failures int64
 	for i := 0; i < b.N; i++ {
@@ -149,7 +148,7 @@ func writeBench2(b *testing.B, ds *dataset.Dataset) string {
 // the medium campaign, write it as an artifact file, then hammer Find from
 // GOMAXPROCS goroutines the way cmd/geoserve does under load. The query
 // mix alternates covered addresses and misses so both branches stay hot;
-// hits and misses of the final run are attached so BENCH.json records the
+// hits and misses of the final run are attached so the output records the
 // mix alongside the timing. Every block is a slice of the shared read-only
 // mapping, verified once on first touch, so goroutines share no mutable
 // state at all.
@@ -191,7 +190,7 @@ func BenchmarkLookup2Parallel(b *testing.B) {
 	b.ReportMetric(boolMetric(r2.Mapped()), "mapped")
 }
 
-// boolMetric renders a capability flag as a 0/1 metric for BENCH.json.
+// boolMetric renders a capability flag as a 0/1 benchmark metric.
 func boolMetric(v bool) float64 {
 	if v {
 		return 1

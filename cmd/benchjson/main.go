@@ -3,7 +3,7 @@
 // stdout (so it can sit in a pipeline without hiding the run), and writes
 // the parsed results to the -o file:
 //
-//	go test -bench . -benchmem -run '^$' . | benchjson -o BENCH.json
+//	go test -bench . -benchmem -run '^$' . | benchjson -o before.json
 //
 // Custom b.ReportMetric units (e.g. medianErrKm, retries) land in the same
 // per-benchmark metrics map as ns/op, B/op, and allocs/op. A benchmark
@@ -13,10 +13,15 @@
 // With -compare the parsed run is also checked against a previously
 // written summary and the command exits nonzero when any baseline
 // benchmark is missing from the run or has regressed beyond the allowed
-// thresholds — the CI bench-regression gate:
+// thresholds:
 //
-//	go test -bench . -benchmem -benchtime 1x -run '^$' . |
-//	    benchjson -o /dev/null -compare BENCH.json -max-regress 100 -max-regress-bytes 25 -max-regress-allocs 25
+//	go test -bench . -benchmem -run '^$' . |
+//	    benchjson -o after.json -compare before.json -max-regress 100 -max-regress-bytes 25 -max-regress-allocs 25
+//
+// This is a developer's tool for two runs on one quiet host. The repo
+// commits no snapshot and gates nothing on it: -benchtime 1x timings and
+// pool-dependent B/op do not repeat across hosts (the gate is the benchmark,
+// BENCHMARK.json and benchmark/README.md).
 //
 // Percentage thresholds cannot gate a zero baseline (any increase over 0
 // is infinite), so metrics whose baseline value is 0 are skipped: the
@@ -24,7 +29,7 @@
 // TestServeAllocs (make allocs-smoke), not here.
 //
 // Empty or unparseable input is an error: a bench run that crashed or
-// produced nothing must fail the pipeline, not write an empty BENCH.json
+// produced nothing must fail the pipeline, not write an empty summary
 // that downstream tooling mistakes for a clean run. On error no output
 // file is written.
 package main
@@ -55,7 +60,7 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// Summary is the BENCH.json document.
+// Summary is the output document.
 type Summary struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
@@ -81,7 +86,7 @@ func main() {
 	log.SetPrefix("benchjson: ")
 	out := flag.String("o", "BENCH.json", "output JSON file")
 	compare := flag.String("compare", "",
-		"baseline BENCH.json to compare against; exits nonzero on regression")
+		"baseline summary to compare against; exits nonzero on regression")
 	maxRegress := flag.Float64("max-regress", 50,
 		"with -compare: max allowed ns/op increase over the baseline, in percent")
 	maxRegressBytes := flag.Float64("max-regress-bytes", 25,
@@ -132,7 +137,7 @@ func main() {
 	}
 }
 
-// loadSummary reads a previously written BENCH.json.
+// loadSummary reads a previously written summary.
 func loadSummary(path string) (Summary, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

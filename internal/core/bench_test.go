@@ -9,7 +9,7 @@ import (
 )
 
 // benchWindow is one op of the stream benchmarks: a default spill window
-// of targets, so a `-benchtime 1x` run (make bench) still averages over
+// of targets, so a `-benchtime 1x` run still averages over
 // thousands of calls.
 const benchWindow = 4096
 

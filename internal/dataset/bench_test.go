@@ -11,7 +11,7 @@ var sinkRunBuf []byte
 
 // benchSpill times spilling one default window of records as a sealed,
 // fsynced run — the serial step between two windows of a streaming
-// compile. One op is one run, so `-benchtime 1x` (make bench) still
+// compile. One op is one run, so `-benchtime 1x` still
 // frames 4,096 records.
 func benchSpill(b *testing.B, write func(path string, recs []Record) error) {
 	recs := spillRecords(DefaultStreamWindow)

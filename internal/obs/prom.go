@@ -2,13 +2,14 @@
 // turns the write-only metric registries into things an operator (or a
 // test harness) can actually consume — Prometheus text exposition with a
 // strict parser/linter, request-scoped identity for tracing and access
-// logs, and a multi-window SLO burn-rate engine that serving layers can
-// feed back into admission control (DESIGN.md §3.7).
+// logs, the per-status response ledger both serving tiers count in, and
+// a multi-window SLO burn-rate engine that serving layers can feed back
+// into admission control (DESIGN.md §3.7).
 //
 // The package depends only on telemetry and the standard library; the
-// serving tier (internal/serve) wires it to HTTP, and cmd/geobench uses
-// the parser to enforce the client-ledger ↔ server-counter accounting
-// invariant.
+// serving tiers (internal/serve, internal/router) wire it to HTTP, and
+// cmd/geobench uses the parser to enforce the client-ledger ↔
+// server-counter accounting invariant.
 package obs
 
 import (

@@ -260,6 +260,16 @@ func TestDifferentialOracle(t *testing.T) {
 		{http.MethodGet, "/lookup?ip=10.20.300.1", "", http.StatusBadRequest},
 		{http.MethodGet, "/lookup?ip=banana", "", http.StatusBadRequest},
 		{http.MethodGet, "/lookup?ip=1.2.3", "", http.StatusBadRequest},
+		// Queries url.ParseQuery and serve.QueryIP read differently: the
+		// router must validate with the replica's extractor or it answers
+		// "missing ip parameter" where the replica names the bad octet.
+		{http.MethodGet, "/lookup?ip=10.20.1.7;x=1", "", http.StatusBadRequest},
+		{http.MethodGet, "/lookup?ip=10.20.1.7%zz", "", http.StatusBadRequest},
+		{http.MethodGet, "/lookup?ip=10.20.1.7;", "", http.StatusBadRequest},
+		{http.MethodGet, "/lookup?ip=a&ip=b", "", http.StatusBadRequest},
+		{http.MethodGet, "/lookup?%69p=10.20.1.7", "", http.StatusBadRequest},
+		{http.MethodGet, "/lookup?ip=10.20.1.7+", "", http.StatusBadRequest},
+		{http.MethodGet, "/lookup?ip=&ip=10.20.1.7", "", http.StatusBadRequest},
 		{http.MethodPost, "/batch", "", http.StatusBadRequest},
 		{http.MethodPost, "/batch", "{not json", http.StatusBadRequest},
 		{http.MethodPost, "/batch", `{"ips":[]}`, http.StatusBadRequest},

@@ -171,12 +171,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// statusKey indexes the per-status ledger.
-type statusKey struct {
-	code  int
-	plane string
-}
-
 // Router is the replicated front tier: one HTTP handler that owns the
 // partition, the health state, and the failover/hedge machinery.
 type Router struct {
@@ -204,8 +198,9 @@ type Router struct {
 	mProbeFails   *telemetry.Counter
 	writeErrs     *telemetry.Counter
 
-	statusMu   sync.Mutex
-	statusCtrs map[statusKey]*telemetry.Counter
+	// status is georouter.status{code,plane}: the ledger serve keeps as
+	// geoserve.status, so geobench cross-checks either tier the same way.
+	status *obs.Ledger
 }
 
 // New builds a Router over the given fleet. Call Start to begin health
@@ -238,7 +233,7 @@ func New(cfg Config, reg *telemetry.Registry) (*Router, error) {
 		mProbes:       reg.Counter("georouter.probes"),
 		mProbeFails:   reg.Counter("georouter.probe_failures"),
 		writeErrs:     reg.Counter("georouter.write_errors"),
-		statusCtrs:    map[statusKey]*telemetry.Counter{},
+		status:        obs.NewLedger(reg, "georouter.status"),
 	}
 	for i := range rt.health {
 		rt.health[i] = &replicaHealth{}
@@ -302,70 +297,16 @@ func (rt *Router) Handler() http.Handler {
 	return rt.observe(mux)
 }
 
-// observe assigns/echoes the request ID and feeds the status ledger —
-// the router-side mirror of serve's middleware, so geobench can
-// cross-check its client ledger against georouter.status the same way
-// it does against geoserve.status.
+// observe assigns/echoes the request ID and feeds the status ledger.
 func (rt *Router) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id, _ := obs.RequestID(r)
 		w.Header().Set(obs.RequestIDHeader, id)
 		r.Header.Set(obs.RequestIDHeader, id) // forwarded verbatim on every upstream hop
-		sw := &statusRecorder{ResponseWriter: w}
+		sw := &obs.StatusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
-		rt.statusCounter(sw.Status(), planeOfPath(r.URL.Path)).Inc()
+		rt.status.Counter(sw.Status(), obs.PlaneOf(r.URL.Path)).Inc()
 	})
-}
-
-// planeOfPath mirrors serve's data/control split.
-func planeOfPath(path string) string {
-	if path == "/lookup" || path == "/batch" {
-		return "data"
-	}
-	return "control"
-}
-
-// statusRecorder records the final status code of a response.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusRecorder) WriteHeader(status int) {
-	if w.status == 0 {
-		w.status = status
-	}
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *statusRecorder) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-// Status returns the recorded status (200 if the handler never wrote).
-func (w *statusRecorder) Status() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
-}
-
-// statusCounter returns the ledger counter for one (status, plane) pair.
-func (rt *Router) statusCounter(code int, plane string) *telemetry.Counter {
-	rt.statusMu.Lock()
-	defer rt.statusMu.Unlock()
-	k := statusKey{code: code, plane: plane}
-	c, ok := rt.statusCtrs[k]
-	if !ok {
-		c = rt.reg.Counter(telemetry.Name("georouter.status",
-			telemetry.Label{Key: "code", Value: strconv.Itoa(code)},
-			telemetry.Label{Key: "plane", Value: plane}))
-		rt.statusCtrs[k] = c
-	}
-	return c
 }
 
 // errBody is the JSON error envelope (same shape as serve's).
@@ -463,7 +404,7 @@ func (rt *Router) execute(ctx context.Context, cands []int, hedge bool,
 			if next >= len(cands) {
 				return upResult{}, failures, false
 			}
-			if !sleepCtx(ctx, rt.backoff(failures)) {
+			if !serve.Sleep(ctx, rt.backoff(failures)) {
 				return upResult{}, failures, false
 			}
 			rt.mRetries.Inc()
@@ -557,22 +498,6 @@ func (rt *Router) hedgeDelay(primary int) time.Duration {
 	return d
 }
 
-// sleepCtx sleeps d or until ctx is done; reports whether the full
-// sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // setRouteHeaders stamps the routing verdict on the winning response
 // and increments the matching counters AT THE SAME CODE POINT — that
 // identity is what makes geobench's accounting exact: the sum of
@@ -611,7 +536,7 @@ func (rt *Router) handleLookup(w http.ResponseWriter, req *http.Request) {
 		rt.writeJSON(w, http.StatusMethodNotAllowed, errBody{"use GET"})
 		return
 	}
-	raw := req.URL.Query().Get("ip")
+	raw := serve.QueryIP(req.URL.RawQuery)
 	if raw == "" {
 		rt.writeJSON(w, http.StatusBadRequest, errBody{"missing ip parameter"})
 		return

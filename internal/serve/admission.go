@@ -1,86 +1,110 @@
-// Admission control: the middleware that keeps geoserve answering fast
-// under overload instead of collapsing under it.
+// Admission control: what keeps geoserve answering fast under overload
+// instead of collapsing under it.
 //
 // The model is a bounded system: at most MaxInflight requests execute
 // concurrently, at most MaxQueue more wait for a slot (bounded by
 // QueueTimeout), and everything beyond that is shed immediately with
 // 429 + Retry-After — a clean, cheap answer the client can act on,
 // instead of an unbounded goroutine pile-up that takes every request
-// down with it. Orthogonally, a per-request deadline bounds how long any
-// admitted request can run; on expiry the client gets 504 and the
-// handler's late output is discarded. Control-plane endpoints (/healthz,
-// /readyz, /version, /admin/*) bypass both: an operator must be able to
-// observe and steer an overloaded server.
+// down with it. Orthogonally, RequestTimeout is a deadline on the request
+// context, and every wait the server imposes — the admission queue and an
+// injected stall, on /lookup and inside the batch loop — selects on that
+// context and answers 504 through deadlineExpired when it dies. The
+// handler runs on the connection's goroutine against the real
+// ResponseWriter: a wait the server does not impose (reading the request,
+// writing the response) is bounded by http.Server's Read/WriteTimeout,
+// which is also what bounds the goroutine holding the slot. Control-plane
+// endpoints (/healthz, /readyz, /version, /metrics, /admin/*) bypass
+// both: an operator must be able to observe and steer an overloaded
+// server.
 package serve
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 	"strconv"
 	"time"
 )
 
-// admit gates next behind the concurrency limit and the bounded queue.
-// Sheds are answered 429 with a Retry-After hint; a request whose
-// context dies while queued is answered 504 (the deadline wrapper's
-// verdict, restated here so the queue path is correct even when the
-// wrapper is disabled). The queue bound is effectiveMaxQueue, not the
-// raw config: when the SLO engine reports the error budget burning, the
-// bound tightens so work the server cannot serve well is shed up front
-// (obs.go).
-func (s *Server) admit(next http.Handler) http.Handler {
-	if s.sem == nil {
-		return next
+// serveData wraps a data-plane handler in the deadline and admission
+// control. The slot is released by defer, so it comes back on every exit
+// from h, a panic (which net/http recovers) included.
+func (s *Server) serveData(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.cfg.RequestTimeout > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+			defer cancel()
+			r = r.WithContext(ctx)
+		}
+		if s.sem != nil {
+			if !s.admit(w, r) {
+				return
+			}
+			defer func() { <-s.sem }()
+			if r.Context().Err() != nil {
+				// The deadline fired as the slot came free; this request's
+				// budget is gone.
+				s.deadlineExpired(w, r, " before execution")
+				return
+			}
+		}
+		h(w, r)
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m := metaFrom(r.Context())
-		select {
-		case s.sem <- struct{}{}: // free slot, no queueing
-		default:
-			if s.queued.Add(1) > s.effectiveMaxQueue() {
-				s.queued.Add(-1)
-				s.shed(w, m)
-				return
-			}
-			wait := time.Now()
-			span := s.stageSpan(m, "admission-wait")
-			t := time.NewTimer(s.cfg.QueueTimeout)
-			select {
-			case s.sem <- struct{}{}:
-				t.Stop()
-				s.queued.Add(-1)
-				span.End()
-				m.setQueueWait(time.Since(wait))
-			case <-t.C:
-				s.queued.Add(-1)
-				span.End()
-				m.setQueueWait(time.Since(wait))
-				s.shed(w, m)
-				return
-			case <-r.Context().Done():
-				t.Stop()
-				s.queued.Add(-1)
-				span.End()
-				m.setQueueWait(time.Since(wait))
-				m.setCause("deadline")
-				s.expired.Inc()
-				s.writeJSON(w, http.StatusGatewayTimeout,
-					errorBody{"request deadline expired while queued for admission"})
-				return
-			}
-		}
-		defer func() { <-s.sem }()
-		if r.Context().Err() != nil {
-			// The deadline fired while we held a queue slot; the slot is
-			// free again but this request's budget is gone.
-			m.setCause("deadline")
-			s.expired.Inc()
-			s.writeJSON(w, http.StatusGatewayTimeout, errorBody{"request deadline expired before execution"})
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
+}
+
+// admit takes an inflight slot for r, waiting in the bounded queue when
+// none is free. It reports false after answering the request itself: 429
+// when the queue is full or QueueTimeout passes, 504 when the request's
+// context dies while it waits. The queue bound is effectiveMaxQueue, not
+// the raw config: when the SLO engine reports the error budget burning,
+// the bound tightens so work the server cannot serve well is shed up front
+// (obs.go).
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+	select {
+	case s.sem <- struct{}{}: // free slot, no queueing
+		return true
+	default:
+	}
+	m := metaFrom(r.Context())
+	if s.queued.Add(1) > s.effectiveMaxQueue() {
+		s.queued.Add(-1)
+		s.shed(w, m)
+		return false
+	}
+	wait := time.Now()
+	span := s.stageSpan(m, "admission-wait")
+	t := time.NewTimer(s.cfg.QueueTimeout)
+	leave := func() {
+		t.Stop()
+		s.queued.Add(-1)
+		span.End()
+		m.setQueueWait(time.Since(wait))
+	}
+	select {
+	case s.sem <- struct{}{}:
+		leave()
+		return true
+	case <-t.C:
+		leave()
+		s.shed(w, m)
+	case <-r.Context().Done():
+		leave()
+		s.deadlineExpired(w, r, " while queued for admission")
+	}
+	return false
+}
+
+// deadlineExpired is the data plane's one deadline answer: the only code
+// that names the cause, moves geoserve.deadline_expired and writes the
+// 504, so the counter, the ledger's 504s, the access log's
+// cause="deadline" records and the 504s clients read are the same number.
+// where names the wait the context died in. A request whose client hung
+// up, or a hedged loser the router cancelled, ends here too — to the
+// server both are a context that died during a wait.
+func (s *Server) deadlineExpired(w http.ResponseWriter, r *http.Request, where string) {
+	metaFrom(r.Context()).setCause("deadline")
+	s.expired.Inc()
+	s.writeJSON(w, http.StatusGatewayTimeout, errorBody{"request deadline expired" + where})
 }
 
 // shed answers one load-shed request: 429, a jittered Retry-After hint
@@ -105,92 +129,11 @@ func (s *Server) jitterSeed() uint64 {
 	return 0
 }
 
-// withDeadline bounds next by the per-request deadline. The handler runs
-// against a buffered writer in its own goroutine; if the deadline fires
-// first the client gets a 504 immediately and the handler's eventual
-// output is dropped. The request context carries the deadline, so
-// cooperative handlers (ctx-aware fault stalls, the batch loop) abort
-// early and release their admission slot instead of running to
-// completion for a client that already got its answer.
-func (s *Server) withDeadline(next http.Handler) http.Handler {
-	if s.cfg.RequestTimeout <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-
-		bw := &bufferedResponse{hdr: make(http.Header)}
-		done := make(chan struct{})
-		panicked := make(chan any, 1)
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					panicked <- p
-				}
-			}()
-			next.ServeHTTP(bw, r)
-			close(done)
-		}()
-
-		select {
-		case p := <-panicked:
-			panic(p)
-		case <-done:
-			bw.copyTo(w)
-		case <-ctx.Done():
-			metaFrom(r.Context()).setCause("deadline")
-			s.expired.Inc()
-			s.writeJSON(w, http.StatusGatewayTimeout, errorBody{"request deadline expired"})
-		}
-	})
-}
-
-// bufferedResponse captures a handler's full response so the deadline
-// wrapper can atomically either deliver it or discard it. The payloads
-// here are small JSON documents (a batch is capped at maxBatch items),
-// so buffering costs little and removes every write race a shared
-// ResponseWriter would have.
-type bufferedResponse struct {
-	hdr    http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.hdr }
-
-func (b *bufferedResponse) WriteHeader(status int) {
-	if b.status == 0 {
-		b.status = status
-	}
-}
-
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.status == 0 {
-		b.status = http.StatusOK
-	}
-	return b.body.Write(p)
-}
-
-func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
-	for k, vs := range b.hdr {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	if b.status == 0 {
-		b.status = http.StatusOK
-	}
-	w.WriteHeader(b.status)
-	w.Write(b.body.Bytes())
-}
-
-// ctxSleep sleeps for d or until the context dies, reporting whether the
+// Sleep sleeps for d or until the context dies, reporting whether the
 // full sleep completed. Fault-injected stalls route through it so a
 // stalled request both honours its deadline and frees its admission slot
-// promptly.
-func ctxSleep(ctx context.Context, d time.Duration) bool {
+// promptly; the router's failover backoff uses it too.
+func Sleep(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return true
 	}

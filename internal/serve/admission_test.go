@@ -1,18 +1,23 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"geoloc/internal/faults"
+	"geoloc/internal/obs"
 )
 
 // blockingServer builds a published server whose fault-injected stall
@@ -32,6 +37,31 @@ func blockingServer(cfg Config) (*Server, chan struct{}) {
 		}
 	}
 	return srv, release
+}
+
+// pinnedServer is blockingServer with a stall that ignores the request
+// context: whoever is in it holds its inflight slot until release closes,
+// deadline or not. That pins the slot while another request's budget runs
+// out in the queue behind it.
+func pinnedServer(cfg Config) (*Server, chan struct{}) {
+	srv, release := blockingServer(cfg)
+	srv.sleep = func(context.Context, time.Duration) bool {
+		<-release
+		return true
+	}
+	return srv, release
+}
+
+// waitUntil polls cond until it holds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestAdmissionStatusCodes is the table-driven contract of the shed and
@@ -129,22 +159,24 @@ func TestAdmissionStatusCodes(t *testing.T) {
 		{
 			name: "deadline expiry mid-queue answers 504",
 			run: func(t *testing.T) (int, http.Header, string) {
-				srv, release := blockingServer(Config{
+				// The holder must outlive the waiter's deadline, or the
+				// waiter gets the slot and times out in the stall instead.
+				srv, release := pinnedServer(Config{
 					MaxInflight: 1, MaxQueue: 8,
 					QueueTimeout: 30 * time.Second, RequestTimeout: 40 * time.Millisecond,
 				})
-				defer close(release)
 				ts := httptest.NewServer(srv.Handler())
 				defer ts.Close()
 
 				inflight := startLookup(ts.URL)
 				waitInflight(t, srv, 1)
 				status, body := get(t, ts.URL+"/lookup?ip=10.0.0.7")
+				close(release)
 				drainLookup(inflight)
 				return status, nil, body
 			},
 			want:     http.StatusGatewayTimeout,
-			contains: "deadline",
+			contains: "deadline expired while queued",
 		},
 		{
 			name: "control plane bypasses a saturated data plane",
@@ -205,25 +237,13 @@ func startLookup(base string) chan int {
 // waitInflight spins until n requests occupy inflight slots.
 func waitInflight(t *testing.T, srv *Server, n int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.sem) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for %d inflight (have %d)", n, len(srv.sem))
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, fmt.Sprintf("%d inflight", n), func() bool { return len(srv.sem) >= n })
 }
 
 // waitQueued spins until n requests wait in the admission queue.
 func waitQueued(t *testing.T, srv *Server, n int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.queued.Load() < int64(n) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for %d queued (have %d)", n, srv.queued.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, fmt.Sprintf("%d queued", n), func() bool { return srv.queued.Load() >= int64(n) })
 }
 
 // drainLookup waits for background lookups to finish (their statuses are
@@ -257,8 +277,183 @@ func TestShedCountsTelemetry(t *testing.T) {
 	if got := srv.sheds.Value(); got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
-	if got := srv.statusCounter(429, planeData).Value(); got != 1 {
+	if got := srv.status.Counter(429, obs.PlaneData).Value(); got != 1 {
 		t.Errorf("status ledger 429 = %d, want 1", got)
+	}
+}
+
+// TestDeadlineCountsOnce: every way a request runs out of budget — in the
+// admission queue, as its slot comes free, in an injected stall, in the
+// middle of a batch — is one 504 whose body names the wait, one
+// geoserve.deadline_expired, one 504 in the status ledger and one
+// access-log record with cause="deadline".
+func TestDeadlineCountsOnce(t *testing.T) {
+	lookup := httptest.NewRequest(http.MethodGet, "/lookup?ip=10.0.0.7", nil)
+	cases := []struct {
+		name string
+		cfg  Config
+		// run starts a server from cfg and returns the answer to the one
+		// request that must expire.
+		run  func(t *testing.T, cfg Config) (*Server, int, string)
+		body string
+	}{
+		{
+			name: "queued",
+			cfg: Config{MaxInflight: 1, MaxQueue: 8,
+				QueueTimeout: 30 * time.Second, RequestTimeout: 40 * time.Millisecond},
+			run: func(t *testing.T, cfg Config) (*Server, int, string) {
+				srv, release := pinnedServer(cfg)
+				ts := httptest.NewServer(srv.Handler())
+				defer ts.Close()
+				holder := startLookup(ts.URL)
+				waitInflight(t, srv, 1)
+				status, body := get(t, ts.URL+"/lookup?ip=10.0.0.7")
+				close(release)
+				if got := <-holder; got != http.StatusOK {
+					t.Errorf("holder answered %d, want 200", got)
+				}
+				return srv, status, body
+			},
+			body: "request deadline expired while queued for admission",
+		},
+		{
+			name: "as the slot came free",
+			cfg:  Config{MaxInflight: 1},
+			run: func(t *testing.T, cfg Config) (*Server, int, string) {
+				srv := newPublished(cfg)
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, lookup.WithContext(ctx))
+				return srv, rec.Code, rec.Body.String()
+			},
+			body: "request deadline expired before execution",
+		},
+		{
+			name: "stalled",
+			cfg:  Config{RequestTimeout: 40 * time.Millisecond},
+			run: func(t *testing.T, cfg Config) (*Server, int, string) {
+				srv, release := blockingServer(cfg)
+				defer close(release)
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, lookup)
+				return srv, rec.Code, rec.Body.String()
+			},
+			body: "request deadline expired",
+		},
+		{
+			name: "mid-batch",
+			run: func(t *testing.T, cfg Config) (*Server, int, string) {
+				srv, _ := blockingServer(cfg)
+				stalls := 0
+				srv.sleep = func(context.Context, time.Duration) bool {
+					stalls++
+					return stalls < 2 // the budget runs out on the second address
+				}
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch",
+					strings.NewReader(`{"ips":["10.0.0.7","10.0.5.1","10.0.2.9"]}`)))
+				return srv, rec.Code, rec.Body.String()
+			},
+			body: "request deadline expired mid-batch",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var logBuf bytes.Buffer
+			c.cfg.AccessLog = slog.New(slog.NewJSONHandler(&logBuf, nil))
+			srv, status, body := c.run(t, c.cfg)
+			if want := `{"error":"` + c.body + `"}` + "\n"; status != http.StatusGatewayTimeout || body != want {
+				t.Errorf("answer = %d %q, want 504 %q", status, body, want)
+			}
+			if got := srv.expired.Value(); got != 1 {
+				t.Errorf("geoserve.deadline_expired = %d, want 1", got)
+			}
+			if got := srv.status.Counter(http.StatusGatewayTimeout, obs.PlaneData).Value(); got != 1 {
+				t.Errorf("status ledger 504 = %d, want 1", got)
+			}
+			logged := 0
+			for _, rec := range decodeAccessLog(t, &logBuf) {
+				if rec.Status == http.StatusGatewayTimeout && rec.Cause == "deadline" {
+					logged++
+				}
+			}
+			if logged != 1 {
+				t.Errorf("%d access-log records with status 504 and cause=deadline, want 1:\n%s", logged, logBuf.String())
+			}
+		})
+	}
+}
+
+// TestPanicReleasesSlot: a handler that panics is recovered by net/http,
+// which drops the connection; the admission slot it held comes back and
+// the next request is served.
+func TestPanicReleasesSlot(t *testing.T) {
+	srv, _ := blockingServer(Config{MaxInflight: 1, MaxQueue: 1})
+	var armed atomic.Bool
+	armed.Store(true)
+	srv.sleep = func(context.Context, time.Duration) bool {
+		if armed.CompareAndSwap(true, false) {
+			panic("injected handler panic")
+		}
+		return true
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic's stack trace
+	ts.Start()
+	defer ts.Close()
+
+	if resp, err := http.Get(ts.URL + "/lookup?ip=10.0.0.7"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("panicking handler answered %d, want a dropped connection", resp.StatusCode)
+	}
+	if n := len(srv.sem); n != 0 {
+		t.Fatalf("%d admission slots still held after the panic", n)
+	}
+	if status, body := get(t, ts.URL+"/lookup?ip=10.0.0.7"); status != http.StatusOK {
+		t.Fatalf("request after the panic = %d %s, want 200", status, body)
+	}
+}
+
+// TestDisconnectWhileQueued: a client that hangs up while waiting for a
+// slot leaves the queue at once and is counted once, as a deadline expiry.
+func TestDisconnectWhileQueued(t *testing.T) {
+	srv, release := blockingServer(Config{
+		MaxInflight: 1, MaxQueue: 8,
+		QueueTimeout: 30 * time.Second, RequestTimeout: 30 * time.Second,
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	holder := startLookup(ts.URL)
+	waitInflight(t, srv, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/lookup?ip=10.0.0.7", nil)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitQueued(t, srv, 1)
+	cancel()
+	<-gone
+
+	ledger504 := srv.status.Counter(http.StatusGatewayTimeout, obs.PlaneData)
+	waitUntil(t, "the hung-up request to be answered", func() bool { return ledger504.Value() == 1 })
+	if n := srv.queued.Load(); n != 0 {
+		t.Errorf("queue length = %d after the client hung up, want 0", n)
+	}
+	if got := srv.expired.Value(); got != 1 {
+		t.Errorf("geoserve.deadline_expired = %d, want 1", got)
+	}
+	close(release)
+	if got := <-holder; got != http.StatusOK {
+		t.Errorf("holder answered %d, want 200", got)
+	}
+	if got := ledger504.Value(); got != 1 {
+		t.Errorf("status ledger 504 = %d after the holder finished, want 1", got)
 	}
 }
 
@@ -341,16 +536,16 @@ func waitReady(t *testing.T, base string) {
 // TestCtxSleep pins the helper: full sleep on a live context, early
 // abort on a dead one.
 func TestCtxSleep(t *testing.T) {
-	if !ctxSleep(context.Background(), 0) {
+	if !Sleep(context.Background(), 0) {
 		t.Error("zero sleep should complete")
 	}
-	if !ctxSleep(context.Background(), time.Microsecond) {
+	if !Sleep(context.Background(), time.Microsecond) {
 		t.Error("short sleep should complete")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if ctxSleep(ctx, 10*time.Second) {
+	if Sleep(ctx, 10*time.Second) {
 		t.Error("sleep on dead context should abort")
 	}
 	if time.Since(start) > time.Second {

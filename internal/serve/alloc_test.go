@@ -35,7 +35,8 @@ func writeMappedServer(t *testing.T, cfg Config) *Server {
 // steady-state /lookup — artifact pin, query parse, resolve, JSON
 // render, write — performs zero heap allocations per request, for both
 // backings of the one reader — the heap image of a published dataset
-// ("in-ram") and the mapped file — on hits and misses alike. CI runs
+// ("in-ram") and the mapped file — on hits and misses alike, and the
+// middleware chain around it stays at or under a pinned count. CI runs
 // this test by name (make allocs-smoke), so an allocation regressing into
 // the hot path fails the build, not just a benchmark trend.
 func TestServeAllocs(t *testing.T) {
@@ -50,13 +51,9 @@ func TestServeAllocs(t *testing.T) {
 		{"in-ram", newPublished(Config{})},
 		{"mapped", writeMappedServer(t, Config{})},
 	}
+	lookups := []struct{ name, ip string }{{"hit", hitIP}, {"miss", missIP}}
 	for _, sc := range servers {
-		for _, tc := range []struct {
-			name, ip string
-		}{
-			{"hit", hitIP},
-			{"miss", missIP},
-		} {
+		for _, tc := range lookups {
 			t.Run(sc.name+"/"+tc.name, func(t *testing.T) {
 				req := httptest.NewRequest(http.MethodGet, "/lookup?ip="+tc.ip, nil)
 				w := &discardWriter{h: make(http.Header)}
@@ -66,6 +63,29 @@ func TestServeAllocs(t *testing.T) {
 				}); n != 0 {
 					t.Errorf("steady-state /lookup (%s %s) allocates %.1f per request, want 0",
 						sc.name, tc.name, n)
+				}
+			})
+		}
+	}
+
+	// The whole chain around that core, as a connection drives it: observe
+	// (request ID, status writer, request record, ledger, SLO feed), the
+	// mux, the deadline on the context and the admission slot. It may not
+	// regrow unnoticed: chainAllocs is what the code reaches today, and a
+	// later perf PR lowers it.
+	const chainAllocs = 13
+	for _, sc := range servers {
+		for _, tc := range lookups {
+			t.Run(sc.name+"/chain-"+tc.name, func(t *testing.T) {
+				h := sc.srv.Handler()
+				req := httptest.NewRequest(http.MethodGet, "/lookup?ip="+tc.ip, nil)
+				w := &discardWriter{h: make(http.Header)}
+				h.ServeHTTP(w, req) // prime: ledger slot, pool
+				if n := testing.AllocsPerRun(200, func() {
+					h.ServeHTTP(w, req)
+				}); n > chainAllocs {
+					t.Errorf("steady-state Handler() /lookup (%s %s) allocates %.1f per request, want at most %d",
+						sc.name, tc.name, n, chainAllocs)
 				}
 			})
 		}

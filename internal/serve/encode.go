@@ -36,12 +36,14 @@ var bufPool = sync.Pool{New: func() any { return &respBuf{b: make([]byte, 0, 512
 func getBuf() *respBuf  { return bufPool.Get().(*respBuf) }
 func putBuf(r *respBuf) { bufPool.Put(r) }
 
-// queryIP extracts the first "ip" parameter from a raw query string
+// QueryIP extracts the first "ip" parameter from a raw query string
 // without materializing a url.Values map (two map allocations plus one
 // string per pair on the url.Query path). Unescaping — and its
 // allocation — happens only when the value actually contains '%' or
-// '+', which well-formed dotted quads never do.
-func queryIP(rawQuery string) string {
+// '+', which well-formed dotted quads never do. The router validates
+// /lookup with this same function, so a query it would read differently
+// from the replica behind it cannot exist.
+func QueryIP(rawQuery string) string {
 	for rawQuery != "" {
 		var seg string
 		seg, rawQuery, _ = strings.Cut(rawQuery, "&")

@@ -5,11 +5,12 @@
 // One middleware (observe) wraps the whole routing table. It assigns
 // every request an ID (adopted from X-Request-Id or a W3C traceparent
 // when the caller sent one), echoes it in the response header before any
-// handler runs — so even a 504 written while the handler is still stuck
-// carries it — and, when the request finishes, feeds one record each to
-// the status ledger, the SLO engine, and (sampled) the access log. The
-// ID is the join key: a client error report names it, exactly one access
-// log line carries it, and its trace spans embed it.
+// handler runs — so a 429 or 504 written by admission carries it — and,
+// when the request finishes, feeds one record each to the status ledger
+// (obs.Ledger, the implementation the router counts in too), the SLO
+// engine, and (sampled) the access log. The ID is the join key: a client
+// error report names it, exactly one access log line carries it, and its
+// trace spans embed it.
 //
 // GET /metrics renders the server's registry in Prometheus text format
 // from the control plane, outside admission — scraping an overloaded or
@@ -20,28 +21,11 @@ import (
 	"context"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"geoloc/internal/obs"
 	"geoloc/internal/telemetry"
 )
-
-// Response planes for the status ledger: data-plane answers are the ones
-// geobench's client ledger and the SLO engine account for; control-plane
-// answers (health, metrics, admin) are bookkept separately.
-const (
-	planeData    = "data"
-	planeControl = "control"
-)
-
-// planeOf classifies a request path for the ledger.
-func planeOf(path string) string {
-	if path == "/lookup" || path == "/batch" {
-		return planeData
-	}
-	return planeControl
-}
 
 // ctxKey is the private context-key namespace.
 type ctxKey int
@@ -49,17 +33,13 @@ type ctxKey int
 const metaKey ctxKey = iota
 
 // reqMeta is the per-request observability record, created by observe
-// and annotated by the admission and deadline middleware. The immutable
-// identity fields are written once before the handler starts; the
-// mutable ones take the mutex because the deadline wrapper runs the
-// handler chain in a separate goroutine that may still be writing after
-// the 504 has been served and observe is reading.
+// and annotated by admission and the handlers. Everything that touches it
+// runs on the request's own goroutine, so it needs no lock.
 type reqMeta struct {
 	id      string
 	adopted bool
 	traced  bool
 
-	mu        sync.Mutex
 	queueWait time.Duration
 	cause     string
 }
@@ -68,37 +48,17 @@ type reqMeta struct {
 // slot. Nil-safe (handlers can be driven without the observe wrapper in
 // tests).
 func (m *reqMeta) setQueueWait(d time.Duration) {
-	if m == nil {
-		return
+	if m != nil {
+		m.queueWait = d
 	}
-	m.mu.Lock()
-	m.queueWait = d
-	m.mu.Unlock()
 }
 
-// setCause records why a request failed ("shed", "deadline"). First
-// write wins: the first cause is the one the client-visible response was
-// written for; later writes come from abandoned goroutines whose output
-// was discarded.
+// setCause records why a request failed ("shed", "deadline"). Nil-safe
+// like setQueueWait.
 func (m *reqMeta) setCause(c string) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	if m.cause == "" {
+	if m != nil {
 		m.cause = c
 	}
-	m.mu.Unlock()
-}
-
-// read returns the mutable fields consistently.
-func (m *reqMeta) read() (queueWait time.Duration, cause string) {
-	if m == nil {
-		return 0, ""
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.queueWait, m.cause
 }
 
 // metaFrom returns the request's observability record (nil when the
@@ -124,24 +84,23 @@ func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id, adopted := obs.RequestID(r)
-		// Set on the real writer before anything runs: every response —
-		// including a 504 delivered while the handler is still stuck —
-		// carries the ID.
+		// Set before anything runs: every response — a shed or a deadline
+		// answer included — carries the ID.
 		w.Header().Set(obs.RequestIDHeader, id)
 		meta := &reqMeta{id: id, adopted: adopted, traced: s.sampleTrace()}
 		r = r.WithContext(context.WithValue(r.Context(), metaKey, meta))
 
 		span := s.stageSpan(meta, "request")
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &obs.StatusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
 		span.End()
 
 		status := sw.Status()
-		plane := planeOf(r.URL.Path)
-		s.statusCounter(status, plane).Inc()
+		plane := obs.PlaneOf(r.URL.Path)
+		s.status.Counter(status, plane).Inc()
 
 		latencyMs := float64(time.Since(start)) / float64(time.Millisecond)
-		if plane == planeData && status != http.StatusTooManyRequests {
+		if plane == obs.PlaneData && status != http.StatusTooManyRequests {
 			// Sheds are excluded from the SLO entirely: a 429 is the
 			// designed overload answer, not a service failure, and its
 			// sub-millisecond latency would dilute the window's p99.
@@ -164,7 +123,7 @@ func (s *Server) sampleTrace() bool {
 // non-2xx answers (the contract is that every client-visible failure
 // appears in exactly one log line, joinable by request ID), 1-in-
 // LogSample for successes.
-func (s *Server) accessLog(r *http.Request, m *reqMeta, status int, plane string, latencyMs float64) {
+func (s *Server) accessLog(r *http.Request, m *reqMeta, status int, plane obs.Plane, latencyMs float64) {
 	lg := s.cfg.AccessLog
 	if lg == nil {
 		return
@@ -180,27 +139,25 @@ func (s *Server) accessLog(r *http.Request, m *reqMeta, status int, plane string
 			return
 		}
 	}
-	queueWait, cause := m.read()
 	attrs := []slog.Attr{
 		slog.String("id", m.id),
 		slog.Bool("id_adopted", m.adopted),
 		slog.String("method", r.Method),
 		slog.String("path", r.URL.Path),
-		slog.String("plane", plane),
+		slog.String("plane", plane.String()),
 		slog.Int("status", status),
 		slog.Uint64("generation", s.swapper.Generation()),
-		slog.Float64("queue_wait_ms", float64(queueWait)/float64(time.Millisecond)),
+		slog.Float64("queue_wait_ms", float64(m.queueWait)/float64(time.Millisecond)),
 		slog.Float64("latency_ms", latencyMs),
 	}
-	if cause != "" {
-		attrs = append(attrs, slog.String("cause", cause))
+	if m.cause != "" {
+		attrs = append(attrs, slog.String("cause", m.cause))
 	}
 	lg.LogAttrs(context.Background(), level, "request", attrs...)
 }
 
 // handleMetrics serves GET /metrics: the whole registry in Prometheus
-// text format. Control plane — never queued, never shed, never behind
-// the deadline wrapper.
+// text format. Control plane — never queued, never shed, no deadline.
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{"use GET"})

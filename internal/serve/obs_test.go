@@ -393,10 +393,10 @@ func TestLedgerPlaneSplit(t *testing.T) {
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/metrics", nil))
 
-	if got := srv.statusCounter(200, planeData).Value(); got != 1 {
+	if got := srv.status.Counter(200, obs.PlaneData).Value(); got != 1 {
 		t.Errorf("data-plane 200s = %d, want 1", got)
 	}
-	if got := srv.statusCounter(200, planeControl).Value(); got != 2 {
+	if got := srv.status.Counter(200, obs.PlaneControl).Value(); got != 2 {
 		t.Errorf("control-plane 200s = %d, want 2", got)
 	}
 }

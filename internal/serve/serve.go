@@ -10,8 +10,10 @@
 //     new requests see the new generation, and a reload that fails to
 //     decode rolls back by never publishing.
 //   - Admission control: a concurrency limit with a bounded, timed queue
-//     sheds overload as 429 + Retry-After, and a per-request deadline
-//     turns stuck requests into prompt 504s (admission.go).
+//     sheds overload as 429 + Retry-After, and a per-request deadline on
+//     the request context turns every wait the server imposes into a
+//     prompt 504 (admission.go). Both run inline, on the connection's
+//     goroutine, against the real ResponseWriter.
 //   - Drain: readiness (/readyz) flips to 503 the moment shutdown
 //     starts, so load balancers stop sending while in-flight requests
 //     complete; the data plane keeps answering until the listener
@@ -31,8 +33,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -151,7 +151,7 @@ type Server struct {
 	shedSeq  atomic.Uint64 // keys the per-shed Retry-After jitter draw
 
 	// sleep implements fault-injected stalls; injectable so tests don't
-	// actually stall. Must honour the context (see ctxSleep).
+	// actually stall. Must honour the context (see Sleep).
 	sleep func(context.Context, time.Duration) bool
 
 	reqLookup  *telemetry.Counter
@@ -168,9 +168,12 @@ type Server struct {
 	writeErrs  *telemetry.Counter
 	latencyMs  *telemetry.Histogram
 
-	statusMu   sync.Mutex
-	statusCtrs map[statusKey]*telemetry.Counter
-	statusReg  *telemetry.Registry
+	// status is the per-status, per-plane ledger geoserve.status{code,plane}
+	// that geobench cross-checks its client-side ledger against (data plane
+	// only; control traffic like its own /metrics scrapes is bookkept
+	// separately).
+	status    *obs.Ledger
+	statusReg *telemetry.Registry
 
 	// Observability plane (obs.go).
 	slo           *obs.SLO
@@ -182,12 +185,6 @@ type Server struct {
 	effQueueGauge *telemetry.Gauge
 }
 
-// statusKey indexes the per-status, per-plane ledger.
-type statusKey struct {
-	code  int
-	plane string
-}
-
 // New wires a server with no artifact yet: /readyz answers 503 and the
 // data plane 503s until the first Publish. reg receives the serving
 // metrics (telemetry.Default() in the binary, a private registry in
@@ -197,7 +194,7 @@ func New(cfg Config, reg *telemetry.Registry) *Server {
 	s := &Server{
 		cfg:     cfg,
 		swapper: NewSwapper(reg),
-		sleep:   ctxSleep,
+		sleep:   Sleep,
 
 		reqLookup:  reg.Counter("geoserve.requests_lookup"),
 		reqBatch:   reg.Counter("geoserve.requests_batch"),
@@ -213,8 +210,8 @@ func New(cfg Config, reg *telemetry.Registry) *Server {
 		writeErrs:  reg.Counter("geoserve.write_errors"),
 		latencyMs:  reg.Histogram("geoserve.latency_ms", telemetry.DefaultLatencyBoundsMs),
 
-		statusCtrs: make(map[statusKey]*telemetry.Counter),
-		statusReg:  reg,
+		status:    obs.NewLedger(reg, "geoserve.status"),
+		statusReg: reg,
 
 		burnEvery:     100 * time.Millisecond,
 		effQueueGauge: reg.Gauge("geoserve.effective_max_queue"),
@@ -280,73 +277,23 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // Draining reports whether StartDrain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Handler returns the full middleware-wrapped routing table. Data-plane
-// endpoints (/lookup, /batch) sit behind the deadline and admission
-// middleware; control-plane endpoints (including /metrics) bypass both
-// so an operator can always observe and steer an overloaded server. The
-// observe middleware (request ID, status ledger, SLO feed, access log)
-// wraps everything.
+// Handler returns the routing table: one mux behind the observe
+// middleware (request ID, status ledger, SLO feed, access log). The
+// data-plane endpoints (/lookup, /batch) are registered through serveData,
+// which puts the deadline on the request and takes an admission slot
+// before the handler runs; control-plane endpoints (including /metrics)
+// bypass both so an operator can always observe and steer an overloaded
+// server.
 func (s *Server) Handler() http.Handler {
-	data := http.NewServeMux()
-	data.HandleFunc("/lookup", s.handleLookup)
-	data.HandleFunc("/batch", s.handleBatch)
-	wrapped := s.withDeadline(s.admit(data))
-
 	mux := http.NewServeMux()
-	mux.Handle("/lookup", wrapped)
-	mux.Handle("/batch", wrapped)
+	mux.HandleFunc("/lookup", s.serveData(s.handleLookup))
+	mux.HandleFunc("/batch", s.serveData(s.handleBatch))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/version", s.handleVersion)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/admin/reload", s.handleReload)
 	return s.observe(mux)
-}
-
-// statusCounter returns the ledger counter for one (status, plane)
-// pair — geoserve.status{code=C,plane=P}, the per-status ledger geobench
-// cross-checks its client-side ledger against (data plane only; control
-// traffic like its own /metrics scrapes is bookkept separately).
-func (s *Server) statusCounter(code int, plane string) *telemetry.Counter {
-	s.statusMu.Lock()
-	defer s.statusMu.Unlock()
-	k := statusKey{code: code, plane: plane}
-	c, ok := s.statusCtrs[k]
-	if !ok {
-		c = s.statusReg.Counter(telemetry.Name("geoserve.status",
-			telemetry.Label{Key: "code", Value: strconv.Itoa(code)},
-			telemetry.Label{Key: "plane", Value: plane}))
-		s.statusCtrs[k] = c
-	}
-	return c
-}
-
-// statusWriter records the final status code of a response.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	if w.status == 0 {
-		w.status = status
-	}
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-// Status returns the recorded status (200 if the handler never wrote).
-func (w *statusWriter) Status() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
 }
 
 // LookupResult is the JSON answer for one IP. Either Error is set or the
@@ -386,7 +333,7 @@ const (
 	resolveMiss
 	resolveInjected
 	resolveReadFail
-	resolveDeadline
+	resolveDeadline // never rendered: the caller answers through deadlineExpired
 )
 
 // message is the client-visible error text for a non-OK outcome.
@@ -398,8 +345,6 @@ func (k resolveKind) message() string {
 		return "backend unavailable (injected)"
 	case resolveReadFail:
 		return "artifact read failed"
-	case resolveDeadline:
-		return "request deadline expired"
 	}
 	return ""
 }
@@ -413,8 +358,6 @@ func (k resolveKind) status() int {
 		return http.StatusNotFound
 	case resolveInjected, resolveReadFail:
 		return http.StatusServiceUnavailable
-	case resolveDeadline:
-		return http.StatusGatewayTimeout
 	}
 	return http.StatusOK
 }
@@ -489,7 +432,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer art.release()
-	raw := queryIP(req.URL.RawQuery)
+	raw := QueryIP(req.URL.RawQuery)
 	if raw == "" {
 		s.badInput.Inc()
 		s.writeJSON(w, http.StatusBadRequest, errorBody{"missing ip parameter"})
@@ -505,6 +448,10 @@ func (s *Server) handleLookup(w http.ResponseWriter, req *http.Request) {
 	sp := s.stageSpan(m, "index-lookup")
 	rec, kind := s.resolveRec(req.Context(), art, a)
 	sp.End()
+	if kind == resolveDeadline {
+		s.deadlineExpired(w, req, "")
+		return
+	}
 	enc := s.stageSpan(m, "encode")
 	defer enc.End()
 	buf := getBuf()
@@ -579,9 +526,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		if kind == resolveDeadline {
 			sp.End()
 			putBuf(buf)
-			// The budget for the whole batch is gone; the deadline
-			// wrapper already owns the client-visible 504.
-			s.writeJSON(w, http.StatusGatewayTimeout, errorBody{"request deadline expired mid-batch"})
+			// The budget for the whole batch is gone.
+			s.deadlineExpired(w, req, " mid-batch")
 			return
 		}
 		b = appendLookupResult(b, a, rec, kind)

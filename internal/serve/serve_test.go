@@ -14,6 +14,7 @@ import (
 	"geoloc/internal/core"
 	"geoloc/internal/dataset"
 	"geoloc/internal/faults"
+	"geoloc/internal/obs"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
 )
@@ -366,7 +367,7 @@ func TestMetricsCounted(t *testing.T) {
 		t.Errorf("latency observations = %d, want 3 (bad input still times)", got)
 	}
 	for code, want := range map[int]int64{200: 1, 404: 1, 400: 1} {
-		if got := srv.statusCounter(code, planeData).Value(); got != want {
+		if got := srv.status.Counter(code, obs.PlaneData).Value(); got != want {
 			t.Errorf("status ledger %d = %d, want %d", code, got, want)
 		}
 	}
