@@ -43,8 +43,9 @@ staticcheck:
 # steady-state /lookup — pin, parse, resolve, render, write — and a
 # steady-state GEODSET2 lookup must perform zero heap allocations per
 # request, and the middleware chain around the handler may not exceed its
-# pinned count. Run by name, so a new allocation sneaking into the hot
-# path fails THIS target, not a trend threshold.
+# pinned count — for one lookup, and for a whole 256-address POST /batch
+# (nothing per address). Run by name, so a new allocation sneaking into
+# the hot path fails THIS target, not a trend threshold.
 allocs-smoke:
 	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs' \
 		./internal/serve ./internal/dataset
@@ -201,14 +202,19 @@ scale-smoke:
 	cmp .scale-smoke/single.ledger .scale-smoke/router.ledger
 	rm -rf .scale-smoke
 
-# Short coverage-guided fuzz of the binary decoders — the checkpoint
-# journal and the one dataset artifact reader, fed arbitrary images
-# (FuzzDataset2Decoder) and Encode's framing of arbitrary records
-# (FuzzDatasetDecoder). Their seed corpora also run as plain tests in
-# `make test`.
+# Short coverage-guided fuzz of everything that reads bytes it did not
+# write. The binary decoders: the checkpoint journal and the one dataset
+# artifact reader, fed arbitrary images (FuzzDataset2Decoder, which also
+# holds FindBatch to Find) and Encode's framing of arbitrary records
+# (FuzzDatasetDecoder). The socket side: ipaddr.Parse against
+# net/netip.ParseAddr (FuzzParse) and /batch bodies against an
+# encoding/json + Find reference, status and bytes (FuzzBatchBody). Their
+# seed corpora also run as plain tests in `make test`.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecoder -fuzztime 10s -run '^$$' ./internal/checkpoint
 	$(GO) test -fuzz FuzzDataset2Decoder -fuzztime 20s -run '^$$' ./internal/dataset
 	$(GO) test -fuzz FuzzDatasetDecoder -fuzztime 10s -run '^$$' ./internal/dataset
+	$(GO) test -fuzz FuzzParse -fuzztime 10s -run '^$$' ./internal/ipaddr
+	$(GO) test -fuzz FuzzBatchBody -fuzztime 10s -run '^$$' ./internal/serve
 
 ci: vet build race

@@ -22,7 +22,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 
 	"geoloc/internal/ipaddr"
@@ -275,6 +274,7 @@ type Reader2 struct {
 	mapped  bool   // data is an mmap to unmap, not heap bytes
 	hdr     Header
 	blocks  []blockMeta
+	first   []uint32 // blocks[i].first, packed: the level-1 search array (findbatch.go)
 	records int
 
 	// verified is the per-block verified-on-first-touch bitmap.
@@ -387,6 +387,7 @@ func NewReader2(data []byte) (*Reader2, error) {
 	}
 	n := len(payload) / indexEntryLen
 	d.blocks = make([]blockMeta, n)
+	d.first = make([]uint32, n)
 	d.verified = make([]atomic.Uint32, (n+31)/32)
 	total := uint64(0)
 	minOff := int64(len(Magic2)) + frameOverhead
@@ -416,7 +417,7 @@ func NewReader2(data []byte) (*Reader2, error) {
 		case i > 0 && b.off < d.blocks[i-1].off+frameOverhead+int64(d.blocks[i-1].plen):
 			return nil, fmt.Errorf("%w: block %d overlaps block %d on disk", ErrCorrupt, i, i-1)
 		}
-		d.blocks[i] = b
+		d.blocks[i], d.first[i] = b, uint32(b.first)
 		total += uint64(b.count)
 	}
 	if total != records {
@@ -586,9 +587,13 @@ func (d *Reader2) Lookup(p ipaddr.Prefix24) (Record, bool, error) {
 	if d.refs.Load() <= 0 {
 		return Record{}, false, ErrClosed
 	}
-	// Last block whose first key is <= p.
-	i := sort.Search(len(d.blocks), func(i int) bool { return d.blocks[i].first > p }) - 1
-	if i < 0 || p > d.blocks[i].last {
+	if len(d.blocks) == 0 || uint32(p) > 0x00FF_FFFF {
+		return Record{}, false, nil
+	}
+	key, at := [1]uint32{uint32(p)}, [1]int{}
+	d.searchBlocks(key[:], at[:])
+	i := at[0]
+	if p < d.blocks[i].first || p > d.blocks[i].last {
 		return Record{}, false, nil
 	}
 	payload, err := d.blockPayload(i)

@@ -158,6 +158,24 @@ func FuzzDataset2Decoder(f *testing.F) {
 			}
 			return
 		}
+		// FindBatch against Find, before the scan so that an image with a
+		// damaged block is compared too: the keys at every block's edges and
+		// just outside them, in one batch.
+		probes := []ipaddr.Addr{0, 0xFFFFFFFF}
+		for _, b := range r2.blocks[:min(len(r2.blocks), 64)] {
+			probes = append(probes, (b.first - 1).Addr(0), b.first.Addr(1), b.last.Addr(2), (b.last + 1).Addr(3))
+		}
+		answers := make([]Answer, len(probes))
+		r2.FindBatch(probes, answers)
+		for i, a := range probes {
+			r, ok, err := r2.Find(a)
+			if err != nil && !namedDecodeError(err) {
+				t.Fatalf("unnamed Find error: %v", err)
+			}
+			if !sameAnswer(answers[i], r, ok, err) {
+				t.Fatalf("FindBatch(%s) = %+v, Find says (%+v, %v, %v)", a, answers[i], r, ok, err)
+			}
+		}
 		var recs []Record
 		scanErr := r2.All(func(r Record) error {
 			recs = append(recs, r)
@@ -182,6 +200,18 @@ func FuzzDataset2Decoder(f *testing.F) {
 			got, ok, err := r2.Lookup(r.Prefix)
 			if err != nil || !ok || got != r {
 				t.Fatalf("scanned record %s not found by lookup (ok=%v err=%v)", r.Prefix, ok, err)
+			}
+		}
+		// Every scanned record through the lanes as well.
+		addrs := make([]ipaddr.Addr, len(recs))
+		for i, r := range recs {
+			addrs[i] = r.Prefix.Addr(byte(i))
+		}
+		answers = make([]Answer, len(recs))
+		r2.FindBatch(addrs, answers)
+		for i, r := range recs {
+			if !sameAnswer(answers[i], r, true, nil) {
+				t.Fatalf("scanned record %s: FindBatch says %+v", r.Prefix, answers[i])
 			}
 		}
 	})

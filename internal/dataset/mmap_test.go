@@ -234,6 +234,13 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 			if err := r2.All(func(Record) error { return nil }); !errors.Is(err, ErrClosed) {
 				t.Fatalf("%s All after Close: got %v, want ErrClosed", name, err)
 			}
+			out := make([]Answer, batchLanes+1)
+			r2.FindBatch(make([]ipaddr.Addr, len(out)), out)
+			for i, a := range out {
+				if !errors.Is(a.Err, ErrClosed) || a.Found {
+					t.Fatalf("%s FindBatch after Close: item %d got %+v, want ErrClosed", name, i, a)
+				}
+			}
 		}
 	})
 }
@@ -357,7 +364,8 @@ func TestMappedConcurrentFirstTouch(t *testing.T) {
 }
 
 // TestMappedLookupAllocs gates the mapped hot path: after first touch, a
-// lookup through the mapping is allocation-free.
+// lookup through the mapping — one, or a batch in lockstep — is
+// allocation-free.
 func TestMappedLookupAllocs(t *testing.T) {
 	ds := compiled(t)
 	m, err := Open2(writeV2(t, ds, 4))
@@ -382,5 +390,19 @@ func TestMappedLookupAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("mapped Lookup allocates %.1f times per hit+miss pair, want 0", n)
+	}
+	// The lanes too, across more than one group of them.
+	batch := make([]ipaddr.Addr, 2*batchLanes+1)
+	for i := range batch {
+		batch[i] = (hit + ipaddr.Prefix24(i%2)).Addr(byte(i))
+	}
+	out := make([]Answer, len(batch))
+	if n := testing.AllocsPerRun(200, func() { m.FindBatch(batch, out) }); n != 0 {
+		t.Fatalf("mapped FindBatch allocates %.1f times per batch, want 0", n)
+	}
+	for i, a := range out {
+		if r, ok, err := m.Find(batch[i]); !sameAnswer(a, r, ok, err) {
+			t.Fatalf("FindBatch item %d: %+v, Find says (%+v, %v, %v)", i, a, r, ok, err)
+		}
 	}
 }

@@ -6,7 +6,6 @@ package ipaddr
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Addr is an IPv4 address stored as a big-endian 32-bit integer.
@@ -22,18 +21,25 @@ func FromOctets(a, b, c, d byte) Addr {
 // empty parts, no leading zeros, no signs or spaces — and the success
 // path performs zero heap allocations (the serving hot path calls this
 // per request).
-func Parse(s string) (Addr, error) {
+func Parse(s string) (Addr, error) { return parse(s) }
+
+// ParseBytes is Parse over a byte slice — same grammar, same error text —
+// for callers that hold the text inside a larger buffer (a /batch request
+// body) and must not copy it out to ask.
+func ParseBytes(b []byte) (Addr, error) { return parse(b) }
+
+func parse[S ~string | ~[]byte](s S) (Addr, error) {
 	var out uint32
 	rest := s
 	for i := 0; i < 4; i++ {
 		part := rest
+		dot := indexDot(rest)
 		if i < 3 {
-			dot := strings.IndexByte(rest, '.')
 			if dot < 0 {
 				return 0, fmt.Errorf("ipaddr: %q is not dotted quad", s)
 			}
 			part, rest = rest[:dot], rest[dot+1:]
-		} else if strings.IndexByte(rest, '.') >= 0 {
+		} else if dot >= 0 {
 			return 0, fmt.Errorf("ipaddr: %q is not dotted quad", s)
 		}
 		v, ok := parseOctet(part)
@@ -45,10 +51,21 @@ func Parse(s string) (Addr, error) {
 	return Addr(out), nil
 }
 
+// indexDot is strings.IndexByte(s, '.') for either text type; an address is
+// at most fifteen bytes, so the plain loop is the fast one.
+func indexDot[S ~string | ~[]byte](s S) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '.' {
+			return i
+		}
+	}
+	return -1
+}
+
 // parseOctet parses one decimal octet with the package's strict rules:
 // 1–3 digits only, no leading zero (except "0" itself), value <= 255.
-func parseOctet(p string) (uint32, bool) {
-	if p == "" || len(p) > 3 || (len(p) > 1 && p[0] == '0') {
+func parseOctet[S ~string | ~[]byte](p S) (uint32, bool) {
+	if len(p) == 0 || len(p) > 3 || (len(p) > 1 && p[0] == '0') {
 		return 0, false
 	}
 	var v uint32

@@ -75,7 +75,8 @@ func via(h http.Handler) func(method, target, body string) answer {
 // front of a two-replica fleet — once sharing the dataset's heap image,
 // once with every replica mapping the file — must return the status and
 // the exact JSON bytes the oracle's record renders to — for hits, misses,
-// malformed input, empty input and an over-limit batch alike.
+// malformed input, empty input, an over-limit batch and an over-cap body
+// alike. Reader2.FindBatch answers the same probe list in one call.
 func TestDifferentialOracle(t *testing.T) {
 	ds := oracleDataset()
 	linear := func(a ipaddr.Addr) (dataset.Record, bool) {
@@ -248,6 +249,19 @@ func TestDifferentialOracle(t *testing.T) {
 		t.Fatalf("probe list is one-sided: %d hits, %d misses", hits, misses)
 	}
 
+	// The batch arm: the whole probe list through FindBatch in one call,
+	// item for item the linear scan's answer.
+	for name, r2 := range readers {
+		answers := make([]dataset.Answer, len(probes))
+		r2.FindBatch(probes, answers)
+		for i, a := range probes {
+			wantR, wantOK := linear(a)
+			if got := answers[i]; got.Err != nil || got.Found != wantOK || got.Rec != wantR {
+				t.Errorf("%s FindBatch item %d (%s) = %+v, linear scan says (%+v, %v)", name, i, a, got, wantR, wantOK)
+			}
+		}
+	}
+
 	// Whole-request failures: no oracle record to render, so the status
 	// is pinned and the body must be the same bytes on every path.
 	over := render(map[string][]string{"ips": strings.Fields(strings.Repeat("10.20.0.1 ", oracleMaxBatch+1))})
@@ -275,12 +289,17 @@ func TestDifferentialOracle(t *testing.T) {
 		{http.MethodPost, "/batch", `{"ips":[]}`, http.StatusBadRequest},
 		{http.MethodPost, "/batch", `{}`, http.StatusBadRequest},
 		{http.MethodPost, "/batch", over, http.StatusRequestEntityTooLarge},
+		// A body over the byte cap is 413 on both tiers, whether the cap
+		// falls inside the document or in what trails a complete one.
+		{http.MethodPost, "/batch", `{"ips":["10.20.0.1","` + strings.Repeat("1", serve.MaxBatchBody) + `"]}`, http.StatusRequestEntityTooLarge},
+		{http.MethodPost, "/batch", `{"ips":["10.20.0.1"]}` + strings.Repeat("\n", serve.MaxBatchBody), http.StatusRequestEntityTooLarge},
 	} {
 		want := paths[0].do(c.method, c.target, c.body)
+		what := c.target + " " + c.body[:min(len(c.body), 80)] // the over-cap bodies are 4 MiB
 		if want.status != c.status {
-			t.Errorf("%s %s %q via %s: status %d, want %d", c.method, c.target, c.body, paths[0].name, want.status, c.status)
+			t.Errorf("%s %s via %s: status %d, want %d", c.method, what, paths[0].name, want.status, c.status)
 		}
-		check(c.target+" "+c.body, c.method, c.target, c.body, want)
+		check(what, c.method, c.target, c.body, want)
 	}
 
 	// Closing the fleet releases every replica's reader: none may be

@@ -594,9 +594,16 @@ func (rt *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		rt.writeJSON(w, http.StatusMethodNotAllowed, errBody{"use POST"})
 		return
 	}
+	// The body is read whole before it is decoded, as a replica reads it:
+	// the cap applies to all of it, not only to its first JSON value, and
+	// going over it is 413 on both tiers.
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, serve.MaxBatchBody))
+	if err != nil {
+		rt.writeJSON(w, serve.BodyErrorStatus(err), errBody{fmt.Sprintf("bad request body: %v", err)})
+		return
+	}
 	var in batchIn
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<22))
-	if err := dec.Decode(&in); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&in); err != nil {
 		rt.writeJSON(w, http.StatusBadRequest, errBody{fmt.Sprintf("bad request body: %v", err)})
 		return
 	}

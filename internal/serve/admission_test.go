@@ -353,6 +353,12 @@ func TestDeadlineCountsOnce(t *testing.T) {
 				rec := httptest.NewRecorder()
 				srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch",
 					strings.NewReader(`{"ips":["10.0.0.7","10.0.5.1","10.0.2.9"]}`)))
+				// Faults are applied to every address before the batch's one
+				// FindBatch, so the address that stalled through was not
+				// looked up either.
+				if n := srv.hits.Value() + srv.misses.Value(); n != 0 {
+					t.Errorf("expired batch counted %d hits+misses, want 0", n)
+				}
 				return srv, rec.Code, rec.Body.String()
 			},
 			body: "request deadline expired mid-batch",

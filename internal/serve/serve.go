@@ -33,6 +33,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,6 +47,20 @@ import (
 
 // DefaultMaxBatch caps /batch request size; larger requests get 413.
 const DefaultMaxBatch = 1024
+
+// MaxBatchBody caps a /batch request body in bytes, on a replica and on the
+// router in front of it; a longer body gets 413 whatever it holds.
+const MaxBatchBody = 1 << 22
+
+// BodyErrorStatus is the status for a request body that could not be read:
+// 413 when it ran past its http.MaxBytesReader cap, 400 otherwise. The
+// router answers its own /batch bodies with it too.
+func BodyErrorStatus(err error) int {
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // Admission defaults; Config fields override them.
 const (
@@ -149,6 +164,9 @@ type Server struct {
 	queued   atomic.Int64
 	draining atomic.Bool
 	shedSeq  atomic.Uint64 // keys the per-shed Retry-After jitter draw
+
+	// batchPool recycles /batch request scratch (batchscan.go).
+	batchPool sync.Pool
 
 	// sleep implements fault-injected stalls; injectable so tests don't
 	// actually stall. Must honour the context (see Sleep).
@@ -362,24 +380,29 @@ func (k resolveKind) status() int {
 	return http.StatusOK
 }
 
-// resolveRec answers one parsed address against one artifact snapshot,
-// injecting the profile's serving faults: a deterministic per-IP failure
-// (the caller maps it to 503 or a per-item error) and a deterministic
-// extra stall, which honours the request deadline. It returns the bare
-// record — rendering is the caller's problem — so the steady-state path
-// stays allocation-free.
-func (s *Server) resolveRec(ctx context.Context, art *Artifact, a ipaddr.Addr) (dataset.Record, resolveKind) {
+// injectFaults applies the profile's serving faults to one parsed address:
+// a deterministic extra stall, which honours the request deadline
+// (resolveDeadline when it dies first), then a deterministic per-IP failure
+// (resolveInjected; the caller maps it to 503 or a per-item error).
+// resolveOK means the address is to be looked up.
+func (s *Server) injectFaults(ctx context.Context, art *Artifact, a ipaddr.Addr) resolveKind {
 	if ms := s.cfg.Prof.ServeStallMs(art.Hdr.Seed, uint64(a)); ms > 0 {
 		s.injectMs.Add(int64(ms))
 		if !s.sleep(ctx, time.Duration(ms*float64(time.Millisecond))) {
-			return dataset.Record{}, resolveDeadline
+			return resolveDeadline
 		}
 	}
 	if s.cfg.Prof.ServeFailed(art.Hdr.Seed, uint64(a)) {
 		s.injectFail.Inc()
-		return dataset.Record{}, resolveInjected
+		return resolveInjected
 	}
-	r, ok, err := art.R2.Find(a)
+	return resolveOK
+}
+
+// classify counts one reader answer — Find's three results — and names its
+// outcome. It returns the bare record — rendering is the caller's problem —
+// so the steady-state path stays allocation-free.
+func (s *Server) classify(r dataset.Record, ok bool, err error) (dataset.Record, resolveKind) {
 	if err != nil {
 		s.readFails.Inc()
 		return dataset.Record{}, resolveReadFail
@@ -390,6 +413,15 @@ func (s *Server) resolveRec(ctx context.Context, art *Artifact, a ipaddr.Addr) (
 	}
 	s.hits.Inc()
 	return r, resolveOK
+}
+
+// resolveRec answers one parsed address against one artifact snapshot:
+// the profile's faults, then the lookup.
+func (s *Server) resolveRec(ctx context.Context, art *Artifact, a ipaddr.Addr) (dataset.Record, resolveKind) {
+	if kind := s.injectFaults(ctx, art, a); kind != resolveOK {
+		return dataset.Record{}, kind
+	}
+	return s.classify(art.R2.Find(a))
 }
 
 // observeSince records one request's latency sample.
@@ -475,7 +507,12 @@ type batchResponse struct {
 
 // handleBatch serves POST /batch {"ips": ["1.2.3.4", ...]}. The whole
 // batch resolves against one artifact snapshot, so a hot-swap mid-batch
-// cannot mix generations within one response.
+// cannot mix generations within one response. Each address is parsed where
+// it lies in the body and has the profile's faults applied, in input order;
+// everything still to be looked up then goes through one FindBatch
+// (batchscan.go, dataset/findbatch.go) — so a batch whose deadline dies in
+// an injected stall has counted no hit or miss. The steady-state request
+// allocates nothing per address (gated by TestServeAllocs).
 func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	defer s.observeSince(start)
@@ -490,53 +527,85 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer art.release()
-	var in batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<22))
-	if err := dec.Decode(&in); err != nil {
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, req.Body, MaxBatchBody)); err != nil {
+		s.badInput.Inc()
+		s.writeJSON(w, BodyErrorStatus(err), errorBody{fmt.Sprintf("bad request body: %v", err)})
+		return
+	}
+	n, err := sc.items(s.cfg.MaxBatch)
+	if err != nil {
 		s.badInput.Inc()
 		s.writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
-	if len(in.IPs) == 0 {
+	if n == 0 {
 		s.badInput.Inc()
 		s.writeJSON(w, http.StatusBadRequest, errorBody{"empty batch"})
 		return
 	}
-	if len(in.IPs) > s.cfg.MaxBatch {
+	if n > s.cfg.MaxBatch {
 		s.badInput.Inc()
 		s.writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorBody{fmt.Sprintf("batch of %d exceeds limit %d", len(in.IPs), s.cfg.MaxBatch)})
+			errorBody{fmt.Sprintf("batch of %d exceeds limit %d", n, s.cfg.MaxBatch)})
 		return
 	}
 	m := metaFrom(req.Context())
 	sp := s.stageSpan(m, "index-lookup")
-	buf := getBuf()
-	b := append(buf.b[:0], `{"results":[`...)
-	for i, raw := range in.IPs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		a, err := ipaddr.Parse(raw)
+	sc.addrs, sc.states, sc.query = sized(sc.addrs, n), sized(sc.states, n), sized(sc.query, n)[:0]
+	body := sc.body.Bytes()
+	for i, it := range sc.spans {
+		a, err := ipaddr.ParseBytes(body[it.lo:it.hi])
 		if err != nil {
 			s.badInput.Inc()
-			b = appendErrorResult(b, raw, err.Error())
+			sc.states[i] = itemBadAddr
 			continue
 		}
-		rec, kind := s.resolveRec(req.Context(), art, a)
-		if kind == resolveDeadline {
+		sc.addrs[i] = a
+		switch s.injectFaults(req.Context(), art, a) {
+		case resolveOK:
+			sc.states[i] = itemQueried
+			sc.query = append(sc.query, a)
+		case resolveInjected:
+			sc.states[i] = itemInjected
+		case resolveDeadline:
 			sp.End()
-			putBuf(buf)
 			// The budget for the whole batch is gone.
 			s.deadlineExpired(w, req, " mid-batch")
 			return
 		}
-		b = appendLookupResult(b, a, rec, kind)
 	}
-	b = append(b, "]}\n"...)
-	buf.b = b
+	sc.answers = sized(sc.answers, len(sc.query))
+	art.R2.FindBatch(sc.query, sc.answers)
 	sp.End()
+
 	enc := s.stageSpan(m, "encode")
 	defer enc.End()
+	buf := getBuf()
+	b := append(buf.b[:0], `{"results":[`...)
+	answered := 0
+	for i, state := range sc.states {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		switch state {
+		case itemQueried:
+			ans := &sc.answers[answered]
+			answered++
+			rec, kind := s.classify(ans.Rec, ans.Found, ans.Err)
+			b = appendLookupResult(b, sc.addrs[i], rec, kind)
+		case itemInjected:
+			b = appendLookupResult(b, sc.addrs[i], dataset.Record{}, resolveInjected)
+		case itemBadAddr:
+			// Parsed a second time, for the error text the first pass had
+			// nowhere to keep.
+			raw := body[sc.spans[i].lo:sc.spans[i].hi]
+			_, err := ipaddr.ParseBytes(raw)
+			b = appendErrorResult(b, string(raw), err.Error())
+		}
+	}
+	buf.b = append(b, "]}\n"...)
 	s.writeBytes(w, http.StatusOK, buf.b)
 	putBuf(buf)
 }

@@ -160,6 +160,9 @@ func TestLookupBadRequests(t *testing.T) {
 func TestBatchEdgeCases(t *testing.T) {
 	_, ts := newTestServer(t, nil, 4)
 	oversized := `{"ips":["10.0.0.1","10.0.0.2","10.0.0.3","10.0.0.4","10.0.0.5"]}`
+	// A complete document with the body running on past the cap behind it:
+	// the body is read whole, so the cap applies to all of it.
+	overCap := `{"ips":["10.0.0.7"]}` + strings.Repeat(" ", MaxBatchBody)
 	cases := []struct {
 		name     string
 		body     string
@@ -172,6 +175,7 @@ func TestBatchEdgeCases(t *testing.T) {
 		{"empty list", `{"ips": []}`, http.StatusBadRequest, []string{"empty batch"}},
 		{"no ips key", `{}`, http.StatusBadRequest, []string{"empty batch"}},
 		{"oversized", oversized, http.StatusRequestEntityTooLarge, []string{"batch of 5 exceeds limit 4"}},
+		{"body over the cap", overCap, http.StatusRequestEntityTooLarge, []string{"bad request body: http: request body too large"}},
 		{"bad ip mixed in", `{"ips":["10.0.0.7","not-an-ip","192.0.2.1"]}`, http.StatusOK,
 			[]string{`"ip":"10.0.0.7","prefix":"10.0.0.0/24"`, `"ip":"not-an-ip","error"`, `"ip":"192.0.2.1","error":"no record covers this address"`}},
 		{"all good", `{"ips":["10.0.0.7","10.0.5.1"]}`, http.StatusOK,

@@ -415,14 +415,26 @@ func TestReadFailureAnswers503(t *testing.T) {
 		t.Fatalf("lookup into torn block: %d %q, want 503 read failure", rec.Code, rec.Body.String())
 	}
 
+	// In a batch the torn block fails the items that land in it, and only
+	// those: writeV2File frames 8 records a block.
+	far := ds.Records[8].Prefix.Addr(3)
+	rec = httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch",
+		strings.NewReader(fmt.Sprintf(`{"ips":[%q,%q]}`, hit, far))))
+	if body := rec.Body.String(); rec.Code != http.StatusOK ||
+		!strings.Contains(body, fmt.Sprintf(`{"ip":%q,"error":"artifact read failed"}`, hit)) ||
+		!strings.Contains(body, fmt.Sprintf(`{"ip":%q,"prefix":%q`, far, ds.Records[8].Prefix)) {
+		t.Fatalf("batch across a torn and a sound block: %d %q", rec.Code, body)
+	}
+
 	// A request always pins the reader it resolves against, so only a
 	// caller that skips the pin can meet a released one.
 	art.R2.Close()
 	if _, kind := srv.resolveRec(context.Background(), art, hit); kind != resolveReadFail {
 		t.Fatalf("resolve against a closed reader: kind %d, want read failure", kind)
 	}
-	if got := reg.Counter("geoserve.read_failures").Value(); got != 2 {
-		t.Fatalf("geoserve.read_failures = %d, want 2", got)
+	if got := reg.Counter("geoserve.read_failures").Value(); got != 3 {
+		t.Fatalf("geoserve.read_failures = %d, want 3", got)
 	}
 }
 
