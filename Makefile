@@ -172,14 +172,22 @@ chaos-smoke:
 # client-side oracle, so hit/miss classification also exercises the
 # decode path end to end. (The reader's two backings — mapping and heap
 # bytes — are compared answer for answer by TestDifferentialOracle in
-# internal/router.)
+# internal/router.) Before serving, geodiff compares the artifact with
+# itself: 50,000 records in both, every count of difference zero.
 scale-smoke:
 	rm -rf .scale-smoke && mkdir -p .scale-smoke
 	$(GO) build -o .scale-smoke/exp ./cmd/experiments
 	$(GO) build -o .scale-smoke/geoserve ./cmd/geoserve
 	$(GO) build -o .scale-smoke/geobench ./cmd/geobench
+	$(GO) build -o .scale-smoke/geodiff ./cmd/geodiff
 	./.scale-smoke/exp -scale 50000 -checkpoint-dir .scale-smoke/spill \
 		-artifact .scale-smoke/stream.geodset2 -q
+	./.scale-smoke/geodiff .scale-smoke/stream.geodset2 .scale-smoke/stream.geodset2 \
+		> .scale-smoke/self.diff
+	head -8 .scale-smoke/self.diff
+	grep -q '^in both      50000$$' .scale-smoke/self.diff
+	awk '/^(added|dropped|  moved|  re-radiused|  method changed|  flag changed)/ && $$NF != 0 { bad = 1 } \
+		END { exit bad }' .scale-smoke/self.diff
 	set -e; \
 	./.scale-smoke/geoserve -dataset .scale-smoke/stream.geodset2 \
 		-addr 127.0.0.1:18070 -log-level warn & pid=$$!; \

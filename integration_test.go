@@ -49,10 +49,12 @@ func TestIntegrationCBGCityLevelShare(t *testing.T) {
 		}
 	}
 	share := stats.FractionBelow(errs, 40)
-	// The paper's headline is 73%; the medium world must land in the same
-	// regime (±20 points), or the calibration has drifted.
-	if share < 0.53 || share > 0.95 {
-		t.Errorf("city-level share = %.2f, want ~0.73 regime", share)
+	// The paper's headline is 73 %; the fixed-seed Medium campaign reads
+	// 76 % (EXPERIMENTS.md, Medium column). ±8 points is about two standard
+	// errors of a share of 148 targets: a kernel or calibration change that
+	// leaves the band has moved the science, not the rounding.
+	if share < 0.68 || share > 0.84 {
+		t.Errorf("city-level share = %.3f, want 0.76 ± 0.08", share)
 	}
 }
 

@@ -31,21 +31,30 @@ func TestLocateSurroundedTarget(t *testing.T) {
 	}
 }
 
+// TestLocateCloseVPTightens states what CBG guarantees once a VP sits next
+// to the target: its disk (15 km here) lies wholly inside the three
+// ~850 km ones, so it alone survives the reduction, the estimate lies
+// inside it, and the error is bounded by its radius. (It does not promise
+// to beat the far triple's centroid, which symmetry puts 4 km from this
+// target; the near VP's honest answer is its own location, 10 km away.)
 func TestLocateCloseVPTightens(t *testing.T) {
 	target := geo.Point{Lat: 40, Lon: -74}
-	far := syntheticMeasurements(target, []float64{800, 900, 1000}, 0.3)
-	farEst, err := Locate(far, geo.TwoThirdsC)
+	ms := syntheticMeasurements(target, []float64{800, 900, 1000}, 0.3)
+	ms = append(ms, syntheticMeasurements(target, []float64{10}, 0.05)...)
+	region := Constraints(ms, geo.TwoThirdsC)
+	near := region.Circles[len(region.Circles)-1]
+	if red := region.Reduced(); len(red.Circles) != 1 || red.Circles[0] != near {
+		t.Fatalf("reduction kept %+v, want only the near VP's disk %+v", red.Circles, near)
+	}
+	est, err := Locate(ms, geo.TwoThirdsC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	near := append(far, syntheticMeasurements(target, []float64{10}, 0.05)...)
-	nearEst, err := Locate(near, geo.TwoThirdsC)
-	if err != nil {
-		t.Fatal(err)
+	if !near.Contains(est) {
+		t.Errorf("estimate %v outside the near VP's disk %+v", est, near)
 	}
-	if geo.Distance(nearEst, target) >= geo.Distance(farEst, target) {
-		t.Errorf("close VP should tighten the estimate: %.1f vs %.1f km",
-			geo.Distance(nearEst, target), geo.Distance(farEst, target))
+	if d := geo.Distance(est, target); d > near.RadiusKm {
+		t.Errorf("error %.1f km exceeds the near disk's radius %.1f km", d, near.RadiusKm)
 	}
 }
 

@@ -198,7 +198,7 @@ func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (g
 		sm.AddTrig(m.VPs[k.vp], m.VPTrig(int(k.vp)), k.radius)
 	}
 	sm.AddTrig(m.VPs[tightIdx], tightT, tightRadius)
-	p, ok := sm.Centroid(0, 0)
+	p, ok := sm.Centroid()
 
 	sc.kept = kept
 	locatePool.Put(sc)

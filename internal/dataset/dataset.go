@@ -378,10 +378,11 @@ func CampaignExtras(c *core.Campaign, opts Options) []Record {
 // a conservative speed constant — can sit from the centroid. A sampled
 // maximum would be tighter but loses the coverage guarantee to grid
 // resolution.
-// The constraint sampling runs through geo.Sampler — bit-exact with the
-// Region.Reduced → SamplePoints → Centroid chain it replaced (the golden
-// digests pin this) but allocation-free with hoisted trigonometry, which
-// is what makes million-target compiles tractable.
+// The constraint sampling runs through geo.Sampler: Region.Reduced's
+// reduction bit for bit, then a unit-vector polar grid with no per-point
+// libm — which is what makes million-target compiles tractable. The
+// estimator is versioned, not frozen: a change to it moves artifact bytes
+// and is judged by cmd/geodiff and the shape-target tests (DESIGN.md §3.5).
 func compileRecord(ms []cbg.Measurement, speed float64) (Record, bool) {
 	sm := compileSamplers.Get().(*geo.Sampler)
 	defer compileSamplers.Put(sm)
@@ -397,11 +398,9 @@ func compileRecord(ms []cbg.Measurement, speed float64) (Record, bool) {
 			tight = r
 		}
 	}
-	if centroid, ok := sm.Centroid(geo.DefaultSampleRings, geo.DefaultSampleBearings); ok {
+	if centroid, ok := sm.Centroid(); ok {
 		radius := math.Inf(1)
 		sm.Kept(func(c geo.Circle) {
-			// Min over the surviving set; survivor order (which the sampler
-			// scrambles) cannot change the value.
 			if bound := geo.Distance(centroid, c.Center) + c.RadiusKm; bound < radius {
 				radius = bound
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"geoloc/internal/rhash"
@@ -11,6 +12,15 @@ import (
 
 // testCtx is a shared tiny-world context for the package tests.
 var testCtx = NewContext(world.TinyConfig(), QuickOptions())
+
+// mediumCtx is the fixed-seed Medium campaign the shape-target tests
+// (DESIGN.md §5) hold to tolerances: 148 targets and ~2,000 vantage points
+// are enough for the paper's orderings to emerge with a margin, which the
+// Tiny world's 38 targets are not. The values asserted against are the
+// Medium column of EXPERIMENTS.md. Built on first use.
+var mediumCtx = sync.OnceValue(func() *Context {
+	return NewContext(world.MediumConfig(), QuickOptions())
+})
 
 func TestAllExperimentsProduceReports(t *testing.T) {
 	reports := All(testCtx)
@@ -94,6 +104,16 @@ func parseFloat(t *testing.T, s string) float64 {
 	return v
 }
 
+// parsePercent reads a "76%" / "13.3%" table cell.
+func parsePercent(t *testing.T, s string) float64 {
+	t.Helper()
+	return parseFloat(t, strings.TrimSuffix(s, "%"))
+}
+
+// within40Col is the ≤ 40 km column of a CDF row (label, n, median, then
+// cdfThresholdsKm in order).
+const within40Col = 6
+
 func TestFig2cRemovingCloseVPsHurts(t *testing.T) {
 	r := Fig2c(testCtx)
 	all := parseFloat(t, r.Rows[0][2])
@@ -103,14 +123,55 @@ func TestFig2cRemovingCloseVPsHurts(t *testing.T) {
 	}
 }
 
-func TestFig3cOverheadDecreases(t *testing.T) {
-	r := Fig3c(testCtx)
-	if len(r.Rows) < 2 {
-		t.Fatal("Fig3c needs rows")
+// TestFig2cBlowUp pins Fig 2c's shape on Medium: without the VPs inside
+// 40 km the median error grows at least tenfold (paper 8 → 120 km, 15×;
+// Medium 7.1 → 99 km, 14×) and the city-level share collapses (paper
+// 73 % → 6 %; Medium 76 % → 7 %).
+func TestFig2cBlowUp(t *testing.T) {
+	r := Fig2c(mediumCtx())
+	all, no40 := parseFloat(t, r.Rows[0][2]), parseFloat(t, r.Rows[1][2])
+	if no40 < 10*all {
+		t.Errorf("median error %v km -> %v km without VPs < 40 km, want >= 10x", all, no40)
 	}
-	lastRow := r.Rows[len(r.Rows)-1]
-	if lastRow[0] != "All" {
-		t.Fatal("last row should be the original algorithm")
+	if share := parsePercent(t, r.Rows[1][within40Col]); share > 15 {
+		t.Errorf("<= 40 km share without close VPs = %v%%, want a collapse to <= 15%%", share)
+	}
+}
+
+// TestFig3cOverheadDecreases pins Fig 3c's shape on Medium: the two-step
+// overhead is a convex curve over the first-step size whose minimum is
+// interior — neither the smallest nor the largest first step — and far
+// below the original algorithm's "All" row. The paper's optimum is 13.2 %
+// at 500 of 10k VPs; Medium's ~2,000 VPs put it at 100 first-step VPs and
+// 13.3 %.
+func TestFig3cOverheadDecreases(t *testing.T) {
+	r := Fig3c(mediumCtx())
+	last := len(r.Rows) - 1
+	if last < 3 {
+		t.Fatalf("Fig3c has %d rows, want a sweep of at least three sizes plus All", len(r.Rows))
+	}
+	if r.Rows[last][0] != "All" || r.Rows[last][2] != "100%" {
+		t.Fatalf("last row = %v, want the original algorithm at 100%%", r.Rows[last])
+	}
+	pct := make([]float64, last)
+	best := 0
+	for i := range pct {
+		pct[i] = parsePercent(t, r.Rows[i][2])
+		if pct[i] < pct[best] {
+			best = i
+		}
+	}
+	if best == 0 || best == last-1 {
+		t.Fatalf("overhead minimum at first-step size %s (row %d of %d), want an interior one: %v",
+			r.Rows[best][0], best, last, pct)
+	}
+	if r.Rows[best][0] != "100" || pct[best] < 11 || pct[best] > 16 {
+		t.Errorf("overhead minimum = %.1f%% at %s first-step VPs, want 11-16%% at 100", pct[best], r.Rows[best][0])
+	}
+	for i := 1; i < last; i++ {
+		if (i <= best) != (pct[i] < pct[i-1]) {
+			t.Errorf("overhead not convex around its minimum: %v", pct)
+		}
 	}
 }
 
@@ -182,10 +243,21 @@ func TestFig6cTimesPositive(t *testing.T) {
 	}
 }
 
+// TestFig7Ordering pins Fig 7's ranking at city level on Medium: IPinfo >
+// CBG with all VPs > MaxMind free, each step by at least 8 points — half
+// the paper's gaps (89 / 73 / 55 %; Medium reads 91 / 76 / 59 %).
 func TestFig7Ordering(t *testing.T) {
-	r := Fig7(testCtx)
+	r := Fig7(mediumCtx())
 	if len(r.Rows) != 3 {
 		t.Fatalf("Fig7 has %d rows", len(r.Rows))
+	}
+	cbg := parsePercent(t, r.Rows[0][within40Col])
+	maxmind := parsePercent(t, r.Rows[1][within40Col])
+	ipinfo := parsePercent(t, r.Rows[2][within40Col])
+	const minGap = 8
+	if ipinfo-cbg < minGap || cbg-maxmind < minGap {
+		t.Errorf("<= 40 km shares IPinfo %v%% / CBG %v%% / MaxMind %v%%, want each step >= %d points",
+			ipinfo, cbg, maxmind, minGap)
 	}
 }
 

@@ -131,7 +131,7 @@ func (r *Region) Centroid() (Point, bool) {
 	for _, c := range r.Circles {
 		sm.Add(c)
 	}
-	p, ok := sm.Centroid(DefaultSampleRings, DefaultSampleBearings)
+	p, ok := sm.Centroid()
 	PutSampler(sm)
 	return p, ok
 }

@@ -6,117 +6,116 @@ import (
 	"sync"
 )
 
-// Sampler estimates region-intersection centroids with reusable scratch
-// buffers and precomputed trigonometry. It is the allocation-free,
-// libm-light reimplementation of the Region.Reduced → SamplePoints →
-// Centroid chain, and it is deliberately bit-exact with respect to that
-// chain: same reduction rule (including the ascending-radius sort, whose
-// permutation decides the sample center when radii tie exactly), same
-// polar-grid expressions in the same association order, same
-// round-trip of each sample point through degrees before the containment
-// checks, and the same centroid accumulation order. Any cheaper variant
-// that broke one of these rules would shift outputs by ulps and break the
-// golden digests.
+// Sampler estimates the centroid of a constraint intersection — the CBG
+// location estimate — with reusable scratch and no per-point libm. It is a
+// versioned estimator with two halves that answer to different contracts:
 //
-// A Sampler is single-goroutine scratch; use one per worker or the
-// package pool (Region.Centroid does). Add constraints between Reset and
-// Centroid; Points remains valid until the next Reset.
+//   - The reduction (which circles survive, in which order, and which one
+//     is sampled) is bit-exact with Region.Reduced: same first-minimum
+//     rule, same TrigCuts verdicts, same ascending-radius sort over the
+//     same initial order, so equal radii tie-break identically.
+//   - The sampling is this kernel's own definition, not a replay of
+//     Region.SamplePoints: the 16 × 24 + centre polar grid of the sample
+//     circle is generated as unit vectors, membership in every other
+//     surviving circle is a chord comparison, the sample circle's own grid
+//     is inside it by construction (its rim included — SamplePoints leaves
+//     the 24 rim points to a half-ulp of the haversine, which put the
+//     centroid of a single circle up to 1.6 % of its radius off its own
+//     centre), and the vector mean is accumulated from the vectors. The
+//     legacy chain stays as an independent oracle the property tests hold
+//     this kernel to within grid resolution of (sampler_test.go).
+//
+// Same constraints in the same order give the same bits on every run and
+// at every worker count. A Sampler is single-goroutine scratch; use one per
+// worker or the package pool (Region.Centroid does). Add constraints
+// between Reset and Centroid.
 type Sampler struct {
-	cs   []TrigCircle
+	cs   []samplerCircle
 	keep []int32
-	pts  []Point
-	sinB []float64
-	cosB []float64
+	// cut holds what a grid point can fall outside of: every survivor but
+	// the sample circle and its exact duplicates.
+	cut []chordCircle
 }
+
+// samplerCircle is a constraint as the reduction reads it.
+type samplerCircle struct {
+	center   Point
+	t        Trig
+	radiusKm float64
+}
+
+// chordCircle is a constraint as the grid reads it: the centre's unit
+// vector and the squared straight-line chord its radius subtends.
+type chordCircle struct {
+	u      Unit
+	chord2 float64
+}
+
+// chord2ForRadius returns the squared chord, on the unit sphere, under an
+// arc of radiusKm, so that |p − u|² ≤ chord2 ⇔ arc(u, p) ≤ radiusKm. The
+// chord form keeps full relative precision at kilometre radii, where
+// 1 − cos(r/R) has lost eight digits. A negative or NaN radius contains
+// nothing; one of half the circumference or more contains everything.
+func chord2ForRadius(radiusKm float64) float64 {
+	half := radiusKm / (2 * EarthRadiusKm)
+	if !(half >= 0) {
+		return -1
+	}
+	if half >= math.Pi/2 {
+		return math.Inf(1)
+	}
+	s := math.Sin(half)
+	return 4 * s * s
+}
+
+// sampleBearings is the grid's bearing table, clockwise from north.
+var sampleBearings = func() (t [DefaultSampleBearings]struct{ cos, sin float64 }) {
+	for i := range t {
+		t[i].sin, t[i].cos = math.Sincos(2 * math.Pi * float64(i) / DefaultSampleBearings)
+	}
+	return t
+}()
 
 // Reset clears the constraint set for reuse.
 func (sm *Sampler) Reset() { sm.cs = sm.cs[:0] }
 
 // Add appends a constraint circle.
 func (sm *Sampler) Add(c Circle) {
-	sm.cs = append(sm.cs, MakeTrigCircle(c))
+	sm.cs = append(sm.cs, samplerCircle{center: c.Center, t: MakeTrig(c.Center), radiusKm: c.RadiusKm})
 }
 
 // AddTrig appends a constraint circle whose center trigonometry the
 // caller already has (the CBG matrix caches per-VP trig).
 func (sm *Sampler) AddTrig(center Point, t Trig, radiusKm float64) {
-	sm.cs = append(sm.cs, makeTrigCircleAt(center, t, radiusKm))
+	sm.cs = append(sm.cs, samplerCircle{center: center, t: t, radiusKm: radiusKm})
 }
 
-// Len returns the number of constraints added since the last Reset.
-func (sm *Sampler) Len() int { return len(sm.cs) }
-
-// Points returns the accepted sample points of the last Centroid call,
-// in grid order (center first). The slice is scratch: valid until the
-// sampler is next used.
-func (sm *Sampler) Points() []Point { return sm.pts }
-
-// containsAll reports whether the point satisfies every reduced
-// constraint — the Region.Contains loop over calibrated thresholds.
-// The loop is a conjunction of exact side-effect-free predicates, so the
-// evaluation order cannot change the verdict; it only decides how many
-// circles a rejected point pays for. Consecutive grid points are
-// spatially adjacent, so the circle that cut the last point usually cuts
-// the next one too: a rejecting circle is swapped to the front of keep,
-// which collapses the common miss from ~len(keep)/2 tests to ~1.
-func (sm *Sampler) containsAll(p Trig) bool {
-	for idx, ki := range sm.keep {
-		// Inline ContainsTrig (same expression tree, same screens); the
-		// indirect call cost shows up at this depth.
-		c := &sm.cs[ki]
-		dlat := p.LatRad - c.T.LatRad
-		adlat := math.Abs(dlat)
-		if adlat >= latScreenMin && adlat <= latScreenMax &&
-			EarthRadiusKm*adlat*(1-distBoundMargin) > c.RadiusKm {
-			sm.keep[0], sm.keep[idx] = ki, sm.keep[0]
-			return false
-		}
-		dlon := p.LonRad - c.T.LonRad
-		adlon := math.Abs(dlon)
-		if adlon > math.Pi {
-			adlon = 2*math.Pi - adlon
-		}
-		cmin := c.T.CosLat
-		if p.CosLat < cmin {
-			cmin = p.CosLat
-		}
-		if (EarthRadiusKm*(adlat+adlon*cmin)+distPadKm)*(1+distBoundMargin) <= c.RadiusKm {
-			continue
-		}
-		sl := math.Sin(dlat / 2)
-		if t := sl * sl; t > c.sMax+sSlack {
-			sm.keep[0], sm.keep[idx] = ki, sm.keep[0]
-			return false
-		}
-		sn := math.Sin(dlon / 2)
-		s := sl*sl + c.T.CosLat*p.CosLat*sn*sn
-		if s < 0 {
-			s = 0
-		}
-		if s > 1 {
-			s = 1
-		}
-		if s > c.sMax {
-			sm.keep[0], sm.keep[idx] = ki, sm.keep[0]
+// inside reports whether the grid point satisfies every constraint that
+// can cut the sample circle. The loop is a conjunction of pure
+// predicates, so the evaluation order cannot change the verdict; it only
+// decides how many circles a rejected point pays for. Consecutive grid
+// points are spatially adjacent, so the circle that cut the last point
+// usually cuts the next one too: a rejecting circle is swapped to the
+// front, which collapses the common miss from ~len(cut)/2 tests to ~1.
+func (sm *Sampler) inside(p Unit) bool {
+	for i := range sm.cut {
+		c := &sm.cut[i]
+		dx, dy, dz := p.X-c.u.X, p.Y-c.u.Y, p.Z-c.u.Z
+		if !(dx*dx+dy*dy+dz*dz <= c.chord2) {
+			sm.cut[0], sm.cut[i] = sm.cut[i], sm.cut[0]
 			return false
 		}
 	}
 	return true
 }
 
-// Centroid estimates the centroid of the constraint intersection on a
-// rings × bearings polar grid (non-positive values select the package
-// defaults). ok is false when no constraints were added or the sampled
-// intersection is empty — exactly when Region.Centroid would report it.
-func (sm *Sampler) Centroid(rings, bearings int) (Point, bool) {
+// Centroid estimates the centroid of the constraint intersection on the
+// DefaultSampleRings × DefaultSampleBearings polar grid of the tightest
+// surviving circle. ok is false when no constraints were added or no grid
+// point satisfies all of them.
+func (sm *Sampler) Centroid() (Point, bool) {
 	if len(sm.cs) == 0 {
 		return Point{}, false
-	}
-	if rings <= 0 {
-		rings = DefaultSampleRings
-	}
-	if bearings <= 0 {
-		bearings = DefaultSampleBearings
 	}
 
 	// Reduction, replicating Region.Reduced: the tightest circle is the
@@ -128,7 +127,7 @@ func (sm *Sampler) Centroid(rings, bearings int) (Point, bool) {
 	// radii) is identical.
 	tightIdx := 0
 	for i := 1; i < len(sm.cs); i++ {
-		if sm.cs[i].RadiusKm < sm.cs[tightIdx].RadiusKm {
+		if sm.cs[i].radiusKm < sm.cs[tightIdx].radiusKm {
 			tightIdx = i
 		}
 	}
@@ -136,87 +135,67 @@ func (sm *Sampler) Centroid(rings, bearings int) (Point, bool) {
 	sm.keep = sm.keep[:0]
 	for i := range sm.cs {
 		c := &sm.cs[i]
-		if (c.Center == tight0.Center && c.RadiusKm == tight0.RadiusKm) ||
-			TrigCuts(c.T, tight0.T, tight0.RadiusKm, c.RadiusKm) {
+		if (c.center == tight0.center && c.radiusKm == tight0.radiusKm) ||
+			TrigCuts(c.t, tight0.t, tight0.radiusKm, c.radiusKm) {
 			sm.keep = append(sm.keep, int32(i))
 		}
 	}
 	sort.Slice(sm.keep, func(a, b int) bool {
-		return sm.cs[sm.keep[a]].RadiusKm < sm.cs[sm.keep[b]].RadiusKm
+		return sm.cs[sm.keep[a]].radiusKm < sm.cs[sm.keep[b]].radiusKm
 	})
 	if len(sm.keep) == 0 {
 		return Point{}, false
 	}
-	// Ascending order: keep[0] is the sample center. Captured by index
-	// into cs before sampling — containsAll is then free to reorder keep.
+	// Ascending order: keep[0] is the sample circle.
 	tc := &sm.cs[sm.keep[0]]
-
-	sm.pts = sm.pts[:0]
-	var x, y, z float64
-	n := 0
-	// Accumulate the 3-D vector mean inline, in grid order, with the same
-	// per-point products Centroid computes from degrees.
-	accumulate := func(p Point, t Trig) {
-		sm.pts = append(sm.pts, p)
-		x += t.CosLat * math.Cos(t.LonRad)
-		y += t.CosLat * math.Sin(t.LonRad)
-		z += math.Sin(t.LatRad)
-		n++
+	if !(tc.radiusKm >= 0) {
+		return Point{}, false // a negative or NaN radius contains nothing, its own grid included
+	}
+	sm.cut = sm.cut[:0]
+	for _, ki := range sm.keep[1:] {
+		c := &sm.cs[ki]
+		if c.center == tc.center && c.radiusKm == tc.radiusKm {
+			continue
+		}
+		sm.cut = append(sm.cut, chordCircle{u: c.t.Unit(), chord2: chord2ForRadius(c.radiusKm)})
 	}
 
-	if sm.containsAll(tc.T) {
-		accumulate(tc.Center, tc.T)
+	// The grid point at angular distance ad and bearing β from the centre
+	// c is cos(ad)·c + sin(ad)·(cos β·n + sin β·e), with n and e the local
+	// north and east at c: one Sincos a ring, no libm call a point.
+	sinLat, cosLat := math.Sin(tc.t.LatRad), tc.t.CosLat
+	sinLon, cosLon := math.Sincos(tc.t.LonRad)
+	c := Unit{cosLat * cosLon, cosLat * sinLon, sinLat}
+	n := Unit{-sinLat * cosLon, -sinLat * sinLon, cosLat}
+	e := Unit{-sinLon, cosLon, 0}
+	var dirs [DefaultSampleBearings]Unit
+	for i, b := range sampleBearings {
+		dirs[i] = Unit{b.cos*n.X + b.sin*e.X, b.cos*n.Y + b.sin*e.Y, b.cos*n.Z + b.sin*e.Z}
 	}
 
-	// Hoisted Destination: the bearing trig is ring-invariant and the
-	// angular-distance trig is bearing-invariant. The residual per-point
-	// expressions keep Destination's exact association order.
-	if cap(sm.sinB) < bearings {
-		sm.sinB = make([]float64, bearings)
-		sm.cosB = make([]float64, bearings)
+	var sum Unit
+	count := 0
+	if sm.inside(c) {
+		sum, count = c, 1
 	}
-	sinB, cosB := sm.sinB[:bearings], sm.cosB[:bearings]
-	for bi := 0; bi < bearings; bi++ {
-		brng := deg2rad(360 * float64(bi) / float64(bearings))
-		sinB[bi] = math.Sin(brng)
-		cosB[bi] = math.Cos(brng)
-	}
-	sinLat1 := math.Sin(tc.T.LatRad)
-	cosLat1 := tc.T.CosLat
-	lon1 := tc.T.LonRad
-	for ri := 1; ri <= rings; ri++ {
-		rad := tc.RadiusKm * float64(ri) / float64(rings)
-		ad := rad / EarthRadiusKm
-		sinAd, cosAd := math.Sin(ad), math.Cos(ad)
-		t1 := sinLat1 * cosAd
-		t2 := cosLat1 * sinAd
-		for bi := 0; bi < bearings; bi++ {
-			lat2 := math.Asin(t1 + t2*cosB[bi])
-			sinLat2 := math.Sin(lat2)
-			lon2 := lon1 + math.Atan2(sinB[bi]*sinAd*cosLat1, cosAd-sinLat1*sinLat2)
-			lat2d := rad2deg(lat2)
-			lon2d := rad2deg(lon2)
-			for lon2d > 180 {
-				lon2d -= 360
-			}
-			for lon2d < -180 {
-				lon2d += 360
-			}
-			// Containment (and the centroid accumulation) see the point as
-			// Contains would: re-derived from its degree representation.
-			pLat := deg2rad(lat2d)
-			pt := Trig{LatRad: pLat, LonRad: deg2rad(lon2d), CosLat: math.Cos(pLat)}
-			if sm.containsAll(pt) {
-				accumulate(Point{Lat: lat2d, Lon: lon2d}, pt)
+	for ri := 1; ri <= DefaultSampleRings; ri++ {
+		sinAd, cosAd := math.Sincos(tc.radiusKm * float64(ri) / DefaultSampleRings / EarthRadiusKm)
+		for _, d := range dirs {
+			p := Unit{cosAd*c.X + sinAd*d.X, cosAd*c.Y + sinAd*d.Y, cosAd*c.Z + sinAd*d.Z}
+			if sm.inside(p) {
+				sum.X += p.X
+				sum.Y += p.Y
+				sum.Z += p.Z
+				count++
 			}
 		}
 	}
 
-	if n == 0 {
+	if count == 0 {
 		return Point{}, false
 	}
-	fn := float64(n)
-	x, y, z = x/fn, y/fn, z/fn
+	fn := float64(count)
+	x, y, z := sum.X/fn, sum.Y/fn, sum.Z/fn
 	norm := math.Sqrt(x*x + y*y + z*z)
 	if norm < 1e-12 {
 		return Point{}, false
@@ -244,13 +223,11 @@ func GetSampler() *Sampler {
 func PutSampler(sm *Sampler) { samplerPool.Put(sm) }
 
 // Kept invokes fn for every constraint that survived the reduction of
-// the last Centroid call. The set is exactly Region.Reduced's (the
-// containment-check front-swap scrambles the order, so callers must not
-// depend on it — fine for order-independent folds like a min). Valid
-// until the next Reset.
+// the last Centroid call, in ascending-radius order. The set is exactly
+// Region.Reduced's. Valid until the next Reset.
 func (sm *Sampler) Kept(fn func(Circle)) {
 	for _, ki := range sm.keep {
 		c := &sm.cs[ki]
-		fn(Circle{Center: c.Center, RadiusKm: c.RadiusKm})
+		fn(Circle{Center: c.center, RadiusKm: c.radiusKm})
 	}
 }

@@ -74,10 +74,10 @@ func sDistance(s float64) float64 {
 // inverse; the Nextafter walk then pins the guess to the actual rounding
 // boundary of the forward formula (sDistance is a nondecreasing step
 // function of s, so the boundary is well defined and the walk is a couple
-// of steps at most). Sampling-grid points sit nominally *on* the tight
-// circle's boundary, where a half-ulp disagreement between the two
-// predicates would flip membership and change the centroid — hence exact
-// calibration rather than an approximate threshold.
+// of steps at most). Exact calibration rather than an approximate
+// threshold is what lets ContainsTrig stand in for Circle.Contains with no
+// verdict ever differing — vpsel.TwoStepSelect's candidate set, and the
+// ping counts of Fig 3c with it, rest on that.
 func sMaxForRadius(radiusKm float64) float64 {
 	if radiusKm < 0 || math.IsNaN(radiusKm) {
 		return -1 // excludes every s: a negative radius contains nothing
@@ -124,12 +124,6 @@ func MakeTrigCircle(c Circle) TrigCircle {
 		RadiusKm: c.RadiusKm,
 		sMax:     sMaxForRadius(c.RadiusKm),
 	}
-}
-
-// makeTrigCircleAt is MakeTrigCircle with the center trig already known
-// (the CBG matrix caches per-VP trig across thousands of locates).
-func makeTrigCircleAt(center Point, t Trig, radiusKm float64) TrigCircle {
-	return TrigCircle{Center: center, T: t, RadiusKm: radiusKm, sMax: sMaxForRadius(radiusKm)}
 }
 
 // sSlack absorbs the one way the haversine sum can dip below its

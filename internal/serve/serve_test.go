@@ -97,9 +97,9 @@ func TestGoldenLookupAnswers(t *testing.T) {
 		status int
 		body   string
 	}{
-		{"10.0.0.7", 200, `{"ip":"10.0.0.7","prefix":"10.0.0.0/24","lat":42.55117336546084,"lon":105.66516913018592,"radius_km":77.91525478793388,"method":"cbg","sanitized":true}`},
-		{"10.0.2.255", 200, `{"ip":"10.0.2.255","prefix":"10.0.2.0/24","lat":42.208310530597515,"lon":111.51759944040498,"radius_km":188.29110925522363,"method":"cbg","sanitized":true}`},
-		{"10.0.5.1", 200, `{"ip":"10.0.5.1","prefix":"10.0.5.0/24","lat":38.17566561600508,"lon":107.0782714174015,"radius_km":78.08900758829289,"method":"cbg","sanitized":true}`},
+		{"10.0.0.7", 200, `{"ip":"10.0.0.7","prefix":"10.0.0.0/24","lat":42.55024551682481,"lon":105.65892071198861,"radius_km":77.3931209996801,"method":"cbg","sanitized":true}`},
+		{"10.0.2.255", 200, `{"ip":"10.0.2.255","prefix":"10.0.2.0/24","lat":42.19291994611804,"lon":111.50213172166362,"radius_km":186.15753948670266,"method":"cbg","sanitized":true}`},
+		{"10.0.5.1", 200, `{"ip":"10.0.5.1","prefix":"10.0.5.0/24","lat":38.1656838386848,"lon":107.0779542583933,"radius_km":76.97873835711269,"method":"cbg","sanitized":true}`},
 		// Removed anchors surface as unsanitized reported locations.
 		{"10.0.29.1", 200, `{"ip":"10.0.29.1","prefix":"10.0.29.0/24","lat":41.11978237228221,"lon":107.46339077774519,"method":"reported"}`},
 		{"10.0.30.200", 200, `{"ip":"10.0.30.200","prefix":"10.0.30.0/24","lat":-43.1615182840416,"lon":132.0611712423121,"method":"reported"}`},
