@@ -124,18 +124,16 @@ load-smoke:
 		-strict -out .load-smoke/overload.json
 	rm -rf .load-smoke
 
-# Replica-chaos proof of the routed fleet (DESIGN.md §3.8): geoserve
-# -router runs a 4-replica fleet behind the prefix-sharded router and
-# geobench -chaos kills the HOT replica (the one owning the artifact's
-# range) mid-run through /admin/replica, then revives it. Run 1
-# (replication 2, hedging on) requires the crash to be fully absorbed:
-# zero dropped requests, zero 503s, at least one failed-over or
-# hedge-won answer, and — via -metrics-check — the router's
-# georouter_failovers/hedge_wins counters moving by EXACTLY the sums the
-# client saw in its response headers. Run 2 (replication 1) proves the
-# bounded failure domain: the outage degrades ONLY the victim's prefix
-# range, as fast 503s with Retry-After confined to the kill→readmission
-# window — never a hang, never a drop.
+# Replica-chaos proof of the routed fleet (DESIGN.md §3.8): geobench
+# -chaos kills the HOT replica of a geoserve -router fleet (the one the
+# artifact's lookups start at) mid-run through /admin/replica, then
+# revives it. Run 1, four replicas — crash absorbed by the ring: zero
+# dropped requests, zero 503s, at least one failed-over answer, and — via
+# -metrics-check — the router's georouter_failovers counter moving by
+# EXACTLY the sum the client saw in its response headers. Run 2, a fleet
+# of one — window-confined 503s: with no other replica to ask, the outage
+# is fast 503s with Retry-After from the kill to the readmission and
+# nowhere else — never a hang, never a drop.
 chaos-smoke:
 	rm -rf .chaos-smoke && mkdir -p .chaos-smoke
 	$(GO) build -o .chaos-smoke/geoserve ./cmd/geoserve
@@ -143,7 +141,7 @@ chaos-smoke:
 	./.chaos-smoke/geoserve -scale tiny -unsanitized -write .chaos-smoke/a.geodset
 	set -e; \
 	./.chaos-smoke/geoserve -dataset .chaos-smoke/a.geodset -addr 127.0.0.1:18090 \
-		-router -replicas 4 -replication 2 -hedge -probe-interval 50ms \
+		-router -replicas 4 -probe-interval 50ms \
 		-admin-token smoke -log-level warn & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT; \
 	./.chaos-smoke/geobench -addr http://127.0.0.1:18090 \
@@ -153,7 +151,7 @@ chaos-smoke:
 		-expect-failover -metrics-check -strict -out .chaos-smoke/failover.json
 	set -e; \
 	./.chaos-smoke/geoserve -dataset .chaos-smoke/a.geodset -addr 127.0.0.1:18091 \
-		-router -replicas 4 -replication 1 -probe-interval 50ms \
+		-router -replicas 1 -probe-interval 50ms \
 		-admin-token smoke -log-level warn & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT; \
 	./.chaos-smoke/geobench -addr http://127.0.0.1:18091 \
@@ -167,8 +165,8 @@ chaos-smoke:
 # 50k /24 campaign in bounded windows into a GEODSET2 artifact, then serve
 # it out of its mapping under a seeded strict geobench pass — once from a
 # single node, once through -router in front of a 4-replica fleet whose
-# members each map the same file — and require the two status ledgers to
-# be identical. The bench materializes the same artifact as its
+# members each map the same file, every batch forwarded whole to one of
+# them — and require the two status ledgers to be identical. The bench materializes the same artifact as its
 # client-side oracle, so hit/miss classification also exercises the
 # decode path end to end. (The reader's two backings — mapping and heap
 # bytes — are compared answer for answer by TestDifferentialOracle in
@@ -198,7 +196,7 @@ scale-smoke:
 		-strict -out .scale-smoke/single.json
 	set -e; \
 	./.scale-smoke/geoserve -dataset .scale-smoke/stream.geodset2 \
-		-addr 127.0.0.1:18071 -router -replicas 4 -replication 2 -log-level warn & pid=$$!; \
+		-addr 127.0.0.1:18071 -router -replicas 4 -log-level warn & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT; \
 	./.scale-smoke/geobench -addr http://127.0.0.1:18071 \
 		-dataset .scale-smoke/stream.geodset2 -wait-ready 15s \

@@ -102,22 +102,21 @@ type Config struct {
 	// completed requests and revived after RestartAfter, and the verdict
 	// additionally requires: zero dropped requests throughout, every 503
 	// confined to the outage window and carrying Retry-After, and (with
-	// MetricsCheck) the router's failover/hedge counters matching the
+	// MetricsCheck) the router's failover counters matching the
 	// client-observed X-Router-* headers exactly.
 	Chaos bool
 	// KillAfter/RestartAfter are completed-request thresholds for the
 	// kill and revival (defaults Requests/4 and Requests/2).
 	KillAfter, RestartAfter int
-	// ChaosReplica picks the victim; negative selects the replica whose
-	// prefix range owns the baseline artifact's record space (the hot
-	// one — killing an idle replica proves nothing).
+	// ChaosReplica picks the victim; negative selects the replica where
+	// lookups of the baseline artifact's record space start (the hot one).
 	ChaosReplica int
 	// ExpectFailover fails a chaos run in which no answer was failed
-	// over or hedge-won (the outage was never actually absorbed).
+	// over (the outage was never actually absorbed).
 	ExpectFailover bool
-	// Expect503 fails a chaos run with no 503 at all (the degraded
-	// window was never actually exercised — replication soaked it up or
-	// the kill missed the hot range).
+	// Expect503 fails a chaos run with no in-window 503 (the degraded
+	// window was never actually exercised — for a fleet of one; any other
+	// live replica soaks the outage up).
 	Expect503 bool
 }
 
@@ -166,9 +165,7 @@ type Report struct {
 	KillAtSec       float64 `json:"kill_at_sec,omitempty"`
 	ReadmitAtSec    float64 `json:"readmit_at_sec,omitempty"`
 	ClientFailovers int     `json:"client_failovers,omitempty"`
-	ClientHedgeWins int     `json:"client_hedge_wins,omitempty"`
 	ServerFailovers int64   `json:"server_failovers,omitempty"`
-	ServerHedgeWins int64   `json:"server_hedge_wins,omitempty"`
 
 	// Violations is empty on a clean run; -strict turns any entry into a
 	// non-zero exit.
@@ -301,11 +298,10 @@ type sample struct {
 
 	// Chaos-proof fields: when the request started and finished relative
 	// to run start (for the outage-window check), the router's failover
-	// count and hedge verdict from the X-Router-* headers, and whether a
-	// 503 arrived without its Retry-After hint.
+	// count from X-Router-Failovers, and whether a 503 arrived without its
+	// Retry-After hint.
 	t0Ns, t1Ns   int64
 	failovers    int
-	hedgeWon     bool
 	noRetryAfter bool
 }
 
@@ -425,6 +421,11 @@ func Run(cfg Config) (*Report, error) {
 	}
 	wg.Wait()
 	rep.Elapsed = time.Since(start).Seconds()
+	if ch != nil {
+		// A fleet of one can finish on fast 503s while its only replica is
+		// still down: read /version once the router has re-admitted it.
+		ch.pollWG.Wait()
+	}
 
 	after, err := fetchVersion(client, cfg.BaseURL)
 	if err != nil {
@@ -490,11 +491,10 @@ func doRequest(client *http.Client, base string, mix *mixer, i int, runStart tim
 	// Every failure answer must carry the ID that joins it to exactly
 	// one server access-log record.
 	s.noID = s.status >= 400 && resp.Header.Get("X-Request-Id") == ""
-	// Router verdict headers, the client half of the chaos accounting.
+	// The router's verdict header, the client half of the chaos accounting.
 	if v := resp.Header.Get("X-Router-Failovers"); v != "" {
 		s.failovers, _ = strconv.Atoi(v)
 	}
-	s.hedgeWon = resp.Header.Get("X-Router-Hedge") == "won"
 	s.noRetryAfter = s.status == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == ""
 	return s
 }

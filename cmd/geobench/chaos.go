@@ -5,16 +5,17 @@
 //   - zero dropped requests — the router must absorb the crash; a client
 //     never sees a connection error or timeout,
 //   - every 503 confined to the outage window (kill → readmission) and
-//     carrying a Retry-After hint — the failure domain is the victim's
-//     prefix range for exactly as long as the victim is actually gone,
+//     carrying a Retry-After hint — with any other replica live there is
+//     none at all; a fleet of one answers 503 for exactly as long as its
+//     only replica is actually gone,
 //   - exact failover accounting (with -metrics-check): the sum of
 //     X-Router-Failovers headers the CLIENT saw equals the router's
-//     georouter.failovers counter delta, hedge wins likewise, and every
-//     503 is matched by a georouter.range_unavailable increment.
+//     georouter.failovers counter delta, and every 503 is matched by a
+//     georouter.range_unavailable increment.
 //
-// The victim defaults to the HOT replica — the one whose prefix range
-// owns the baseline artifact's records — because killing an idle
-// replica proves nothing about failover.
+// The victim defaults to the HOT replica — the one the partition sends
+// the baseline artifact's addresses to first — because killing a replica
+// no lookup starts at proves little about failover.
 package main
 
 import (
@@ -55,8 +56,7 @@ type chaosRun struct {
 
 // routerHealthDoc mirrors the router's /healthz document.
 type routerHealthDoc struct {
-	Replication int `json:"replication"`
-	Replicas    []struct {
+	Replicas []struct {
 		ID    int    `json:"id"`
 		State string `json:"state"`
 	} `json:"replicas"`
@@ -94,9 +94,9 @@ func newChaosRun(cfg Config, client *http.Client, ds *dataset.Dataset) (*chaosRu
 	n := len(doc.Replicas)
 	victim := cfg.ChaosReplica
 	if victim < 0 {
-		// The hot replica: owner of the baseline artifact's first record.
-		// The load's hit mix is drawn from the artifact, so this is where
-		// the traffic actually lands.
+		// The hot replica: where lookups of the baseline artifact's first
+		// record start. The load's hit mix is drawn from the artifact, so
+		// this is where the traffic actually lands.
 		victim = router.Partition(n).ReplicaFor(ds.Records[0].Prefix.Addr(0))
 	}
 	if victim >= n {
@@ -187,11 +187,10 @@ func (c *chaosRun) restart() {
 	}()
 }
 
-// finish waits out the readmission poll and folds the chaos verdict
-// into the report: schedule sanity, client-side failover/hedge ledger,
-// and the outage-window confinement of every 503.
+// finish folds the chaos verdict into the report, once the readmission
+// poll is over: schedule sanity, the client-side failover ledger, and the
+// outage-window confinement of every 503.
 func (c *chaosRun) finish(rep *Report, samples []sample) {
-	c.pollWG.Wait()
 	rep.ChaosReplica = c.replica
 	killT, readmitT := c.killTNs.Load(), c.readmitTNs.Load()
 	rep.KillAtSec = float64(killT) / 1e9
@@ -218,9 +217,6 @@ func (c *chaosRun) finish(rep *Report, samples []sample) {
 	in503, out503, noRetryAfter := 0, 0, 0
 	for _, s := range samples {
 		rep.ClientFailovers += s.failovers
-		if s.hedgeWon {
-			rep.ClientHedgeWins++
-		}
 		if s.status != http.StatusServiceUnavailable {
 			continue
 		}
@@ -244,9 +240,9 @@ func (c *chaosRun) finish(rep *Report, samples []sample) {
 		rep.Violations = append(rep.Violations,
 			fmt.Sprintf("%d 503 answers missing the Retry-After hint", noRetryAfter))
 	}
-	if c.cfg.ExpectFailover && rep.ClientFailovers == 0 && rep.ClientHedgeWins == 0 {
+	if c.cfg.ExpectFailover && rep.ClientFailovers == 0 {
 		rep.Violations = append(rep.Violations,
-			"chaos run absorbed no failure: zero failed-over and zero hedge-won answers")
+			"chaos run absorbed no failure: zero failed-over answers")
 	}
 	if c.cfg.Expect503 && in503 == 0 {
 		rep.Violations = append(rep.Violations,
@@ -256,10 +252,10 @@ func (c *chaosRun) finish(rep *Report, samples []sample) {
 
 // routerCounters is the router-side half of the failover accounting.
 type routerCounters struct {
-	failovers, hedgeWins, rangeUnavailable int64
+	failovers, rangeUnavailable int64
 }
 
-// scrapeRouterCounters reads the router's failover/hedge counters from
+// scrapeRouterCounters reads the router's failover counters from
 // /metrics.
 func scrapeRouterCounters(client *http.Client, base string) (routerCounters, error) {
 	var rc routerCounters
@@ -283,15 +279,14 @@ func scrapeRouterCounters(client *http.Client, base string) (routerCounters, err
 		return n
 	}
 	rc.failovers = sum("georouter_failovers_total")
-	rc.hedgeWins = sum("georouter_hedge_wins_total")
 	rc.rangeUnavailable = sum("georouter_range_unavailable_total")
 	return rc, nil
 }
 
 // checkRouterCounters is the exact-accounting half of the chaos proof:
 // the router's counters must have moved by EXACTLY what the client
-// observed in response headers — failovers, hedge wins, and one
-// range_unavailable per 503. Counters increment at the same code point
+// observed in response headers — failovers, and one range_unavailable
+// per 503. Counters increment at the same code point
 // the headers are written, so any skew means lost or double-counted
 // answers.
 func checkRouterCounters(client *http.Client, cfg Config, rep *Report, before routerCounters) {
@@ -305,16 +300,10 @@ func checkRouterCounters(client *http.Client, cfg Config, rep *Report, before ro
 		return
 	}
 	rep.ServerFailovers = after.failovers - before.failovers
-	rep.ServerHedgeWins = after.hedgeWins - before.hedgeWins
 	if rep.ServerFailovers != int64(rep.ClientFailovers) {
 		rep.Violations = append(rep.Violations,
 			fmt.Sprintf("failover accounting: client headers sum to %d, georouter.failovers moved %d",
 				rep.ClientFailovers, rep.ServerFailovers))
-	}
-	if rep.ServerHedgeWins != int64(rep.ClientHedgeWins) {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("hedge accounting: client saw %d hedge-won answers, georouter.hedge_wins moved %d",
-				rep.ClientHedgeWins, rep.ServerHedgeWins))
 	}
 	if got, want := after.rangeUnavailable-before.rangeUnavailable, int64(rep.Statuses["503"]); got != want {
 		rep.Violations = append(rep.Violations,

@@ -396,12 +396,12 @@ func chaosHarness(t *testing.T, n int, rcfg router.Config) (baseURL, path string
 }
 
 // TestRunChaosFailover is the in-process replica-chaos proof with a
-// replicated fleet: killing the hot replica mid-run must be fully
-// absorbed — zero drops, zero 503s, at least one failed-over answer —
+// fleet of four: killing the hot replica mid-run must be fully absorbed
+// by the ring — zero drops, zero 503s, at least one failed-over answer —
 // and the router's failover counters must move by exactly what the
 // client's response headers say.
 func TestRunChaosFailover(t *testing.T) {
-	base, path := chaosHarness(t, 4, router.Config{Replication: 2})
+	base, path := chaosHarness(t, 4, router.Config{})
 	rep, err := Run(Config{
 		BaseURL:     base,
 		DatasetPath: path,
@@ -431,14 +431,14 @@ func TestRunChaosFailover(t *testing.T) {
 	if rep.Dropped != 0 {
 		t.Fatalf("dropped = %d, want 0: the router must absorb the crash", rep.Dropped)
 	}
-	if rep.ClientFailovers == 0 && rep.ClientHedgeWins == 0 {
+	if rep.ClientFailovers == 0 {
 		t.Fatal("no answer was failed over — the kill was not absorbed by failover")
 	}
 	if rep.ServerFailovers != int64(rep.ClientFailovers) {
 		t.Fatalf("failover accounting: client %d, server %d", rep.ClientFailovers, rep.ServerFailovers)
 	}
 	if rep.Statuses["503"] != 0 {
-		t.Fatalf("replication 2 must absorb a single crash without 503s, got %d", rep.Statuses["503"])
+		t.Fatalf("three live replicas must absorb a single crash without 503s, got %d", rep.Statuses["503"])
 	}
 	if !rep.MetricsChecked {
 		t.Fatal("router data-plane ledger did not match the client ledger")
@@ -448,12 +448,12 @@ func TestRunChaosFailover(t *testing.T) {
 	}
 }
 
-// TestRunChaosBoundedFailureDomain is the replication=1 half of the
-// proof: with no secondary, killing the hot replica must degrade ONLY
-// its prefix range — fast 503s with Retry-After, confined to the outage
+// TestRunChaosBoundedFailureDomain is the fleet-of-one half of the
+// proof: with no other replica to ask, killing the only one must degrade
+// to fast 503s with Retry-After, confined to the kill → readmission
 // window, with one range_unavailable increment each — and never a drop.
 func TestRunChaosBoundedFailureDomain(t *testing.T) {
-	base, path := chaosHarness(t, 4, router.Config{Replication: 1})
+	base, path := chaosHarness(t, 1, router.Config{})
 	rep, err := Run(Config{
 		BaseURL:     base,
 		DatasetPath: path,
@@ -481,10 +481,10 @@ func TestRunChaosBoundedFailureDomain(t *testing.T) {
 		t.Fatal("chaos schedule did not complete")
 	}
 	if rep.Dropped != 0 {
-		t.Fatalf("dropped = %d, want 0 even with an uncovered range", rep.Dropped)
+		t.Fatalf("dropped = %d, want 0 even with no live replica", rep.Dropped)
 	}
 	if rep.Statuses["503"] == 0 {
-		t.Fatal("hot-range kill with replication 1 produced no 503: the degraded path never fired")
+		t.Fatal("killing a fleet of one produced no 503: the degraded path never fired")
 	}
 	if !rep.MetricsChecked {
 		t.Fatal("router data-plane ledger did not match the client ledger")

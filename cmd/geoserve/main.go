@@ -13,9 +13,10 @@
 // closes.
 //
 // With -router, geoserve instead runs an in-process fleet of -replicas
-// servers behind the prefix-sharded router (internal/router): lookups
-// shard by IP range, dead replicas fail over or degrade only their own
-// range, and -hedge races slow primaries against their fallback.
+// servers behind the router (internal/router): every replica serves the
+// same artifact, lookups are spread over them by IP range, and a request
+// a dead replica failed is retried on the next live one — a 503 means
+// none was.
 //
 //	geoserve -scale tiny -write dataset.bin
 //	geoserve -dataset dataset.bin -addr :8080 -admin-token s3cret -metrics
@@ -73,14 +74,7 @@ type options struct {
 
 	routerMode    bool
 	replicas      int
-	replication   int
-	hedge         bool
-	hedgeMin      time.Duration
-	hedgeMax      time.Duration
 	probeInterval time.Duration
-	probeTimeout  time.Duration
-	downAfter     int
-	upAfter       int
 	upstreamTmo   time.Duration
 
 	logSample        int
@@ -132,21 +126,10 @@ func main() {
 		"http.Server IdleTimeout for keep-alive connections")
 
 	flag.BoolVar(&o.routerMode, "router", false,
-		"serve through the replicated front tier: an in-process fleet of -replicas servers behind a prefix-sharded router")
+		"serve through the replicated front tier: an in-process fleet of -replicas servers behind a failover router")
 	flag.IntVar(&o.replicas, "replicas", 4, "replica count for -router mode")
-	flag.IntVar(&o.replication, "replication", router.DefaultReplication,
-		"replicas that may answer for each prefix range (1 disables failover)")
-	flag.BoolVar(&o.hedge, "hedge", false,
-		"hedge slow lookups: duplicate to the fallback after the primary's p99 and take the first answer")
-	flag.DurationVar(&o.hedgeMin, "hedge-min", router.DefaultHedgeMin, "lower clamp on the hedge delay")
-	flag.DurationVar(&o.hedgeMax, "hedge-max", router.DefaultHedgeMax, "upper clamp on the hedge delay")
 	flag.DurationVar(&o.probeInterval, "probe-interval", router.DefaultProbeInterval,
 		"interval between active /readyz probes of each replica")
-	flag.DurationVar(&o.probeTimeout, "probe-timeout", router.DefaultProbeTimeout, "budget for one probe")
-	flag.IntVar(&o.downAfter, "down-after", router.DefaultDownAfter,
-		"consecutive failures (passive or probe) that mark a replica down")
-	flag.IntVar(&o.upAfter, "up-after", router.DefaultUpAfter,
-		"consecutive probe successes that re-admit a down replica")
 	flag.DurationVar(&o.upstreamTmo, "upstream-timeout", router.DefaultUpstreamTimeout,
 		"budget for one router attempt against one replica")
 

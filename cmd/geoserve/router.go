@@ -1,9 +1,9 @@
 // Router mode (-router): instead of one server, geoserve runs an
 // in-process fleet of -replicas serve.Servers — each with its own
-// listener and registry — behind the prefix-sharded front tier in
-// internal/router. One binary, one -addr, N failure domains: the chaos
-// proof (geobench -chaos) kills and revives fleet members through the
-// router's /admin/replica surface while traffic keeps flowing.
+// listener and registry — behind the front tier in internal/router. One
+// binary, one -addr, N replicas that fail independently: the chaos proof
+// (geobench -chaos) kills and revives fleet members through the router's
+// /admin/replica surface while traffic keeps flowing.
 package main
 
 import (
@@ -35,17 +35,9 @@ func runRouter(o options, cfg serve.Config, ds *dataset.Dataset) error {
 
 	rt, err := router.New(router.Config{
 		ReplicaURLs:     fleet.Addrs(),
-		Replication:     o.replication,
-		MaxBatch:        o.maxBatch,
 		UpstreamTimeout: o.upstreamTmo,
 		RequestTimeout:  o.requestTimeout,
-		Hedge:           o.hedge,
-		HedgeMin:        o.hedgeMin,
-		HedgeMax:        o.hedgeMax,
 		ProbeInterval:   o.probeInterval,
-		ProbeTimeout:    o.probeTimeout,
-		DownAfter:       o.downAfter,
-		UpAfter:         o.upAfter,
 		RetryAfter:      o.retryAfter,
 		Seed:            art.Hdr.Seed,
 		Prof:            cfg.Prof,
@@ -68,10 +60,10 @@ func runRouter(o options, cfg serve.Config, ds *dataset.Dataset) error {
 		go replicaChaosLoop(fleet, prof, art.Hdr.Seed, o.replicas, chaosStop)
 	}
 
-	log.Printf("routing %d records from %s across %d replicas on %s (replication=%d, hedge=%v, faults=%s, mapped=%v)",
-		art.Records, art.Source, o.replicas, o.addr, o.replication, o.hedge, o.faultName, art.R2.Mapped())
+	log.Printf("routing %d records from %s across %d replicas on %s (faults=%s, mapped=%v)",
+		art.Records, art.Source, o.replicas, o.addr, o.faultName, art.R2.Mapped())
 	for i, r := range rt.Ranges() {
-		log.Printf("  replica %d: %s-%s", i, r.Lo, r.Hi)
+		log.Printf("  replica %d: first for %s-%s", i, r.Lo, r.Hi)
 	}
 	return listenAndServe(o, rt.Handler(), fleet.Servers(), rt.StartDrain)
 }

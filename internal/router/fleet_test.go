@@ -159,14 +159,13 @@ func TestLocalFleetStall(t *testing.T) {
 }
 
 // TestRouterSurvivesReplicaCrash is the in-package chaos rehearsal: a
-// 4-replica fleet with replication 2, the hot replica crashed mid-run —
-// every lookup keeps answering 200 (failing over), the crash shows up
-// in the health table, and the revived replica is re-admitted.
+// 4-replica fleet, the hot replica crashed mid-run — every lookup keeps
+// answering 200 (failing over), the crash shows up in the health table,
+// and the revived replica is re-admitted.
 func TestRouterSurvivesReplicaCrash(t *testing.T) {
 	fleet, rt, ts := newFleetRouter(t, 4, Config{
-		Replication: 2,
-		DownAfter:   2,
-		UpAfter:     2,
+		DownAfter: 2,
+		UpAfter:   2,
 	})
 	ip := hotIP()
 	hot := rt.Ranges().ReplicaFor(fleetTinyDataset().Records[0].Prefix.Addr(0))
@@ -187,8 +186,8 @@ func TestRouterSurvivesReplicaCrash(t *testing.T) {
 	if err := fleet.StopReplica(hot); err != nil {
 		t.Fatalf("StopReplica(%d): %v", hot, err)
 	}
-	// Every request during the outage must still answer 200 — the
-	// fallback owns the range too. (A few early ones pay a failover.)
+	// Every request during the outage must still answer 200 — the next
+	// replica has the same artifact. (A few early ones pay a failover.)
 	for i := 0; i < 20; i++ {
 		if code, _ := get(); code != http.StatusOK {
 			t.Fatalf("lookup %d during outage: %d, want 200 via failover", i, code)
@@ -209,8 +208,7 @@ func TestRouterSurvivesReplicaCrash(t *testing.T) {
 // serve replica behind the router.
 func TestAdminReplicaDrivesFleet(t *testing.T) {
 	fleet, _, ts := newFleetRouter(t, 2, Config{
-		Replication: 2,
-		AdminToken:  "sekrit",
+		AdminToken: "sekrit",
 	})
 	post := func(q string) int {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/admin/replica?"+q, nil)
@@ -243,7 +241,7 @@ func TestAdminReplicaDrivesFleet(t *testing.T) {
 // TestRouterVersionProxies pins /version: the router answers with the
 // fleet's artifact identity from any live replica.
 func TestRouterVersionProxies(t *testing.T) {
-	_, _, ts := newFleetRouter(t, 2, Config{Replication: 2})
+	_, _, ts := newFleetRouter(t, 2, Config{})
 	resp, err := http.Get(ts.URL + "/version")
 	if err != nil {
 		t.Fatal(err)

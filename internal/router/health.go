@@ -3,10 +3,8 @@
 //
 // Two signals feed it. Passive scoring comes for free with every proxied
 // request — a transport error or 5xx is a failure, anything else a
-// success, and an EWMA of latency and error rate rides along for the
-// gauges and the hedge-delay estimate. Active probing hits /readyz on a
-// fixed interval so a replica with no traffic (or one whose range every
-// client gave up on) still changes state.
+// success. Active probing hits /readyz on a fixed interval so a replica
+// with no traffic still changes state.
 //
 // Transitions are deliberately asymmetric: DownAfter consecutive
 // failures (from either signal) mark the replica down — fast, because
@@ -20,9 +18,9 @@ import (
 	"sync"
 )
 
-// replicaHealth tracks one replica's admission state and scores. All
-// mutable state is behind one mutex — health events are rare relative to
-// requests, and the hot-path read (Up) is a single lock/load/unlock.
+// replicaHealth tracks one replica's admission state. All mutable state
+// is behind one mutex — health events are rare relative to requests, and
+// the hot-path read (Up) is a single lock/load/unlock.
 type replicaHealth struct {
 	mu sync.Mutex
 
@@ -30,30 +28,9 @@ type replicaHealth struct {
 	consecFails int // consecutive failures, passive + probe
 	probeOKs    int // consecutive probe successes while down
 
-	ewmaLatMs float64 // EWMA of successful-request latency
-	ewmaErr   float64 // EWMA error rate over passive outcomes
-	ewmaInit  bool
-
-	// ring holds recent successful-request latencies for the p99 the
-	// hedge delay derives from; p99Cache is recomputed lazily every
-	// p99Every inserts.
-	ring     [256]float64
-	ringIdx  int
-	ringN    int
-	p99Cache float64
-	p99Dirty int
-
 	// Event counts surfaced through the router's metrics refresh.
 	downs, readmits uint64
 }
-
-// ewmaAlpha weighs new observations; ~1/16 is slow enough to ride out a
-// single slow request and fast enough to track a real shift.
-const ewmaAlpha = 1.0 / 16
-
-// p99Every bounds how often the latency ring is re-sorted for the p99
-// estimate.
-const p99Every = 32
 
 // Up reports whether the replica is admitted for traffic.
 func (h *replicaHealth) Up() bool {
@@ -63,39 +40,17 @@ func (h *replicaHealth) Up() bool {
 }
 
 // recordOutcome folds one passive (proxied-request) outcome into the
-// scores and the state machine. latMs is meaningful only for successes.
-func (h *replicaHealth) recordOutcome(ok bool, latMs float64, downAfter int) {
+// state machine.
+func (h *replicaHealth) recordOutcome(ok bool, downAfter int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	errVal := 1.0
-	if ok {
-		errVal = 0
-	}
-	if !h.ewmaInit {
-		h.ewmaErr = errVal
-		if ok {
-			h.ewmaLatMs = latMs
-		}
-		h.ewmaInit = true
-	} else {
-		h.ewmaErr += ewmaAlpha * (errVal - h.ewmaErr)
-		if ok {
-			h.ewmaLatMs += ewmaAlpha * (latMs - h.ewmaLatMs)
-		}
-	}
-	if ok {
-		h.ring[h.ringIdx] = latMs
-		h.ringIdx = (h.ringIdx + 1) % len(h.ring)
-		if h.ringN < len(h.ring) {
-			h.ringN++
-		}
-		h.p99Dirty++
-		if !h.down {
-			h.consecFails = 0
-		}
+	if !ok {
+		h.fail(downAfter)
 		return
 	}
-	h.fail(downAfter)
+	if !h.down {
+		h.consecFails = 0
+	}
 }
 
 // recordProbe folds one active /readyz probe outcome into the state
@@ -131,48 +86,9 @@ func (h *replicaHealth) fail(downAfter int) {
 	}
 }
 
-// hedgeDelayMs returns the p99 of recent successful latencies — the
-// delay after which a second request is statistically cheaper than
-// continuing to wait — or 0 when there is no sample yet (the caller
-// clamps into [HedgeMin, HedgeMax] either way).
-func (h *replicaHealth) hedgeDelayMs() float64 {
+// snapshot returns the gauge view: state, failure streak, event counts.
+func (h *replicaHealth) snapshot() (up bool, consecFails int, downs, readmits uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.ringN == 0 {
-		return 0
-	}
-	if h.p99Dirty >= p99Every || h.p99Cache == 0 {
-		h.p99Cache = p99Of(h.ring[:h.ringN])
-		h.p99Dirty = 0
-	}
-	return h.p99Cache
-}
-
-// snapshot returns the gauge view: state, scores, event counts.
-func (h *replicaHealth) snapshot() (up bool, consecFails int, latMs, errRate float64, downs, readmits uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return !h.down, h.consecFails, h.ewmaLatMs, h.ewmaErr, h.downs, h.readmits
-}
-
-// p99Of computes the nearest-rank p99 of an unsorted sample (copied, so
-// the ring's insert order is preserved).
-func p99Of(sample []float64) float64 {
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	// Insertion sort: the sample is at most 256 wide and this runs off
-	// the request path (cached, every p99Every inserts).
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	i := int(0.99*float64(len(s))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
+	return !h.down, h.consecFails, h.downs, h.readmits
 }

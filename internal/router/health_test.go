@@ -7,18 +7,18 @@ import "testing"
 // and a success in between resets the streak.
 func TestHealthDownAfterPassiveFailures(t *testing.T) {
 	h := &replicaHealth{}
-	h.recordOutcome(false, 0, 3)
-	h.recordOutcome(true, 1, 3) // resets the streak
-	h.recordOutcome(false, 0, 3)
-	h.recordOutcome(false, 0, 3)
+	h.recordOutcome(false, 3)
+	h.recordOutcome(true, 3) // resets the streak
+	h.recordOutcome(false, 3)
+	h.recordOutcome(false, 3)
 	if !h.Up() {
 		t.Fatal("down after 2 consecutive failures with DownAfter=3")
 	}
-	h.recordOutcome(false, 0, 3)
+	h.recordOutcome(false, 3)
 	if h.Up() {
 		t.Fatal("still up after 3 consecutive failures with DownAfter=3")
 	}
-	_, _, _, _, downs, _ := h.snapshot()
+	_, _, downs, _ := h.snapshot()
 	if downs != 1 {
 		t.Fatalf("downs = %d, want 1", downs)
 	}
@@ -45,7 +45,7 @@ func TestHealthReadmissionNeedsConsecutiveProbes(t *testing.T) {
 	if h.Up() {
 		t.Fatal("not down after DownAfter=1 failure")
 	}
-	h.recordOutcome(true, 1, 1) // passive success must not re-admit
+	h.recordOutcome(true, 1) // passive success must not re-admit
 	if h.Up() {
 		t.Fatal("passive success re-admitted a down replica")
 	}
@@ -61,43 +61,8 @@ func TestHealthReadmissionNeedsConsecutiveProbes(t *testing.T) {
 	if !h.Up() {
 		t.Fatal("not re-admitted after UpAfter consecutive probe successes")
 	}
-	_, _, _, _, _, readmits := h.snapshot()
+	_, _, _, readmits := h.snapshot()
 	if readmits != 1 {
 		t.Fatalf("readmits = %d, want 1", readmits)
-	}
-}
-
-// TestHealthHedgeDelayTracksP99 pins the hedge-delay estimate: with a
-// latency population dominated by 1ms and a few 100ms outliers the p99
-// must sit at the outlier end, and an empty ring reports 0 (the caller
-// clamps to HedgeMin).
-func TestHealthHedgeDelayTracksP99(t *testing.T) {
-	h := &replicaHealth{}
-	if got := h.hedgeDelayMs(); got != 0 {
-		t.Fatalf("empty ring hedge delay = %v, want 0", got)
-	}
-	for i := 0; i < 200; i++ {
-		lat := 1.0
-		if i%50 == 0 { // 4 outliers in 200 → above the 99th percentile boundary
-			lat = 100
-		}
-		h.recordOutcome(true, lat, 3)
-	}
-	if got := h.hedgeDelayMs(); got != 100 {
-		t.Fatalf("hedge delay = %v, want 100 (the outlier p99)", got)
-	}
-}
-
-// TestP99Of pins the nearest-rank percentile helper on small samples.
-func TestP99Of(t *testing.T) {
-	if got := p99Of([]float64{5}); got != 5 {
-		t.Fatalf("p99 of single sample = %v", got)
-	}
-	s := make([]float64, 100)
-	for i := range s {
-		s[i] = float64(i + 1) // 1..100 shuffled order not needed: p99Of sorts
-	}
-	if got := p99Of(s); got != 99 {
-		t.Fatalf("p99 of 1..100 = %v, want 99", got)
 	}
 }

@@ -1,15 +1,18 @@
 // Package router is the replicated front tier of the serving stack
-// (DESIGN.md §3.8): it partitions the IPv4 space into prefix-aligned
-// ranges owned by N geoserve replicas, routes every lookup to its
-// range's primary, and keeps answering when replicas die — health-aware
-// failover to designated fallback replicas, jittered exponential-backoff
-// retries, optional tail-latency hedging, and a bounded failure domain:
-// a dead replica degrades only its own prefix range (503 + Retry-After,
-// never a hang), and recovers by passing consecutive readiness probes.
+// (DESIGN.md §3.8): one public address in front of N geoserve replicas
+// that all serve the same artifact, so any live replica answers any
+// address. A request walks the ring of replicas one attempt at a time —
+// skipping the ones health has marked down, moving on when an attempt
+// fails with a transport error or 5xx — and the first answer below 500 is
+// proxied back verbatim. A crashed replica is marked down after DownAfter
+// failed attempts and recovers by passing consecutive readiness probes;
+// only when no replica is live does a client see a 503 (+ Retry-After,
+// never a hang).
 //
-// Every replica serves the full artifact; the prefix partition shards
-// *load* (and per-replica cache locality), not data, which is exactly
-// what makes failover possible: any fallback can answer any address.
+// The partition in this file owns nothing. It is a stateless,
+// deterministic spread: it says which replica a lookup tries first, so a
+// healthy fleet divides lookups evenly and the same address always
+// reaches the same replica. Batches are dealt round-robin instead.
 package router
 
 import (
@@ -21,7 +24,7 @@ import (
 
 // Range is one contiguous, prefix-aligned span of IPv4 space,
 // [Lo, Hi] both inclusive (inclusive bounds avoid the 2^32 overflow a
-// half-open top range would need), owned by one replica.
+// half-open top range would need), whose lookups try Replica first.
 type Range struct {
 	Lo, Hi  ipaddr.Addr
 	Replica int
@@ -35,7 +38,7 @@ func (r Range) Contains(a ipaddr.Addr) bool { return r.Lo <= a && a <= r.Hi }
 type Ranges []Range
 
 // PrefixBits returns the prefix length p used to partition for n
-// replicas: the smallest p with 2^p >= n, so every replica owns at
+// replicas: the smallest p with 2^p >= n, so every replica gets at
 // least one whole /p prefix.
 func PrefixBits(n int) int {
 	p := 0
@@ -72,7 +75,7 @@ func Partition(n int) Ranges {
 	return out
 }
 
-// ReplicaFor returns the replica owning addr: binary search over the
+// ReplicaFor returns the replica addr's range names: binary search over the
 // sorted partition. The linear-scan oracle in the property test is the
 // spec this must match.
 func (rs Ranges) ReplicaFor(a ipaddr.Addr) int {

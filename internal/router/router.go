@@ -17,22 +17,14 @@ import (
 	"geoloc/internal/faults"
 	"geoloc/internal/ipaddr"
 	"geoloc/internal/obs"
-	"geoloc/internal/rhash"
 	"geoloc/internal/serve"
 	"geoloc/internal/telemetry"
 )
 
-// Defaults for Config fields left zero. Retry backoff starts small: a
-// failover target is a different process, so there is no reason to make
-// the client pay a long penance before trying it.
+// Defaults for Config fields left zero.
 const (
-	DefaultReplication     = 2
 	DefaultUpstreamTimeout = 2 * time.Second
 	DefaultRequestTimeout  = 5 * time.Second
-	DefaultRetryBase       = 2 * time.Millisecond
-	DefaultRetryMax        = 50 * time.Millisecond
-	DefaultHedgeMin        = 5 * time.Millisecond
-	DefaultHedgeMax        = 200 * time.Millisecond
 	DefaultProbeInterval   = 200 * time.Millisecond
 	DefaultProbeTimeout    = time.Second
 	DefaultDownAfter       = 2
@@ -42,9 +34,6 @@ const (
 // maxUpstreamBody bounds how much of a replica response the router will
 // buffer: the /batch response ceiling plus envelope headroom.
 const maxUpstreamBody = 1<<22 + 4096
-
-// Deterministic jitter namespace (see internal/rhash).
-var kRetryBackoff = rhash.HashString("router/retry-backoff")
 
 // FleetController lets the router's admin plane (and geoserve's fault
 // loop) manipulate replicas at the process-lifecycle level. LocalFleet
@@ -64,36 +53,14 @@ type FleetController interface {
 // Config parameterizes a Router.
 type Config struct {
 	// ReplicaURLs are the base URLs ("http://host:port") of the fleet,
-	// in partition order: replica i owns Partition(n)[i].
+	// in ring order: a lookup tries replica Partition(n).ReplicaFor(addr)
+	// first and its ring successors after it.
 	ReplicaURLs []string
 
-	// Replication is how many consecutive ring positions may answer for
-	// a range: the range's primary plus Replication-1 designated
-	// fallbacks. 1 disables failover entirely — a dead primary means its
-	// range answers 503 until the probes re-admit it.
-	Replication int
-
-	// MaxBatch caps /batch input size (pre-scatter, whole request).
-	MaxBatch int
-
 	// UpstreamTimeout bounds one attempt against one replica;
-	// RequestTimeout bounds the whole routed request across retries and
-	// hedges.
+	// RequestTimeout bounds the whole routed request across attempts.
 	UpstreamTimeout time.Duration
 	RequestTimeout  time.Duration
-
-	// RetryBase/RetryMax shape the jittered exponential backoff between
-	// failover attempts.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-
-	// Hedge enables tail-latency hedging on /lookup: when the primary
-	// has not answered within its p99 (clamped to [HedgeMin, HedgeMax]),
-	// the first fallback gets a copy of the request and the first
-	// response wins; the loser is canceled.
-	Hedge    bool
-	HedgeMin time.Duration
-	HedgeMax time.Duration
 
 	// Probing: every ProbeInterval each replica's /readyz is checked
 	// with a ProbeTimeout budget. DownAfter consecutive failures mark a
@@ -103,12 +70,12 @@ type Config struct {
 	DownAfter     int
 	UpAfter       int
 
-	// RetryAfter is the base of the jittered Retry-After hint on 503s
-	// for uncovered ranges (serve.DefaultRetryAfter when zero).
+	// RetryAfter is the base of the jittered Retry-After hint on the 503
+	// a request gets when no replica is live (serve.DefaultRetryAfter
+	// when zero).
 	RetryAfter time.Duration
 
-	// Seed keys all deterministic jitter (backoff, Retry-After) and the
-	// probe-stall fault draws.
+	// Seed keys the Retry-After jitter and the probe-stall fault draws.
 	Seed uint64
 
 	// Prof optionally injects deterministic probe-path faults.
@@ -126,32 +93,11 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Replication <= 0 {
-		c.Replication = DefaultReplication
-	}
-	if c.Replication > len(c.ReplicaURLs) {
-		c.Replication = len(c.ReplicaURLs)
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = serve.DefaultMaxBatch
-	}
 	if c.UpstreamTimeout <= 0 {
 		c.UpstreamTimeout = DefaultUpstreamTimeout
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = DefaultRequestTimeout
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = DefaultRetryBase
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = DefaultRetryMax
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = DefaultHedgeMin
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = DefaultHedgeMax
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = DefaultProbeInterval
@@ -172,7 +118,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Router is the replicated front tier: one HTTP handler that owns the
-// partition, the health state, and the failover/hedge machinery.
+// ring, the health state and the failover loop.
 type Router struct {
 	cfg    Config
 	reg    *telemetry.Registry
@@ -185,15 +131,14 @@ type Router struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// jitterSeq keys each backoff / Retry-After draw so concurrent
-	// requests do not share one jitter value.
+	// batchSeq deals batches round the ring; jitterSeq keys each
+	// Retry-After draw so concurrent 503s do not share one jitter value.
+	batchSeq  atomic.Uint64
 	jitterSeq atomic.Uint64
 
 	mFailovers    *telemetry.Counter // failed-over answers, weighted by failovers per answer
-	mHedges       *telemetry.Counter // hedge requests launched
-	mHedgeWins    *telemetry.Counter // answers won by the hedge
-	mRetries      *telemetry.Counter // failover attempts dispatched
-	mRangeUnavail *telemetry.Counter // 503s for ranges with no live candidate
+	mRetries      *telemetry.Counter // attempts dispatched after a failed one
+	mRangeUnavail *telemetry.Counter // 503s: no live replica answered
 	mProbes       *telemetry.Counter
 	mProbeFails   *telemetry.Counter
 	writeErrs     *telemetry.Counter
@@ -226,8 +171,6 @@ func New(cfg Config, reg *telemetry.Registry) (*Router, error) {
 		},
 		stop:          make(chan struct{}),
 		mFailovers:    reg.Counter("georouter.failovers"),
-		mHedges:       reg.Counter("georouter.hedges"),
-		mHedgeWins:    reg.Counter("georouter.hedge_wins"),
 		mRetries:      reg.Counter("georouter.retries"),
 		mRangeUnavail: reg.Counter("georouter.range_unavailable"),
 		mProbes:       reg.Counter("georouter.probes"),
@@ -264,24 +207,6 @@ func (rt *Router) Draining() bool { return rt.draining.Load() }
 
 // Ranges returns the partition (read-only; shared slice).
 func (rt *Router) Ranges() Ranges { return rt.ranges }
-
-// candidates returns the up replicas allowed to answer for primary's
-// range: the Replication consecutive ring positions starting at the
-// primary, filtered by health. Deliberately NOT a whole-ring scan — the
-// bounded failure domain is the point: with Replication=1 a dead
-// primary leaves its range uncovered (503), it does not silently spread
-// load to replicas that never signed up for that range.
-func (rt *Router) candidates(primary int) []int {
-	n := len(rt.cfg.ReplicaURLs)
-	out := make([]int, 0, rt.cfg.Replication)
-	for k := 0; k < rt.cfg.Replication; k++ {
-		i := (primary + k) % n
-		if rt.health[i].Up() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // Handler returns the router's routing table wrapped in the observe
 // middleware (request ID + status ledger).
@@ -323,205 +248,125 @@ func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// writeUnavailable is the bounded-failure-domain answer: 503 with a
-// jittered Retry-After so the range's clients come back spread out, not
-// as one synchronized wave the moment the replica recovers.
-func (rt *Router) writeUnavailable(w http.ResponseWriter, primary int) {
-	rt.mRangeUnavail.Inc()
-	secs := serve.RetryAfterSecs(rt.cfg.RetryAfter, rt.cfg.Seed, uint64(primary), rt.jitterSeq.Add(1))
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	rt.writeJSON(w, http.StatusServiceUnavailable,
-		errBody{fmt.Sprintf("no live replica for range of replica %d", primary)})
-}
-
-// upResult is one attempt's outcome.
+// upResult is one replica's answer.
 type upResult struct {
-	replica int
-	hedge   bool
-	status  int
-	ctype   string
-	body    []byte
-	err     error
+	replica    int
+	status     int
+	ctype      string
+	retryAfter string
+	body       []byte
 }
 
-// ok reports whether the attempt produced a proxyable answer: any
-// upstream response below 500 (404s and 400s are real answers that must
-// not trigger failover — the fallback would just repeat them).
-func (r upResult) ok() bool { return r.err == nil && r.status < http.StatusInternalServerError }
-
-// execute races one request across the candidate replicas: primary
-// first, a hedge copy to the next candidate after hedgeDelay (when
-// enabled), and failover to the remaining candidates — with jittered
-// exponential backoff — each time an attempt fails with a transport
-// error or 5xx. First proxyable answer wins and cancels the losers.
-//
-// Returns the winning result plus the number of failed attempts that
-// preceded it, or ok=false when every candidate was exhausted (the
-// caller distinguishes deadline expiry from exhaustion via ctx.Err()).
-func (rt *Router) execute(ctx context.Context, cands []int, hedge bool,
-	mk func(ctx context.Context, replica int) (*http.Request, error)) (win upResult, failures int, ok bool) {
-
-	resCh := make(chan upResult, len(cands)+1)
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
+// execute walks the ring from start over every replica, on the caller's
+// goroutine and one attempt at a time: replicas health says are down are
+// skipped — read when reached, so a replica an earlier request just
+// marked down costs this one nothing — and the first answer below 500
+// wins (404s and 400s are real answers that must not trigger failover:
+// the next replica would only repeat them). Returns the answer plus the
+// number of failed attempts that preceded it, or ok=false when no live
+// replica answered or ctx died (the caller tells those apart by
+// ctx.Err()).
+func (rt *Router) execute(ctx context.Context, start int, method, target string, body []byte, reqID string) (win upResult, failures int, ok bool) {
+	n := len(rt.cfg.ReplicaURLs)
+	for k := 0; k < n && ctx.Err() == nil; k++ {
+		i := (start + k) % n
+		if !rt.health[i].Up() {
+			continue
 		}
-	}()
-
-	inflight := 0
-	launch := func(replica int, hedged bool) {
-		actx, cancel := context.WithCancel(ctx)
-		cancels = append(cancels, cancel)
-		inflight++
-		go rt.attempt(actx, replica, hedged, mk, resCh)
-	}
-
-	next := 0
-	launch(cands[next], false)
-	next++
-
-	var hedgeC <-chan time.Time
-	if hedge && rt.cfg.Hedge && len(cands) > 1 {
-		t := time.NewTimer(rt.hedgeDelay(cands[0]))
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	for {
-		select {
-		case r := <-resCh:
-			inflight--
-			if r.ok() {
-				return r, failures, true
-			}
-			failures++
-			if inflight > 0 {
-				// A hedge (or an earlier straggler) is still running; its
-				// answer may land any moment — no need to dispatch more.
-				continue
-			}
-			if next >= len(cands) {
-				return upResult{}, failures, false
-			}
-			if !serve.Sleep(ctx, rt.backoff(failures)) {
-				return upResult{}, failures, false
-			}
+		if failures > 0 {
 			rt.mRetries.Inc()
-			launch(cands[next], false)
-			next++
-		case <-hedgeC:
-			hedgeC = nil
-			if inflight == 1 && next < len(cands) {
-				rt.mHedges.Inc()
-				launch(cands[next], true)
-				next++
-			}
-		case <-ctx.Done():
-			return upResult{}, failures, false
 		}
+		if win, ok = rt.attempt(ctx, i, method, target, body, reqID); ok {
+			return win, failures, true
+		}
+		failures++
 	}
+	return upResult{}, failures, false
 }
 
 // attempt runs one upstream request with the per-attempt budget and
-// reports the outcome on ch. Health is scored here — except for losers
-// canceled after another attempt won, which say nothing about the
-// replica's health.
-func (rt *Router) attempt(ctx context.Context, replica int, hedged bool,
-	mk func(ctx context.Context, replica int) (*http.Request, error), ch chan<- upResult) {
-
+// scores the replica's health by its outcome — except when the request
+// itself was canceled (the client hung up), which says nothing about the
+// replica.
+func (rt *Router) attempt(ctx context.Context, replica int, method, target string, body []byte, reqID string) (upResult, bool) {
 	actx, cancel := context.WithTimeout(ctx, rt.cfg.UpstreamTimeout)
 	defer cancel()
-	start := time.Now()
-	res := upResult{replica: replica, hedge: hedged}
-	req, err := mk(actx, replica)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(actx, method, rt.cfg.ReplicaURLs[replica]+target, rd)
 	if err != nil {
-		res.err = err
-		ch <- res
-		return
+		return upResult{}, false
+	}
+	req.Header.Set(obs.RequestIDHeader, reqID)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		res.err = err
 		if ctx.Err() == nil || errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			// A real failure (connect refused, reset, or this attempt's
-			// own timeout) — not a cancellation by the winning attempt.
-			rt.health[replica].recordOutcome(false, 0, rt.cfg.DownAfter)
+			// A real failure (connect refused, reset, or a timeout), not a
+			// cancellation.
+			rt.health[replica].recordOutcome(false, rt.cfg.DownAfter)
 		}
-		ch <- res
-		return
+		return upResult{}, false
 	}
 	defer resp.Body.Close()
-	res.status = resp.StatusCode
-	res.ctype = resp.Header.Get("Content-Type")
-	res.body, err = io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBody))
-	if err != nil {
-		res.err = err
-		res.status = 0
+	res := upResult{
+		replica:    replica,
+		status:     resp.StatusCode,
+		ctype:      resp.Header.Get("Content-Type"),
+		retryAfter: resp.Header.Get("Retry-After"),
+	}
+	if res.body, err = io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBody)); err != nil {
 		if ctx.Err() == nil {
-			rt.health[replica].recordOutcome(false, 0, rt.cfg.DownAfter)
+			rt.health[replica].recordOutcome(false, rt.cfg.DownAfter)
 		}
-		ch <- res
+		return upResult{}, false
+	}
+	ok := res.status < http.StatusInternalServerError
+	rt.health[replica].recordOutcome(ok, rt.cfg.DownAfter)
+	return res, ok
+}
+
+// route runs one data-plane request round the ring from start and writes
+// its outcome: the winning replica's answer verbatim, 504 when the
+// request deadline expired, or — no live replica answered — 503 with a
+// jittered Retry-After, so clients come back spread out and not as one
+// synchronized wave the moment a replica recovers.
+//
+// Headers and counters move AT THE SAME CODE POINT — that identity is
+// what makes geobench's accounting exact: the sum of X-Router-Failovers
+// values seen by clients must equal the georouter.failovers delta on
+// /metrics, and every 503 is one georouter.range_unavailable.
+func (rt *Router) route(w http.ResponseWriter, req *http.Request, start int, target string, body []byte) {
+	ctx, cancel := context.WithTimeout(req.Context(), rt.cfg.RequestTimeout)
+	defer cancel()
+	win, failures, ok := rt.execute(ctx, start, req.Method, target, body, req.Header.Get(obs.RequestIDHeader))
+	if !ok {
+		if ctx.Err() != nil {
+			rt.writeJSON(w, http.StatusGatewayTimeout, errBody{"request deadline expired"})
+			return
+		}
+		rt.mRangeUnavail.Inc()
+		secs := serve.RetryAfterSecs(rt.cfg.RetryAfter, rt.cfg.Seed, uint64(start), rt.jitterSeq.Add(1))
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		rt.writeJSON(w, http.StatusServiceUnavailable, errBody{"no live replica"})
 		return
 	}
-	latMs := float64(time.Since(start)) / float64(time.Millisecond)
-	rt.health[replica].recordOutcome(res.status < http.StatusInternalServerError, latMs, rt.cfg.DownAfter)
-	ch <- res
-}
-
-// backoff returns the jittered exponential delay before failover
-// attempt k (k >= 1): base·2^(k-1) capped at RetryMax, then scaled by
-// [1, 2) deterministic jitter.
-func (rt *Router) backoff(k int) time.Duration {
-	d := rt.cfg.RetryBase
-	for i := 1; i < k && d < rt.cfg.RetryMax; i++ {
-		d *= 2
-	}
-	if d > rt.cfg.RetryMax {
-		d = rt.cfg.RetryMax
-	}
-	u := rhash.UnitFloat(rt.cfg.Seed, kRetryBackoff, rt.jitterSeq.Add(1))
-	return time.Duration(float64(d) * (1 + u))
-}
-
-// hedgeDelay derives the hedge trigger from the primary's observed p99,
-// clamped into [HedgeMin, HedgeMax]; with no latency history yet it
-// hedges aggressively at HedgeMin.
-func (rt *Router) hedgeDelay(primary int) time.Duration {
-	d := time.Duration(rt.health[primary].hedgeDelayMs() * float64(time.Millisecond))
-	if d < rt.cfg.HedgeMin {
-		d = rt.cfg.HedgeMin
-	}
-	if d > rt.cfg.HedgeMax {
-		d = rt.cfg.HedgeMax
-	}
-	return d
-}
-
-// setRouteHeaders stamps the routing verdict on the winning response
-// and increments the matching counters AT THE SAME CODE POINT — that
-// identity is what makes geobench's accounting exact: the sum of
-// X-Router-Failovers values seen by clients must equal the
-// georouter.failovers delta on /metrics, and the count of
-// "X-Router-Hedge: won" answers must equal georouter.hedge_wins.
-func (rt *Router) setRouteHeaders(w http.ResponseWriter, win upResult, failures int) {
+	// Status, body, Content-Type and Retry-After are the replica's;
+	// X-Request-Id was already set once by observe.
 	w.Header().Set("X-Router-Replica", strconv.Itoa(win.replica))
 	if failures > 0 {
 		w.Header().Set("X-Router-Failovers", strconv.Itoa(failures))
 		rt.mFailovers.Add(int64(failures))
 	}
-	if win.hedge {
-		w.Header().Set("X-Router-Hedge", "won")
-		rt.mHedgeWins.Inc()
-	}
-}
-
-// proxy writes the winning upstream answer verbatim (status + body;
-// Content-Type from upstream, X-Request-Id already set once by observe).
-func (rt *Router) proxy(w http.ResponseWriter, win upResult, failures int) {
-	rt.setRouteHeaders(w, win, failures)
 	if win.ctype != "" {
 		w.Header().Set("Content-Type", win.ctype)
+	}
+	if win.retryAfter != "" {
+		w.Header().Set("Retry-After", win.retryAfter)
 	}
 	w.WriteHeader(win.status)
 	if _, err := w.Write(win.body); err != nil {
@@ -529,8 +374,8 @@ func (rt *Router) proxy(w http.ResponseWriter, win upResult, failures int) {
 	}
 }
 
-// handleLookup routes GET /lookup?ip=A.B.C.D to the owner of ip's
-// prefix range, with failover and (optionally) hedging.
+// handleLookup routes GET /lookup?ip=A.B.C.D, starting at the replica the
+// partition assigns ip's prefix range.
 func (rt *Router) handleLookup(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		rt.writeJSON(w, http.StatusMethodNotAllowed, errBody{"use GET"})
@@ -546,219 +391,52 @@ func (rt *Router) handleLookup(w http.ResponseWriter, req *http.Request) {
 		rt.writeJSON(w, http.StatusBadRequest, errBody{err.Error()})
 		return
 	}
-	primary := rt.ranges.ReplicaFor(a)
-	cands := rt.candidates(primary)
-	if len(cands) == 0 {
-		rt.writeUnavailable(w, primary)
-		return
-	}
-	ctx, cancel := context.WithTimeout(req.Context(), rt.cfg.RequestTimeout)
-	defer cancel()
-	reqID := req.Header.Get(obs.RequestIDHeader)
-	win, failures, ok := rt.execute(ctx, cands, true, func(actx context.Context, replica int) (*http.Request, error) {
-		up, err := http.NewRequestWithContext(actx, http.MethodGet,
-			rt.cfg.ReplicaURLs[replica]+"/lookup?"+req.URL.RawQuery, nil)
-		if err == nil {
-			up.Header.Set(obs.RequestIDHeader, reqID)
-		}
-		return up, err
-	})
-	if !ok {
-		if ctx.Err() != nil {
-			rt.writeJSON(w, http.StatusGatewayTimeout, errBody{"request deadline expired"})
-			return
-		}
-		rt.writeUnavailable(w, primary)
-		return
-	}
-	rt.proxy(w, win, failures)
+	rt.route(w, req, rt.ranges.ReplicaFor(a), "/lookup?"+req.URL.RawQuery, nil)
 }
 
-// batchIn/batchOut mirror serve's /batch documents.
-type batchIn struct {
-	IPs []string `json:"ips"`
-}
-
-type batchOut struct {
-	Results []serve.LookupResult `json:"results"`
-}
-
-// handleBatch scatters POST /batch across the replicas owning each
-// address's range and gathers the answers back into input order.
-// Unparseable addresses are answered locally (the replicas would only
-// echo the same per-item error); any sub-batch whose candidates are all
-// exhausted fails the whole request with 503 — a partial batch would
-// silently violate the one-result-per-input contract.
+// handleBatch forwards POST /batch whole to one replica, dealt round the
+// ring, and proxies the answer back: validation, the -max-batch cap and
+// per-item rendering are the replica's, so a routed batch is a direct
+// batch byte for byte. The router only bounds the body it buffers for
+// the retries, at the replica's own cap.
 func (rt *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		rt.writeJSON(w, http.StatusMethodNotAllowed, errBody{"use POST"})
 		return
 	}
-	// The body is read whole before it is decoded, as a replica reads it:
-	// the cap applies to all of it, not only to its first JSON value, and
-	// going over it is 413 on both tiers.
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, serve.MaxBatchBody))
 	if err != nil {
 		rt.writeJSON(w, serve.BodyErrorStatus(err), errBody{fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
-	var in batchIn
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&in); err != nil {
-		rt.writeJSON(w, http.StatusBadRequest, errBody{fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	if len(in.IPs) == 0 {
-		rt.writeJSON(w, http.StatusBadRequest, errBody{"empty batch"})
-		return
-	}
-	if len(in.IPs) > rt.cfg.MaxBatch {
-		rt.writeJSON(w, http.StatusRequestEntityTooLarge,
-			errBody{fmt.Sprintf("batch of %d exceeds limit %d", len(in.IPs), rt.cfg.MaxBatch)})
-		return
-	}
-
-	out := batchOut{Results: make([]serve.LookupResult, len(in.IPs))}
-	type group struct {
-		ips     []string
-		indices []int
-	}
-	groups := map[int]*group{}
-	for i, raw := range in.IPs {
-		a, err := ipaddr.Parse(raw)
-		if err != nil {
-			out.Results[i] = serve.LookupResult{IP: raw, Error: err.Error()}
-			continue
-		}
-		p := rt.ranges.ReplicaFor(a)
-		g := groups[p]
-		if g == nil {
-			g = &group{}
-			groups[p] = g
-		}
-		g.ips = append(g.ips, raw)
-		g.indices = append(g.indices, i)
-	}
-
-	ctx, cancel := context.WithTimeout(req.Context(), rt.cfg.RequestTimeout)
-	defer cancel()
-	reqID := req.Header.Get(obs.RequestIDHeader)
-
-	type groupResult struct {
-		primary  int
-		win      upResult
-		failures int
-		ok       bool
-	}
-	resCh := make(chan groupResult, len(groups))
-	for primary, g := range groups {
-		primary, g := primary, g
-		cands := rt.candidates(primary)
-		if len(cands) == 0 {
-			resCh <- groupResult{primary: primary}
-			continue
-		}
-		payload, err := json.Marshal(batchIn{IPs: g.ips})
-		if err != nil {
-			resCh <- groupResult{primary: primary}
-			continue
-		}
-		go func() {
-			win, failures, ok := rt.execute(ctx, cands, false, func(actx context.Context, replica int) (*http.Request, error) {
-				up, err := http.NewRequestWithContext(actx, http.MethodPost,
-					rt.cfg.ReplicaURLs[replica]+"/batch", bytes.NewReader(payload))
-				if err == nil {
-					up.Header.Set("Content-Type", "application/json")
-					up.Header.Set(obs.RequestIDHeader, reqID)
-				}
-				return up, err
-			})
-			resCh <- groupResult{primary: primary, win: win, failures: failures, ok: ok}
-		}()
-	}
-
-	totalFailovers := 0
-	hedgeWon := false
-	replicas := make([]string, 0, len(groups))
-	for range groups {
-		gr := <-resCh
-		if !gr.ok {
-			if ctx.Err() != nil {
-				rt.writeJSON(w, http.StatusGatewayTimeout, errBody{"request deadline expired"})
-				return
-			}
-			rt.writeUnavailable(w, gr.primary)
-			return
-		}
-		var sub batchOut
-		if gr.win.status != http.StatusOK || json.Unmarshal(gr.win.body, &sub) != nil ||
-			len(sub.Results) != len(groups[gr.primary].indices) {
-			// The replica answered but not with a usable batch document
-			// (e.g. a 429 shed); the whole batch fails loudly rather
-			// than fabricating per-item results.
-			rt.writeJSON(w, http.StatusBadGateway,
-				errBody{fmt.Sprintf("replica %d answered status %d for sub-batch", gr.win.replica, gr.win.status)})
-			return
-		}
-		for j, idx := range groups[gr.primary].indices {
-			out.Results[idx] = sub.Results[j]
-		}
-		totalFailovers += gr.failures
-		hedgeWon = hedgeWon || gr.win.hedge
-		replicas = append(replicas, strconv.Itoa(gr.win.replica))
-	}
-
-	rt.setRouteHeaders(w, upResult{replica: -1, hedge: hedgeWon}, totalFailovers)
-	// The scatter touched several replicas; report them all (the -1 from
-	// setRouteHeaders is replaced — batch answers are multi-replica).
-	w.Header().Set("X-Router-Replica", joinSorted(replicas))
-	rt.writeJSON(w, http.StatusOK, out)
-}
-
-// joinSorted renders the touched-replica set deterministically.
-func joinSorted(ids []string) string {
-	// Insertion sort; the set is at most the replica count.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	out := ""
-	for i, id := range ids {
-		if i > 0 {
-			out += ","
-		}
-		out += id
-	}
-	return out
+	start := int((rt.batchSeq.Add(1) - 1) % uint64(len(rt.cfg.ReplicaURLs)))
+	rt.route(w, req, start, "/batch", body)
 }
 
 // replicaStatus is one replica's entry in the /healthz fleet view.
 type replicaStatus struct {
-	ID          int     `json:"id"`
-	Addr        string  `json:"addr"`
-	State       string  `json:"state"`
-	ConsecFails int     `json:"consec_fails"`
-	LatencyMs   float64 `json:"ewma_latency_ms"`
-	ErrorRate   float64 `json:"ewma_error_rate"`
-	Downs       uint64  `json:"downs"`
-	Readmits    uint64  `json:"readmits"`
-	Range       string  `json:"range"`
+	ID          int    `json:"id"`
+	Addr        string `json:"addr"`
+	State       string `json:"state"`
+	ConsecFails int    `json:"consec_fails"`
+	Downs       uint64 `json:"downs"`
+	Readmits    uint64 `json:"readmits"`
+	Range       string `json:"range"`
 }
 
 // healthBody is the /healthz response: router liveness plus the fleet
 // health table geobench's chaos harness polls for readmission.
 type healthBody struct {
-	Status      string          `json:"status"`
-	Replication int             `json:"replication"`
-	Replicas    []replicaStatus `json:"replicas"`
+	Status   string          `json:"status"`
+	Replicas []replicaStatus `json:"replicas"`
 }
 
 // handleHealthz serves GET /healthz: always 200 while the process runs;
 // the per-replica table is the payload.
 func (rt *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	body := healthBody{Status: "ok", Replication: rt.cfg.Replication}
+	body := healthBody{Status: "ok"}
 	for i, h := range rt.health {
-		up, cf, lat, errRate, downs, readmits := h.snapshot()
+		up, cf, downs, readmits := h.snapshot()
 		state := "down"
 		if up {
 			state = "up"
@@ -766,28 +444,28 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		r := rt.ranges[i]
 		body.Replicas = append(body.Replicas, replicaStatus{
 			ID: i, Addr: rt.cfg.ReplicaURLs[i], State: state, ConsecFails: cf,
-			LatencyMs: lat, ErrorRate: errRate, Downs: downs, Readmits: readmits,
+			Downs: downs, Readmits: readmits,
 			Range: fmt.Sprintf("%s-%s", r.Lo, r.Hi),
 		})
 	}
 	rt.writeJSON(w, http.StatusOK, body)
 }
 
-// handleReadyz serves GET /readyz: ready only when every prefix range
-// has at least one live candidate and the router is not draining.
+// handleReadyz serves GET /readyz: ready while at least one replica is
+// live — any of them answers any address — and the router is not
+// draining.
 func (rt *Router) handleReadyz(w http.ResponseWriter, req *http.Request) {
 	if rt.Draining() {
 		rt.writeJSON(w, http.StatusServiceUnavailable, errBody{"draining"})
 		return
 	}
-	for i := range rt.ranges {
-		if len(rt.candidates(i)) == 0 {
-			rt.writeJSON(w, http.StatusServiceUnavailable,
-				errBody{fmt.Sprintf("range of replica %d has no live candidate", i)})
+	for _, h := range rt.health {
+		if h.Up() {
+			rt.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 			return
 		}
 	}
-	rt.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	rt.writeJSON(w, http.StatusServiceUnavailable, errBody{"no live replica"})
 }
 
 // handleVersion proxies GET /version from the first live replica — the
@@ -832,15 +510,13 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	for i, h := range rt.health {
-		up, _, lat, errRate, downs, readmits := h.snapshot()
+		up, _, downs, readmits := h.snapshot()
 		rl := telemetry.Label{Key: "replica", Value: strconv.Itoa(i)}
 		upVal := 0.0
 		if up {
 			upVal = 1
 		}
 		rt.reg.Gauge(telemetry.Name("georouter.replica.up", rl)).Set(upVal)
-		rt.reg.Gauge(telemetry.Name("georouter.replica.ewma_latency_ms", rl)).Set(lat)
-		rt.reg.Gauge(telemetry.Name("georouter.replica.ewma_error_rate", rl)).Set(errRate)
 		rt.reg.Gauge(telemetry.Name("georouter.replica.downs", rl)).Set(float64(downs))
 		rt.reg.Gauge(telemetry.Name("georouter.replica.readmits", rl)).Set(float64(readmits))
 	}

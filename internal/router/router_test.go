@@ -2,12 +2,14 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,8 +28,30 @@ type fakeReplica struct {
 	batches  atomic.Int64
 	ready    atomic.Bool
 	fail     atomic.Bool  // 500 every data request
+	shed     atomic.Bool  // 429 + "Retry-After: 3" every data request
 	stallDur atomic.Int64 // ns to sleep before answering /lookup
+	lastBody atomic.Value // []byte: the most recent /batch body as received
 	ts       *httptest.Server
+}
+
+// batchIn/batchOut are serve's /batch documents, as the fake replicas and
+// the tests read them; the router itself never decodes a batch.
+type batchIn struct {
+	IPs []string `json:"ips"`
+}
+
+type batchOut struct {
+	Results []serve.LookupResult `json:"results"`
+}
+
+// shedding answers a shed replica's 429 when the switch is on.
+func (f *fakeReplica) shedding(w http.ResponseWriter) bool {
+	if !f.shed.Load() {
+		return false
+	}
+	w.Header().Set("Retry-After", "3")
+	http.Error(w, "shed", http.StatusTooManyRequests)
+	return true
 }
 
 func newFakeReplica(t *testing.T, id int) *fakeReplica {
@@ -48,6 +72,9 @@ func newFakeReplica(t *testing.T, id int) *fakeReplica {
 			http.Error(w, "injected", http.StatusInternalServerError)
 			return
 		}
+		if f.shedding(w) {
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(serve.LookupResult{
 			IP: r.URL.Query().Get("ip"), Method: fmt.Sprintf("replica-%d", id)})
@@ -58,8 +85,13 @@ func newFakeReplica(t *testing.T, id int) *fakeReplica {
 			http.Error(w, "injected", http.StatusInternalServerError)
 			return
 		}
+		if f.shedding(w) {
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		f.lastBody.Store(body)
 		var in batchIn
-		if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
+		if err := json.Unmarshal(body, &in); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -101,20 +133,20 @@ func newTestRouter(t *testing.T, cfg Config, fakes ...*fakeReplica) (*Router, *h
 	return rt, ts, reg
 }
 
-// addrInRange returns an address owned by replica i of an n-way
-// partition (the range midpoint, to stay away from boundary effects).
+// addrInRange returns an address whose lookups start at replica i of an
+// n-way partition (the range midpoint, to stay away from boundary effects).
 func addrInRange(n, i int) string {
 	rs := Partition(n)
 	mid := ipaddr.Addr((uint64(rs[i].Lo) + uint64(rs[i].Hi)) / 2)
 	return mid.String()
 }
 
-// TestRoutesByRange pins the core contract: each lookup lands on the
-// replica owning its prefix range, and the response says which replica
-// answered.
+// TestRoutesByRange pins the spread: on a healthy fleet each lookup lands
+// on the replica the partition names for its prefix range, and the
+// response says which replica answered.
 func TestRoutesByRange(t *testing.T) {
 	fakes := []*fakeReplica{newFakeReplica(t, 0), newFakeReplica(t, 1), newFakeReplica(t, 2), newFakeReplica(t, 3)}
-	_, ts, _ := newTestRouter(t, Config{Replication: 1}, fakes...)
+	_, ts, _ := newTestRouter(t, Config{}, fakes...)
 	for i := 0; i < 4; i++ {
 		resp, err := http.Get(ts.URL + "/lookup?ip=" + addrInRange(4, i))
 		if err != nil {
@@ -148,7 +180,7 @@ func TestRoutesByRange(t *testing.T) {
 func TestFailoverCarriesOriginalIDOnce(t *testing.T) {
 	primary, fallback := newFakeReplica(t, 0), newFakeReplica(t, 1)
 	primary.fail.Store(true)
-	_, ts, reg := newTestRouter(t, Config{Replication: 2}, primary, fallback)
+	_, ts, reg := newTestRouter(t, Config{}, primary, fallback)
 
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/lookup?ip="+addrInRange(2, 0), nil)
 	req.Header.Set(obs.RequestIDHeader, "abc-failover-test")
@@ -192,7 +224,7 @@ func TestUpstreamIDForwarded(t *testing.T) {
 	up := httptest.NewServer(mux)
 	t.Cleanup(up.Close)
 	reg := telemetry.New()
-	rt, err := New(Config{ReplicaURLs: []string{up.URL}, Replication: 1}, reg)
+	rt, err := New(Config{ReplicaURLs: []string{up.URL}}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,48 +245,62 @@ func TestUpstreamIDForwarded(t *testing.T) {
 	}
 }
 
-// TestDeadRangeAnswers503Fast pins the bounded failure domain: with
-// Replication=1 and a dead primary, its range answers 503 with a
-// Retry-After hint — quickly, never a hang — while the other range
-// keeps answering 200.
+// TestDeadRangeAnswers503Fast pins the one degraded answer: when no
+// replica is live a lookup gets 503 with a jittered Retry-After hint —
+// quickly, never a hang, and without touching a replica already marked
+// down — and the first replica re-admitted answers 200 for every range.
 func TestDeadRangeAnswers503Fast(t *testing.T) {
-	dead, live := newFakeReplica(t, 0), newFakeReplica(t, 1)
+	dead, late := newFakeReplica(t, 0), newFakeReplica(t, 1)
 	dead.ts.Close() // connections now refuse
-	_, ts, reg := newTestRouter(t, Config{
-		Replication:     1,
+	late.fail.Store(true)
+	rt, ts, reg := newTestRouter(t, Config{
+		DownAfter:       1,
+		UpAfter:         1,
 		UpstreamTimeout: 500 * time.Millisecond,
 		RetryAfter:      2 * time.Second,
-	}, dead, live)
+	}, dead, late)
 
-	start := time.Now()
-	resp, err := http.Get(ts.URL + "/lookup?ip=" + addrInRange(2, 0))
-	if err != nil {
-		t.Fatalf("lookup: %v", err)
+	// The first lookup finds both replicas failing and marks them down; the
+	// second finds nobody to ask.
+	for i := 1; i <= 2; i++ {
+		start := time.Now()
+		resp, err := http.Get(ts.URL + "/lookup?ip=" + addrInRange(2, 0))
+		if err != nil {
+			t.Fatalf("lookup: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("lookup %d took %v with no live replica; the answer must be fast", i, elapsed)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("lookup %d: status %d, want 503", i, resp.StatusCode)
+		}
+		ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if err != nil || ra < 2 || ra > 4 {
+			t.Fatalf("Retry-After = %q, want an integer in [2, 4]", resp.Header.Get("Retry-After"))
+		}
+		if got := reg.Counter("georouter.range_unavailable").Value(); got != int64(i) {
+			t.Errorf("range_unavailable = %d after %d 503s", got, i)
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("dead-range answer took %v; the failure domain must be bounded", elapsed)
-	}
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra < 2 || ra > 4 {
-		t.Fatalf("Retry-After = %q, want an integer in [2, 4]", resp.Header.Get("Retry-After"))
-	}
-	if reg.Counter("georouter.range_unavailable").Value() == 0 {
-		t.Error("range_unavailable counter not incremented")
+	if n := late.lookups.Load(); n != 1 {
+		t.Errorf("replica 1 saw %d lookups, want 1: a replica marked down must be skipped", n)
 	}
 
-	resp, err = http.Get(ts.URL + "/lookup?ip=" + addrInRange(2, 1))
-	if err != nil {
-		t.Fatalf("live-range lookup: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("live range status %d, want 200 — the failure leaked across ranges", resp.StatusCode)
+	late.fail.Store(false)
+	rt.health[1].recordProbe(true, 1, 1) // the probe that re-admits it
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(ts.URL + "/lookup?ip=" + addrInRange(2, i))
+		if err != nil {
+			t.Fatalf("lookup after readmission: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Router-Replica") != "1" {
+			t.Fatalf("range %d after readmission: %d via %q, want 200 via the survivor 1",
+				i, resp.StatusCode, resp.Header.Get("X-Router-Replica"))
+		}
 	}
 }
 
@@ -287,32 +333,40 @@ func waitReplicaState(t *testing.T, url string, i int, state string) {
 }
 
 // TestProbeDownAndReadmission drives the full health cycle through real
-// probes: a replica that stops passing /readyz goes down (and /readyz on
-// the router goes 503 for its uncovered range), then comes back only
-// after UpAfter consecutive probe successes.
+// probes: a replica that stops passing /readyz goes down, the router's
+// own /readyz stays 200 while another replica is live and goes 503 when
+// none is, and a replica comes back only after UpAfter consecutive probe
+// successes.
 func TestProbeDownAndReadmission(t *testing.T) {
 	f0, f1 := newFakeReplica(t, 0), newFakeReplica(t, 1)
 	rt, ts, _ := newTestRouter(t, Config{
-		Replication:   1,
 		ProbeInterval: 10 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
 		DownAfter:     2,
 		UpAfter:       3,
 	}, f0, f1)
 	rt.Start()
+	readyz := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
 
 	waitReplicaState(t, ts.URL, 0, "up")
 	f0.ready.Store(false)
 	waitReplicaState(t, ts.URL, 0, "down")
-
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	if got := readyz(); got != http.StatusOK {
+		t.Fatalf("router /readyz = %d with replica 1 live, want 200", got)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("router /readyz = %d with an uncovered range, want 503", resp.StatusCode)
+	f1.ready.Store(false)
+	waitReplicaState(t, ts.URL, 1, "down")
+	if got := readyz(); got != http.StatusServiceUnavailable {
+		t.Fatalf("router /readyz = %d with no live replica, want 503", got)
 	}
 
 	f0.ready.Store(true)
@@ -321,140 +375,120 @@ func TestProbeDownAndReadmission(t *testing.T) {
 	if h.Replicas[0].Readmits < 1 {
 		t.Errorf("readmits = %d, want >= 1", h.Replicas[0].Readmits)
 	}
-	resp, err = http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("router /readyz = %d after readmission, want 200", resp.StatusCode)
+	if got := readyz(); got != http.StatusOK {
+		t.Fatalf("router /readyz = %d after readmission, want 200", got)
 	}
 }
 
-// TestHedgeWinsOnSlowPrimary pins hedging: a primary answering slower
-// than the hedge delay loses the race to the fallback, the answer is
-// marked "X-Router-Hedge: won", and the hedge counters account for it.
-func TestHedgeWinsOnSlowPrimary(t *testing.T) {
-	slow, fast := newFakeReplica(t, 0), newFakeReplica(t, 1)
-	slow.stallDur.Store(int64(400 * time.Millisecond))
-	_, ts, reg := newTestRouter(t, Config{
-		Replication: 2,
-		Hedge:       true,
-		HedgeMin:    5 * time.Millisecond,
-		HedgeMax:    10 * time.Millisecond,
-	}, slow, fast)
-
-	resp, err := http.Get(ts.URL + "/lookup?ip=" + addrInRange(2, 0))
+// postBatch posts body to the router's /batch and returns the response
+// with its body read.
+func postBatch(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("lookup: %v", err)
+		t.Fatalf("batch: %v", err)
 	}
-	var res serve.LookupResult
-	json.NewDecoder(resp.Body).Decode(&res)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("batch body: %v", err)
 	}
-	if got := resp.Header.Get("X-Router-Hedge"); got != "won" {
-		t.Fatalf("X-Router-Hedge = %q, want won", got)
-	}
-	if got := resp.Header.Get("X-Router-Replica"); got != "1" {
-		t.Errorf("answered by %q, want the hedge target 1", got)
-	}
-	if resp.Header.Get("X-Router-Failovers") != "" {
-		t.Error("hedge win must not count as a failover")
-	}
-	if reg.Counter("georouter.hedges").Value() != 1 || reg.Counter("georouter.hedge_wins").Value() != 1 {
-		t.Errorf("hedge counters = %d launched / %d won, want 1/1",
-			reg.Counter("georouter.hedges").Value(), reg.Counter("georouter.hedge_wins").Value())
-	}
+	return resp, raw
 }
 
-// TestBatchScatterGather pins the scatter-gather path: results come
-// back in input order, each answered by the replica owning its range,
-// unparseable addresses answered locally, and the replica set reported.
-func TestBatchScatterGather(t *testing.T) {
+// TestBatchForwardedWhole pins the batch path: one upstream request per
+// batch, carrying the body exactly as the client sent it — whatever
+// ranges its addresses fall in, unparseable ones included — results back
+// in input order, and consecutive batches dealt round the ring.
+func TestBatchForwardedWhole(t *testing.T) {
 	fakes := []*fakeReplica{newFakeReplica(t, 0), newFakeReplica(t, 1), newFakeReplica(t, 2), newFakeReplica(t, 3)}
-	_, ts, _ := newTestRouter(t, Config{Replication: 1}, fakes...)
+	_, ts, _ := newTestRouter(t, Config{}, fakes...)
 
 	ips := []string{addrInRange(4, 2), addrInRange(4, 0), "not-an-ip", addrInRange(4, 3), addrInRange(4, 0)}
-	payload, _ := json.Marshal(batchIn{IPs: ips})
-	resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	var out batchOut
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if len(out.Results) != len(ips) {
-		t.Fatalf("%d results for %d inputs", len(out.Results), len(ips))
-	}
-	wantMethods := []string{"replica-2", "replica-0", "", "replica-3", "replica-0"}
-	for i, want := range wantMethods {
-		if out.Results[i].IP != ips[i] {
-			t.Errorf("result %d is for %q, want %q (order lost)", i, out.Results[i].IP, ips[i])
+	for b := 0; b < 4; b++ {
+		// Not what json.Marshal would write: forwarding must not re-encode.
+		payload := []byte(fmt.Sprintf("{ \"ips\" : [%q,%q,%q,%q,%q] , \"batch\":%d}", ips[0], ips[1], ips[2], ips[3], ips[4], b))
+		resp, raw := postBatch(t, ts.URL, payload)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: status %d", b, resp.StatusCode)
 		}
-		if out.Results[i].Method != want {
-			t.Errorf("result %d answered by %q, want %q", i, out.Results[i].Method, want)
+		var out batchOut
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatalf("batch %d: decode: %v", b, err)
+		}
+		if len(out.Results) != len(ips) {
+			t.Fatalf("batch %d: %d results for %d inputs", b, len(out.Results), len(ips))
+		}
+		for i, r := range out.Results {
+			if r.IP != ips[i] {
+				t.Errorf("batch %d result %d is for %q, want %q (order lost)", b, i, r.IP, ips[i])
+			}
+			if want := fmt.Sprintf("replica-%d", b); r.Method != want {
+				t.Errorf("batch %d result %d answered by %q, want %q", b, i, r.Method, want)
+			}
+		}
+		if got := resp.Header.Get("X-Router-Replica"); got != strconv.Itoa(b) {
+			t.Errorf("batch %d: X-Router-Replica = %q, want %d", b, got, b)
+		}
+		if got, _ := fakes[b].lastBody.Load().([]byte); !bytes.Equal(got, payload) {
+			t.Errorf("batch %d: replica received %q, client sent %q", b, got, payload)
 		}
 	}
-	if out.Results[2].Error == "" {
-		t.Error("unparseable address has no error")
-	}
-	if got := resp.Header.Get("X-Router-Replica"); got != "0,2,3" {
-		t.Errorf("X-Router-Replica = %q, want 0,2,3", got)
-	}
-	if fakes[1].batches.Load() != 0 {
-		t.Error("replica 1 saw a sub-batch it owns no address of")
+	for i, f := range fakes {
+		if n := f.batches.Load(); n != 1 {
+			t.Errorf("replica %d saw %d upstream batch requests for 4 batches over 4 replicas, want 1", i, n)
+		}
 	}
 }
 
-// TestBatchFailsWholeWhenRangeDead pins that a batch touching a dead,
-// unreplicated range fails loudly (503 + Retry-After) instead of
-// returning a partial result set.
+// TestBatchFailsWholeWhenRangeDead pins that a batch no live replica
+// answers fails loudly (503 + Retry-After, one range_unavailable) and is
+// answered whole by the survivor once one is live.
 func TestBatchFailsWholeWhenRangeDead(t *testing.T) {
-	dead, live := newFakeReplica(t, 0), newFakeReplica(t, 1)
+	dead, late := newFakeReplica(t, 0), newFakeReplica(t, 1)
 	dead.ts.Close()
-	_, ts, _ := newTestRouter(t, Config{
-		Replication:     1,
+	late.fail.Store(true)
+	_, ts, reg := newTestRouter(t, Config{
 		UpstreamTimeout: 500 * time.Millisecond,
-	}, dead, live)
+	}, dead, late)
 
 	payload, _ := json.Marshal(batchIn{IPs: []string{addrInRange(2, 0), addrInRange(2, 1)}})
-	resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	resp, _ := postBatch(t, ts.URL, payload)
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503 for a batch touching a dead range", resp.StatusCode)
+		t.Fatalf("status %d, want 503 for a batch no replica answered", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
 	}
+	if got := reg.Counter("georouter.range_unavailable").Value(); got != 1 {
+		t.Errorf("range_unavailable = %d, want 1", got)
+	}
+
+	late.fail.Store(false)
+	resp, raw := postBatch(t, ts.URL, payload)
+	var out batchOut
+	json.Unmarshal(raw, &out)
+	if resp.StatusCode != http.StatusOK || len(out.Results) != 2 {
+		t.Fatalf("status %d with %d results once a replica is live, want 200 with 2", resp.StatusCode, len(out.Results))
+	}
+	for i, r := range out.Results {
+		if r.Method != "replica-1" {
+			t.Errorf("result %d answered by %q, want the survivor replica-1", i, r.Method)
+		}
+	}
 }
 
-// TestBatchFailover pins that a sub-batch fails over to the range's
-// fallback and the response accounts the failover.
+// TestBatchFailover pins that a batch whose first replica fails is
+// answered by the next one and the response accounts the failover.
 func TestBatchFailover(t *testing.T) {
 	primary, fallback := newFakeReplica(t, 0), newFakeReplica(t, 1)
 	primary.fail.Store(true)
-	_, ts, reg := newTestRouter(t, Config{Replication: 2}, primary, fallback)
+	_, ts, reg := newTestRouter(t, Config{}, primary, fallback)
 
 	payload, _ := json.Marshal(batchIn{IPs: []string{addrInRange(2, 0)}})
-	resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
+	resp, raw := postBatch(t, ts.URL, payload)
 	var out batchOut
-	json.NewDecoder(resp.Body).Decode(&out)
-	resp.Body.Close()
+	json.Unmarshal(raw, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 via failover", resp.StatusCode)
 	}
@@ -469,11 +503,147 @@ func TestBatchFailover(t *testing.T) {
 	}
 }
 
+// TestShedReplicaRetryAfterReachesClient pins that a replica's 429 comes
+// through the router whole: the clients that were shed are exactly the
+// ones that must be told when to come back.
+func TestShedReplicaRetryAfterReachesClient(t *testing.T) {
+	f0 := newFakeReplica(t, 0)
+	f0.shed.Store(true)
+	_, ts, _ := newTestRouter(t, Config{}, f0)
+	for _, c := range []struct{ method, target, body string }{
+		{http.MethodGet, "/lookup?ip=10.0.0.1", ""},
+		{http.MethodPost, "/batch", `{"ips":["10.0.0.1"]}`},
+	} {
+		req, _ := http.NewRequest(c.method, ts.URL+c.target, strings.NewReader(c.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.target, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "3" {
+			t.Errorf("%s %s: %d with Retry-After %q, want the replica's 429 with Retry-After 3",
+				c.method, c.target, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+}
+
+// TestFailoverWalksWholeRing pins the loop's first exit: a lookup is
+// answered by the only healthy replica however far round the ring it is,
+// the failed attempts are accounted, and once DownAfter such lookups have
+// marked the failing replicas down the next one goes straight past them.
+func TestFailoverWalksWholeRing(t *testing.T) {
+	fakes := []*fakeReplica{newFakeReplica(t, 0), newFakeReplica(t, 1), newFakeReplica(t, 2), newFakeReplica(t, 3)}
+	for _, f := range fakes[:3] {
+		f.fail.Store(true)
+	}
+	const downAfter = 2
+	_, ts, reg := newTestRouter(t, Config{DownAfter: downAfter}, fakes...)
+	get := func() *http.Response {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/lookup?ip=" + addrInRange(4, 0))
+		if err != nil {
+			t.Fatalf("lookup: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Router-Replica") != "3" {
+			t.Fatalf("%d via %q, want 200 via replica 3", resp.StatusCode, resp.Header.Get("X-Router-Replica"))
+		}
+		return resp
+	}
+	for i := 1; i <= downAfter; i++ {
+		if got := get().Header.Get("X-Router-Failovers"); got != "3" {
+			t.Errorf("lookup %d: X-Router-Failovers = %q, want 3", i, got)
+		}
+		if f, r := reg.Counter("georouter.failovers").Value(), reg.Counter("georouter.retries").Value(); f != int64(3*i) || r != int64(3*i) {
+			t.Errorf("lookup %d: failovers = %d, retries = %d, want %d each", i, f, r, 3*i)
+		}
+	}
+	if got := get().Header.Get("X-Router-Failovers"); got != "" {
+		t.Errorf("X-Router-Failovers = %q with the failing replicas marked down, want none", got)
+	}
+	for i, f := range fakes[:3] {
+		if n := f.lookups.Load(); n != downAfter {
+			t.Errorf("replica %d saw %d lookups, want %d: marked down, it must be skipped", i, n, downAfter)
+		}
+	}
+	if n := fakes[3].lookups.Load(); n != downAfter+1 {
+		t.Errorf("replica 3 saw %d lookups, want %d", n, downAfter+1)
+	}
+}
+
+// TestAllStalledAnswers504 pins the loop's second exit: with every
+// replica hanging, the request deadline — not the sum of the attempt
+// budgets — bounds the answer, and the answer is 504.
+func TestAllStalledAnswers504(t *testing.T) {
+	f0, f1 := newFakeReplica(t, 0), newFakeReplica(t, 1)
+	f0.stallDur.Store(int64(5 * time.Second))
+	f1.stallDur.Store(int64(5 * time.Second))
+	rt, _, _ := newTestRouter(t, Config{
+		UpstreamTimeout: 50 * time.Millisecond,
+		RequestTimeout:  80 * time.Millisecond,
+	}, f0, f1)
+
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/lookup?ip="+addrInRange(2, 0), nil))
+	if elapsed := time.Since(start); elapsed >= 150*time.Millisecond {
+		t.Errorf("answered in %v, want < 150ms", elapsed)
+	}
+	if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), "request deadline expired") {
+		t.Fatalf("%d %q, want 504 request deadline expired", rec.Code, rec.Body.String())
+	}
+	if f0.lookups.Load() != 1 || f1.lookups.Load() != 1 {
+		t.Errorf("replicas saw %d and %d lookups, want one attempt each", f0.lookups.Load(), f1.lookups.Load())
+	}
+}
+
+// TestClientHangupScoresNothing pins the loop's third exit: a client that
+// goes away mid-attempt ends the request, and the attempt it cut short
+// says nothing about the replica's health.
+func TestClientHangupScoresNothing(t *testing.T) {
+	f0 := newFakeReplica(t, 0)
+	f0.stallDur.Store(int64(5 * time.Second))
+	rt, ts, _ := newTestRouter(t, Config{DownAfter: 1}, f0)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/lookup?ip=10.0.0.1", nil)
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); f0.lookups.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the lookup never reached the replica")
+		}
+	}
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("canceled lookup returned an answer")
+	}
+	// The router's handler returns once its attempt has been cut short; the
+	// ledger entry it then writes is the signal that scoring is over.
+	done := rt.status.Counter(http.StatusGatewayTimeout, obs.PlaneData)
+	for deadline := time.Now().Add(5 * time.Second); done.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the router never finished the abandoned request")
+		}
+	}
+	if h := routerHealth(t, ts.URL).Replicas[0]; h.ConsecFails != 0 || h.State != "up" {
+		t.Fatalf("replica 0 after a client hang-up: state %q, consec_fails %d, want up and 0", h.State, h.ConsecFails)
+	}
+}
+
 // TestRouterMetricsExposition pins the /metrics surface: the status
 // ledger and per-replica health gauges render in Prometheus format.
 func TestRouterMetricsExposition(t *testing.T) {
 	f0, f1 := newFakeReplica(t, 0), newFakeReplica(t, 1)
-	_, ts, _ := newTestRouter(t, Config{Replication: 2, MetricsLabel: "router-test"}, f0, f1)
+	_, ts, _ := newTestRouter(t, Config{MetricsLabel: "router-test"}, f0, f1)
 
 	resp, err := http.Get(ts.URL + "/lookup?ip=" + addrInRange(2, 0))
 	if err != nil {
@@ -504,7 +674,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 // without a controller, bad inputs rejected.
 func TestAdminReplicaGuard(t *testing.T) {
 	f0 := newFakeReplica(t, 0)
-	_, ts, _ := newTestRouter(t, Config{Replication: 1, AdminToken: "sekrit"}, f0)
+	_, ts, _ := newTestRouter(t, Config{AdminToken: "sekrit"}, f0)
 
 	post := func(path, token string) int {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+path, nil)
@@ -537,7 +707,7 @@ func TestAdminReplicaGuard(t *testing.T) {
 // upstream round-trip for garbage).
 func TestLookupValidation(t *testing.T) {
 	f0 := newFakeReplica(t, 0)
-	_, ts, _ := newTestRouter(t, Config{Replication: 1}, f0)
+	_, ts, _ := newTestRouter(t, Config{}, f0)
 	for _, c := range []struct {
 		url  string
 		want int

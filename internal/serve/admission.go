@@ -99,7 +99,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 // 504, so the counter, the ledger's 504s, the access log's
 // cause="deadline" records and the 504s clients read are the same number.
 // where names the wait the context died in. A request whose client hung
-// up, or a hedged loser the router cancelled, ends here too — to the
+// up, or an attempt the router gave up on, ends here too — to the
 // server both are a context that died during a wait.
 func (s *Server) deadlineExpired(w http.ResponseWriter, r *http.Request, where string) {
 	metaFrom(r.Context()).setCause("deadline")
@@ -132,7 +132,7 @@ func (s *Server) jitterSeed() uint64 {
 // Sleep sleeps for d or until the context dies, reporting whether the
 // full sleep completed. Fault-injected stalls route through it so a
 // stalled request both honours its deadline and frees its admission slot
-// promptly; the router's failover backoff uses it too.
+// promptly.
 func Sleep(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return true
