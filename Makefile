@@ -220,7 +220,9 @@ scale-smoke:
 # encoding/json + Find reference, status and bytes (FuzzBatchBody), and the
 # router as a client of a hostile replica: arbitrary response bytes against
 # http.ReadResponse (FuzzUpstreamResponse; its seeds run to 25 KB, so
-# minimizing a find is capped at 1 s instead of eating the smoke run).
+# minimizing a find is capped at 1 s instead of eating the smoke run). The
+# request edge: /lookup query reading (FuzzQueryIP) and the X-Request-Id /
+# traceparent adoption that reaches logs and headers (FuzzRequestID).
 # Their seed corpora also run as plain tests in `make test`.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecoder -fuzztime 10s -run '^$$' ./internal/checkpoint
@@ -229,5 +231,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -run '^$$' ./internal/ipaddr
 	$(GO) test -fuzz FuzzBatchBody -fuzztime 10s -run '^$$' ./internal/serve
 	$(GO) test -fuzz FuzzUpstreamResponse -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/router
+	$(GO) test -fuzz FuzzQueryIP -fuzztime 10s -run '^$$' ./internal/serve
+	$(GO) test -fuzz FuzzRequestID -fuzztime 10s -run '^$$' ./internal/obs
 
 ci: vet build race

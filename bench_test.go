@@ -85,6 +85,11 @@ func BenchmarkFig7(b *testing.B)     { benchExperiment(b, experiments.Fig7) }
 func BenchmarkFig8(b *testing.B)     { benchExperiment(b, experiments.Fig8) }
 func BenchmarkBaseline(b *testing.B) { benchExperiment(b, experiments.Baseline) }
 
+func BenchmarkDeploy(b *testing.B)       { benchExperiment(b, experiments.Deploy) }
+func BenchmarkMultiStep(b *testing.B)    { benchExperiment(b, experiments.MultiStep) }
+func BenchmarkShortestPing(b *testing.B) { benchExperiment(b, experiments.ShortestPing) }
+func BenchmarkAblations(b *testing.B)    { benchExperiment(b, experiments.Ablations) }
+
 // BenchmarkChaos measures the full fault-intensity sweep: five resilient
 // campaigns (world generation, sanitization under holes, retried matrix
 // builds, CBG) on the tiny world. It is the cost of one `-run chaos`.

@@ -46,14 +46,17 @@ func main() {
 
 	// 2. The two-step extension: a small Earth-covering first step shrinks
 	//    the region, then one VP per AS/city inside it probes the reps.
+	//    Greedy picks are prefix-stable, so one 300-VP cover holds every
+	//    smaller first step as its prefix.
 	locs := make([]geo.Point, len(c.VPs))
 	meta := make([]vpsel.VPMeta, len(c.VPs))
 	for i, h := range c.VPs {
 		locs[i] = h.Reported
 		meta[i] = vpsel.VPMeta{AS: h.AS, City: h.City}
 	}
+	cover := vpsel.GreedyCover(locs, 300)
 	for _, size := range []int{10, 100, 300} {
-		firstStep := vpsel.GreedyCover(locs, size)
+		firstStep := cover[:size]
 		var errs []float64
 		var pings int64
 		for ti := range c.Targets {

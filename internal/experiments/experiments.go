@@ -18,6 +18,7 @@ import (
 	"geoloc/internal/stats"
 	"geoloc/internal/streetlevel"
 	"geoloc/internal/telemetry"
+	"geoloc/internal/vpsel"
 	"geoloc/internal/world"
 )
 
@@ -129,6 +130,10 @@ type Context struct {
 
 	slOnce    sync.Once
 	slResults []streetlevel.Result
+
+	firstStepOnce sync.Once
+	vpMeta        []vpsel.VPMeta
+	cover         []int
 
 	twoStepOnce sync.Once
 	twoStep     *twoStepRun

@@ -53,13 +53,7 @@ func Deploy(ctx *Context) *Report {
 // minimum.
 func MultiStep(ctx *Context) *Report {
 	c := ctx.C
-	meta := make([]vpsel.VPMeta, len(c.VPs))
-	locs := make([]geo.Point, len(c.VPs))
-	for i, h := range c.VPs {
-		meta[i] = vpsel.VPMeta{AS: h.AS, City: h.City}
-		locs[i] = h.Reported
-	}
-	firstStep := vpsel.GreedyCover(locs, 10)
+	meta, firstStep := ctx.firstStep(10)
 	original := vpsel.OriginalOverheadPings(len(c.VPs), len(c.Targets), 10)
 
 	rep := &Report{
@@ -68,16 +62,24 @@ func MultiStep(ctx *Context) *Report {
 		PaperRef: "§7.2.3 (proposed future work)",
 		Header:   []string{"rounds", "median error (km)", "measurements", "% of original", "extra API rounds"},
 	}
-	for _, rounds := range []int{2, 3, 4} {
+	// One sweep per target answers every rounds value: results[ti][r-2] is
+	// the r-round selection.
+	const maxRounds = 4
+	results := make([][]vpsel.MultiStepResult, len(c.Targets))
+	oks := make([][]bool, len(c.Targets))
+	parallelFor(len(c.Targets), func(ti int) {
+		results[ti], oks[ti] = vpsel.MultiStepSweep(c.RepRTT, meta, firstStep, ti, maxRounds, 100)
+	})
+	for rounds := 2; rounds <= maxRounds; rounds++ {
 		errs := make([]float64, len(c.Targets))
 		pings := make([]int64, len(c.Targets))
 		roundsUsed := make([]int, len(c.Targets))
 		parallelFor(len(c.Targets), func(ti int) {
 			errs[ti] = math.NaN()
-			res, ok := vpsel.MultiStepSelect(c.RepRTT, meta, firstStep, ti, rounds, 100)
+			res := results[ti][rounds-2]
 			pings[ti] = res.Pings
 			roundsUsed[ti] = res.Rounds
-			if !ok {
+			if !oks[ti][rounds-2] {
 				return
 			}
 			if est, ok := c.TargetRTT.LocateSubset(ti, []int{res.SelectedVP}, geo.TwoThirdsC); ok {
@@ -173,13 +175,7 @@ func Ablations(ctx *Context) *Report {
 	}
 
 	// Greedy vs random first step for the two-step selection.
-	meta := make([]vpsel.VPMeta, len(c.VPs))
-	locs := make([]geo.Point, len(c.VPs))
-	for i, h := range c.VPs {
-		meta[i] = vpsel.VPMeta{AS: h.AS, City: h.City}
-		locs[i] = h.Reported
-	}
-	greedy := vpsel.GreedyCover(locs, 10)
+	meta, greedy := ctx.firstStep(10)
 	random := make([]int, 10)
 	for i := range random {
 		random[i] = (i * 7919) % len(c.VPs)

@@ -295,6 +295,39 @@ func dropNaN(v []float64) []float64 {
 	return out
 }
 
+// fig3FirstStepSizes are the first-step subset sizes Fig 3b/3c sweep; the
+// last is the largest first step any experiment asks for.
+var fig3FirstStepSizes = []int{10, 100, 300, 500, 1000}
+
+// firstStep returns the VPs' AS/city identities and the n-VP greedy
+// Earth-covering first step. One cover of the largest size any experiment
+// needs is computed per context, and every smaller size is its prefix
+// (GreedyCover's picks are prefix-stable); a size at or above the VP
+// count gets GreedyCover's identity answer. Callers must not mutate
+// either slice.
+func (ctx *Context) firstStep(n int) ([]vpsel.VPMeta, []int) {
+	ctx.firstStepOnce.Do(func() {
+		vps := ctx.C.VPs
+		meta := make([]vpsel.VPMeta, len(vps))
+		locs := make([]geo.Point, len(vps))
+		for i, h := range vps {
+			meta[i] = vpsel.VPMeta{AS: h.AS, City: h.City}
+			locs[i] = h.Reported
+		}
+		maxNeeded := fig3FirstStepSizes[len(fig3FirstStepSizes)-1]
+		ctx.vpMeta = meta
+		ctx.cover = vpsel.GreedyCover(locs, min(maxNeeded, len(vps)-1))
+	})
+	if n >= len(ctx.vpMeta) {
+		all := make([]int, len(ctx.vpMeta))
+		for i := range all {
+			all[i] = i
+		}
+		return ctx.vpMeta, all
+	}
+	return ctx.vpMeta, ctx.cover[:n:n]
+}
+
 // twoStepRun holds the shared artifacts of the Fig 3b/3c sweep.
 type twoStepRun struct {
 	firstStepSizes []int
@@ -309,14 +342,8 @@ func (ctx *Context) runTwoStep() *twoStepRun {
 
 func (ctx *Context) computeTwoStep() *twoStepRun {
 	c := ctx.C
-	meta := make([]vpsel.VPMeta, len(c.VPs))
-	locs := make([]geo.Point, len(c.VPs))
-	for i, h := range c.VPs {
-		meta[i] = vpsel.VPMeta{AS: h.AS, City: h.City}
-		locs[i] = h.Reported
-	}
 	run := &twoStepRun{
-		firstStepSizes: []int{10, 100, 300, 500, 1000},
+		firstStepSizes: fig3FirstStepSizes,
 		errs:           make(map[int][]float64),
 		pings:          make(map[int]int64),
 	}
@@ -324,7 +351,7 @@ func (ctx *Context) computeTwoStep() *twoStepRun {
 		if size > len(c.VPs) {
 			continue
 		}
-		firstStep := vpsel.GreedyCover(locs, size)
+		meta, firstStep := ctx.firstStep(size)
 		errs := make([]float64, len(c.Targets))
 		pings := make([]int64, len(c.Targets))
 		parallelFor(len(c.Targets), func(ti int) {

@@ -2,7 +2,7 @@ package geo
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Circle is a CBG constraint: the target lies within RadiusKm of Center.
@@ -72,10 +72,27 @@ func (r *Region) Reduced() Region {
 			out.Circles = append(out.Circles, c)
 		}
 	}
-	sort.Slice(out.Circles, func(i, j int) bool {
-		return out.Circles[i].RadiusKm < out.Circles[j].RadiusKm
+	slices.SortFunc(out.Circles, func(a, b Circle) int {
+		return byRadius(a.RadiusKm, b.RadiusKm)
 	})
 	return out
+}
+
+// byRadius is the reduction's ascending-radius comparator. The pdqsort
+// behind slices.SortFunc is generated from the same template as sort.Slice's
+// and only ever asks whether cmp < 0, which here is exactly a < b, so it
+// makes sort.Slice's less/swap sequence — equal radii tie-break the same —
+// without boxing the slice or building a reflect swapper. A NaN radius is
+// "not less" both ways, as it was under < (cmp.Compare would order it
+// first instead).
+func byRadius(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // DefaultSampleRings and DefaultSampleBearings control the polar sampling

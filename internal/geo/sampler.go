@@ -2,7 +2,7 @@ package geo
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -140,8 +140,8 @@ func (sm *Sampler) Centroid() (Point, bool) {
 			sm.keep = append(sm.keep, int32(i))
 		}
 	}
-	sort.Slice(sm.keep, func(a, b int) bool {
-		return sm.cs[sm.keep[a]].radiusKm < sm.cs[sm.keep[b]].radiusKm
+	slices.SortFunc(sm.keep, func(a, b int32) int {
+		return byRadius(sm.cs[a].radiusKm, sm.cs[b].radiusKm)
 	})
 	if len(sm.keep) == 0 {
 		return Point{}, false

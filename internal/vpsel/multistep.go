@@ -1,8 +1,6 @@
 package vpsel
 
 import (
-	"math"
-
 	"geoloc/internal/cbg"
 	"geoloc/internal/geo"
 )
@@ -32,64 +30,66 @@ type MultiStepResult struct {
 // one more platform API round-trip (§7.2.3 notes this costs only minutes
 // and geolocation does not change quickly).
 func MultiStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target, rounds, interBudget int) (MultiStepResult, bool) {
-	if rounds < 2 {
-		rounds = 2
+	out, ok := MultiStepSweep(repRTT, meta, firstStep, target, rounds, interBudget)
+	return out[len(out)-1], ok[len(ok)-1]
+}
+
+// MultiStepSweep answers MultiStepSelect for every rounds value in
+// 2..maxRounds with one walk: out[i], ok[i] is the selection with i+2
+// rounds. Every rounds value takes the same steps until it finishes, and
+// rounds = R finishes at step min(R−2, the first step whose candidates fit
+// interBudget), so each step's region, candidate scan and Earth-covering
+// sample is computed once for all of them. An empty region ends every
+// rounds value still open, unselected. maxRounds < 2 is taken as 2 and
+// interBudget < 1 as 100.
+func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target, maxRounds, interBudget int) ([]MultiStepResult, []bool) {
+	if maxRounds < 2 {
+		maxRounds = 2
 	}
 	if interBudget < 1 {
 		interBudget = 100
 	}
+	out := make([]MultiStepResult, maxRounds-1)
+	ok := make([]bool, maxRounds-1)
 	res := MultiStepResult{}
 	cur := firstStep
 
-	for r := 0; r < rounds; r++ {
+	// At step r the open rounds values are out[r:], and out[r] (rounds =
+	// r+2) finishes there whatever the candidate count.
+	for r := 0; ; r++ {
 		res.Rounds = r + 1
 		res.Pings += int64(len(cur)) * RepPingsPerVP
 
 		region := regionFromSubset(repRTT, cur, target, geo.TwoThirdsC)
 		if len(region.Circles) == 0 {
-			return res, false
-		}
-		red := region.Reduced()
-
-		type key struct{ as, city int }
-		seen := make(map[key]bool)
-		var candidates []int
-		for vp := range repRTT.VPs {
-			if !red.Contains(repRTT.VPs[vp]) {
-				continue
+			for i := r; i < len(out); i++ {
+				out[i] = res
 			}
-			k := key{meta[vp].AS, meta[vp].City}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			candidates = append(candidates, vp)
+			return out, ok
 		}
+		candidates := regionCandidates(repRTT, meta, region.Reduced())
 		if len(candidates) == 0 {
 			candidates = cur
 		}
 
-		last := r == rounds-2 || len(candidates) <= interBudget
-		if last {
-			// Final round: probe every remaining candidate and select.
-			res.Pings += int64(len(candidates)) * RepPingsPerVP
-			res.Rounds++
-			best, bestRTT := -1, math.Inf(1)
-			for _, vp := range candidates {
-				rtt := float64(repRTT.RTT[vp][target])
-				if math.IsNaN(rtt) || rtt < 0 {
-					continue
-				}
-				if rtt < bestRTT {
-					best, bestRTT = vp, rtt
-				}
-			}
-			if best < 0 {
-				return res, false
-			}
-			res.SelectedVP = best
-			res.Pings++ // final ping to the target itself
-			return res, true
+		// Final round: probe every remaining candidate and select.
+		final := res
+		final.Pings += int64(len(candidates)) * RepPingsPerVP
+		final.Rounds++
+		best := lowestRTT(repRTT, candidates, target)
+		if best >= 0 {
+			final.SelectedVP = best
+			final.Pings++ // final ping to the target itself
+		}
+		done := r + 1
+		if len(candidates) <= interBudget {
+			done = len(out)
+		}
+		for i := r; i < done; i++ {
+			out[i], ok[i] = final, best >= 0
+		}
+		if done == len(out) {
+			return out, ok
 		}
 
 		// Intermediate round: keep an Earth-covering sample of candidates.
@@ -104,5 +104,4 @@ func MultiStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target,
 		}
 		cur = next
 	}
-	return res, false
 }

@@ -67,6 +67,13 @@ func OriginalOverheadPings(numVPs, numTargets, selectedPerTarget int) int64 {
 // others, and each subsequent pick maximizes the summed log-distance to the
 // already-selected set. This is the first-step subset of the two-step
 // algorithm (§5.1.4, "similar to what has been done in prior work [Metis]").
+//
+// The picks are prefix-stable: the seed does not depend on n, and each pick
+// depends only on the ones before it, so for k ≤ n < len(locs) the k-pick
+// cover is exactly the first k picks of the n-pick cover. One cover of the
+// largest size a caller needs therefore answers every smaller size. For
+// n ≥ len(locs) the answer is the identity (every index in order), which is
+// not a greedy order and so is no prefix source.
 func GreedyCover(locs []geo.Point, n int) []int {
 	meters.greedyCovers.Inc()
 	if n <= 0 || len(locs) == 0 {
@@ -170,16 +177,32 @@ func TwoStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target in
 	if len(region.Circles) == 0 {
 		return res, false
 	}
-	red := region.Reduced()
-	// The region is checked against every VP; precomputed circle trig plus
-	// the matrix's per-VP trig replace the per-pair deg2rad/cos work (the
-	// verdicts are bit-identical to red.Contains).
+	candidates := regionCandidates(repRTT, meta, region.Reduced())
+	if len(candidates) == 0 {
+		// Fall back to the best first-step VP.
+		candidates = firstStep
+	}
+	res.SecondStep = candidates
+	res.Pings += int64(len(candidates)) * RepPingsPerVP
+
+	best := lowestRTT(repRTT, candidates, target)
+	if best < 0 {
+		return res, false
+	}
+	res.SelectedVP = best
+	res.Pings++ // the selected VP pings the target itself
+	return res, true
+}
+
+// regionCandidates returns one VP per (AS, city) inside the reduced region,
+// in matrix order. The region is checked against every VP; precomputed
+// circle trig plus the matrix's per-VP trig replace the per-pair
+// deg2rad/cos work (the verdicts are bit-identical to red.Contains).
+func regionCandidates(repRTT *cbg.Matrix, meta []VPMeta, red geo.Region) []int {
 	redTrig := make([]geo.TrigCircle, len(red.Circles))
 	for i, c := range red.Circles {
 		redTrig[i] = geo.MakeTrigCircle(c)
 	}
-
-	// One candidate VP per (AS, city) inside the region.
 	type key struct{ as, city int }
 	seen := make(map[key]bool)
 	var candidates []int
@@ -202,13 +225,12 @@ func TwoStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target in
 		seen[k] = true
 		candidates = append(candidates, vp)
 	}
-	if len(candidates) == 0 {
-		// Fall back to the best first-step VP.
-		candidates = firstStep
-	}
-	res.SecondStep = candidates
-	res.Pings += int64(len(candidates)) * RepPingsPerVP
+	return candidates
+}
 
+// lowestRTT returns the candidate with the lowest representative RTT to the
+// target (the first on ties), or -1 when none has a usable measurement.
+func lowestRTT(repRTT *cbg.Matrix, candidates []int, target int) int {
 	best, bestRTT := -1, math.Inf(1)
 	for _, vp := range candidates {
 		rtt := float64(repRTT.RTT[vp][target])
@@ -219,12 +241,7 @@ func TwoStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target in
 			best, bestRTT = vp, rtt
 		}
 	}
-	if best < 0 {
-		return res, false
-	}
-	res.SelectedVP = best
-	res.Pings++ // the selected VP pings the target itself
-	return res, true
+	return best
 }
 
 // regionFromSubset builds the CBG constraint region for a target from a VP

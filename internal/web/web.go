@@ -82,6 +82,9 @@ type Resolver struct {
 	// cdnAS is the AS standing in for the big CDNs: the AS with the widest
 	// PoP footprint.
 	cdnAS int
+	// cdnPoP[city] is the CDN AS's PoP city nearest to city, the edge that
+	// serves every CDN-hosted site there (nearestPoP, filled once).
+	cdnPoP []int
 
 	staleSites atomic.Int64
 }
@@ -94,7 +97,11 @@ func NewResolver(w *world.World) *Resolver {
 			widest, max = i, len(w.ASes[i].PoPs)
 		}
 	}
-	return &Resolver{W: w, cdnAS: widest}
+	cdnPoP := make([]int, len(w.Cities))
+	for city := range cdnPoP {
+		cdnPoP[city] = nearestPoP(w, widest, city)
+	}
+	return &Resolver{W: w, cdnAS: widest, cdnPoP: cdnPoP}
 }
 
 // Resolve returns the website of a POI. The result is deterministic in the
@@ -185,7 +192,7 @@ func (r *Resolver) serverFor(poi mapping.POI, hosting Hosting, st *rhash.Stream)
 	case CDN:
 		// Served from the CDN edge nearest the client — modelled as the CDN
 		// AS's PoP closest to the POI's city.
-		pop := nearestPoP(w, r.cdnAS, poi.CityID)
+		pop := r.cdnPoP[poi.CityID]
 		return world.Host{
 			ID:         -1,
 			Kind:       world.WebServer,

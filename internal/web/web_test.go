@@ -208,3 +208,31 @@ func TestServerHostsPingable(t *testing.T) {
 		}
 	}
 }
+
+// TestResolverCDNPoPTable: the per-city CDN edge table NewResolver fills is
+// nearestPoP for every city, and a CDN-hosted site is served from its
+// city's entry.
+func TestResolverCDNPoPTable(t *testing.T) {
+	if len(res.cdnPoP) != len(tw.Cities) {
+		t.Fatalf("table has %d entries for %d cities", len(res.cdnPoP), len(tw.Cities))
+	}
+	for city, pop := range res.cdnPoP {
+		if want := nearestPoP(tw, res.cdnAS, city); pop != want {
+			t.Fatalf("city %d: table says PoP %d, nearestPoP says %d", city, pop, want)
+		}
+	}
+	cdn := 0
+	for _, poi := range allPOIs(2000) {
+		site := res.Resolve(poi)
+		if site.Hosting != CDN {
+			continue
+		}
+		cdn++
+		if want := nearestPoP(tw, res.cdnAS, poi.CityID); site.Server.City != want {
+			t.Fatalf("POI %d in city %d: CDN site served from city %d, want %d", poi.Key, poi.CityID, site.Server.City, want)
+		}
+	}
+	if cdn == 0 {
+		t.Fatal("no CDN-hosted site in the sample")
+	}
+}
