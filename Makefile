@@ -12,7 +12,7 @@ all: build
 build:
 	$(GO) build ./...
 
-# The second pass re-runs the two packages whose tests race goroutines
+# The second pass re-runs the three packages whose tests race goroutines
 # against each other at 1, 2 and 4 Ps: a failure that needs a second
 # hardware thread (TestRunProgressRecords was red on every 2-core host
 # while the 1-vCPU recorder stayed green) can no longer hide. -short only
@@ -22,7 +22,7 @@ build:
 # not reach it, and it compiles against this module's serving API.
 test:
 	$(GO) test ./...
-	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/
+	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
@@ -70,12 +70,13 @@ experiments:
 # Resume equivalence (DESIGN.md §3.3): run a tiny campaign uninterrupted,
 # run it again with a checkpoint journal and die abruptly (exit 3) after 40
 # journaled batches, resume from the journal, and require the matrix
-# digests and platform/client stats to match byte for byte — under both
-# the none and realistic fault profiles.
+# digests and platform/client stats to match byte for byte — under every
+# fault profile. Hostile trips dozens of circuit-breaker quarantines before
+# the kill, so breaker and quarantine state must cross it too.
 resume-check:
 	rm -rf .resume-check && mkdir -p .resume-check
 	$(GO) build -o .resume-check/exp ./cmd/experiments
-	set -e; for prof in none realistic; do \
+	set -e; for prof in none realistic degraded hostile; do \
 		./.resume-check/exp -scale tiny -run table1 -faults $$prof \
 			-digest .resume-check/$$prof.base -q >/dev/null; \
 		rc=0; ./.resume-check/exp -scale tiny -run table1 -faults $$prof \

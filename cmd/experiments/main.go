@@ -337,10 +337,10 @@ func digestReport(c *core.Campaign) string {
 	fmt.Fprintf(&b, "platform pings=%d traceroutes=%d credits=%d\n", ps.Pings, ps.Traceroutes, ps.Credits)
 	if c.Client != nil {
 		cs := c.Client.Stats()
-		fmt.Fprintf(&b, "client measurements=%d succeeded=%d retries=%d failures=%d submit=%d ratelimited=%d stalls=%d timeouts=%d offline=%d quarantines=%d skipq=%d skipshed=%d budget=%d credits=%d campaign_sec=%.6f\n",
+		fmt.Fprintf(&b, "client measurements=%d succeeded=%d retries=%d failures=%d submit=%d ratelimited=%d stalls=%d timeouts=%d offline=%d quarantines=%d skipq=%d credits=%d campaign_sec=%.6f\n",
 			cs.Measurements, cs.Succeeded, cs.Retries, cs.Failures, cs.SubmitErrors,
 			cs.RateLimited, cs.Stalls, cs.Timeouts, cs.Offline, cs.Quarantines,
-			cs.SkippedQuarantined, cs.SkippedShed, cs.BudgetDenied, cs.CreditsSpent, cs.CampaignSec)
+			cs.SkippedQuarantined, cs.CreditsSpent, cs.CampaignSec)
 	}
 	return b.String()
 }

@@ -58,8 +58,8 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Stats is a snapshot of platform usage counters. It is a compatibility
-// view over the platform's telemetry registry (the counters live there).
+// Stats is a snapshot of platform usage. Credits are derived from the
+// counts, so a snapshot can never show a measurement without its charge.
 type Stats struct {
 	Pings       int64
 	Traceroutes int64
@@ -74,18 +74,13 @@ type Platform struct {
 	Cost CostModel
 
 	// Reg is the platform's telemetry registry. It is per-platform and
-	// always enabled: the usage counters double as credit accounting, so
+	// always enabled: the usage counters are the credit accounting, so
 	// they must count regardless of whether the process-global telemetry
-	// is switched on. The resilient Client folds its counters into the
-	// same registry, so one dump covers the whole measurement layer.
-	//
-	// Snapshot consistency (a ping never counted without its credits)
-	// comes from the registry's Grouped/ReadConsistent discipline.
+	// is switched on.
 	Reg *telemetry.Registry
 
 	mPings       *telemetry.Counter
 	mTraceroutes *telemetry.Counter
-	mCredits     *telemetry.Counter
 }
 
 // New builds a platform over the world with the default cost model.
@@ -93,76 +88,42 @@ func New(w *world.World, sim *netsim.Sim) *Platform {
 	p := &Platform{W: w, Sim: sim, Cost: DefaultCostModel(), Reg: telemetry.New()}
 	p.mPings = p.Reg.Counter("atlas.pings")
 	p.mTraceroutes = p.Reg.Counter("atlas.traceroutes")
-	p.mCredits = p.Reg.Counter("atlas.credits")
 	return p
 }
 
-// countPing records one ping and its credit charge as a grouped update.
-func (p *Platform) countPing() {
-	p.Reg.Grouped(func() {
-		p.mPings.Add(1)
-		p.mCredits.Add(int64(p.Sim.Cfg.PingPackets) * CreditsPerPingPacket)
-	})
+// pingCost is the credit charge of one ping: PingPackets packets.
+func (p *Platform) pingCost() int64 {
+	return int64(p.Sim.Cfg.PingPackets) * CreditsPerPingPacket
 }
 
 // Ping runs one ping measurement from src to dst. round distinguishes
 // repeated measurements of the same pair; a fixed round reproduces the
 // measurement, which keeps campaigns deterministic even when parallelized.
 func (p *Platform) Ping(src, dst *world.Host, round uint64) (float64, bool) {
-	p.countPing()
+	p.mPings.Add(1)
 	return p.Sim.Ping(src, dst, round)
-}
-
-// PingDetail runs one ping measurement and returns per-packet results
-// (the fault-aware variant of Ping); accounting is identical.
-func (p *Platform) PingDetail(src, dst *world.Host, round uint64) netsim.PingResult {
-	p.countPing()
-	return p.Sim.PingDetail(src, dst, round)
 }
 
 // Traceroute runs one traceroute from src to dst.
 func (p *Platform) Traceroute(src, dst *world.Host, round uint64) netsim.Trace {
-	p.Reg.Grouped(func() {
-		p.mTraceroutes.Add(1)
-		p.mCredits.Add(CreditsPerTraceroute)
-	})
+	p.mTraceroutes.Add(1)
 	return p.Sim.Traceroute(src, dst, round)
 }
 
-// Stats returns a consistent snapshot of the usage counters: no
-// measurement is ever half-counted in it (count recorded but credits not
-// yet charged, or vice versa).
+// Stats returns the usage so far. Credits are pings × pingCost +
+// traceroutes × CreditsPerTraceroute, computed from the counts read.
 func (p *Platform) Stats() Stats {
-	var s Stats
-	p.Reg.ReadConsistent(func() {
-		s = Stats{
-			Pings:       p.mPings.Value(),
-			Traceroutes: p.mTraceroutes.Value(),
-			Credits:     p.mCredits.Value(),
-		}
-	})
+	s := Stats{Pings: p.mPings.Value(), Traceroutes: p.mTraceroutes.Value()}
+	s.Credits = s.Pings*p.pingCost() + s.Traceroutes*CreditsPerTraceroute
 	return s
 }
 
-// RestoreStats re-adds journaled usage counts after a checkpoint resume:
-// the measurements were issued (and charged) by a previous process, so the
-// resumed process's counters must carry them for its totals to match an
-// uninterrupted run.
-func (p *Platform) RestoreStats(pings, traceroutes, credits int64) {
-	p.Reg.Grouped(func() {
-		p.mPings.Add(pings)
-		p.mTraceroutes.Add(traceroutes)
-		p.mCredits.Add(credits)
-	})
-}
-
-// ResetStats zeroes the usage counters (between experiments).
-func (p *Platform) ResetStats() {
-	p.Reg.ReadConsistent(func() {
-		p.mPings.Reset()
-		p.mTraceroutes.Reset()
-		p.mCredits.Reset()
-	})
+// RestoreStats re-adds a journaled row's platform usage after a checkpoint
+// resume: its pings were issued (and charged) by a previous process, so
+// the resumed process's counters must carry them for its totals to match
+// an uninterrupted run.
+func (p *Platform) RestoreStats(b *BatchStats) {
+	p.mPings.Add(b.Pings)
 }
 
 // ProbePPS returns the probing budget of a host in packets per second:

@@ -44,15 +44,6 @@ func TestTracerouteCounts(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	p := newPlatform()
-	p.Ping(p.W.Host(p.W.Probes[0]), p.W.Host(p.W.Anchors[0]), 1)
-	p.ResetStats()
-	if st := p.Stats(); st.Pings != 0 || st.Credits != 0 || st.Traceroutes != 0 {
-		t.Errorf("stats after reset = %+v", st)
-	}
-}
-
 func TestConcurrentCounting(t *testing.T) {
 	p := newPlatform()
 	src := p.W.Host(p.W.Probes[0])

@@ -31,14 +31,6 @@ func TestPingBatchCanceledContext(t *testing.T) {
 	if rec.Retries != 0 || rec.Failures != 0 || rec.Succeeded != 0 {
 		t.Fatalf("canceled measurement polluted the batch record: %+v", rec)
 	}
-
-	tr := c.TracerouteBatch(ctx, src, dst, 2, rec)
-	if !errors.Is(tr.Err, ErrCanceled) {
-		t.Fatalf("traceroute err = %v, want ErrCanceled", tr.Err)
-	}
-	if st := c.Stats(); st.Canceled != 2 {
-		t.Fatalf("Canceled = %d after traceroute, want 2", st.Canceled)
-	}
 }
 
 // TestCancelDoesNotPerturbSurvivors: measurements completed before the

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"geoloc/internal/faults"
-	"geoloc/internal/netsim"
 	"geoloc/internal/rhash"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
@@ -15,10 +14,8 @@ import (
 
 // Client is the resilient measurement layer over a Platform: it retries
 // failed measurements with exponential backoff and deterministic jitter,
-// times out measurements that exceed a ceiling, quarantines flapping
-// probes behind a per-probe circuit breaker, and enforces a credit budget
-// by shedding the lowest-value vantage points instead of aborting the
-// campaign.
+// times out measurements that exceed a ceiling, and quarantines flapping
+// probes behind a per-probe circuit breaker.
 //
 // All time is accounted on simulated per-source clocks: each source pays
 // for its own pacing (packets ÷ its packets-per-second budget), backoff
@@ -43,29 +40,10 @@ type Client struct {
 
 	mu   sync.Mutex
 	srcs map[int]*srcState
-	shed map[int]bool
 
-	// Resilience counters live in the platform's telemetry registry
-	// ("atlas.client.*"), so one dump covers platform and client alike.
-	// creditsSpent doubles as budget-accounting state: admit and
-	// EnforceBudget read it back, which is safe because the platform
-	// registry is always enabled.
-	measurements *telemetry.Counter
-	succeeded    *telemetry.Counter
-	retries      *telemetry.Counter
-	failures     *telemetry.Counter
-	submitErrors *telemetry.Counter
-	rateLimited  *telemetry.Counter
-	stalls       *telemetry.Counter
-	timeouts     *telemetry.Counter
-	offline      *telemetry.Counter
-	quarantines  *telemetry.Counter
-	skippedQuar  *telemetry.Counter
-	skippedShed  *telemetry.Counter
-	budgetDenied *telemetry.Counter
-	creditsSpent *telemetry.Counter
-	canceled     *telemetry.Counter
-	backoffSec   *telemetry.Histogram
+	// backoffSec lives in the platform's telemetry registry; it observes
+	// and is never read back.
+	backoffSec *telemetry.Histogram
 }
 
 // ClientConfig tunes the resilience machinery.
@@ -89,10 +67,6 @@ type ClientConfig struct {
 	BreakerThreshold  int
 	QuarantineSec     float64
 	QuarantineTickSec float64
-	// CreditBudget caps the credits this client may spend (0 = unlimited).
-	// Use EnforceBudget to shed low-value sources up front instead of
-	// running into the hard stop mid-campaign.
-	CreditBudget int64
 }
 
 // DefaultClientConfig returns the tuning used by the replication's
@@ -124,34 +98,66 @@ var (
 	ErrTimeout = errors.New("atlas: measurement timed out")
 	// ErrQuarantined: the source is quarantined by its circuit breaker.
 	ErrQuarantined = errors.New("atlas: source quarantined")
-	// ErrShed: the source was shed by budget enforcement.
-	ErrShed = errors.New("atlas: source shed to fit credit budget")
-	// ErrBudgetExhausted: the credit budget cannot cover the measurement.
-	ErrBudgetExhausted = errors.New("atlas: credit budget exhausted")
 	// ErrCanceled: the context was canceled between attempts; the
 	// measurement was abandoned without spending further credits.
 	ErrCanceled = errors.New("atlas: measurement canceled")
 )
 
-// BatchStats tallies the measurement-layer activity attributable to one
-// journaled batch (one matrix row): the platform usage it caused, every
-// client resilience counter it bumped, and the final resilience state of
-// the batch's source. The checkpoint journal persists one BatchStats per
-// batch so a resumed campaign can replay the accounting without re-issuing
-// the measurements; restoring every journaled batch plus live-measuring
-// the rest reproduces an uninterrupted run's counters exactly.
+// Tally is the measurement layer's one set of counts. A measurement counts
+// into its own Tally; that tally is added to the client's totals and to the
+// caller's row record, and a journaled row's tally is added back on resume
+// by the same Tally.add.
+type Tally struct {
+	// Pings are the platform pings the measurements issued; the client's
+	// credits are derived from them.
+	Pings int64
+	// Measurements counts requested measurements (before retries);
+	// Succeeded those that returned a usable result.
+	Measurements, Succeeded int64
+	// Retries counts extra attempts; Failures measurements that exhausted
+	// every attempt.
+	Retries, Failures int64
+	// Failure-mode breakdown.
+	SubmitErrors, RateLimited, Stalls, Timeouts, Offline int64
+	// Quarantines counts circuit-breaker trips; SkippedQuarantined counts
+	// measurements a quarantined source refused locally.
+	Quarantines, SkippedQuarantined int64
+	// Canceled counts measurements abandoned by context cancellation.
+	Canceled int64
+}
+
+// tallyFields is the number of Tally fields.
+const tallyFields = 13
+
+// fields lists every Tally field in the journal's row order. Append new
+// fields at the end only.
+func (t *Tally) fields() [tallyFields]*int64 {
+	return [...]*int64{
+		&t.Pings, &t.Measurements, &t.Succeeded, &t.Retries, &t.Failures,
+		&t.SubmitErrors, &t.RateLimited, &t.Stalls, &t.Timeouts, &t.Offline,
+		&t.Quarantines, &t.SkippedQuarantined, &t.Canceled,
+	}
+}
+
+// add adds every count of d to t.
+func (t *Tally) add(d *Tally) {
+	df := d.fields()
+	for i, f := range t.fields() {
+		*f += *df[i]
+	}
+}
+
+// BatchStats is the record of one journaled batch (one matrix row): the
+// Tally of its measurements and the final resilience state of the batch's
+// source. The checkpoint journal persists one BatchStats per batch so a
+// resumed campaign can replay the accounting without re-issuing the
+// measurements; restoring every journaled batch plus live-measuring the
+// rest reproduces an uninterrupted run's counters exactly.
 //
-// A nil *BatchStats disables recording; all batch measurements of one
-// recorder must come from a single goroutine (one row = one worker, as
-// core's campaigns are structured).
+// All batch measurements of one record must come from a single goroutine
+// (one row = one worker, as core's campaigns are structured).
 type BatchStats struct {
-	// Platform usage (atlas.pings / traceroutes / credits).
-	Pings, Traceroutes, Credits int64
-	// Client resilience counters, mirroring ClientStats field for field.
-	Measurements, Succeeded, Retries, Failures                 int64
-	SubmitErrors, RateLimited, Stalls, Timeouts, Offline       int64
-	Quarantines, SkippedQuarantined, SkippedShed, BudgetDenied int64
-	CreditsSpent                                               int64
+	Tally
 	// Final source state after the batch: the simulated clock, the circuit
 	// breaker's consecutive-failure count, and the quarantine deadline.
 	// Absolute values, not deltas — a later batch of the same source
@@ -159,17 +165,15 @@ type BatchStats struct {
 	SrcClockUSec, SrcConsecFails, SrcQuarUntilUSec int64
 }
 
-// fields returns every BatchStats field in the fixed serialization order
-// the checkpoint row format uses. Append new fields at the end only.
-func (b *BatchStats) fields() []*int64 {
-	return []*int64{
-		&b.Pings, &b.Traceroutes, &b.Credits,
-		&b.Measurements, &b.Succeeded, &b.Retries, &b.Failures,
-		&b.SubmitErrors, &b.RateLimited, &b.Stalls, &b.Timeouts, &b.Offline,
-		&b.Quarantines, &b.SkippedQuarantined, &b.SkippedShed, &b.BudgetDenied,
-		&b.CreditsSpent,
-		&b.SrcClockUSec, &b.SrcConsecFails, &b.SrcQuarUntilUSec,
+// fields lists every BatchStats field in the journal's row order: the
+// tally, then the source's end state. An array, not a slice, so a row
+// record does not escape to the heap.
+func (b *BatchStats) fields() (f [tallyFields + 3]*int64) {
+	for i, p := range b.Tally.fields() {
+		f[i] = p
 	}
+	f[tallyFields], f[tallyFields+1], f[tallyFields+2] = &b.SrcClockUSec, &b.SrcConsecFails, &b.SrcQuarUntilUSec
+	return f
 }
 
 // NumFields is the BatchStats serialization width.
@@ -183,33 +187,41 @@ func (b *BatchStats) Encode(dst []int64) []int64 {
 	return dst
 }
 
-// DecodeFields fills the stats from values in serialization order. Extra
-// values are ignored (forward compatibility); missing ones stay zero.
+// DecodeFields fills the stats from values in serialization order. vals
+// must hold exactly NumFields values: a row of another width was written
+// under another tally layout, and its counts would land in the wrong
+// fields.
 func (b *BatchStats) DecodeFields(vals []int64) {
 	for i, f := range b.fields() {
-		if i >= len(vals) {
-			break
-		}
 		*f = vals[i]
 	}
 }
 
+// end folds one measurement's tally into the row record and stamps the
+// source's state after it; callers hold st.mu. A nil record keeps nothing.
+func (b *BatchStats) end(t *Tally, st *srcState) {
+	if b == nil {
+		return
+	}
+	b.Tally.add(t)
+	b.SrcClockUSec = st.clockUSec
+	b.SrcConsecFails = int64(st.consecFails)
+	b.SrcQuarUntilUSec = st.quarUntilUSc
+}
+
 // srcState is a source's private resilience state. Its clock is advanced
 // only by that source's own operations, keeping it deterministic under
-// parallel campaigns.
+// parallel campaigns. total is the source's share of the client's totals.
 type srcState struct {
 	mu           sync.Mutex
 	clockUSec    int64
 	consecFails  int
 	quarUntilUSc int64
+	total        Tally
 }
 
 // kRetrySalt namespaces retry measurement salts away from first attempts.
 var kRetrySalt = rhash.HashString("atlas/retry")
-
-// tracePacketEquiv is the pacing charge of one traceroute in packets
-// (~10 hops × 3 probes each, the Atlas default shape).
-const tracePacketEquiv = 30
 
 // NewClient wraps a platform with the resilience layer. A nil profile is
 // treated as faults.None().
@@ -217,32 +229,14 @@ func NewClient(p *Platform, prof *faults.Profile, cfg ClientConfig) *Client {
 	if prof == nil {
 		prof = faults.None()
 	}
-	c := &Client{
+	return &Client{
 		P:    p,
 		F:    prof,
 		Cfg:  cfg,
 		srcs: make(map[int]*srcState),
-		shed: make(map[int]bool),
+		backoffSec: p.Reg.Histogram("atlas.client.backoff_sec",
+			[]float64{1, 2, 5, 10, 30, 60, 120}),
 	}
-	reg := p.Reg
-	c.measurements = reg.Counter("atlas.client.measurements")
-	c.succeeded = reg.Counter("atlas.client.succeeded")
-	c.retries = reg.Counter("atlas.client.retries")
-	c.failures = reg.Counter("atlas.client.failures")
-	c.submitErrors = reg.Counter("atlas.client.submit_errors")
-	c.rateLimited = reg.Counter("atlas.client.rate_limited")
-	c.stalls = reg.Counter("atlas.client.stalls")
-	c.timeouts = reg.Counter("atlas.client.timeouts")
-	c.offline = reg.Counter("atlas.client.offline")
-	c.quarantines = reg.Counter("atlas.client.quarantines")
-	c.skippedQuar = reg.Counter("atlas.client.skipped_quarantined")
-	c.skippedShed = reg.Counter("atlas.client.skipped_shed")
-	c.budgetDenied = reg.Counter("atlas.client.budget_denied")
-	c.creditsSpent = reg.Counter("atlas.client.credits_spent")
-	c.canceled = reg.Counter("atlas.client.canceled")
-	c.backoffSec = reg.Histogram("atlas.client.backoff_sec",
-		[]float64{1, 2, 5, 10, 30, 60, 120})
-	return c
 }
 
 // PingOutcome is the result of one resilient ping.
@@ -252,14 +246,6 @@ type PingOutcome struct {
 	Attempts int
 	// Err explains the failure when OK is false; nil on success.
 	Err error
-}
-
-// TraceOutcome is the result of one resilient traceroute.
-type TraceOutcome struct {
-	Trace    netsim.Trace
-	OK       bool
-	Attempts int
-	Err      error
 }
 
 func (c *Client) state(srcID int) *srcState {
@@ -273,12 +259,6 @@ func (c *Client) state(srcID int) *srcState {
 	return st
 }
 
-func (c *Client) isShed(srcID int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shed[srcID]
-}
-
 // advance moves a source's clock forward; callers hold st.mu.
 func (st *srcState) advance(sec float64) {
 	st.clockUSec += int64(sec * 1e6)
@@ -286,61 +266,15 @@ func (st *srcState) advance(sec float64) {
 
 func (st *srcState) nowSec() float64 { return float64(st.clockUSec) / 1e6 }
 
-// admit performs the pre-flight checks shared by ping and traceroute;
-// callers hold st.mu. A non-nil error means the measurement must not run.
-func (c *Client) admit(st *srcState, srcID int, cost int64, rec *BatchStats) error {
-	if c.isShed(srcID) {
-		c.skippedShed.Add(1)
-		if rec != nil {
-			rec.SkippedShed++
-		}
-		return ErrShed
-	}
-	if st.clockUSec < st.quarUntilUSc {
-		c.skippedQuar.Add(1)
-		if rec != nil {
-			rec.SkippedQuarantined++
-		}
-		tick := c.Cfg.QuarantineTickSec
-		if tick <= 0 {
-			tick = 1
-		}
-		st.advance(tick)
-		return ErrQuarantined
-	}
-	if c.Cfg.CreditBudget > 0 && c.creditsSpent.Value()+cost > c.Cfg.CreditBudget {
-		c.budgetDenied.Add(1)
-		if rec != nil {
-			rec.BudgetDenied++
-		}
-		return ErrBudgetExhausted
-	}
-	return nil
-}
-
 // noteFailure records a probe-side failure against the circuit breaker;
 // callers hold st.mu.
-func (c *Client) noteFailure(st *srcState, rec *BatchStats) {
+func (c *Client) noteFailure(st *srcState, t *Tally) {
 	st.consecFails++
 	if c.Cfg.BreakerThreshold > 0 && st.consecFails >= c.Cfg.BreakerThreshold {
 		st.quarUntilUSc = st.clockUSec + int64(c.Cfg.QuarantineSec*1e6)
 		st.consecFails = 0
-		c.quarantines.Add(1)
-		if rec != nil {
-			rec.Quarantines++
-		}
+		t.Quarantines++
 	}
-}
-
-// finishSrc snapshots the source's resilience state into the recorder;
-// callers hold st.mu. Absolute values: the last batch of a source wins.
-func finishSrc(rec *BatchStats, st *srcState) {
-	if rec == nil {
-		return
-	}
-	rec.SrcClockUSec = st.clockUSec
-	rec.SrcConsecFails = int64(st.consecFails)
-	rec.SrcQuarUntilUSec = st.quarUntilUSc
 }
 
 // backoff waits out retry attempt `attempt` (1-based) on the source
@@ -390,22 +324,33 @@ func (c *Client) Ping(src, dst *world.Host, salt uint64) PingOutcome {
 
 // PingBatch is Ping with cancellation and batch accounting: the context is
 // checked between attempts (retries, backoff waits and circuit-breaker
-// probes abandon the measurement with ErrCanceled once it is canceled),
-// and when rec is non-nil every counter bump and the source's final
-// resilience state are mirrored into it for checkpoint journaling.
+// probes abandon the measurement with ErrCanceled once it is canceled).
+// The measurement counts into one Tally, which is added once to the
+// client's totals and, when rec is non-nil, to rec together with the
+// source's final resilience state for checkpoint journaling.
 func (c *Client) PingBatch(ctx context.Context, src, dst *world.Host, salt uint64, rec *BatchStats) PingOutcome {
-	c.measurements.Add(1)
-	if rec != nil {
-		rec.Measurements++
-	}
+	var t Tally
 	st := c.state(src.ID)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	defer finishSrc(rec, st)
+	out := c.ping(ctx, st, src, dst, salt, &t)
+	st.total.add(&t)
+	rec.end(&t, st)
+	return out
+}
 
-	pingCost := int64(c.P.Sim.Cfg.PingPackets) * CreditsPerPingPacket
-	if err := c.admit(st, src.ID, pingCost, rec); err != nil {
-		return PingOutcome{Err: err}
+// ping runs the attempts of one measurement, counting into t; callers
+// hold st.mu.
+func (c *Client) ping(ctx context.Context, st *srcState, src, dst *world.Host, salt uint64, t *Tally) PingOutcome {
+	t.Measurements++
+	if st.clockUSec < st.quarUntilUSc {
+		t.SkippedQuarantined++
+		tick := c.Cfg.QuarantineTickSec
+		if tick <= 0 {
+			tick = 1
+		}
+		st.advance(tick)
+		return PingOutcome{Err: ErrQuarantined}
 	}
 	pacing := float64(c.P.Sim.Cfg.PingPackets) / c.P.ProbePPS(src)
 
@@ -415,329 +360,107 @@ func (c *Client) PingBatch(ctx context.Context, src, dst *world.Host, salt uint6
 	attempts := 0
 	for attempt := 0; attempt < c.maxAttempts(); attempt++ {
 		if ctx.Err() != nil {
-			c.canceled.Add(1)
+			t.Canceled++
 			return PingOutcome{Attempts: attempts, Err: ErrCanceled}
 		}
 		if attempt > 0 {
-			c.retries.Add(1)
-			if rec != nil {
-				rec.Retries++
-			}
+			t.Retries++
 			c.backoff(st, src, dst, salt, attempt, lastErr == ErrRateLimited)
 		}
 		attempts++
 
 		switch c.F.Submit(seed, srcA, dstA, salt, attempt) {
 		case faults.SubmitError:
-			c.submitErrors.Add(1)
-			if rec != nil {
-				rec.SubmitErrors++
-			}
+			t.SubmitErrors++
 			lastErr = ErrSubmitFailed
 			continue
 		case faults.SubmitRateLimited:
-			c.rateLimited.Add(1)
-			if rec != nil {
-				rec.RateLimited++
-			}
+			t.RateLimited++
 			lastErr = ErrRateLimited
 			continue
 		}
 		if stall := c.F.StallSec(seed, srcA, dstA, salt, attempt); stall > 0 {
-			c.stalls.Add(1)
-			if rec != nil {
-				rec.Stalls++
-			}
+			t.Stalls++
 			st.advance(stall)
 		}
 		if c.F.HostDown(seed, srcA, st.nowSec()) {
-			c.offline.Add(1)
-			if rec != nil {
-				rec.Offline++
-			}
+			t.Offline++
 			lastErr = ErrOffline
-			c.noteFailure(st, rec)
+			c.noteFailure(st, t)
 			continue
 		}
 		if c.F.HostDown(seed, dstA, st.nowSec()) {
-			c.offline.Add(1)
-			if rec != nil {
-				rec.Offline++
-			}
+			t.Offline++
 			lastErr = ErrOffline
 			continue
 		}
 
 		st.advance(pacing)
 		rtt, ok := c.P.Ping(src, dst, attemptSalt(salt, attempt))
-		c.creditsSpent.Add(pingCost)
-		if rec != nil {
-			rec.Pings++
-			rec.Credits += pingCost
-			rec.CreditsSpent += pingCost
-		}
+		t.Pings++
 		if !ok {
 			lastErr = ErrUnresponsive
 			continue
 		}
 		if c.Cfg.TimeoutMs > 0 && rtt > c.Cfg.TimeoutMs {
-			c.timeouts.Add(1)
-			if rec != nil {
-				rec.Timeouts++
-			}
+			t.Timeouts++
 			lastErr = ErrTimeout
-			c.noteFailure(st, rec)
+			c.noteFailure(st, t)
 			continue
 		}
 		st.consecFails = 0
-		c.succeeded.Add(1)
-		if rec != nil {
-			rec.Succeeded++
-		}
+		t.Succeeded++
 		return PingOutcome{RTTMs: rtt, OK: true, Attempts: attempts}
 	}
-	c.failures.Add(1)
-	if rec != nil {
-		rec.Failures++
-	}
+	t.Failures++
 	return PingOutcome{Attempts: attempts, Err: lastErr}
 }
 
-// Traceroute runs one resilient traceroute from src to dst. A truncated
-// trace counts as a failure and is retried; the last (possibly partial)
-// trace is returned either way so callers can salvage surviving hops.
-func (c *Client) Traceroute(src, dst *world.Host, salt uint64) TraceOutcome {
-	return c.TracerouteBatch(context.Background(), src, dst, salt, nil)
-}
-
-// TracerouteBatch is Traceroute with cancellation between attempts and
-// batch accounting (see PingBatch).
-func (c *Client) TracerouteBatch(ctx context.Context, src, dst *world.Host, salt uint64, rec *BatchStats) TraceOutcome {
-	c.measurements.Add(1)
-	if rec != nil {
-		rec.Measurements++
-	}
-	st := c.state(src.ID)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	defer finishSrc(rec, st)
-
-	if err := c.admit(st, src.ID, CreditsPerTraceroute, rec); err != nil {
-		return TraceOutcome{Err: err}
-	}
-	pacing := float64(tracePacketEquiv) / c.P.ProbePPS(src)
-
-	seed := c.P.W.Cfg.Seed
-	srcA, dstA := uint64(src.Addr), uint64(dst.Addr)
-	var last netsim.Trace
-	var lastErr error
-	attempts := 0
-	for attempt := 0; attempt < c.maxAttempts(); attempt++ {
-		if ctx.Err() != nil {
-			c.canceled.Add(1)
-			return TraceOutcome{Trace: last, Attempts: attempts, Err: ErrCanceled}
-		}
-		if attempt > 0 {
-			c.retries.Add(1)
-			if rec != nil {
-				rec.Retries++
-			}
-			c.backoff(st, src, dst, salt, attempt, lastErr == ErrRateLimited)
-		}
-		attempts++
-
-		switch c.F.Submit(seed, srcA, dstA, salt, attempt) {
-		case faults.SubmitError:
-			c.submitErrors.Add(1)
-			if rec != nil {
-				rec.SubmitErrors++
-			}
-			lastErr = ErrSubmitFailed
-			continue
-		case faults.SubmitRateLimited:
-			c.rateLimited.Add(1)
-			if rec != nil {
-				rec.RateLimited++
-			}
-			lastErr = ErrRateLimited
-			continue
-		}
-		if stall := c.F.StallSec(seed, srcA, dstA, salt, attempt); stall > 0 {
-			c.stalls.Add(1)
-			if rec != nil {
-				rec.Stalls++
-			}
-			st.advance(stall)
-		}
-		if c.F.HostDown(seed, srcA, st.nowSec()) {
-			c.offline.Add(1)
-			if rec != nil {
-				rec.Offline++
-			}
-			lastErr = ErrOffline
-			c.noteFailure(st, rec)
-			continue
-		}
-
-		st.advance(pacing)
-		tr := c.P.Traceroute(src, dst, attemptSalt(salt, attempt))
-		c.creditsSpent.Add(CreditsPerTraceroute)
-		if rec != nil {
-			rec.Traceroutes++
-			rec.Credits += CreditsPerTraceroute
-			rec.CreditsSpent += CreditsPerTraceroute
-		}
-		last = tr
-		if tr.Truncated || (!tr.DstResponded && c.F.Enabled()) {
-			lastErr = ErrUnresponsive
-			continue
-		}
-		st.consecFails = 0
-		c.succeeded.Add(1)
-		if rec != nil {
-			rec.Succeeded++
-		}
-		return TraceOutcome{Trace: tr, OK: true, Attempts: attempts}
-	}
-	c.failures.Add(1)
-	if rec != nil {
-		rec.Failures++
-	}
-	return TraceOutcome{Trace: last, Attempts: attempts, Err: lastErr}
-}
-
-// RestoreBatch replays the accounting of one journaled batch into the
-// client after a resume: the resilience counters are re-added and the
-// batch source's state (simulated clock, breaker count, quarantine
-// deadline) is fast-forwarded to its journaled end state. Combined with
-// live measurement of the remaining batches this reproduces an
-// uninterrupted run's ClientStats exactly.
+// RestoreBatch replays one journaled batch into the client after a
+// resume: its tally is added to the client's totals by the same Tally.add
+// a live measurement uses, and the batch source's state (simulated clock,
+// breaker count, quarantine deadline) is fast-forwarded to its journaled
+// end state. Combined with live measurement of the remaining batches this
+// reproduces an uninterrupted run's ClientStats exactly.
 func (c *Client) RestoreBatch(srcID int, b *BatchStats) {
-	c.measurements.Add(b.Measurements)
-	c.succeeded.Add(b.Succeeded)
-	c.retries.Add(b.Retries)
-	c.failures.Add(b.Failures)
-	c.submitErrors.Add(b.SubmitErrors)
-	c.rateLimited.Add(b.RateLimited)
-	c.stalls.Add(b.Stalls)
-	c.timeouts.Add(b.Timeouts)
-	c.offline.Add(b.Offline)
-	c.quarantines.Add(b.Quarantines)
-	c.skippedQuar.Add(b.SkippedQuarantined)
-	c.skippedShed.Add(b.SkippedShed)
-	c.budgetDenied.Add(b.BudgetDenied)
-	c.creditsSpent.Add(b.CreditsSpent)
-
 	st := c.state(srcID)
 	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.total.add(&b.Tally)
 	st.clockUSec = b.SrcClockUSec
 	st.consecFails = int(b.SrcConsecFails)
 	st.quarUntilUSc = b.SrcQuarUntilUSec
-	st.mu.Unlock()
 }
 
-// EnforceBudget plans a campaign of costPerSrc credits per source into
-// the client's credit budget: sources are kept in the given order (most
-// valuable first) while the cumulative planned cost fits; the tail — the
-// lowest-value sources — is shed. Shed sources' measurements return
-// ErrShed without spending anything, degrading coverage gracefully
-// instead of aborting the campaign mid-flight. With no budget configured
-// every source is kept.
-func (c *Client) EnforceBudget(srcsByValueDesc []int, costPerSrc int64) (kept, shed []int) {
-	if c.Cfg.CreditBudget <= 0 || costPerSrc <= 0 {
-		return srcsByValueDesc, nil
-	}
-	remaining := c.Cfg.CreditBudget - c.creditsSpent.Value()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var planned int64
-	for _, id := range srcsByValueDesc {
-		if planned+costPerSrc <= remaining {
-			planned += costPerSrc
-			kept = append(kept, id)
-		} else {
-			c.shed[id] = true
-			shed = append(shed, id)
-		}
-	}
-	return kept, shed
-}
-
-// Available reports whether a source can currently measure: not shed and
-// not quarantined. VP selection uses it to pick replacements for probes
-// the breaker has taken out.
-func (c *Client) Available(srcID int) bool {
-	if c.isShed(srcID) {
-		return false
-	}
-	c.mu.Lock()
-	st := c.srcs[srcID]
-	c.mu.Unlock()
-	if st == nil {
-		return true
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.clockUSec >= st.quarUntilUSc
-}
-
-// ClientStats is a snapshot of the resilience counters.
+// ClientStats is a snapshot of the client's totals.
 type ClientStats struct {
-	// Measurements counts requested measurements (before retries);
-	// Succeeded those that returned a usable result.
-	Measurements, Succeeded int64
-	// Retries counts extra attempts; Failures measurements that exhausted
-	// every attempt.
-	Retries, Failures int64
-	// Failure-mode breakdown.
-	SubmitErrors, RateLimited, Stalls, Timeouts, Offline int64
-	// Quarantines counts circuit-breaker trips; SkippedQuarantined and
-	// SkippedShed count measurements refused locally.
-	Quarantines, SkippedQuarantined, SkippedShed, BudgetDenied int64
-	// Canceled counts measurements abandoned by context cancellation.
-	Canceled int64
-	// ShedSources is how many sources budget enforcement shed.
-	ShedSources int64
-	// CreditsSpent is the credits this client charged to the platform.
+	Tally
+	// CreditsSpent is the credits this client charged to the platform:
+	// its pings at the platform's per-ping cost.
 	CreditsSpent int64
 	// CampaignSec is the slowest source clock: the simulated wall-clock
 	// duration of the campaign so far, retries and backoff included.
 	CampaignSec float64
 }
 
-// Stats snapshots the client counters. CampaignSec is exact only when no
-// measurement is in flight.
+// Stats sums the client's totals over its sources. It is exact only when
+// no measurement is in flight.
 func (c *Client) Stats() ClientStats {
-	s := ClientStats{
-		Measurements:       c.measurements.Value(),
-		Succeeded:          c.succeeded.Value(),
-		Retries:            c.retries.Value(),
-		Failures:           c.failures.Value(),
-		SubmitErrors:       c.submitErrors.Value(),
-		RateLimited:        c.rateLimited.Value(),
-		Stalls:             c.stalls.Value(),
-		Timeouts:           c.timeouts.Value(),
-		Offline:            c.offline.Value(),
-		Quarantines:        c.quarantines.Value(),
-		SkippedQuarantined: c.skippedQuar.Value(),
-		SkippedShed:        c.skippedShed.Value(),
-		BudgetDenied:       c.budgetDenied.Value(),
-		Canceled:           c.canceled.Value(),
-		CreditsSpent:       c.creditsSpent.Value(),
-	}
 	c.mu.Lock()
-	s.ShedSources = int64(len(c.shed))
 	states := make([]*srcState, 0, len(c.srcs))
 	for _, st := range c.srcs {
 		states = append(states, st)
 	}
 	c.mu.Unlock()
+	var s ClientStats
 	for _, st := range states {
 		st.mu.Lock()
+		s.Tally.add(&st.total)
 		if sec := st.nowSec(); sec > s.CampaignSec {
 			s.CampaignSec = sec
 		}
 		st.mu.Unlock()
 	}
+	s.CreditsSpent = s.Pings * c.P.pingCost()
 	return s
 }

@@ -67,14 +67,6 @@ type Coverage struct {
 	Used, Requested int
 }
 
-// Frac is Used/Requested, 0 for an empty request.
-func (c Coverage) Frac() float64 {
-	if c.Requested == 0 {
-		return 0
-	}
-	return float64(c.Used) / float64(c.Requested)
-}
-
 // LocateWithCoverage runs CBG and additionally reports how many of the
 // supplied measurements were usable: the estimate intersects only the
 // constraints it actually got, and the caller learns how partial the

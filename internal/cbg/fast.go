@@ -76,6 +76,9 @@ func (m *Matrix) Seal() {
 	})
 }
 
+// Sealed reports whether Seal has run.
+func (m *Matrix) Sealed() bool { return m.cols != nil }
+
 // VPTrig returns the precomputed trigonometry of a vantage point
 // (computed on the fly when the matrix is unsealed).
 func (m *Matrix) VPTrig(vp int) geo.Trig {
@@ -247,14 +250,6 @@ func (m *Matrix) ShortestPingSubset(target int, subset []int) (geo.Point, bool) 
 // the lowest RTT to the target, ascending by RTT. Fewer than k are returned
 // when the target has fewer responsive VPs.
 func (m *Matrix) ClosestVPs(target, k int) []int {
-	return m.ClosestVPsFiltered(target, k, nil)
-}
-
-// ClosestVPsFiltered is ClosestVPs restricted to vantage points the keep
-// predicate accepts (nil keeps all). Campaigns under fault injection use
-// it to re-select replacements when chosen VPs are offline: skipping a
-// dead VP automatically backfills with the next-closest live one.
-func (m *Matrix) ClosestVPsFiltered(target, k int, keep func(vp int) bool) []int {
 	if k <= 0 {
 		return []int{}
 	}
@@ -272,9 +267,6 @@ func (m *Matrix) ClosestVPsFiltered(target, k int, keep func(vp int) bool) []int
 		for vp := range m.RTT {
 			rtt := m.rtt(col, vp, target)
 			if isUnresponsive(rtt) {
-				continue
-			}
-			if keep != nil && !keep(vp) {
 				continue
 			}
 			all = append(all, cand{vp: vp, rtt: rtt})
@@ -296,9 +288,6 @@ func (m *Matrix) ClosestVPsFiltered(target, k int, keep func(vp int) bool) []int
 	for vp := range m.RTT {
 		rtt := m.rtt(col, vp, target)
 		if isUnresponsive(rtt) {
-			continue
-		}
-		if keep != nil && !keep(vp) {
 			continue
 		}
 		pos := len(best)

@@ -18,7 +18,6 @@ import (
 	"geoloc/internal/geo"
 	"geoloc/internal/hitlist"
 	"geoloc/internal/netsim"
-	"geoloc/internal/par"
 	"geoloc/internal/sanitize"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
@@ -30,8 +29,8 @@ type Campaign struct {
 	Sim      *netsim.Sim
 	Platform *atlas.Platform
 	// Client, when non-nil, routes the bulk ping campaigns through the
-	// resilient measurement client (retries, circuit breaker, budget
-	// shedding) instead of the raw platform. Fault-injection campaigns set
+	// resilient measurement client (retries, backoff, circuit breaker)
+	// instead of the raw platform. Fault-injection campaigns set
 	// it; fault-free campaigns leave it nil and keep the raw path.
 	Client  *atlas.Client
 	Hitlist *hitlist.Hitlist
@@ -183,61 +182,57 @@ func (c *Campaign) BuildMatrices() {
 	c.BuildRepMatrix()
 }
 
+// BuildTargetMatrix fills and seals TargetRTT. It is Run's target phase
+// with no journal, watchdog or cancellation; a sealed matrix is not
+// measured again.
+func (c *Campaign) BuildTargetMatrix() { c.build(rowMatrixTargets) }
+
+// BuildRepMatrix fills and seals RepRTT: for each (VP, target) it pings the
+// target's three representatives and records the median of the responsive
+// RTTs. Like BuildTargetMatrix, it measures a sealed matrix only once.
+func (c *Campaign) BuildRepMatrix() { c.build(rowMatrixReps) }
+
 // ping issues one campaign ping through the resilient client when one is
-// attached, through the raw platform otherwise. The two paths are
-// bit-identical when the client's fault profile is disabled. The context
-// cancels between attempts (client path only — raw platform pings are a
-// single synchronous simulator call); a non-nil rec accumulates the batch
-// accounting the checkpoint journal persists with each row.
+// attached, through the raw platform otherwise, and counts it into the
+// row's record. The two paths are bit-identical when the client's fault
+// profile is disabled. The context cancels between attempts (client path
+// only — raw platform pings are a single synchronous simulator call).
 func (c *Campaign) ping(ctx context.Context, src, dst *world.Host, salt uint64, rec *atlas.BatchStats) (float64, bool) {
 	if c.Client != nil {
 		out := c.Client.PingBatch(ctx, src, dst, salt, rec)
 		return out.RTTMs, out.OK
 	}
-	rtt, ok := c.Platform.Ping(src, dst, salt)
-	if rec != nil {
-		rec.Pings++
-		rec.Credits += int64(c.Sim.Cfg.PingPackets) * atlas.CreditsPerPingPacket
-	}
-	return rtt, ok
+	rec.Pings++
+	return c.Platform.Ping(src, dst, salt)
 }
 
-// measureTargetRow fills row vp of the target matrix: one batch, one
-// source. deadlineSec is the watchdog's absolute simulated-clock ceiling
-// for the phase (0 disables); when the row's own source clock crosses it
-// the row stops where it is — the remaining cells stay Unresponsive, which
-// every downstream consumer (CBG included) already treats as a hole — and
-// the row reports itself stalled. The check reads the source clock from
-// rec (maintained by the client after every measurement), so it is a pure
+// measureRow fills row vp of a phase's matrix: one batch, one source. With
+// reps nil it is the target phase (one ping per target); otherwise the
+// representatives phase (the median of the responsive /24-representative
+// RTTs per target).
+//
+// deadlineSec is the watchdog's absolute simulated-clock ceiling for the
+// phase (0 disables); when the row's own source clock crosses it the row
+// stops where it is — the remaining cells stay Unresponsive, which every
+// downstream consumer (CBG included) already treats as a hole — and the
+// row reports itself stalled. The check reads the source clock from rec
+// (maintained by the client after every measurement), so it is a pure
 // function of the row's own deterministic operation sequence: bit-identical
 // regardless of scheduling, unlike a wall-clock watchdog.
-func (c *Campaign) measureTargetRow(ctx context.Context, m *cbg.Matrix, vp int, rec *atlas.BatchStats, deadlineSec float64) (stalled bool) {
+func (c *Campaign) measureRow(ctx context.Context, m *cbg.Matrix, vp int, reps [][]*world.Host, rec *atlas.BatchStats, deadlineSec float64) (stalled bool) {
 	src := c.VPs[vp]
+	var rtts [3]float64
 	for t, dst := range c.Targets {
-		if deadlineSec > 0 && rec != nil && float64(rec.SrcClockUSec) > deadlineSec*1e6 {
+		if deadlineSec > 0 && float64(rec.SrcClockUSec) > deadlineSec*1e6 {
 			return true
 		}
 		if src.ID == dst.ID {
 			continue // a target is never its own vantage point
 		}
-		if rtt, ok := c.ping(ctx, src, dst, saltTargetPing, rec); ok {
-			m.RTT[vp][t] = float32(rtt)
-		}
-	}
-	return false
-}
-
-// measureRepRow fills row vp of the representatives matrix (median of the
-// responsive /24-representative RTTs per target); semantics as
-// measureTargetRow.
-func (c *Campaign) measureRepRow(ctx context.Context, m *cbg.Matrix, vp int, reps [][]*world.Host, rec *atlas.BatchStats, deadlineSec float64) (stalled bool) {
-	src := c.VPs[vp]
-	var rtts [3]float64
-	for t := range c.Targets {
-		if deadlineSec > 0 && rec != nil && float64(rec.SrcClockUSec) > deadlineSec*1e6 {
-			return true
-		}
-		if src.ID == c.Targets[t].ID {
+		if reps == nil {
+			if rtt, ok := c.ping(ctx, src, dst, saltTargetPing, rec); ok {
+				m.RTT[vp][t] = float32(rtt)
+			}
 			continue
 		}
 		n := 0
@@ -247,10 +242,9 @@ func (c *Campaign) measureRepRow(ctx context.Context, m *cbg.Matrix, vp int, rep
 				n++
 			}
 		}
-		if n == 0 {
-			continue
+		if n > 0 {
+			m.RTT[vp][t] = float32(median3(rtts[:n]))
 		}
-		m.RTT[vp][t] = float32(median3(rtts[:n]))
 	}
 	return false
 }
@@ -268,46 +262,6 @@ func (c *Campaign) repHosts() [][]*world.Host {
 	}
 	return reps
 }
-
-// BuildTargetMatrix fills TargetRTT (idempotent).
-func (c *Campaign) BuildTargetMatrix() {
-	if c.TargetRTT != nil {
-		return
-	}
-	defer telemetry.Default().StartSpan("phase." + PhaseTargets).End()
-	locs := vpLocations(c.VPs)
-	m := cbg.NewMatrix(locs, len(c.Targets))
-	ctx := context.Background()
-	c.parallelRows(func(vp int) {
-		c.measureTargetRow(ctx, m, vp, nil, 0)
-	})
-	m.Seal()
-	c.TargetRTT = m
-}
-
-// BuildRepMatrix fills RepRTT (idempotent): for each (VP, target) it pings
-// the target's three representatives and records the median of the
-// responsive RTTs.
-func (c *Campaign) BuildRepMatrix() {
-	if c.RepRTT != nil {
-		return
-	}
-	defer telemetry.Default().StartSpan("phase." + PhaseReps).End()
-	locs := vpLocations(c.VPs)
-	m := cbg.NewMatrix(locs, len(c.Targets))
-	reps := c.repHosts()
-	ctx := context.Background()
-	c.parallelRows(func(vp int) {
-		c.measureRepRow(ctx, m, vp, reps, nil, 0)
-	})
-	m.Seal()
-	c.RepRTT = m
-}
-
-// parallelRows runs f over every VP row using all CPUs. Rows write into
-// disjoint matrix rows and jitter is keyed by (src, dst, salt), so the
-// matrices are bit-identical for any worker count.
-func (c *Campaign) parallelRows(f func(vp int)) { par.For(len(c.VPs), f) }
 
 func vpLocations(vps []*world.Host) []geo.Point {
 	locs := make([]geo.Point, len(vps))

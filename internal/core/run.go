@@ -4,12 +4,12 @@
 // the process is killed and resumed in between (DESIGN.md §3.3).
 //
 // The unit of recovery is one matrix row — one vantage point's batch
-// against every target. Rows are measured exactly as BuildMatrices
-// measures them (one goroutine per source, all randomness keyed by
+// against every target. BuildMatrices and Run share one row driver,
+// runPhase (one goroutine per source, all randomness keyed by
 // (seed, src, dst, salt)), and each completed row is appended to the
-// journal together with its BatchStats: the platform usage it caused,
-// every resilience counter it bumped, and the source's final simulated
-// clock, breaker count and quarantine deadline. A resumed run replays the
+// journal together with its BatchStats: the tally of its measurements and
+// the source's final simulated clock, breaker count and quarantine
+// deadline. A resumed run replays the
 // journaled rows into the matrices and the accounting, fast-forwards each
 // journaled source's state, and live-measures only the missing rows — so
 // the resumed process's matrices AND platform/client stats match an
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -31,6 +30,7 @@ import (
 	"geoloc/internal/atlas"
 	"geoloc/internal/cbg"
 	"geoloc/internal/checkpoint"
+	"geoloc/internal/par"
 	"geoloc/internal/rhash"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
@@ -162,29 +162,22 @@ var metRestored = telemetry.Default().Counter("core.run.rows_restored")
 // the hard one (abandon rows). Errors from journal validation wrap the
 // named checkpoint errors; callers decide whether to delete and restart.
 func (c *Campaign) Run(ctx context.Context, rc RunConfig) (*RunResult, error) {
-	res := &RunResult{}
-	hard := rc.Hard
-	if hard == nil {
-		hard = context.Background()
+	r := &phaseRun{soft: ctx, hard: rc.Hard, rc: rc, res: &RunResult{}}
+	res := r.res
+	if r.hard == nil {
+		r.hard = context.Background()
 	}
 	if rc.Watchdog != nil && rc.Watchdog.WallTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rc.Watchdog.WallTimeout)
+		r.soft, cancel = context.WithTimeout(ctx, rc.Watchdog.WallTimeout)
 		defer cancel()
 	}
-
-	locs := vpLocations(c.VPs)
-	if c.TargetRTT == nil {
-		c.TargetRTT = cbg.NewMatrix(locs, len(c.Targets))
-	}
-	if c.RepRTT == nil {
-		c.RepRTT = cbg.NewMatrix(locs, len(c.Targets))
+	// Both matrices exist from the start: an interrupted run still has
+	// two (partial) matrices for its caller to digest.
+	for tag := range phaseNames {
+		c.matrix(byte(tag))
 	}
 
-	var j *checkpoint.Journal
-	restoredT := make(map[int]bool)
-	restoredR := make(map[int]bool)
-	phaseDigests := make(map[string][sha256.Size]byte)
 	if rc.JournalPath != "" {
 		hdr := checkpoint.Header{
 			ConfigHash: c.ConfigHash(),
@@ -194,38 +187,40 @@ func (c *Campaign) Run(ctx context.Context, rc RunConfig) (*RunResult, error) {
 		var recs []checkpoint.Record
 		var err error
 		if rc.Resume {
-			j, recs, err = checkpoint.Open(rc.JournalPath, hdr)
+			r.j, recs, err = checkpoint.Open(rc.JournalPath, hdr)
 		} else {
-			j, err = checkpoint.Create(rc.JournalPath, hdr)
+			r.j, err = checkpoint.Create(rc.JournalPath, hdr)
 		}
 		if err != nil {
 			return nil, err
 		}
-		res.Journal = j
-		for _, r := range recs {
-			switch r.Kind {
+		res.Journal = r.j
+		r.restored = [2]map[int]bool{{}, {}}
+		r.digests = make(map[string][sha256.Size]byte)
+		for _, rec := range recs {
+			switch rec.Kind {
 			case checkpoint.KindRow:
-				if err := c.restoreRow(r.Payload, restoredT, restoredR, res); err != nil {
-					j.Close()
-					return nil, err
-				}
+				err = c.restoreRow(rec.Payload, r)
 			case checkpoint.KindPhase:
-				name, digest, err := decodePhase(r.Payload)
-				if err != nil {
-					j.Close()
-					return nil, err
+				var name string
+				var digest [sha256.Size]byte
+				if name, digest, err = decodePhase(rec.Payload); err == nil {
+					r.digests[name] = digest
 				}
-				phaseDigests[name] = digest
 			default:
-				res.Extra = append(res.Extra, r)
+				res.Extra = append(res.Extra, rec)
+			}
+			if err != nil {
+				r.j.Close()
+				return nil, err
 			}
 		}
-		res.Resumed = res.RestoredRows > 0 || len(res.Extra) > 0 || len(phaseDigests) > 0
+		res.Resumed = res.RestoredRows > 0 || len(res.Extra) > 0 || len(r.digests) > 0
 		metRestored.Add(int64(res.RestoredRows))
 	}
 
-	prog := newProgressMeter(rc, 2*len(c.VPs), j)
-	if prog != nil && res.RestoredRows > 0 {
+	r.prog = newProgressMeter(rc, 2*len(c.VPs), r.j)
+	if r.prog != nil && res.RestoredRows > 0 {
 		// Restored rows already advanced the client's simulated clocks;
 		// count them done and emit one record so a resumed run starts
 		// its reporting from the right place.
@@ -233,146 +228,154 @@ func (c *Campaign) Run(ctx context.Context, rc RunConfig) (*RunResult, error) {
 		if c.Client != nil {
 			clk = int64(c.Client.Stats().CampaignSec * 1e6)
 		}
-		prog.restored(res.RestoredRows, clk)
+		r.prog.restored(res.RestoredRows, clk)
 	}
 
-	err := c.runPhase(ctx, hard, PhaseTargets, rowMatrixTargets, c.TargetRTT,
-		restoredT, rc, j, res, phaseDigests, prog,
-		func(hctx context.Context, vp int, rec *atlas.BatchStats, deadline float64) bool {
-			return c.measureTargetRow(hctx, c.TargetRTT, vp, rec, deadline)
-		})
-	if err == nil && !res.Interrupted {
-		reps := c.repHosts()
-		err = c.runPhase(ctx, hard, PhaseReps, rowMatrixReps, c.RepRTT,
-			restoredR, rc, j, res, phaseDigests, prog,
-			func(hctx context.Context, vp int, rec *atlas.BatchStats, deadline float64) bool {
-				return c.measureRepRow(hctx, c.RepRTT, vp, reps, rec, deadline)
-			})
+	var err error
+	for tag := range phaseNames {
+		if err = c.runPhase(r, byte(tag)); err != nil || res.Interrupted {
+			break
+		}
 	}
-	if j != nil {
-		if serr := j.Sync(); err == nil {
+	if r.j != nil {
+		if serr := r.j.Sync(); err == nil {
 			err = serr
 		}
 	}
 	if err != nil {
-		if j != nil {
-			j.Close()
+		if r.j != nil {
+			r.j.Close()
 			res.Journal = nil
 		}
 		return nil, err
 	}
-	if !res.Interrupted {
-		// Both matrices are final: freeze them for the analysis phases. An
-		// interrupted run leaves them unsealed — the resuming run fills the
-		// remaining rows and seals.
-		c.TargetRTT.Seal()
-		c.RepRTT.Seal()
-	}
 	return res, nil
 }
 
-// runPhase measures every not-yet-restored row of one matrix, journaling
-// each completed row, and seals the phase with a digest record once all
-// rows are present.
-func (c *Campaign) runPhase(
-	ctx, hard context.Context,
-	name string, matrix byte, m *cbg.Matrix,
-	restored map[int]bool,
-	rc RunConfig, j *checkpoint.Journal, res *RunResult,
-	phaseDigests map[string][sha256.Size]byte,
-	prog *progressMeter,
-	measure func(ctx context.Context, vp int, rec *atlas.BatchStats, deadline float64) bool,
-) error {
-	defer telemetry.Default().StartSpan("phase." + name).End()
-	deadline := rc.Watchdog.deadline(name)
+// phaseRun is the state one Run threads through its phases. BuildMatrices
+// runs a phase with the zero journal, nothing restored and no progress
+// meter.
+type phaseRun struct {
+	soft, hard context.Context
+	rc         RunConfig
+	j          *checkpoint.Journal
+	res        *RunResult
+	restored   [2]map[int]bool // by row tag, then vp
+	digests    map[string][sha256.Size]byte
+	prog       *progressMeter
+}
 
-	var mu sync.Mutex // guards res, firstErr, and callback serialization
+// phaseNames names the phases in run order, indexed by row tag.
+var phaseNames = [2]string{rowMatrixTargets: PhaseTargets, rowMatrixReps: PhaseReps}
+
+// build runs one phase with no journal, watchdog or cancellation: a phase
+// with nothing to append to and nothing to cancel it cannot fail or be
+// interrupted.
+func (c *Campaign) build(tag byte) {
+	bg := context.Background()
+	c.runPhase(&phaseRun{soft: bg, hard: bg, res: &RunResult{}}, tag)
+}
+
+// matrix returns the tagged phase's matrix, allocating it on first use.
+func (c *Campaign) matrix(tag byte) *cbg.Matrix {
+	slot := &c.TargetRTT
+	if tag == rowMatrixReps {
+		slot = &c.RepRTT
+	}
+	if *slot == nil {
+		*slot = cbg.NewMatrix(vpLocations(c.VPs), len(c.Targets))
+	}
+	return *slot
+}
+
+// runPhase measures every row of one matrix that the journal did not
+// restore, one row per par.For item, journaling each completed row, and
+// seals the matrix once every row is present. With a journal the finished
+// phase is also sealed by a digest record — or, when the journal already
+// holds one, must reproduce it. A sealed matrix is not measured again.
+func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
+	m := c.matrix(tag)
+	if m.Sealed() {
+		return nil
+	}
+	name := phaseNames[tag]
+	defer telemetry.Default().StartSpan("phase." + name).End()
+	deadline := r.rc.Watchdog.deadline(name)
+	var reps [][]*world.Host
+	if tag == rowMatrixReps {
+		reps = c.repHosts()
+	}
+
+	var mu sync.Mutex // guards r.res, firstErr, and callback serialization
 	var firstErr error
-	var wg sync.WaitGroup
-	workers := phaseWorkers(len(c.VPs))
-	next := make(chan int, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for vp := range next {
-				rec := &atlas.BatchStats{}
-				stalled := measure(hard, vp, rec, deadline)
-				if hard.Err() != nil {
-					// Hard-canceled mid-row: the row is incomplete and its
-					// accounting is not that of a finished batch. Never
-					// journal it; the resumed run re-measures it from
-					// scratch, deterministically.
-					mu.Lock()
-					res.Interrupted = true
-					mu.Unlock()
-					continue
-				}
-				mu.Lock()
-				res.MeasuredRows++
-				if stalled {
-					res.StalledRows++
-					if rc.Watchdog != nil && rc.Watchdog.OnStall != nil {
-						rc.Watchdog.OnStall(name, vp, c.VPs[vp].ID)
-					}
-				}
-				mu.Unlock()
-				prog.row(name, rec.SrcClockUSec)
-				if j != nil {
-					payload := encodeRow(matrix, vp, m.RTT[vp], stalled, rec)
-					err := j.AppendEvery(checkpoint.KindRow, payload, rc.SyncEveryRows)
-					mu.Lock()
-					if err != nil && firstErr == nil {
-						firstErr = err
-					}
-					if err == nil && rc.OnRowJournaled != nil {
-						rc.OnRowJournaled(name, vp)
-					}
-					mu.Unlock()
-				}
+	interrupted := func() {
+		mu.Lock()
+		r.res.Interrupted = true
+		mu.Unlock()
+	}
+	par.For(len(c.VPs), func(vp int) {
+		if r.restored[tag][vp] {
+			return
+		}
+		if r.soft.Err() != nil || r.hard.Err() != nil {
+			interrupted()
+			return
+		}
+		var rec atlas.BatchStats
+		stalled := c.measureRow(r.hard, m, vp, reps, &rec, deadline)
+		if r.hard.Err() != nil {
+			// Hard-canceled mid-row: the row is incomplete and its
+			// accounting is not that of a finished batch. Never journal
+			// it; the resumed run re-measures it from scratch,
+			// deterministically.
+			interrupted()
+			return
+		}
+		r.prog.row(name, rec.SrcClockUSec)
+		var err error
+		if r.j != nil {
+			err = r.j.AppendEvery(checkpoint.KindRow, encodeRow(tag, vp, m.RTT[vp], stalled, &rec), r.rc.SyncEveryRows)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		r.res.MeasuredRows++
+		if stalled {
+			r.res.StalledRows++
+			if r.rc.Watchdog != nil && r.rc.Watchdog.OnStall != nil {
+				r.rc.Watchdog.OnStall(name, vp, c.VPs[vp].ID)
 			}
-		}()
-	}
-	for vp := range c.VPs {
-		if restored[vp] {
-			continue
 		}
-		if ctx.Err() != nil || hard.Err() != nil {
-			// Workers also set Interrupted (under mu) while still draining
-			// the channel, so this write needs the same lock.
-			mu.Lock()
-			res.Interrupted = true
-			mu.Unlock()
-			break
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		next <- vp
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
+		if err == nil && r.j != nil && r.rc.OnRowJournaled != nil {
+			r.rc.OnRowJournaled(name, vp)
+		}
+	})
+	if firstErr != nil || r.res.Interrupted {
 		return firstErr
 	}
-	if res.Interrupted {
-		return nil
-	}
 
-	digest := MatrixDigest(m)
-	if want, ok := phaseDigests[name]; ok {
-		// The journal sealed this phase in a previous run; the restored
-		// (plus re-measured) matrix must reproduce it exactly.
-		if digest != want {
-			return fmt.Errorf(
-				"%w: phase %s digest %x does not reproduce journaled %x",
-				checkpoint.ErrMismatch, name, digest[:8], want[:8])
-		}
-		return nil
-	}
-	if j != nil {
-		if err := j.Append(checkpoint.KindPhase, encodePhase(name, digest)); err != nil {
+	if r.j != nil {
+		digest := MatrixDigest(m)
+		if want, ok := r.digests[name]; ok {
+			// The journal sealed this phase in a previous run; the restored
+			// (plus re-measured) matrix must reproduce it exactly.
+			if digest != want {
+				return fmt.Errorf(
+					"%w: phase %s digest %x does not reproduce journaled %x",
+					checkpoint.ErrMismatch, name, digest[:8], want[:8])
+			}
+		} else if err := r.j.Append(checkpoint.KindPhase, encodePhase(name, digest)); err != nil {
+			return err
+		} else if err := r.j.Sync(); err != nil {
 			return err
 		}
-		return j.Sync()
 	}
+	// The matrix is final: freeze it for the analysis phases. An
+	// interrupted phase stays unsealed — the resuming run fills the
+	// remaining rows and seals.
+	m.Seal()
 	return nil
 }
 
@@ -459,54 +462,36 @@ func (p *progressMeter) emitLocked(phase string) {
 	p.lg.Info("progress", attrs...)
 }
 
-// phaseWorkers mirrors parallelRows' worker-count policy.
-func phaseWorkers(rows int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > rows {
-		w = rows
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // restoreRow replays one journaled row: matrix cells, platform usage,
-// client resilience counters, and the source's final state. Geometry that
-// does not fit the campaign is an ErrMismatch — the header hash should
-// have caught it, so reaching here means the journal lies about itself.
-func (c *Campaign) restoreRow(payload []byte, restoredT, restoredR map[int]bool, res *RunResult) error {
-	matrix, vp, cells, stalled, stats, err := decodeRow(payload)
+// the client's tally, and the source's final state. A row that does not
+// fit the campaign — its geometry, or a tally of another layout — is an
+// ErrMismatch: the header hash should have caught it, so reaching here
+// means the journal lies about itself.
+func (c *Campaign) restoreRow(payload []byte, r *phaseRun) error {
+	tag, vp, cells, stalled, stats, err := decodeRow(payload)
 	if err != nil {
 		return err
 	}
-	var m *cbg.Matrix
-	var restored map[int]bool
-	switch matrix {
-	case rowMatrixTargets:
-		m, restored = c.TargetRTT, restoredT
-	case rowMatrixReps:
-		m, restored = c.RepRTT, restoredR
-	default:
-		return fmt.Errorf("%w: row record for unknown matrix %d", checkpoint.ErrMismatch, matrix)
+	if int(tag) >= len(phaseNames) {
+		return fmt.Errorf("%w: row record for unknown matrix %d", checkpoint.ErrMismatch, tag)
 	}
 	if vp < 0 || vp >= len(c.VPs) || len(cells) != len(c.Targets) {
 		return fmt.Errorf(
 			"%w: journaled row (vp=%d, %d cells) does not fit campaign (%d VPs × %d targets)",
 			checkpoint.ErrMismatch, vp, len(cells), len(c.VPs), len(c.Targets))
 	}
-	if restored[vp] {
+	if r.restored[tag][vp] {
 		return nil // duplicate record: first wins
 	}
-	restored[vp] = true
-	copy(m.RTT[vp], cells)
-	c.Platform.RestoreStats(stats.Pings, stats.Traceroutes, stats.Credits)
+	r.restored[tag][vp] = true
+	copy(c.matrix(tag).RTT[vp], cells)
+	c.Platform.RestoreStats(&stats)
 	if c.Client != nil {
 		c.Client.RestoreBatch(c.VPs[vp].ID, &stats)
 	}
-	res.RestoredRows++
+	r.res.RestoredRows++
 	if stalled {
-		res.StalledRows++
+		r.res.StalledRows++
 	}
 	return nil
 }
@@ -536,7 +521,9 @@ func encodeRow(matrix byte, vp int, cells []float32, stalled bool, rec *atlas.Ba
 
 // decodeRow parses a row record. Malformed payloads (that nonetheless
 // passed the CRC, i.e. written by a different or broken encoder) are
-// rejected wrapping checkpoint.ErrCorrupt.
+// rejected wrapping checkpoint.ErrCorrupt; a well-formed row whose tally
+// is not NumFields wide was written under another layout and is rejected
+// wrapping checkpoint.ErrMismatch.
 func decodeRow(payload []byte) (matrix byte, vp int, cells []float32, stalled bool, stats atlas.BatchStats, err error) {
 	bad := func(what string) error {
 		return fmt.Errorf("%w: row record %s", checkpoint.ErrCorrupt, what)
@@ -563,6 +550,11 @@ func decodeRow(payload []byte) (matrix byte, vp int, cells []float32, stalled bo
 	off += 2
 	if len(payload) < off+8*nf {
 		err = bad("stats fields overrun payload")
+		return
+	}
+	if nf != stats.NumFields() {
+		err = fmt.Errorf("%w: row tally has %d fields, this build writes %d",
+			checkpoint.ErrMismatch, nf, stats.NumFields())
 		return
 	}
 	vals := make([]int64, nf)

@@ -498,14 +498,10 @@ type batchRequest struct {
 	IPs []string `json:"ips"`
 }
 
-// batchResponse is the /batch output document: one result per input, in
-// input order; per-item failures (bad IP, no record, injected fault) are
-// reported in place so one bad address cannot fail the whole batch.
-type batchResponse struct {
-	Results []LookupResult `json:"results"`
-}
-
-// handleBatch serves POST /batch {"ips": ["1.2.3.4", ...]}. The whole
+// handleBatch serves POST /batch {"ips": ["1.2.3.4", ...]} with
+// {"results": [...]}: one result per input, in input order; per-item
+// failures (bad IP, no record, injected fault) are reported in place so one
+// bad address cannot fail the whole batch. The whole
 // batch resolves against one artifact snapshot, so a hot-swap mid-batch
 // cannot mix generations within one response. Each address is parsed where
 // it lies in the body and has the profile's faults applied, in input order;

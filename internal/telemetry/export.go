@@ -46,8 +46,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures every metric and span, sorted by name (spans by start
-// time). Counter values are read under the consistency lock, so grouped
-// updates are never observed half-done.
+// time).
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	counters := make([]*Counter, 0, len(r.counters))
@@ -65,11 +64,9 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Unlock()
 
 	var s Snapshot
-	r.ReadConsistent(func() {
-		for _, c := range counters {
-			s.Counters = append(s.Counters, CounterValue{Name: c.name, Value: c.Value()})
-		}
-	})
+	for _, c := range counters {
+		s.Counters = append(s.Counters, CounterValue{Name: c.name, Value: c.Value()})
+	}
 	for _, g := range gauges {
 		s.Gauges = append(s.Gauges, GaugeValue{Name: g.name, Value: g.Value()})
 	}
@@ -148,13 +145,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON dumps the registry snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(r.Snapshot())
 }
 
 // expvarOnce guards the process-global expvar names (Publish panics on

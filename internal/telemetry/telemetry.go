@@ -13,9 +13,9 @@
 //     experiments) instrument against it.
 //
 //   - Per-campaign registries (telemetry.New) are always enabled and back
-//     accounting that must work unconditionally: the atlas platform and
-//     client fold their usage counters into one, and their Stats structs
-//     are compatibility views over it.
+//     accounting that must work unconditionally: the atlas platform's
+//     ping and traceroute counts live in one, and Platform.Stats derives
+//     its credits from them.
 //
 // Instrumentation must never perturb results: telemetry only observes.
 // Counters incremented from parallel campaign workers reach deterministic
@@ -41,11 +41,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	// snapMu is the consistency domain of Grouped/ReadConsistent: grouped
-	// updates run under the read side, snapshots under the write side, so
-	// a snapshot never observes half of a multi-counter update.
-	snapMu sync.RWMutex
 
 	// epoch anchors span timestamps (trace ts offsets are relative to it).
 	epoch time.Time
@@ -133,37 +128,10 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Grouped runs f (a multi-counter update) under the registry's snapshot
-// read lock: ReadConsistent never observes a torn update. The update
-// itself always runs — gating on enablement is the counters' job.
-func (r *Registry) Grouped(f func()) {
-	if r == nil {
-		f()
-		return
-	}
-	r.snapMu.RLock()
-	f()
-	r.snapMu.RUnlock()
-}
-
-// ReadConsistent runs f under the snapshot write lock, excluding every
-// concurrent Grouped update: multi-counter reads inside f are consistent
-// (no measurement half-counted).
-func (r *Registry) ReadConsistent(f func()) {
-	if r == nil {
-		f()
-		return
-	}
-	r.snapMu.Lock()
-	f()
-	r.snapMu.Unlock()
-}
-
 // Reset zeroes every metric and drops recorded spans. Handles stay valid.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.snapMu.Lock()
 	for _, c := range r.counters {
 		c.v.Store(0)
 	}
@@ -173,13 +141,12 @@ func (r *Registry) Reset() {
 	for _, h := range r.hists {
 		h.reset()
 	}
-	r.snapMu.Unlock()
 	r.spanMu.Lock()
 	r.spans = nil
 	r.spanMu.Unlock()
 }
 
-// Counter is a monotonically increasing (resettable) integer metric.
+// Counter is a monotonically increasing integer metric.
 type Counter struct {
 	on   *atomic.Bool
 	name string
@@ -204,14 +171,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Reset zeroes the counter regardless of enablement (accounting views
-// such as atlas.Platform.ResetStats need it).
-func (c *Counter) Reset() {
-	if c != nil {
-		c.v.Store(0)
-	}
 }
 
 // Name returns the counter's registered name.

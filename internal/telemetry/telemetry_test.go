@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -85,42 +84,6 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Sum() != 24.5 {
 		t.Fatalf("sum = %v", h.Sum())
 	}
-}
-
-func TestGroupedReadConsistent(t *testing.T) {
-	// The atlas invariant: two counters updated in one Grouped call must
-	// never be observed half-done by ReadConsistent.
-	r := New()
-	a, b := r.Counter("a"), r.Counter("b")
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				r.Grouped(func() {
-					a.Add(1)
-					b.Add(2)
-				})
-			}
-		}()
-	}
-	for i := 0; i < 200; i++ {
-		r.ReadConsistent(func() {
-			av, bv := a.Value(), b.Value()
-			if bv != 2*av {
-				t.Errorf("torn snapshot: a=%d b=%d", av, bv)
-			}
-		})
-	}
-	close(stop)
-	wg.Wait()
 }
 
 func TestReset(t *testing.T) {

@@ -43,17 +43,6 @@ func OriginalSelect(repRTT *cbg.Matrix, target, k int) []int {
 	return repRTT.ClosestVPs(target, k)
 }
 
-// SelectWithReplacement is OriginalSelect under platform faults: vantage
-// points the alive predicate rejects (offline, quarantined by the
-// measurement client's circuit breaker, or shed by budget enforcement)
-// are skipped and replaced by the next-closest alive VPs, so the
-// selection degrades to farther vantage points instead of shrinking. A
-// nil predicate selects exactly like OriginalSelect.
-func SelectWithReplacement(repRTT *cbg.Matrix, target, k int, alive func(vp int) bool) []int {
-	meters.selects.Inc()
-	return repRTT.ClosestVPsFiltered(target, k, alive)
-}
-
 // OriginalOverheadPings returns the measurement cost of running the
 // original algorithm over an entire target set: every VP pings all three
 // representatives of every target, plus the selected VPs ping the target.
