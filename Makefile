@@ -223,8 +223,11 @@ scale-smoke:
 # http.ReadResponse (FuzzUpstreamResponse; its seeds run to 25 KB, so
 # minimizing a find is capped at 1 s instead of eating the smoke run). The
 # request edge: /lookup query reading (FuzzQueryIP) and the X-Request-Id /
-# traceparent adoption that reaches logs and headers (FuzzRequestID).
-# Their seed corpora also run as plain tests in `make test`.
+# traceparent adoption that reaches logs and headers (FuzzRequestID). The
+# scrape edge: /metrics documents read by geobench and the benchmark, and
+# every legal metric name rendered by telemetry and read back
+# (FuzzParseExposition). Their seed corpora also run as plain tests in
+# `make test`.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecoder -fuzztime 10s -run '^$$' ./internal/checkpoint
 	$(GO) test -fuzz FuzzDataset2Decoder -fuzztime 20s -run '^$$' ./internal/dataset
@@ -234,5 +237,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzUpstreamResponse -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/router
 	$(GO) test -fuzz FuzzQueryIP -fuzztime 10s -run '^$$' ./internal/serve
 	$(GO) test -fuzz FuzzRequestID -fuzztime 10s -run '^$$' ./internal/obs
+	$(GO) test -fuzz FuzzParseExposition -fuzztime 10s -run '^$$' ./internal/obs
 
 ci: vet build race

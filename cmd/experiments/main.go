@@ -5,7 +5,7 @@
 //
 //	experiments [-scale paper] [-run fig5a] [-trials 100] [-out results]
 //	            [-faults none] [-checkpoint-dir dir] [-resume] [-digest file]
-//	            [-q] [-metrics] [-metrics-json m.json] [-trace t.json] [-pprof :6060]
+//	            [-q] [-metrics] [-trace t.json] [-pprof :6060]
 //
 // With -checkpoint-dir the bulk ping campaigns journal every completed
 // batch (and every finished experiment report) to dir/campaign.ckpt; a

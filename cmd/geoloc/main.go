@@ -5,7 +5,7 @@
 //
 //	geoloc [-scale tiny|medium|paper] [-technique cbg|shortest|vpsel|street]
 //	       [-k 10] [-targets 0,1,2 | -all] [-showtrace]
-//	       [-metrics] [-metrics-json m.json] [-trace t.json] [-pprof :6060]
+//	       [-metrics] [-trace t.json] [-pprof :6060]
 package main
 
 import (

@@ -213,8 +213,8 @@ func run(o options) error {
 	}
 
 	// The serving config both modes share. Router-mode replicas carry no
-	// admin token — fleet control goes through the router, not individual
-	// replicas — and get their metrics label from the fleet.
+	// admin token: fleet control goes through the router, not individual
+	// replicas.
 	cfg := serve.Config{
 		Prof:           prof,
 		MaxBatch:       o.maxBatch,
@@ -239,7 +239,6 @@ func run(o options) error {
 	}
 
 	cfg.AdminToken = o.adminToken
-	cfg.MetricsLabel = "geoserve"
 	srv := serve.New(cfg, o.reg)
 	var err error
 	if ds != nil {

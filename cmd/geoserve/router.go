@@ -43,7 +43,6 @@ func runRouter(o options, cfg serve.Config, ds *dataset.Dataset) error {
 		Prof:            cfg.Prof,
 		AdminToken:      o.adminToken,
 		Controller:      fleet,
-		MetricsLabel:    "georouter",
 	}, o.reg)
 	if err != nil {
 		return err

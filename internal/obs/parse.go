@@ -1,11 +1,18 @@
-// A strict parser for the Prometheus text exposition format — the
-// promtool-check-metrics half of the observability plane. It is used
-// three ways: the exposition lint test runs it over WritePrometheus
-// output (the writer and the linter keep each other honest), geobench
-// runs it over live /metrics scrapes to enforce the accounting
-// invariant, and any malformed document is a hard error rather than a
-// warning, because a scraper that silently drops samples is how
-// accounting bugs hide.
+// Package obs is the observability plane over internal/telemetry: it
+// turns the write-only metric registries into things an operator (or a
+// test harness) can consume — a strict parser/linter for the Prometheus
+// text the registries render, request-scoped identity for tracing and
+// access logs, the per-status response ledger both serving tiers count
+// in, and a multi-window SLO burn-rate engine that serving layers can
+// feed back into admission control (DESIGN.md §3.7).
+//
+// The parser below is the promtool-check-metrics half of the plane. It
+// is used three ways: the exposition lint tests run it over
+// Registry.WritePrometheus output (the writer and the linter keep each
+// other honest), geobench runs it over live /metrics scrapes to enforce
+// the accounting invariant, and any malformed document is a hard error
+// rather than a warning, because a scraper that silently drops samples
+// is how accounting bugs hide.
 package obs
 
 import (
@@ -85,7 +92,8 @@ func (sc *Scrape) Value(name string, want map[string]string) (float64, error) {
 // bucket, per label set.
 func ParseExposition(r io.Reader) (*Scrape, error) {
 	sc := &Scrape{Types: make(map[string]string)}
-	seen := make(map[string]bool) // duplicate-sample detection
+	seen := make(map[string]bool)    // duplicate-sample detection
+	sampled := make(map[string]bool) // sample names so far, for TYPE order
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
@@ -96,7 +104,7 @@ func ParseExposition(r io.Reader) (*Scrape, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			if err := parseComment(sc, line, lineNo); err != nil {
+			if err := parseComment(sc, sampled, line, lineNo); err != nil {
 				return nil, err
 			}
 			continue
@@ -110,6 +118,7 @@ func ParseExposition(r io.Reader) (*Scrape, error) {
 			return nil, fmt.Errorf("line %d: duplicate sample %s", lineNo, key)
 		}
 		seen[key] = true
+		sampled[s.Name] = true
 		sc.Samples = append(sc.Samples, s)
 	}
 	if err := scanner.Err(); err != nil {
@@ -125,8 +134,8 @@ func ParseExposition(r io.Reader) (*Scrape, error) {
 }
 
 // parseComment handles # lines: TYPE and HELP are validated, anything
-// else is a free comment.
-func parseComment(sc *Scrape, line string, lineNo int) error {
+// else is a free comment. sampled holds the sample names seen so far.
+func parseComment(sc *Scrape, sampled map[string]bool, line string, lineNo int) error {
 	fields := strings.SplitN(line, " ", 4)
 	if len(fields) < 2 {
 		return nil // bare "#" comment
@@ -148,11 +157,9 @@ func parseComment(sc *Scrape, line string, lineNo int) error {
 		if _, dup := sc.Types[name]; dup {
 			return fmt.Errorf("line %d: duplicate TYPE for %s", lineNo, name)
 		}
-		for _, s := range sc.Samples {
-			if s.Name == name || (typ == "histogram" &&
-				(s.Name == name+"_bucket" || s.Name == name+"_sum" || s.Name == name+"_count")) {
-				return fmt.Errorf("line %d: TYPE for %s appears after its samples", lineNo, name)
-			}
+		if sampled[name] || (typ == "histogram" &&
+			(sampled[name+"_bucket"] || sampled[name+"_sum"] || sampled[name+"_count"])) {
+			return fmt.Errorf("line %d: TYPE for %s appears after its samples", lineNo, name)
 		}
 		sc.Types[name] = typ
 	case "HELP":

@@ -2,19 +2,18 @@ package obs
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
 	"geoloc/internal/telemetry"
 )
 
-// render writes the registries and immediately re-parses the output with
+// render writes the registry and immediately re-parses the output with
 // the strict linter — every exposition test doubles as a lint test.
-func render(t *testing.T, regs ...LabeledRegistry) (*Scrape, string) {
+func render(t *testing.T, r *telemetry.Registry) (*Scrape, string) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, regs...); err != nil {
+	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	sc, err := ParseExposition(bytes.NewReader(buf.Bytes()))
@@ -30,7 +29,7 @@ func TestWritePrometheusBasics(t *testing.T) {
 	r.Gauge("geoserve.queue_depth").Set(7.5)
 	r.Histogram("geoserve.latency_ms", []float64{1, 5, 25}).Observe(3)
 
-	sc, text := render(t, LabeledRegistry{Reg: r})
+	sc, text := render(t, r)
 	if v, err := sc.Value("geoserve_hits_total", nil); err != nil || v != 42 {
 		t.Errorf("counter: %v %v\n%s", v, err, text)
 	}
@@ -62,7 +61,7 @@ func TestWritePrometheusBasics(t *testing.T) {
 func TestWritePrometheusEmptyHistogram(t *testing.T) {
 	r := telemetry.New()
 	r.Histogram("empty.hist", []float64{0.5, 1})
-	sc, _ := render(t, LabeledRegistry{Reg: r})
+	sc, _ := render(t, r)
 	if v, err := sc.Value("empty_hist_bucket", map[string]string{"le": "+Inf"}); err != nil || v != 0 {
 		t.Errorf("+Inf bucket: %v %v", v, err)
 	}
@@ -81,7 +80,7 @@ func TestWritePrometheusLabeledNames(t *testing.T) {
 	r.Counter("geoserve.status{code=200,plane=data}").Add(10)
 	r.Counter("geoserve.status{code=429,plane=data}").Add(3)
 	r.Counter("geoserve.status{code=200,plane=control}").Add(2)
-	sc, text := render(t, LabeledRegistry{Reg: r})
+	sc, text := render(t, r)
 	if got := len(sc.Find("geoserve_status_total", nil)); got != 3 {
 		t.Fatalf("family has %d samples, want 3:\n%s", got, text)
 	}
@@ -101,9 +100,8 @@ func TestWritePrometheusEscaping(t *testing.T) {
 	r.Counter(`weird metric-name.with/slashes`).Add(1)
 	r.Counter(`labeled{path=/lookup,msg=say "hi"\now}`).Add(5)
 	r.Gauge(`0leading.digit`).Set(1)
-	sc, text := render(t, LabeledRegistry{Label: "pipe line", Reg: r})
-	if _, err := sc.Value("weird_metric_name_with_slashes_total",
-		map[string]string{"registry": "pipe line"}); err != nil {
+	sc, text := render(t, r)
+	if _, err := sc.Value("weird_metric_name_with_slashes_total", nil); err != nil {
 		t.Errorf("sanitized counter missing: %v\n%s", err, text)
 	}
 	v, err := sc.Value("labeled_total", map[string]string{
@@ -111,26 +109,38 @@ func TestWritePrometheusEscaping(t *testing.T) {
 	if err != nil || v != 5 {
 		t.Errorf("escaped label round-trip: %v %v\n%s", v, err, text)
 	}
-	if _, err := sc.Value("_0leading_digit", map[string]string{"registry": "pipe line"}); err != nil {
+	if _, err := sc.Value("_0leading_digit", nil); err != nil {
 		t.Errorf("leading digit not sanitized: %v\n%s", err, text)
 	}
 }
 
-// TestWritePrometheusNameCollision: two telemetry names that sanitize to
-// the same family must not merge silently.
+// TestWritePrometheusNameCollision: every metric renders under one name,
+// so two telemetry names that sanitize to the same family are an error,
+// reported before a byte is written, never a silent merge or a renamed
+// twin.
 func TestWritePrometheusNameCollision(t *testing.T) {
-	r := telemetry.New()
-	r.Counter("a.b").Add(1)
-	r.Counter("a/b").Add(2)
-	sc, text := render(t, LabeledRegistry{Reg: r})
-	total := 0.0
-	for _, s := range sc.Samples {
-		if strings.HasPrefix(s.Name, "a_b_total") {
-			total += s.Value
+	for _, names := range [][2]string{{"a.b", "a/b"}, {"a.b", "a.b_total"}} {
+		r := telemetry.New()
+		r.Counter(names[0]).Add(1)
+		r.Counter(names[1]).Add(2)
+		var buf bytes.Buffer
+		err := r.WritePrometheus(&buf)
+		if err == nil || !strings.Contains(err.Error(), names[0]) || !strings.Contains(err.Error(), names[1]) {
+			t.Errorf("%q + %q: err = %v, want a collision naming both", names[0], names[1], err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%q + %q: wrote %d bytes before failing", names[0], names[1], buf.Len())
 		}
 	}
-	if total != 3 {
-		t.Errorf("collision lost a counter (sum %v, want 3):\n%s", total, text)
+	r := telemetry.New()
+	r.Counter("x").Inc()
+	r.Gauge("x").Set(1)
+	if err := r.WritePrometheus(new(bytes.Buffer)); err != nil {
+		t.Errorf("counter x and gauge x render as x_total and x, got %v", err)
+	}
+	r.Gauge("x_total").Set(1)
+	if err := r.WritePrometheus(new(bytes.Buffer)); err == nil {
+		t.Error("counter x and gauge x_total share a family; want an error")
 	}
 }
 
@@ -142,7 +152,7 @@ func TestWritePrometheusCumulativeMonotonic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(float64(i%10) + 0.5)
 	}
-	sc, _ := render(t, LabeledRegistry{Reg: r})
+	sc, _ := render(t, r)
 	prev := -1.0
 	for _, le := range []string{"1", "2", "4", "8", "+Inf"} {
 		v, err := sc.Value("lat_bucket", map[string]string{"le": le})
@@ -156,34 +166,6 @@ func TestWritePrometheusCumulativeMonotonic(t *testing.T) {
 	}
 	if count, _ := sc.Value("lat_count", nil); count != prev || count != 100 {
 		t.Errorf("_count %v != +Inf bucket %v (want 100)", count, prev)
-	}
-}
-
-func TestWritePrometheusMultiRegistry(t *testing.T) {
-	a, b := telemetry.New(), telemetry.New()
-	a.Counter("shared.requests").Add(1)
-	b.Counter("shared.requests").Add(2)
-	sc, text := render(t,
-		LabeledRegistry{Label: "pipeline", Reg: a},
-		LabeledRegistry{Label: "campaign", Reg: b})
-	if v, err := sc.Value("shared_requests_total", map[string]string{"registry": "campaign"}); err != nil || v != 2 {
-		t.Errorf("campaign sample: %v %v\n%s", v, err, text)
-	}
-	if got := len(sc.Find("shared_requests_total", nil)); got != 2 {
-		t.Errorf("want 2 registry-labeled samples, got %d", got)
-	}
-}
-
-func TestFormatFloat(t *testing.T) {
-	cases := map[float64]string{
-		1:           "1",
-		0.25:        "0.25",
-		math.Inf(1): "+Inf",
-	}
-	for in, want := range cases {
-		if got := formatFloat(in); got != want {
-			t.Errorf("formatFloat(%v) = %q, want %q", in, got, want)
-		}
 	}
 }
 
@@ -240,4 +222,43 @@ h_count 2
 	if got != "say \"hi\"\n" {
 		t.Errorf("escape decoding: %q", got)
 	}
+}
+
+// FuzzParseExposition feeds the parser arbitrary documents, which it must
+// accept or refuse with an error and never panic on, and feeds the writer
+// every metric a producer may legally name (a free-text base, label values
+// free of the '{', '}', ',' and '=' that telemetry.Name reserves): the
+// writer must render it into a document the parser accepts, with the
+// counter's labels and value intact.
+func FuzzParseExposition(f *testing.F) {
+	f.Add([]byte("# TYPE m counter\nm{a=\"1\"} 2\n"), "geoserve.status", "200", "data", uint8(3))
+	f.Add([]byte("# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n"), "0lead weird/name", `say "hi"\`, "a\nb", uint8(0))
+	f.Add([]byte("m{l=\"x\" 1\n"), "x_total", "", " ", uint8(255))
+	f.Fuzz(func(t *testing.T, doc []byte, base, code, plane string, n uint8) {
+		if sc, err := ParseExposition(bytes.NewReader(doc)); err == nil && sc == nil {
+			t.Fatal("ParseExposition returned neither a scrape nor an error")
+		}
+		if base == "" || strings.ContainsAny(base+code+plane, "{},=") {
+			return
+		}
+		r := telemetry.New()
+		labels := []telemetry.Label{{Key: "code", Value: code}, {Key: "plane", Value: plane}}
+		r.Counter(telemetry.Name(base, labels...)).Add(int64(n))
+		r.Gauge(base + ".g").Set(float64(n) / 3)
+		r.Histogram(base+".h", []float64{1, 2 + float64(n)}).Observe(float64(n))
+		sc, text := render(t, r)
+		var counter string
+		for fam, typ := range sc.Types {
+			if typ == "counter" {
+				counter = fam
+			}
+		}
+		if len(sc.Types) != 3 || counter == "" {
+			t.Fatalf("want a counter, a gauge and a histogram family, got %v\n%s", sc.Types, text)
+		}
+		v, err := sc.Value(counter, map[string]string{"code": code, "plane": plane})
+		if err != nil || v != float64(n) {
+			t.Fatalf("counter %s = %v (%v), want %d\n%s", counter, v, err, n, text)
+		}
+	})
 }

@@ -66,21 +66,14 @@ func NewFileFleet(n int, path string, cfg serve.Config) (*LocalFleet, error) {
 }
 
 // newFleet starts n replicas, each published to by publish. Every replica
-// gets a private registry and an instance label ("replica-i") so scraping
-// any member stays unambiguous.
+// gets a private registry, read through its own /metrics.
 func newFleet(n int, cfg serve.Config, publish func(*serve.Server) error) (*LocalFleet, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("router: fleet needs at least 1 replica, got %d", n)
 	}
 	f := &LocalFleet{}
 	for i := 0; i < n; i++ {
-		rcfg := cfg
-		if rcfg.MetricsLabel == "" {
-			rcfg.MetricsLabel = fmt.Sprintf("replica-%d", i)
-		} else {
-			rcfg.MetricsLabel = fmt.Sprintf("%s-replica-%d", cfg.MetricsLabel, i)
-		}
-		r := &localReplica{srv: serve.New(rcfg, telemetry.New())}
+		r := &localReplica{srv: serve.New(cfg, telemetry.New())}
 		f.replicas = append(f.replicas, r) // before any failure, so Close releases what was published
 		if err := publish(r.srv); err != nil {
 			f.Close()

@@ -85,9 +85,6 @@ type Config struct {
 
 	// Controller backs /admin/replica (nil → 501).
 	Controller FleetController
-
-	// MetricsLabel tags every metric on /metrics with instance="...".
-	MetricsLabel string
 }
 
 // withDefaults fills zero (or negative) fields.
@@ -472,8 +469,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		rt.reg.Gauge(telemetry.Name("georouter.replica.downs", rl)).Set(float64(downs))
 		rt.reg.Gauge(telemetry.Name("georouter.replica.readmits", rl)).Set(float64(readmits))
 	}
-	w.Header().Set("Content-Type", obs.ContentType)
-	if err := obs.WritePrometheus(w, obs.LabeledRegistry{Label: rt.cfg.MetricsLabel, Reg: rt.reg}); err != nil {
+	w.Header().Set("Content-Type", telemetry.ContentType)
+	if err := rt.reg.WritePrometheus(w); err != nil {
 		rt.writeErrs.Inc()
 	}
 }

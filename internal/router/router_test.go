@@ -649,7 +649,7 @@ func TestClientHangupScoresNothing(t *testing.T) {
 // ledger and per-replica health gauges render in Prometheus format.
 func TestRouterMetricsExposition(t *testing.T) {
 	f0, f1 := newFakeReplica(t, 0), newFakeReplica(t, 1)
-	_, ts, _ := newTestRouter(t, Config{MetricsLabel: "router-test"}, f0, f1)
+	_, ts, _ := newTestRouter(t, Config{}, f0, f1)
 
 	resp, err := http.Get(ts.URL + "/lookup?ip=" + addrInRange(2, 0))
 	if err != nil {

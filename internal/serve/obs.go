@@ -164,8 +164,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.publishSLOGauges()
-	w.Header().Set("Content-Type", obs.ContentType)
-	if err := obs.WritePrometheus(w, obs.LabeledRegistry{Label: s.cfg.MetricsLabel, Reg: s.statusReg}); err != nil {
+	w.Header().Set("Content-Type", telemetry.ContentType)
+	if err := s.statusReg.WritePrometheus(w); err != nil {
 		s.writeErrs.Inc()
 	}
 }

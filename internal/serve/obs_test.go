@@ -27,8 +27,8 @@ func scrapeMetrics(t *testing.T, base string) *obs.Scrape {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status = %d, want 200", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
-		t.Errorf("/metrics Content-Type = %q, want %q", ct, obs.ContentType)
+	if ct := resp.Header.Get("Content-Type"); ct != telemetry.ContentType {
+		t.Errorf("/metrics Content-Type = %q, want %q", ct, telemetry.ContentType)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -44,7 +44,7 @@ func scrapeMetrics(t *testing.T, base string) *obs.Scrape {
 // TestMetricsEndpoint: the ledger and serving counters come out as valid
 // Prometheus exposition with the embedded labels expanded.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := newPublished(Config{MetricsLabel: "geoserve"})
+	srv := newPublished(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -53,8 +53,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	sc := scrapeMetrics(t, ts.URL)
 
 	want := map[string]map[string]string{
-		"geoserve_status_total": {"code": "200", "plane": "data", "registry": "geoserve"},
-		"geoserve_hits_total":   {"registry": "geoserve"},
+		"geoserve_status_total": {"code": "200", "plane": "data"},
+		"geoserve_hits_total":   nil,
 	}
 	for name, labels := range want {
 		if v, err := sc.Value(name, labels); err != nil || v != 1 {

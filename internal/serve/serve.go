@@ -124,10 +124,6 @@ type Config struct {
 	// BurnThreshold is the fast-window burn rate above which the
 	// admission queue bound tightens (0 = SLO observes but never steers).
 	BurnThreshold float64
-
-	// MetricsLabel, when set, is attached to every /metrics sample as
-	// registry="<label>".
-	MetricsLabel string
 }
 
 // withDefaults resolves the zero-value conventions.

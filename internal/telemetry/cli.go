@@ -14,9 +14,9 @@ import (
 )
 
 // CLI wires the telemetry subsystem into a command line: it registers the
-// shared -metrics / -metrics-json / -trace / -pprof flags, enables the
-// global default registry when any of them is used, and dumps or serves
-// the attached registries. Usage:
+// shared -metrics / -trace / -pprof flags, enables the global default
+// registry when any of them is used, and dumps the attached registries.
+// Usage:
 //
 //	tele := telemetry.NewCLI()            // before flag.Parse
 //	flag.Parse()
@@ -27,15 +27,14 @@ import (
 // Finish must also be called explicitly before os.Exit paths (deferred
 // calls do not run through os.Exit).
 type CLI struct {
-	// Metrics dumps every attached registry as text to stderr on Finish.
+	// Metrics writes every attached registry to stderr on Finish, in the
+	// Prometheus text format GET /metrics serves, each under a
+	// "# registry: <label>" comment.
 	Metrics bool
-	// MetricsJSON, when non-empty, writes a JSON snapshot map to the file.
-	MetricsJSON string
 	// TraceOut, when non-empty, writes the recorded spans to the file in
 	// Chrome trace-event format (chrome://tracing, Perfetto).
 	TraceOut string
-	// PprofAddr, when non-empty, serves net/http/pprof and /debug/vars
-	// (including live registry snapshots) on the address.
+	// PprofAddr, when non-empty, serves net/http/pprof on the address.
 	PprofAddr string
 	// CPUProfile, when non-empty, records a CPU profile of the whole run
 	// (Start to Finish) into the file.
@@ -67,13 +66,11 @@ type labeledRegistry struct {
 func NewCLI() *CLI {
 	c := &CLI{}
 	flag.BoolVar(&c.Metrics, "metrics", false,
-		"dump telemetry metrics (counters, gauges, histograms, spans) to stderr on exit")
-	flag.StringVar(&c.MetricsJSON, "metrics-json", "",
-		"write a JSON telemetry snapshot to this file on exit")
+		"write telemetry metrics to stderr on exit, in Prometheus text format")
 	flag.StringVar(&c.TraceOut, "trace", "",
 		"write campaign-phase spans to this file in Chrome trace-event format")
 	flag.StringVar(&c.PprofAddr, "pprof", "",
-		"serve net/http/pprof and /debug/vars (with live telemetry) on this address, e.g. :6060")
+		"serve net/http/pprof on this address, e.g. :6060")
 	flag.StringVar(&c.CPUProfile, "cpuprofile", "",
 		"write a CPU profile of the run to this file (inspect with go tool pprof)")
 	flag.StringVar(&c.MemProfile, "memprofile", "",
@@ -136,11 +133,11 @@ func NewLogger(w io.Writer, format, level string) *slog.Logger {
 
 // Active reports whether any telemetry flag was used.
 func (c *CLI) Active() bool {
-	return c.Metrics || c.MetricsJSON != "" || c.TraceOut != "" || c.PprofAddr != "" ||
+	return c.Metrics || c.TraceOut != "" || c.PprofAddr != "" ||
 		c.CPUProfile != "" || c.MemProfile != ""
 }
 
-// Attach adds a registry to the dump/serve set under the given label.
+// Attach adds a registry to the dump set under the given label.
 func (c *CLI) Attach(label string, r *Registry) {
 	if r == nil {
 		return
@@ -151,16 +148,15 @@ func (c *CLI) Attach(label string, r *Registry) {
 }
 
 // Start acts on the parsed flags: it enables the global default registry
-// when any telemetry flag is set and starts the pprof/expvar server when
+// when any telemetry flag is set and starts the pprof server when
 // requested. Call it once, after flag.Parse.
 func (c *CLI) Start() {
 	if c.Active() {
 		Enable()
 	}
 	if c.PprofAddr != "" {
-		PublishExpvar(c.snapshotAll)
 		go func() {
-			// The default mux already carries net/http/pprof and expvar.
+			// The default mux already carries net/http/pprof.
 			if err := http.ListenAndServe(c.PprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "telemetry: pprof server: %v\n", err)
 			}
@@ -181,19 +177,8 @@ func (c *CLI) Start() {
 	}
 }
 
-func (c *CLI) snapshotAll() map[string]Snapshot {
-	c.mu.Lock()
-	regs := append([]labeledRegistry(nil), c.regs...)
-	c.mu.Unlock()
-	out := make(map[string]Snapshot, len(regs))
-	for _, lr := range regs {
-		out[lr.label] = lr.reg.Snapshot()
-	}
-	return out
-}
-
-// Finish produces the requested end-of-run artifacts: the -metrics text
-// dump, the -metrics-json snapshot, and the -trace Chrome trace file.
+// Finish produces the requested end-of-run artifacts: the profiles, the
+// -metrics dump and the -trace Chrome trace file.
 // Idempotent, so it is safe to both defer it and call it before os.Exit.
 func (c *CLI) Finish() error {
 	c.mu.Lock()
@@ -223,17 +208,10 @@ func (c *CLI) Finish() error {
 	}
 	if c.Metrics {
 		for _, lr := range regs {
-			fmt.Fprintf(os.Stderr, "== telemetry [%s]\n", lr.label)
-			if err := lr.reg.WriteText(os.Stderr); err != nil {
+			fmt.Fprintf(os.Stderr, "# registry: %s\n", lr.label)
+			if err := lr.reg.WritePrometheus(os.Stderr); err != nil {
 				return err
 			}
-		}
-	}
-	if c.MetricsJSON != "" {
-		if err := writeFileWith(c.MetricsJSON, func(w io.Writer) error {
-			return writeSnapshotMap(w, regs)
-		}); err != nil {
-			return fmt.Errorf("telemetry: metrics-json: %w", err)
 		}
 	}
 	if c.TraceOut != "" {
@@ -248,14 +226,6 @@ func (c *CLI) Finish() error {
 		}
 	}
 	return nil
-}
-
-func writeSnapshotMap(w io.Writer, regs []labeledRegistry) error {
-	out := make(map[string]Snapshot, len(regs))
-	for _, lr := range regs {
-		out[lr.label] = lr.reg.Snapshot()
-	}
-	return writeJSONIndent(w, out)
 }
 
 func writeFileWith(path string, fill func(io.Writer) error) error {

@@ -16,15 +16,15 @@ import (
 // flag.CommandLine and panic under `go test`).
 func TestCLIFinishIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	out := filepath.Join(dir, "metrics.json")
-	c := &CLI{MetricsJSON: out}
+	out := filepath.Join(dir, "trace.json")
+	c := &CLI{TraceOut: out}
 	c.Attach("test", New())
 
 	if err := c.Finish(); err != nil {
 		t.Fatalf("first Finish: %v", err)
 	}
 	if _, err := os.Stat(out); err != nil {
-		t.Fatalf("first Finish did not write the snapshot: %v", err)
+		t.Fatalf("first Finish did not write the trace: %v", err)
 	}
 
 	// Remove the artifact: a second Finish must be a no-op, not a
@@ -36,7 +36,7 @@ func TestCLIFinishIdempotent(t *testing.T) {
 		t.Fatalf("second Finish: %v", err)
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Fatal("second Finish re-produced the metrics artifact; Finish must be idempotent")
+		t.Fatal("second Finish re-produced the trace artifact; Finish must be idempotent")
 	}
 }
 
@@ -105,10 +105,10 @@ func TestCLILoggerCached(t *testing.T) {
 // first Finish errors (unwritable output), later calls stay no-ops so a
 // deferred Finish after an explicit one cannot double-report.
 func TestCLIFinishErrorStillMarksDone(t *testing.T) {
-	c := &CLI{MetricsJSON: filepath.Join(t.TempDir(), "no-such-dir", "metrics.json")}
+	c := &CLI{TraceOut: filepath.Join(t.TempDir(), "no-such-dir", "trace.json")}
 	c.Attach("test", New())
 	if err := c.Finish(); err == nil {
-		t.Fatal("Finish with unwritable -metrics-json should error")
+		t.Fatal("Finish with unwritable -trace should error")
 	}
 	if err := c.Finish(); err != nil {
 		t.Fatalf("second Finish should be a silent no-op, got %v", err)

@@ -19,18 +19,16 @@ var DefaultLatencyBoundsMs = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5
 // reporting value, never as accounting state.
 type Histogram struct {
 	on     *atomic.Bool
-	name   string
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits
 }
 
-func newHistogram(on *atomic.Bool, name string, bounds []float64) *Histogram {
+func newHistogram(on *atomic.Bool, bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	return &Histogram{
 		on:     on,
-		name:   name,
 		bounds: b,
 		counts: make([]atomic.Int64, len(b)+1),
 	}
@@ -71,9 +69,6 @@ func (h *Histogram) Sum() float64 {
 	}
 	return math.Float64frombits(h.sum.Load())
 }
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
 
 // Buckets returns the bucket upper bounds and their counts; the final
 // count (one longer than bounds) is the overflow bucket.

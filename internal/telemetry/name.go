@@ -1,7 +1,6 @@
 // Metric naming: the registry's flat string keys carry an optional
-// embedded label set, and every exporter (Prometheus text, expvar, the
-// aligned dumps) derives its own canonical form from one shared parser
-// instead of inventing a private escaping scheme.
+// embedded label set, which WritePrometheus splits off with ParseName and
+// renders as real labels.
 //
 // The convention: a metric name is `base` or `base{k=v,k2=v2}`. The base
 // is dot/slash-namespaced free text ("geoserve.status"); labels are
@@ -12,11 +11,7 @@
 // two metrics — so producers must format labels in one fixed order.
 package telemetry
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Label is one key=value pair embedded in a metric name.
 type Label struct {
@@ -70,81 +65,4 @@ func ParseName(name string) (base string, labels []Label) {
 		labels = append(labels, Label{Key: p[:eq], Value: p[eq+1:]})
 	}
 	return name[:open], labels
-}
-
-// CanonicalKey flattens a metric name into an identifier-safe key:
-// every run of characters outside [a-zA-Z0-9_] becomes one '_', and
-// label pairs are appended as _key_value segments. "geoserve.status
-// {code=200}" and "geoserve/status{code=200}" both canonicalize to
-// "geoserve_status_code_200" — canonicalization is deliberately lossy,
-// and CanonicalKeys resolves the resulting collisions deterministically.
-func CanonicalKey(name string) string {
-	base, labels := ParseName(name)
-	var b strings.Builder
-	writeCanonicalSegment(&b, base)
-	for _, l := range labels {
-		b.WriteByte('_')
-		writeCanonicalSegment(&b, l.Key)
-		b.WriteByte('_')
-		writeCanonicalSegment(&b, l.Value)
-	}
-	return b.String()
-}
-
-// writeCanonicalSegment appends s with every invalid run collapsed to
-// one '_' and leading/trailing separators trimmed.
-func writeCanonicalSegment(b *strings.Builder, s string) {
-	pendingSep := false
-	wrote := false
-	for _, r := range s {
-		ok := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9')
-		if !ok {
-			pendingSep = wrote
-			continue
-		}
-		if pendingSep {
-			b.WriteByte('_')
-			pendingSep = false
-		}
-		b.WriteRune(r)
-		wrote = true
-	}
-}
-
-// CanonicalKeys maps every input name to a unique canonical key.
-// Collisions — distinct names whose CanonicalKey agree, e.g. "a.b" and
-// "a/b" — are resolved deterministically: names are processed in sorted
-// order, the first keeps the plain key and every later one gets a
-// "_<hash>" suffix derived from its original spelling, so a given name
-// always lands on the same key regardless of registration order.
-func CanonicalKeys(names []string) map[string]string {
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	taken := make(map[string]bool, len(sorted))
-	out := make(map[string]string, len(sorted))
-	for _, name := range sorted {
-		if _, dup := out[name]; dup {
-			continue
-		}
-		key := CanonicalKey(name)
-		if key == "" {
-			key = "_"
-		}
-		if taken[key] {
-			key = fmt.Sprintf("%s_%08x", key, stringHash(name))
-		}
-		taken[key] = true
-		out[name] = key
-	}
-	return out
-}
-
-// stringHash is FNV-1a, inlined to keep the package dependency-free.
-func stringHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

@@ -39,73 +39,3 @@ func TestNameRoundTrip(t *testing.T) {
 		t.Fatalf("round trip broke: %q %v", base, labels)
 	}
 }
-
-func TestCanonicalKey(t *testing.T) {
-	cases := map[string]string{
-		"geoserve.status":           "geoserve_status",
-		"geoserve/status":           "geoserve_status",
-		"a..b":                      "a_b",
-		"core.run.rows_restored":    "core_run_rows_restored",
-		"geoserve.status{code=200}": "geoserve_status_code_200",
-		"x{k=v a l}":                "x_k_v_a_l",
-		".leading.and.trailing.":    "leading_and_trailing",
-	}
-	for in, want := range cases {
-		if got := CanonicalKey(in); got != want {
-			t.Errorf("CanonicalKey(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-// TestCanonicalKeysCollision is the regression test for ambiguous expvar
-// keys: names that differ only in separator characters must land on
-// distinct keys, assigned deterministically regardless of input order.
-func TestCanonicalKeysCollision(t *testing.T) {
-	names := []string{"a.b", "a/b", "a_b", "a.b.c"}
-	keys := CanonicalKeys(names)
-	if len(keys) != 4 {
-		t.Fatalf("got %d keys, want 4: %v", len(keys), keys)
-	}
-	seen := map[string]string{}
-	for name, key := range keys {
-		if prev, dup := seen[key]; dup {
-			t.Fatalf("names %q and %q share expvar key %q", prev, name, key)
-		}
-		seen[key] = name
-	}
-	// Sorted-first wins the plain key.
-	if keys["a.b"] != "a_b" {
-		t.Errorf("sorted-first name should keep the plain key, got %q", keys["a.b"])
-	}
-	// Determinism across permutations.
-	perm := CanonicalKeys([]string{"a.b.c", "a_b", "a/b", "a.b"})
-	if !reflect.DeepEqual(keys, perm) {
-		t.Errorf("key assignment depends on input order:\n%v\n%v", keys, perm)
-	}
-}
-
-func TestFlattenSnapshotsCollisions(t *testing.T) {
-	r := New()
-	r.Counter("a.b").Add(1)
-	r.Counter("a/b").Add(2)
-	r.Gauge("g.x").Set(3.5)
-	r.Histogram("h.lat", []float64{1, 2}).Observe(1.5)
-	flat := FlattenSnapshots(map[string]Snapshot{"t": r.Snapshot()})
-	// 2 counters + 1 gauge + hist count/sum/mean.
-	if len(flat) != 6 {
-		t.Fatalf("flat map has %d entries, want 6: %v", len(flat), flat)
-	}
-	if flat["t_a_b"] == nil {
-		t.Errorf("plain key t_a_b missing: %v", flat)
-	}
-	var sum int64
-	for k, v := range flat {
-		if n, ok := v.(int64); ok && (k == "t_a_b" || len(k) > len("t_a_b")) {
-			sum += n
-		}
-	}
-	// Both counters must be present under distinct keys (1 + 2 + hist count 1).
-	if sum != 4 {
-		t.Errorf("counter values lost to a key collision: %v", flat)
-	}
-}

@@ -1,7 +1,8 @@
 // Package telemetry is the repo's dependency-free observability substrate:
 // a metrics registry (atomic counters, float gauges, fixed-bucket
-// histograms), lightweight span tracing for campaign phases, and exporters
-// (aligned text, JSON, Chrome trace-event format, expvar).
+// histograms), lightweight span tracing for campaign phases, and one
+// exporter for each: Prometheus text for metrics (WritePrometheus) and
+// Chrome trace-event JSON for spans (WriteChromeTrace).
 //
 // Two kinds of registries coexist:
 //
@@ -28,7 +29,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Registry holds named metrics and recorded spans. All methods are safe
@@ -41,9 +41,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	// epoch anchors span timestamps (trace ts offsets are relative to it).
-	epoch time.Time
 
 	spanMu sync.Mutex
 	spans  []SpanEvent
@@ -64,7 +61,6 @@ func NewDisabled() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		epoch:    time.Now(),
 	}
 }
 
@@ -96,7 +92,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
-		c = &Counter{on: &r.enabled, name: name}
+		c = &Counter{on: &r.enabled}
 		r.counters[name] = c
 	}
 	return c
@@ -108,7 +104,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
-		g = &Gauge{on: &r.enabled, name: name}
+		g = &Gauge{on: &r.enabled}
 		r.gauges[name] = g
 	}
 	return g
@@ -122,7 +118,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = newHistogram(&r.enabled, name, bounds)
+		h = newHistogram(&r.enabled, bounds)
 		r.hists[name] = h
 	}
 	return h
@@ -148,9 +144,8 @@ func (r *Registry) Reset() {
 
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
-	on   *atomic.Bool
-	name string
-	v    atomic.Int64
+	on *atomic.Bool
+	v  atomic.Int64
 }
 
 // Add increments the counter by n. No-op when the owning registry is
@@ -173,13 +168,9 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
 // Gauge is a float64 metric holding the last set value.
 type Gauge struct {
 	on   *atomic.Bool
-	name string
 	bits atomic.Uint64
 }
 
@@ -198,6 +189,3 @@ func (g *Gauge) Value() float64 {
 	}
 	return math.Float64frombits(g.bits.Load())
 }
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }

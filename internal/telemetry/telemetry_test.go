@@ -109,38 +109,32 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestSnapshotSortedAndComplete: the one read of a registry carries every
+// metric of every kind, families in name order.
 func TestSnapshotSortedAndComplete(t *testing.T) {
 	r := New()
 	r.Counter("z").Add(1)
 	r.Counter("a").Add(2)
 	r.Gauge("g").Set(3)
 	r.Histogram("h", []float64{1}).Observe(0.5)
-	s := r.Snapshot()
-	if len(s.Counters) != 2 || s.Counters[0].Name != "a" || s.Counters[1].Name != "z" {
-		t.Fatalf("counters = %+v", s.Counters)
-	}
-	if len(s.Gauges) != 1 || s.Gauges[0].Value != 3 {
-		t.Fatalf("gauges = %+v", s.Gauges)
-	}
-	if len(s.Histograms) != 1 || s.Histograms[0].Count != 1 {
-		t.Fatalf("histograms = %+v", s.Histograms)
-	}
-}
-
-func TestWriteTextSkipsZeroCounters(t *testing.T) {
-	r := New()
-	r.Counter("zero")
-	r.Counter("nonzero").Add(7)
 	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
+	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	if strings.Contains(out, "zero ") && !strings.Contains(out, "nonzero") {
-		t.Fatalf("unexpected dump:\n%s", out)
+	var types []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, strings.TrimPrefix(line, "# TYPE "))
+		}
 	}
-	if !strings.Contains(out, "nonzero") || !strings.Contains(out, "7") {
-		t.Fatalf("dump missing nonzero counter:\n%s", out)
+	want := []string{"a_total counter", "g gauge", "h histogram", "z_total counter"}
+	if strings.Join(types, ";") != strings.Join(want, ";") {
+		t.Fatalf("families = %q, want %q\n%s", types, want, b.String())
+	}
+	for _, sample := range []string{"a_total 2\n", "g 3\n", "h_count 1\n", "z_total 1\n"} {
+		if !strings.Contains(b.String(), sample) {
+			t.Errorf("exposition lacks %q:\n%s", sample, b.String())
+		}
 	}
 }
 

@@ -120,12 +120,3 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 		t.Fatalf("events = %+v", doc.TraceEvents)
 	}
 }
-
-func TestSnapshotIncludesSpans(t *testing.T) {
-	r := New()
-	r.StartSpan("p").End()
-	s := r.Snapshot()
-	if len(s.Spans) != 1 || s.Spans[0].Name != "p" {
-		t.Fatalf("snapshot spans = %+v", s.Spans)
-	}
-}
