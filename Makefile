@@ -97,10 +97,13 @@ resume-check:
 # statuses, a swap-generation bump — AND, via -metrics-check, scrapes
 # GET /metrics before and after: the exposition must lint clean, the
 # server's data-plane status counters must move by exactly the client
-# ledger, and geoserve_swaps_total must record the swap. Run 2 aims 64
-# closed-loop workers at a server admitted down to 2 inflight slots
-# under the degraded fault profile and requires overload to degrade to
-# designed 429s with bounded p999, not collapse.
+# ledger, geoserve_swaps_total must record the swap, and
+# geoserve_latency_ms_count must move by exactly the client's data-plane
+# answers other than 429. Run 2 aims 64 closed-loop workers at a server
+# admitted down to 2 inflight slots under the degraded fault profile and
+# requires overload to degrade to designed 429s with bounded p999, not
+# collapse — and, under -metrics-check again, that the ledger matches and
+# not one of the sheds reached the latency histogram.
 load-smoke:
 	rm -rf .load-smoke && mkdir -p .load-smoke
 	$(GO) build -o .load-smoke/geoserve ./cmd/geoserve
@@ -125,7 +128,7 @@ load-smoke:
 		-dataset .load-smoke/a.geodset -wait-ready 15s \
 		-requests 2000 -workers 64 \
 		-expect-shed -allow-503 -max-p999-ms 5000 \
-		-strict -out .load-smoke/overload.json
+		-metrics-check -strict -out .load-smoke/overload.json
 	rm -rf .load-smoke
 
 # Replica-chaos proof of the routed fleet (DESIGN.md §3.8): geobench

@@ -93,8 +93,10 @@ type Config struct {
 
 	// MetricsCheck scrapes /metrics before and after the run and requires
 	// the server's data-plane status ledger to move by exactly the
-	// client-side ledger (metrics.go). Any discrepancy, malformed
-	// exposition, or missing swap-counter increment is a violation.
+	// client-side ledger and, against a single geoserve, its latency
+	// histogram to count exactly the non-429 answers (metrics.go). Any
+	// discrepancy, malformed exposition, or missing swap-counter increment
+	// is a violation.
 	MetricsCheck bool
 
 	// Chaos turns on the replica-chaos proof (chaos.go): the target is a
@@ -360,10 +362,9 @@ func Run(cfg Config) (*Report, error) {
 	rep.GenBefore = before.Generation
 	rep.RecordsBefore = before.Records
 
-	var beforeLedger map[string]int64
-	var beforeSwaps int64
+	var beforeCounts serverCounts
 	if cfg.MetricsCheck {
-		if beforeLedger, beforeSwaps, err = scrapeLedger(client, cfg.BaseURL, statusMetric(cfg)); err != nil {
+		if beforeCounts, err = scrapeLedger(client, cfg.BaseURL, statusMetric(cfg)); err != nil {
 			return nil, fmt.Errorf("metrics scrape before run: %w", err)
 		}
 	}
@@ -458,7 +459,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	if cfg.MetricsCheck {
-		checkMetrics(client, cfg, rep, beforeLedger, beforeSwaps)
+		checkMetrics(client, cfg, rep, beforeCounts)
 	}
 	return rep, nil
 }

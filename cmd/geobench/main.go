@@ -52,7 +52,7 @@ func main() {
 	flag.BoolVar(&cfg.ExpectShed, "expect-shed", false, "fail the run if no request was shed with 429 (overload proofs)")
 	flag.Float64Var(&cfg.MaxP999Ms, "max-p999-ms", 0, "fail the run if admitted p999 latency exceeds this bound (0 = no bound)")
 	flag.BoolVar(&cfg.Allow503, "allow-503", false, "admit 503 as a designed answer (fault-injecting profiles)")
-	flag.BoolVar(&cfg.MetricsCheck, "metrics-check", false, "scrape /metrics before and after and require the server ledger to match the client ledger exactly")
+	flag.BoolVar(&cfg.MetricsCheck, "metrics-check", false, "scrape /metrics before and after and require the server ledger to match the client ledger exactly (and, against geoserve, the latency histogram to count every answer but the 429s)")
 	flag.BoolVar(&cfg.Chaos, "chaos", false,
 		"replica-chaos proof against a geoserve -router fleet: kill and revive a replica mid-run, require zero drops, window-confined 503s, and exact failover accounting")
 	flag.IntVar(&cfg.KillAfter, "kill-after", 0, "completed requests before the chaos kill (0 = requests/4)")

@@ -2,10 +2,12 @@
 // scrapes GET /metrics before and after the run and requires the
 // server's data-plane status ledger to move by EXACTLY the client-side
 // ledger — every request the client sent is accounted once on the
-// server, by status code, with nothing extra and nothing missing. A
-// malformed exposition, a missing geoserve.swaps increment across the
-// hot-swap, or any ledger discrepancy is a violation (-strict exits
-// non-zero).
+// server, by status code, with nothing extra and nothing missing. Against
+// a single geoserve the latency histogram must also move by exactly the
+// client's data-plane answers other than 429, so sheds are proven absent
+// from it (the router keeps no histogram). A malformed exposition, a
+// missing geoserve.swaps increment across the hot-swap, or any
+// discrepancy is a violation (-strict exits non-zero).
 //
 // The server increments its ledger after the response is flushed, so the
 // final few counts can land microseconds after the client has its
@@ -36,31 +38,40 @@ func statusMetric(cfg Config) string {
 	return "geoserve_status_total"
 }
 
+// serverCounts is one /metrics reading of what the accounting compares.
+type serverCounts struct {
+	ledger map[string]int64 // data-plane status ledger, code → count
+	swaps  int64            // geoserve_swaps_total
+	timed  int64            // geoserve_latency_ms_count
+}
+
 // scrapeLedger fetches and lint-parses /metrics, returning the
-// data-plane status ledger (code → count) under the given metric name
-// and the swap counter.
-func scrapeLedger(client *http.Client, base, metric string) (map[string]int64, int64, error) {
+// data-plane status ledger under the given metric name, the swap counter
+// and the latency histogram's count.
+func scrapeLedger(client *http.Client, base, metric string) (serverCounts, error) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
-		return nil, 0, err
+		return serverCounts{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("/metrics answered %d", resp.StatusCode)
+		return serverCounts{}, fmt.Errorf("/metrics answered %d", resp.StatusCode)
 	}
 	sc, err := obs.ParseExposition(resp.Body)
 	if err != nil {
-		return nil, 0, fmt.Errorf("malformed exposition: %w", err)
+		return serverCounts{}, fmt.Errorf("malformed exposition: %w", err)
 	}
-	ledger := map[string]int64{}
+	c := serverCounts{ledger: map[string]int64{}}
 	for _, s := range sc.Find(metric, map[string]string{"plane": "data"}) {
-		ledger[s.Labels["code"]] += int64(s.Value)
+		c.ledger[s.Labels["code"]] += int64(s.Value)
 	}
-	var swaps int64
 	for _, s := range sc.Find("geoserve_swaps_total", nil) {
-		swaps += int64(s.Value)
+		c.swaps += int64(s.Value)
 	}
-	return ledger, swaps, nil
+	for _, s := range sc.Find("geoserve_latency_ms_count", nil) {
+		c.timed += int64(s.Value)
+	}
+	return c, nil
 }
 
 // ledgerDelta subtracts the before-run ledger from the after-run one.
@@ -105,10 +116,8 @@ func ledgerMismatches(client map[string]int, server map[string]int64) []string {
 }
 
 // checkMetrics runs the full accounting pass after the load run,
-// appending violations to the report. before is the pre-run scrape;
-// a nil before means the pre-run scrape itself failed (already a
-// violation, recorded by the caller).
-func checkMetrics(client *http.Client, cfg Config, rep *Report, beforeLedger map[string]int64, beforeSwaps int64) {
+// appending violations to the report. before is the pre-run scrape.
+func checkMetrics(client *http.Client, cfg Config, rep *Report, before serverCounts) {
 	if rep.Dropped > 0 {
 		// A dropped request may or may not have reached the server, so
 		// exact accounting is undefined; the drop itself is already a
@@ -121,23 +130,35 @@ func checkMetrics(client *http.Client, cfg Config, rep *Report, beforeLedger map
 	deadline := time.Now().Add(metricsSettle)
 	var mismatches []string
 	for {
-		afterLedger, afterSwaps, err := scrapeLedger(client, cfg.BaseURL, statusMetric(cfg))
+		after, err := scrapeLedger(client, cfg.BaseURL, statusMetric(cfg))
 		if err != nil {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("metrics scrape after run: %v", err))
 			return
 		}
-		delta := ledgerDelta(beforeLedger, afterLedger)
+		delta := ledgerDelta(before.ledger, after.ledger)
 		mismatches = ledgerMismatches(rep.Statuses, delta)
+		if !cfg.Chaos {
+			want := int64(0)
+			for code, n := range rep.Statuses {
+				if code != "429" {
+					want += int64(n)
+				}
+			}
+			if got := after.timed - before.timed; got != want {
+				mismatches = append(mismatches, fmt.Sprintf(
+					"geoserve_latency_ms_count moved %d, client saw %d data-plane answers other than 429", got, want))
+			}
+		}
 		if len(mismatches) == 0 {
 			rep.ServerStatuses = map[string]int{}
 			for code, n := range delta {
 				rep.ServerStatuses[code] = int(n)
 			}
 			rep.MetricsChecked = true
-			if rep.SwapPerformed && afterSwaps-beforeSwaps < 1 {
+			if rep.SwapPerformed && after.swaps-before.swaps < 1 {
 				rep.Violations = append(rep.Violations,
 					fmt.Sprintf("hot-swap performed but geoserve.swaps moved %d (before %d, after %d)",
-						afterSwaps-beforeSwaps, beforeSwaps, afterSwaps))
+						after.swaps-before.swaps, before.swaps, after.swaps))
 			}
 			return
 		}

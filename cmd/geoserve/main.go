@@ -41,7 +41,6 @@ import (
 	"geoloc/internal/core"
 	"geoloc/internal/dataset"
 	"geoloc/internal/faults"
-	"geoloc/internal/obs"
 	"geoloc/internal/router"
 	"geoloc/internal/serve"
 	"geoloc/internal/telemetry"
@@ -77,12 +76,8 @@ type options struct {
 	probeInterval time.Duration
 	upstreamTmo   time.Duration
 
-	logSample        int
-	traceSample      int
-	sloAvailability  float64
-	sloLatencyP99    float64
-	sloLatencyBudget time.Duration
-	sloBurnThreshold float64
+	logSample   int
+	traceSample int
 
 	accessLog *slog.Logger
 	reg       *telemetry.Registry
@@ -137,14 +132,6 @@ func main() {
 		"log 1 in N successful requests to the access log (0 = errors only)")
 	flag.IntVar(&o.traceSample, "trace-sample", 0,
 		"record per-request stage spans for 1 in N requests (0 = off; export with -trace)")
-	flag.Float64Var(&o.sloAvailability, "slo-availability", 0.999,
-		"availability SLO objective: target fraction of data-plane requests answered without a 5xx")
-	flag.Float64Var(&o.sloLatencyP99, "slo-latency-objective", 0.99,
-		"latency SLO objective: target fraction of data-plane requests within -slo-latency-budget")
-	flag.DurationVar(&o.sloLatencyBudget, "slo-latency-budget", 100*time.Millisecond,
-		"latency budget the latency SLO objective applies to")
-	flag.Float64Var(&o.sloBurnThreshold, "slo-burn-threshold", 0,
-		"fast-window burn rate above which admission tightens the effective queue bound (0 = observe only)")
 
 	tele := telemetry.NewCLI()
 	flag.Parse()
@@ -227,12 +214,6 @@ func run(o options) error {
 		AccessLog:   o.accessLog,
 		LogSample:   o.logSample,
 		TraceSample: o.traceSample,
-		SLO: &obs.SLOConfig{
-			AvailabilityObjective: o.sloAvailability,
-			LatencyObjective:      o.sloLatencyP99,
-			LatencyBudgetMs:       float64(o.sloLatencyBudget) / float64(time.Millisecond),
-		},
-		BurnThreshold: o.sloBurnThreshold,
 	}
 	if o.routerMode {
 		return runRouter(o, cfg, ds)

@@ -89,21 +89,6 @@ type Profile struct {
 	ServeFailProb   float64
 	ServeStallProb  float64
 	ServeStallMaxMs float64
-
-	// ReplicaCrashProb is the probability one serving replica crashes
-	// during one chaos epoch (drawn per (replica, epoch), so re-running
-	// the same chaos schedule crashes the same replicas at the same
-	// epochs). ReplicaFlapPeriodSec/ReplicaFlapDownFrac make a replica
-	// flap between alive and dead the way HostDown flaps probes: period
-	// and phase are persistent per-replica draws, so the outage windows
-	// are stable features of the run. ProbeStallProb/ProbeStallMaxMs
-	// stall health probes (a /readyz answered slowly looks exactly like
-	// a dead replica to an impatient prober — routers must tolerate it).
-	ReplicaCrashProb     float64
-	ReplicaFlapPeriodSec float64
-	ReplicaFlapDownFrac  float64
-	ProbeStallProb       float64
-	ProbeStallMaxMs      float64
 }
 
 // None returns the empty profile: no injected faults, bit-identical
@@ -135,12 +120,6 @@ func Realistic() *Profile {
 		ServeFailProb:   0.002,
 		ServeStallProb:  0.01,
 		ServeStallMaxMs: 50,
-
-		ReplicaCrashProb:     0.02,
-		ReplicaFlapPeriodSec: 120,
-		ReplicaFlapDownFrac:  0.05,
-		ProbeStallProb:       0.02,
-		ProbeStallMaxMs:      200,
 	}
 }
 
@@ -168,12 +147,6 @@ func Degraded() *Profile {
 		ServeFailProb:   0.02,
 		ServeStallProb:  0.10,
 		ServeStallMaxMs: 250,
-
-		ReplicaCrashProb:     0.10,
-		ReplicaFlapPeriodSec: 60,
-		ReplicaFlapDownFrac:  0.20,
-		ProbeStallProb:       0.10,
-		ProbeStallMaxMs:      600,
 	}
 }
 
@@ -203,12 +176,6 @@ func Hostile() *Profile {
 		ServeFailProb:   0.10,
 		ServeStallProb:  0.30,
 		ServeStallMaxMs: 1000,
-
-		ReplicaCrashProb:     0.30,
-		ReplicaFlapPeriodSec: 30,
-		ReplicaFlapDownFrac:  0.40,
-		ProbeStallProb:       0.30,
-		ProbeStallMaxMs:      2000,
 	}
 }
 
@@ -235,10 +202,6 @@ func (p *Profile) Scale(k float64) *Profile {
 	s.ServeFailProb = cap1(p.ServeFailProb)
 	s.ServeStallProb = cap1(p.ServeStallProb)
 	s.ServeStallMaxMs = math.Max(0, p.ServeStallMaxMs*k)
-	s.ReplicaCrashProb = cap1(p.ReplicaCrashProb)
-	s.ReplicaFlapDownFrac = cap1(p.ReplicaFlapDownFrac)
-	s.ProbeStallProb = cap1(p.ProbeStallProb)
-	s.ProbeStallMaxMs = math.Max(0, p.ProbeStallMaxMs*k)
 	s.Name = fmt.Sprintf("%s*%g", p.Name, k)
 	return &s
 }
@@ -253,8 +216,7 @@ func (p *Profile) Enabled() bool {
 		p.TraceTruncProb > 0 || p.HopLossProb > 0 ||
 		p.SubmitErrProb > 0 || p.RateLimitProb > 0 || p.StallProb > 0 ||
 		p.LookupFailProb > 0 || p.StaleLandmarkProb > 0 ||
-		p.ServeFailProb > 0 || p.ServeStallProb > 0 ||
-		p.ReplicaCrashProb > 0 || p.ReplicaFlapDownFrac > 0 || p.ProbeStallProb > 0
+		p.ServeFailProb > 0 || p.ServeStallProb > 0
 }
 
 // Label namespaces for fault draws. They are disjoint from every label
@@ -278,11 +240,6 @@ var (
 	kStaleDist  = rhash.HashString("faults/staledist")
 	kServeFail  = rhash.HashString("faults/servefail")
 	kServeStall = rhash.HashString("faults/servestall")
-
-	kReplCrash  = rhash.HashString("faults/replicacrash")
-	kReplFlapP  = rhash.HashString("faults/replicaflapperiod")
-	kReplFlapPh = rhash.HashString("faults/replicaflapphase")
-	kProbeStall = rhash.HashString("faults/probestall")
 )
 
 // PathLossRate returns the persistent per-path loss probability of the
@@ -453,55 +410,4 @@ func (p *Profile) ServeStallMs(seed, addr uint64) float64 {
 	}
 	// Reuse the sub-threshold draw as the magnitude, as StallSec does.
 	return p.ServeStallMaxMs * (u / p.ServeStallProb)
-}
-
-// ReplicaCrashed reports whether serving replica `replica` crashes during
-// chaos epoch `epoch`. Persistent per (replica, epoch): rerunning the same
-// chaos schedule kills the same replicas at the same points, which is what
-// makes a chaos run a regression test instead of a dice roll.
-func (p *Profile) ReplicaCrashed(seed, replica, epoch uint64) bool {
-	if p == nil || p.ReplicaCrashProb <= 0 {
-		return false
-	}
-	return rhash.UnitFloat(seed, kReplCrash, replica, epoch) < p.ReplicaCrashProb
-}
-
-// ReplicaFlapDown reports whether replica `replica` is inside an offline
-// window of its flap cycle at the given simulated time. Period and phase
-// are persistent per-replica draws (period in [0.5, 1.5]× the profile's
-// nominal), exactly like HostDown: the outage windows are stable features
-// of the run, so a router that backs off long enough sees the replica
-// come back and one that hammers it keeps hitting the same window.
-func (p *Profile) ReplicaFlapDown(seed, replica uint64, atSec float64) bool {
-	if p == nil || p.ReplicaFlapDownFrac <= 0 {
-		return false
-	}
-	period := p.ReplicaFlapPeriodSec
-	if period <= 0 {
-		period = 60
-	}
-	period *= 0.5 + rhash.UnitFloat(seed, kReplFlapP, replica)
-	phase := period * rhash.UnitFloat(seed, kReplFlapPh, replica)
-	pos := math.Mod(atSec+phase, period)
-	if pos < 0 {
-		pos += period
-	}
-	return pos < period*p.ReplicaFlapDownFrac
-}
-
-// ProbeStallMs returns the extra delay injected into health probe `probe`
-// of replica `replica` (milliseconds), 0 when the probe is answered at
-// full speed. A stall beyond the prober's timeout is indistinguishable
-// from a dead replica — which is the point: health checking must tolerate
-// slow truth without flapping the replica's admission state.
-func (p *Profile) ProbeStallMs(seed, replica, probe uint64) float64 {
-	if p == nil || p.ProbeStallProb <= 0 || p.ProbeStallMaxMs <= 0 {
-		return 0
-	}
-	u := rhash.UnitFloat(seed, kProbeStall, replica, probe)
-	if u >= p.ProbeStallProb {
-		return 0
-	}
-	// Reuse the sub-threshold draw as the magnitude, as StallSec does.
-	return p.ProbeStallMaxMs * (u / p.ProbeStallProb)
 }

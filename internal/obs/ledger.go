@@ -16,8 +16,8 @@ import (
 )
 
 // Plane splits the ledger: data-plane answers are the ones geobench's
-// client ledger and the SLO engine account for; control-plane answers
-// (health, metrics, admin) are bookkept separately.
+// client ledger and the error-budget rules account for; control-plane
+// answers (health, metrics, admin) are bookkept separately.
 type Plane uint8
 
 const (

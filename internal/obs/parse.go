@@ -2,9 +2,10 @@
 // turns the write-only metric registries into things an operator (or a
 // test harness) can consume — a strict parser/linter for the Prometheus
 // text the registries render, request-scoped identity for tracing and
-// access logs, the per-status response ledger both serving tiers count
-// in, and a multi-window SLO burn-rate engine that serving layers can
-// feed back into admission control (DESIGN.md §3.7).
+// access logs, and the per-status response ledger both serving tiers
+// count in (DESIGN.md §3.7). Error budgets are not computed here: they
+// are PromQL over the ledger and the latency histogram, evaluated where
+// /metrics is scraped (README, Monitoring).
 //
 // The parser below is the promtool-check-metrics half of the plane. It
 // is used three ways: the exposition lint tests run it over

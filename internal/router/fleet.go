@@ -194,14 +194,6 @@ func (f *LocalFleet) StallReplica(i int, stalled bool) error {
 	return nil
 }
 
-// Running reports whether replica i is currently serving.
-func (f *LocalFleet) Running(i int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r, err := f.replica(i)
-	return err == nil && r.running
-}
-
 // Close stops every running replica and releases every replica's reader
 // (for a file-backed fleet, its mapping — once the last in-flight request
 // has unpinned it).

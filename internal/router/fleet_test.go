@@ -104,9 +104,6 @@ func TestLocalFleetStopStart(t *testing.T) {
 	if _, err := http.Get(addrs[0] + "/healthz"); err == nil {
 		t.Fatal("stopped replica still answers")
 	}
-	if fleet.Running(0) {
-		t.Error("Running(0) true after stop")
-	}
 
 	if err := fleet.StartReplica(0); err != nil {
 		t.Fatalf("StartReplica: %v", err)
@@ -158,11 +155,11 @@ func TestLocalFleetStall(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestRouterSurvivesReplicaCrash is the in-package chaos rehearsal: a
+// TestRouterSurvivesCrashedReplica is the in-package chaos rehearsal: a
 // 4-replica fleet, the hot replica crashed mid-run — every lookup keeps
 // answering 200 (failing over), the crash shows up in the health table,
 // and the revived replica is re-admitted.
-func TestRouterSurvivesReplicaCrash(t *testing.T) {
+func TestRouterSurvivesCrashedReplica(t *testing.T) {
 	fleet, rt, ts := newFleetRouter(t, 4, Config{
 		DownAfter: 2,
 		UpAfter:   2,
@@ -224,8 +221,8 @@ func TestAdminReplicaDrivesFleet(t *testing.T) {
 	if got := post("replica=1&action=stop"); got != http.StatusOK {
 		t.Fatalf("stop via admin: %d", got)
 	}
-	if fleet.Running(1) {
-		t.Fatal("replica 1 still running after admin stop")
+	if _, err := http.Get(fleet.Addrs()[1] + "/healthz"); err == nil {
+		t.Fatal("replica 1 still answers after admin stop")
 	}
 	if got := post("replica=1&action=stop"); got != http.StatusConflict {
 		t.Errorf("double stop via admin: %d, want 409", got)
@@ -233,8 +230,8 @@ func TestAdminReplicaDrivesFleet(t *testing.T) {
 	if got := post("replica=1&action=start"); got != http.StatusOK {
 		t.Fatalf("start via admin: %d", got)
 	}
-	if !fleet.Running(1) {
-		t.Fatal("replica 1 not running after admin start")
+	if got := post("replica=1&action=start"); got != http.StatusConflict {
+		t.Errorf("double start via admin: %d, want 409 (replica 1 running)", got)
 	}
 }
 
@@ -259,5 +256,26 @@ func TestRouterVersionProxies(t *testing.T) {
 	}
 	if v.Records != len(fleetTinyDataset().Records) || v.Source != "test:tiny" {
 		t.Errorf("version = %+v, want the fleet artifact", v)
+	}
+}
+
+// TestRouterVersionSkipsStalledReplica pins /version's per-attempt budget:
+// a stalled first replica spends its own UpstreamTimeout, not the next
+// replica's, so the live second replica still answers.
+func TestRouterVersionSkipsStalledReplica(t *testing.T) {
+	fleet, _, ts := newFleetRouter(t, 2, Config{UpstreamTimeout: 100 * time.Millisecond})
+	if err := fleet.StallReplica(0, true); err != nil {
+		t.Fatalf("StallReplica: %v", err)
+	}
+	// Probes time out after ProbeTimeout (1 s) and need DownAfter of them,
+	// so replica 0 is still up, and tried first, for this request.
+	resp, err := http.Get(ts.URL + "/version")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Router-Replica") != "1" {
+		t.Fatalf("/version = %d via %q, want 200 via replica 1", resp.StatusCode, resp.Header.Get("X-Router-Replica"))
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"geoloc/internal/faults"
 	"geoloc/internal/ipaddr"
 	"geoloc/internal/obs"
 	"geoloc/internal/serve"
@@ -34,10 +33,10 @@ const (
 // buffer: the /batch response ceiling plus envelope headroom.
 const maxUpstreamBody = 1<<22 + 4096
 
-// FleetController lets the router's admin plane (and geoserve's fault
-// loop) manipulate replicas at the process-lifecycle level. LocalFleet
-// implements it for the single-binary multi-replica mode; a multi-host
-// deployment would implement it against its supervisor.
+// FleetController lets the router's admin plane manipulate replicas at
+// the process-lifecycle level. LocalFleet implements it for the
+// single-binary multi-replica mode; a multi-host deployment would
+// implement it against its supervisor.
 type FleetController interface {
 	// StopReplica kills the replica abruptly (connections reset, no
 	// drain) — the chaos primitive, not a graceful shutdown.
@@ -74,11 +73,8 @@ type Config struct {
 	// when zero).
 	RetryAfter time.Duration
 
-	// Seed keys the Retry-After jitter and the probe-stall fault draws.
+	// Seed keys the Retry-After jitter draws.
 	Seed uint64
-
-	// Prof optionally injects deterministic probe-path faults.
-	Prof *faults.Profile
 
 	// AdminToken guards /admin/replica; empty disables the endpoint.
 	AdminToken string
@@ -267,11 +263,7 @@ func (rt *Router) execute(ctx context.Context, deadline time.Time, start int, me
 // oversized answer or 5xx is a failure; a client hang-up (or a request the
 // router refused to put on the wire) scores nothing.
 func (rt *Router) attempt(ctx context.Context, deadline time.Time, replica int, method, path, query string, body []byte, reqID string) (upResult, bool) {
-	dl := time.Now().Add(rt.cfg.UpstreamTimeout)
-	if deadline.Before(dl) {
-		dl = deadline
-	}
-	res, err := rt.ups[replica].roundTrip(ctx, dl, method, path, query, reqID, body, maxUpstreamBody)
+	res, err := rt.ups[replica].roundTrip(ctx, rt.attemptDeadline(deadline), method, path, query, reqID, body, maxUpstreamBody)
 	if err != nil {
 		if ctx.Err() == nil && !errors.Is(err, errRefused) {
 			rt.health[replica].recordOutcome(false, rt.cfg.DownAfter)
@@ -285,6 +277,15 @@ func (rt *Router) attempt(ctx context.Context, deadline time.Time, replica int, 
 		putBuf(res.buf)
 	}
 	return res, ok
+}
+
+// attemptDeadline is one attempt's deadline: UpstreamTimeout from now,
+// never past the request's own.
+func (rt *Router) attemptDeadline(deadline time.Time) time.Time {
+	if dl := time.Now().Add(rt.cfg.UpstreamTimeout); dl.Before(deadline) {
+		return dl
+	}
+	return deadline
 }
 
 // route runs one data-plane request round the ring from start and writes
@@ -434,14 +435,16 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleVersion proxies GET /version from the first live replica — the
-// fleet serves one artifact, any live member can answer for it.
+// fleet serves one artifact, any live member can answer for it. Each
+// attempt gets its own deadline, as in attempt, so a stalled replica
+// cannot spend the next one's budget.
 func (rt *Router) handleVersion(w http.ResponseWriter, req *http.Request) {
-	dl := time.Now().Add(rt.cfg.UpstreamTimeout)
+	deadline := time.Now().Add(rt.cfg.RequestTimeout)
 	for i, u := range rt.ups {
 		if !rt.health[i].Up() {
 			continue
 		}
-		res, err := u.roundTrip(req.Context(), dl, http.MethodGet, "/version", "", req.Header.Get(obs.RequestIDHeader), nil, 1<<16)
+		res, err := u.roundTrip(req.Context(), rt.attemptDeadline(deadline), http.MethodGet, "/version", "", req.Header.Get(obs.RequestIDHeader), nil, 1<<16)
 		if res.replica = i; err == nil && res.status == http.StatusOK {
 			rt.proxy(w, res)
 			return
@@ -531,37 +534,20 @@ func (rt *Router) handleAdminReplica(w http.ResponseWriter, req *http.Request) {
 }
 
 // probeLoop actively checks one replica's /readyz every ProbeInterval.
-// The optional fault profile can stall a probe deterministically; a
-// stall at or beyond the probe budget counts as a probe failure without
-// tying up a connection.
 func (rt *Router) probeLoop(i int) {
 	defer rt.wg.Done()
 	t := time.NewTicker(rt.cfg.ProbeInterval)
 	defer t.Stop()
-	for n := uint64(1); ; n++ {
+	for {
 		select {
 		case <-rt.stop:
 			return
 		case <-t.C:
 		}
 		rt.mProbes.Inc()
-		var stall time.Duration
-		if rt.cfg.Prof != nil && rt.cfg.Prof.Enabled() {
-			stall = time.Duration(rt.cfg.Prof.ProbeStallMs(rt.cfg.Seed, uint64(i), n) * float64(time.Millisecond))
-		}
-		ok := stall < rt.cfg.ProbeTimeout
-		if ok && stall > 0 {
-			select {
-			case <-rt.stop:
-				return
-			case <-time.After(stall):
-			}
-		}
-		if ok {
-			res, err := rt.ups[i].roundTrip(context.Background(), time.Now().Add(rt.cfg.ProbeTimeout), http.MethodGet, "/readyz", "", "", nil, 1<<12)
-			putBuf(res.buf)
-			ok = err == nil && res.status == http.StatusOK
-		}
+		res, err := rt.ups[i].roundTrip(context.Background(), time.Now().Add(rt.cfg.ProbeTimeout), http.MethodGet, "/readyz", "", "", nil, 1<<12)
+		putBuf(res.buf)
+		ok := err == nil && res.status == http.StatusOK
 		if !ok {
 			rt.mProbeFails.Inc()
 		}

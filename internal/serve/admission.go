@@ -55,10 +55,7 @@ func (s *Server) serveData(h http.HandlerFunc) http.HandlerFunc {
 // admit takes an inflight slot for r, waiting in the bounded queue when
 // none is free. It reports false after answering the request itself: 429
 // when the queue is full or QueueTimeout passes, 504 when the request's
-// context dies while it waits. The queue bound is effectiveMaxQueue, not
-// the raw config: when the SLO engine reports the error budget burning,
-// the bound tightens so work the server cannot serve well is shed up front
-// (obs.go).
+// context dies while it waits.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	select {
 	case s.sem <- struct{}{}: // free slot, no queueing
@@ -66,7 +63,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	default:
 	}
 	m := metaFrom(r.Context())
-	if s.queued.Add(1) > s.effectiveMaxQueue() {
+	if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
 		s.queued.Add(-1)
 		s.shed(w, m)
 		return false

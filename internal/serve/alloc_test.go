@@ -70,10 +70,10 @@ func TestServeAllocs(t *testing.T) {
 	}
 
 	// The whole chain around that core, as a connection drives it: observe
-	// (request ID, status writer, request record, ledger, SLO feed), the
-	// mux, the deadline on the context and the admission slot. It may not
-	// regrow unnoticed: chainAllocs is what the code reaches today, and a
-	// later perf PR lowers it.
+	// (request ID, status writer, request record, ledger, latency
+	// histogram), the mux, the deadline on the context and the admission
+	// slot. It may not regrow unnoticed: chainAllocs is what the code
+	// reaches today, and a later performance change lowers it.
 	const chainAllocs = 13
 	for _, sc := range servers {
 		for _, tc := range lookups {

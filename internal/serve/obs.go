@@ -1,20 +1,23 @@
 // The serving tier's observability plane (DESIGN.md §3.7): request
-// identity, structured access logs, stage spans, Prometheus exposition,
-// and the SLO burn-rate feedback into admission control.
+// identity, structured access logs, stage spans and Prometheus
+// exposition.
 //
 // One middleware (observe) wraps the whole routing table. It assigns
 // every request an ID (adopted from X-Request-Id or a W3C traceparent
 // when the caller sent one), echoes it in the response header before any
 // handler runs — so a 429 or 504 written by admission carries it — and,
 // when the request finishes, feeds one record each to the status ledger
-// (obs.Ledger, the implementation the router counts in too), the SLO
-// engine, and (sampled) the access log. The ID is the join key: a client
+// (obs.Ledger, the implementation the router counts in too), the latency
+// histogram, and (sampled) the access log. The ID is the join key: a client
 // error report names it, exactly one access log line carries it, and its
 // trace spans embed it.
 //
 // GET /metrics renders the server's registry in Prometheus text format
 // from the control plane, outside admission — scraping an overloaded or
-// draining server must always work, that is when the numbers matter.
+// draining server must always work, that is when the numbers matter. The
+// ledger and the histogram are all an error-budget rule needs: the
+// README's alert rules are PromQL over them, evaluated where they are
+// scraped.
 package serve
 
 import (
@@ -79,7 +82,7 @@ func (s *Server) stageSpan(m *reqMeta, stage string) *telemetry.Span {
 }
 
 // observe is the outermost middleware: request identity, the per-status
-// ledger, the SLO feed, and the sampled access log.
+// ledger, the latency histogram, and the sampled access log.
 func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -101,10 +104,11 @@ func (s *Server) observe(next http.Handler) http.Handler {
 
 		latencyMs := float64(time.Since(start)) / float64(time.Millisecond)
 		if plane == obs.PlaneData && status != http.StatusTooManyRequests {
-			// Sheds are excluded from the SLO entirely: a 429 is the
-			// designed overload answer, not a service failure, and its
-			// sub-millisecond latency would dilute the window's p99.
-			s.slo.Observe(latencyMs, status >= 500)
+			// Timed from entry, so admission wait counts. Sheds stay out: a
+			// 429 is the designed overload answer, not a slow one, and its
+			// sub-millisecond latency would dilute the tail the latency
+			// budget is computed from.
+			s.latencyMs.Observe(latencyMs)
 		}
 		s.accessLog(r, meta, status, plane, latencyMs)
 	})
@@ -163,67 +167,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{"use GET"})
 		return
 	}
-	s.publishSLOGauges()
 	w.Header().Set("Content-Type", telemetry.ContentType)
 	if err := s.statusReg.WritePrometheus(w); err != nil {
 		s.writeErrs.Inc()
 	}
-}
-
-// publishSLOGauges refreshes the SLO window gauges from the engine.
-// Called on scrape rather than from a background ticker: the gauges are
-// only read through /metrics and /readyz, so computing them on demand
-// keeps the engine passive.
-func (s *Server) publishSLOGauges() {
-	s.effQueueGauge.Set(float64(s.effectiveMaxQueue()))
-	if s.slo == nil {
-		return
-	}
-	for _, ws := range s.slo.Status() {
-		wl := telemetry.Label{Key: "window", Value: obs.WindowName(ws.Window)}
-		s.statusReg.Gauge(telemetry.Name("geoserve.slo.availability", wl)).Set(ws.Availability)
-		s.statusReg.Gauge(telemetry.Name("geoserve.slo.availability_burn", wl)).Set(ws.AvailabilityBurn)
-		s.statusReg.Gauge(telemetry.Name("geoserve.slo.p99_ms", wl)).Set(ws.P99Ms)
-		s.statusReg.Gauge(telemetry.Name("geoserve.slo.latency_burn", wl)).Set(ws.LatencyBurn)
-		s.statusReg.Gauge(telemetry.Name("geoserve.slo.window_requests", wl)).Set(float64(ws.Requests))
-	}
-}
-
-// effectiveMaxQueue is the admission queue bound after SLO feedback:
-// while the fast-window burn rate is at or below BurnThreshold the
-// configured MaxQueue applies; above it the bound shrinks proportionally
-// (threshold/burn, floor 1), so a server that is failing or slow for
-// admitted requests stops queueing more work it cannot serve well and
-// sheds it immediately instead. Sheds themselves are invisible to the
-// SLO, so tightening converts would-be 504s into 429s without reading
-// its own effect back as further burn.
-//
-// The burn recomputation is throttled (burnEvery) because the bound is
-// consulted on every request that finds the inflight slots busy.
-func (s *Server) effectiveMaxQueue() int64 {
-	if s.slo == nil || s.cfg.BurnThreshold <= 0 {
-		return int64(s.cfg.MaxQueue)
-	}
-	now := time.Now().UnixNano()
-	last := s.burnLast.Load()
-	if now-last >= int64(s.burnEvery) && s.burnLast.CompareAndSwap(last, now) {
-		fast := s.slo.Config().Windows[0]
-		burn := s.slo.MaxBurn(fast)
-		eff := int64(s.cfg.MaxQueue)
-		if burn > s.cfg.BurnThreshold {
-			eff = int64(float64(eff) * s.cfg.BurnThreshold / burn)
-			if eff < 1 {
-				eff = 1
-			}
-		}
-		s.effQueue.Store(eff)
-		s.effQueueGauge.Set(float64(eff))
-	}
-	return s.effQueue.Load()
-}
-
-// SLOStatus returns the engine's window aggregates (nil when the SLO is
-// not configured). Exposed for /readyz and operator tooling.
-func (s *Server) SLOStatus() []obs.WindowStatus {
-	return s.slo.Status()
 }

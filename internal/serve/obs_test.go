@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -320,67 +322,76 @@ func TestTraceSampledSpans(t *testing.T) {
 	}
 }
 
-// TestSLOTightensAdmission: burn above the threshold shrinks the
-// effective queue bound proportionally; recovery restores it.
-func TestSLOTightensAdmission(t *testing.T) {
-	srv := newPublished(Config{
-		MaxQueue:      100,
-		SLO:           &obs.SLOConfig{AvailabilityObjective: 0.99},
-		BurnThreshold: 2,
-	})
-	srv.burnEvery = 0 // recompute on every consult
-
-	if got := srv.effectiveMaxQueue(); got != 100 {
-		t.Fatalf("idle effective queue = %d, want 100", got)
-	}
-	// 10% errors against a 1% budget: burn 10, threshold 2 → bound
-	// shrinks by threshold/burn to 20.
-	for i := 0; i < 100; i++ {
-		srv.slo.Observe(1, i%10 == 0)
-	}
-	if got := srv.effectiveMaxQueue(); got != 20 {
-		t.Errorf("burning effective queue = %d, want 20", got)
-	}
-
-	// The gauge and /readyz report the tightened bound.
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
-	var body readyzBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatalf("readyz body: %v\n%s", err, rec.Body.String())
-	}
-	if body.EffectiveMaxQueue != 20 {
-		t.Errorf("readyz effective_max_queue = %d, want 20", body.EffectiveMaxQueue)
-	}
-	if len(body.SLO) == 0 || body.SLO[0].AvailabilityBurn < 9.9 {
-		t.Errorf("readyz SLO windows missing or wrong: %+v", body.SLO)
-	}
-}
-
-// TestSLOGaugesOnMetrics: scraping /metrics publishes the per-window
-// burn gauges.
+// TestSLOGaugesOnMetrics keeps README's alert rules in step with what the
+// server exports: it reads the rule block from README.md, serves a mix
+// with a 5xx, a 429 and a 400 in it, and requires every geoserve_* series
+// selector in the rules to select at least one scraped sample.
 func TestSLOGaugesOnMetrics(t *testing.T) {
-	srv := newPublished(Config{
-		SLO: &obs.SLOConfig{
-			AvailabilityObjective: 0.99,
-			Windows:               []time.Duration{5 * time.Second, time.Minute},
-		},
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rules, ok := strings.Cut(string(readme), "```yaml\ngroups:")
+	if !ok {
+		t.Fatal("README.md has no ```yaml groups: rule block")
+	}
+	rules, _, _ = strings.Cut(rules, "```")
+
+	srv, release := blockingServer(Config{
+		MaxInflight: 1, MaxQueue: 1,
+		QueueTimeout: 10 * time.Second, RequestTimeout: 10 * time.Second,
 	})
+	srv.cfg.Prof.ServeFailProb = 1 // the stalled lookups answer 503
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	for i := 0; i < 50; i++ {
-		srv.slo.Observe(1, i%5 == 0) // 20% errors: burn 20
+	inflight := startLookup(ts.URL)
+	waitInflight(t, srv, 1)
+	queued := startLookup(ts.URL)
+	waitQueued(t, srv, 1)
+	if status, _ := get(t, ts.URL+"/lookup?ip=10.0.0.7"); status != http.StatusTooManyRequests {
+		t.Fatalf("overflow status = %d, want 429", status)
 	}
+	close(release)
+	if a, b := <-inflight, <-queued; a != http.StatusServiceUnavailable || b != http.StatusServiceUnavailable {
+		t.Fatalf("stalled lookups answered %d and %d, want 503", a, b)
+	}
+	get(t, ts.URL+"/lookup?ip=junk")
+	waitUntil(t, "three latency observations", func() bool { return srv.latencyMs.Count() == 3 })
 	sc := scrapeMetrics(t, ts.URL)
-	for _, window := range []string{"5s", "1m"} {
-		v, err := sc.Value("geoserve_slo_availability_burn", map[string]string{"window": window})
-		if err != nil || v < 19.9 || v > 20.1 {
-			t.Errorf("burn gauge window=%s = %v (%v), want 20", window, v, err)
-		}
+
+	selectors := regexp.MustCompile(`(geoserve_[a-z_]+)(\{[^}]*\})?`).FindAllStringSubmatch(rules, -1)
+	if len(selectors) == 0 {
+		t.Fatal("rule block selects no geoserve_* series")
 	}
-	if v, err := sc.Value("geoserve_effective_max_queue", nil); err != nil || v != DefaultMaxQueue {
-		t.Errorf("effective_max_queue gauge = %v (%v), want %d (no threshold set)", v, err, DefaultMaxQueue)
+	matcher := regexp.MustCompile(`(\w+)\s*(=~|!~|!=|=)\s*"([^"]*)"`)
+	for _, sel := range selectors {
+		matchers := matcher.FindAllStringSubmatch(sel[2], -1)
+		found := false
+		for _, smp := range sc.Find(sel[1], nil) {
+			all := true
+			for _, m := range matchers {
+				v, has := smp.Labels[m[1]]
+				var hit bool
+				switch m[2] {
+				case "=":
+					hit = has && v == m[3]
+				case "!=":
+					hit = has && v != m[3]
+				case "=~":
+					hit = has && regexp.MustCompile("^(?:"+m[3]+")$").MatchString(v)
+				case "!~":
+					hit = has && !regexp.MustCompile("^(?:"+m[3]+")$").MatchString(v)
+				}
+				all = all && hit
+			}
+			if all {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("rule selector %s selects no sample on /metrics", sel[0])
+		}
 	}
 }
 
@@ -401,15 +412,13 @@ func TestLedgerPlaneSplit(t *testing.T) {
 	}
 }
 
-// TestSLOShedExclusion: shed (429) answers never reach the SLO engine,
-// so overload alone cannot read as burn (the anti-feedback property,
-// end to end).
+// TestSLOShedExclusion: a shed (429) moves neither geoserve.latency_ms nor
+// the 5xx ledger, so overload alone cannot spend either error budget; the
+// requests that were admitted are timed, queue wait included.
 func TestSLOShedExclusion(t *testing.T) {
 	srv, release := blockingServer(Config{
 		MaxInflight: 1, MaxQueue: 1,
 		QueueTimeout: 10 * time.Second, RequestTimeout: 10 * time.Second,
-		SLO:           &obs.SLOConfig{AvailabilityObjective: 0.99},
-		BurnThreshold: 2,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -419,22 +428,22 @@ func TestSLOShedExclusion(t *testing.T) {
 	queued := startLookup(ts.URL)
 	waitQueued(t, srv, 1)
 	for i := 0; i < 5; i++ {
-		resp, err := http.Get(ts.URL + "/lookup?ip=10.0.0.7")
-		if err != nil {
-			t.Fatal(err)
+		if status, _ := get(t, ts.URL+"/lookup?ip=10.0.0.7"); status != http.StatusTooManyRequests {
+			t.Fatalf("status = %d, want 429", status)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("status = %d, want 429", resp.StatusCode)
-		}
+	}
+	if got := srv.status.Counter(http.StatusTooManyRequests, obs.PlaneData).Value(); got != 5 {
+		t.Errorf("429 ledger = %d, want 5", got)
+	}
+	if got := srv.latencyMs.Count(); got != 0 {
+		t.Errorf("latency observations after 5 sheds = %d, want 0", got)
 	}
 	close(release)
 	drainLookup(inflight, queued)
-
-	for _, ws := range srv.SLOStatus() {
-		if ws.AvailabilityBurn != 0 {
-			t.Errorf("sheds registered as burn: %+v", ws)
+	waitUntil(t, "the admitted pair timed", func() bool { return srv.latencyMs.Count() == 2 })
+	for code := 500; code < 600; code++ {
+		if got := srv.status.Counter(code, obs.PlaneData).Value(); got != 0 {
+			t.Errorf("%d ledger = %d after sheds, want 0", code, got)
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // Three properties distinguish it from a plain handler over a dataset
 // (DESIGN.md §3.6):
 //
-//   - Hot-swap: the (dataset, index) pair is published through an atomic
+//   - Hot-swap: the artifact's reader is published through an atomic
 //     pointer (swap.go), so a new artifact can be rotated in under live
 //     load — in-flight requests finish on the snapshot they captured,
 //     new requests see the new generation, and a reload that fails to
@@ -117,13 +117,6 @@ type Config struct {
 	// spans (0 = no request tracing). Sampled spans accumulate in the
 	// registry, so this is a diagnosis knob, not an always-on default.
 	TraceSample int
-
-	// SLO configures the burn-rate engine over data-plane answers
-	// (nil = disabled).
-	SLO *obs.SLOConfig
-	// BurnThreshold is the fast-window burn rate above which the
-	// admission queue bound tightens (0 = SLO observes but never steers).
-	BurnThreshold float64
 }
 
 // withDefaults resolves the zero-value conventions.
@@ -190,13 +183,8 @@ type Server struct {
 	statusReg *telemetry.Registry
 
 	// Observability plane (obs.go).
-	slo           *obs.SLO
-	logSeq        atomic.Uint64
-	traceSeq      atomic.Uint64
-	effQueue      atomic.Int64
-	burnLast      atomic.Int64
-	burnEvery     time.Duration // burn recompute throttle; tests zero it
-	effQueueGauge *telemetry.Gauge
+	logSeq   atomic.Uint64
+	traceSeq atomic.Uint64
 }
 
 // New wires a server with no artifact yet: /readyz answers 503 and the
@@ -226,18 +214,10 @@ func New(cfg Config, reg *telemetry.Registry) *Server {
 
 		status:    obs.NewLedger(reg, "geoserve.status"),
 		statusReg: reg,
-
-		burnEvery:     100 * time.Millisecond,
-		effQueueGauge: reg.Gauge("geoserve.effective_max_queue"),
 	}
 	if cfg.MaxInflight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInflight)
 	}
-	if cfg.SLO != nil {
-		s.slo = obs.NewSLO(*cfg.SLO, nil)
-	}
-	s.effQueue.Store(int64(cfg.MaxQueue))
-	s.effQueueGauge.Set(float64(cfg.MaxQueue))
 	return s
 }
 
@@ -292,7 +272,7 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Handler returns the routing table: one mux behind the observe
-// middleware (request ID, status ledger, SLO feed, access log). The
+// middleware (request ID, status ledger, latency histogram, access log). The
 // data-plane endpoints (/lookup, /batch) are registered through serveData,
 // which puts the deadline on the request and takes an admission slot
 // before the handler runs; control-plane endpoints (including /metrics)
@@ -420,11 +400,6 @@ func (s *Server) resolveRec(ctx context.Context, art *Artifact, a ipaddr.Addr) (
 	return s.classify(art.R2.Find(a))
 }
 
-// observeSince records one request's latency sample.
-func (s *Server) observeSince(start time.Time) {
-	s.latencyMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-}
-
 // acquire captures the current artifact and pins its reader against a
 // concurrent swap's close. The retry loop covers the one racy window:
 // Current loaded an artifact that a swap retired (and closed) before the
@@ -447,8 +422,6 @@ func (s *Server) acquire() *Artifact {
 // pin artifact, parse, resolve, render from a pooled buffer — performs
 // zero heap allocations per request (gated by TestServeAllocs).
 func (s *Server) handleLookup(w http.ResponseWriter, req *http.Request) {
-	start := time.Now()
-	defer s.observeSince(start)
 	s.reqLookup.Inc()
 	if req.Method != http.MethodGet {
 		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{"use GET"})
@@ -506,8 +479,6 @@ type batchRequest struct {
 // an injected stall has counted no hit or miss. The steady-state request
 // allocates nothing per address (gated by TestServeAllocs).
 func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
-	start := time.Now()
-	defer s.observeSince(start)
 	s.reqBatch.Inc()
 	if req.Method != http.MethodPost {
 		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{"use POST"})
@@ -637,15 +608,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	s.writeJSON(w, http.StatusOK, body)
 }
 
-// readyzBody is the /readyz response. When the SLO engine is on, the
-// window aggregates ride along so an operator (or a probe with a burn
-// threshold) reads readiness and budget health in one request.
-type readyzBody struct {
-	Status            string             `json:"status"`
-	SLO               []obs.WindowStatus `json:"slo,omitempty"`
-	EffectiveMaxQueue int64              `json:"effective_max_queue,omitempty"`
-}
-
 // handleReadyz serves GET /readyz: readiness. 503 before the first
 // artifact and from the moment drain starts — the signal a load balancer
 // keys routing on.
@@ -656,12 +618,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, req *http.Request) {
 	case s.Current() == nil:
 		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{"no dataset published yet"})
 	default:
-		body := readyzBody{Status: "ready"}
-		if s.slo != nil {
-			body.SLO = s.slo.Status()
-			body.EffectiveMaxQueue = s.effectiveMaxQueue()
-		}
-		s.writeJSON(w, http.StatusOK, body)
+		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}
 }
 
