@@ -39,19 +39,21 @@ vet:
 staticcheck:
 	staticcheck ./...
 
-# Hard allocation gate of the serving hot path (DESIGN.md §3.10): a
-# steady-state /lookup — pin, parse, resolve, render, write — and a
-# steady-state GEODSET2 lookup must perform zero heap allocations per
-# request, and the middleware chain around the handler may not exceed its
-# pinned count — for one lookup, and for a whole 256-address POST /batch
-# (nothing per address). TestRouterAllocs pins the routed hop (DESIGN.md
-# §3.8): one hit through the router's Handler() against a one-replica
-# fleet, counted process-wide — the replica's net/http server included —
-# at most 45. Run by name, so a new allocation sneaking into the hot path
-# fails THIS target, not a trend threshold.
+# Hard allocation gates of the serving hot path (DESIGN.md §3.10) and the
+# write path (§3.9): a steady-state /lookup — pin, parse, resolve,
+# render, write — and a steady-state GEODSET2 lookup must perform zero
+# heap allocations per request, and the middleware chain around the
+# handler may not exceed its pinned count — for one lookup, and for a
+# whole 256-address POST /batch (nothing per address). TestRouterAllocs
+# pins the routed hop (DESIGN.md §3.8): one hit through the router's
+# Handler() against a one-replica fleet, counted process-wide — the
+# replica's net/http server included — at most 45. TestMeasureTargetAllocs
+# pins a streamed target's measurement at zero once its buffer holds K.
+# Run by name, so a new allocation sneaking into a hot path fails THIS
+# target, not a trend threshold.
 allocs-smoke:
-	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs' \
-		./internal/serve ./internal/dataset ./internal/router
+	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs' \
+		./internal/serve ./internal/dataset ./internal/router ./internal/core
 
 # CPU + heap profiles of the costliest analysis benchmark (Fig 2a drives
 # ~58k CBG locates through the sampling kernels). Inspect with

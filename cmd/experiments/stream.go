@@ -78,7 +78,7 @@ func runStreamScale(targets int, window int, artifact string, blockSize int, ckp
 // streamReport renders the run's stats; experiments -out and the
 // results/ ledger both consume this block verbatim. priced and pruned
 // are the campaign's VP-selection counters (core.StreamCampaign.
-// PricedPruned): useful work over attempts, per measured target.
+// PricedPruned): VPs taken to the haversine, per measured target.
 func streamReport(artifact string, s dataset.StreamStats, elapsed time.Duration, priced, pruned int64, vps int) string {
 	perTarget := "none measured (every window reused)"
 	if priced+pruned > 0 {

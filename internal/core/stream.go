@@ -87,15 +87,23 @@ type StreamCampaign struct {
 
 	// Selection bound (DESIGN.md §3.9): each VP's unit vector, and for
 	// each city the nearN VPs closest to its centre — nearest first in
-	// near, as a bitmap of nearWords words over VP indices in nearSet.
-	vpUnit    []geo.Unit
-	near      []int32
-	nearSet   []uint64
-	nearN     int
-	nearWords int
+	// near, each one's chord to the centre in the same slot of nearChord,
+	// and as a bitmap of nearWords words over VP indices in nearSet. The
+	// ring stop also reads each centre's unit vector (cityUnit) and the
+	// smallest VP last mile (minLastMile).
+	vpUnit      []geo.Unit
+	cityUnit    []geo.Unit
+	near        []int32
+	nearChord   []float64
+	nearSet     []uint64
+	nearN       int
+	nearWords   int
+	minLastMile float64
 
-	// VPs priced and VPs the bound skipped, over every MeasureTarget call.
-	priced, pruned atomic.Int64
+	// VPs priced (taken to the haversine) and VPs the bounds dropped, and
+	// the calls whose walk the ring bound ended, over every MeasureTarget
+	// call.
+	priced, pruned, ringStops atomic.Int64
 }
 
 // NewStreamCampaign prepares a streaming campaign over c's VP set. The
@@ -129,14 +137,15 @@ func NewStreamCampaign(c *Campaign, spec StreamSpec) (*StreamCampaign, error) {
 			spec.Targets, spec.Base)
 	}
 	s := &StreamCampaign{
-		C:          c,
-		Spec:       spec,
-		seed:       c.W.Cfg.Seed,
-		vpLoc:      make([]geo.Point, len(c.VPs)),
-		vpTrig:     make([]geo.Trig, len(c.VPs)),
-		vpLastMile: make([]float64, len(c.VPs)),
-		vpResp:     make([]float64, len(c.VPs)),
-		vpUnit:     make([]geo.Unit, len(c.VPs)),
+		C:           c,
+		Spec:        spec,
+		seed:        c.W.Cfg.Seed,
+		vpLoc:       make([]geo.Point, len(c.VPs)),
+		vpTrig:      make([]geo.Trig, len(c.VPs)),
+		vpLastMile:  make([]float64, len(c.VPs)),
+		vpResp:      make([]float64, len(c.VPs)),
+		vpUnit:      make([]geo.Unit, len(c.VPs)),
+		minLastMile: math.Inf(1),
 	}
 	for i, h := range c.VPs {
 		s.vpLoc[i] = h.Reported
@@ -144,34 +153,42 @@ func NewStreamCampaign(c *Campaign, spec StreamSpec) (*StreamCampaign, error) {
 		s.vpLastMile[i] = h.LastMileMs
 		s.vpResp[i] = h.RespScore
 		s.vpUnit[i] = s.vpTrig[i].Unit()
+		s.minLastMile = min(s.minLastMile, h.LastMileMs)
 	}
 	s.buildNear()
 	return s, nil
 }
 
-// buildNear fills near and nearSet: per city, a bounded max-heap over
-// (chord to the city centre, VP index) keeps the nearN closest VPs, and
-// popping it back to front leaves them nearest first. Which VPs make a
-// shortlist changes how much MeasureTarget prunes, never what it
-// returns, so the cheap chord stands in for the great-circle distance.
+// buildNear fills cityUnit, near, nearChord and nearSet: per city, a
+// bounded max-heap over (chord to the city centre, VP index) keeps the
+// nearN closest VPs, and popping it back to front leaves them nearest
+// first. Every VP left out is at least as far from the centre as the
+// last slot, which is what lets MeasureTarget's ring stop skip them
+// wholesale. Which VPs make a shortlist changes how much MeasureTarget
+// prunes, never what it returns, so the cheap chord stands in for the
+// great-circle distance.
 func (s *StreamCampaign) buildNear() {
 	cities := s.C.W.Cities
 	s.nearN = min(nearPerK*s.Spec.VPsPerTarget, len(s.vpUnit))
 	s.nearWords = (len(s.vpUnit) + 63) / 64
+	s.cityUnit = make([]geo.Unit, len(cities))
 	s.near = make([]int32, len(cities)*s.nearN)
+	s.nearChord = make([]float64, len(cities)*s.nearN)
 	s.nearSet = make([]uint64, len(cities)*s.nearWords)
 	par.For(len(cities), func(ci int) {
 		cu := geo.MakeTrig(cities[ci].Loc).Unit()
+		s.cityUnit[ci] = cu
 		var heap [nearPerK * maxVPsPerTarget]vpRTT
 		n := 0
 		for vp, u := range s.vpUnit {
-			n = pushBounded(heap[:s.nearN], n, vpRTT{rtt: geo.ChordLowerBoundKm(u, cu), vp: int32(vp)})
+			n = pushBounded(heap[:s.nearN], n, vpRTT{rtt: geo.ChordKm(u, cu), vp: int32(vp)})
 		}
 		near := s.near[ci*s.nearN : (ci+1)*s.nearN]
+		chord := s.nearChord[ci*s.nearN : (ci+1)*s.nearN]
 		set := s.nearSet[ci*s.nearWords : (ci+1)*s.nearWords]
 		for ; n > 0; n-- {
 			vp := heap[0].vp
-			near[n-1] = vp
+			near[n-1], chord[n-1] = vp, heap[0].rtt
 			set[vp>>6] |= 1 << (vp & 63)
 			heap[0] = heap[n-1]
 			siftDown(heap[:n-1], 0)
@@ -225,10 +242,11 @@ type vpRTT struct {
 // The selection is a branch-and-bound. The K smallest candidates under
 // the total order (rtt, vp) are one set whatever order the VPs are
 // visited in, and each (target, VP) pair draws from its own keyed
-// stream, so MeasureTarget prices the city's nearest VPs first and then
-// skips every VP whose cheapest possible RTT (rttLowerBound) already
-// exceeds the worst of the K it holds — before the hash, the haversine,
-// the asin and the log that pricing it would cost.
+// stream, so MeasureTarget prices the city's nearest VPs first, stops
+// the walk once the ring bound proves no VP left can beat the worst of
+// the K it holds, and drops each VP it does visit as soon as a bound on
+// its RTT (price) proves the same — before the log and the haversine
+// that pricing it in full would cost.
 func (s *StreamCampaign) MeasureTarget(t int, buf []cbg.Measurement) (ipaddr.Prefix24, []cbg.Measurement) {
 	st := rhash.New(s.seed, saltStreamTarget, uint64(t))
 	ci := st.Intn(len(s.C.W.Cities))
@@ -242,32 +260,50 @@ func (s *StreamCampaign) MeasureTarget(t int, buf []cbg.Measurement) (ipaddr.Pre
 	}
 	tt := geo.MakeTrig(loc)
 	tu := tt.Unit()
+	tc := geo.ChordKm(tu, s.cityUnit[ci])
+	ping := rhash.Hash(s.seed, saltStreamPing, uint64(t))
 
 	// Keep the K lowest-RTT responsive VPs in a fixed-size max-heap
 	// (worst candidate at the root), then emit them in VP order. Ties
 	// break toward the lower VP index so selection is total-ordered.
-	// Once the heap holds K, a VP is priced only if its lower bound does
-	// not strictly exceed the root: a bound equal to the root may still
-	// win the tie on VP index. Visiting order: the city's shortlist,
-	// nearest first, then every other VP by index.
+	// Once the heap holds K its root is the bound: a VP, or the whole
+	// rest of the walk, is dropped only when a lower bound strictly
+	// exceeds it — a bound equal to the root may still win the tie on VP
+	// index — and reach (reachKm) is the distance past which no VP can
+	// match it, reachSq the same as a squared chord. Visiting order: the
+	// city's shortlist, nearest first, then every other VP by index.
 	k := s.Spec.VPsPerTarget
 	var heap [maxVPsPerTarget]vpRTT
 	n, priced := 0, 0
+	bound, reach, reachSq := math.Inf(1), math.Inf(1), math.Inf(1)
 	near := s.near[ci*s.nearN : (ci+1)*s.nearN]
+	nearChord := s.nearChord[ci*s.nearN : (ci+1)*s.nearN]
 	inNear := s.nearSet[ci*s.nearWords : (ci+1)*s.nearWords]
 	for i := 0; i < len(near)+len(s.vpUnit); i++ {
+		// The ring stop, at each shortlist slot and once more before the
+		// tail: every VP not yet visited is at least nearChord[i] from the
+		// centre (the shortlist is nearest first, and the tail lies beyond
+		// its last slot), so the ring bound floors all their distances.
+		if i <= len(near) && geo.RingLowerBoundKm(nearChord[min(i, len(near)-1)], tc) > reach {
+			s.ringStops.Add(1)
+			break
+		}
 		vp := i - len(near)
 		if i < len(near) {
 			vp = int(near[i])
 		} else if inNear[vp>>6]>>(vp&63)&1 != 0 {
 			continue // had its turn on the shortlist
 		}
-		if n == k && rttLowerBound(s.vpUnit[vp], tu, lastMile, s.vpLastMile[vp]) > heap[0].rtt {
-			continue
+		if geo.ChordSq(s.vpUnit[vp], tu) > reachSq {
+			continue // out of reach without a square root
 		}
-		priced++
-		if c, ok := s.price(t, vp, tt, lastMile); ok {
-			n = pushBounded(heap[:k], n, c)
+		if c, ok := s.price(ping, vp, tt, tu, lastMile, bound); ok {
+			priced++
+			if n = pushBounded(heap[:k], n, c); n == k {
+				bound = heap[0].rtt
+				reach = s.reachKm(bound, lastMile)
+				reachSq = geo.ChordSqBeyondKm(reach)
+			}
 		}
 	}
 	s.priced.Add(int64(priced))
@@ -295,39 +331,73 @@ func (s *StreamCampaign) MeasureTarget(t int, buf []cbg.Measurement) (ipaddr.Pre
 // minInflate is the floor of the keyed path factor price draws.
 const minInflate = 1.05
 
-// pathRTT is the stream campaign's RTT model short of its jitter, shared
-// by price and rttLowerBound so both evaluate one expression tree.
-func pathRTT(distKm, inflate, lastMile, vpLastMile float64) float64 {
-	return geo.DistanceToRTTMs(distKm, geo.TwoThirdsC)*inflate + lastMile + vpLastMile
+// propMs is the round-trip propagation delay over distKm at two-thirds c.
+func propMs(distKm float64) float64 {
+	return geo.DistanceToRTTMs(distKm, geo.TwoThirdsC)
 }
 
-// price draws target t's measurement from vp; ok is false when the VP
-// does not answer this target.
-func (s *StreamCampaign) price(t, vp int, tt geo.Trig, lastMile float64) (c vpRTT, ok bool) {
-	pv := rhash.New(s.seed, saltStreamPing, uint64(t), uint64(vp))
+// pathRTT is the stream campaign's RTT model short of its jitter, given
+// the propagation delay propMs returns. price and every lower bound on
+// it share it, so all evaluate one expression tree.
+func pathRTT(prop, inflate, lastMile, vpLastMile float64) float64 {
+	return prop*inflate + lastMile + vpLastMile
+}
+
+// reachKm returns a distance past which no VP can answer the target
+// within bound: for every distance d > reachKm, pathRTT(propMs(d),
+// minInflate, lastMile, minLastMile) > bound, and every VP's RTT at d is
+// at least that. It inverts pathRTT in real arithmetic and pads the
+// result by 1e-6 relative and 1e-6 km, which dwarfs every rounding of the
+// forward expression (a few ulps of an RTT below a second: ~1e-13 ms,
+// ~1e-11 km).
+func (s *StreamCampaign) reachKm(bound, lastMile float64) float64 {
+	slack := max(bound-lastMile-s.minLastMile, 0)
+	return slack/minInflate*geo.TwoThirdsC/2*(1+1e-6) + 1e-6
+}
+
+// price draws the measurement of the target with trig tt, unit vector tu
+// and ping key ping (the hash of seed, saltStreamPing and the target
+// index) from vp. ok is false when the VP does not answer, or when a
+// lower bound on its RTT strictly exceeds bound, and true exactly when
+// the haversine ran. The draws keep their order — answer, path factor,
+// jitter — and each bound comes before the work it saves: at the floor
+// path factor before any draw, at the drawn one before the jitter's log,
+// and with the jitter before the haversine. Each bound is price's own
+// expression with inputs at or below the real ones — the chord bound for
+// the distance (geo.ChordLowerBoundKm ≤ TrigDistance), minInflate until
+// the factor is drawn (0.9·u ≥ 0), no jitter until it is (−0.3·log u ≥ 0
+// for u < 1) — and every operation in that expression is nondecreasing
+// in those inputs and rounds to nearest, which preserves order.
+func (s *StreamCampaign) price(ping uint64, vp int, tt geo.Trig, tu geo.Unit, lastMile, bound float64) (c vpRTT, ok bool) {
+	vpLastMile := s.vpLastMile[vp]
+	lbProp := 0.0 // floors the propagation delay; the chord is taken only once there is a bound to beat
+	if !math.IsInf(bound, 1) {
+		lbProp = propMs(geo.ChordLowerBoundKm(s.vpUnit[vp], tu))
+		if pathRTT(lbProp, minInflate, lastMile, vpLastMile) > bound {
+			return vpRTT{}, false
+		}
+	}
+	pv := rhash.Keyed(rhash.Extend(ping, uint64(vp)))
 	if !pv.Bool(s.vpResp[vp]) {
 		return vpRTT{}, false
 	}
-	d := geo.TrigDistance(s.vpTrig[vp], tt)
 	inflate := minInflate + 0.9*pv.Float64()
-	rtt := pathRTT(d, inflate, lastMile, s.vpLastMile[vp]) + pv.Exp(0.3)
-	return vpRTT{rtt: rtt, vp: int32(vp)}, true
+	floor := pathRTT(lbProp, inflate, lastMile, vpLastMile)
+	if floor > bound {
+		return vpRTT{}, false
+	}
+	jitter := pv.Exp(0.3)
+	if floor+jitter > bound {
+		return vpRTT{}, false
+	}
+	d := geo.TrigDistance(s.vpTrig[vp], tt)
+	return vpRTT{rtt: pathRTT(propMs(d), inflate, lastMile, vpLastMile) + jitter, vp: int32(vp)}, true
 }
 
-// rttLowerBound never exceeds the RTT price would return for the VP with
-// unit vector vu and last mile vpLastMile. It is price's own expression
-// with each input at its floor — the chord bound for the distance
-// (geo.ChordLowerBoundKm ≤ TrigDistance), minInflate for the path factor
-// (0.9·u ≥ 0), no jitter (−0.3·log u ≥ 0 for u < 1) — and every
-// operation in that expression is nondecreasing in those inputs and
-// rounds to nearest, which preserves order.
-func rttLowerBound(vu, tu geo.Unit, lastMile, vpLastMile float64) float64 {
-	return pathRTT(geo.ChordLowerBoundKm(vu, tu), minInflate, lastMile, vpLastMile)
-}
-
-// PricedPruned reports how many VPs MeasureTarget has priced and how
-// many the selection bound let it skip, summed over every call so far:
-// priced + pruned = calls × VPs.
+// PricedPruned reports how many VPs MeasureTarget has priced — taken to
+// the haversine — and how many it dropped without one (non-answering
+// VPs, VPs a bound ruled out, VPs the ring stop never visited), summed
+// over every call so far: priced + pruned = calls × VPs.
 func (s *StreamCampaign) PricedPruned() (priced, pruned int64) {
 	return s.priced.Load(), s.pruned.Load()
 }

@@ -121,7 +121,7 @@ func TestMeasureTargetMatchesBrute(t *testing.T) {
 				bufs := make([]scratch, par.Workers(targets))
 				var mu sync.Mutex
 				var firstBad = -1
-				badLastMile, full := 0, 0
+				badLastMile, full, kept := 0, 0, 0
 				par.ForWorker(targets, func(wk, tgt int) {
 					b := &bufs[wk]
 					var gp, wp ipaddr.Prefix24
@@ -140,6 +140,7 @@ func TestMeasureTargetMatchesBrute(t *testing.T) {
 					if len(b.want) == k {
 						full++
 					}
+					kept += len(b.want)
 				})
 				if firstBad >= 0 {
 					gp, got := s.MeasureTarget(firstBad, nil)
@@ -153,16 +154,24 @@ func TestMeasureTargetMatchesBrute(t *testing.T) {
 				if want := int64(targets) * int64(len(c.VPs)); priced+pruned != want {
 					t.Fatalf("priced %d + pruned %d != %d targets x %d VPs", priced, pruned, targets, len(c.VPs))
 				}
+				stops := s.ringStops.Load()
+				t.Logf("priced %.1f of %d per target, ring stop on %d of %d targets", float64(priced)/float64(targets), len(c.VPs), stops, targets)
 				switch {
 				case w.sparse && k == 64:
-					if full != 0 || pruned != 0 {
-						t.Fatalf("sparse world: %d targets filled K=64 and %d VPs were pruned; want none of either", full, pruned)
+					// No heap ever fills, so no bound may fire: every
+					// answering VP reaches the haversine and is kept.
+					if full != 0 || stops != 0 || priced != int64(kept) {
+						t.Fatalf("sparse world: %d targets filled K=64, %d ring stops, %d VPs priced for %d kept; want 0, 0 and equal",
+							full, stops, priced, kept)
 					}
 				case !w.sparse && k <= 16:
 					// The bound must do its job, not merely be harmless.
 					if 2*priced > priced+pruned {
 						t.Fatalf("bound pruned only %d of %d VPs", pruned, priced+pruned)
 					}
+				}
+				if w.name == "tiny" && k == 16 && 2*stops < int64(targets) {
+					t.Fatalf("ring stop fired on %d of %d targets; want at least half", stops, targets)
 				}
 			})
 		}

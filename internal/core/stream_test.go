@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -100,6 +101,51 @@ func TestStreamCampaignMeasurementShape(t *testing.T) {
 				t.Fatalf("target %d measurement %d: VP %.1f km away but disk is %.1f km",
 					tgt, i, d, bound)
 			}
+		}
+	}
+}
+
+// TestMeasureTargetAllocs is the write path's allocation gate: once the
+// caller's buffer holds K, measuring a target allocates nothing — the
+// selection heap, the hash streams and every bound live on the stack.
+func TestMeasureTargetAllocs(t *testing.T) {
+	s, err := NewStreamCampaign(streamFixture(t), StreamSpec{Targets: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]cbg.Measurement, 0, s.Spec.VPsPerTarget)
+	tgt := 0
+	if allocs := testing.AllocsPerRun(2000, func() {
+		tgt++
+		_, buf = s.MeasureTarget(tgt, buf)
+	}); allocs != 0 {
+		t.Fatalf("MeasureTarget allocates %.2f times per call; want 0", allocs)
+	}
+}
+
+// TestReachKm holds reachKm to its contract on bounds from just below the
+// two last miles up to a second: every distance past it prices strictly
+// above the bound at the floor path factor and the smallest last mile,
+// and it pads no more than its margins.
+func TestReachKm(t *testing.T) {
+	s, err := NewStreamCampaign(streamFixture(t), StreamSpec{Targets: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		lastMile := 0.2 + 15.8*rng.Float64()
+		slack := math.Pow(10, -12+15*rng.Float64()) - 1e-9
+		bound := lastMile + s.minLastMile + slack
+		r := s.reachKm(bound, lastMile)
+		floor := func(d float64) float64 { return pathRTT(propMs(d), minInflate, lastMile, s.minLastMile) }
+		for _, d := range []float64{math.Nextafter(r, math.Inf(1)), r * (1 + 1e-12), 2 * r} {
+			if !(floor(d) > bound) {
+				t.Fatalf("bound %v, last mile %v: %v km past reach %v prices %v", bound, lastMile, d, r, floor(d))
+			}
+		}
+		if d := r*(1-1e-5) - 2e-6; slack > 1e-6 && floor(d) > bound {
+			t.Fatalf("bound %v, last mile %v: reach %v is padded past %v km, which already prices %v", bound, lastMile, r, d, floor(d))
 		}
 	}
 }

@@ -54,8 +54,8 @@ func Distance(a, b Point) float64 {
 	lat2, lon2 := deg2rad(b.Lat), deg2rad(b.Lon)
 	dlat := lat2 - lat1
 	dlon := lon2 - lon1
-	s := math.Sin(dlat/2)*math.Sin(dlat/2) +
-		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dlon/2)*math.Sin(dlon/2)
+	sl, sn := math.Sin(dlat/2), math.Sin(dlon/2)
+	s := sl*sl + math.Cos(lat1)*math.Cos(lat2)*sn*sn
 	if s < 0 {
 		s = 0
 	}
@@ -73,10 +73,11 @@ func Destination(p Point, bearingDeg, distKm float64) Point {
 	brng := deg2rad(bearingDeg)
 	ad := distKm / EarthRadiusKm // angular distance
 
-	lat2 := math.Asin(math.Sin(lat1)*math.Cos(ad) +
-		math.Cos(lat1)*math.Sin(ad)*math.Cos(brng))
-	lon2 := lon1 + math.Atan2(math.Sin(brng)*math.Sin(ad)*math.Cos(lat1),
-		math.Cos(ad)-math.Sin(lat1)*math.Sin(lat2))
+	// Each sine and cosine is taken once: gc does not merge repeated calls.
+	sinLat1, cosLat1 := math.Sin(lat1), math.Cos(lat1)
+	sinAd, cosAd := math.Sin(ad), math.Cos(ad)
+	lat2 := math.Asin(sinLat1*cosAd + cosLat1*sinAd*math.Cos(brng))
+	lon2 := lon1 + math.Atan2(math.Sin(brng)*sinAd*cosLat1, cosAd-sinLat1*math.Sin(lat2))
 
 	lon2d := rad2deg(lon2)
 	// Normalize longitude to -180..180.

@@ -26,12 +26,13 @@ func MakeTrig(p Point) Trig {
 
 // TrigDistance is Distance over precomputed trig. The expression tree
 // matches Distance exactly (same operand order and association), so the
-// result is bit-identical.
+// result is bit-identical. It repeats haversineS's body rather than
+// calling it: the hot kernels pay for no second call frame.
 func TrigDistance(a, b Trig) float64 {
 	dlat := b.LatRad - a.LatRad
 	dlon := b.LonRad - a.LonRad
-	s := math.Sin(dlat/2)*math.Sin(dlat/2) +
-		a.CosLat*b.CosLat*math.Sin(dlon/2)*math.Sin(dlon/2)
+	sl, sn := math.Sin(dlat/2), math.Sin(dlon/2)
+	s := sl*sl + a.CosLat*b.CosLat*sn*sn
 	if s < 0 {
 		s = 0
 	}
@@ -44,12 +45,14 @@ func TrigDistance(a, b Trig) float64 {
 // haversineS returns the clamped haversine term s of Distance — the value
 // the original kernel feeds into 2R·asin(√s). Comparing s against a
 // calibrated threshold (see sMaxForRadius) answers "distance ≤ radius"
-// without evaluating the asin and sqrt at all.
+// without evaluating the asin and sqrt at all. Here, in TrigDistance and
+// in Distance each half-angle sine is taken once and squared: gc does
+// not merge two calls of math.Sin.
 func haversineS(a, b Trig) float64 {
 	dlat := b.LatRad - a.LatRad
 	dlon := b.LonRad - a.LonRad
-	s := math.Sin(dlat/2)*math.Sin(dlat/2) +
-		a.CosLat*b.CosLat*math.Sin(dlon/2)*math.Sin(dlon/2)
+	sl, sn := math.Sin(dlat/2), math.Sin(dlon/2)
+	s := sl*sl + a.CosLat*b.CosLat*sn*sn
 	if s < 0 {
 		s = 0
 	}
@@ -291,6 +294,14 @@ func (t Trig) Unit() Unit {
 // zero. One millimetre does, a million times over.
 const chordPadKm = 1e-6
 
+// ChordSq returns the squared straight-line chord between two unit
+// vectors' points, on the unit sphere: the one expression every chord
+// function here takes its square root of.
+func ChordSq(a, b Unit) float64 {
+	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
+	return dx*dx + dy*dy + dz*dz
+}
+
 // ChordLowerBoundKm returns a distance that never exceeds
 // TrigDistance(a, b) for the Trigs the two unit vectors came from: the
 // arc 2R·asin(chord/2) is at least its chord R·chord, shaved by
@@ -300,6 +311,38 @@ const chordPadKm = 1e-6
 // 2,000 km) and loose for far ones (2R against πR at the antipode). It
 // is negative for points closer than the pad; DistanceToRTTMs clamps.
 func ChordLowerBoundKm(a, b Unit) float64 {
-	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
-	return EarthRadiusKm*(1-distBoundMargin)*math.Sqrt(dx*dx+dy*dy+dz*dz) - chordPadKm
+	return EarthRadiusKm*(1-distBoundMargin)*math.Sqrt(ChordSq(a, b)) - chordPadKm
+}
+
+// ChordSqBeyondKm returns a squared unit chord past which a pair is
+// farther apart than km: ChordSq(a, b) > ChordSqBeyondKm(km) implies
+// ChordLowerBoundKm(a, b) > km, and with it TrigDistance(a, b) > km. It
+// inverts ChordLowerBoundKm in real arithmetic and pads the chord by
+// 1e-9 relative plus 1e-15 km, which dwarf the few ulps its square root
+// and product round by and the ~1e-22 km its subtraction of chordPadKm
+// does. A screen over many pairs compares squares against it and pays no
+// square root.
+func ChordSqBeyondKm(km float64) float64 {
+	if km < -chordPadKm {
+		return -1 // every pair: no chord bound falls below -chordPadKm
+	}
+	c := ((km+chordPadKm)*(1+1e-9) + 1e-15) / (EarthRadiusKm * (1 - distBoundMargin))
+	return c * c
+}
+
+// ChordKm returns the straight-line chord between two unit vectors'
+// points in kilometres, unshaved: the input RingLowerBoundKm takes.
+func ChordKm(a, b Unit) float64 {
+	return EarthRadiusKm * math.Sqrt(ChordSq(a, b))
+}
+
+// RingLowerBoundKm returns a distance that never exceeds TrigDistance(v,
+// t) for any point v at chord vcKm (ChordKm) from a centre c and any
+// point t at chord tcKm from the same c. The triangle inequality in space
+// gives |v−t| ≥ |v−c| − |t−c|, the arc is at least its chord, and
+// ChordLowerBoundKm's relative margin and pad shave the difference: each
+// chord carries ~1e-12 km of rounding at most (2R · a few ulps), far
+// below the pad. It is negative when vcKm ≤ tcKm; DistanceToRTTMs clamps.
+func RingLowerBoundKm(vcKm, tcKm float64) float64 {
+	return (1-distBoundMargin)*(vcKm-tcKm) - chordPadKm
 }

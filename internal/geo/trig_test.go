@@ -10,18 +10,125 @@ func randPoint(rng *rand.Rand) Point {
 	return Point{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
 }
 
-// TestTrigDistanceBitIdentical compares TrigDistance against Distance on
-// random pairs — the values must match exactly, not approximately.
-func TestTrigDistanceBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100000; i++ {
-		a, b := randPoint(rng), randPoint(rng)
-		want := Distance(a, b)
-		got := TrigDistance(MakeTrig(a), MakeTrig(b))
-		if got != want {
-			t.Fatalf("TrigDistance(%v, %v) = %v, want %v", a, b, got, want)
+// forCornerPairs calls f on the pairs where a distance or chord
+// evaluation loses digits: coincident points, points 1e-9° apart,
+// antipodes, the poles and the ±180° meridian.
+func forCornerPairs(f func(a, b Point)) {
+	const tiny = 1e-9 // degrees: a tenth of a millimetre
+	for _, lat := range []float64{0, 37.5, -63, 89.999999, 90, -90} {
+		for _, lon := range []float64{0, 12.25, 179.999999999, 180, -180} {
+			p := Point{Lat: lat, Lon: lon}
+			f(p, p)
+			f(p, Point{Lat: lat, Lon: lon + tiny})
+			f(p, Point{Lat: lat, Lon: lon - tiny})
+			if lat+tiny <= 90 {
+				f(p, Point{Lat: lat + tiny, Lon: lon})
+			}
+			if lat-tiny >= -90 {
+				f(p, Point{Lat: lat - tiny, Lon: lon})
+			}
+			anti := Point{Lat: -lat, Lon: lon - 180}
+			if anti.Lon < -180 {
+				anti.Lon += 360
+			}
+			f(p, anti)
+			f(p, Point{Lat: anti.Lat, Lon: anti.Lon + tiny})
+			f(p, Point{Lat: lat, Lon: -lon}) // ±180° are one meridian
+			f(p, Point{Lat: 90, Lon: lon + 77})
+			f(p, Point{Lat: -90, Lon: lon - 77})
 		}
 	}
+}
+
+// twoSineS is the haversine term as the kernels wrote it before each
+// half-angle sine was bound once: every sine called twice. It is the
+// oracle the single-sine kernels must match bit for bit.
+func twoSineS(a, b Trig) float64 {
+	dlat := b.LatRad - a.LatRad
+	dlon := b.LonRad - a.LonRad
+	s := math.Sin(dlat/2)*math.Sin(dlat/2) +
+		a.CosLat*b.CosLat*math.Sin(dlon/2)*math.Sin(dlon/2)
+	if s < 0 {
+		s = 0
+	}
+	if s > 1 {
+		s = 1
+	}
+	return s
+}
+
+// TestTrigDistanceBitIdentical holds Distance, TrigDistance and
+// haversineS to the two-call oracle on random pairs and the corner pairs
+// — the values must match bit for bit, not approximately.
+func TestTrigDistanceBitIdentical(t *testing.T) {
+	check := func(a, b Point) {
+		t.Helper()
+		ta, tb := MakeTrig(a), MakeTrig(b)
+		wantS := twoSineS(ta, tb)
+		want := 2 * EarthRadiusKm * math.Asin(math.Sqrt(wantS))
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"haversineS", haversineS(ta, tb), wantS},
+			{"TrigDistance", TrigDistance(ta, tb), want},
+			{"Distance", Distance(a, b), want},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Fatalf("%s(%v, %v) = %v, want %v", c.name, a, b, c.got, c.want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	pairs := 1_000_000
+	if testing.Short() {
+		pairs = 100_000
+	}
+	for i := 0; i < pairs; i++ {
+		check(randPoint(rng), randPoint(rng))
+	}
+	forCornerPairs(check)
+}
+
+// twoCallDestination is Destination as written before its sines and
+// cosines were bound once: the oracle for TestDestinationBitIdentical.
+func twoCallDestination(p Point, bearingDeg, distKm float64) Point {
+	lat1, lon1, brng := deg2rad(p.Lat), deg2rad(p.Lon), deg2rad(bearingDeg)
+	ad := distKm / EarthRadiusKm
+	lat2 := math.Asin(math.Sin(lat1)*math.Cos(ad) +
+		math.Cos(lat1)*math.Sin(ad)*math.Cos(brng))
+	lon2 := lon1 + math.Atan2(math.Sin(brng)*math.Sin(ad)*math.Cos(lat1),
+		math.Cos(ad)-math.Sin(lat1)*math.Sin(lat2))
+	lon2d := rad2deg(lon2)
+	for lon2d > 180 {
+		lon2d -= 360
+	}
+	for lon2d < -180 {
+		lon2d += 360
+	}
+	return Point{Lat: rad2deg(lat2), Lon: lon2d}
+}
+
+// TestDestinationBitIdentical holds Destination to the two-call oracle
+// on random starts, bearings and log-uniform distances, and on the corner
+// points with the distance to the other point of each corner pair.
+func TestDestinationBitIdentical(t *testing.T) {
+	check := func(p Point, bearing, dist float64) {
+		t.Helper()
+		got, want := Destination(p, bearing, dist), twoCallDestination(p, bearing, dist)
+		if math.Float64bits(got.Lat) != math.Float64bits(want.Lat) || math.Float64bits(got.Lon) != math.Float64bits(want.Lon) {
+			t.Fatalf("Destination(%v, %v, %v) = %v, want %v", p, bearing, dist, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200_000; i++ {
+		check(randPoint(rng), rng.Float64()*360, math.Pow(10, -9+13.3*rng.Float64()))
+	}
+	forCornerPairs(func(a, b Point) {
+		for _, bearing := range []float64{0, 90, 180, 270, 359.999999} {
+			check(a, bearing, Distance(a, b))
+		}
+	})
 }
 
 // TestContainsTrigMatchesContains hammers the calibrated haversine-space
@@ -161,6 +268,17 @@ func TestChordLowerBound(t *testing.T) {
 		if rev := ChordLowerBoundKm(tb.Unit(), ta.Unit()); rev != lb {
 			t.Fatalf("chord bound not symmetric for %v, %v: %v vs %v", a, b, lb, rev)
 		}
+		// The squared-chord screen: a cut at km just below the bound must
+		// pass the pair, and no cut at or above the bound may.
+		sq := ChordSq(ta.Unit(), tb.Unit())
+		for _, km := range []float64{lb, math.Nextafter(lb, -1), lb * (1 - 1e-12), lb*(1-1e-8) - 1e-12, d} {
+			if sq > ChordSqBeyondKm(km) && !(lb > km) {
+				t.Fatalf("squared chord %v passes the cut for %v km, but the chord bound is %v for %v, %v", sq, km, lb, a, b)
+			}
+		}
+		if lb > 1e-3 && !(sq > ChordSqBeyondKm(lb*(1-1e-8))) {
+			t.Fatalf("squared chord %v misses the cut 1e-8 below its own bound %v for %v, %v", sq, lb, a, b)
+		}
 		// The chord of an arc θ is short by θ²/24 of it; allow twice that,
 		// the margin and the pad.
 		theta := d / EarthRadiusKm
@@ -184,29 +302,57 @@ func TestChordLowerBound(t *testing.T) {
 		dist := math.Pow(10, -9+13.3*rng.Float64())
 		check(a, Destination(a, rng.Float64()*360, dist))
 	}
+	forCornerPairs(check)
+}
 
-	const tiny = 1e-9 // degrees: a tenth of a millimetre
-	for _, lat := range []float64{0, 37.5, -63, 89.999999, 90, -90} {
-		for _, lon := range []float64{0, 12.25, 179.999999999, 180, -180} {
-			p := Point{Lat: lat, Lon: lon}
-			check(p, p)
-			check(p, Point{Lat: lat, Lon: lon + tiny})
-			check(p, Point{Lat: lat, Lon: lon - tiny})
-			if lat+tiny <= 90 {
-				check(p, Point{Lat: lat + tiny, Lon: lon})
+// TestRingLowerBound is the property core's ring stop rests on: for a
+// centre c, a VP v and a target t, RingLowerBoundKm(|v−c|, |t−c|) never
+// exceeds the computed TrigDistance(v, t). Targets sit within a city
+// radius (≤ 100 km) of the centre, as MeasureTarget draws them; VPs are
+// uniform, at log-uniform distances from the centre, or on the target's
+// own bearing beyond it — nearly collinear, where the triangle
+// inequality is tight and the bound is pinned from below too. The corner
+// pairs then stand in for every role.
+func TestRingLowerBound(t *testing.T) {
+	check := func(c, v, tp Point) (lb, d float64) {
+		t.Helper()
+		cu, vt, tt := MakeTrig(c).Unit(), MakeTrig(v), MakeTrig(tp)
+		lb = RingLowerBoundKm(ChordKm(vt.Unit(), cu), ChordKm(tt.Unit(), cu))
+		d = TrigDistance(vt, tt)
+		if !(lb <= d) {
+			t.Fatalf("ring bound %v exceeds TrigDistance %v for centre %v, VP %v, target %v", lb, d, c, v, tp)
+		}
+		return lb, d
+	}
+
+	rng := rand.New(rand.NewSource(6))
+	triples := 1_000_000
+	if testing.Short() {
+		triples = 100_000
+	}
+	for i := 0; i < triples; i++ {
+		c := randPoint(rng)
+		bearing := rng.Float64() * 360
+		rt := 100 * math.Sqrt(rng.Float64())
+		tp := Destination(c, bearing, rt)
+		switch i % 3 {
+		case 0:
+			check(c, randPoint(rng), tp)
+		case 1: // 1e-9 km .. ~20,000 km, log-uniform.
+			check(c, Destination(c, rng.Float64()*360, math.Pow(10, -9+13.3*rng.Float64())), tp)
+		default: // 1 mm .. 10,000 km past the target, same bearing
+			beyond := math.Pow(10, -6+10*rng.Float64())
+			lb, d := check(c, Destination(c, bearing, rt+beyond), tp)
+			// Chords along one great circle fall short of the arc by about
+			// (θ_v+θ_t)²/32 of it; within 2,000 km that is < 0.4 %.
+			if rt+beyond <= 2000 && lb < d*0.99-2*chordPadKm {
+				t.Fatalf("ring bound %v uselessly far below TrigDistance %v (target %v km out, VP %v km beyond)", lb, d, rt, beyond)
 			}
-			if lat-tiny >= -90 {
-				check(p, Point{Lat: lat - tiny, Lon: lon})
-			}
-			anti := Point{Lat: -lat, Lon: lon - 180}
-			if anti.Lon < -180 {
-				anti.Lon += 360
-			}
-			check(p, anti)
-			check(p, Point{Lat: anti.Lat, Lon: anti.Lon + tiny})
-			check(p, Point{Lat: lat, Lon: -lon}) // ±180° are one meridian
-			check(p, Point{Lat: 90, Lon: lon + 77})
-			check(p, Point{Lat: -90, Lon: lon - 77})
 		}
 	}
+	forCornerPairs(func(a, b Point) {
+		check(a, b, a)
+		check(a, a, b)
+		check(b, a, b)
+	})
 }

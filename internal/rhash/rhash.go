@@ -27,6 +27,13 @@ func Hash(parts ...uint64) uint64 {
 	return h
 }
 
+// Extend absorbs one more part into a finished hash: Hash absorbs its
+// parts left to right, so Extend(Hash(a...), p) == Hash(a..., p). A caller
+// keying many hashes on one shared prefix hashes the prefix once.
+func Extend(h, p uint64) uint64 {
+	return splitmix64(h ^ p)
+}
+
 // HashString folds a string label into a 64-bit value (FNV-1a).
 func HashString(s string) uint64 {
 	const (
@@ -55,6 +62,13 @@ type Stream struct {
 // yield identical sequences.
 func New(parts ...uint64) *Stream {
 	return &Stream{state: Hash(parts...)}
+}
+
+// Keyed returns the stream keyed by a finished hash: Keyed(Hash(a...))
+// yields New(a...)'s sequence. With Extend it starts one stream per key
+// of a shared prefix without re-absorbing the prefix.
+func Keyed(h uint64) Stream {
+	return Stream{state: h}
 }
 
 // NewLabeled returns a Stream keyed by a seed and a string label.

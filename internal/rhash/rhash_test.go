@@ -21,6 +21,30 @@ func TestHashOrderSensitive(t *testing.T) {
 	}
 }
 
+// TestExtendKeyed holds the prefix-key shortcut to the full hash: for
+// 0..4 leading parts, Extend(Hash(a...), p) == Hash(a..., p), and
+// Keyed(Hash(a...)) yields New(a...)'s sequence.
+func TestExtendKeyed(t *testing.T) {
+	f := func(a [4]uint64, p uint64) bool {
+		for n := 0; n <= len(a); n++ {
+			prefix := a[:n]
+			if Extend(Hash(prefix...), p) != Hash(append(prefix[:n:n], p)...) {
+				return false
+			}
+			k, s := Keyed(Hash(prefix...)), New(prefix...)
+			for i := 0; i < 8; i++ {
+				if k.Uint64() != s.Uint64() {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestHashStringDistinct(t *testing.T) {
 	if HashString("alpha") == HashString("beta") {
 		t.Error("distinct strings should hash differently")
