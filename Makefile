@@ -12,17 +12,21 @@ all: build
 build:
 	$(GO) build ./...
 
-# The second pass re-runs the three packages whose tests race goroutines
-# against each other at 1, 2 and 4 Ps: a failure that needs a second
-# hardware thread (TestRunProgressRecords was red on every 2-core host
-# while the 1-vCPU recorder stayed green) can no longer hide. -short only
-# trims the stream-selection oracle from 50k to 5k targets per case; the
-# full-size run is in the first pass. The third pass is the benchmark
+# The second pass re-runs the packages whose tests race goroutines against
+# each other, or fill shared tables under par.For, at 1, 2 and 4 Ps: a
+# failure that needs a second hardware thread (TestRunProgressRecords was
+# red on every 2-core host while the 1-vCPU recorder stayed green) can no
+# longer hide. vpsel's cover table and netsim's router table are filled
+# that way, and the cover runs inside multistep's per-target par.For.
+# -short only trims the oracles (core's stream selection from 50k to 5k
+# targets per case, netsim's routes from 100k pairs to 10k and its table
+# check to the tiny world, vpsel's multi-step sweep oracle off); the
+# full-size runs are in the first pass. The third pass is the benchmark
 # harness: it is its own module (benchmark/go.mod), so `./...` above does
 # not reach it, and it compiles against this module's serving API.
 test:
 	$(GO) test ./...
-	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/
+	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:

@@ -63,12 +63,14 @@ func MultiStep(ctx *Context) *Report {
 		Header:   []string{"rounds", "median error (km)", "measurements", "% of original", "extra API rounds"},
 	}
 	// One sweep per target answers every rounds value: results[ti][r-2] is
-	// the r-round selection.
+	// the r-round selection. The sweeps share one cover table, which is
+	// garbage once they return.
 	const maxRounds = 4
 	results := make([][]vpsel.MultiStepResult, len(c.Targets))
 	oks := make([][]bool, len(c.Targets))
+	tab := vpsel.NewCoverTable(c.RepRTT, meta)
 	parallelFor(len(c.Targets), func(ti int) {
-		results[ti], oks[ti] = vpsel.MultiStepSweep(c.RepRTT, meta, firstStep, ti, maxRounds, 100)
+		results[ti], oks[ti] = vpsel.MultiStepSweep(c.RepRTT, meta, tab, firstStep, ti, maxRounds, 100)
 	})
 	for rounds := 2; rounds <= maxRounds; rounds++ {
 		errs := make([]float64, len(c.Targets))

@@ -53,7 +53,9 @@ type Service struct {
 	poiQueries      atomic.Int64
 	lookupFailures  atomic.Int64
 
-	cells map[cellKey][]int // city IDs bucketed by 2-degree cell
+	cells    map[cellKey][]int // city IDs bucketed by 2-degree cell
+	cityTrig []geo.Trig        // per city ID, for nearestCity's distances
+	cityUnit []geo.Unit        // per city ID, for nearestCity's chord screen
 }
 
 // Query-kind discriminators for lookup-failure draws, so a reverse
@@ -65,15 +67,27 @@ const (
 
 type cellKey struct{ lat, lon int }
 
+// lonCells is the number of 2-degree longitude cells; cell indices run
+// from −lonCells/2 to lonCells/2−1 and wrap at ±180°.
+const lonCells = 180
+
 func keyOf(p geo.Point) cellKey {
-	return cellKey{lat: int(math.Floor(p.Lat / 2)), lon: int(math.Floor(p.Lon / 2))}
+	return cellKey{lat: int(math.Floor(p.Lat / 2)), lon: wrapLonCell(int(math.Floor(p.Lon / 2)))}
+}
+
+// wrapLonCell maps a longitude cell index onto [−lonCells/2, lonCells/2).
+func wrapLonCell(i int) int {
+	return ((i+lonCells/2)%lonCells+lonCells)%lonCells - lonCells/2
 }
 
 // NewService builds a mapping service with a spatial index over the cities.
 func NewService(w *world.World) *Service {
-	s := &Service{W: w, cells: make(map[cellKey][]int)}
+	s := &Service{W: w, cells: make(map[cellKey][]int),
+		cityTrig: make([]geo.Trig, len(w.Cities)), cityUnit: make([]geo.Unit, len(w.Cities))}
 	for _, c := range w.Cities {
 		s.cells[keyOf(c.Loc)] = append(s.cells[keyOf(c.Loc)], c.ID)
+		s.cityTrig[c.ID] = geo.MakeTrig(c.Loc)
+		s.cityUnit[c.ID] = s.cityTrig[c.ID].Unit()
 	}
 	return s
 }
@@ -109,38 +123,74 @@ func (s *Service) ReverseGeocode(p geo.Point) (Place, bool) {
 	return Place{CityID: city.ID, Zone: zone, Zip: city.Zip(zone)}, true
 }
 
-// nearestCity finds the closest city by expanding ring search over the
-// 2-degree buckets, falling back to a linear scan for remote points.
+// maxRing is the last ring of cells nearestCity searches before it scans
+// every city.
+const maxRing = 4
+
+// nearestCity returns the closest city to p, the lowest ID on a tie. It
+// searches rings of 2-degree cells outward from p's own, and stops once
+// the best distance is below ringBoundKm, under which no city outside the
+// searched cells can lie; a point that no ring up to maxRing settles gets
+// a scan of every city. TrigDistance is Distance bit for bit.
 func (s *Service) nearestCity(p geo.Point) *world.City {
 	base := keyOf(p)
+	pt := geo.MakeTrig(p)
+	pu := pt.Unit()
 	bestID, bestD := -1, math.Inf(1)
-	for radius := 0; radius <= 4; radius++ {
+	consider := func(id int) {
+		if geo.ChordLowerBoundKm(pu, s.cityUnit[id]) > bestD {
+			return // farther than the best: neither nearer nor a tie
+		}
+		d := geo.TrigDistance(pt, s.cityTrig[id])
+		if d < bestD || (d == bestD && id < bestID) {
+			bestID, bestD = id, d
+		}
+	}
+	for radius := 0; radius <= maxRing; radius++ {
 		for dl := -radius; dl <= radius; dl++ {
 			for dn := -radius; dn <= radius; dn++ {
 				if maxAbs(dl, dn) != radius {
 					continue // only the ring perimeter at this radius
 				}
-				for _, id := range s.cells[cellKey{base.lat + dl, base.lon + dn}] {
-					if d := geo.Distance(p, s.W.Cities[id].Loc); d < bestD {
-						bestID, bestD = id, d
-					}
+				for _, id := range s.cells[cellKey{base.lat + dl, wrapLonCell(base.lon + dn)}] {
+					consider(id)
 				}
 			}
 		}
-		// A hit whose distance is safely inside the searched ring is final.
-		if bestID >= 0 && bestD < float64(radius)*111 {
+		if bestD < ringBoundKm(p, pt.CosLat, radius) {
 			return &s.W.Cities[bestID]
 		}
 	}
-	if bestID >= 0 {
-		return &s.W.Cities[bestID]
-	}
+	bestID, bestD = -1, math.Inf(1)
 	for i := range s.W.Cities {
-		if d := geo.Distance(p, s.W.Cities[i].Loc); d < bestD {
-			bestID, bestD = i, d
-		}
+		consider(i)
 	}
 	return &s.W.Cities[bestID]
+}
+
+// ringBoundKm is a lower bound on the distance from p to any point outside
+// the cells within radius rings of p's own, shaved for rounding. Such a
+// point lies beyond the searched band of latitude, and then it is at least
+// the latitude gap away along any path, or beyond the searched band of
+// longitude, and then it is at least asin(cos φ · sin Δλ) away — the
+// distance from p to the band's nearer edge meridian, at the longitude
+// offset Δλ that holds at any latitude. A band edge past a pole bounds
+// nothing.
+func ringBoundKm(p geo.Point, cosLat float64, radius int) float64 {
+	const kmPerDeg = geo.EarthRadiusKm * math.Pi / 180
+	r := float64(radius)
+	cell := math.Floor(p.Lat / 2)
+	bound := math.Inf(1)
+	if south := 2 * (cell - r); south > -90 {
+		bound = (p.Lat - south) * kmPerDeg
+	}
+	if north := 2 * (cell + r + 1); north < 90 {
+		bound = min(bound, (north-p.Lat)*kmPerDeg)
+	}
+	in := p.Lon - 2*math.Floor(p.Lon/2) // p's offset inside its cell, [0, 2)
+	dLon := min(in+2*r, 2*(r+1)-in)
+	bound = min(bound, geo.EarthRadiusKm*math.Asin(cosLat*math.Sin(dLon*math.Pi/180)))
+	return bound*(1-1e-9) - 1e-6
 }
 
 func maxAbs(a, b int) int {

@@ -1,9 +1,12 @@
 package mapping
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"geoloc/internal/geo"
+	"geoloc/internal/par"
 	"geoloc/internal/world"
 )
 
@@ -78,6 +81,106 @@ func TestNearestCityIsActuallyNearest(t *testing.T) {
 				best, geo.Distance(p, tw.Cities[best].Loc))
 		}
 	}
+}
+
+// TestNearestCityMatchesLinearScan holds nearestCity to a scan of every
+// city (the lowest ID on a tie) on 200k points per world: half within
+// 150 km of a city, half uniform over the sphere, plus the poles and the
+// antimeridian.
+func TestNearestCityMatchesLinearScan(t *testing.T) {
+	worlds := []*world.World{tw}
+	points := 200_000
+	if testing.Short() {
+		points = 20_000
+	} else {
+		worlds = append(worlds, world.Generate(world.MediumConfig()), world.Generate(world.DefaultConfig()))
+	}
+	for _, w := range worlds {
+		s := NewService(w)
+		trig := make([]geo.Trig, len(w.Cities))
+		unit := make([]geo.Unit, len(w.Cities))
+		for i, c := range w.Cities {
+			trig[i] = geo.MakeTrig(c.Loc)
+			unit[i] = trig[i].Unit()
+		}
+		rng := rand.New(rand.NewSource(int64(len(w.Cities))))
+		pts := []geo.Point{{Lat: 90, Lon: 0}, {Lat: -90, Lon: 0}, {Lat: 0, Lon: 180}, {Lat: 0, Lon: -180},
+			{Lat: 45, Lon: 179.99}, {Lat: -45, Lon: -179.99}}
+		for len(pts) < points {
+			if len(pts)%2 == 0 {
+				c := &w.Cities[rng.Intn(len(w.Cities))]
+				pts = append(pts, geo.Destination(c.Loc, 360*rng.Float64(), 150*rng.Float64()))
+			} else {
+				pts = append(pts, geo.Point{Lat: math.Asin(2*rng.Float64()-1) * 180 / math.Pi, Lon: 360*rng.Float64() - 180})
+			}
+		}
+		wrong := make([]int, len(pts))
+		par.For(len(pts), func(i int) {
+			pt := geo.MakeTrig(pts[i])
+			pu := pt.Unit()
+			best, bestD := -1, math.Inf(1)
+			for id := range trig {
+				if geo.ChordLowerBoundKm(pu, unit[id]) > bestD {
+					continue // never below TrigDistance: this city cannot win
+				}
+				if d := geo.TrigDistance(pt, trig[id]); d < bestD {
+					best, bestD = id, d
+				}
+			}
+			wrong[i] = -1
+			if got := s.nearestCity(pts[i]); got.ID != best {
+				wrong[i] = got.ID
+			}
+		})
+		bad := 0
+		for i, got := range wrong {
+			if got < 0 {
+				continue
+			}
+			if bad++; bad <= 5 {
+				t.Errorf("%d cities: nearestCity(%v) = %d at %.3f km, scan finds a city at %.3f km", len(w.Cities), pts[i],
+					got, geo.Distance(pts[i], w.Cities[got].Loc), nearestKm(w, pts[i]))
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%d cities: %d of %d points resolve to a city that is not the nearest", len(w.Cities), bad, len(pts))
+		}
+	}
+}
+
+// TestNearestCityAntimeridianAndTies pins the two cases random points
+// almost never reach: a nearest city across ±180° from the query, and two
+// cities at exactly the same distance, where the lower ID must win although
+// the ring search meets the higher one first.
+func TestNearestCityAntimeridianAndTies(t *testing.T) {
+	w := &world.World{Cities: []world.City{
+		{ID: 0, Loc: geo.Point{Lat: 1, Lon: -1}},
+		{ID: 1, Loc: geo.Point{Lat: 1, Lon: 1}},
+		{ID: 2, Loc: geo.Point{Lat: 10, Lon: 179.5}},
+		{ID: 3, Loc: geo.Point{Lat: 10, Lon: -179.9}},
+	}}
+	s := NewService(w)
+	for _, c := range []struct {
+		p    geo.Point
+		want int
+	}{
+		{geo.Point{Lat: 1, Lon: 0}, 0},
+		{geo.Point{Lat: 10, Lon: 179.9}, 3},
+		{geo.Point{Lat: 10, Lon: -179.5}, 3},
+		{geo.Point{Lat: 10, Lon: 179.6}, 2},
+	} {
+		if got := s.nearestCity(c.p).ID; got != c.want {
+			t.Errorf("nearestCity(%v) = %d, want %d", c.p, got, c.want)
+		}
+	}
+}
+
+func nearestKm(w *world.World, p geo.Point) float64 {
+	best := math.Inf(1)
+	for i := range w.Cities {
+		best = min(best, geo.Distance(p, w.Cities[i].Loc))
+	}
+	return best
 }
 
 func TestPOIsDeterministic(t *testing.T) {

@@ -14,9 +14,11 @@ package netsim
 
 import (
 	"math"
+	"slices"
 
 	"geoloc/internal/faults"
 	"geoloc/internal/geo"
+	"geoloc/internal/par"
 	"geoloc/internal/rhash"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
@@ -90,6 +92,16 @@ type Sim struct {
 	// nearestT1PoP[i][city] is tier-1 i's closest PoP city to the given city.
 	nearestT1PoP [][]int
 
+	// routers holds the place of every router the world fixes, computed
+	// once: per AS from asCell[as], a backbone cell at its hub, then a
+	// gateway and a peering cell per PoP, in PoP order; from cityCell, an
+	// IXP and a metro cell per city.
+	routers  []routerPlace
+	asCell   []int32
+	cityCell int
+	// cityTrig caches each city centre's trig for bestPeeringCity.
+	cityTrig []geo.Trig
+
 	// routes caches computed paths per host pair. Route is a pure function,
 	// so the cache can never change results — see routeCache.
 	routes routeCache
@@ -155,6 +167,11 @@ func NewWithConfig(w *world.World, cfg Config) *Sim {
 			s.nearestT1PoP[i][city] = best
 		}
 	}
+	s.cityTrig = make([]geo.Trig, len(w.Cities))
+	for i := range w.Cities {
+		s.cityTrig[i] = geo.MakeTrig(w.Cities[i].Loc)
+	}
+	s.placeRouters()
 	return s
 }
 
@@ -190,6 +207,79 @@ func (s *Sim) routerLoc(r routerRef) geo.Point {
 	brng := 360 * rhash.UnitFloat(id, 1)
 	dist := 2 * rhash.UnitFloat(id, 2)
 	return geo.Destination(c.Loc, brng, dist)
+}
+
+// routerPlace is a router's identity and location, with the location's
+// trig for the link distances (TrigDistance is Distance bit for bit).
+type routerPlace struct {
+	id   uint64
+	loc  geo.Point
+	trig geo.Trig
+}
+
+// placeRouters fills the router table, one AS or one city per par unit,
+// each writing only its own cells.
+func (s *Sim) placeRouters() {
+	w := s.W
+	s.asCell = make([]int32, len(w.ASes))
+	n := 0
+	for i := range w.ASes {
+		s.asCell[i] = int32(n)
+		n += 1 + 2*len(w.ASes[i].PoPs)
+	}
+	s.cityCell = n
+	s.routers = make([]routerPlace, n+2*len(w.Cities))
+	par.For(len(w.ASes), func(as int) {
+		cells := s.routers[s.asCell[as]:]
+		cells[0] = s.computePlace(routerRef{asID: as, city: w.ASes[as].Hub, role: roleBackbone})
+		for k, city := range w.ASes[as].PoPs {
+			cells[1+2*k] = s.computePlace(routerRef{asID: as, city: city, role: roleGateway})
+			cells[2+2*k] = s.computePlace(routerRef{asID: as, city: city, role: rolePeering})
+		}
+	})
+	par.For(len(w.Cities), func(city int) {
+		cells := s.routers[s.cityCell+2*city:]
+		cells[0] = s.computePlace(routerRef{asID: -1, city: city, role: roleIXP})
+		cells[1] = s.computePlace(routerRef{asID: -2, city: city, role: roleMetro})
+	})
+}
+
+// router returns r's place: from the table when the world fixes it,
+// computed otherwise (a gateway in a city its AS has no PoP in, say).
+func (s *Sim) router(r routerRef) routerPlace {
+	if i := s.routerCell(r); i >= 0 {
+		return s.routers[i]
+	}
+	return s.computePlace(r)
+}
+
+// computePlace derives r's place from routerID and routerLoc.
+func (s *Sim) computePlace(r routerRef) routerPlace {
+	loc := s.routerLoc(r)
+	return routerPlace{id: s.routerID(r), loc: loc, trig: geo.MakeTrig(loc)}
+}
+
+// routerCell returns r's cell in the router table, or -1.
+func (s *Sim) routerCell(r routerRef) int {
+	switch r.role {
+	case roleIXP:
+		return s.cityCell + 2*r.city
+	case roleMetro:
+		return s.cityCell + 2*r.city + 1
+	}
+	a := &s.W.ASes[r.asID]
+	base := int(s.asCell[r.asID])
+	if r.role == roleBackbone {
+		if r.city == a.Hub {
+			return base
+		}
+		return -1
+	}
+	k, ok := slices.BinarySearch(a.PoPs, r.city)
+	if !ok {
+		return -1
+	}
+	return base + 1 + 2*k + int(r.role-roleGateway)
 }
 
 // cableFactor is the deterministic cable-vs-geodesic inflation of a link.

@@ -27,21 +27,24 @@ type Path struct {
 	OneWayMs float64
 }
 
-// routeRouters returns the router sequence between the two hosts. The
-// sequence is deterministic per host pair and symmetric in structure
+// maxRouters is the longest router sequence routeRouters returns.
+const maxRouters = 6
+
+// routeRouters appends the router sequence between the two hosts to refs.
+// The sequence is deterministic per host pair and symmetric in structure
 // (destination-based routing with symmetric last links, which is the
 // assumption appendix B of the paper discusses).
-func (s *Sim) routeRouters(src, dst *world.Host) []routerRef {
+func (s *Sim) routeRouters(src, dst *world.Host, refs []routerRef) []routerRef {
 	w := s.W
+	refs = append(refs, routerRef{asID: src.AS, city: src.City, role: roleGateway})
 	if src.AS == dst.AS {
 		if src.City == dst.City {
-			return []routerRef{{asID: src.AS, city: src.City, role: roleGateway}}
+			return refs
 		}
 		hub := w.ASes[src.AS].Hub
 		detour := hub != src.City && hub != dst.City &&
 			rhash.UnitFloat(w.Cfg.Seed, rhash.HashString("intra"),
 				uint64(src.AS), uint64(min(src.City, dst.City)), uint64(max(src.City, dst.City))) < s.Cfg.IntraASHubDetourProb
-		refs := []routerRef{{asID: src.AS, city: src.City, role: roleGateway}}
 		if detour {
 			refs = append(refs, routerRef{asID: src.AS, city: hub, role: roleBackbone})
 		}
@@ -51,11 +54,9 @@ func (s *Sim) routeRouters(src, dst *world.Host) []routerRef {
 	a, b := &w.ASes[src.AS], &w.ASes[dst.AS]
 	// Local IXP peering when both ASes are present in one IXP city.
 	if src.City == dst.City && w.Cities[src.City].HasIXP && a.HasPoP(src.City) && b.HasPoP(src.City) {
-		return []routerRef{
-			{asID: src.AS, city: src.City, role: roleGateway},
-			{asID: -1, city: src.City, role: roleIXP},
-			{asID: dst.AS, city: dst.City, role: roleGateway},
-		}
+		return append(refs,
+			routerRef{asID: -1, city: src.City, role: roleIXP},
+			routerRef{asID: dst.AS, city: dst.City, role: roleGateway})
 	}
 
 	// Direct peering in the common PoP city minimizing the total detour.
@@ -67,7 +68,6 @@ func (s *Sim) routeRouters(src, dst *world.Host) []routerRef {
 	// therefore the "last common hop" the street level technique subtracts
 	// RTTs at.
 	if x, ok := s.bestPeeringCity(a, b, src.City, dst.City); ok {
-		refs := []routerRef{{asID: src.AS, city: src.City, role: roleGateway}}
 		if src.City != dst.City {
 			refs = append(refs, routerRef{asID: -2, city: src.City, role: roleMetro})
 		}
@@ -86,7 +86,6 @@ func (s *Sim) routeRouters(src, dst *world.Host) []routerRef {
 	t1 := s.tier1[ti]
 	entry := s.nearestT1PoP[ti][src.City]
 	exit := s.nearestT1PoP[ti][dst.City]
-	refs := []routerRef{{asID: src.AS, city: src.City, role: roleGateway}}
 	if src.City != dst.City {
 		refs = append(refs, routerRef{asID: -2, city: src.City, role: roleMetro})
 	}
@@ -108,8 +107,7 @@ func (s *Sim) routeRouters(src, dst *world.Host) []routerRef {
 // kilometres from a probe yet see a multi-millisecond RTT (§5.1.5).
 func (s *Sim) bestPeeringCity(a, b *world.AS, srcCity, dstCity int) (int, bool) {
 	w := s.W
-	srcLoc := w.Cities[srcCity].Loc
-	dstLoc := w.Cities[dstCity].Loc
+	srcT, dstT := s.cityTrig[srcCity], s.cityTrig[dstCity]
 	best, bestCost := -1, math.Inf(1)
 	i, j := 0, 0
 	for i < len(a.PoPs) && j < len(b.PoPs) {
@@ -125,8 +123,7 @@ func (s *Sim) bestPeeringCity(a, b *world.AS, srcCity, dstCity int) (int, bool) 
 			if w.Cities[x].BadLastMile {
 				continue
 			}
-			loc := w.Cities[x].Loc
-			cost := geo.Distance(srcLoc, loc) + geo.Distance(loc, dstLoc)
+			cost := geo.TrigDistance(srcT, s.cityTrig[x]) + geo.TrigDistance(s.cityTrig[x], dstT)
 			if cost < bestCost {
 				best, bestCost = x, cost
 			}
@@ -156,7 +153,8 @@ func (s *Sim) Route(src, dst *world.Host) Path {
 
 // computeRoute derives the path from scratch (the cache-miss path).
 func (s *Sim) computeRoute(src, dst *world.Host) Path {
-	refs := s.routeRouters(src, dst)
+	var buf [maxRouters]routerRef
+	refs := s.routeRouters(src, dst, buf[:0])
 	hops := make([]PathHop, len(refs))
 	// Datacenter-to-datacenter traffic (two anchors) rides direct backbone
 	// waves with little of the access-side meandering ordinary paths have.
@@ -168,12 +166,12 @@ func (s *Sim) computeRoute(src, dst *world.Host) Path {
 		return f
 	}
 	cum := src.LastMileMs
-	prevLoc := src.Loc
+	prevT := geo.MakeTrig(src.Loc)
 	var prevID uint64
 	for i, r := range refs {
-		id := s.routerID(r)
-		loc := s.routerLoc(r)
-		linkKm := geo.Distance(prevLoc, loc)
+		pl := s.router(r)
+		id := pl.id
+		linkKm := geo.TrigDistance(prevT, pl.trig)
 		var factor float64
 		if i == 0 {
 			factor = s.cableFactor(rhash.Hash(uint64(src.Addr)), id)
@@ -181,10 +179,10 @@ func (s *Sim) computeRoute(src, dst *world.Host) Path {
 			factor = s.cableFactor(prevID, id)
 		}
 		cum += linkKm*adjust(factor)/geo.TwoThirdsC + s.Cfg.HopProcessingMs
-		hops[i] = PathHop{RouterID: id, Loc: loc, ASID: r.asID, CumOneWayMs: cum}
-		prevLoc, prevID = loc, id
+		hops[i] = PathHop{RouterID: id, Loc: pl.loc, ASID: r.asID, CumOneWayMs: cum}
+		prevT, prevID = pl.trig, id
 	}
-	lastKm := geo.Distance(prevLoc, dst.Loc)
+	lastKm := geo.TrigDistance(prevT, geo.MakeTrig(dst.Loc))
 	total := cum + lastKm*adjust(s.cableFactor(prevID, rhash.Hash(uint64(dst.Addr))))/geo.TwoThirdsC + dst.LastMileMs
 	total += s.pathNoise(src, dst)
 	return Path{Hops: hops, OneWayMs: total}

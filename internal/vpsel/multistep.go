@@ -29,8 +29,11 @@ type MultiStepResult struct {
 // More rounds trade measurement overhead for wall-clock time: each round is
 // one more platform API round-trip (§7.2.3 notes this costs only minutes
 // and geolocation does not change quickly).
-func MultiStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target, rounds, interBudget int) (MultiStepResult, bool) {
-	out, ok := MultiStepSweep(repRTT, meta, firstStep, target, rounds, interBudget)
+//
+// tab is NewCoverTable(repRTT, meta); the intermediate samples read their
+// pair values from it, and a caller sweeping many targets builds it once.
+func MultiStepSelect(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstStep []int, target, rounds, interBudget int) (MultiStepResult, bool) {
+	out, ok := MultiStepSweep(repRTT, meta, tab, firstStep, target, rounds, interBudget)
 	return out[len(out)-1], ok[len(ok)-1]
 }
 
@@ -42,7 +45,7 @@ func MultiStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target,
 // sample is computed once for all of them. An empty region ends every
 // rounds value still open, unselected. maxRounds < 2 is taken as 2 and
 // interBudget < 1 as 100.
-func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target, maxRounds, interBudget int) ([]MultiStepResult, []bool) {
+func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstStep []int, target, maxRounds, interBudget int) ([]MultiStepResult, []bool) {
 	if maxRounds < 2 {
 		maxRounds = 2
 	}
@@ -93,11 +96,7 @@ func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target, 
 		}
 
 		// Intermediate round: keep an Earth-covering sample of candidates.
-		locs := make([]geo.Point, len(candidates))
-		for i, vp := range candidates {
-			locs[i] = repRTT.VPs[vp]
-		}
-		picked := GreedyCover(locs, interBudget)
+		picked := tab.Cover(candidates, interBudget)
 		next := make([]int, len(picked))
 		for i, p := range picked {
 			next[i] = candidates[p]

@@ -119,6 +119,7 @@ func TestMultiStepSweepMatchesOracle(t *testing.T) {
 		m.RTT[a][nT+i], m.RTT[b][nT+i] = rtt, rtt
 	}
 
+	tab := NewCoverTable(m, meta)
 	exits := map[string]int{}
 	for _, size := range []int{3, 10, 30} {
 		firstStep := GreedyCover(locs, size)
@@ -132,7 +133,7 @@ func TestMultiStepSweepMatchesOracle(t *testing.T) {
 				}
 			}
 			for _, budget := range budgets {
-				out, ok := MultiStepSweep(m, meta, firstStep, target, maxRounds, budget)
+				out, ok := MultiStepSweep(m, meta, tab, firstStep, target, maxRounds, budget)
 				if len(out) != maxRounds-1 || len(ok) != maxRounds-1 {
 					t.Fatalf("sweep returned %d results, %d verdicts; want %d", len(out), len(ok), maxRounds-1)
 				}
@@ -143,7 +144,7 @@ func TestMultiStepSweepMatchesOracle(t *testing.T) {
 						t.Fatalf("first step %d, budget %d, target %d, rounds %d: sweep %+v %v, oracle %+v %v (%s)",
 							size, budget, target, rounds, got, gotOK, want, wantOK, exit)
 					}
-					if got, gotOK := MultiStepSelect(m, meta, firstStep, target, rounds, budget); got != want || gotOK != wantOK {
+					if got, gotOK := MultiStepSelect(m, meta, tab, firstStep, target, rounds, budget); got != want || gotOK != wantOK {
 						t.Fatalf("first step %d, budget %d, target %d, rounds %d: MultiStepSelect %+v %v, oracle %+v %v",
 							size, budget, target, rounds, got, gotOK, want, wantOK)
 					}
@@ -202,7 +203,7 @@ func TestMultiStepSelectBasics(t *testing.T) {
 
 	okCount := 0
 	for target := range camp.Targets {
-		res, ok := MultiStepSelect(camp.RepRTT, meta, firstStep, target, 3, 50)
+		res, ok := MultiStepSelect(camp.RepRTT, meta, campTable, firstStep, target, 3, 50)
 		if !ok {
 			continue
 		}
@@ -234,7 +235,7 @@ func TestMultiStepTwoRoundsMatchesTwoStepShape(t *testing.T) {
 	var multiPings, twoPings int64
 	n := 0
 	for target := range camp.Targets {
-		m, ok1 := MultiStepSelect(camp.RepRTT, meta, firstStep, target, 2, 100)
+		m, ok1 := MultiStepSelect(camp.RepRTT, meta, campTable, firstStep, target, 2, 100)
 		tw, ok2 := TwoStepSelect(camp.RepRTT, meta, firstStep, target)
 		if !ok1 || !ok2 {
 			continue
@@ -264,7 +265,7 @@ func TestMultiStepMoreRoundsNotMoreExpensivePerTargetOnAverage(t *testing.T) {
 		var total int64
 		n := 0
 		for target := range camp.Targets {
-			if res, ok := MultiStepSelect(camp.RepRTT, meta, firstStep, target, rounds, 40); ok {
+			if res, ok := MultiStepSelect(camp.RepRTT, meta, campTable, firstStep, target, rounds, 40); ok {
 				total += res.Pings
 				n++
 			}
@@ -293,7 +294,7 @@ func TestMultiStepRoundsClamped(t *testing.T) {
 	}
 	firstStep := GreedyCover(locs, 5)
 	// rounds < 2 clamps to 2; interBudget < 1 clamps to a sane default.
-	if _, ok := MultiStepSelect(camp.RepRTT, meta, firstStep, 0, 0, 0); !ok {
+	if _, ok := MultiStepSelect(camp.RepRTT, meta, campTable, firstStep, 0, 0, 0); !ok {
 		t.Skip("target 0 unselectable in tiny world")
 	}
 }

@@ -64,35 +64,62 @@ func OriginalOverheadPings(numVPs, numTargets, selectedPerTarget int) int64 {
 // n ≥ len(locs) the answer is the identity (every index in order), which is
 // not a greedy order and so is no prefix source.
 func GreedyCover(locs []geo.Point, n int) []int {
+	tr := make([]geo.Trig, len(locs))
+	for i, p := range locs {
+		tr[i] = geo.MakeTrig(p)
+	}
+	return greedyCover(coverPairs{tr: tr}, n, true)
+}
+
+// coverBlock is how many points one unit of a cover's row work spans, so
+// a cheap pair source is not swamped by per-point call overhead.
+const coverBlock = 64
+
+// greedyCover is GreedyCover's loop over p's points, whatever the pair
+// source. fan spreads each row of work across the par pool; a table cover
+// runs inline, since its pairs are lookups and its caller already fans out.
+// The sums and scores are index-addressed and accumulate in pick order, so
+// neither the source nor the fan changes a bit of the answer.
+func greedyCover(p coverPairs, n int, fan bool) []int {
 	meters.greedyCovers.Inc()
-	if n <= 0 || len(locs) == 0 {
+	m := len(p.tr)
+	if n <= 0 || m == 0 {
 		return nil
 	}
-	if n >= len(locs) {
-		out := make([]int, len(locs))
+	if n >= m {
+		out := make([]int, m)
 		for i := range out {
 			out[i] = i
 		}
 		return out
 	}
 
-	tr := make([]geo.Trig, len(locs))
-	for i, p := range locs {
-		tr[i] = geo.MakeTrig(p)
+	// rows runs f over [0, m) in coverBlock spans.
+	blocks := (m + coverBlock - 1) / coverBlock
+	rows := func(f func(lo, hi int)) {
+		span := func(b int) { f(b*coverBlock, min(b*coverBlock+coverBlock, m)) }
+		if fan {
+			par.For(blocks, span)
+			return
+		}
+		for b := 0; b < blocks; b++ {
+			span(b)
+		}
 	}
 
 	// Seed: the location with the greatest summed log-distance to a strided
 	// sample (O(V·S) rather than O(V²); the stride keeps it deterministic).
-	// Per-candidate sums go into an index-addressed slice; the argmax scans
-	// it in index order, so the parallel fan changes nothing.
-	stride := len(locs)/97 + 1
-	sums := make([]float64, len(locs))
-	par.For(len(locs), func(i int) {
-		var sum float64
-		for j := 0; j < len(locs); j += stride {
-			sum += math.Log1p(geo.TrigDistance(tr[i], tr[j]))
+	// The argmax scans the sums in index order.
+	stride := m/97 + 1
+	sums := make([]float64, m)
+	rows(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			var sum float64
+			for j := 0; j < m; j += stride {
+				sum += p.logDist(i, j)
+			}
+			sums[i] = sum
 		}
-		sums[i] = sum
 	})
 	seed, seedScore := 0, math.Inf(-1)
 	for i, sum := range sums {
@@ -102,23 +129,25 @@ func GreedyCover(locs []geo.Point, n int) []int {
 	}
 
 	selected := make([]int, 0, n)
-	chosen := make([]bool, len(locs))
+	chosen := make([]bool, m)
 	// score[i] accumulates Σ log(1+dist(i, s)) over selected s.
-	score := make([]float64, len(locs))
+	score := make([]float64, m)
 
 	add := func(idx int) {
 		selected = append(selected, idx)
 		chosen[idx] = true
-		par.For(len(locs), func(i int) {
-			if !chosen[i] {
-				score[i] += math.Log1p(geo.TrigDistance(tr[i], tr[idx]))
+		rows(func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if !chosen[i] {
+					score[i] += p.logDist(i, idx)
+				}
 			}
 		})
 	}
 	add(seed)
 	for len(selected) < n {
 		best, bestScore := -1, math.Inf(-1)
-		for i := range locs {
+		for i := range score {
 			if !chosen[i] && score[i] > bestScore {
 				best, bestScore = i, score[i]
 			}

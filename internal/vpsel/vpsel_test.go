@@ -15,6 +15,9 @@ var camp = func() *core.Campaign {
 	return c
 }()
 
+// campTable is camp's cover table, built once for the multi-step tests.
+var campTable = NewCoverTable(camp.RepRTT, campaignMeta(camp))
+
 func campaignMeta(c *core.Campaign) []VPMeta {
 	meta := make([]VPMeta, len(c.VPs))
 	for i, h := range c.VPs {
