@@ -78,22 +78,49 @@ experiments:
 # journaled batches, resume from the journal, and require the matrix
 # digests and platform/client stats to match byte for byte — under every
 # fault profile. Hostile trips dozens of circuit-breaker quarantines before
-# the kill, so breaker and quarantine state must cross it too.
+# the kill, so breaker and quarantine state must cross it too. Report
+# replay: a third, -resume run over the now complete journal restores every
+# batch and the journaled table1 report, measures nothing, and must print
+# the uninterrupted run's stdout byte for byte (as must the resumed run).
+# Spill-run resume (§3.9): compile 20k streamed targets in five windows
+# keeping the spill, tear run 4's tail (7 bytes), flip one byte mid-run 2,
+# delete the artifact, and compile again with -resume: the three intact
+# runs are reused, the damaged two re-measured, and the artifact is the
+# uninterrupted one byte for byte.
 resume-check:
 	rm -rf .resume-check && mkdir -p .resume-check
 	$(GO) build -o .resume-check/exp ./cmd/experiments
 	set -e; for prof in none realistic degraded hostile; do \
+		d=.resume-check/$$prof; \
 		./.resume-check/exp -scale tiny -run table1 -faults $$prof \
-			-digest .resume-check/$$prof.base -q >/dev/null; \
+			-digest $$d.base -q >$$d.base.out; \
 		rc=0; ./.resume-check/exp -scale tiny -run table1 -faults $$prof \
-			-checkpoint-dir .resume-check/$$prof -kill-after-batches 40 -q >/dev/null || rc=$$?; \
+			-checkpoint-dir $$d -kill-after-batches 40 -q >/dev/null || rc=$$?; \
 		test $$rc -eq 3; \
 		./.resume-check/exp -scale tiny -run table1 -faults $$prof \
-			-checkpoint-dir .resume-check/$$prof -resume \
-			-digest .resume-check/$$prof.resumed -q >/dev/null; \
-		diff .resume-check/$$prof.base .resume-check/$$prof.resumed; \
-		echo "resume-check($$prof): digests identical"; \
+			-checkpoint-dir $$d -resume -digest $$d.resumed -q >$$d.resumed.out; \
+		diff $$d.base $$d.resumed; \
+		./.resume-check/exp -scale tiny -run table1 -faults $$prof \
+			-checkpoint-dir $$d -resume >$$d.replay.out 2>$$d.replay.log; \
+		grep -q 'batches restored, 0 measured live' $$d.replay.log; \
+		grep -q '^experiments: table1 restored from checkpoint$$' $$d.replay.log; \
+		cmp $$d.base.out $$d.resumed.out; \
+		cmp $$d.base.out $$d.replay.out; \
+		echo "resume-check($$prof): digests identical, report replayed byte for byte"; \
 	done
+	set -e; s=.resume-check/stream; \
+	./.resume-check/exp -scale 20000 -checkpoint-dir $$s -keep-spill \
+		-artifact $$s.geodset2 -q >/dev/null; \
+	mv $$s.geodset2 $$s.ref.geodset2; \
+	truncate -s -7 $$s/run-00004.ckpt; \
+	b=$$(od -An -tu1 -j5000 -N1 $$s/run-00002.ckpt); \
+	printf "\\$$(printf %o $$((b ^ 255)))" | \
+		dd of=$$s/run-00002.ckpt bs=1 seek=5000 conv=notrunc status=none; \
+	./.resume-check/exp -scale 20000 -checkpoint-dir $$s -resume \
+		-artifact $$s.geodset2 -q >$$s.out; \
+	grep -E 'windows: +5 \(3 reused from prior spill\)' $$s.out; \
+	cmp $$s.ref.geodset2 $$s.geodset2; \
+	echo "resume-check(stream): artifact identical after reusing 3 of 5 spill runs"
 	rm -rf .resume-check
 
 # Load + metrics proof of the serving tier (DESIGN.md §3.6–3.7):

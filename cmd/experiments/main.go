@@ -19,6 +19,7 @@ package main
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"geoloc/internal/atlas"
 	"geoloc/internal/checkpoint"
 	"geoloc/internal/core"
 	"geoloc/internal/dataset"
@@ -57,14 +57,15 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "directory for the crash-safety journal (empty disables checkpointing)")
 	resume := flag.Bool("resume", false, "resume from an existing journal in -checkpoint-dir instead of starting fresh")
 	digestPath := flag.String("digest", "", "write matrix digests and platform stats to this file after the campaign (resume-equivalence checking)")
-	syncEvery := flag.Int("sync-every", 8, "fsync the journal once per this many batches")
 	killAfter := flag.Int("kill-after-batches", 0, "exit(3) abruptly after this many batches are journaled (crash-testing hook)")
-	deadlineTargets := flag.Float64("deadline-targets-sec", 0, "watchdog: per-source simulated-clock ceiling for the target matrix phase (0 = off)")
-	deadlineReps := flag.Float64("deadline-reps-sec", 0, "watchdog: per-source simulated-clock ceiling for the representatives phase (0 = off)")
-	wallTimeout := flag.Duration("wall-timeout", 0, "watchdog: real-time safety net for the campaign (nondeterministic; 0 = off)")
 	progressEvery := flag.Int("progress", 0, "emit a structured campaign-progress record every N batches (0 = off; format/level via -log-format/-log-level)")
 	tele := telemetry.NewCLI()
 	flag.Parse()
+	if err := checkFlags(*scale, *window, *ckptDir, *resume); err != nil {
+		fmt.Fprintf(flag.CommandLine.Output(), "experiments: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *quiet {
 		log.SetOutput(io.Discard)
 	}
@@ -136,16 +137,13 @@ func main() {
 	log.Printf("preparing %s-scale campaign (sanitize + matrices)...", *scale)
 	var c *core.Campaign
 	if prof != nil {
-		c = core.NewResilientCampaign(cfg, prof, atlas.DefaultClientConfig())
+		c = core.NewResilientCampaign(cfg, prof)
 	} else {
 		c = core.NewCampaign(cfg)
 	}
 	tele.Attach("campaign", c.Platform.Reg)
 
-	rc := core.RunConfig{
-		Resume:        *resume,
-		SyncEveryRows: *syncEvery,
-	}
+	rc := core.RunConfig{Resume: *resume}
 	if *progressEvery > 0 {
 		rc.Progress = tele.Logger()
 		rc.ProgressEvery = *progressEvery
@@ -155,18 +153,6 @@ func main() {
 			log.Fatal(err)
 		}
 		rc.JournalPath = filepath.Join(*ckptDir, "campaign.ckpt")
-	}
-	if *deadlineTargets > 0 || *deadlineReps > 0 || *wallTimeout > 0 {
-		rc.Watchdog = &core.Watchdog{
-			PhaseDeadlineSec: map[string]float64{
-				core.PhaseTargets: *deadlineTargets,
-				core.PhaseReps:    *deadlineReps,
-			},
-			WallTimeout: *wallTimeout,
-			OnStall: func(phase string, vp, srcID int) {
-				log.Printf("watchdog: %s row %d (src %d) hit its deadline; finalized partially", phase, vp, srcID)
-			},
-		}
 	}
 	rc.Hard = hardCtx
 	if *killAfter > 0 {
@@ -188,9 +174,6 @@ func main() {
 	if runRes.Resumed {
 		log.Printf("resumed from checkpoint: %d batches restored, %d measured live",
 			runRes.RestoredRows, runRes.MeasuredRows)
-	}
-	if runRes.StalledRows > 0 {
-		log.Printf("watchdog finalized %d stalled batches with partial coverage", runRes.StalledRows)
 	}
 	log.Printf("campaign ready in %.1fs; running experiments", time.Since(start).Seconds())
 
@@ -324,6 +307,20 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("done in %.1fs", time.Since(start).Seconds())
+}
+
+// checkFlags rejects, before any work starts, flag values that cannot
+// run: a spill window under one target, and -resume on a named scale with
+// no journal to resume from (a streaming run's spill directory defaults
+// to one next to -artifact).
+func checkFlags(scale string, window int, ckptDir string, resume bool) error {
+	if window < 1 {
+		return fmt.Errorf("-window must be at least 1, got %d", window)
+	}
+	if _, stream := streamScale(scale); resume && ckptDir == "" && !stream {
+		return errors.New("-resume needs -checkpoint-dir")
+	}
+	return nil
 }
 
 // digestReport renders the campaign's result digests and usage counters —

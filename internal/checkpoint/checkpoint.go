@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"geoloc/internal/telemetry"
@@ -106,21 +105,19 @@ type Record struct {
 // meters holds the package's instrumentation, resolved once against the
 // global default registry (observational only — accounting never reads it).
 var meters = struct {
-	appends     *telemetry.Counter
-	bytes       *telemetry.Counter
-	syncs       *telemetry.Counter
-	resumes     *telemetry.Counter
-	restored    *telemetry.Counter
-	tornTails   *telemetry.Counter
-	compactions *telemetry.Counter
+	appends   *telemetry.Counter
+	bytes     *telemetry.Counter
+	syncs     *telemetry.Counter
+	resumes   *telemetry.Counter
+	restored  *telemetry.Counter
+	tornTails *telemetry.Counter
 }{
-	appends:     telemetry.Default().Counter("checkpoint.records_appended"),
-	bytes:       telemetry.Default().Counter("checkpoint.bytes_appended"),
-	syncs:       telemetry.Default().Counter("checkpoint.syncs"),
-	resumes:     telemetry.Default().Counter("checkpoint.resumes"),
-	restored:    telemetry.Default().Counter("checkpoint.records_restored"),
-	tornTails:   telemetry.Default().Counter("checkpoint.torn_tails"),
-	compactions: telemetry.Default().Counter("checkpoint.compactions"),
+	appends:   telemetry.Default().Counter("checkpoint.records_appended"),
+	bytes:     telemetry.Default().Counter("checkpoint.bytes_appended"),
+	syncs:     telemetry.Default().Counter("checkpoint.syncs"),
+	resumes:   telemetry.Default().Counter("checkpoint.resumes"),
+	restored:  telemetry.Default().Counter("checkpoint.records_restored"),
+	tornTails: telemetry.Default().Counter("checkpoint.torn_tails"),
 }
 
 // encodeHeader serializes a header record payload.
@@ -257,11 +254,9 @@ func Validate(got, want Header) error {
 // concurrent use; the campaign's parallel batch workers commit through one
 // Journal.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	hdr  Header
-	// dirty counts appends since the last sync, for SyncEvery batching.
+	mu sync.Mutex
+	f  *os.File
+	// dirty counts appends since the last sync, for AppendEvery batching.
 	dirty int
 }
 
@@ -273,7 +268,7 @@ func Create(path string, hdr Header) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{f: f, path: path, hdr: hdr}
+	j := &Journal{f: f}
 	if _, err := f.Write([]byte(Magic)); err != nil {
 		f.Close()
 		return nil, err
@@ -336,14 +331,8 @@ func Open(path string, want Header) (*Journal, []Record, error) {
 	}
 	meters.resumes.Inc()
 	meters.restored.Add(int64(len(recs)))
-	return &Journal{f: f, path: path, hdr: hdr}, recs, nil
+	return &Journal{f: f}, recs, nil
 }
-
-// Header returns the journal's header.
-func (j *Journal) Header() Header { return j.hdr }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Append writes one record frame. The frame hits the OS on return but is
 // not fsynced; call Sync at batch-commit points.
@@ -425,56 +414,4 @@ func (j *Journal) Close() error {
 	}
 	j.f = nil
 	return err
-}
-
-// Compact atomically rewrites the journal as header + recs: the snapshot
-// is written to a temporary file in the same directory, fsynced, and
-// renamed over the journal, so a crash during compaction leaves either the
-// old journal or the new one — never a half-written hybrid. The journal
-// must be re-Opened afterwards; Compact closes it.
-func (j *Journal) Compact(recs []Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	tmp := j.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	write := func() error {
-		if _, err := f.Write([]byte(Magic)); err != nil {
-			return err
-		}
-		if _, err := f.Write(frame(KindHeader, encodeHeader(j.hdr))); err != nil {
-			return err
-		}
-		for _, r := range recs {
-			if _, err := f.Write(frame(r.Kind, r.Payload)); err != nil {
-				return err
-			}
-		}
-		return f.Sync()
-	}
-	if err := write(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		return err
-	}
-	// Fsync the directory so the rename itself survives a crash.
-	if d, err := os.Open(filepath.Dir(j.path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	meters.compactions.Inc()
-	return nil
 }

@@ -271,43 +271,6 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-func TestCompactAtomicRewrite(t *testing.T) {
-	dir := t.TempDir()
-	path, payloads := writeJournal(t, dir, 6)
-	j, recs, err := Open(path, testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keep only the even records, as a caller consolidating rows would.
-	var keep []Record
-	for i, r := range recs {
-		if i%2 == 0 {
-			keep = append(keep, r)
-		}
-	}
-	if err := j.Compact(keep); err != nil {
-		t.Fatal(err)
-	}
-	// Compact closes the journal; reopen and verify content and that the
-	// tmp file did not survive.
-	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("tmp file left behind: %v", err)
-	}
-	j2, recs2, err := Open(path, testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if len(recs2) != 3 {
-		t.Fatalf("compacted journal has %d records, want 3", len(recs2))
-	}
-	for i, r := range recs2 {
-		if !bytes.Equal(r.Payload, payloads[2*i]) {
-			t.Fatalf("compacted record %d wrong", i)
-		}
-	}
-}
-
 func TestAppendEverySyncBatching(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.ckpt")
 	j, err := Create(path, testHeader())

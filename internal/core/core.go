@@ -81,15 +81,15 @@ func generateWorld(cfg world.Config) *world.World {
 // measurement substrate injects the given fault profile and whose bulk
 // campaigns run through the resilient client. Sanitization runs against
 // the faulty substrate too — the anchor mesh has holes, which the
-// sanitizer tolerates. With a disabled profile the campaign is
-// bit-identical to NewCampaign.
-func NewResilientCampaign(cfg world.Config, prof *faults.Profile, ccfg atlas.ClientConfig) *Campaign {
+// sanitizer tolerates. The client runs atlas.DefaultClientConfig. With a
+// disabled profile the campaign is bit-identical to NewCampaign.
+func NewResilientCampaign(cfg world.Config, prof *faults.Profile) *Campaign {
 	w := generateWorld(cfg)
 	sim := netsim.New(w)
 	sim.Faults = prof
 	p := atlas.New(w, sim)
 	c := newCampaign(w, sim, p)
-	c.Client = atlas.NewClient(p, prof, ccfg)
+	c.Client = atlas.NewClient(p, prof, atlas.DefaultClientConfig())
 	return c
 }
 
@@ -183,8 +183,7 @@ func (c *Campaign) BuildMatrices() {
 }
 
 // BuildTargetMatrix fills and seals TargetRTT. It is Run's target phase
-// with no journal, watchdog or cancellation; a sealed matrix is not
-// measured again.
+// with no journal or cancellation; a sealed matrix is not measured again.
 func (c *Campaign) BuildTargetMatrix() { c.build(rowMatrixTargets) }
 
 // BuildRepMatrix fills and seals RepRTT: for each (VP, target) it pings the
@@ -210,22 +209,10 @@ func (c *Campaign) ping(ctx context.Context, src, dst *world.Host, salt uint64, 
 // reps nil it is the target phase (one ping per target); otherwise the
 // representatives phase (the median of the responsive /24-representative
 // RTTs per target).
-//
-// deadlineSec is the watchdog's absolute simulated-clock ceiling for the
-// phase (0 disables); when the row's own source clock crosses it the row
-// stops where it is — the remaining cells stay Unresponsive, which every
-// downstream consumer (CBG included) already treats as a hole — and the
-// row reports itself stalled. The check reads the source clock from rec
-// (maintained by the client after every measurement), so it is a pure
-// function of the row's own deterministic operation sequence: bit-identical
-// regardless of scheduling, unlike a wall-clock watchdog.
-func (c *Campaign) measureRow(ctx context.Context, m *cbg.Matrix, vp int, reps [][]*world.Host, rec *atlas.BatchStats, deadlineSec float64) (stalled bool) {
+func (c *Campaign) measureRow(ctx context.Context, m *cbg.Matrix, vp int, reps [][]*world.Host, rec *atlas.BatchStats) {
 	src := c.VPs[vp]
 	var rtts [3]float64
 	for t, dst := range c.Targets {
-		if deadlineSec > 0 && float64(rec.SrcClockUSec) > deadlineSec*1e6 {
-			return true
-		}
 		if src.ID == dst.ID {
 			continue // a target is never its own vantage point
 		}
@@ -246,7 +233,6 @@ func (c *Campaign) measureRow(ctx context.Context, m *cbg.Matrix, vp int, reps [
 			m.RTT[vp][t] = float32(median3(rtts[:n]))
 		}
 	}
-	return false
 }
 
 // repHosts resolves every target's /24 representatives to hosts, indexed

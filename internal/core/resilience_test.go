@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"geoloc/internal/atlas"
 	"geoloc/internal/faults"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
@@ -43,7 +42,7 @@ func TestResilientCampaignDeterministic(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
 	build := func() *Campaign {
-		c := NewResilientCampaign(world.TinyConfig(), faults.Realistic(), atlas.DefaultClientConfig())
+		c := NewResilientCampaign(world.TinyConfig(), faults.Realistic())
 		c.BuildMatrices()
 		return c
 	}
@@ -67,7 +66,7 @@ func TestResilientCampaignDeterministic(t *testing.T) {
 func TestNoneProfileCampaignBitIdentical(t *testing.T) {
 	plain := NewCampaign(world.TinyConfig())
 	plain.BuildMatrices()
-	resilient := NewResilientCampaign(world.TinyConfig(), faults.None(), atlas.DefaultClientConfig())
+	resilient := NewResilientCampaign(world.TinyConfig(), faults.None())
 	resilient.BuildMatrices()
 
 	if len(plain.Targets) != len(resilient.Targets) || len(plain.VPs) != len(resilient.VPs) {

@@ -1,7 +1,7 @@
 // Crash-safe campaign execution: Run drives the bulk ping campaigns with
-// checkpoint journaling, context cancellation, and a watchdog supervisor,
-// producing matrices bit-identical to BuildMatrices no matter how often
-// the process is killed and resumed in between (DESIGN.md §3.3).
+// checkpoint journaling and two-stage context cancellation, producing
+// matrices bit-identical to BuildMatrices no matter how often the process
+// is killed and resumed in between (DESIGN.md §3.3).
 //
 // The unit of recovery is one matrix row — one vantage point's batch
 // against every target. BuildMatrices and Run share one row driver,
@@ -25,7 +25,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"time"
 
 	"geoloc/internal/atlas"
 	"geoloc/internal/cbg"
@@ -37,10 +36,10 @@ import (
 )
 
 // Campaign phase names, used as telemetry span suffixes, journal phase
-// markers, and Watchdog.PhaseDeadlineSec keys.
+// markers and progress-record phases.
 const (
-	PhaseTargets = "matrix.targets"
-	PhaseReps    = "matrix.reps"
+	phaseTargets = "matrix.targets"
+	phaseReps    = "matrix.reps"
 )
 
 // Matrix tags in journal row records.
@@ -49,60 +48,21 @@ const (
 	rowMatrixReps    byte = 1
 )
 
-// rowFlagStalled marks a row the watchdog cut short; its tail cells are
-// Unresponsive by construction, not by measurement.
-const rowFlagStalled byte = 1
-
-// Watchdog supervises campaign phases. Deadlines are enforced on the
-// simulated clock, which makes them deterministic: a source's clock
-// advances only from its own measurement sequence, so whether a row stalls
-// is a pure function of the seed and configuration, never of scheduling.
-// WallTimeout is the opposite — a real-time safety net for a genuinely
-// hung process — and is deliberately nondeterministic; leave it zero in
-// any run whose results must be reproducible.
-type Watchdog struct {
-	// PhaseDeadlineSec maps a phase name (PhaseTargets, PhaseReps) to the
-	// absolute simulated-clock ceiling, in seconds, a source may reach
-	// while measuring its row of that phase. A row whose source crosses
-	// the ceiling is finalized where it stands: measured cells are kept,
-	// the rest stay Unresponsive, and downstream estimation (CBG regions,
-	// vantage-point selection) proceeds from the covered targets only.
-	// Zero or missing entries disable the deadline for that phase.
-	// Deadlines only bind campaigns with a resilient client attached —
-	// the raw platform has no per-source clock to stall.
-	PhaseDeadlineSec map[string]float64
-	// WallTimeout, when positive, bounds the real time Run may spend
-	// before it stops dispatching new rows (in-flight rows still drain).
-	WallTimeout time.Duration
-	// OnStall, when non-nil, is called once per stalled row (serialized).
-	OnStall func(phase string, vp, srcID int)
-}
-
-// deadline returns the phase's simulated-clock ceiling (0 = none).
-func (w *Watchdog) deadline(phase string) float64 {
-	if w == nil {
-		return 0
-	}
-	return w.PhaseDeadlineSec[phase]
-}
+// syncEveryRows is the journal's fsync cadence in appended rows; phase
+// seals and Close fsync too. Rows between the last fsync and a crash are
+// re-measured on resume, which determinism makes merely redundant.
+const syncEveryRows = 8
 
 // RunConfig configures a checkpointed campaign run.
 type RunConfig struct {
 	// JournalPath is the checkpoint journal file; empty disables
-	// journaling (Run still honors contexts and the watchdog).
+	// journaling (Run still honors its contexts).
 	JournalPath string
 	// Resume replays an existing journal at JournalPath instead of
 	// truncating it. A journal from a different campaign (config hash,
 	// seed or profile mismatch) is rejected with checkpoint.ErrMismatch;
 	// a damaged one with checkpoint.ErrCorrupt — never silently reused.
 	Resume bool
-	// SyncEveryRows fsyncs the journal once per this many appended rows
-	// (<= 1 syncs every row). Rows between the last fsync and a crash may
-	// be re-measured on resume; determinism makes that merely redundant,
-	// not wrong.
-	SyncEveryRows int
-	// Watchdog, when non-nil, supervises the phases.
-	Watchdog *Watchdog
 	// Hard, when non-nil, is the hard-cancellation context: it reaches
 	// into row measurement and abandons attempts mid-row (client
 	// campaigns abandon between attempts with atlas.ErrCanceled). Rows
@@ -130,14 +90,13 @@ type RunConfig struct {
 // RunResult summarizes a Run.
 type RunResult struct {
 	// RestoredRows were replayed from the journal; MeasuredRows were
-	// measured live; StalledRows (counted in both) hit their watchdog
-	// deadline.
-	RestoredRows, MeasuredRows, StalledRows int
+	// measured live.
+	RestoredRows, MeasuredRows int
 	// Resumed reports whether the journal contributed any restored state.
 	Resumed bool
-	// Interrupted reports that cancellation (or the wall-clock safety
-	// net) stopped the run before every row was measured. The journal
-	// holds all completed rows; a later Run with Resume continues.
+	// Interrupted reports that cancellation stopped the run before every
+	// row was measured. The journal holds all completed rows; a later Run
+	// with Resume continues.
 	Interrupted bool
 	// Extra are journal records Run does not consume (e.g. experiment
 	// reports appended by cmd/experiments), in journal order.
@@ -152,11 +111,9 @@ type RunResult struct {
 var metRestored = telemetry.Default().Counter("core.run.rows_restored")
 
 // Run executes the bulk ping campaigns crash-safely: it restores journaled
-// rows, measures the rest under the watchdog, and journals each completed
-// row. On return without error and with Interrupted false, TargetRTT and
-// RepRTT are complete and bit-identical to what BuildMatrices would have
-// produced (stalled rows excepted — those are identical to what the same
-// deadlines would produce in any run).
+// rows, measures the rest, and journals each completed row. On return
+// without error and with Interrupted false, TargetRTT and RepRTT are
+// complete and bit-identical to what BuildMatrices would have produced.
 //
 // ctx is the soft-cancellation layer (drain and checkpoint); RunConfig.Hard
 // the hard one (abandon rows). Errors from journal validation wrap the
@@ -166,11 +123,6 @@ func (c *Campaign) Run(ctx context.Context, rc RunConfig) (*RunResult, error) {
 	res := r.res
 	if r.hard == nil {
 		r.hard = context.Background()
-	}
-	if rc.Watchdog != nil && rc.Watchdog.WallTimeout > 0 {
-		var cancel context.CancelFunc
-		r.soft, cancel = context.WithTimeout(ctx, rc.Watchdog.WallTimeout)
-		defer cancel()
 	}
 	// Both matrices exist from the start: an interrupted run still has
 	// two (partial) matrices for its caller to digest.
@@ -266,10 +218,10 @@ type phaseRun struct {
 }
 
 // phaseNames names the phases in run order, indexed by row tag.
-var phaseNames = [2]string{rowMatrixTargets: PhaseTargets, rowMatrixReps: PhaseReps}
+var phaseNames = [2]string{rowMatrixTargets: phaseTargets, rowMatrixReps: phaseReps}
 
-// build runs one phase with no journal, watchdog or cancellation: a phase
-// with nothing to append to and nothing to cancel it cannot fail or be
+// build runs one phase with no journal or cancellation: a phase with
+// nothing to append to and nothing to cancel it cannot fail or be
 // interrupted.
 func (c *Campaign) build(tag byte) {
 	bg := context.Background()
@@ -300,7 +252,6 @@ func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
 	}
 	name := phaseNames[tag]
 	defer telemetry.Default().StartSpan("phase." + name).End()
-	deadline := r.rc.Watchdog.deadline(name)
 	var reps [][]*world.Host
 	if tag == rowMatrixReps {
 		reps = c.repHosts()
@@ -322,7 +273,7 @@ func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
 			return
 		}
 		var rec atlas.BatchStats
-		stalled := c.measureRow(r.hard, m, vp, reps, &rec, deadline)
+		c.measureRow(r.hard, m, vp, reps, &rec)
 		if r.hard.Err() != nil {
 			// Hard-canceled mid-row: the row is incomplete and its
 			// accounting is not that of a finished batch. Never journal
@@ -334,17 +285,11 @@ func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
 		r.prog.row(name, rec.SrcClockUSec)
 		var err error
 		if r.j != nil {
-			err = r.j.AppendEvery(checkpoint.KindRow, encodeRow(tag, vp, m.RTT[vp], stalled, &rec), r.rc.SyncEveryRows)
+			err = r.j.AppendEvery(checkpoint.KindRow, encodeRow(tag, vp, m.RTT[vp], &rec), syncEveryRows)
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		r.res.MeasuredRows++
-		if stalled {
-			r.res.StalledRows++
-			if r.rc.Watchdog != nil && r.rc.Watchdog.OnStall != nil {
-				r.rc.Watchdog.OnStall(name, vp, c.VPs[vp].ID)
-			}
-		}
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -468,7 +413,7 @@ func (p *progressMeter) emitLocked(phase string) {
 // ErrMismatch: the header hash should have caught it, so reaching here
 // means the journal lies about itself.
 func (c *Campaign) restoreRow(payload []byte, r *phaseRun) error {
-	tag, vp, cells, stalled, stats, err := decodeRow(payload)
+	tag, vp, cells, stats, err := decodeRow(payload)
 	if err != nil {
 		return err
 	}
@@ -490,9 +435,6 @@ func (c *Campaign) restoreRow(payload []byte, r *phaseRun) error {
 		c.Client.RestoreBatch(c.VPs[vp].ID, &stats)
 	}
 	r.res.RestoredRows++
-	if stalled {
-		r.res.StalledRows++
-	}
 	return nil
 }
 
@@ -500,13 +442,12 @@ func (c *Campaign) restoreRow(payload []byte, r *phaseRun) error {
 //
 //	matrix u8 | flags u8 | vp u32 | ncells u32 | float32bits×ncells |
 //	nfields u16 | int64×nfields (BatchStats, fixed field order)
-func encodeRow(matrix byte, vp int, cells []float32, stalled bool, rec *atlas.BatchStats) []byte {
+//
+// The flags byte is always 0.
+func encodeRow(matrix byte, vp int, cells []float32, rec *atlas.BatchStats) []byte {
 	nf := rec.NumFields()
 	buf := make([]byte, 0, 2+4+4+4*len(cells)+2+8*nf)
 	buf = append(buf, matrix, 0)
-	if stalled {
-		buf[1] |= rowFlagStalled
-	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(vp))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cells)))
 	for _, v := range cells {
@@ -521,10 +462,11 @@ func encodeRow(matrix byte, vp int, cells []float32, stalled bool, rec *atlas.Ba
 
 // decodeRow parses a row record. Malformed payloads (that nonetheless
 // passed the CRC, i.e. written by a different or broken encoder) are
-// rejected wrapping checkpoint.ErrCorrupt; a well-formed row whose tally
-// is not NumFields wide was written under another layout and is rejected
-// wrapping checkpoint.ErrMismatch.
-func decodeRow(payload []byte) (matrix byte, vp int, cells []float32, stalled bool, stats atlas.BatchStats, err error) {
+// rejected wrapping checkpoint.ErrCorrupt; a well-formed row with a
+// nonzero flags byte (an older build's watchdog-stalled row, whose tail
+// cells were never measured) or a tally not NumFields wide was written
+// under another layout and is rejected wrapping checkpoint.ErrMismatch.
+func decodeRow(payload []byte) (matrix byte, vp int, cells []float32, stats atlas.BatchStats, err error) {
 	bad := func(what string) error {
 		return fmt.Errorf("%w: row record %s", checkpoint.ErrCorrupt, what)
 	}
@@ -533,7 +475,11 @@ func decodeRow(payload []byte) (matrix byte, vp int, cells []float32, stalled bo
 		return
 	}
 	matrix = payload[0]
-	stalled = payload[1]&rowFlagStalled != 0
+	if payload[1] != 0 {
+		err = fmt.Errorf("%w: row record has flags %#x, this build writes 0",
+			checkpoint.ErrMismatch, payload[1])
+		return
+	}
 	vp = int(binary.LittleEndian.Uint32(payload[2:]))
 	ncells := int(binary.LittleEndian.Uint32(payload[6:]))
 	off := 10

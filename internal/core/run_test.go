@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"geoloc/internal/atlas"
 	"geoloc/internal/checkpoint"
 	"geoloc/internal/faults"
 	"geoloc/internal/world"
@@ -26,9 +25,9 @@ func tinyCampaign(profile string) *Campaign {
 	case "":
 		return NewCampaign(cfg)
 	case "none":
-		return NewResilientCampaign(cfg, faults.None(), atlas.DefaultClientConfig())
+		return NewResilientCampaign(cfg, faults.None())
 	case "realistic":
-		return NewResilientCampaign(cfg, faults.Realistic(), atlas.DefaultClientConfig())
+		return NewResilientCampaign(cfg, faults.Realistic())
 	}
 	panic("unknown profile " + profile)
 }
@@ -77,8 +76,7 @@ func killAndResume(t *testing.T, profile, journal string, kill int) (*Campaign, 
 	n := 0
 	c1 := tinyCampaign(profile)
 	res1, err := c1.Run(soft, RunConfig{
-		JournalPath:   journal,
-		SyncEveryRows: 4,
+		JournalPath: journal,
 		OnRowJournaled: func(string, int) {
 			n++
 			if n >= kill {
@@ -160,9 +158,8 @@ func TestHardCancelRowsNeverJournaled(t *testing.T) {
 	n := 0
 	c1 := tinyCampaign("realistic")
 	res1, err := c1.Run(soft, RunConfig{
-		JournalPath:   journal,
-		SyncEveryRows: 1,
-		Hard:          hard,
+		JournalPath: journal,
+		Hard:        hard,
 		OnRowJournaled: func(string, int) {
 			n++
 			if n == 5 {
@@ -223,7 +220,7 @@ func TestResumeRejectsMismatchedCampaign(t *testing.T) {
 	// Different seed.
 	cfg := world.TinyConfig()
 	cfg.Seed++
-	seeded := NewResilientCampaign(cfg, faults.Realistic(), atlas.DefaultClientConfig())
+	seeded := NewResilientCampaign(cfg, faults.Realistic())
 	if _, err := seeded.Run(context.Background(), RunConfig{JournalPath: journal, Resume: true}); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("seed mismatch: err %v, want ErrMismatch", err)
 	}
@@ -250,115 +247,6 @@ func TestResumeRejectsCorruptJournal(t *testing.T) {
 	if !errors.Is(err, checkpoint.ErrCorrupt) && !errors.Is(err, checkpoint.ErrNoHeader) &&
 		!errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("corrupt journal: unnamed error %v", err)
-	}
-}
-
-// TestWatchdogDeterministicStalls: simulated-clock deadlines stall the
-// same rows at the same cells in every run, keep coverage partial rather
-// than zero, and never bind a raw-platform campaign (which has no
-// per-source clock).
-func TestWatchdogDeterministicStalls(t *testing.T) {
-	wd := &Watchdog{PhaseDeadlineSec: map[string]float64{PhaseTargets: 1}}
-
-	run := func() (*Campaign, *RunResult) {
-		c := tinyCampaign("realistic")
-		res, err := c.Run(context.Background(), RunConfig{Watchdog: wd})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, res
-	}
-	c1, res1 := run()
-	if res1.StalledRows == 0 {
-		t.Fatal("1s target-phase deadline stalled no rows")
-	}
-	if res1.Interrupted {
-		t.Fatal("watchdog stalls must finalize rows, not interrupt the run")
-	}
-	// Stalled rows keep their measured prefix: the matrix must still hold
-	// some responsive cells.
-	responsive := 0
-	for _, row := range c1.TargetRTT.RTT {
-		for _, v := range row {
-			if v == v && v >= 0 {
-				responsive++
-			}
-		}
-	}
-	if responsive == 0 {
-		t.Fatal("watchdog zeroed the matrix instead of finalizing partial rows")
-	}
-
-	c2, res2 := run()
-	d1t, d1r := digests(c1)
-	d2t, d2r := digests(c2)
-	if d1t != d2t || d1r != d2r || res1.StalledRows != res2.StalledRows {
-		t.Fatal("watchdog stalls are not deterministic across runs")
-	}
-
-	// And the deadline must change the result relative to no watchdog.
-	ref := tinyCampaign("realistic")
-	ref.BuildMatrices()
-	rt, _ := digests(ref)
-	if rt == d1t {
-		t.Fatal("deadline had no effect on the target matrix")
-	}
-
-	// Raw platform: no source clock, deadline never binds.
-	raw := tinyCampaign("")
-	rawRes, err := raw.Run(context.Background(), RunConfig{Watchdog: wd})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rawRes.StalledRows != 0 {
-		t.Fatalf("raw campaign stalled %d rows; deadlines require a client clock", rawRes.StalledRows)
-	}
-}
-
-// TestKillResumeWithWatchdog: stalled rows journal and resume like any
-// other row — the stall pattern is part of the deterministic result.
-func TestKillResumeWithWatchdog(t *testing.T) {
-	wd := &Watchdog{PhaseDeadlineSec: map[string]float64{PhaseTargets: 1, PhaseReps: 1}}
-	ref := tinyCampaign("realistic")
-	refRes, err := ref.Run(context.Background(), RunConfig{Watchdog: wd})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refT, refR := digests(ref)
-
-	journal := filepath.Join(t.TempDir(), "c.ckpt")
-	soft, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	n := 0
-	c1 := tinyCampaign("realistic")
-	res1, err := c1.Run(soft, RunConfig{
-		JournalPath: journal, SyncEveryRows: 2, Watchdog: wd,
-		OnRowJournaled: func(string, int) {
-			if n++; n == 20 {
-				cancel()
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res1.Interrupted {
-		t.Fatal("not interrupted")
-	}
-	res1.Journal.Close()
-
-	c2 := tinyCampaign("realistic")
-	res2, err := c2.Run(context.Background(), RunConfig{JournalPath: journal, Resume: true, Watchdog: wd})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2.Journal.Close()
-	gotT, gotR := digests(c2)
-	if gotT != refT || gotR != refR {
-		t.Fatal("kill-resume under watchdog diverged")
-	}
-	if res2.StalledRows+0 != refRes.StalledRows {
-		t.Fatalf("stalled rows %d after resume, want %d", res2.StalledRows, refRes.StalledRows)
 	}
 }
 
@@ -416,12 +304,12 @@ func TestConfigHashSensitivity(t *testing.T) {
 	}
 	cfg := world.TinyConfig()
 	cfg.Seed++
-	if NewResilientCampaign(cfg, faults.Realistic(), atlas.DefaultClientConfig()).ConfigHash() == base {
+	if NewResilientCampaign(cfg, faults.Realistic()).ConfigHash() == base {
 		t.Fatal("ConfigHash ignores the seed")
 	}
-	ccfg := atlas.DefaultClientConfig()
-	ccfg.MaxAttempts++
-	if NewResilientCampaign(world.TinyConfig(), faults.Realistic(), ccfg).ConfigHash() == base {
+	tuned := tinyCampaign("realistic")
+	tuned.Client.Cfg.MaxAttempts++
+	if tuned.ConfigHash() == base {
 		t.Fatal("ConfigHash ignores client tuning")
 	}
 }
@@ -491,7 +379,7 @@ func TestRunProgressRecords(t *testing.T) {
 			t.Fatalf("record %d: simulated clock went backwards (%f -> %f)", i, prevClock, r.SimClockS)
 		}
 		prevClock = r.SimClockS
-		if r.Phase != PhaseTargets && r.Phase != PhaseReps {
+		if r.Phase != phaseTargets && r.Phase != phaseReps {
 			t.Fatalf("record %d: unknown phase %q", i, r.Phase)
 		}
 		if r.JournalBytes <= 0 {

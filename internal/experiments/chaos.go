@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"geoloc/internal/atlas"
 	"geoloc/internal/core"
 	"geoloc/internal/faults"
 	"geoloc/internal/geo"
@@ -59,7 +58,7 @@ const chaosStreetTargets = 6
 // measures it. The world config is fixed so every row measures the same
 // world under different fault intensities.
 func chaosCampaign(cfg world.Config, prof *faults.Profile) ChaosRow {
-	c := core.NewResilientCampaign(cfg, prof, atlas.DefaultClientConfig())
+	c := core.NewResilientCampaign(cfg, prof)
 	c.BuildMatrices()
 
 	row := ChaosRow{Profile: prof}

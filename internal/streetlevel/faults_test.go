@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"geoloc/internal/atlas"
 	"geoloc/internal/core"
 	"geoloc/internal/faults"
 	"geoloc/internal/world"
@@ -13,7 +12,7 @@ import (
 // hostileCampaign builds one shared campaign under the hostile profile —
 // the auxiliary mapping/web services inherit its faults through New.
 var hostileCampaign = func() *core.Campaign {
-	c := core.NewResilientCampaign(world.TinyConfig(), faults.Hostile(), atlas.DefaultClientConfig())
+	c := core.NewResilientCampaign(world.TinyConfig(), faults.Hostile())
 	c.BuildTargetMatrix()
 	return c
 }()
