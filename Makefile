@@ -52,12 +52,13 @@ staticcheck:
 # pins the routed hop (DESIGN.md §3.8): one hit through the router's
 # Handler() against a one-replica fleet, counted process-wide — the
 # replica's net/http server included — at most 45. TestMeasureTargetAllocs
-# pins a streamed target's measurement at zero once its buffer holds K.
-# Run by name, so a new allocation sneaking into a hot path fails THIS
-# target, not a trend threshold.
+# pins a streamed target's measurement at zero once its buffer holds K,
+# and TestPingAllocs a simulated ping at zero once its route's skeleton is
+# in the table (DESIGN.md §3.2). Run by name, so a new allocation sneaking
+# into a hot path fails THIS target, not a trend threshold.
 allocs-smoke:
-	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs' \
-		./internal/serve ./internal/dataset ./internal/router ./internal/core
+	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestPingAllocs' \
+		./internal/serve ./internal/dataset ./internal/router ./internal/core ./internal/netsim
 
 # CPU + heap profiles of the costliest analysis benchmark (Fig 2a drives
 # ~58k CBG locates through the sampling kernels). Inspect with

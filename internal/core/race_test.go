@@ -13,9 +13,9 @@ import (
 
 // TestConcurrentAnalysisSharesCaches drives several par-pooled analysis
 // phases at once — two sanitization campaigns issuing pings and two CBG
-// locate sweeps — all sharing one netsim route cache and the global
+// locate sweeps — all sharing one netsim skeleton table and the global
 // telemetry registry. Its value is under `go test -race` (the CI race
-// job): any unsynchronized access in the route cache, the measurement
+// job): any unsynchronized access in the skeleton table, the measurement
 // client, the telemetry counters, or the locate scratch pools surfaces
 // here. The assertions themselves are deliberately weak; the race
 // detector is the oracle.

@@ -256,9 +256,9 @@ func (p *Profile) PathLossRate(seed, src, dst uint64) float64 {
 }
 
 // PacketLost reports whether ping packet `packet` of measurement (src,
-// dst, salt) is lost by the fault layer.
-func (p *Profile) PacketLost(seed, src, dst, salt uint64, packet int) bool {
-	loss := p.PathLossRate(seed, src, dst)
+// dst, salt) is lost by the fault layer, on a path whose persistent loss
+// rate is loss — PathLossRate(seed, src, dst), drawn once per measurement.
+func (p *Profile) PacketLost(loss float64, seed, src, dst, salt uint64, packet int) bool {
 	if loss <= 0 {
 		return false
 	}

@@ -11,7 +11,7 @@ func TestNoneInjectsNothing(t *testing.T) {
 			t.Fatalf("%+v should be disabled", p)
 		}
 		for salt := uint64(0); salt < 50; salt++ {
-			if p.PacketLost(1, 2, 3, salt, 0) {
+			if p.PacketLost(p.PathLossRate(1, 2, 3), 1, 2, 3, salt, 0) {
 				t.Fatal("disabled profile lost a packet")
 			}
 			if p.HostDown(1, 2, float64(salt)*100) {
@@ -44,7 +44,7 @@ func TestPresetsEnabled(t *testing.T) {
 func TestDrawsDeterministic(t *testing.T) {
 	p := Realistic()
 	for salt := uint64(0); salt < 100; salt++ {
-		if p.PacketLost(7, 8, 9, salt, 1) != p.PacketLost(7, 8, 9, salt, 1) {
+		if p.PacketLost(p.PathLossRate(7, 8, 9), 7, 8, 9, salt, 1) != p.PacketLost(p.PathLossRate(7, 8, 9), 7, 8, 9, salt, 1) {
 			t.Fatal("PacketLost not deterministic")
 		}
 		if p.TruncateHop(7, 8, 9, salt, 10) != p.TruncateHop(7, 8, 9, salt, 10) {
@@ -60,7 +60,7 @@ func TestPacketLossRateApproximatesProfile(t *testing.T) {
 	p := &Profile{PacketLoss: 0.2}
 	lost, n := 0, 20000
 	for i := 0; i < n; i++ {
-		if p.PacketLost(1, uint64(i), 3, 4, 0) {
+		if p.PacketLost(p.PathLossRate(1, uint64(i), 3), 1, uint64(i), 3, 4, 0) {
 			lost++
 		}
 	}

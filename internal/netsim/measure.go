@@ -27,10 +27,11 @@ type PingResult struct {
 // dst and returns the minimum observed RTT in milliseconds. ok is false when
 // no packet was answered (the destination's responsiveness score governs
 // reply probability). salt distinguishes repeated measurements of the same
-// pair; reusing a salt reproduces the measurement exactly.
+// pair; reusing a salt reproduces the measurement exactly. Ping allocates
+// nothing once the pair's skeleton is in the table.
 func (s *Sim) Ping(src, dst *world.Host, salt uint64) (float64, bool) {
-	r := s.PingDetail(src, dst, salt)
-	return r.MinRTTMs, r.OK
+	min, _, ok := s.ping(src, dst, salt, nil)
+	return min, ok
 }
 
 // PingDetail simulates one ping measurement and returns per-packet
@@ -39,35 +40,51 @@ func (s *Sim) Ping(src, dst *world.Host, salt uint64) (float64, bool) {
 // from its own key namespace, so enabling faults never changes the RTT of
 // a packet that survives.
 func (s *Sim) PingDetail(src, dst *world.Host, salt uint64) PingResult {
-	s.m.pings.Inc()
-	base := s.BaseRTTMs(src, dst)
-	st := rhash.New(s.W.Cfg.Seed, rhash.HashString("ping"),
-		uint64(src.Addr), uint64(dst.Addr), salt)
-	f := s.Faults
-	injecting := f.Enabled()
 	res := PingResult{
 		RTTs: make([]float64, s.Cfg.PingPackets),
 		Sent: s.Cfg.PingPackets,
 	}
+	res.MinRTTMs, res.Received, res.OK = s.ping(src, dst, salt, res.RTTs)
+	return res
+}
+
+// ping is Ping and PingDetail: it returns the minimum RTT over answered
+// packets, how many were answered, and whether any was. When rtts is
+// non-nil it receives every packet's RTT, NaN for a lost one.
+func (s *Sim) ping(src, dst *world.Host, salt uint64, rtts []float64) (min float64, received int, ok bool) {
+	s.m.pings.Inc()
+	base := s.BaseRTTMs(src, dst)
+	seed, srcA, dstA := s.W.Cfg.Seed, uint64(src.Addr), uint64(dst.Addr)
+	st := rhash.Keyed(rhash.Hash(seed, rhash.HashString("ping"), srcA, dstA, salt))
+	f := s.Faults
+	injecting := f.Enabled()
+	var loss float64
+	if injecting {
+		loss = f.PathLossRate(seed, srcA, dstA)
+	}
 	for p := 0; p < s.Cfg.PingPackets; p++ {
-		res.RTTs[p] = math.NaN()
+		if rtts != nil {
+			rtts[p] = math.NaN()
+		}
 		jitter := st.Exp(s.Cfg.PingJitterMeanMs)
 		answered := st.Bool(dst.RespScore)
 		if !answered {
 			continue
 		}
-		if injecting && f.PacketLost(s.W.Cfg.Seed, uint64(src.Addr), uint64(dst.Addr), salt, p) {
+		if injecting && f.PacketLost(loss, seed, srcA, dstA, salt, p) {
 			continue
 		}
 		rtt := base + jitter
-		res.RTTs[p] = rtt
-		res.Received++
-		if !res.OK || rtt < res.MinRTTMs {
-			res.MinRTTMs, res.OK = rtt, true
+		if rtts != nil {
+			rtts[p] = rtt
+		}
+		received++
+		if !ok || rtt < min {
+			min, ok = rtt, true
 		}
 	}
-	s.m.pingPacketsLost.Add(int64(res.Sent - res.Received))
-	return res
+	s.m.pingPacketsLost.Add(int64(s.Cfg.PingPackets - received))
+	return min, received, ok
 }
 
 // TraceHop is one line of simulated traceroute output.
@@ -103,11 +120,15 @@ type Trace struct {
 // lose its tail (Truncated) or individual hop answers.
 func (s *Sim) Traceroute(src, dst *world.Host, salt uint64) Trace {
 	s.m.traceroutes.Inc()
-	path := s.Route(src, dst)
+	sk, cum, oneWay := s.trip(src, dst)
 	st := rhash.New(s.W.Cfg.Seed, rhash.HashString("traceroute"),
 		uint64(src.Addr), uint64(dst.Addr), salt)
-	tr := Trace{Hops: make([]TraceHop, len(path.Hops))}
-	for i, h := range path.Hops {
+	var hops []skeletonHop
+	if sk != nil {
+		hops = sk.hops[:sk.n]
+	}
+	tr := Trace{Hops: make([]TraceHop, len(hops))}
+	for i, h := range hops {
 		jitter := st.Exp(s.Cfg.ICMPJitterMeanMs)
 		if st.Bool(s.Cfg.ICMPSpikeProb) {
 			spike := st.Exp(s.Cfg.ICMPSpikeMeanMs)
@@ -118,13 +139,13 @@ func (s *Sim) Traceroute(src, dst *world.Host, salt uint64) Trace {
 		}
 		responded := st.Bool(0.95)
 		tr.Hops[i] = TraceHop{
-			RouterID:  h.RouterID,
-			ASID:      h.ASID,
-			RTTMs:     2*h.CumOneWayMs + jitter,
+			RouterID:  h.id,
+			ASID:      int(h.asID),
+			RTTMs:     2*cum[i] + jitter,
 			Responded: responded,
 		}
 	}
-	tr.DstRTTMs = 2*path.OneWayMs + st.Exp(s.Cfg.PingJitterMeanMs)
+	tr.DstRTTMs = 2*oneWay + st.Exp(s.Cfg.PingJitterMeanMs)
 	tr.DstResponded = st.Bool(dst.RespScore)
 
 	// Fault injection happens after the base trace is fully drawn, so the
@@ -156,18 +177,14 @@ func (s *Sim) Traceroute(src, dst *world.Host, salt uint64) Trace {
 // ok is false when the traces share no responsive hop — the street-level
 // delay for this vantage point is then unusable.
 func LastCommonHop(a, b Trace) (ai, bi int, ok bool) {
-	lastInA := make(map[uint64]int, len(a.Hops))
-	for i, h := range a.Hops {
-		if h.Responded {
-			lastInA[h.RouterID] = i
-		}
-	}
 	for j := len(b.Hops) - 1; j >= 0; j-- {
 		if !b.Hops[j].Responded {
 			continue
 		}
-		if i, found := lastInA[b.Hops[j].RouterID]; found {
-			return i, j, true
+		for i := len(a.Hops) - 1; i >= 0; i-- {
+			if a.Hops[i].Responded && a.Hops[i].RouterID == b.Hops[j].RouterID {
+				return i, j, true
+			}
 		}
 	}
 	return -1, -1, false

@@ -102,10 +102,10 @@ type Sim struct {
 	// cityTrig caches each city centre's trig for bestPeeringCity.
 	cityTrig []geo.Trig
 
-	// routes caches computed paths per host pair. Route is a pure function,
-	// so the cache can never change results — see routeCache.
-	routes routeCache
-	m      simMeters
+	// skeletons holds the router part of recently walked routes, keyed by
+	// what fixes it — see skeletonTable.
+	skeletons skeletonTable
+	m         simMeters
 }
 
 // simMeters holds the simulator's instrumentation handles, resolved once
@@ -116,8 +116,8 @@ type simMeters struct {
 	pingPacketsLost *telemetry.Counter
 	traceroutes     *telemetry.Counter
 	traceTruncated  *telemetry.Counter
-	routeCacheHits  *telemetry.Counter
-	routeCacheMiss  *telemetry.Counter
+	skeletonHits    *telemetry.Counter
+	skeletonMiss    *telemetry.Counter
 }
 
 func newSimMeters() simMeters {
@@ -127,8 +127,8 @@ func newSimMeters() simMeters {
 		pingPacketsLost: reg.Counter("netsim.ping_packets_lost"),
 		traceroutes:     reg.Counter("netsim.traceroutes"),
 		traceTruncated:  reg.Counter("netsim.traceroutes_truncated"),
-		routeCacheHits:  reg.Counter("netsim.route_cache_hits"),
-		routeCacheMiss:  reg.Counter("netsim.route_cache_misses"),
+		skeletonHits:    reg.Counter("netsim.route_skeleton_hits"),
+		skeletonMiss:    reg.Counter("netsim.route_skeleton_misses"),
 	}
 }
 
@@ -137,7 +137,7 @@ func New(w *world.World) *Sim { return NewWithConfig(w, DefaultConfig()) }
 
 // NewWithConfig builds a simulator with explicit delay parameters.
 func NewWithConfig(w *world.World, cfg Config) *Sim {
-	s := &Sim{W: w, Cfg: cfg, m: newSimMeters()}
+	s := &Sim{W: w, Cfg: cfg, skeletons: newSkeletonTable(skeletonBits), m: newSimMeters()}
 	for i := range w.ASes {
 		if isTier1(w, i) {
 			s.tier1 = append(s.tier1, i)

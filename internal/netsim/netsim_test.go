@@ -86,6 +86,21 @@ func TestPingAtLeastBaseRTT(t *testing.T) {
 	}
 }
 
+// TestPingAllocs pins a ping on a warm skeleton at zero allocations: the
+// route is walked, not built, and no per-packet slice is kept.
+func TestPingAllocs(t *testing.T) {
+	s := New(tw)
+	src, dst := hostPair(2, 3)
+	s.Ping(src, dst, 0)
+	salt := uint64(0)
+	if n := testing.AllocsPerRun(200, func() {
+		salt++
+		s.Ping(src, dst, salt)
+	}); n != 0 {
+		t.Errorf("Ping on a warm skeleton: %v allocations, want 0", n)
+	}
+}
+
 func TestPingDeterministicPerSalt(t *testing.T) {
 	src, dst := hostPair(4, 1)
 	r1, ok1 := sim.Ping(src, dst, 7)

@@ -134,65 +134,62 @@ func (s *Sim) bestPeeringCity(a, b *world.AS, srcCity, dstCity int) (int, bool) 
 
 // Route returns the full simulated path between two hosts, including the
 // cumulative one-way delay at each hop. Identical host pairs yield
-// identical paths. Paths are served from a lock-free direct-mapped cache;
-// since the underlying computation is a pure function of the pair, cache
-// behavior is invisible in results (only in the hit/miss counters).
+// identical paths. The routers and the links between them come from the
+// pair's skeleton; only the two access links and the path noise depend on
+// the hosts themselves.
 func (s *Sim) Route(src, dst *world.Host) Path {
+	sk, cum, oneWay := s.trip(src, dst)
+	if sk == nil {
+		return Path{OneWayMs: oneWay}
+	}
+	hops := make([]PathHop, sk.n)
+	for i := range hops {
+		h := &sk.hops[i]
+		hops[i] = PathHop{RouterID: h.id, Loc: h.loc, ASID: int(h.asID), CumOneWayMs: cum[i]}
+	}
+	return Path{Hops: hops, OneWayMs: oneWay}
+}
+
+// trip walks the route between two hosts without building its hops. It
+// returns the route's skeleton (nil from a host to itself), the cumulative
+// one-way delay up to each of its routers, and the total one-way delay.
+func (s *Sim) trip(src, dst *world.Host) (sk *skeleton, cum [maxRouters]float64, oneWay float64) {
 	if src.Addr == dst.Addr {
-		return Path{OneWayMs: 0.02}
+		return nil, cum, 0.02
 	}
-	if p, ok := s.routes.get(src, dst); ok {
-		s.m.routeCacheHits.Inc()
-		return p
+	sk = s.skeleton(src, dst)
+	direct := sk.key.direct
+	srcT, dstT := geo.MakeTrig(src.Loc), geo.MakeTrig(dst.Loc)
+	c := src.LastMileMs
+	firstKm := geo.TrigDistance(srcT, sk.firstT)
+	c += firstKm*s.adjust(direct, s.cableFactor(rhash.Hash(uint64(src.Addr)), sk.hops[0].id))/geo.TwoThirdsC + s.Cfg.HopProcessingMs
+	cum[0] = c
+	for i := 1; i < int(sk.n); i++ {
+		c += sk.hops[i].add
+		cum[i] = c
 	}
-	s.m.routeCacheMiss.Inc()
-	p := s.computeRoute(src, dst)
-	s.routes.put(src, dst, p)
-	return p
+	lastKm := geo.TrigDistance(sk.lastT, dstT)
+	oneWay = c + lastKm*s.adjust(direct, s.cableFactor(sk.hops[sk.n-1].id, rhash.Hash(uint64(dst.Addr))))/geo.TwoThirdsC + dst.LastMileMs
+	oneWay += s.pathNoiseKm(src, dst, geo.TrigDistance(srcT, dstT))
+	return sk, cum, oneWay
 }
 
-// computeRoute derives the path from scratch (the cache-miss path).
-func (s *Sim) computeRoute(src, dst *world.Host) Path {
-	var buf [maxRouters]routerRef
-	refs := s.routeRouters(src, dst, buf[:0])
-	hops := make([]PathHop, len(refs))
-	// Datacenter-to-datacenter traffic (two anchors) rides direct backbone
-	// waves with little of the access-side meandering ordinary paths have.
-	directPair := src.Kind == world.Anchor && dst.Kind == world.Anchor
-	adjust := func(f float64) float64 {
-		if directPair {
-			return s.Cfg.CableFactorMin + (f-s.Cfg.CableFactorMin)*0.08
-		}
-		return f
+// adjust returns the cable factor of a link whose drawn factor is f. On a
+// direct (anchor-to-anchor) path it shrinks toward CableFactorMin:
+// datacenter-to-datacenter traffic rides direct backbone waves with little
+// of the access-side meandering ordinary paths have.
+func (s *Sim) adjust(direct bool, f float64) float64 {
+	if direct {
+		return s.Cfg.CableFactorMin + (f-s.Cfg.CableFactorMin)*0.08
 	}
-	cum := src.LastMileMs
-	prevT := geo.MakeTrig(src.Loc)
-	var prevID uint64
-	for i, r := range refs {
-		pl := s.router(r)
-		id := pl.id
-		linkKm := geo.TrigDistance(prevT, pl.trig)
-		var factor float64
-		if i == 0 {
-			factor = s.cableFactor(rhash.Hash(uint64(src.Addr)), id)
-		} else {
-			factor = s.cableFactor(prevID, id)
-		}
-		cum += linkKm*adjust(factor)/geo.TwoThirdsC + s.Cfg.HopProcessingMs
-		hops[i] = PathHop{RouterID: id, Loc: pl.loc, ASID: r.asID, CumOneWayMs: cum}
-		prevT, prevID = pl.trig, id
-	}
-	lastKm := geo.TrigDistance(prevT, geo.MakeTrig(dst.Loc))
-	total := cum + lastKm*adjust(s.cableFactor(prevID, rhash.Hash(uint64(dst.Addr))))/geo.TwoThirdsC + dst.LastMileMs
-	total += s.pathNoise(src, dst)
-	return Path{Hops: hops, OneWayMs: total}
+	return f
 }
 
-// pathNoise is the persistent extra one-way delay of this host pair:
-// exponentially distributed, deterministic, and symmetric. It attaches to
-// the destination access segment, so traceroute hop RTTs do not include it
-// (they measure only up to the routers).
-func (s *Sim) pathNoise(src, dst *world.Host) float64 {
+// pathNoiseKm is the persistent extra one-way delay of this host pair, d km
+// apart: exponentially distributed, deterministic, and symmetric. It
+// attaches to the destination access segment, so traceroute hop RTTs do not
+// include it (they measure only up to the routers).
+func (s *Sim) pathNoiseKm(src, dst *world.Host, d float64) float64 {
 	if s.Cfg.PathNoiseMeanMs <= 0 {
 		return 0
 	}
@@ -201,7 +198,6 @@ func (s *Sim) pathNoise(src, dst *world.Host) float64 {
 	// configured mean. The band is bounded (rather than heavy-tailed) so
 	// that sparse-VP CBG degrades to the paper's ~29 km median without
 	// producing a runaway error tail.
-	d := geo.Distance(src.Loc, dst.Loc)
 	scale := math.Min(1, d/60)
 	// Well-connected datacenter hosts (anchors) sit behind cleaner transit
 	// than access hosts; paths between two anchors carry far less
@@ -225,5 +221,6 @@ func hostNoiseFactor(h *world.Host) float64 {
 
 // BaseRTTMs is the jitter-free round-trip time between two hosts.
 func (s *Sim) BaseRTTMs(src, dst *world.Host) float64 {
-	return 2 * s.Route(src, dst).OneWayMs
+	_, _, oneWay := s.trip(src, dst)
+	return 2 * oneWay
 }
