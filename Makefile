@@ -16,8 +16,10 @@ build:
 # each other, or fill shared tables under par.For, at 1, 2 and 4 Ps: a
 # failure that needs a second hardware thread (TestRunProgressRecords was
 # red on every 2-core host while the 1-vCPU recorder stayed green) can no
-# longer hide. vpsel's cover table and netsim's router table are filled
-# that way, and the cover runs inside multistep's per-target par.For.
+# longer hide. vpsel's cover table and netsim's router and access tables
+# are filled that way, and the cover runs inside multistep's per-target
+# par.For. sanitize's probe fan walks a place-order permutation of the
+# probes over those netsim tables.
 # -short only trims the oracles (core's stream selection from 50k to 5k
 # targets per case, netsim's routes from 100k pairs to 10k and its table
 # check to the tiny world, vpsel's multi-step sweep oracle off); the
@@ -26,7 +28,7 @@ build:
 # not reach it, and it compiles against this module's serving API.
 test:
 	$(GO) test ./...
-	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/
+	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:

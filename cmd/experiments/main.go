@@ -61,7 +61,9 @@ func main() {
 	progressEvery := flag.Int("progress", 0, "emit a structured campaign-progress record every N batches (0 = off; format/level via -log-format/-log-level)")
 	tele := telemetry.NewCLI()
 	flag.Parse()
-	if err := checkFlags(*scale, *window, *ckptDir, *resume); err != nil {
+	if err := checkFlags(*scale, *window, *ckptDir, *resume,
+		count{"block-size", *blockSize}, count{"trials", *trials},
+		count{"kill-after-batches", *killAfter}, count{"progress", *progressEvery}); err != nil {
 		fmt.Fprintf(flag.CommandLine.Output(), "experiments: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -309,13 +311,25 @@ func main() {
 	log.Printf("done in %.1fs", time.Since(start).Seconds())
 }
 
+// count is an integer flag whose zero means default or off and whose
+// negative values mean nothing; name is the flag's, for the error.
+type count struct {
+	name string
+	v    int
+}
+
 // checkFlags rejects, before any work starts, flag values that cannot
-// run: a spill window under one target, and -resume on a named scale with
-// no journal to resume from (a streaming run's spill directory defaults
-// to one next to -artifact).
-func checkFlags(scale string, window int, ckptDir string, resume bool) error {
+// run: a spill window under one target, a negative count, and -resume on
+// a named scale with no journal to resume from (a streaming run's spill
+// directory defaults to one next to -artifact).
+func checkFlags(scale string, window int, ckptDir string, resume bool, counts ...count) error {
 	if window < 1 {
 		return fmt.Errorf("-window must be at least 1, got %d", window)
+	}
+	for _, c := range counts {
+		if c.v < 0 {
+			return fmt.Errorf("-%s must not be negative, got %d", c.name, c.v)
+		}
 	}
 	if _, stream := streamScale(scale); resume && ckptDir == "" && !stream {
 		return errors.New("-resume needs -checkpoint-dir")

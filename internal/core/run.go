@@ -29,6 +29,7 @@ import (
 	"geoloc/internal/atlas"
 	"geoloc/internal/cbg"
 	"geoloc/internal/checkpoint"
+	"geoloc/internal/netsim"
 	"geoloc/internal/par"
 	"geoloc/internal/rhash"
 	"geoloc/internal/telemetry"
@@ -241,10 +242,11 @@ func (c *Campaign) matrix(tag byte) *cbg.Matrix {
 }
 
 // runPhase measures every row of one matrix that the journal did not
-// restore, one row per par.For item, journaling each completed row, and
-// seals the matrix once every row is present. With a journal the finished
-// phase is also sealed by a digest record — or, when the journal already
-// holds one, must reproduce it. A sealed matrix is not measured again.
+// restore, one row per par.For item in place order, journaling each
+// completed row, and seals the matrix once every row is present. With a
+// journal the finished phase is also sealed by a digest record — or, when
+// the journal already holds one, must reproduce it. A sealed matrix is
+// not measured again.
 func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
 	m := c.matrix(tag)
 	if m.Sealed() {
@@ -264,7 +266,12 @@ func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
 		r.res.Interrupted = true
 		mu.Unlock()
 	}
-	par.For(len(c.VPs), func(vp int) {
+	// Rows run in place order (netsim.PlaceOrder): a worker's consecutive
+	// rows then share their source's skeletons. The journal records rows
+	// in completion order anyway, and resume restores them by VP index.
+	order := netsim.PlaceOrder(c.VPs)
+	par.For(len(order), func(k int) {
+		vp := order[k]
 		if r.restored[tag][vp] {
 			return
 		}

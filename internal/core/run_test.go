@@ -8,12 +8,15 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"geoloc/internal/checkpoint"
 	"geoloc/internal/faults"
+	"geoloc/internal/netsim"
 	"geoloc/internal/world"
 )
 
@@ -141,6 +144,52 @@ func TestKillResumeBitIdentical(t *testing.T) {
 					profile, kill, res2.RestoredRows, res2.MeasuredRows, 2*len(c2.VPs))
 			}
 		}
+	}
+}
+
+// TestRunRowsInPlaceOrder pins the order a phase walks its rows in: at one
+// worker, a journaled run measures and journals them in
+// netsim.PlaceOrder of the VPs, both phases, so consecutive rows share
+// their source's route skeletons — and the matrices still digest equal to
+// BuildMatrices'.
+func TestRunRowsInPlaceOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ref := tinyCampaign("none")
+	ref.BuildMatrices()
+
+	type row struct {
+		phase string
+		vp    int
+	}
+	var got []row
+	c := tinyCampaign("none")
+	res, err := c.Run(context.Background(), RunConfig{
+		JournalPath:    filepath.Join(t.TempDir(), "c.ckpt"),
+		OnRowJournaled: func(phase string, vp int) { got = append(got, row{phase, vp}) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	order := netsim.PlaceOrder(c.VPs)
+	if slices.IsSorted(order) {
+		t.Fatal("place order is index order on the tiny world: the test pins nothing")
+	}
+	var want []row
+	for _, phase := range phaseNames {
+		for _, vp := range order {
+			want = append(want, row{phase, vp})
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("rows journaled in another order: got %d rows, first %v; want %d, first %v",
+			len(got), got[:min(len(got), 5)], len(want), want[:5])
+	}
+	refT, refR := digests(ref)
+	if gotT, gotR := digests(c); gotT != refT || gotR != refR {
+		t.Fatal("Run digests differ from BuildMatrices")
 	}
 }
 

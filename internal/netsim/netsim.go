@@ -101,6 +101,8 @@ type Sim struct {
 	cityCell int
 	// cityTrig caches each city centre's trig for bestPeeringCity.
 	cityTrig []geo.Trig
+	// hosts holds every world host's access link, by host ID — see access.
+	hosts []access
 
 	// skeletons holds the router part of recently walked routes, keyed by
 	// what fixes it — see skeletonTable.
@@ -172,6 +174,7 @@ func NewWithConfig(w *world.World, cfg Config) *Sim {
 		s.cityTrig[i] = geo.MakeTrig(w.Cities[i].Loc)
 	}
 	s.placeRouters()
+	s.placeHosts()
 	return s
 }
 

@@ -87,17 +87,30 @@ func TestPingAtLeastBaseRTT(t *testing.T) {
 }
 
 // TestPingAllocs pins a ping on a warm skeleton at zero allocations: the
-// route is walked, not built, and no per-packet slice is kept.
+// route is walked, not built, and no per-packet slice is kept. That holds
+// for a destination outside the access table too — an ephemeral web
+// server, whose access link is computed per call.
 func TestPingAllocs(t *testing.T) {
 	s := New(tw)
 	src, dst := hostPair(2, 3)
-	s.Ping(src, dst, 0)
-	salt := uint64(0)
-	if n := testing.AllocsPerRun(200, func() {
-		salt++
-		s.Ping(src, dst, salt)
-	}); n != 0 {
-		t.Errorf("Ping on a warm skeleton: %v allocations, want 0", n)
+	web := world.Host{ID: -1, Kind: world.WebServer, Addr: dst.Addr + 1, City: dst.City, AS: dst.AS,
+		Loc: geo.Destination(dst.Loc, 45, 1), LastMileMs: 0.3, RespScore: 1}
+	for _, c := range []struct {
+		name   string
+		dst    *world.Host
+		tabled bool
+	}{{"world hosts", dst, true}, {"web server destination", &web, false}} {
+		if got := s.hostCell(c.dst) >= 0; got != c.tabled {
+			t.Fatalf("%s: destination in the access table %v, want %v", c.name, got, c.tabled)
+		}
+		s.Ping(src, c.dst, 0)
+		salt := uint64(0)
+		if n := testing.AllocsPerRun(200, func() {
+			salt++
+			s.Ping(src, c.dst, salt)
+		}); n != 0 {
+			t.Errorf("%s: Ping on a warm skeleton: %v allocations, want 0", c.name, n)
+		}
 	}
 }
 

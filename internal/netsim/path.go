@@ -153,24 +153,24 @@ func (s *Sim) Route(src, dst *world.Host) Path {
 // trip walks the route between two hosts without building its hops. It
 // returns the route's skeleton (nil from a host to itself), the cumulative
 // one-way delay up to each of its routers, and the total one-way delay.
+// The two access links and the hosts' trig come from the access table, so
+// the path noise's haversine is the only one a route pays.
 func (s *Sim) trip(src, dst *world.Host) (sk *skeleton, cum [maxRouters]float64, oneWay float64) {
 	if src.Addr == dst.Addr {
 		return nil, cum, 0.02
 	}
 	sk = s.skeleton(src, dst)
-	direct := sk.key.direct
-	srcT, dstT := geo.MakeTrig(src.Loc), geo.MakeTrig(dst.Loc)
+	d := b2i(sk.key.direct)
+	sa, da := s.access(src), s.access(dst)
 	c := src.LastMileMs
-	firstKm := geo.TrigDistance(srcT, sk.firstT)
-	c += firstKm*s.adjust(direct, s.cableFactor(rhash.Hash(uint64(src.Addr)), sk.hops[0].id))/geo.TwoThirdsC + s.Cfg.HopProcessingMs
+	c += sa.ms[d] + s.Cfg.HopProcessingMs
 	cum[0] = c
 	for i := 1; i < int(sk.n); i++ {
 		c += sk.hops[i].add
 		cum[i] = c
 	}
-	lastKm := geo.TrigDistance(sk.lastT, dstT)
-	oneWay = c + lastKm*s.adjust(direct, s.cableFactor(sk.hops[sk.n-1].id, rhash.Hash(uint64(dst.Addr))))/geo.TwoThirdsC + dst.LastMileMs
-	oneWay += s.pathNoiseKm(src, dst, geo.TrigDistance(srcT, dstT))
+	oneWay = c + da.ms[d] + dst.LastMileMs
+	oneWay += s.pathNoiseKm(src, dst, geo.TrigDistance(sa.trig, da.trig))
 	return sk, cum, oneWay
 }
 

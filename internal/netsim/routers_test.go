@@ -260,7 +260,9 @@ func oraclePairs(w *world.World, n int, seed int64) [][2]*world.Host {
 // then again against the table the first pass left warm. It requires each
 // route shape to occur: a router outside the router table, intra-AS,
 // same-city, IXP, transit and anchor-to-anchor pairs, and a changed copy of
-// a host served from its original's skeleton.
+// a host served from its original's skeleton. It also requires route ends
+// of both kinds: world hosts, whose access links come from the access
+// table, and web servers (ID −1) and changed copies, computed per call.
 func TestRouteThroughTableMatchesDirect(t *testing.T) {
 	type worldCase struct {
 		w     *world.World
@@ -275,9 +277,16 @@ func TestRouteThroughTableMatchesDirect(t *testing.T) {
 	for _, wc := range worlds {
 		s := New(wc.w)
 		pairs := oraclePairs(wc.w, wc.pairs, 31)
-		var fallback, sameAS, sameCity, ixp, transit, direct, copies int
+		var fallback, sameAS, sameCity, ixp, transit, direct, copies, tabled, computed int
 		for _, p := range pairs {
 			src, dst := p[0], p[1]
+			for _, h := range p {
+				if s.hostCell(h) >= 0 {
+					tabled++
+				} else {
+					computed++
+				}
+			}
 			for _, r := range s.routeRouters(src, dst, nil) {
 				if s.routerCell(r) < 0 {
 					fallback++
@@ -320,13 +329,14 @@ func TestRouteThroughTableMatchesDirect(t *testing.T) {
 		}
 		for what, n := range map[string]int{"hops outside the router table": fallback, "intra-AS pairs": sameAS,
 			"same-city pairs": sameCity, "IXP hops": ixp, "transit hops": transit,
-			"anchor-to-anchor pairs": direct, "changed host copies": copies} {
+			"anchor-to-anchor pairs": direct, "changed host copies": copies,
+			"route ends from the access table": tabled, "route ends computed per call": computed} {
 			if n == 0 {
 				t.Errorf("%d cities: no %s", len(wc.w.Cities), what)
 			}
 		}
-		t.Logf("%d cities: %d hops outside the router table, %d intra-AS, %d same-city, %d IXP hops, %d transit hops, %d anchor pairs, %d copies",
-			len(wc.w.Cities), fallback, sameAS, sameCity, ixp, transit, direct, copies)
+		t.Logf("%d cities: %d hops outside the router table, %d intra-AS, %d same-city, %d IXP hops, %d transit hops, %d anchor pairs, %d copies, %d tabled and %d computed route ends",
+			len(wc.w.Cities), fallback, sameAS, sameCity, ixp, transit, direct, copies, tabled, computed)
 	}
 }
 
@@ -361,4 +371,70 @@ func TestSkeletonTableCollisions(t *testing.T) {
 			t.Fatalf("slot %d: %+v, its key builds %+v", i, *sk, *want)
 		}
 	}
+}
+
+// TestPlaceOrder holds PlaceOrder to its contract on the tiny world's
+// probes and anchors, shuffled: the order is a permutation, sorted by
+// (AS, city, anchor), stable (equal places keep their index order), and
+// so every place's sources are contiguous.
+func TestPlaceOrder(t *testing.T) {
+	var srcs []*world.Host
+	for _, ids := range [][]int{tw.Probes, tw.Anchors} {
+		for _, id := range ids {
+			srcs = append(srcs, tw.Host(id))
+		}
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(srcs), func(i, j int) { srcs[i], srcs[j] = srcs[j], srcs[i] })
+	type place struct {
+		as, city int
+		anchor   bool
+	}
+	placeOf := func(i int) place {
+		return place{srcs[i].AS, srcs[i].City, srcs[i].Kind == world.Anchor}
+	}
+	less := func(p, q place) bool {
+		if p.as != q.as {
+			return p.as < q.as
+		}
+		if p.city != q.city {
+			return p.city < q.city
+		}
+		return !p.anchor && q.anchor
+	}
+
+	order := PlaceOrder(srcs)
+	if len(order) != len(srcs) {
+		t.Fatalf("%d indices for %d sources", len(order), len(srcs))
+	}
+	seen := make([]bool, len(srcs))
+	for _, i := range order {
+		if i < 0 || i >= len(srcs) || seen[i] {
+			t.Fatalf("order is not a permutation: index %d", i)
+		}
+		seen[i] = true
+	}
+	left := make(map[place]bool)
+	shared := 0
+	for k := 1; k < len(order); k++ {
+		a, b := order[k-1], order[k]
+		p, q := placeOf(a), placeOf(b)
+		switch {
+		case p == q:
+			shared++
+			if b < a {
+				t.Fatalf("unstable: index %d after %d at the same place %+v", b, a, p)
+			}
+		case less(q, p):
+			t.Fatalf("unsorted: %+v after %+v", q, p)
+		default:
+			left[p] = true
+			if left[q] {
+				t.Fatalf("place %+v is not contiguous", q)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two sources share a place: the order is not exercised")
+	}
+	t.Logf("%d sources, %d share the previous one's place", len(srcs), shared)
 }

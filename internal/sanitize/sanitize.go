@@ -10,6 +10,7 @@ import (
 
 	"geoloc/internal/atlas"
 	"geoloc/internal/geo"
+	"geoloc/internal/netsim"
 	"geoloc/internal/par"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
@@ -146,10 +147,18 @@ func Probes(p *atlas.Platform, probeIDs, trustedAnchorIDs []int) ProbeResult {
 	}
 	// Per-probe verdicts fan across the analysis pool into index-addressed
 	// slices; the Kept/Removed partition reduces in probe order afterward.
+	// They walk the probes in place order (netsim.PlaceOrder), so a
+	// worker's consecutive probes share their route skeletons.
 	counts := make([]int, len(probeIDs))
 	probeHoles := make([]int, len(probeIDs))
-	par.For(len(probeIDs), func(pi int) {
-		probe := p.W.Host(probeIDs[pi])
+	probes := make([]*world.Host, len(probeIDs))
+	for i, id := range probeIDs {
+		probes[i] = p.W.Host(id)
+	}
+	order := netsim.PlaceOrder(probes)
+	par.For(len(order), func(k int) {
+		pi := order[k]
+		probe := probes[pi]
 		for _, a := range anchors {
 			rtt, ok := p.Ping(probe, a, saltProbeCheck)
 			if !ok {
