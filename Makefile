@@ -19,7 +19,9 @@ build:
 # longer hide. vpsel's cover table and netsim's router and access tables
 # are filled that way, and the cover runs inside multistep's per-target
 # par.For. sanitize's probe fan walks a place-order permutation of the
-# probes over those netsim tables.
+# probes over those netsim tables. streetlevel's oracle runs Geolocate
+# under par.For, every target sharing one mapping service, one website
+# resolver and the pipeline's bearing tables.
 # -short only trims the oracles (core's stream selection from 50k to 5k
 # targets per case, netsim's routes from 100k pairs to 10k and its table
 # check to the tiny world, vpsel's multi-step sweep oracle off); the
@@ -28,7 +30,7 @@ build:
 # not reach it, and it compiles against this module's serving API.
 test:
 	$(GO) test ./...
-	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/
+	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/streetlevel/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
@@ -265,8 +267,10 @@ scale-smoke:
 # traceparent adoption that reaches logs and headers (FuzzRequestID). The
 # scrape edge: /metrics documents read by geobench and the benchmark, and
 # every legal metric name rendered by telemetry and read back
-# (FuzzParseExposition). Their seed corpora also run as plain tests in
-# `make test`.
+# (FuzzParseExposition). The street-level sweep's reverse geocoder takes
+# any float64 pair: a city and zone of the world, or ok=false, never a
+# panic (FuzzReverseGeocode). Their seed corpora also run as plain tests
+# in `make test`.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecoder -fuzztime 10s -run '^$$' ./internal/checkpoint
 	$(GO) test -fuzz FuzzDataset2Decoder -fuzztime 20s -run '^$$' ./internal/dataset
@@ -277,5 +281,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzQueryIP -fuzztime 10s -run '^$$' ./internal/serve
 	$(GO) test -fuzz FuzzRequestID -fuzztime 10s -run '^$$' ./internal/obs
 	$(GO) test -fuzz FuzzParseExposition -fuzztime 10s -run '^$$' ./internal/obs
+	$(GO) test -fuzz FuzzReverseGeocode -fuzztime 10s -run '^$$' ./internal/mapping
 
 ci: vet build race

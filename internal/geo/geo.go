@@ -69,15 +69,21 @@ func Distance(a, b Point) float64 {
 // p along the initial bearing bearingDeg (degrees clockwise from north).
 func Destination(p Point, bearingDeg, distKm float64) Point {
 	lat1 := deg2rad(p.Lat)
-	lon1 := deg2rad(p.Lon)
 	brng := deg2rad(bearingDeg)
 	ad := distKm / EarthRadiusKm // angular distance
 
 	// Each sine and cosine is taken once: gc does not merge repeated calls.
-	sinLat1, cosLat1 := math.Sin(lat1), math.Cos(lat1)
-	sinAd, cosAd := math.Sin(ad), math.Cos(ad)
-	lat2 := math.Asin(sinLat1*cosAd + cosLat1*sinAd*math.Cos(brng))
-	lon2 := lon1 + math.Atan2(math.Sin(brng)*sinAd*cosLat1, cosAd-sinLat1*math.Sin(lat2))
+	return destination(deg2rad(p.Lon), math.Sin(lat1), math.Cos(lat1),
+		math.Sin(ad), math.Cos(ad), math.Sin(brng), math.Cos(brng))
+}
+
+// destination is Destination's expression tree over the sines and
+// cosines it takes of the start latitude, the angular distance and the
+// bearing. Fan feeds it cached ones, so its points are Destination's bit
+// for bit.
+func destination(lon1, sinLat1, cosLat1, sinAd, cosAd, sinB, cosB float64) Point {
+	lat2 := math.Asin(sinLat1*cosAd + cosLat1*sinAd*cosB)
+	lon2 := lon1 + math.Atan2(sinB*sinAd*cosLat1, cosAd-sinLat1*math.Sin(lat2))
 
 	lon2d := rad2deg(lon2)
 	// Normalize longitude to -180..180.
@@ -88,6 +94,53 @@ func Destination(p Point, bearingDeg, distKm float64) Point {
 		lon2d += 360
 	}
 	return Point{Lat: rad2deg(lat2), Lon: lon2d}
+}
+
+// Fan is Destination at n evenly spaced bearings, 360·i/n degrees for i
+// in [0, n), with each sine and cosine taken once where Destination takes
+// it per call: the bearings' when the fan is made, the centre's in
+// Around, the distance's in At. Point(i) of NewFan(n).Around(c).At(d) is
+// Destination(c, 360·float64(i)/float64(n), d) bit for bit. A Fan is a
+// value: Around and At return copies sharing the bearing table, so one
+// table serves any number of goroutines.
+type Fan struct {
+	sinB, cosB []float64
+
+	lon1, sinLat1, cosLat1 float64 // the centre's, set by Around
+	sinAd, cosAd           float64 // the distance's, set by At
+}
+
+// NewFan returns the fan of n bearings; n ≤ 0 gives the empty fan.
+func NewFan(n int) Fan {
+	n = max(n, 0)
+	f := Fan{sinB: make([]float64, n), cosB: make([]float64, n)}
+	for i := range n {
+		brng := deg2rad(360 * float64(i) / float64(n))
+		f.sinB[i], f.cosB[i] = math.Sin(brng), math.Cos(brng)
+	}
+	return f
+}
+
+// Len returns the number of bearings.
+func (f Fan) Len() int { return len(f.sinB) }
+
+// Around returns the fan centred on p.
+func (f Fan) Around(p Point) Fan {
+	lat1 := deg2rad(p.Lat)
+	f.lon1, f.sinLat1, f.cosLat1 = deg2rad(p.Lon), math.Sin(lat1), math.Cos(lat1)
+	return f
+}
+
+// At returns the fan reaching distKm kilometres from its centre.
+func (f Fan) At(distKm float64) Fan {
+	ad := distKm / EarthRadiusKm
+	f.sinAd, f.cosAd = math.Sin(ad), math.Cos(ad)
+	return f
+}
+
+// Point returns the point at bearing i.
+func (f Fan) Point(i int) Point {
+	return destination(f.lon1, f.sinLat1, f.cosLat1, f.sinAd, f.cosAd, f.sinB[i], f.cosB[i])
 }
 
 // InitialBearing returns the initial bearing (degrees clockwise from north,

@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // Circle is a CBG constraint: the target lies within RadiusKm of Center.
 type Circle struct {
@@ -151,33 +148,4 @@ func (r *Region) Centroid() (Point, bool) {
 	p, ok := sm.Centroid()
 	PutSampler(sm)
 	return p, ok
-}
-
-// AreaKm2 estimates the area of the region intersection (km²) using the same
-// polar sampling grid. It returns 0 for an empty or unconstrained region.
-func (r *Region) AreaKm2() float64 {
-	red := r.Reduced()
-	tight, ok := red.Tightest()
-	if !ok {
-		return 0
-	}
-	rings, bearings := DefaultSampleRings, DefaultSampleBearings
-	inside, total := 0, 0
-	for ri := 1; ri <= rings; ri++ {
-		rad := tight.RadiusKm * (float64(ri) - 0.5) / float64(rings)
-		for bi := 0; bi < bearings; bi++ {
-			brng := 360 * float64(bi) / float64(bearings)
-			total++
-			if red.Contains(Destination(tight.Center, brng, rad)) {
-				inside++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	// Spherical cap area of the tightest circle.
-	h := EarthRadiusKm * (1 - math.Cos(tight.RadiusKm/EarthRadiusKm))
-	capArea := 2 * math.Pi * EarthRadiusKm * h
-	return capArea * float64(inside) / float64(total)
 }

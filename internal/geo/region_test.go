@@ -79,9 +79,6 @@ func TestRegionNoCircles(t *testing.T) {
 	if _, ok := r.Tightest(); ok {
 		t.Error("Tightest on empty region must report !ok")
 	}
-	if a := r.AreaKm2(); a != 0 {
-		t.Errorf("empty region area = %f, want 0", a)
-	}
 }
 
 func TestRegionReducedDropsRedundant(t *testing.T) {
@@ -127,25 +124,6 @@ func TestRegionCentroidInsideRegion(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRegionAreaShrinksWithConstraints(t *testing.T) {
-	center := Point{45, 5}
-	var r1 Region
-	r1.Add(Circle{Center: center, RadiusKm: 300})
-	a1 := r1.AreaKm2()
-
-	r2 := r1
-	r2.Circles = append([]Circle{}, r1.Circles...)
-	r2.Add(Circle{Center: Destination(center, 90, 250), RadiusKm: 150})
-	a2 := r2.AreaKm2()
-
-	if a1 <= 0 {
-		t.Fatal("single circle area should be positive")
-	}
-	if a2 >= a1 {
-		t.Errorf("adding a cutting constraint should shrink area: %.0f -> %.0f", a1, a2)
 	}
 }
 

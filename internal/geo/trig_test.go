@@ -131,6 +131,49 @@ func TestDestinationBitIdentical(t *testing.T) {
 	})
 }
 
+// TestFanMatchesDestination holds every point of a Fan to Destination
+// bit for bit, at the street-level sweep's bearing counts (1 and 7
+// besides its 10 and 36) and at every k·step of both sweeps' steps up to
+// 40 circles, from random centres, the poles and the ±180° meridian.
+func TestFanMatchesDestination(t *testing.T) {
+	centres := []Point{{90, 0}, {-90, 0}, {90, 180}, {0, 180}, {0, -180}, {45.5, 180}, {-45.5, -180},
+		{89.999999, 179.999999}, {-89.999999, -179.999999}, {0, 0}}
+	rng := rand.New(rand.NewSource(11))
+	n := 1_000
+	if testing.Short() {
+		n = 100
+	}
+	for len(centres) < n {
+		centres = append(centres, randPoint(rng))
+	}
+	for _, points := range []int{1, 7, 10, 36} {
+		fan := NewFan(points)
+		if fan.Len() != points {
+			t.Fatalf("NewFan(%d).Len() = %d", points, fan.Len())
+		}
+		for _, c := range centres {
+			around := fan.Around(c)
+			for _, step := range []float64{1, 5} {
+				for k := 1; k <= 40; k++ {
+					ring := around.At(step * float64(k))
+					for i := 0; i < points; i++ {
+						got := ring.Point(i)
+						want := Destination(c, 360*float64(i)/float64(points), step*float64(k))
+						if math.Float64bits(got.Lat) != math.Float64bits(want.Lat) ||
+							math.Float64bits(got.Lon) != math.Float64bits(want.Lon) {
+							t.Fatalf("fan of %d around %v at %v km, point %d = %v, Destination %v",
+								points, c, step*float64(k), i, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if NewFan(0).Len() != 0 || NewFan(-3).Len() != 0 {
+		t.Error("a fan of no bearings must be empty")
+	}
+}
+
 // TestContainsTrigMatchesContains hammers the calibrated haversine-space
 // predicate against Circle.Contains, concentrating on points near the
 // circle boundary (Destination at the nominal radius scaled by factors a

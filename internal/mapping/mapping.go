@@ -8,6 +8,7 @@ package mapping
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"geoloc/internal/faults"
@@ -28,8 +29,6 @@ type POI struct {
 	// Key is the POI's stable identity; the website model derives all site
 	// attributes from it.
 	Key uint64
-	// Loc is the POI's physical location.
-	Loc geo.Point
 	// CityID and Zone locate the POI in the zoning grid; Zip is its postal
 	// code.
 	CityID int
@@ -37,7 +36,16 @@ type POI struct {
 	Zip    int
 	// HasWebsite reports whether the amenity lists a website.
 	HasWebsite bool
+
+	// The zone centre, bearing and distance Loc places the POI with.
+	center      geo.Point
+	brg, distKm float64
 }
+
+// Loc returns the POI's physical location. It is computed on each call:
+// the street-level sweep asks it of the few POIs whose sites pass the
+// locally-hosted checks, out of every POI it mines.
+func (p POI) Loc() geo.Point { return geo.Destination(p.center, p.brg, p.distKm) }
 
 // Service answers reverse-geocoding and POI queries over one world.
 // Queries are deterministic and counted; the service is safe for
@@ -53,9 +61,12 @@ type Service struct {
 	poiQueries      atomic.Int64
 	lookupFailures  atomic.Int64
 
-	cells    map[cellKey][]int // city IDs bucketed by 2-degree cell
-	cityTrig []geo.Trig        // per city ID, for nearestCity's distances
-	cityUnit []geo.Unit        // per city ID, for nearestCity's chord screen
+	// City IDs bucketed by 2-degree cell, ascending within a cell: cell
+	// i (cellIndex) holds cellIDs[cellOff[i]:cellOff[i+1]].
+	cellOff  []int32
+	cellIDs  []int32
+	cityTrig []geo.Trig // per city ID, for nearestCity's distances
+	cityUnit []geo.Unit // per city ID, for nearestCity's chord screen
 }
 
 // Query-kind discriminators for lookup-failure draws, so a reverse
@@ -68,8 +79,23 @@ const (
 type cellKey struct{ lat, lon int }
 
 // lonCells is the number of 2-degree longitude cells; cell indices run
-// from −lonCells/2 to lonCells/2−1 and wrap at ±180°.
-const lonCells = 180
+// from −lonCells/2 to lonCells/2−1 and wrap at ±180°. latCells is the
+// number of 2-degree latitude cells: −45 to 45, the last holding only
+// the north pole.
+const (
+	lonCells = 180
+	latCells = 91
+)
+
+// cellIndex returns the grid index of cell (lat, lon), and false for a
+// latitude index off the globe.
+func cellIndex(lat, lon int) (int, bool) {
+	row := lat + latCells/2
+	if row < 0 || row >= latCells {
+		return 0, false
+	}
+	return row*lonCells + lon + lonCells/2, true
+}
 
 func keyOf(p geo.Point) cellKey {
 	return cellKey{lat: int(math.Floor(p.Lat / 2)), lon: wrapLonCell(int(math.Floor(p.Lon / 2)))}
@@ -82,14 +108,35 @@ func wrapLonCell(i int) int {
 
 // NewService builds a mapping service with a spatial index over the cities.
 func NewService(w *world.World) *Service {
-	s := &Service{W: w, cells: make(map[cellKey][]int),
+	s := &Service{W: w, cellOff: make([]int32, latCells*lonCells+1), cellIDs: make([]int32, len(w.Cities)),
 		cityTrig: make([]geo.Trig, len(w.Cities)), cityUnit: make([]geo.Unit, len(w.Cities))}
-	for _, c := range w.Cities {
-		s.cells[keyOf(c.Loc)] = append(s.cells[keyOf(c.Loc)], c.ID)
+	// A counting sort of the cities by cell, stable in city order.
+	cellOf := make([]int, len(w.Cities))
+	for i, c := range w.Cities {
 		s.cityTrig[c.ID] = geo.MakeTrig(c.Loc)
 		s.cityUnit[c.ID] = s.cityTrig[c.ID].Unit()
+		k := keyOf(c.Loc)
+		cellOf[i], _ = cellIndex(k.lat, k.lon)
+		s.cellOff[cellOf[i]+1]++
+	}
+	for i := 1; i < len(s.cellOff); i++ {
+		s.cellOff[i] += s.cellOff[i-1]
+	}
+	next := slices.Clone(s.cellOff)
+	for i, c := range w.Cities {
+		s.cellIDs[next[cellOf[i]]] = int32(c.ID)
+		next[cellOf[i]]++
 	}
 	return s
+}
+
+// cell returns the IDs of the cities in cell (lat, lon).
+func (s *Service) cell(lat, lon int) []int32 {
+	i, ok := cellIndex(lat, lon)
+	if !ok {
+		return nil
+	}
+	return s.cellIDs[s.cellOff[i]:s.cellOff[i+1]]
 }
 
 // Stats returns the query counters (reverse geocodes, POI queries).
@@ -110,7 +157,9 @@ func (s *Service) ResetStats() {
 // ReverseGeocode maps a point to the postal code of the nearest city zone,
 // like Nominatim: every successful query returns something, however rural
 // the point. ok is false when the fault layer fails the query (timeout,
-// 5xx); the failure is persistent per queried point.
+// 5xx); the failure is persistent per queried point. ok is also false for
+// a point no city has a distance to: a NaN or infinite coordinate, or one
+// too large to turn into radians.
 func (s *Service) ReverseGeocode(p geo.Point) (Place, bool) {
 	s.reverseGeocodes.Add(1)
 	if s.Faults.LookupFailed(s.W.Cfg.Seed, lookupKindReverse,
@@ -118,8 +167,11 @@ func (s *Service) ReverseGeocode(p geo.Point) (Place, bool) {
 		s.lookupFailures.Add(1)
 		return Place{}, false
 	}
-	city := s.nearestCity(p)
-	zone := city.ZoneOf(p)
+	city, d := s.nearestCity(p)
+	if city == nil {
+		return Place{}, false
+	}
+	zone := city.ZoneAt(p, d)
 	return Place{CityID: city.ID, Zone: zone, Zip: city.Zip(zone)}, true
 }
 
@@ -131,19 +183,22 @@ const maxRing = 4
 // searches rings of 2-degree cells outward from p's own, and stops once
 // the best distance is below ringBoundKm, under which no city outside the
 // searched cells can lie; a point that no ring up to maxRing settles gets
-// a scan of every city. TrigDistance is Distance bit for bit.
-func (s *Service) nearestCity(p geo.Point) *world.City {
+// a scan of every city. It also returns the winning distance, which is
+// geo.Distance(city.Loc, p) bit for bit: TrigDistance is Distance, and
+// symmetric. The city is nil when no distance is finite, as for a
+// non-finite point.
+func (s *Service) nearestCity(p geo.Point) (*world.City, float64) {
 	base := keyOf(p)
 	pt := geo.MakeTrig(p)
 	pu := pt.Unit()
 	bestID, bestD := -1, math.Inf(1)
-	consider := func(id int) {
+	consider := func(id int32) {
 		if geo.ChordLowerBoundKm(pu, s.cityUnit[id]) > bestD {
 			return // farther than the best: neither nearer nor a tie
 		}
 		d := geo.TrigDistance(pt, s.cityTrig[id])
-		if d < bestD || (d == bestD && id < bestID) {
-			bestID, bestD = id, d
+		if d < bestD || (d == bestD && int(id) < bestID) {
+			bestID, bestD = int(id), d
 		}
 	}
 	for radius := 0; radius <= maxRing; radius++ {
@@ -152,20 +207,23 @@ func (s *Service) nearestCity(p geo.Point) *world.City {
 				if maxAbs(dl, dn) != radius {
 					continue // only the ring perimeter at this radius
 				}
-				for _, id := range s.cells[cellKey{base.lat + dl, wrapLonCell(base.lon + dn)}] {
+				for _, id := range s.cell(base.lat+dl, wrapLonCell(base.lon+dn)) {
 					consider(id)
 				}
 			}
 		}
 		if bestD < ringBoundKm(p, pt.CosLat, radius) {
-			return &s.W.Cities[bestID]
+			return &s.W.Cities[bestID], bestD
 		}
 	}
 	bestID, bestD = -1, math.Inf(1)
 	for i := range s.W.Cities {
-		consider(i)
+		consider(int32(i))
 	}
-	return &s.W.Cities[bestID]
+	if bestID < 0 {
+		return nil, bestD
+	}
+	return &s.W.Cities[bestID], bestD
 }
 
 // ringBoundKm is a lower bound on the distance from p to any point outside
@@ -210,7 +268,8 @@ func maxAbs(a, b int) int {
 // zone (one Overpass query). POIs are generated deterministically from the
 // world seed, so repeated queries return identical results without the
 // world storing millions of POI records. ok is false when the fault layer
-// fails the query; an out-of-range zone is a successful empty answer.
+// fails the query; an unknown city or an out-of-range zone is a successful
+// empty answer.
 func (s *Service) POIsInZip(cityID, zone int) ([]POI, bool) {
 	s.poiQueries.Add(1)
 	if s.Faults.LookupFailed(s.W.Cfg.Seed, lookupKindPOIs, uint64(cityID), uint64(zone)) {
@@ -218,6 +277,9 @@ func (s *Service) POIsInZip(cityID, zone int) ([]POI, bool) {
 		return nil, false
 	}
 	w := s.W
+	if cityID < 0 || cityID >= len(w.Cities) {
+		return nil, true
+	}
 	city := &w.Cities[cityID]
 	if zone < 0 || zone >= city.NumZones() {
 		return nil, true
@@ -235,16 +297,20 @@ func (s *Service) POIsInZip(cityID, zone int) ([]POI, bool) {
 	if zoneRadius < 0.8 {
 		zoneRadius = 0.8
 	}
+	keys := rhash.Hash(cfg.Seed, rhash.HashString("poikey"), uint64(cityID), uint64(zone))
 	out := make([]POI, 0, n)
 	for i := 0; i < n; i++ {
-		loc := geo.Destination(zoneCenter, st.Range(0, 360), zoneRadius*math.Sqrt(st.Float64()))
+		brg := st.Range(0, 360)
+		dist := zoneRadius * math.Sqrt(st.Float64())
 		out = append(out, POI{
-			Key:        rhash.Hash(cfg.Seed, rhash.HashString("poikey"), uint64(cityID), uint64(zone), uint64(i)),
-			Loc:        loc,
+			Key:        rhash.Extend(keys, uint64(i)),
 			CityID:     cityID,
 			Zone:       zone,
 			Zip:        city.Zip(zone),
 			HasWebsite: st.Bool(cfg.POIWebsiteFrac),
+			center:     zoneCenter,
+			brg:        brg,
+			distKm:     dist,
 		})
 	}
 	return out, true

@@ -3,10 +3,12 @@ package mapping
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"geoloc/internal/geo"
 	"geoloc/internal/par"
+	"geoloc/internal/rhash"
 	"geoloc/internal/world"
 )
 
@@ -68,7 +70,7 @@ func TestNearestCityIsActuallyNearest(t *testing.T) {
 		{Lat: 35, Lon: 139}, {Lat: -33, Lon: -70},
 	}
 	for _, p := range probes {
-		got := svc.nearestCity(p)
+		got, _ := svc.nearestCity(p)
 		best := 0
 		for i := range tw.Cities {
 			if geo.Distance(p, tw.Cities[i].Loc) < geo.Distance(p, tw.Cities[best].Loc) {
@@ -86,7 +88,8 @@ func TestNearestCityIsActuallyNearest(t *testing.T) {
 // TestNearestCityMatchesLinearScan holds nearestCity to a scan of every
 // city (the lowest ID on a tie) on 200k points per world: half within
 // 150 km of a city, half uniform over the sphere, plus the poles and the
-// antimeridian.
+// antimeridian. The distance it returns must be geo.Distance(city, p)
+// bit for bit, and ZoneAt over it must be ZoneOf.
 func TestNearestCityMatchesLinearScan(t *testing.T) {
 	worlds := []*world.World{tw}
 	points := 200_000
@@ -115,6 +118,7 @@ func TestNearestCityMatchesLinearScan(t *testing.T) {
 			}
 		}
 		wrong := make([]int, len(pts))
+		var badDist atomic.Int64
 		par.For(len(pts), func(i int) {
 			pt := geo.MakeTrig(pts[i])
 			pu := pt.Unit()
@@ -128,10 +132,19 @@ func TestNearestCityMatchesLinearScan(t *testing.T) {
 				}
 			}
 			wrong[i] = -1
-			if got := s.nearestCity(pts[i]); got.ID != best {
+			got, d := s.nearestCity(pts[i])
+			if got.ID != best {
 				wrong[i] = got.ID
 			}
+			if math.Float64bits(d) != math.Float64bits(geo.Distance(got.Loc, pts[i])) ||
+				got.ZoneAt(pts[i], d) != got.ZoneOf(pts[i]) {
+				badDist.Add(1)
+			}
 		})
+		if n := badDist.Load(); n > 0 {
+			t.Errorf("%d cities: %d of %d points get a distance that is not geo.Distance's, or a zone that is not ZoneOf's",
+				len(w.Cities), n, len(pts))
+		}
 		bad := 0
 		for i, got := range wrong {
 			if got < 0 {
@@ -169,8 +182,8 @@ func TestNearestCityAntimeridianAndTies(t *testing.T) {
 		{geo.Point{Lat: 10, Lon: -179.5}, 3},
 		{geo.Point{Lat: 10, Lon: 179.6}, 2},
 	} {
-		if got := s.nearestCity(c.p).ID; got != c.want {
-			t.Errorf("nearestCity(%v) = %d, want %d", c.p, got, c.want)
+		if got, _ := s.nearestCity(c.p); got.ID != c.want {
+			t.Errorf("nearestCity(%v) = %d, want %d", c.p, got.ID, c.want)
 		}
 	}
 }
@@ -193,6 +206,39 @@ func TestPOIsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("nondeterministic POI")
 		}
+	}
+}
+
+// TestPOILocIsEagerDestination: for every Tiny POI, Loc is the
+// Destination POIsInZip used to place it eagerly, replayed here from the
+// zone's stream (bearing, distance, then the website flag, per POI).
+func TestPOILocIsEagerDestination(t *testing.T) {
+	cfg := tw.Cfg
+	n := 0
+	for ci := range tw.Cities {
+		city := &tw.Cities[ci]
+		for zone := 0; zone < city.NumZones(); zone++ {
+			pois, ok := svc.POIsInZip(ci, zone)
+			if !ok {
+				t.Fatal("faultless service failed")
+			}
+			st := rhash.New(cfg.Seed, rhash.HashString("poi"), uint64(ci), uint64(zone))
+			st.Range(0.5, 1.5) // the POI count's draw
+			zoneRadius := max(city.RadiusKm/(cityRingsApprox+1), 0.8)
+			for _, poi := range pois {
+				want := geo.Destination(city.ZoneCenter(zone), st.Range(0, 360), zoneRadius*math.Sqrt(st.Float64()))
+				if hasSite := st.Bool(cfg.POIWebsiteFrac); hasSite != poi.HasWebsite {
+					t.Fatalf("POI %x: website flag %v, replay %v", poi.Key, poi.HasWebsite, hasSite)
+				}
+				if got := poi.Loc(); got != want {
+					t.Fatalf("POI %x: Loc() = %v, eager Destination %v", poi.Key, got, want)
+				}
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no POIs")
 	}
 }
 
@@ -242,7 +288,7 @@ func TestPOIsNearTheirZone(t *testing.T) {
 		center := city.ZoneCenter(zone)
 		pois, _ := svc.POIsInZip(city.ID, zone)
 		for _, poi := range pois {
-			if d := geo.Distance(poi.Loc, center); d > city.RadiusKm {
+			if d := geo.Distance(poi.Loc(), center); d > city.RadiusKm {
 				t.Fatalf("POI %.1f km from its zone centre", d)
 			}
 		}
@@ -256,6 +302,54 @@ func TestPOIsInvalidZone(t *testing.T) {
 	if pois, ok := svc.POIsInZip(0, 999); pois != nil || !ok {
 		t.Error("out-of-range zone should yield nil")
 	}
+	for _, city := range []int{-1, len(tw.Cities), math.MaxInt} {
+		if pois, ok := svc.POIsInZip(city, 0); pois != nil || !ok {
+			t.Errorf("unknown city %d should yield nil, true", city)
+		}
+	}
+}
+
+// TestReverseGeocodeNonFinite: a coordinate no city has a distance to is
+// a failed query, not a panic; the fault counter does not move.
+func TestReverseGeocodeNonFinite(t *testing.T) {
+	s := NewService(tw)
+	for _, p := range []geo.Point{
+		{Lat: math.NaN(), Lon: 0}, {Lat: 0, Lon: math.NaN()},
+		{Lat: math.Inf(1), Lon: 0}, {Lat: 0, Lon: math.Inf(-1)},
+		{Lat: math.MaxFloat64, Lon: 0}, {Lat: 0, Lon: -math.MaxFloat64},
+	} {
+		if pl, ok := s.ReverseGeocode(p); ok || pl != (Place{}) {
+			t.Errorf("ReverseGeocode(%v) = %+v, %v; want the zero Place, false", p, pl, ok)
+		}
+	}
+	if s.LookupFailures() != 0 {
+		t.Errorf("non-finite points counted %d fault-layer failures", s.LookupFailures())
+	}
+}
+
+// FuzzReverseGeocode: any pair of float64s reverse-geocodes to a city of
+// the world and one of its zones, or fails with ok=false; it never panics.
+func FuzzReverseGeocode(f *testing.F) {
+	for _, p := range [][2]float64{{48.85, 2.35}, {90, 0}, {-90, 180}, {0, -180}, {1e300, 1e-300},
+		{math.NaN(), 0}, {0, math.Inf(1)}, {math.MaxFloat64, 1}, {-1000, 725}} {
+		f.Add(p[0], p[1])
+	}
+	f.Fuzz(func(t *testing.T, lat, lon float64) {
+		pl, ok := svc.ReverseGeocode(geo.Point{Lat: lat, Lon: lon})
+		if !ok {
+			if pl != (Place{}) {
+				t.Fatalf("failed query returned %+v", pl)
+			}
+			return
+		}
+		if pl.CityID < 0 || pl.CityID >= len(tw.Cities) {
+			t.Fatalf("(%v, %v): city %d of %d", lat, lon, pl.CityID, len(tw.Cities))
+		}
+		c := &tw.Cities[pl.CityID]
+		if pl.Zone < 0 || pl.Zone >= c.NumZones() || pl.Zip != c.Zip(pl.Zone) {
+			t.Fatalf("(%v, %v): zone %d zip %d in city %d of %d zones", lat, lon, pl.Zone, pl.Zip, pl.CityID, c.NumZones())
+		}
+	})
 }
 
 func TestPOICapRespected(t *testing.T) {

@@ -160,6 +160,9 @@ type Pipeline struct {
 	Cfg Config
 
 	anchorRows []int
+	// fan2 and fan3 are the bearing tables of Tier2Points and
+	// Tier3Points, shared by every sweep.
+	fan2, fan3 geo.Fan
 }
 
 // New builds a pipeline with default configuration. The campaign's target
@@ -182,7 +185,21 @@ func NewWithConfig(c *core.Campaign, cfg Config) *Pipeline {
 		Web:        r,
 		Cfg:        cfg,
 		anchorRows: c.AnchorVPIndices(),
+		fan2:       geo.NewFan(cfg.Tier2Points),
+		fan3:       geo.NewFan(cfg.Tier3Points),
 	}
+}
+
+// fan returns the bearing table of points sample points per circle: a
+// table made with the pipeline when Cfg still asks for its size.
+func (p *Pipeline) fan(points int) geo.Fan {
+	switch {
+	case p.fan2.Len() == points:
+		return p.fan2
+	case p.fan3.Len() == points:
+		return p.fan3
+	}
+	return geo.NewFan(points)
 }
 
 // saltSL namespaces street-level measurement randomness by target.
@@ -231,7 +248,7 @@ func (p *Pipeline) Geolocate(target int) Result {
 	seen := make(map[uint64]int) // site key -> index in res.Landmarks
 
 	// ---- Tier 2: coarse sweep around the tier-1 centroid.
-	p.sweep(&res, 2, res.Tier1, region1, p.Cfg.Tier2StepKm, p.Cfg.Tier2Points, p.Cfg.MaxCircles, vps, targetTraces, seen)
+	p.sweep(&res, 2, res.Tier1, region1, p.Cfg.Tier2StepKm, p.fan(p.Cfg.Tier2Points), p.Cfg.MaxCircles, vps, targetTraces, seen)
 	res.TimeSeconds += p.C.Platform.RoundSeconds(saltSL(target, 2))
 
 	// New region from usable landmark delays.
@@ -241,7 +258,7 @@ func (p *Pipeline) Geolocate(target int) Result {
 	}
 
 	// ---- Tier 3: fine sweep around the tier-2 centroid.
-	p.sweep(&res, 3, center2, region2, p.Cfg.Tier3StepKm, p.Cfg.Tier3Points, p.Cfg.Tier3MaxCircles, vps, targetTraces, seen)
+	p.sweep(&res, 3, center2, region2, p.Cfg.Tier3StepKm, p.fan(p.Cfg.Tier3Points), p.Cfg.Tier3MaxCircles, vps, targetTraces, seen)
 	res.TimeSeconds += p.C.Platform.RoundSeconds(saltSL(target, 3))
 
 	// Final mapping: the landmark with the smallest usable delay, tier-3
@@ -325,18 +342,28 @@ func (p *Pipeline) closestAnchorVPs(target, k int) []int {
 
 // sweep walks concentric circles around center, collecting landmarks from
 // every zip code whose sample points fall inside the region, and measures
-// each new landmark's delay to the target.
+// each new landmark's delay to the target. Point i of circle k is
+// geo.Destination(center, 360·i/points, k·stepKm) through the fan, and
+// its membership in the reduced region is Region.Contains's through
+// ContainsTrig: both bit for bit. A site is placed only once it passes
+// the checks, the one step that reads where it is.
 func (p *Pipeline) sweep(res *Result, tier int, center geo.Point, region geo.Region,
-	stepKm float64, points, maxCircles int, vps []int, targetTraces []netsim.Trace, seen map[uint64]int) {
+	stepKm float64, fan geo.Fan, maxCircles int, vps []int, targetTraces []netsim.Trace, seen map[uint64]int) {
 
 	red := region.Reduced()
+	var buf [8]geo.TrigCircle
+	tcs := buf[:0]
+	for _, c := range red.Circles {
+		tcs = append(tcs, geo.MakeTrigCircle(c))
+	}
+	fan = fan.Around(center)
 	seenZips := make(map[int]bool)
 	for k := 1; k <= maxCircles; k++ {
-		radius := stepKm * float64(k)
+		ring := fan.At(stepKm * float64(k))
 		anyInside := false
-		for i := 0; i < points; i++ {
-			pt := geo.Destination(center, 360*float64(i)/float64(points), radius)
-			if len(red.Circles) > 0 && !red.Contains(pt) {
+		for i := 0; i < ring.Len(); i++ {
+			pt := ring.Point(i)
+			if !insideAll(tcs, pt) {
 				continue
 			}
 			anyInside = true
@@ -367,11 +394,12 @@ func (p *Pipeline) sweep(res *Result, tier int, center geo.Point, region geo.Reg
 				if _, dup := seen[poi.Key]; dup {
 					continue
 				}
-				site := p.Web.Resolve(poi)
+				site, st := p.Web.Inspect(poi)
 				res.WebsiteTests++
 				if !web.RunChecks(site, place.Zip).Passed() {
 					continue
 				}
+				p.Web.Place(&site, poi, &st)
 				delay, usable := p.landmarkDelay(vps, targetTraces, &site, res.Target)
 				seen[poi.Key] = len(res.Landmarks)
 				res.Landmarks = append(res.Landmarks, Landmark{
@@ -387,6 +415,20 @@ func (p *Pipeline) sweep(res *Result, tier int, center geo.Point, region geo.Reg
 			break
 		}
 	}
+}
+
+// insideAll reports whether pt lies in every circle, true for none.
+func insideAll(tcs []geo.TrigCircle, pt geo.Point) bool {
+	if len(tcs) == 0 {
+		return true
+	}
+	t := geo.MakeTrig(pt)
+	for i := range tcs {
+		if !tcs[i].ContainsTrig(t) {
+			return false
+		}
+	}
+	return true
 }
 
 // landmarkDelay estimates the landmark→target delay as the minimum over

@@ -45,13 +45,13 @@ func TestStaleLandmarksDriftAdvertisedLocationOnly(t *testing.T) {
 			t.Fatalf("fault layer changed more than POILoc for poi %x", poi.Key)
 		}
 		if !got.Stale {
-			if got.POILoc != poi.Loc {
+			if got.POILoc != poi.Loc() {
 				t.Fatalf("non-stale site drifted for poi %x", poi.Key)
 			}
 			continue
 		}
 		stale++
-		d := geo.Distance(poi.Loc, got.POILoc)
+		d := geo.Distance(poi.Loc(), got.POILoc)
 		if d <= 0 || d > 25.001 {
 			t.Fatalf("stale drift %.2f km outside (0, 25]", d)
 		}

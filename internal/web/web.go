@@ -106,11 +106,23 @@ func NewResolver(w *world.World) *Resolver {
 
 // Resolve returns the website of a POI. The result is deterministic in the
 // POI key. Calling Resolve on a POI without a website is allowed (the
-// returned site simply fails the Alive check).
+// returned site simply fails the Alive check). It is Inspect followed by
+// Place.
 func (r *Resolver) Resolve(poi mapping.POI) Website {
+	site, st := r.Inspect(poi)
+	r.Place(&site, poi, &st)
+	return site
+}
+
+// Inspect returns the site of a POI with everything RunChecks reads —
+// hosting, registered zip, chain, liveness — and the stale decision, but
+// neither location: POILoc and Server stay zero until Place fills them.
+// The returned stream is where Place continues the site's draws. Each
+// stale site counts in StaleSites here.
+func (r *Resolver) Inspect(poi mapping.POI) (Website, rhash.Stream) {
 	w := r.W
 	cfg := w.Cfg
-	st := rhash.New(cfg.Seed, rhash.HashString("website"), poi.Key)
+	st := rhash.Keyed(rhash.Hash(cfg.Seed, rhash.HashString("website"), poi.Key))
 
 	city := &w.Cities[poi.CityID]
 	localFrac := cfg.WebsiteLocalFracOuter
@@ -148,20 +160,30 @@ func (r *Resolver) Resolve(poi mapping.POI) Website {
 
 	site := Website{
 		Key:           poi.Key,
-		POILoc:        poi.Loc,
 		CityID:        poi.CityID,
 		Hosting:       hosting,
 		RegisteredZip: registeredZip,
 		Chain:         st.Bool(cfg.ChainProb),
 		Alive:         poi.HasWebsite && st.Bool(cfg.SiteAliveProb),
 	}
-	site.Server = r.serverFor(poi, hosting, st)
-	if brg, dist, stale := r.Faults.StaleDrift(cfg.Seed, poi.Key); stale {
-		site.POILoc = geo.Destination(poi.Loc, brg, dist)
+	if _, _, stale := r.Faults.StaleDrift(cfg.Seed, poi.Key); stale {
 		site.Stale = true
 		r.staleSites.Add(1)
 	}
-	return site
+	return site, st
+}
+
+// Place fills the POILoc and Server of a site Inspect returned for poi,
+// drawing from the stream Inspect returned with it. A stale site's POILoc
+// drifts from the POI's location.
+func (r *Resolver) Place(site *Website, poi mapping.POI, st *rhash.Stream) {
+	loc := poi.Loc()
+	site.POILoc = loc
+	site.Server = r.serverFor(poi, loc, site.Hosting, st)
+	if site.Stale {
+		brg, dist, _ := r.Faults.StaleDrift(r.W.Cfg.Seed, poi.Key)
+		site.POILoc = geo.Destination(loc, brg, dist)
+	}
 }
 
 // StaleSites returns how many resolved sites carried stale coordinates
@@ -172,8 +194,9 @@ func (r *Resolver) StaleSites() int64 { return r.staleSites.Load() }
 // business district" for local-hosting probability.
 const cityCentreZones = 8
 
-// serverFor places the host that actually serves the site.
-func (r *Resolver) serverFor(poi mapping.POI, hosting Hosting, st *rhash.Stream) world.Host {
+// serverFor places the host that actually serves the site of poi, which
+// is at loc.
+func (r *Resolver) serverFor(poi mapping.POI, loc geo.Point, hosting Hosting, st *rhash.Stream) world.Host {
 	w := r.W
 	switch hosting {
 	case Local:
@@ -184,8 +207,8 @@ func (r *Resolver) serverFor(poi mapping.POI, hosting Hosting, st *rhash.Stream)
 			Addr:       syntheticAddr(poi.Key),
 			City:       poi.CityID,
 			AS:         asID,
-			Loc:        geo.Destination(poi.Loc, st.Range(0, 360), st.Range(0, 0.05)),
-			Reported:   poi.Loc,
+			Loc:        geo.Destination(loc, st.Range(0, 360), st.Range(0, 0.05)),
+			Reported:   loc,
 			LastMileMs: 0.08 + st.Exp(0.12),
 			RespScore:  0.97,
 		}

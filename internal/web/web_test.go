@@ -1,8 +1,10 @@
 package web
 
 import (
+	"math"
 	"testing"
 
+	"geoloc/internal/faults"
 	"geoloc/internal/geo"
 	"geoloc/internal/mapping"
 	"geoloc/internal/world"
@@ -41,6 +43,37 @@ func TestResolveDeterministic(t *testing.T) {
 	}
 }
 
+// TestResolveIsInspectThenPlace: for every Tiny POI, with and without
+// stale landmarks, Resolve equals Inspect followed by Place, Inspect
+// leaves both locations unset, and both paths count the same stale sites.
+func TestResolveIsInspectThenPlace(t *testing.T) {
+	pois := allPOIs(math.MaxInt)
+	for _, prof := range []*faults.Profile{nil, faults.Hostile()} {
+		whole, split := NewResolver(tw), NewResolver(tw)
+		whole.Faults, split.Faults = prof, prof
+		for _, poi := range pois {
+			want := whole.Resolve(poi)
+			got, st := split.Inspect(poi)
+			if got.POILoc != (geo.Point{}) || got.Server != (world.Host{}) {
+				t.Fatalf("Inspect(%x) placed the site: %+v", poi.Key, got)
+			}
+			if RunChecks(got, poi.Zip) != RunChecks(want, poi.Zip) || got.Stale != want.Stale {
+				t.Fatalf("Inspect(%x) = %+v, Resolve's checks read %+v", poi.Key, got, want)
+			}
+			split.Place(&got, poi, &st)
+			if got != want {
+				t.Fatalf("Inspect+Place(%x) = %+v, Resolve = %+v", poi.Key, got, want)
+			}
+		}
+		if whole.StaleSites() != split.StaleSites() {
+			t.Fatalf("stale sites: Resolve counted %d, Inspect %d", whole.StaleSites(), split.StaleSites())
+		}
+		if prof != nil && whole.StaleSites() == 0 {
+			t.Fatal("hostile profile made no site stale")
+		}
+	}
+}
+
 func TestLocalSitesServeFromPOI(t *testing.T) {
 	found := false
 	for _, poi := range allPOIs(5000) {
@@ -49,7 +82,7 @@ func TestLocalSitesServeFromPOI(t *testing.T) {
 			continue
 		}
 		found = true
-		if d := geo.Distance(site.Server.Loc, poi.Loc); d > 0.2 {
+		if d := geo.Distance(site.Server.Loc, poi.Loc()); d > 0.2 {
 			t.Fatalf("local server %.2f km from POI", d)
 		}
 		if site.Server.City != poi.CityID {
@@ -70,7 +103,7 @@ func TestRemoteSitesServeElsewhere(t *testing.T) {
 			continue
 		}
 		total++
-		if geo.Distance(site.Server.Loc, poi.Loc) > 100 {
+		if geo.Distance(site.Server.Loc, poi.Loc()) > 100 {
 			far++
 		}
 	}

@@ -105,8 +105,12 @@ func (c *City) NumZones() int { return 1 + cityRings*citySectors }
 
 // ZoneOf maps a point to the index of the city zone containing it; points
 // beyond the outer ring clamp to the outermost ring.
-func (c *City) ZoneOf(p geo.Point) int {
-	d := geo.Distance(c.Loc, p)
+func (c *City) ZoneOf(p geo.Point) int { return c.ZoneAt(p, geo.Distance(c.Loc, p)) }
+
+// ZoneAt is ZoneOf for a caller that already has d, the distance from the
+// city to p as geo.Distance(c.Loc, p) computes it (or geo.TrigDistance in
+// either order, which is the same number bit for bit).
+func (c *City) ZoneAt(p geo.Point, d float64) int {
 	inner := c.RadiusKm / (cityRings + 1)
 	if d <= inner {
 		return 0
