@@ -61,7 +61,7 @@ func main() {
 	progressEvery := flag.Int("progress", 0, "emit a structured campaign-progress record every N batches (0 = off; format/level via -log-format/-log-level)")
 	tele := telemetry.NewCLI()
 	flag.Parse()
-	if err := checkFlags(*scale, *window, *ckptDir, *resume,
+	if err := checkFlags(*scale, *faultsName, *window, *ckptDir, *resume,
 		count{"block-size", *blockSize}, count{"trials", *trials},
 		count{"kill-after-batches", *killAfter}, count{"progress", *progressEvery}); err != nil {
 		fmt.Fprintf(flag.CommandLine.Output(), "experiments: %v\n", err)
@@ -74,7 +74,7 @@ func main() {
 	tele.Start()
 	defer tele.Finish()
 
-	if n, ok := streamScale(*scale); ok {
+	if n, ok := core.StreamScale(*scale); ok {
 		out := *artifact
 		if out == "" {
 			dir := *ckptDir
@@ -87,30 +87,9 @@ func main() {
 		return
 	}
 
-	var cfg world.Config
-	switch *scale {
-	case "tiny":
-		cfg = world.TinyConfig()
-	case "medium":
-		cfg = world.MediumConfig()
-	case "paper":
-		cfg = world.DefaultConfig()
-	default:
-		log.Fatalf("unknown scale %q", *scale)
-	}
-	var prof *faults.Profile
-	switch *faultsName {
-	case "none":
-		prof = nil
-	case "realistic":
-		prof = faults.Realistic()
-	case "degraded":
-		prof = faults.Degraded()
-	case "hostile":
-		prof = faults.Hostile()
-	default:
-		log.Fatalf("unknown fault profile %q", *faultsName)
-	}
+	// checkFlags has refused both names unless they parse.
+	cfg, _ := world.ParseScale(*scale)
+	prof, _ := faults.ParseProfile(*faultsName)
 
 	opts := experiments.DefaultOptions()
 	if *trials > 0 {
@@ -319,10 +298,11 @@ type count struct {
 }
 
 // checkFlags rejects, before any work starts, flag values that cannot
-// run: a spill window under one target, a negative count, and -resume on
-// a named scale with no journal to resume from (a streaming run's spill
-// directory defaults to one next to -artifact).
-func checkFlags(scale string, window int, ckptDir string, resume bool, counts ...count) error {
+// run: a spill window under one target, a negative count, a scale that is
+// neither a target count nor a named scale, an unknown fault profile, and
+// -resume on a named scale with no journal to resume from (a streaming
+// run's spill directory defaults to one next to -artifact).
+func checkFlags(scale, faultsName string, window int, ckptDir string, resume bool, counts ...count) error {
 	if window < 1 {
 		return fmt.Errorf("-window must be at least 1, got %d", window)
 	}
@@ -331,7 +311,14 @@ func checkFlags(scale string, window int, ckptDir string, resume bool, counts ..
 			return fmt.Errorf("-%s must not be negative, got %d", c.name, c.v)
 		}
 	}
-	if _, stream := streamScale(scale); resume && ckptDir == "" && !stream {
+	_, stream := core.StreamScale(scale)
+	if _, err := world.ParseScale(scale); err != nil && !stream {
+		return fmt.Errorf("-scale is not a target count: %w", err)
+	}
+	if _, err := faults.ParseProfile(faultsName); err != nil {
+		return fmt.Errorf("-faults names no profile: %w", err)
+	}
+	if resume && ckptDir == "" && !stream {
 		return errors.New("-resume needs -checkpoint-dir")
 	}
 	return nil

@@ -5,25 +5,11 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"geoloc/internal/core"
 	"geoloc/internal/dataset"
-	"geoloc/internal/world"
 )
-
-// streamScale recognizes a numeric -scale value ("50000", "1e6"): the
-// streaming pipeline of DESIGN.md §3.9, where targets are synthesized
-// per-window instead of materializing paper-scale matrices. Returns
-// false when the value is one of the named scales handled in main.
-func streamScale(s string) (int, bool) {
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f < 1 || f > 1<<24 {
-		return 0, false
-	}
-	return int(f), true
-}
 
 // runStreamScale measures targets /24s in bounded windows, spills each
 // window as a sealed checkpoint run, and k-way merges the runs into a
@@ -33,14 +19,10 @@ func runStreamScale(targets int, window int, artifact string, blockSize int, ckp
 	start := time.Now()
 	log.Printf("streaming campaign: %d targets, window %d", targets, window)
 
-	// The base campaign supplies the vantage-point set (world gen +
-	// sanitization only — no matrices; that is the point).
-	c := core.NewCampaign(world.TinyConfig())
-	src, err := core.NewStreamCampaign(c, core.StreamSpec{Targets: targets})
+	src, err := core.NewStreamScale(targets)
 	if err != nil {
 		log.Fatalf("stream spec: %v", err)
 	}
-	hdr := dataset.Header{ConfigHash: src.ConfigHash(), Seed: c.W.Cfg.Seed, Profile: "stream"}
 
 	spill := ckptDir
 	if spill == "" {
@@ -66,13 +48,13 @@ func runStreamScale(targets int, window int, artifact string, blockSize int, ckp
 			return nil
 		},
 	}
-	stats, err := dataset.CompileExternal(artifact, src, hdr, dataset.Options{}, nil, cfg)
+	stats, err := dataset.CompileExternal(artifact, src, dataset.StreamHeader(src), dataset.Options{}, nil, cfg)
 	if err != nil {
 		log.Fatalf("streaming compile failed: %v", err)
 	}
 	elapsed := time.Since(start)
 	priced, pruned := src.PricedPruned()
-	fmt.Print(streamReport(artifact, stats, elapsed, priced, pruned, len(c.VPs)))
+	fmt.Print(streamReport(artifact, stats, elapsed, priced, pruned, len(src.C.VPs)))
 }
 
 // streamReport renders the run's stats; experiments -out and the

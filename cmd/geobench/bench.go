@@ -103,23 +103,15 @@ type Config struct {
 	// geoserve -router fleet, one replica is killed after KillAfter
 	// completed requests and revived after RestartAfter, and the verdict
 	// additionally requires: zero dropped requests throughout, every 503
-	// confined to the outage window and carrying Retry-After, and (with
-	// MetricsCheck) the router's failover counters matching the
-	// client-observed X-Router-* headers exactly.
+	// confined to the outage window and carrying Retry-After, the outage
+	// actually exercised — a failed-over answer when the router's
+	// /healthz lists more than one replica, an in-window 503 when it
+	// lists one — and (with MetricsCheck) the router's failover counters
+	// matching the client-observed X-Router-* headers exactly.
 	Chaos bool
 	// KillAfter/RestartAfter are completed-request thresholds for the
 	// kill and revival (defaults Requests/4 and Requests/2).
 	KillAfter, RestartAfter int
-	// ChaosReplica picks the victim; negative selects the replica where
-	// lookups of the baseline artifact's record space start (the hot one).
-	ChaosReplica int
-	// ExpectFailover fails a chaos run in which no answer was failed
-	// over (the outage was never actually absorbed).
-	ExpectFailover bool
-	// Expect503 fails a chaos run with no in-window 503 (the degraded
-	// window was never actually exercised — for a fleet of one; any other
-	// live replica soaks the outage up).
-	Expect503 bool
 }
 
 // Report is the run verdict, written as JSON and summarized on stdout.

@@ -57,9 +57,6 @@ func main() {
 		"replica-chaos proof against a geoserve -router fleet: kill and revive a replica mid-run, require zero drops, window-confined 503s, and exact failover accounting")
 	flag.IntVar(&cfg.KillAfter, "kill-after", 0, "completed requests before the chaos kill (0 = requests/4)")
 	flag.IntVar(&cfg.RestartAfter, "restart-after", 0, "completed requests before the chaos revival (0 = requests/2)")
-	flag.IntVar(&cfg.ChaosReplica, "chaos-replica", -1, "replica to kill (negative = the hot replica, where lookups of the baseline artifact's range start)")
-	flag.BoolVar(&cfg.ExpectFailover, "expect-failover", false, "fail the chaos run if no answer was failed over")
-	flag.BoolVar(&cfg.Expect503, "expect-503", false, "fail the chaos run if the outage produced no in-window 503 (degraded path never exercised)")
 	outPath := flag.String("out", "", "write the JSON report here")
 	strict := flag.Bool("strict", false, "exit non-zero when the run has any violation")
 	var logFormat, logLevel string

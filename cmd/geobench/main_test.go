@@ -410,14 +410,13 @@ func TestRunChaosFailover(t *testing.T) {
 		Seed:        4,
 		HitFrac:     0.7, MissFrac: 0.2, GarbageFrac: 0.1,
 		BatchEvery: 10, BatchSize: 4,
-		AdminToken:     "tok",
-		Timeout:        15 * time.Second,
-		WaitReady:      5 * time.Second,
-		Chaos:          true,
-		KillAfter:      100,
-		RestartAfter:   220,
-		ExpectFailover: true,
-		MetricsCheck:   true,
+		AdminToken:   "tok",
+		Timeout:      15 * time.Second,
+		WaitReady:    5 * time.Second,
+		Chaos:        true,
+		KillAfter:    100,
+		RestartAfter: 220,
+		MetricsCheck: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +467,6 @@ func TestRunChaosBoundedFailureDomain(t *testing.T) {
 		Chaos:        true,
 		KillAfter:    100,
 		RestartAfter: 220,
-		Expect503:    true,
 		MetricsCheck: true,
 	})
 	if err != nil {
@@ -488,5 +486,43 @@ func TestRunChaosBoundedFailureDomain(t *testing.T) {
 	}
 	if !rep.MetricsChecked {
 		t.Fatal("router data-plane ledger did not match the client ledger")
+	}
+}
+
+// TestChaosFinishExpectsWhatTheFleetImplies: the chaos verdict reads its
+// expectation from the fleet size alone. A completed outage on four
+// replicas with no failed-over answer is a violation, as is one on a
+// fleet of one with no in-window 503; the outage each size should produce
+// is clean.
+func TestChaosFinishExpectsWhatTheFleetImplies(t *testing.T) {
+	const killNs, readmitNs = 1e9, 2e9
+	ok := sample{status: 200, t0Ns: 1.2e9, t1Ns: 1.3e9}
+	failedOver := sample{status: 200, t0Ns: 1.2e9, t1Ns: 1.3e9, failovers: 1}
+	unavailable := sample{status: 503, t0Ns: 1.2e9, t1Ns: 1.3e9}
+	for _, tc := range []struct {
+		name     string
+		replicas int
+		samples  []sample
+		want     string // a violation containing this; "" = clean
+	}{
+		{"4 replicas, nothing failed over", 4, []sample{ok, ok}, "zero failed-over answers"},
+		{"4 replicas, a failover", 4, []sample{ok, failedOver}, ""},
+		{"1 replica, no 503", 1, []sample{ok, ok}, "zero in-window 503s"},
+		{"1 replica, an in-window 503", 1, []sample{ok, unavailable}, ""},
+	} {
+		c := &chaosRun{cfg: Config{Requests: 400}, replicas: tc.replicas}
+		c.killTNs.Store(killNs)
+		c.readmitTNs.Store(readmitNs)
+		rep := &Report{Statuses: map[string]int{}}
+		c.finish(rep, tc.samples)
+		if !rep.ChaosPerformed {
+			t.Errorf("%s: chaos schedule not recorded as performed", tc.name)
+		}
+		switch {
+		case tc.want == "" && len(rep.Violations) != 0:
+			t.Errorf("%s: violations %v, want none", tc.name, rep.Violations)
+		case tc.want != "" && (len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], tc.want)):
+			t.Errorf("%s: violations %v, want one naming %q", tc.name, rep.Violations, tc.want)
+		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"geoloc/internal/experiments"
 	"geoloc/internal/netsim"
 	"geoloc/internal/telemetry"
+	"geoloc/internal/world"
 )
 
 func main() {
@@ -42,10 +43,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	sys, err := newSystem(*scale)
+	cfg, err := world.ParseScale(*scale)
 	if err != nil {
 		log.Fatal(err)
 	}
+	sys := geoloc.NewSystemFromConfig(cfg, experiments.QuickOptions())
 	tele.Attach("campaign", sys.Campaign().Platform.Reg)
 
 	var idx []int
@@ -110,21 +112,6 @@ func printTrace(sys *geoloc.System, target int) {
 	for _, line := range strings.Split(strings.TrimRight(netsim.RenderTrace(tr), "\n"), "\n") {
 		fmt.Println("   ", line)
 	}
-}
-
-func newSystem(scale string) (*geoloc.System, error) {
-	var s geoloc.Scale
-	switch scale {
-	case "tiny":
-		s = geoloc.TinyScale
-	case "medium":
-		s = geoloc.MediumScale
-	case "paper":
-		s = geoloc.PaperScale
-	default:
-		return nil, fmt.Errorf("unknown scale %q", scale)
-	}
-	return geoloc.NewSystemFromConfig(s.Config(), experiments.QuickOptions()), nil
 }
 
 func locate(sys *geoloc.System, technique string, target, k int) (geoloc.Estimate, string, error) {

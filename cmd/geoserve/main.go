@@ -1,8 +1,9 @@
 // geoserve serves a compiled geolocation dataset over HTTP.
 //
-// It either loads a dataset artifact (-dataset) or compiles one from a
-// fresh deterministic campaign (-scale), optionally writing the artifact
-// out (-write) instead of serving. The -faults profile injects
+// It serves a dataset artifact file: the one -dataset names, or one it
+// compiles from a fresh deterministic campaign (-scale: a named scale or
+// a target count), optionally writing the artifact out (-write) instead
+// of serving. The -faults profile injects
 // deterministic per-IP lookup failures and stalls for chaos runs.
 //
 // The serving core (internal/serve) is production-shaped: artifacts
@@ -35,6 +36,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -90,7 +92,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&o.dsPath, "dataset", "", "serve this dataset artifact instead of compiling one")
-	flag.StringVar(&o.scale, "scale", "tiny", "campaign scale to compile when -dataset is unset: tiny, medium, paper")
+	flag.StringVar(&o.scale, "scale", "tiny", "campaign scale to compile when -dataset is unset: tiny, medium, paper, or a target count (e.g. 1e6)")
 	flag.StringVar(&o.writePath, "write", "", "write the compiled dataset artifact here and exit instead of serving")
 	flag.StringVar(&o.faultName, "faults", "none", "serving fault profile: none, realistic, degraded, hostile")
 	flag.BoolVar(&o.unsanitized, "unsanitized", false, "include removed anchors as unsanitized reported-location records")
@@ -153,50 +155,27 @@ func main() {
 }
 
 func run(o options) error {
-	var prof *faults.Profile
-	switch o.faultName {
-	case "none":
-		prof = nil
-	case "realistic":
-		prof = faults.Realistic()
-	case "degraded":
-		prof = faults.Degraded()
-	case "hostile":
-		prof = faults.Hostile()
-	default:
-		return fmt.Errorf("unknown fault profile %q (want none, realistic, degraded, hostile)", o.faultName)
+	prof, err := faults.ParseProfile(o.faultName)
+	if err != nil {
+		return err
 	}
 	if o.writePath != "" && o.dsPath != "" {
 		return fmt.Errorf("-write with -dataset: the artifact is already on disk at %s", o.dsPath)
 	}
 
-	// Obtain the artifact: a file (-dataset, or a numeric -scale such as
-	// 1e6, which external-merge compiles straight to disk) or a dataset
-	// compiled in-process from a named -scale.
-	var ds *dataset.Dataset
-	if n, ok := streamScale(o.scale); ok && o.dsPath == "" {
-		path, cleanup, err := streamCompile(n, o.writePath)
+	// Without -dataset the artifact is compiled from -scale to a file —
+	// -write's path, or a temporary one removed when serving ends — and
+	// served from there like any other.
+	if o.dsPath == "" {
+		path, cleanup, err := compileArtifact(o.scale, o.unsanitized, o.writePath)
 		if err != nil {
 			return err
 		}
 		if o.writePath != "" {
-			log.Printf("wrote streaming artifact to %s", o.writePath)
 			return nil
 		}
 		defer cleanup()
 		o.dsPath = path
-	} else if o.dsPath == "" {
-		var err error
-		if ds, err = compileDataset(o.scale, o.unsanitized); err != nil {
-			return err
-		}
-		if o.writePath != "" {
-			if err := ds.Write(o.writePath); err != nil {
-				return fmt.Errorf("write dataset: %w", err)
-			}
-			log.Printf("wrote %d records to %s", len(ds.Records), o.writePath)
-			return nil
-		}
 	}
 
 	// The serving config both modes share. Router-mode replicas carry no
@@ -216,18 +195,12 @@ func run(o options) error {
 		TraceSample: o.traceSample,
 	}
 	if o.routerMode {
-		return runRouter(o, cfg, ds)
+		return runRouter(o, cfg)
 	}
 
 	cfg.AdminToken = o.adminToken
 	srv := serve.New(cfg, o.reg)
-	var err error
-	if ds != nil {
-		_, err = srv.Publish(ds, "compiled:"+o.scale)
-	} else {
-		_, err = srv.Reload(o.dsPath)
-	}
-	if err != nil {
+	if _, err := srv.Reload(o.dsPath); err != nil {
 		return err
 	}
 	art := srv.Current()
@@ -256,10 +229,6 @@ func listenAndServe(o options, h http.Handler, servers []*serve.Server, startDra
 	defer signal.Stop(hup)
 	go func() {
 		for range hup {
-			if o.dsPath == "" {
-				log.Printf("SIGHUP ignored: serving a compiled dataset, nothing to reload")
-				continue
-			}
 			for i, s := range servers {
 				art, err := s.Reload(o.dsPath)
 				if err != nil {
@@ -298,21 +267,60 @@ func listenAndServe(o options, h http.Handler, servers []*serve.Server, startDra
 	return nil
 }
 
-// compileDataset compiles a dataset from a fresh deterministic campaign at
-// the requested named scale.
-func compileDataset(scale string, unsanitized bool) (*dataset.Dataset, error) {
-	var cfg world.Config
-	switch scale {
-	case "tiny":
-		cfg = world.TinyConfig()
-	case "medium":
-		cfg = world.MediumConfig()
-	case "paper":
-		cfg = world.DefaultConfig()
-	default:
-		return nil, fmt.Errorf("unknown scale %q (want tiny, medium, paper, or a target count)", scale)
+// compileArtifact compiles the artifact a -scale names into a file —
+// out, or one in a temporary directory that cleanup removes — through
+// the external-merge compiler, spilling into a temporary directory beside
+// the artifact. A named scale compiles its campaign, bytes identical to
+// dataset.Compile(...).Write; a target count streams a synthetic one,
+// which has no removed anchors for -unsanitized to add.
+func compileArtifact(scale string, unsanitized bool, out string) (path string, cleanup func(), err error) {
+	var (
+		src   dataset.Source
+		hdr   dataset.Header
+		extra []dataset.Record
+		opts  = dataset.Options{IncludeUnsanitized: unsanitized}
+	)
+	if n, ok := core.StreamScale(scale); ok {
+		if unsanitized {
+			return "", nil, errors.New("-unsanitized with a target-count -scale: a streamed campaign has no removed anchors")
+		}
+		s, err := core.NewStreamScale(n)
+		if err != nil {
+			return "", nil, err
+		}
+		src, hdr = s, dataset.StreamHeader(s)
+	} else {
+		cfg, err := world.ParseScale(scale)
+		if err != nil {
+			return "", nil, err
+		}
+		c := core.NewCampaign(cfg)
+		src, hdr, extra = dataset.NewCampaignSource(c), dataset.CampaignHeader(c), dataset.CampaignExtras(c, opts)
 	}
-	log.Printf("compiling %s-scale dataset (no -dataset given)...", scale)
-	c := core.NewCampaign(cfg)
-	return dataset.Compile(c, dataset.Options{IncludeUnsanitized: unsanitized}), nil
+
+	cleanup = func() {}
+	if out == "" {
+		tmp, err := os.MkdirTemp("", "geoserve-*")
+		if err != nil {
+			return "", nil, err
+		}
+		cleanup = func() { os.RemoveAll(tmp) }
+		out = filepath.Join(tmp, "geodset.bin")
+	}
+	spill, err := os.MkdirTemp(filepath.Dir(out), filepath.Base(out)+".spill-*")
+	if err != nil {
+		cleanup()
+		return "", nil, err
+	}
+	defer os.RemoveAll(spill)
+
+	start := time.Now()
+	log.Printf("compiling %s-scale artifact to %s...", scale, out)
+	stats, err := dataset.CompileExternal(out, src, hdr, opts, extra, dataset.StreamConfig{SpillDir: spill})
+	if err != nil {
+		cleanup()
+		return "", nil, err
+	}
+	log.Printf("compiled %d records into %d blocks (%.1fs)", stats.Records, stats.Blocks, time.Since(start).Seconds())
+	return out, cleanup, nil
 }

@@ -9,22 +9,14 @@ package main
 import (
 	"log"
 
-	"geoloc/internal/dataset"
 	"geoloc/internal/router"
 	"geoloc/internal/serve"
 )
 
-// runRouter is run()'s -router branch: fleet up — over the artifact file
-// when there is one, over the in-process dataset otherwise — router in
-// front, the same SIGHUP/drain lifecycle as single-server mode.
-func runRouter(o options, cfg serve.Config, ds *dataset.Dataset) error {
-	var fleet *router.LocalFleet
-	var err error
-	if ds != nil {
-		fleet, err = router.NewLocalFleet(o.replicas, ds, "compiled:"+o.scale, cfg)
-	} else {
-		fleet, err = router.NewFileFleet(o.replicas, o.dsPath, cfg)
-	}
+// runRouter is run()'s -router branch: fleet up over the artifact file,
+// router in front, the same SIGHUP/drain lifecycle as single-server mode.
+func runRouter(o options, cfg serve.Config) error {
+	fleet, err := router.NewFileFleet(o.replicas, o.dsPath, cfg)
 	if err != nil {
 		return err
 	}

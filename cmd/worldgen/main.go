@@ -32,7 +32,7 @@ func main() {
 	tele.Start()
 	defer tele.Finish()
 
-	cfg, err := configFor(*scale)
+	cfg, err := world.ParseScale(*scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,19 +82,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("inventory written to %s\n", *jsonPath)
-	}
-}
-
-func configFor(scale string) (world.Config, error) {
-	switch scale {
-	case "tiny":
-		return world.TinyConfig(), nil
-	case "medium":
-		return world.MediumConfig(), nil
-	case "paper":
-		return world.DefaultConfig(), nil
-	default:
-		return world.Config{}, fmt.Errorf("unknown scale %q", scale)
 	}
 }
 

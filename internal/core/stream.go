@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync/atomic"
 
 	"geoloc/internal/cbg"
@@ -19,6 +20,7 @@ import (
 	"geoloc/internal/ipaddr"
 	"geoloc/internal/par"
 	"geoloc/internal/rhash"
+	"geoloc/internal/world"
 )
 
 // Salt namespaces for the stream campaign's keyed randomness.
@@ -104,6 +106,24 @@ type StreamCampaign struct {
 	// the calls whose walk the ring bound ended, over every MeasureTarget
 	// call.
 	priced, pruned, ringStops atomic.Int64
+}
+
+// StreamScale reads a numeric scale ("50000", "1e6") as a target count
+// for the streaming pipeline, from 1 to 2^24 /24s. ok is false for
+// anything else, a scale name included.
+func StreamScale(s string) (targets int, ok bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || f < 1 || f > 1<<24 {
+		return 0, false
+	}
+	return int(f), true
+}
+
+// NewStreamScale is the campaign a numeric scale names: targets synthetic
+// /24s over the Tiny world's vantage points (world generation and
+// sanitization only — no matrices; that is the point).
+func NewStreamScale(targets int) (*StreamCampaign, error) {
+	return NewStreamCampaign(NewCampaign(world.TinyConfig()), StreamSpec{Targets: targets})
 }
 
 // NewStreamCampaign prepares a streaming campaign over c's VP set. The

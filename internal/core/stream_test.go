@@ -204,3 +204,29 @@ func TestStreamCampaignSpecValidation(t *testing.T) {
 		t.Fatal("explicit overflowing base accepted")
 	}
 }
+
+// TestStreamScale: a numeric scale is a target count from 1 to 2^24,
+// written plainly or in float notation; a scale name, a fraction below
+// one and a count past the /24 space are not.
+func TestStreamScale(t *testing.T) {
+	for _, tc := range []struct {
+		s       string
+		targets int
+		ok      bool
+	}{
+		{"50000", 50000, true},
+		{"1e6", 1000000, true},
+		{"1", 1, true},
+		{"16777216", 1 << 24, true},
+		{"16777217", 0, false},
+		{"0", 0, false},
+		{"0.5", 0, false},
+		{"-3", 0, false},
+		{"tiny", 0, false},
+		{"", 0, false},
+	} {
+		if n, ok := StreamScale(tc.s); n != tc.targets || ok != tc.ok {
+			t.Errorf("StreamScale(%q) = %d, %v; want %d, %v", tc.s, n, ok, tc.targets, tc.ok)
+		}
+	}
+}

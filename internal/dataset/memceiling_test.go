@@ -121,7 +121,7 @@ func TestStreamingMemoryCeiling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hdr := Header{ConfigHash: src.ConfigHash(), Seed: c.W.Cfg.Seed, Profile: "stream"}
+		hdr := StreamHeader(src)
 		dir := t.TempDir()
 		return peakHeap(t, ceiling, func() {
 			if _, err := CompileExternal(filepath.Join(dir, "a.geodset"), src, hdr, Options{}, nil,
@@ -154,7 +154,7 @@ func TestStreamingMemoryCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := Header{ConfigHash: src.ConfigHash(), Seed: c.W.Cfg.Seed, Profile: "stream"}
+	hdr := StreamHeader(src)
 	floor := uint64(largeN) * uint64(unsafe.Sizeof(Record{}))
 	var ds *Dataset
 	peakRAM := peakHeap(t, 1<<30, func() {

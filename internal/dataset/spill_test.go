@@ -113,7 +113,7 @@ func (c *countingSource) MeasureTarget(t int, buf []cbg.Measurement) (ipaddr.Pre
 func TestResumeReusesPerRecordSpill(t *testing.T) {
 	const targets, window = 100, 16 // the last window is short
 	src := streamSource(t, targets, 6)
-	hdr := streamHeader(src)
+	hdr := StreamHeader(src)
 	want := externalGolden(t, src, hdr, window)
 
 	dir := t.TempDir()

@@ -86,6 +86,11 @@ func (s *CampaignSource) MeasureTarget(t int, buf []cbg.Measurement) (ipaddr.Pre
 	return ipaddr.Prefix24Of(s.c.Targets[t].Addr), buf
 }
 
+// StreamHeader is the artifact header of a streamed campaign.
+func StreamHeader(s *core.StreamCampaign) Header {
+	return Header{ConfigHash: s.ConfigHash(), Seed: s.C.W.Cfg.Seed, Profile: "stream"}
+}
+
 // CompileFromSource is the in-RAM compilation core: measure every target,
 // compile a record per responsive one, append extras, stable-sort and
 // dedupe. Compile routes through it; the memory-ceiling test uses it

@@ -24,10 +24,6 @@ func streamSource(t *testing.T, targets, k int) *core.StreamCampaign {
 	return s
 }
 
-func streamHeader(s *core.StreamCampaign) Header {
-	return Header{ConfigHash: s.ConfigHash(), Seed: s.C.W.Cfg.Seed, Profile: "stream"}
-}
-
 // TestCompileExternalBitIdentical is the tentpole property test: the
 // external-merge compiler's output must match the in-RAM oracle's Write
 // byte for byte — across window sizes (1 = every target its own run, 7 =
@@ -160,7 +156,7 @@ func externalGolden(t *testing.T, src Source, hdr Header, window int) []byte {
 func TestCompileExternalKillResumeWindows(t *testing.T) {
 	const targets, window = 96, 16
 	src := streamSource(t, targets, 6)
-	hdr := streamHeader(src)
+	hdr := StreamHeader(src)
 	want := externalGolden(t, src, hdr, window)
 	windows := (targets + window - 1) / window
 	for kill := 0; kill < windows-1; kill++ {
@@ -216,7 +212,7 @@ func TestCompileExternalKillResumeWindows(t *testing.T) {
 func TestCompileExternalKillResumeEveryByte(t *testing.T) {
 	const targets, window, killAfter = 64, 8, 2
 	src := streamSource(t, targets, 6)
-	hdr := streamHeader(src)
+	hdr := StreamHeader(src)
 	want := externalGolden(t, src, hdr, window)
 
 	// One crashed compile provides the spill-dir template.
@@ -293,7 +289,7 @@ func TestCompileExternalKillResumeEveryByte(t *testing.T) {
 func TestCompileExternalResumeRejectsForeignRuns(t *testing.T) {
 	const targets = 64
 	src := streamSource(t, targets, 6)
-	hdr := streamHeader(src)
+	hdr := StreamHeader(src)
 	want := externalGolden(t, src, hdr, 8)
 
 	dir := t.TempDir()
@@ -340,7 +336,7 @@ func TestCompileExternalResumeRejectsForeignRuns(t *testing.T) {
 func TestCompileExternalDetectsCorruptRun(t *testing.T) {
 	const targets, window = 64, 8
 	src := streamSource(t, targets, 6)
-	hdr := streamHeader(src)
+	hdr := StreamHeader(src)
 	want := externalGolden(t, src, hdr, window)
 
 	dir := t.TempDir()
@@ -392,7 +388,7 @@ func TestCompileExternalDetectsCorruptRun(t *testing.T) {
 // default and kept under KeepSpill.
 func TestCompileExternalSpillCleanup(t *testing.T) {
 	src := streamSource(t, 32, 6)
-	hdr := streamHeader(src)
+	hdr := StreamHeader(src)
 	for _, keep := range []bool{false, true} {
 		dir := t.TempDir()
 		spill := filepath.Join(dir, "spill")

@@ -179,6 +179,22 @@ func Hostile() *Profile {
 	}
 }
 
+// ParseProfile maps a profile name — none, realistic, degraded or
+// hostile — to its Profile. "none" is nil: no fault layer at all.
+func ParseProfile(name string) (*Profile, error) {
+	switch name {
+	case "none":
+		return nil, nil
+	case "realistic":
+		return Realistic(), nil
+	case "degraded":
+		return Degraded(), nil
+	case "hostile":
+		return Hostile(), nil
+	}
+	return nil, fmt.Errorf("unknown fault profile %q (want none, realistic, degraded or hostile)", name)
+}
+
 // Scale returns a copy of the profile with every probability multiplied
 // by k (capped at 1) and the stall magnitude scaled likewise. Scale(0)
 // is equivalent to None; the chaos experiment sweeps k to produce a

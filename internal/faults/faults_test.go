@@ -1,7 +1,10 @@
 package faults
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -178,5 +181,33 @@ func TestScale(t *testing.T) {
 	}
 	if h := Hostile().Scale(10); h.TraceTruncProb > 1 || h.FlapFrac > 1 {
 		t.Error("scaled probabilities must cap at 1")
+	}
+}
+
+// TestParseProfile: "none" is no fault layer at all (nil), each preset
+// name yields its preset, and anything else is an error naming the value.
+func TestParseProfile(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want *Profile
+		ok   bool
+	}{
+		{"none", nil, true},
+		{"realistic", Realistic(), true},
+		{"degraded", Degraded(), true},
+		{"hostile", Hostile(), true},
+		{"bogus", nil, false},
+		{"Hostile", nil, false},
+		{"", nil, false},
+	} {
+		got, err := ParseProfile(tc.name)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("ParseProfile(%q): %v", tc.name, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown fault profile %q", tc.name))):
+			t.Errorf("ParseProfile(%q) err = %v, want unknown fault profile", tc.name, err)
+		case !reflect.DeepEqual(got, tc.want):
+			t.Errorf("ParseProfile(%q) = %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }

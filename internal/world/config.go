@@ -1,5 +1,7 @@
 package world
 
+import "fmt"
+
 // Config controls world generation. All sizes refer to pre-sanitization
 // counts: the sanitizer later removes the corrupted hosts, leaving the
 // paper's working datasets (723 anchors, ~10k probes).
@@ -141,6 +143,19 @@ func MediumConfig() Config {
 	cfg.CorruptProbes = 20
 	cfg.SparseRepAnchors = 3
 	return cfg
+}
+
+// ParseScale maps a scale name — tiny, medium or paper — to its Config.
+func ParseScale(name string) (Config, error) {
+	switch name {
+	case "tiny":
+		return TinyConfig(), nil
+	case "medium":
+		return MediumConfig(), nil
+	case "paper":
+		return DefaultConfig(), nil
+	}
+	return Config{}, fmt.Errorf("unknown scale %q (want tiny, medium or paper)", name)
 }
 
 // TotalAnchors returns the number of anchors generated (post-sanitization

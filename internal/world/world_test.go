@@ -1,6 +1,9 @@
 package world
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"geoloc/internal/asclass"
@@ -380,5 +383,34 @@ func TestProbeAndAnchorHostResolution(t *testing.T) {
 	ah := tiny.AnchorHosts()
 	if len(ah) != len(tiny.Anchors) {
 		t.Fatalf("AnchorHosts len = %d", len(ah))
+	}
+}
+
+// TestParseScale: each scale name yields its Config, and anything else —
+// a numeric scale included, which the streaming pipeline parses — is an
+// error naming the value.
+func TestParseScale(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Config
+		ok   bool
+	}{
+		{"tiny", TinyConfig(), true},
+		{"medium", MediumConfig(), true},
+		{"paper", DefaultConfig(), true},
+		{"galactic", Config{}, false},
+		{"Tiny", Config{}, false},
+		{"", Config{}, false},
+		{"50000", Config{}, false},
+	} {
+		got, err := ParseScale(tc.name)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("ParseScale(%q): %v", tc.name, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown scale %q", tc.name))):
+			t.Errorf("ParseScale(%q) err = %v, want unknown scale", tc.name, err)
+		case !reflect.DeepEqual(got, tc.want):
+			t.Errorf("ParseScale(%q) = %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
