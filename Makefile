@@ -267,7 +267,9 @@ scale-smoke:
 # holds FindBatch to Find) and Encode's framing of arbitrary records
 # (FuzzDatasetDecoder). The socket side: ipaddr.Parse against
 # net/netip.ParseAddr (FuzzParse), /batch bodies against an
-# encoding/json + Find reference, status and bytes (FuzzBatchBody), and the
+# encoding/json + Find reference, status and bytes (FuzzBatchBody), every
+# finite float64 through the /batch number renderer against json.Marshal
+# (FuzzAppendJSONFloat; FuzzParse also holds Addr.AppendText to netip), and the
 # router as a client of a hostile replica: arbitrary response bytes against
 # http.ReadResponse (FuzzUpstreamResponse; its seeds run to 25 KB, so
 # minimizing a find is capped at 1 s instead of eating the smoke run). The
@@ -285,6 +287,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDatasetDecoder -fuzztime 10s -run '^$$' ./internal/dataset
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -run '^$$' ./internal/ipaddr
 	$(GO) test -fuzz FuzzBatchBody -fuzztime 10s -run '^$$' ./internal/serve
+	$(GO) test -fuzz FuzzAppendJSONFloat -fuzztime 10s -run '^$$' ./internal/serve
 	$(GO) test -fuzz FuzzUpstreamResponse -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/router
 	$(GO) test -fuzz FuzzQueryIP -fuzztime 10s -run '^$$' ./internal/serve
 	$(GO) test -fuzz FuzzRequestID -fuzztime 10s -run '^$$' ./internal/obs

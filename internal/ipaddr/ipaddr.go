@@ -100,13 +100,27 @@ func (a Addr) String() string {
 // extended slice, allocating only if dst lacks capacity — the
 // zero-allocation renderer the serving hot path encodes with.
 func (a Addr) AppendText(dst []byte) []byte {
-	dst = strconv.AppendUint(dst, uint64(byte(a>>24)), 10)
+	dst = appendOctet(dst, byte(a>>24))
 	dst = append(dst, '.')
-	dst = strconv.AppendUint(dst, uint64(byte(a>>16)), 10)
+	dst = appendOctet(dst, byte(a>>16))
 	dst = append(dst, '.')
-	dst = strconv.AppendUint(dst, uint64(byte(a>>8)), 10)
+	dst = appendOctet(dst, byte(a>>8))
 	dst = append(dst, '.')
-	return strconv.AppendUint(dst, uint64(byte(a)), 10)
+	return appendOctet(dst, byte(a))
+}
+
+// octetText[b] holds b's decimal digits in its first octetText[b][3] bytes.
+var octetText = func() (t [256][4]byte) {
+	for b := range t {
+		n := copy(t[b][:3], strconv.Itoa(b))
+		t[b][3] = byte(n)
+	}
+	return
+}()
+
+func appendOctet(dst []byte, b byte) []byte {
+	o := &octetText[b]
+	return append(dst, o[:o[3]]...)
 }
 
 // Octets returns the four octets of the address.

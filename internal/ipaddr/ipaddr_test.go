@@ -87,7 +87,8 @@ func TestParseBytesMatchesParse(t *testing.T) {
 // or an IPv4 address embedded in one ("::ffff:1.2.3.4") — since an Addr is
 // 32 bits and a dataset key is an IPv4 /24. Every other disagreement — an
 // input only one of them accepts, or one they read as different addresses —
-// is a failure.
+// is a failure. Every address both read must come back from AppendText as
+// netip.Addr.String spells it, which holds the octet table to netip.
 //
 // Run locally with:
 //
@@ -113,6 +114,9 @@ func FuzzParse(f *testing.F) {
 			b := want.As4()
 			if err != nil || got != FromOctets(b[0], b[1], b[2], b[3]) {
 				t.Fatalf("Parse(%q) = (%v, %v), netip reads %v", s, got, err, want)
+			}
+			if txt := string(got.AppendText(nil)); txt != want.String() {
+				t.Fatalf("AppendText of %q = %q, netip writes %q", s, txt, want.String())
 			}
 			if got.String() != s {
 				t.Fatalf("Parse(%q) accepted a non-canonical spelling of %v", s, got)

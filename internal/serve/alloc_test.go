@@ -140,10 +140,12 @@ func (*rewindBody) Close() error { return nil }
 // encoding/json on awkward inputs: the golden tests pin the common
 // shapes, this pins the escaping corners (HTML characters, control
 // bytes, invalid UTF-8) the hand renderer must handle identically.
+// TestAppendLookupResultMatchesEncodingJSON draws random records and
+// strings; FuzzAppendJSONFloat covers every finite float64.
 func TestLookupGoldenEquivalence(t *testing.T) {
 	for _, s := range []string{
 		"plain", `quote"back\slash`, "tab\tnl\nret\r", "html<&>", "ctl\x01\x1f",
-		"utf8 é  ", "bad\xffutf8", "",
+		"utf8 é  ", "bad\xffutf8", "", "a\bb", "a\fb",
 	} {
 		want, err := json.Marshal(s)
 		if err != nil {

@@ -23,7 +23,8 @@ const fuzzMaxBatch = 6
 // FuzzBatchBody and the concurrency test hold the handler to. Results are
 // rendered by the appenders the handler has always used, so that "same
 // bytes as before" is what is tested; how those compare with encoding/json
-// is TestLookupGoldenEquivalence's subject.
+// is the subject of TestLookupGoldenEquivalence and
+// TestAppendLookupResultMatchesEncodingJSON.
 func referenceBatch(srv *Server, body []byte) (int, string) {
 	fail := func(status int, msg string) (int, string) {
 		b, _ := json.Marshal(errorBody{msg})

@@ -106,13 +106,22 @@ func appendLookupResult(dst []byte, a ipaddr.Addr, rec dataset.Record, kind reso
 		dst = append(dst, `,"radius_km":`...)
 		dst = appendJSONFloat(dst, rec.RadiusKm)
 	}
-	dst = append(dst, `,"method":`...)
-	dst = appendJSONString(dst, rec.Method.String())
+	dst = append(dst, methodFields[rec.Method]...)
 	if rec.Sanitized {
 		dst = append(dst, `,"sanitized":true`...)
 	}
 	return append(dst, '}')
 }
+
+// methodFields[m] is the rendered `,"method":"…"` member for Method m. It
+// covers every value the type can hold, so an unnamed one renders as its
+// String ("method-N") would, through the same escaper.
+var methodFields = func() (t [math.MaxUint8 + 1]string) {
+	for m := range t {
+		t[m] = string(appendJSONString([]byte(`,"method":`), dataset.Method(m).String()))
+	}
+	return
+}()
 
 // appendErrorResult renders the per-item failure shape for an input that
 // never parsed into an address ({"ip": <raw>, "error": <msg>}); both
@@ -125,22 +134,25 @@ func appendErrorResult(dst []byte, rawIP, msg string) []byte {
 	return append(dst, '}')
 }
 
-// appendJSONFloat appends a float the way encoding/json does: %f for
-// mid-range magnitudes, %e outside [1e-6, 1e21) with the exponent's
-// leading zero stripped ("e-09" → "e-9"). Shortest representation via
-// precision -1, like the encoder.
+// appendJSONFloat appends a float the way encoding/json does: the
+// shortest representation that reads back as f, %f for 0 and for
+// magnitudes in [1e-6, 1e21), %e outside with the exponent's leading zero
+// stripped ("e-09" → "e-9"). The %f window goes through appendShortestF;
+// strconv renders only the %e window and the non-finite values.
 func appendJSONFloat(dst []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
+	if abs := math.Abs(f); abs < 1e21 && (abs >= 1e-6 || abs == 0) {
+		if math.Signbit(f) {
+			dst = append(dst, '-')
 		}
+		if abs == 0 {
+			return append(dst, '0')
+		}
+		return appendShortestF(dst, abs)
+	}
+	dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+	if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
 	}
 	return dst
 }
@@ -160,7 +172,7 @@ const hexDigits = "0123456789abcdef"
 
 // appendJSONString appends a quoted JSON string, escaping exactly the
 // set encoding/json escapes by default: quote, backslash, control
-// characters (with the \n \r \t short forms), the HTML trio < > &, the
+// characters (with the \b \f \n \r \t short forms), the HTML trio < > &, the
 // line separators U+2028/U+2029, and invalid UTF-8 as U+FFFD.
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
@@ -175,6 +187,10 @@ func appendJSONString(dst []byte, s string) []byte {
 			switch b {
 			case '\\', '"':
 				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
 			case '\n':
 				dst = append(dst, '\\', 'n')
 			case '\r':
