@@ -28,7 +28,9 @@ loc:
 # par.For. sanitize's probe fan walks a place-order permutation of the
 # probes over those netsim tables. streetlevel's oracle runs Geolocate
 # under par.For, every target sharing one mapping service, one website
-# resolver and the pipeline's bearing tables.
+# resolver and the pipeline's bearing tables. dataset's CompileFromSource
+# and CompileExternal measure targets under par.ForWorker, and their bytes
+# must not depend on the P count.
 # -short only trims the oracles (core's stream selection from 50k to 5k
 # targets per case, netsim's routes from 100k pairs to 10k and its table
 # check to the tiny world, vpsel's multi-step sweep oracle off); the
@@ -37,7 +39,7 @@ loc:
 # not reach it, and it compiles against this module's serving API.
 test:
 	$(GO) test ./...
-	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/streetlevel/
+	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/streetlevel/ ./internal/dataset/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
@@ -93,7 +95,8 @@ experiments:
 # the kill, so breaker and quarantine state must cross it too. Report
 # replay: a third, -resume run over the now complete journal restores every
 # batch and the journaled table1 report, measures nothing, and must print
-# the uninterrupted run's stdout byte for byte (as must the resumed run).
+# the uninterrupted run's stdout byte for byte (as must the resumed run)
+# and write the same -out files, table1.txt and table1.csv.
 # Spill-run resume (§3.9): compile 20k streamed targets in five windows
 # keeping the spill, tear run 4's tail (7 bytes), flip one byte mid-run 2,
 # delete the artifact, and compile again with -resume: the three intact
@@ -105,7 +108,7 @@ resume-check:
 	set -e; for prof in none realistic degraded hostile; do \
 		d=.resume-check/$$prof; \
 		./.resume-check/exp -scale tiny -run table1 -faults $$prof \
-			-digest $$d.base -q >$$d.base.out; \
+			-digest $$d.base -out $$d.base.res -q >$$d.base.out; \
 		rc=0; ./.resume-check/exp -scale tiny -run table1 -faults $$prof \
 			-checkpoint-dir $$d -kill-after-batches 40 -q >/dev/null || rc=$$?; \
 		test $$rc -eq 3; \
@@ -113,11 +116,12 @@ resume-check:
 			-checkpoint-dir $$d -resume -digest $$d.resumed -q >$$d.resumed.out; \
 		diff $$d.base $$d.resumed; \
 		./.resume-check/exp -scale tiny -run table1 -faults $$prof \
-			-checkpoint-dir $$d -resume >$$d.replay.out 2>$$d.replay.log; \
+			-checkpoint-dir $$d -resume -out $$d.replay.res >$$d.replay.out 2>$$d.replay.log; \
 		grep -q 'batches restored, 0 measured live' $$d.replay.log; \
 		grep -q '^experiments: table1 restored from checkpoint$$' $$d.replay.log; \
 		cmp $$d.base.out $$d.resumed.out; \
 		cmp $$d.base.out $$d.replay.out; \
+		diff -r $$d.base.res $$d.replay.res; \
 		echo "resume-check($$prof): digests identical, report replayed byte for byte"; \
 	done
 	set -e; s=.resume-check/stream; \

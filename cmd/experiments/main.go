@@ -34,7 +34,6 @@ import (
 
 	"geoloc/internal/checkpoint"
 	"geoloc/internal/core"
-	"geoloc/internal/dataset"
 	"geoloc/internal/experiments"
 	"geoloc/internal/faults"
 	"geoloc/internal/telemetry"
@@ -45,13 +44,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	scale := flag.String("scale", "paper", "campaign scale: tiny, medium, paper, or a target count (e.g. 1e6) for the streaming pipeline")
-	window := flag.Int("window", dataset.DefaultStreamWindow, "streaming spill window in targets (numeric -scale only)")
 	artifact := flag.String("artifact", "", "streaming artifact output path (numeric -scale only; default geodset.bin next to the spill dir)")
-	blockSize := flag.Int("block-size", 0, "GEODSET2 records per block (0 = format default)")
 	keepSpill := flag.Bool("keep-spill", false, "keep sealed spill runs after a successful streaming compile")
 	run := flag.String("run", "", "run only this experiment ID (default: all)")
 	trials := flag.Int("trials", 0, "random-subset trials for Fig 2a/2b (0 = library default; the paper uses 100)")
-	out := flag.String("out", "", "directory to write per-experiment report files")
+	out := flag.String("out", "", "directory to write each experiment's report to, as <id>.txt and <id>.csv")
 	quiet := flag.Bool("q", false, "silence progress logging (reports still go to stdout)")
 	faultsName := flag.String("faults", "none", "fault profile for the campaign: none, realistic, degraded, or hostile")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for the crash-safety journal (empty disables checkpointing)")
@@ -61,9 +58,9 @@ func main() {
 	progressEvery := flag.Int("progress", 0, "emit a structured campaign-progress record every N batches (0 = off; format/level via -log-format/-log-level)")
 	tele := telemetry.NewCLI()
 	flag.Parse()
-	if err := checkFlags(*scale, *faultsName, *window, *ckptDir, *resume,
-		count{"block-size", *blockSize}, count{"trials", *trials},
-		count{"kill-after-batches", *killAfter}, count{"progress", *progressEvery}); err != nil {
+	if err := checkFlags(*scale, *faultsName, *ckptDir, *resume,
+		count{"trials", *trials}, count{"kill-after-batches", *killAfter},
+		count{"progress", *progressEvery}); err != nil {
 		fmt.Fprintf(flag.CommandLine.Output(), "experiments: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -83,7 +80,7 @@ func main() {
 			}
 			out = filepath.Join(dir, "geodset.bin")
 		}
-		runStreamScale(n, *window, out, *blockSize, *ckptDir, *resume, *keepSpill)
+		runStreamScale(n, out, *ckptDir, *resume, *keepSpill)
 		return
 	}
 
@@ -186,16 +183,16 @@ func main() {
 
 	// Completed experiment reports journaled by a previous run replay
 	// verbatim instead of recomputing.
-	restoredReports := make(map[string]string)
+	restoredReports := make(map[string]renderedReport)
 	for _, r := range runRes.Extra {
 		if r.Kind != checkpoint.KindReport {
 			continue
 		}
-		id, text, err := decodeReport(r.Payload)
+		id, rr, err := decodeReport(r.Payload)
 		if err != nil {
 			log.Fatalf("checkpoint: %v", err)
 		}
-		restoredReports[id] = text
+		restoredReports[id] = rr
 	}
 
 	// Each experiment runs under a recover barrier: a panic in one figure
@@ -214,10 +211,10 @@ func main() {
 			interrupted = true
 			break
 		}
-		var text string
+		var rr renderedReport
 		if cached, ok := restoredReports[e.ID]; ok {
 			log.Printf("%s restored from checkpoint", e.ID)
-			text = cached
+			rr = cached
 		} else {
 			t0 := time.Now()
 			before := c.Platform.Stats()
@@ -232,9 +229,9 @@ func main() {
 			}
 			summary = append(summary, expSummary{e.ID, wall, probes})
 			log.Printf("%s computed in %.1fs (%d measurements)", e.ID, wall, probes)
-			text = rep.Render()
+			rr = render(rep)
 			if journal != nil {
-				if err := journal.Append(checkpoint.KindReport, encodeReport(e.ID, text)); err != nil {
+				if err := journal.Append(checkpoint.KindReport, encodeReport(e.ID, rr)); err != nil {
 					log.Fatal(err)
 				}
 				if err := journal.Sync(); err != nil {
@@ -242,10 +239,9 @@ func main() {
 				}
 			}
 		}
-		fmt.Println(text)
+		fmt.Println(rr.text)
 		if *out != "" {
-			path := filepath.Join(*out, e.ID+".txt")
-			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			if err := rr.write(*out, e.ID); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -298,14 +294,11 @@ type count struct {
 }
 
 // checkFlags rejects, before any work starts, flag values that cannot
-// run: a spill window under one target, a negative count, a scale that is
-// neither a target count nor a named scale, an unknown fault profile, and
-// -resume on a named scale with no journal to resume from (a streaming
-// run's spill directory defaults to one next to -artifact).
-func checkFlags(scale, faultsName string, window int, ckptDir string, resume bool, counts ...count) error {
-	if window < 1 {
-		return fmt.Errorf("-window must be at least 1, got %d", window)
-	}
+// run: a negative count, a scale that is neither a target count nor a
+// named scale, an unknown fault profile, and -resume on a named scale with
+// no journal to resume from (a streaming run's spill directory defaults to
+// one next to -artifact).
+func checkFlags(scale, faultsName, ckptDir string, resume bool, counts ...count) error {
 	for _, c := range counts {
 		if c.v < 0 {
 			return fmt.Errorf("-%s must not be negative, got %d", c.name, c.v)
@@ -343,24 +336,56 @@ func digestReport(c *core.Campaign) string {
 	return b.String()
 }
 
-// encodeReport serializes a completed experiment report for the journal.
-func encodeReport(id, text string) []byte {
-	buf := make([]byte, 0, 2+len(id)+len(text))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(id)))
-	buf = append(buf, id...)
-	return append(buf, text...)
+// renderedReport is one experiment's report as -out writes it and the
+// journal keeps it: the text table and the CSV.
+type renderedReport struct {
+	text, csv string
 }
 
-// decodeReport parses a journaled experiment report.
-func decodeReport(payload []byte) (id, text string, err error) {
+// render renders a freshly computed report.
+func render(rep *experiments.Report) renderedReport {
+	return renderedReport{text: rep.Render(), csv: rep.CSV()}
+}
+
+// write puts the report in dir as <id>.txt and <id>.csv.
+func (rr renderedReport) write(dir, id string) error {
+	if err := os.WriteFile(filepath.Join(dir, id+".txt"), []byte(rr.text), 0o644); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, id+".csv"), []byte(rr.csv), 0o644)
+}
+
+// encodeReport serializes a completed experiment report for the journal:
+// the id behind a uint16 length, the text behind a uint32 length, then
+// the CSV.
+func encodeReport(id string, rr renderedReport) []byte {
+	buf := make([]byte, 0, 6+len(id)+len(rr.text)+len(rr.csv))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(id)))
+	buf = append(buf, id...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rr.text)))
+	buf = append(buf, rr.text...)
+	return append(buf, rr.csv...)
+}
+
+// decodeReport parses a journaled experiment report. A record written
+// before reports carried their CSV holds the text right after the id, and
+// a rendered text starts with "== ": read as the text's length that is
+// over 2 MB, more than the record holds, so the record fails as corrupt
+// instead of replaying without its CSV.
+func decodeReport(payload []byte) (id string, rr renderedReport, err error) {
 	if len(payload) < 2 {
-		return "", "", fmt.Errorf("%w: report record too short", checkpoint.ErrCorrupt)
+		return "", rr, fmt.Errorf("%w: report record too short", checkpoint.ErrCorrupt)
 	}
 	n := int(binary.LittleEndian.Uint16(payload))
-	if len(payload) < 2+n {
-		return "", "", fmt.Errorf("%w: report record id truncated", checkpoint.ErrCorrupt)
+	if len(payload) < 2+n+4 {
+		return "", rr, fmt.Errorf("%w: report record id truncated", checkpoint.ErrCorrupt)
 	}
-	return string(payload[2 : 2+n]), string(payload[2+n:]), nil
+	id, rest := string(payload[2:2+n]), payload[2+n:]
+	m := uint64(binary.LittleEndian.Uint32(rest))
+	if rest = rest[4:]; m > uint64(len(rest)) {
+		return "", rr, fmt.Errorf("%w: report record text truncated", checkpoint.ErrCorrupt)
+	}
+	return id, renderedReport{text: string(rest[:m]), csv: string(rest[m:])}, nil
 }
 
 // expSummary is one line of the per-experiment run summary.

@@ -15,8 +15,9 @@ import (
 // window as a sealed checkpoint run, and k-way merges the runs into a
 // GEODSET2 artifact. Peak memory is proportional to the window, not to
 // targets — the property the dataset memory-ceiling test pins.
-func runStreamScale(targets int, window int, artifact string, blockSize int, ckptDir string, resume, keepSpill bool) {
+func runStreamScale(targets int, artifact, ckptDir string, resume, keepSpill bool) {
 	start := time.Now()
+	window := dataset.DefaultStreamWindow
 	log.Printf("streaming campaign: %d targets, window %d", targets, window)
 
 	src, err := core.NewStreamScale(targets)
@@ -35,11 +36,9 @@ func runStreamScale(targets int, window int, artifact string, blockSize int, ckp
 	windows := (targets + window - 1) / window
 	lastLog := time.Now()
 	cfg := dataset.StreamConfig{
-		Window:    window,
 		SpillDir:  spill,
 		Resume:    resume,
 		KeepSpill: keepSpill,
-		BlockSize: blockSize,
 		OnWindowSpilled: func(w int) error {
 			if time.Since(lastLog) >= 5*time.Second || w == windows-1 {
 				lastLog = time.Now()

@@ -9,7 +9,7 @@ import (
 )
 
 func TestPingBatchCanceledContext(t *testing.T) {
-	c := newClient(faults.Realistic(), DefaultClientConfig())
+	c := newClient(faults.Realistic())
 	src := c.P.W.Host(c.P.W.Probes[0])
 	dst := c.P.W.Host(c.P.W.Anchors[0])
 
@@ -37,8 +37,8 @@ func TestPingBatchCanceledContext(t *testing.T) {
 // cancellation are bit-identical to the same measurements in a run that
 // was never canceled — cancellation must only remove work, never change it.
 func TestCancelDoesNotPerturbSurvivors(t *testing.T) {
-	full := newClient(faults.Realistic(), DefaultClientConfig())
-	cut := newClient(faults.Realistic(), DefaultClientConfig())
+	full := newClient(faults.Realistic())
+	cut := newClient(faults.Realistic())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -3,6 +3,7 @@ package atlas
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 
@@ -35,8 +36,7 @@ type Client struct {
 	// F is the fault profile driving API-level failures. Network-level
 	// faults (packet loss, truncation) live in the simulator; the client
 	// only observes their symptoms.
-	F   *faults.Profile
-	Cfg ClientConfig
+	F *faults.Profile
 
 	mu   sync.Mutex
 	srcs map[int]*srcState
@@ -46,42 +46,32 @@ type Client struct {
 	backoffSec *telemetry.Histogram
 }
 
-// ClientConfig tunes the resilience machinery.
-type ClientConfig struct {
-	// MaxAttempts bounds tries per measurement (first attempt included).
-	MaxAttempts int
-	// BackoffBaseSec is the first retry's wait; each further retry doubles
-	// it, capped at BackoffMaxSec. The wait is jittered ±50%
-	// deterministically per (src, dst, salt, attempt).
-	BackoffBaseSec, BackoffMaxSec float64
-	// RateLimitCooldownSec is the extra wait after a 429 response.
-	RateLimitCooldownSec float64
-	// TimeoutMs fails measurements whose RTT exceeds it (0 disables). The
-	// default is far above any Earth RTT so it only fires on pathological
-	// configurations.
-	TimeoutMs float64
-	// BreakerThreshold is how many consecutive probe-side failures (source
-	// offline, timeouts) quarantine a source; QuarantineSec is how long the
-	// quarantine lasts on the source's clock. Requests skipped while
-	// quarantined advance the clock by QuarantineTickSec so windows expire.
-	BreakerThreshold  int
-	QuarantineSec     float64
-	QuarantineTickSec float64
-}
+// The resilience machinery's tuning. A first retry waits backoffBaseSec
+// and each further one doubles it, capped at backoffMaxSec; the wait is
+// jittered ±50% deterministically per (src, dst, salt, attempt), and a 429
+// adds rateLimitCooldownSec. A measurement whose RTT exceeds timeoutMs
+// fails; the ceiling is far above any Earth RTT, so it only fires on
+// pathological paths. breakerThreshold consecutive probe-side failures
+// (source offline, timeouts) quarantine a source for quarantineSec of its
+// clock, and each request skipped meanwhile advances that clock by
+// quarantineTickSec so the window expires.
+const (
+	maxAttempts          = 3 // tries per measurement, the first included
+	backoffBaseSec       = 2.0
+	backoffMaxSec        = 60.0
+	rateLimitCooldownSec = 30.0
+	timeoutMs            = 3000.0
+	breakerThreshold     = 5
+	quarantineSec        = 900.0
+	quarantineTickSec    = 1.0
+)
 
-// DefaultClientConfig returns the tuning used by the replication's
-// fault-injection runs.
-func DefaultClientConfig() ClientConfig {
-	return ClientConfig{
-		MaxAttempts:          3,
-		BackoffBaseSec:       2,
-		BackoffMaxSec:        60,
-		RateLimitCooldownSec: 30,
-		TimeoutMs:            3000,
-		BreakerThreshold:     5,
-		QuarantineSec:        900,
-		QuarantineTickSec:    1,
-	}
+// Tuning names the client's constants. A campaign's ConfigHash covers it,
+// so a journal written under other constants refuses to resume.
+func Tuning() string {
+	return fmt.Sprintf("attempts=%d backoff=%g..%gs cooldown=%gs timeout=%gms breaker=%d quarantine=%gs tick=%gs",
+		maxAttempts, backoffBaseSec, backoffMaxSec, rateLimitCooldownSec,
+		timeoutMs, breakerThreshold, quarantineSec, quarantineTickSec)
 }
 
 // Measurement failure reasons.
@@ -225,14 +215,13 @@ var kRetrySalt = rhash.HashString("atlas/retry")
 
 // NewClient wraps a platform with the resilience layer. A nil profile is
 // treated as faults.None().
-func NewClient(p *Platform, prof *faults.Profile, cfg ClientConfig) *Client {
+func NewClient(p *Platform, prof *faults.Profile) *Client {
 	if prof == nil {
 		prof = faults.None()
 	}
 	return &Client{
 		P:    p,
 		F:    prof,
-		Cfg:  cfg,
 		srcs: make(map[int]*srcState),
 		backoffSec: p.Reg.Histogram("atlas.client.backoff_sec",
 			[]float64{1, 2, 5, 10, 30, 60, 120}),
@@ -270,8 +259,8 @@ func (st *srcState) nowSec() float64 { return float64(st.clockUSec) / 1e6 }
 // callers hold st.mu.
 func (c *Client) noteFailure(st *srcState, t *Tally) {
 	st.consecFails++
-	if c.Cfg.BreakerThreshold > 0 && st.consecFails >= c.Cfg.BreakerThreshold {
-		st.quarUntilUSc = st.clockUSec + int64(c.Cfg.QuarantineSec*1e6)
+	if st.consecFails >= breakerThreshold {
+		st.quarUntilUSc = st.clockUSec + int64(quarantineSec*1e6)
 		st.consecFails = 0
 		t.Quarantines++
 	}
@@ -280,15 +269,12 @@ func (c *Client) noteFailure(st *srcState, t *Tally) {
 // backoff waits out retry attempt `attempt` (1-based) on the source
 // clock, with deterministic ±50% jitter; callers hold st.mu.
 func (c *Client) backoff(st *srcState, src, dst *world.Host, salt uint64, attempt int, rateLimited bool) {
-	d := c.Cfg.BackoffBaseSec * math.Pow(2, float64(attempt-1))
-	if c.Cfg.BackoffMaxSec > 0 && d > c.Cfg.BackoffMaxSec {
-		d = c.Cfg.BackoffMaxSec
-	}
+	d := math.Min(backoffBaseSec*math.Pow(2, float64(attempt-1)), backoffMaxSec)
 	u := rhash.UnitFloat(c.P.W.Cfg.Seed, kRetrySalt,
 		uint64(src.Addr), uint64(dst.Addr), salt, uint64(attempt))
 	d *= 0.5 + u
 	if rateLimited {
-		d += c.Cfg.RateLimitCooldownSec
+		d += rateLimitCooldownSec
 	}
 	c.backoffSec.Observe(d)
 	st.advance(d)
@@ -304,17 +290,14 @@ func attemptSalt(salt uint64, attempt int) uint64 {
 	return rhash.Hash(salt, kRetrySalt, uint64(attempt))
 }
 
-// maxAttempts collapses to a single attempt when no faults are injected,
+// attempts collapses to a single attempt when no faults are injected,
 // which keeps the client transparent (results bit-identical to the raw
 // platform) under the none profile.
-func (c *Client) maxAttempts() int {
+func (c *Client) attempts() int {
 	if !c.F.Enabled() {
 		return 1
 	}
-	if c.Cfg.MaxAttempts < 1 {
-		return 1
-	}
-	return c.Cfg.MaxAttempts
+	return maxAttempts
 }
 
 // Ping runs one resilient ping measurement from src to dst.
@@ -345,11 +328,7 @@ func (c *Client) ping(ctx context.Context, st *srcState, src, dst *world.Host, s
 	t.Measurements++
 	if st.clockUSec < st.quarUntilUSc {
 		t.SkippedQuarantined++
-		tick := c.Cfg.QuarantineTickSec
-		if tick <= 0 {
-			tick = 1
-		}
-		st.advance(tick)
+		st.advance(quarantineTickSec)
 		return PingOutcome{Err: ErrQuarantined}
 	}
 	pacing := float64(c.P.Sim.Cfg.PingPackets) / c.P.ProbePPS(src)
@@ -358,7 +337,7 @@ func (c *Client) ping(ctx context.Context, st *srcState, src, dst *world.Host, s
 	srcA, dstA := uint64(src.Addr), uint64(dst.Addr)
 	var lastErr error
 	attempts := 0
-	for attempt := 0; attempt < c.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < c.attempts(); attempt++ {
 		if ctx.Err() != nil {
 			t.Canceled++
 			return PingOutcome{Attempts: attempts, Err: ErrCanceled}
@@ -402,7 +381,7 @@ func (c *Client) ping(ctx context.Context, st *srcState, src, dst *world.Host, s
 			lastErr = ErrUnresponsive
 			continue
 		}
-		if c.Cfg.TimeoutMs > 0 && rtt > c.Cfg.TimeoutMs {
+		if rtt > timeoutMs {
 			t.Timeouts++
 			lastErr = ErrTimeout
 			c.noteFailure(st, t)

@@ -10,15 +10,20 @@ import (
 	"geoloc/internal/world"
 )
 
-func newClient(prof *faults.Profile, cfg ClientConfig) *Client {
+// faultyPlatform is a tiny world's platform whose simulator injects prof.
+func faultyPlatform(prof *faults.Profile) *Platform {
 	w := world.Generate(world.TinyConfig())
 	sim := netsim.New(w)
 	sim.Faults = prof
-	return NewClient(New(w, sim), prof, cfg)
+	return New(w, sim)
+}
+
+func newClient(prof *faults.Profile) *Client {
+	return NewClient(faultyPlatform(prof), prof)
 }
 
 func TestClientTransparentWithoutFaults(t *testing.T) {
-	c := newClient(faults.None(), DefaultClientConfig())
+	c := newClient(faults.None())
 	raw := newPlatform()
 	for i := 0; i < 40; i++ {
 		src := c.P.W.Host(c.P.W.Probes[i%len(c.P.W.Probes)])
@@ -39,17 +44,17 @@ func TestClientTransparentWithoutFaults(t *testing.T) {
 
 func TestClientRetriesRecoverLosses(t *testing.T) {
 	// Heavy packet loss but nothing else: retries should recover most
-	// measurements a single attempt loses.
+	// measurements a single attempt — the raw platform's ping — loses.
 	prof := &faults.Profile{PacketLoss: 0.6}
-	single := newClient(prof, ClientConfig{MaxAttempts: 1, TimeoutMs: 3000})
-	retrying := newClient(prof, ClientConfig{MaxAttempts: 5, BackoffBaseSec: 1, BackoffMaxSec: 8, TimeoutMs: 3000})
+	single := faultyPlatform(prof)
+	retrying := newClient(prof)
 
 	var okSingle, okRetrying int
 	n := 150
 	for i := 0; i < n; i++ {
-		src := single.P.W.Host(single.P.W.Probes[i%len(single.P.W.Probes)])
-		dst := single.P.W.Host(single.P.W.Anchors[i%len(single.P.W.Anchors)])
-		if single.Ping(src, dst, uint64(i)).OK {
+		src := single.W.Host(single.W.Probes[i%len(single.W.Probes)])
+		dst := single.W.Host(single.W.Anchors[i%len(single.W.Anchors)])
+		if _, ok := single.Ping(src, dst, uint64(i)); ok {
 			okSingle++
 		}
 		src2 := retrying.P.W.Host(src.ID)
@@ -69,7 +74,7 @@ func TestClientRetriesRecoverLosses(t *testing.T) {
 
 func TestClientDeterministic(t *testing.T) {
 	run := func() ([]PingOutcome, ClientStats) {
-		c := newClient(faults.Realistic(), DefaultClientConfig())
+		c := newClient(faults.Realistic())
 		outs := make([]PingOutcome, 0, 100)
 		for i := 0; i < 100; i++ {
 			src := c.P.W.Host(c.P.W.Probes[i%len(c.P.W.Probes)])
@@ -92,13 +97,10 @@ func TestClientDeterministic(t *testing.T) {
 
 func TestCircuitBreakerQuarantines(t *testing.T) {
 	// Every host flaps and is down half the time with a long period, so a
-	// probe caught in a down window fails repeatedly and trips the breaker.
+	// probe caught in a down window fails every attempt and trips the
+	// breaker within two measurements.
 	prof := &faults.Profile{FlapFrac: 1, FlapPeriodSec: 1e7, FlapDownFrac: 0.5}
-	cfg := DefaultClientConfig()
-	cfg.MaxAttempts = 1
-	cfg.BreakerThreshold = 3
-	cfg.QuarantineSec = 1e6
-	c := newClient(prof, cfg)
+	c := newClient(prof)
 
 	// Find a probe that is down at clock 0.
 	seed := c.P.W.Cfg.Seed
@@ -134,7 +136,7 @@ func TestCircuitBreakerQuarantines(t *testing.T) {
 }
 
 func TestClientTimeAccounting(t *testing.T) {
-	c := newClient(faults.None(), DefaultClientConfig())
+	c := newClient(faults.None())
 	src := c.P.W.Host(c.P.W.Probes[0])
 	dst := c.P.W.Host(c.P.W.Anchors[0])
 	for i := 0; i < 10; i++ {

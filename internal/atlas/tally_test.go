@@ -21,7 +21,7 @@ func TestClientStatsMatchTally(t *testing.T) {
 		sim := netsim.New(w)
 		sim.Faults = prof
 		p := atlas.New(w, sim)
-		c := atlas.NewClient(p, prof, atlas.DefaultClientConfig())
+		c := atlas.NewClient(p, prof)
 
 		ctx, cancel := context.WithCancel(context.Background())
 		var tally atlas.BatchStats

@@ -52,52 +52,15 @@ func Constraints(ms []Measurement, speedKmPerMs float64) geo.Region {
 
 // Locate runs CBG: it returns the centroid of the constraint intersection.
 func Locate(ms []Measurement, speedKmPerMs float64) (geo.Point, error) {
-	p, _, err := LocateWithCoverage(ms, speedKmPerMs)
-	return p, err
-}
-
-// Coverage reports how much of a requested measurement set actually
-// contributed constraints to an estimate. Under fault injection a target
-// can be located from a fraction of the vantage points that probed it;
-// the fraction is the signal consumers use to judge how much to trust
-// the estimate.
-type Coverage struct {
-	// Used counts measurements that produced a constraint; Requested is
-	// the size of the measurement set asked for.
-	Used, Requested int
-}
-
-// LocateWithCoverage runs CBG and additionally reports how many of the
-// supplied measurements were usable: the estimate intersects only the
-// constraints it actually got, and the caller learns how partial the
-// data was. The coverage is valid even when an error is returned.
-func LocateWithCoverage(ms []Measurement, speedKmPerMs float64) (geo.Point, Coverage, error) {
 	r := Constraints(ms, speedKmPerMs)
-	cov := Coverage{Used: len(r.Circles), Requested: len(ms)}
 	if len(r.Circles) == 0 {
-		return geo.Point{}, cov, ErrNoMeasurements
+		return geo.Point{}, ErrNoMeasurements
 	}
 	c, ok := r.Centroid()
 	if !ok {
-		return geo.Point{}, cov, ErrEmptyRegion
+		return geo.Point{}, ErrEmptyRegion
 	}
-	return c, cov, nil
-}
-
-// LocateWithFallback runs CBG at each speed in order and returns the first
-// estimate whose region is non-empty. This mirrors the paper's handling of
-// the street level technique's tier 1: 4/9c first, 2/3c when the faster
-// constant leaves no intersection.
-func LocateWithFallback(ms []Measurement, speeds ...float64) (geo.Point, error) {
-	var lastErr error = ErrNoMeasurements
-	for _, sp := range speeds {
-		p, err := Locate(ms, sp)
-		if err == nil {
-			return p, nil
-		}
-		lastErr = err
-	}
-	return geo.Point{}, lastErr
+	return c, nil
 }
 
 // ShortestPing maps the target to the vantage point with the lowest RTT.

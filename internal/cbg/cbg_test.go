@@ -85,28 +85,6 @@ func TestLocateErrors(t *testing.T) {
 	}
 }
 
-func TestLocateWithFallback(t *testing.T) {
-	target := geo.Point{Lat: 35, Lon: 139}
-	// RTTs tight enough that 4/9c yields an empty region but 2/3c works:
-	// three VPs at 1000 km with RTTs at the 2/3c floor — at 4/9c the implied
-	// radii are 2/3 of the true distance, so the disks miss the target.
-	var ms []Measurement
-	for i := 0; i < 3; i++ {
-		vp := geo.Destination(target, float64(i)*120, 1000)
-		ms = append(ms, Measurement{VP: vp, RTTMs: geo.DistanceToRTTMs(1000, geo.TwoThirdsC) + 0.5})
-	}
-	if _, err := Locate(ms, geo.FourNinthsC); err != ErrEmptyRegion {
-		t.Fatalf("4/9c should fail here, got %v", err)
-	}
-	p, err := LocateWithFallback(ms, geo.FourNinthsC, geo.TwoThirdsC)
-	if err != nil {
-		t.Fatalf("fallback should succeed: %v", err)
-	}
-	if d := geo.Distance(p, target); d > 300 {
-		t.Errorf("fallback estimate %.0f km off", d)
-	}
-}
-
 func TestShortestPing(t *testing.T) {
 	target := geo.Point{Lat: 52, Lon: 13}
 	ms := syntheticMeasurements(target, []float64{500, 20, 800}, 0.2)

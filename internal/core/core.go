@@ -53,9 +53,6 @@ type Campaign struct {
 	// RepRTT is the [vp][target] matrix of median RTTs to each target's
 	// three /24 representatives (the VP-selection signal).
 	RepRTT *cbg.Matrix
-
-	// vpIndexByHost maps a host ID to its row in the matrices.
-	vpIndexByHost map[int]int
 }
 
 // Salt namespaces for the campaign's measurement randomness.
@@ -81,15 +78,15 @@ func generateWorld(cfg world.Config) *world.World {
 // measurement substrate injects the given fault profile and whose bulk
 // campaigns run through the resilient client. Sanitization runs against
 // the faulty substrate too — the anchor mesh has holes, which the
-// sanitizer tolerates. The client runs atlas.DefaultClientConfig. With a
-// disabled profile the campaign is bit-identical to NewCampaign.
+// sanitizer tolerates. With a disabled profile the campaign is
+// bit-identical to NewCampaign.
 func NewResilientCampaign(cfg world.Config, prof *faults.Profile) *Campaign {
 	w := generateWorld(cfg)
 	sim := netsim.New(w)
 	sim.Faults = prof
 	p := atlas.New(w, sim)
 	c := newCampaign(w, sim, p)
-	c.Client = atlas.NewClient(p, prof, atlas.DefaultClientConfig())
+	c.Client = atlas.NewClient(p, prof)
 	return c
 }
 
@@ -119,13 +116,11 @@ func newCampaign(w *world.World, sim *netsim.Sim, p *atlas.Platform) *Campaign {
 	for i, id := range c.SanitizedAnchors {
 		c.Targets[i] = w.Host(id)
 	}
-	vpIDs := append(append([]int{}, c.SanitizedProbes...), c.SanitizedAnchors...)
-	c.VPs = make([]*world.Host, len(vpIDs))
-	c.vpIndexByHost = make(map[int]int, len(vpIDs))
-	for i, id := range vpIDs {
-		c.VPs[i] = w.Host(id)
-		c.vpIndexByHost[id] = i
+	c.VPs = make([]*world.Host, 0, len(c.SanitizedProbes)+len(c.Targets))
+	for _, id := range c.SanitizedProbes {
+		c.VPs = append(c.VPs, w.Host(id))
 	}
+	c.VPs = append(c.VPs, c.Targets...)
 	return c
 }
 
@@ -142,25 +137,6 @@ func (c *Campaign) FaultProfile() *faults.Profile {
 		return c.Client.F
 	}
 	return nil
-}
-
-// VPIndex returns the matrix row of a host ID, or -1 when the host is not a
-// vantage point.
-func (c *Campaign) VPIndex(hostID int) int {
-	if i, ok := c.vpIndexByHost[hostID]; ok {
-		return i
-	}
-	return -1
-}
-
-// ProbeVPIndices returns the matrix rows corresponding to probes only
-// (excluding the anchors appended at the end of the VP list).
-func (c *Campaign) ProbeVPIndices() []int {
-	out := make([]int, len(c.SanitizedProbes))
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // AnchorVPIndices returns the matrix rows corresponding to anchors — the

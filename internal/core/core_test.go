@@ -39,18 +39,10 @@ func TestVPSetIsProbesPlusAnchors(t *testing.T) {
 	if len(campaign.VPs) != want {
 		t.Errorf("VPs = %d, want %d", len(campaign.VPs), want)
 	}
-	for _, id := range campaign.SanitizedProbes {
-		if campaign.VPIndex(id) < 0 {
-			t.Fatalf("probe %d missing from VP index", id)
+	for i, row := range campaign.AnchorVPIndices() {
+		if id := campaign.SanitizedAnchors[i]; campaign.VPs[row].ID != id {
+			t.Fatalf("row %d holds host %d, want anchor %d", row, campaign.VPs[row].ID, id)
 		}
-	}
-	for _, id := range campaign.SanitizedAnchors {
-		if campaign.VPIndex(id) < 0 {
-			t.Fatalf("anchor %d missing from VP index", id)
-		}
-	}
-	if campaign.VPIndex(-99) != -1 {
-		t.Error("unknown host should map to -1")
 	}
 }
 
@@ -67,10 +59,13 @@ func TestMatrixDimensions(t *testing.T) {
 }
 
 func TestSelfVPExcluded(t *testing.T) {
+	// Targets are the sanitized anchors, so target ti is the VP at row
+	// AnchorVPIndices()[ti].
+	anchorRows := campaign.AnchorVPIndices()
 	for ti, target := range campaign.Targets {
-		vp := campaign.VPIndex(target.ID)
-		if vp < 0 {
-			t.Fatalf("target %d not a VP", target.ID)
+		vp := anchorRows[ti]
+		if campaign.VPs[vp] != target {
+			t.Fatalf("target %d is not the VP at row %d", target.ID, vp)
 		}
 		if r := campaign.TargetRTT.RTT[vp][ti]; !math.IsNaN(float64(r)) {
 			t.Fatalf("target %d has self-measurement %.3f", target.ID, r)
@@ -157,17 +152,12 @@ func TestRepMatrixCorrelatesWithTargetMatrix(t *testing.T) {
 	}
 }
 
+// TestProbeVPIndices: the probes are the matrices' leading rows, in
+// sanitized order, ahead of the anchors.
 func TestProbeVPIndices(t *testing.T) {
-	idx := campaign.ProbeVPIndices()
-	if len(idx) != len(campaign.SanitizedProbes) {
-		t.Fatalf("probe indices = %d", len(idx))
-	}
-	for i, v := range idx {
-		if v != i {
-			t.Fatal("probe indices should be the leading rows")
-		}
-		if campaign.VPs[v].Kind != world.Probe {
-			t.Fatal("leading rows should be probes")
+	for i, id := range campaign.SanitizedProbes {
+		if vp := campaign.VPs[i]; vp.ID != id || vp.Kind != world.Probe {
+			t.Fatalf("row %d holds host %d (%v), want probe %d", i, vp.ID, vp.Kind, id)
 		}
 	}
 }

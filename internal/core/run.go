@@ -572,7 +572,7 @@ func (c *Campaign) ConfigHash() uint64 {
 	var b strings.Builder
 	writeCanonicalConfig(&b, c.W.Cfg)
 	if c.Client != nil {
-		fmt.Fprintf(&b, "|profile=%#v|client=%#v", *c.Client.F, c.Client.Cfg)
+		fmt.Fprintf(&b, "|profile=%#v|client=%s", *c.Client.F, atlas.Tuning())
 	} else if p := c.FaultProfile(); p != nil {
 		fmt.Fprintf(&b, "|profile=%#v|client=raw", *p)
 	} else {

@@ -29,7 +29,6 @@ import (
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
-	"geoloc/internal/streetlevel"
 	"geoloc/internal/telemetry"
 )
 
@@ -450,36 +449,4 @@ func better(a, b Record) bool {
 		return a.Sanitized
 	}
 	return a.RadiusKm < b.RadiusKm
-}
-
-// MergeStreetLevel overlays street-level results onto compiled records:
-// the estimate for the target's prefix is replaced by the street-level
-// one and the method tag upgraded (MethodStreetLandmark when a landmark
-// was selected, MethodStreetCBG for the tier-1 fallback). The CBG
-// confidence radius is kept — the constraint region still bounds the
-// target; street level refines the point inside it. Returns how many
-// records were updated.
-func MergeStreetLevel(d *Dataset, c *core.Campaign, results []streetlevel.Result) int {
-	byPrefix := make(map[ipaddr.Prefix24]int, len(d.Records))
-	for i, r := range d.Records {
-		byPrefix[r.Prefix] = i
-	}
-	updated := 0
-	for _, res := range results {
-		if res.Target < 0 || res.Target >= len(c.Targets) {
-			continue
-		}
-		i, ok := byPrefix[ipaddr.Prefix24Of(c.Targets[res.Target].Addr)]
-		if !ok || !d.Records[i].Sanitized {
-			continue
-		}
-		d.Records[i].Centroid = res.Estimate
-		if res.Method == "landmark" {
-			d.Records[i].Method = MethodStreetLandmark
-		} else {
-			d.Records[i].Method = MethodStreetCBG
-		}
-		updated++
-	}
-	return updated
 }

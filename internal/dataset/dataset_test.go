@@ -11,7 +11,6 @@ import (
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
-	"geoloc/internal/streetlevel"
 	"geoloc/internal/world"
 )
 
@@ -307,30 +306,6 @@ func TestSortRecordsDedupe(t *testing.T) {
 	}
 	if d.Records[1].RadiusKm != 20 {
 		t.Fatalf("prefix 30 kept %+v, want the tighter radius", d.Records[1])
-	}
-}
-
-func TestMergeStreetLevel(t *testing.T) {
-	c := tinyCampaign(t)
-	d := Compile(c, Options{})
-	res := []streetlevel.Result{
-		{Target: 0, Estimate: geo.Point{Lat: 1.25, Lon: 2.5}, Method: "landmark"},
-		{Target: 1, Estimate: geo.Point{Lat: -3, Lon: 4}, Method: "cbg"},
-		{Target: 99999, Estimate: geo.Point{}, Method: "landmark"}, // out of range: ignored
-	}
-	if n := MergeStreetLevel(d, c, res); n != 2 {
-		t.Fatalf("updated %d records, want 2", n)
-	}
-	r0, _ := d.Find(c.Targets[0].Addr)
-	if r0.Method != MethodStreetLandmark || r0.Centroid.Lat != 1.25 {
-		t.Fatalf("target 0 record %+v", r0)
-	}
-	if r0.RadiusKm <= 0 {
-		t.Fatal("street-level merge dropped the confidence radius")
-	}
-	r1, _ := d.Find(c.Targets[1].Addr)
-	if r1.Method != MethodStreetCBG || r1.Centroid.Lat != -3 {
-		t.Fatalf("target 1 record %+v", r1)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"geoloc/internal/core"
 	"geoloc/internal/dataset"
 	"geoloc/internal/experiments"
 	"geoloc/internal/world"
@@ -16,7 +17,9 @@ import (
 // rendered output. Everything routed through the par pool feeds into it.
 func digestRun(t *testing.T) [32]byte {
 	t.Helper()
-	ctx := experiments.NewContext(world.TinyConfig(), experiments.QuickOptions())
+	c := core.NewCampaign(world.TinyConfig())
+	c.BuildMatrices()
+	ctx := experiments.NewContextFromCampaign(c, experiments.QuickOptions())
 	h := sha256.New()
 	for _, r := range experiments.All(ctx) {
 		fmt.Fprintln(h, r.Render())

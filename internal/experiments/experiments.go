@@ -19,7 +19,6 @@ import (
 	"geoloc/internal/streetlevel"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/vpsel"
-	"geoloc/internal/world"
 )
 
 // Report is the output of one experiment.
@@ -175,13 +174,6 @@ func compactNaN(v []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// NewContext builds a campaign from the config and prepares the matrices.
-func NewContext(cfg world.Config, opts Options) *Context {
-	c := core.NewCampaign(cfg)
-	c.BuildMatrices()
-	return &Context{C: c, SL: streetlevel.New(c), Opts: opts}
 }
 
 // NewContextFromCampaign wraps an existing campaign (matrices must be

@@ -6,12 +6,21 @@ import (
 	"sync"
 	"testing"
 
+	"geoloc/internal/core"
 	"geoloc/internal/rhash"
 	"geoloc/internal/world"
 )
 
+// quickContext builds a fault-free campaign from cfg, measures its
+// matrices and wraps it with QuickOptions.
+func quickContext(cfg world.Config) *Context {
+	c := core.NewCampaign(cfg)
+	c.BuildMatrices()
+	return NewContextFromCampaign(c, QuickOptions())
+}
+
 // testCtx is a shared tiny-world context for the package tests.
-var testCtx = NewContext(world.TinyConfig(), QuickOptions())
+var testCtx = quickContext(world.TinyConfig())
 
 // mediumCtx is the fixed-seed Medium campaign the shape-target tests
 // (DESIGN.md §5) hold to tolerances: 148 targets and ~2,000 vantage points
@@ -19,7 +28,7 @@ var testCtx = NewContext(world.TinyConfig(), QuickOptions())
 // Tiny world's 38 targets are not. The values asserted against are the
 // Medium column of EXPERIMENTS.md. Built on first use.
 var mediumCtx = sync.OnceValue(func() *Context {
-	return NewContext(world.MediumConfig(), QuickOptions())
+	return quickContext(world.MediumConfig())
 })
 
 func TestAllExperimentsProduceReports(t *testing.T) {
@@ -238,6 +247,24 @@ func TestFig5bCheckedSubset(t *testing.T) {
 		if checked > plain {
 			t.Errorf("checked %d > plain %d for %s", checked, plain, row[0])
 		}
+	}
+}
+
+// TestFig5bLocallyHostedPassRate pins the share of tested websites that
+// pass the locally-hosted checks on Medium: 3.5 % (11,418 of 322,238
+// sites), held to 3.5 ± 1 points (paper 2.5 %).
+func TestFig5bLocallyHostedPassRate(t *testing.T) {
+	r := Fig5b(mediumCtx())
+	var tested, passed int
+	if len(r.Notes) == 0 {
+		t.Fatal("Fig5b has no notes")
+	}
+	if _, err := fmt.Sscanf(r.Notes[0], "websites tested: %d, passed the locally-hosted checks: %d",
+		&tested, &passed); err != nil || tested == 0 {
+		t.Fatalf("Fig5b note %q does not parse: %v", r.Notes[0], err)
+	}
+	if rate := 100 * float64(passed) / float64(tested); rate < 2.5 || rate > 4.5 {
+		t.Errorf("locally-hosted pass rate %.2f%% (%d of %d), want 3.5 ± 1 points", rate, passed, tested)
 	}
 }
 

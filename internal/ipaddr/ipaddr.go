@@ -170,8 +170,3 @@ func (al *Allocator) NextPrefix() Prefix24 {
 	al.next++
 	return p
 }
-
-// Allocated returns how many prefixes have been handed out.
-func (al *Allocator) Allocated() int {
-	return int(al.next - uint32(FromOctets(10, 0, 0, 0))>>8)
-}

@@ -178,9 +178,6 @@ func TestAllocatorUnique(t *testing.T) {
 		}
 		seen[p] = true
 	}
-	if al.Allocated() != 5000 {
-		t.Errorf("Allocated = %d, want 5000", al.Allocated())
-	}
 }
 
 func TestAllocatorStartsAtTen(t *testing.T) {

@@ -189,8 +189,8 @@ type Server struct {
 
 // New wires a server with no artifact yet: /readyz answers 503 and the
 // data plane 503s until the first Publish. reg receives the serving
-// metrics (telemetry.Default() in the binary, a private registry in
-// tests).
+// metrics: geoserve passes its own telemetry.New() registry, always
+// enabled because GET /metrics serves it; tests pass a private one.
 func New(cfg Config, reg *telemetry.Registry) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{

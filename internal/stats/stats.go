@@ -1,5 +1,5 @@
 // Package stats implements the statistical tooling the paper's evaluation
-// relies on: empirical CDFs, quantiles, Pearson correlation, least-squares
+// relies on: quantiles, CDF fractions, Pearson correlation, least-squares
 // regression, and error-bar summaries for repeated-trial experiments.
 package stats
 
@@ -77,72 +77,6 @@ func FractionBelow(data []float64, x float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(data))
-}
-
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from a sample (copied and sorted).
-func NewECDF(data []float64) *ECDF {
-	s := append([]float64(nil), data...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// Eval returns P(X ≤ x).
-func (e *ECDF) Eval(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, x)
-	// Advance over equal values so Eval is right-continuous (≤, not <).
-	for i < len(e.sorted) && e.sorted[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-quantile of the underlying sample.
-func (e *ECDF) Quantile(q float64) (float64, error) {
-	if len(e.sorted) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile out of range")
-	}
-	return quantileSorted(e.sorted, q), nil
-}
-
-// Points returns up to max (value, cumulative-fraction) pairs suitable for
-// plotting the CDF; the full sample when max ≤ 0 or exceeds the sample size.
-func (e *ECDF) Points(max int) ([]float64, []float64) {
-	n := len(e.sorted)
-	if n == 0 {
-		return nil, nil
-	}
-	if max <= 0 || max > n {
-		max = n
-	}
-	xs := make([]float64, max)
-	ys := make([]float64, max)
-	for i := 0; i < max; i++ {
-		idx := i * (n - 1) / maxInt(max-1, 1)
-		xs[i] = e.sorted[idx]
-		ys[i] = float64(idx+1) / float64(n)
-	}
-	return xs, ys
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Pearson returns the Pearson correlation coefficient of paired samples.

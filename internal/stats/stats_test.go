@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -84,75 +83,6 @@ func TestMeanAndFractionBelow(t *testing.T) {
 	}
 	if f := FractionBelow(nil, 10); f != 0 {
 		t.Errorf("FractionBelow(empty) = %v", f)
-	}
-}
-
-func TestECDFEval(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := e.Eval(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Eval(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestECDFMonotonic(t *testing.T) {
-	f := func(raw []float64) bool {
-		data := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				data = append(data, v)
-			}
-		}
-		if len(data) < 2 {
-			return true
-		}
-		e := NewECDF(data)
-		xs := append([]float64(nil), data...)
-		sort.Float64s(xs)
-		prev := 0.0
-		for _, x := range xs {
-			y := e.Eval(x)
-			if y < prev-1e-12 || y < 0 || y > 1 {
-				return false
-			}
-			prev = y
-		}
-		return e.Eval(xs[len(xs)-1]) == 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{5, 1, 3, 2, 4})
-	xs, ys := e.Points(0)
-	if len(xs) != 5 || len(ys) != 5 {
-		t.Fatalf("Points(0) lengths = %d, %d", len(xs), len(ys))
-	}
-	if !sort.Float64sAreSorted(xs) {
-		t.Error("xs should be sorted")
-	}
-	if ys[len(ys)-1] != 1 {
-		t.Errorf("final cumulative fraction = %v", ys[len(ys)-1])
-	}
-	xs3, _ := e.Points(3)
-	if len(xs3) != 3 {
-		t.Errorf("Points(3) returned %d", len(xs3))
-	}
-}
-
-func TestECDFEmpty(t *testing.T) {
-	e := NewECDF(nil)
-	if e.Eval(5) != 0 || e.Len() != 0 {
-		t.Error("empty ECDF should evaluate to 0")
-	}
-	if _, err := e.Quantile(0.5); err == nil {
-		t.Error("empty ECDF quantile should error")
 	}
 }
 
@@ -270,24 +200,6 @@ func TestSummaryOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestECDFQuantileMatchesQuantile(t *testing.T) {
-	data := []float64{9, 1, 7, 3, 5}
-	e := NewECDF(data)
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		want, err1 := Quantile(data, q)
-		got, err2 := e.Quantile(q)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if got != want {
-			t.Errorf("ECDF.Quantile(%v) = %v, want %v", q, got, want)
-		}
-	}
-	if _, err := e.Quantile(-0.1); err == nil {
-		t.Error("out-of-range quantile should error")
 	}
 }
 

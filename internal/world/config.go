@@ -157,13 +157,3 @@ func ParseScale(name string) (Config, error) {
 	}
 	return Config{}, fmt.Errorf("unknown scale %q (want tiny, medium or paper)", name)
 }
-
-// TotalAnchors returns the number of anchors generated (post-sanitization
-// target count plus the corrupted extras).
-func (c Config) TotalAnchors() int {
-	n := c.CorruptAnchors
-	for _, v := range c.AnchorsPerContinent {
-		n += v
-	}
-	return n
-}

@@ -288,16 +288,6 @@ func (w *World) resolve(ids []int) []*Host {
 	return out
 }
 
-// AnchorsByContinent groups anchor host IDs by their city's continent.
-func (w *World) AnchorsByContinent() map[Continent][]int {
-	out := make(map[Continent][]int)
-	for _, id := range w.Anchors {
-		c := w.Cities[w.Hosts[id].City].Continent
-		out[c] = append(out[c], id)
-	}
-	return out
-}
-
 // newHostAddr allocates an address for a new host of the given AS, opening a
 // fresh /24 when the AS has none or the current one is full.
 func (w *World) newHostAddr(asID int) ipaddr.Addr {

@@ -44,8 +44,12 @@ func TestGenerateDifferentSeedsDiffer(t *testing.T) {
 
 func TestAnchorCounts(t *testing.T) {
 	cfg := TinyConfig()
-	if len(tiny.Anchors) != cfg.TotalAnchors() {
-		t.Errorf("anchors = %d, want %d", len(tiny.Anchors), cfg.TotalAnchors())
+	want := cfg.CorruptAnchors
+	for _, n := range cfg.AnchorsPerContinent {
+		want += n
+	}
+	if len(tiny.Anchors) != want {
+		t.Errorf("anchors = %d, want %d", len(tiny.Anchors), want)
 	}
 	corrupted := 0
 	byCont := make(map[Continent]int)
@@ -325,17 +329,6 @@ func TestAnchorsWellConnected(t *testing.T) {
 		if lm := tiny.Host(id).LastMileMs; lm > 2.0 {
 			t.Errorf("anchor %d last mile %.2f ms, anchors should be well connected", id, lm)
 		}
-	}
-}
-
-func TestAnchorsByContinent(t *testing.T) {
-	got := tiny.AnchorsByContinent()
-	total := 0
-	for _, ids := range got {
-		total += len(ids)
-	}
-	if total != len(tiny.Anchors) {
-		t.Errorf("AnchorsByContinent total = %d, want %d", total, len(tiny.Anchors))
 	}
 }
 
