@@ -30,7 +30,9 @@ loc:
 # under par.For, every target sharing one mapping service, one website
 # resolver and the pipeline's bearing tables. dataset's CompileFromSource
 # and CompileExternal measure targets under par.ForWorker, and their bytes
-# must not depend on the P count.
+# must not depend on the P count. geobench's verdicts hang on worker
+# scheduling (where the hot-swap lands, and the window between the chaos
+# kill and the readmission), so its closed-loop runs go through it too.
 # -short only trims the oracles (core's stream selection from 50k to 5k
 # targets per case, netsim's routes from 100k pairs to 10k and its table
 # check to the tiny world, vpsel's multi-step sweep oracle off); the
@@ -39,7 +41,7 @@ loc:
 # not reach it, and it compiles against this module's serving API.
 test:
 	$(GO) test ./...
-	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/streetlevel/ ./internal/dataset/
+	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/streetlevel/ ./internal/dataset/ ./cmd/geobench/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
@@ -140,7 +142,8 @@ resume-check:
 	rm -rf .resume-check
 
 # Load + metrics proof of the serving tier (DESIGN.md §3.6–3.7):
-# geobench drives a seeded hit/miss/garbage mix against a live geoserve
+# geobench drives its one seeded mix (70 % hits, 20 % misses, 10 %
+# garbage, every 16th request a POST /batch of 8) against a live geoserve
 # and renders a strict verdict. Run 1 hot-swaps the artifact mid-run and
 # requires a clean ledger — zero dropped requests, zero off-design
 # statuses, a swap-generation bump — AND, via -metrics-check, scrapes
@@ -182,8 +185,9 @@ load-smoke:
 
 # Replica-chaos proof of the routed fleet (DESIGN.md §3.8): geobench
 # -chaos kills the HOT replica of a geoserve -router fleet (the one the
-# artifact's lookups start at) mid-run through /admin/replica, then
-# revives it. Run 1, four replicas — crash absorbed by the ring: zero
+# artifact's lookups start at) through /admin/replica once a quarter of
+# the requests have completed (1000 of 4000), then revives it at 55 %
+# (2200). Run 1, four replicas — crash absorbed by the ring: zero
 # dropped requests, zero 503s, at least one failed-over answer, and — via
 # -metrics-check — the router's georouter_failovers counter moving by
 # EXACTLY the sum the client saw in its response headers. Run 2, a fleet
@@ -204,7 +208,7 @@ chaos-smoke:
 	./.chaos-smoke/geobench -addr http://127.0.0.1:18090 \
 		-dataset .chaos-smoke/a.geodset -wait-ready 15s \
 		-requests 4000 -workers 8 \
-		-chaos -kill-after 1000 -restart-after 2200 -admin-token smoke \
+		-chaos -admin-token smoke \
 		-metrics-check -strict -out .chaos-smoke/failover.json
 	set -e; \
 	./.chaos-smoke/geoserve -dataset .chaos-smoke/a.geodset -addr 127.0.0.1:18091 \
@@ -214,7 +218,7 @@ chaos-smoke:
 	./.chaos-smoke/geobench -addr http://127.0.0.1:18091 \
 		-dataset .chaos-smoke/a.geodset -wait-ready 15s \
 		-requests 4000 -workers 8 \
-		-chaos -kill-after 1000 -restart-after 2200 -admin-token smoke \
+		-chaos -admin-token smoke \
 		-metrics-check -strict -out .chaos-smoke/degraded.json
 	rm -rf .chaos-smoke
 
@@ -266,7 +270,9 @@ scale-smoke:
 	rm -rf .scale-smoke
 
 # Short coverage-guided fuzz of everything that reads bytes it did not
-# write. The binary decoders: the checkpoint journal and the one dataset
+# write. The binary decoders: the checkpoint journal (FuzzDecoder, which
+# also streams every input through OpenReader + Next and holds the Reader
+# to Decode: same header, same records, the same end) and the one dataset
 # artifact reader, fed arbitrary images (FuzzDataset2Decoder, which also
 # holds FindBatch to Find) and Encode's framing of arbitrary records
 # (FuzzDatasetDecoder). The socket side: ipaddr.Parse against

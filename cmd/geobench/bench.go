@@ -1,11 +1,13 @@
 // The load-proof engine: a deterministic closed-loop generator that
 // drives a live geoserve and renders a verdict.
 //
-// Determinism contract: the SET of requests is a pure function of (seed,
-// requests, mix) — request i's class (hit / miss / garbage) and payload
-// are rhash draws keyed by i, never by time or scheduling. Workers claim
-// indices from an atomic cursor, so which worker sends which request
-// varies run to run, but the multiset of requests on the wire does not.
+// Determinism contract: the SET of requests is a pure function of the
+// baseline artifact and the request count — the mix is one set of
+// constants, and request i's class (hit / miss / garbage / batch) and
+// payload are rhash draws keyed by i, never by time or scheduling.
+// Workers claim indices from an atomic cursor, so which worker sends
+// which request varies run to run, but the multiset of requests on the
+// wire does not.
 // Timing (and therefore the latency histogram) is measured, not
 // simulated — this is the one tool in the repo whose job is wall-clock
 // truth.
@@ -54,16 +56,6 @@ type Config struct {
 	Requests int
 	// Workers is the fixed closed-loop worker count.
 	Workers int
-	// Seed keys every mix draw.
-	Seed uint64
-	// HitFrac/MissFrac/GarbageFrac weight the request classes; they are
-	// normalized, so 8/1/1 and 0.8/0.1/0.1 mean the same mix.
-	HitFrac, MissFrac, GarbageFrac float64
-	// BatchEvery makes every Nth request a POST /batch of BatchSize
-	// addresses (0 disables batches).
-	BatchEvery int
-	// BatchSize is the number of addresses per batch request (0 = 8).
-	BatchSize int
 
 	// SwapAfter triggers one artifact hot-swap (POST /admin/reload to
 	// SwapTo) once that many requests have completed; 0 disables the
@@ -100,8 +92,8 @@ type Config struct {
 	MetricsCheck bool
 
 	// Chaos turns on the replica-chaos proof (chaos.go): the target is a
-	// geoserve -router fleet, one replica is killed after KillAfter
-	// completed requests and revived after RestartAfter, and the verdict
+	// geoserve -router fleet, one replica is killed after a quarter of
+	// Requests have completed and revived after 55 %, and the verdict
 	// additionally requires: zero dropped requests throughout, every 503
 	// confined to the outage window and carrying Retry-After, the outage
 	// actually exercised — a failed-over answer when the router's
@@ -109,16 +101,12 @@ type Config struct {
 	// lists one — and (with MetricsCheck) the router's failover counters
 	// matching the client-observed X-Router-* headers exactly.
 	Chaos bool
-	// KillAfter/RestartAfter are completed-request thresholds for the
-	// kill and revival (defaults Requests/4 and Requests/2).
-	KillAfter, RestartAfter int
 }
 
 // Report is the run verdict, written as JSON and summarized on stdout.
 type Report struct {
 	Requests int            `json:"requests"`
 	Workers  int            `json:"workers"`
-	Seed     uint64         `json:"seed"`
 	Elapsed  float64        `json:"elapsed_sec"`
 	Statuses map[string]int `json:"statuses"`
 	// Dropped counts transport-level failures: connection errors and
@@ -143,10 +131,11 @@ type Report struct {
 	RecordsBefore int    `json:"records_before"`
 	RecordsAfter  int    `json:"records_after"`
 
-	// MetricsChecked reports the /metrics accounting pass ran and the
-	// server-side data-plane ledger (ServerStatuses) matched the client
-	// ledger exactly. MissingIDs counts 4xx/5xx answers without an
-	// X-Request-Id header (every failure must be joinable to a log line).
+	// MetricsChecked reports the /metrics accounting pass ran and every
+	// count it compares matched (metrics.go), the server-side data-plane
+	// ledger (ServerStatuses) moving by exactly the client ledger first.
+	// MissingIDs counts 4xx/5xx answers without an X-Request-Id header
+	// (every failure must be joinable to a log line).
 	MetricsChecked bool           `json:"metrics_checked,omitempty"`
 	ServerStatuses map[string]int `json:"server_statuses,omitempty"`
 	MissingIDs     int            `json:"missing_request_ids,omitempty"`
@@ -165,6 +154,21 @@ type Report struct {
 	// non-zero exit.
 	Violations []string `json:"violations"`
 }
+
+// The one request mix, the traffic every geobench run sends. It is
+// assumed, not measured from real clients (benchmark/README.md,
+// "Traffic"), and fixed so that every smoke run and test sends the same
+// requests and one ledger can be compared across commits. A class draw
+// u < hitBelow is a hit (70 %), u < missBelow a miss (20 %), the rest
+// garbage (10 %); every batchEvery-th request is instead a POST /batch of
+// batchSize addresses, half hits and half misses.
+const (
+	mixSeed    = 20231024
+	hitBelow   = 0.70
+	missBelow  = 0.90
+	batchEvery = 16
+	batchSize  = 8
+)
 
 // Mix draw label namespaces.
 var (
@@ -188,41 +192,29 @@ var garbageInputs = []string{
 	" 10.0.0.1",
 }
 
-// mixer derives request payloads from the seed and the baseline
+// mixer derives request payloads from the mix and the baseline
 // artifact.
 type mixer struct {
-	cfg  Config
-	ds   *dataset.Dataset
-	hit  float64 // class thresholds after normalization
-	miss float64
+	ds *dataset.Dataset
 }
 
-func newMixer(cfg Config, ds *dataset.Dataset) (*mixer, error) {
+func newMixer(ds *dataset.Dataset) (*mixer, error) {
 	if len(ds.Records) == 0 {
 		return nil, fmt.Errorf("baseline dataset has no records; cannot derive a hit mix")
 	}
-	total := cfg.HitFrac + cfg.MissFrac + cfg.GarbageFrac
-	if total <= 0 {
-		return nil, fmt.Errorf("hit+miss+garbage fractions must be positive")
-	}
-	return &mixer{
-		cfg:  cfg,
-		ds:   ds,
-		hit:  cfg.HitFrac / total,
-		miss: (cfg.HitFrac + cfg.MissFrac) / total,
-	}, nil
+	return &mixer{ds: ds}, nil
 }
 
 // class returns request i's class.
 func (m *mixer) class(i int) int {
-	if m.cfg.BatchEvery > 0 && i%m.cfg.BatchEvery == 0 {
+	if i%batchEvery == 0 {
 		return classBatch
 	}
-	u := rhash.UnitFloat(m.cfg.Seed, kClass, uint64(i))
+	u := rhash.UnitFloat(mixSeed, kClass, uint64(i))
 	switch {
-	case u < m.hit:
+	case u < hitBelow:
 		return classHit
-	case u < m.miss:
+	case u < missBelow:
 		return classMiss
 	default:
 		return classGarbage
@@ -232,8 +224,8 @@ func (m *mixer) class(i int) int {
 // hitIP returns a deterministic address inside a baseline record, keyed
 // by (i, salt).
 func (m *mixer) hitIP(i, salt int) string {
-	r := m.ds.Records[rhash.Hash(m.cfg.Seed, kHitRec, uint64(i), uint64(salt))%uint64(len(m.ds.Records))]
-	host := byte(rhash.Hash(m.cfg.Seed, kHitHost, uint64(i), uint64(salt)))
+	r := m.ds.Records[rhash.Hash(mixSeed, kHitRec, uint64(i), uint64(salt))%uint64(len(m.ds.Records))]
+	host := byte(rhash.Hash(mixSeed, kHitHost, uint64(i), uint64(salt)))
 	return r.Prefix.Addr(host).String()
 }
 
@@ -241,7 +233,7 @@ func (m *mixer) hitIP(i, salt int) string {
 // covers (bounded rejection sampling against the baseline).
 func (m *mixer) missIP(i, salt int) string {
 	for try := 0; ; try++ {
-		a := ipaddr.Addr(uint32(rhash.Hash(m.cfg.Seed, kMissAddr, uint64(i), uint64(salt), uint64(try))))
+		a := ipaddr.Addr(uint32(rhash.Hash(mixSeed, kMissAddr, uint64(i), uint64(salt), uint64(try))))
 		if _, covered := m.ds.Find(a); !covered {
 			return a.String()
 		}
@@ -255,18 +247,14 @@ func (m *mixer) missIP(i, salt int) string {
 
 // garbage returns a deterministic rejection-corpus entry.
 func (m *mixer) garbage(i int) string {
-	return garbageInputs[rhash.Hash(m.cfg.Seed, kGarbage, uint64(i))%uint64(len(garbageInputs))]
+	return garbageInputs[rhash.Hash(mixSeed, kGarbage, uint64(i))%uint64(len(garbageInputs))]
 }
 
 // batchBody builds the /batch JSON for request i: half hits, half
 // misses.
 func (m *mixer) batchBody(i int) []byte {
-	n := m.cfg.BatchSize
-	if n <= 0 {
-		n = 8
-	}
-	ips := make([]string, 0, n)
-	for k := 0; k < n; k++ {
+	ips := make([]string, 0, batchSize)
+	for k := 0; k < batchSize; k++ {
 		if k%2 == 0 {
 			ips = append(ips, m.hitIP(i, k))
 		} else {
@@ -320,7 +308,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baseline dataset: %w", err)
 	}
-	mix, err := newMixer(cfg, ds)
+	mix, err := newMixer(ds)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +332,6 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{
 		Requests: cfg.Requests,
 		Workers:  cfg.Workers,
-		Seed:     cfg.Seed,
 		Statuses: map[string]int{},
 	}
 	before, err := fetchVersion(client, cfg.BaseURL)
@@ -354,23 +341,17 @@ func Run(cfg Config) (*Report, error) {
 	rep.GenBefore = before.Generation
 	rep.RecordsBefore = before.Records
 
-	var beforeCounts serverCounts
-	if cfg.MetricsCheck {
-		if beforeCounts, err = scrapeLedger(client, cfg.BaseURL, statusMetric(cfg)); err != nil {
-			return nil, fmt.Errorf("metrics scrape before run: %w", err)
-		}
-	}
-
 	var ch *chaosRun
-	var beforeRouter routerCounters
 	if cfg.Chaos {
 		if ch, err = newChaosRun(cfg, client, ds); err != nil {
 			return nil, err
 		}
-		if cfg.MetricsCheck {
-			if beforeRouter, err = scrapeRouterCounters(client, cfg.BaseURL); err != nil {
-				return nil, fmt.Errorf("router counter scrape before run: %w", err)
-			}
+	}
+
+	var beforeCounts serverCounts
+	if cfg.MetricsCheck {
+		if beforeCounts, err = scrapeMetrics(client, cfg.BaseURL, statusMetric(cfg)); err != nil {
+			return nil, fmt.Errorf("metrics scrape before run: %w", err)
 		}
 	}
 
@@ -446,9 +427,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if ch != nil {
 		ch.finish(rep, samples)
-		if cfg.MetricsCheck {
-			checkRouterCounters(client, cfg, rep, beforeRouter)
-		}
 	}
 	if cfg.MetricsCheck {
 		checkMetrics(client, cfg, rep, beforeCounts)

@@ -2,9 +2,10 @@
 // the harness that PROVES the serving tier's robustness claims instead of
 // asserting them in prose.
 //
-// It drives a seeded mix of hits, misses and garbage at a fixed worker
-// count, optionally rotates a new artifact mid-run through the guarded
-// admin endpoint, and renders a verdict: a per-status ledger,
+// It drives one fixed, seeded mix — 70 % hits, 20 % misses and 10 %
+// garbage, every 16th request a POST /batch of 8 addresses — at a fixed
+// worker count, optionally rotates a new artifact mid-run through the
+// guarded admin endpoint, and renders a verdict: a per-status ledger,
 // p50/p99/p999 latency of admitted requests, and a violations list
 // (dropped requests, off-design statuses, a missing swap-generation
 // bump, an overload run that never shed). With -strict any violation is
@@ -38,12 +39,6 @@ func main() {
 	flag.StringVar(&cfg.DatasetPath, "dataset", "", "baseline artifact the hit/miss mix is derived from (required)")
 	flag.IntVar(&cfg.Requests, "requests", 10000, "total requests across all workers")
 	flag.IntVar(&cfg.Workers, "workers", 8, "closed-loop worker count")
-	flag.Uint64Var(&cfg.Seed, "seed", 20231024, "seed for the deterministic request mix")
-	flag.Float64Var(&cfg.HitFrac, "hit-frac", 0.70, "weight of covered-address lookups in the mix")
-	flag.Float64Var(&cfg.MissFrac, "miss-frac", 0.20, "weight of uncovered-address lookups in the mix")
-	flag.Float64Var(&cfg.GarbageFrac, "garbage-frac", 0.10, "weight of malformed inputs in the mix")
-	flag.IntVar(&cfg.BatchEvery, "batch-every", 16, "every Nth request is a POST /batch (0 = lookups only)")
-	flag.IntVar(&cfg.BatchSize, "batch-size", 8, "addresses per batch request")
 	flag.IntVar(&cfg.SwapAfter, "swap-after", 0, "trigger one artifact hot-swap after this many completed requests (0 = none)")
 	flag.StringVar(&cfg.SwapTo, "swap-to", "", "artifact path sent to /admin/reload for the mid-run swap")
 	flag.StringVar(&cfg.AdminToken, "admin-token", "", "token for /admin/reload")
@@ -54,9 +49,7 @@ func main() {
 	flag.BoolVar(&cfg.Allow503, "allow-503", false, "admit 503 as a designed answer (fault-injecting profiles)")
 	flag.BoolVar(&cfg.MetricsCheck, "metrics-check", false, "scrape /metrics before and after and require the server ledger to match the client ledger exactly (and, against geoserve, the latency histogram to count every answer but the 429s)")
 	flag.BoolVar(&cfg.Chaos, "chaos", false,
-		"replica-chaos proof against a geoserve -router fleet: kill and revive a replica mid-run, require zero drops, window-confined 503s, and exact failover accounting")
-	flag.IntVar(&cfg.KillAfter, "kill-after", 0, "completed requests before the chaos kill (0 = requests/4)")
-	flag.IntVar(&cfg.RestartAfter, "restart-after", 0, "completed requests before the chaos revival (0 = requests/2)")
+		"replica-chaos proof against a geoserve -router fleet: kill a replica after 1/4 of -requests and revive it after 55 %, require zero drops, window-confined 503s, and exact failover accounting")
 	outPath := flag.String("out", "", "write the JSON report here")
 	strict := flag.Bool("strict", false, "exit non-zero when the run has any violation")
 	var logFormat, logLevel string

@@ -63,13 +63,10 @@ func harness(t *testing.T, cfg serve.Config) (baseURL, pathA, pathB string) {
 func TestRunCleanSwap(t *testing.T) {
 	base, pathA, pathB := harness(t, serve.Config{AdminToken: "tok"})
 	rep, err := Run(Config{
-		BaseURL:     base,
-		DatasetPath: pathA,
-		Requests:    600,
-		Workers:     6,
-		Seed:        1,
-		HitFrac:     0.7, MissFrac: 0.2, GarbageFrac: 0.1,
-		BatchEvery: 10, BatchSize: 4,
+		BaseURL:      base,
+		DatasetPath:  pathA,
+		Requests:     600,
+		Workers:      6,
 		SwapAfter:    300,
 		SwapTo:       pathB,
 		AdminToken:   "tok",
@@ -136,8 +133,6 @@ func TestRunDetectsMissingSwapBump(t *testing.T) {
 		DatasetPath: pathA,
 		Requests:    120,
 		Workers:     4,
-		Seed:        2,
-		HitFrac:     1,
 		SwapAfter:   60,
 		SwapTo:      bad,
 		AdminToken:  "tok",
@@ -175,12 +170,10 @@ func TestRunOverloadSheds(t *testing.T) {
 		RetryAfter:   time.Second,
 	})
 	rep, err := Run(Config{
-		BaseURL:     base,
-		DatasetPath: pathA,
-		Requests:    400,
-		Workers:     32,
-		Seed:        3,
-		HitFrac:     0.8, MissFrac: 0.2,
+		BaseURL:      base,
+		DatasetPath:  pathA,
+		Requests:     400,
+		Workers:      32,
 		ExpectShed:   true,
 		MaxP999Ms:    30000,
 		Timeout:      30 * time.Second,
@@ -242,16 +235,15 @@ func TestLedgerDelta(t *testing.T) {
 	}
 }
 
-// TestMixDeterminism pins the determinism contract: the same (seed,
-// requests) produce the same request payloads.
+// TestMixDeterminism pins the determinism contract: the one mix yields
+// the same request payloads on every run.
 func TestMixDeterminism(t *testing.T) {
 	dsA, _ := tinyArtifacts()
-	cfg := Config{Seed: 7, Requests: 100, HitFrac: 0.6, MissFrac: 0.3, GarbageFrac: 0.1, BatchEvery: 9}
-	m1, err := newMixer(cfg, dsA)
+	m1, err := newMixer(dsA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := newMixer(cfg, dsA)
+	m2, err := newMixer(dsA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,19 +395,14 @@ func chaosHarness(t *testing.T, n int, rcfg router.Config) (baseURL, path string
 func TestRunChaosFailover(t *testing.T) {
 	base, path := chaosHarness(t, 4, router.Config{})
 	rep, err := Run(Config{
-		BaseURL:     base,
-		DatasetPath: path,
-		Requests:    400,
-		Workers:     6,
-		Seed:        4,
-		HitFrac:     0.7, MissFrac: 0.2, GarbageFrac: 0.1,
-		BatchEvery: 10, BatchSize: 4,
+		BaseURL:      base,
+		DatasetPath:  path,
+		Requests:     400,
+		Workers:      6,
 		AdminToken:   "tok",
 		Timeout:      15 * time.Second,
 		WaitReady:    5 * time.Second,
 		Chaos:        true,
-		KillAfter:    100,
-		RestartAfter: 220,
 		MetricsCheck: true,
 	})
 	if err != nil {
@@ -454,19 +441,14 @@ func TestRunChaosFailover(t *testing.T) {
 func TestRunChaosBoundedFailureDomain(t *testing.T) {
 	base, path := chaosHarness(t, 1, router.Config{})
 	rep, err := Run(Config{
-		BaseURL:     base,
-		DatasetPath: path,
-		Requests:    400,
-		Workers:     6,
-		Seed:        5,
-		HitFrac:     0.7, MissFrac: 0.2, GarbageFrac: 0.1,
-		BatchEvery: 10, BatchSize: 4,
+		BaseURL:      base,
+		DatasetPath:  path,
+		Requests:     400,
+		Workers:      6,
 		AdminToken:   "tok",
 		Timeout:      15 * time.Second,
 		WaitReady:    5 * time.Second,
 		Chaos:        true,
-		KillAfter:    100,
-		RestartAfter: 220,
 		MetricsCheck: true,
 	})
 	if err != nil {

@@ -5,12 +5,15 @@
 // server, by status code, with nothing extra and nothing missing. Against
 // a single geoserve the latency histogram must also move by exactly the
 // client's data-plane answers other than 429, so sheds are proven absent
-// from it (the router keeps no histogram). A malformed exposition, a
-// missing geoserve.swaps increment across the hot-swap, or any
-// discrepancy is a violation (-strict exits non-zero).
+// from it (the router keeps no histogram). Against a router under -chaos
+// the same scrapes carry the failover accounting instead: the failover
+// and range_unavailable counters must move by exactly the failovers and
+// 503s the client saw. A malformed exposition, a missing geoserve.swaps
+// increment across the hot-swap, or any discrepancy is a violation
+// (-strict exits non-zero).
 //
-// The server increments its ledger after the response is flushed, so the
-// final few counts can land microseconds after the client has its
+// The server increments its counters after the response is flushed, so
+// the final few counts can land microseconds after the client has its
 // answers; the check retries the scrape briefly before calling a
 // mismatch real.
 package main
@@ -43,12 +46,15 @@ type serverCounts struct {
 	ledger map[string]int64 // data-plane status ledger, code → count
 	swaps  int64            // geoserve_swaps_total
 	timed  int64            // geoserve_latency_ms_count
+	// The router's half of the chaos accounting.
+	failovers, rangeUnavailable int64
 }
 
-// scrapeLedger fetches and lint-parses /metrics, returning the
-// data-plane status ledger under the given metric name, the swap counter
-// and the latency histogram's count.
-func scrapeLedger(client *http.Client, base, metric string) (serverCounts, error) {
+// scrapeMetrics fetches and lint-parses /metrics: the one place geobench
+// reads it. It returns the data-plane status ledger under the given
+// metric name and every counter the accounting compares; a counter the
+// tier under test does not export reads 0.
+func scrapeMetrics(client *http.Client, base, metric string) (serverCounts, error) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return serverCounts{}, err
@@ -65,12 +71,17 @@ func scrapeLedger(client *http.Client, base, metric string) (serverCounts, error
 	for _, s := range sc.Find(metric, map[string]string{"plane": "data"}) {
 		c.ledger[s.Labels["code"]] += int64(s.Value)
 	}
-	for _, s := range sc.Find("geoserve_swaps_total", nil) {
-		c.swaps += int64(s.Value)
+	sum := func(metric string) int64 {
+		var n int64
+		for _, s := range sc.Find(metric, nil) {
+			n += int64(s.Value)
+		}
+		return n
 	}
-	for _, s := range sc.Find("geoserve_latency_ms_count", nil) {
-		c.timed += int64(s.Value)
-	}
+	c.swaps = sum("geoserve_swaps_total")
+	c.timed = sum("geoserve_latency_ms_count")
+	c.failovers = sum("georouter_failovers_total")
+	c.rangeUnavailable = sum("georouter_range_unavailable_total")
 	return c, nil
 }
 
@@ -130,14 +141,31 @@ func checkMetrics(client *http.Client, cfg Config, rep *Report, before serverCou
 	deadline := time.Now().Add(metricsSettle)
 	var mismatches []string
 	for {
-		after, err := scrapeLedger(client, cfg.BaseURL, statusMetric(cfg))
+		after, err := scrapeMetrics(client, cfg.BaseURL, statusMetric(cfg))
 		if err != nil {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("metrics scrape after run: %v", err))
 			return
 		}
 		delta := ledgerDelta(before.ledger, after.ledger)
-		mismatches = ledgerMismatches(rep.Statuses, delta)
-		if !cfg.Chaos {
+		mismatches = mismatches[:0]
+		for _, m := range ledgerMismatches(rep.Statuses, delta) {
+			mismatches = append(mismatches, "metrics accounting: "+m)
+		}
+		if cfg.Chaos {
+			// The router counts a failover and a range_unavailable at the
+			// code point that writes the header and the 503 the client
+			// saw, so any skew means lost or double-counted answers.
+			rep.ServerFailovers = after.failovers - before.failovers
+			if rep.ServerFailovers != int64(rep.ClientFailovers) {
+				mismatches = append(mismatches,
+					fmt.Sprintf("failover accounting: client headers sum to %d, georouter.failovers moved %d",
+						rep.ClientFailovers, rep.ServerFailovers))
+			}
+			if got, want := after.rangeUnavailable-before.rangeUnavailable, int64(rep.Statuses["503"]); got != want {
+				mismatches = append(mismatches,
+					fmt.Sprintf("503 accounting: client saw %d, georouter.range_unavailable moved %d", want, got))
+			}
+		} else {
 			want := int64(0)
 			for code, n := range rep.Statuses {
 				if code != "429" {
@@ -146,7 +174,7 @@ func checkMetrics(client *http.Client, cfg Config, rep *Report, before serverCou
 			}
 			if got := after.timed - before.timed; got != want {
 				mismatches = append(mismatches, fmt.Sprintf(
-					"geoserve_latency_ms_count moved %d, client saw %d data-plane answers other than 429", got, want))
+					"metrics accounting: geoserve_latency_ms_count moved %d, client saw %d data-plane answers other than 429", got, want))
 			}
 		}
 		if len(mismatches) == 0 {
@@ -167,7 +195,5 @@ func checkMetrics(client *http.Client, cfg Config, rep *Report, before serverCou
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	for _, m := range mismatches {
-		rep.Violations = append(rep.Violations, "metrics accounting: "+m)
-	}
+	rep.Violations = append(rep.Violations, mismatches...)
 }

@@ -133,7 +133,7 @@ func main() {
 	flag.IntVar(&o.logSample, "log-sample", 0,
 		"log 1 in N successful requests to the access log (0 = errors only)")
 	flag.IntVar(&o.traceSample, "trace-sample", 0,
-		"record per-request stage spans for 1 in N requests (0 = off; export with -trace)")
+		"record per-request stage spans for 1 in N requests (0 = off; export with -trace; single node only)")
 
 	tele := telemetry.NewCLI()
 	flag.Parse()
@@ -161,6 +161,14 @@ func run(o options) error {
 	}
 	if o.writePath != "" && o.dsPath != "" {
 		return fmt.Errorf("-write with -dataset: the artifact is already on disk at %s", o.dsPath)
+	}
+	if o.unsanitized && o.dsPath != "" {
+		return fmt.Errorf("-unsanitized with -dataset: nothing is compiled, so there are no removed anchors to include")
+	}
+	if o.traceSample > 0 && o.routerMode {
+		// Each replica records into its own registry, which -trace never
+		// writes: the spans would only pile up.
+		return fmt.Errorf("-trace-sample with -router: replica spans are never exported; trace a single node")
 	}
 
 	// Without -dataset the artifact is compiled from -scale to a file —

@@ -18,8 +18,9 @@ import (
 // bytes the in-RAM compiler's Write yields — for a named scale, with and
 // without the removed anchors, and for a streamed target count — and
 // leaves nothing else beside the artifact; the flag combinations that
-// cannot be honoured are errors rather than a surprise artifact or a
-// served default.
+// cannot be honoured are errors, before anything is compiled or bound,
+// rather than a surprise artifact, a served default or a silently dropped
+// flag.
 func TestRunWrite(t *testing.T) {
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(io.Discard)
@@ -96,6 +97,12 @@ func TestRunWrite(t *testing.T) {
 		{"-unsanitized with a target count",
 			options{faultName: "none", scale: "3000", unsanitized: true, writePath: filepath.Join(dir, "c.geodset")},
 			"-unsanitized"},
+		{"-unsanitized with -dataset",
+			options{faultName: "none", dsPath: filepath.Join(dir, "a.geodset"), unsanitized: true},
+			"-unsanitized with -dataset"},
+		{"-trace-sample with -router",
+			options{faultName: "none", scale: "tiny", addr: "127.0.0.1:0", routerMode: true, replicas: 2, traceSample: 10},
+			"-trace-sample with -router"},
 	} {
 		if err := run(tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want it to name %q", tc.name, err, tc.want)

@@ -45,9 +45,10 @@ const Version = 1
 // the decoder attempt a multi-gigabyte allocation.
 const maxPayload = 64 << 20
 
-// frameOverhead is the fixed size of a record frame before its payload:
-// kind (1) + payload length (4) + CRC (4).
-const frameOverhead = 9
+// FrameOverhead is the fixed size of a record frame before its payload:
+// kind (1) + payload length (4) + CRC (4). The dataset artifact frames its
+// header, blocks and index the same way.
+const FrameOverhead = 9
 
 // Kind tags a journal record.
 type Kind uint8
@@ -83,12 +84,15 @@ var (
 	ErrNoHeader = errors.New("checkpoint: missing header record")
 )
 
-// Header identifies the campaign a journal belongs to.
+// Header identifies the campaign a file was written from: a journal's
+// first record, and (as dataset.Header) a dataset artifact's provenance.
 type Header struct {
-	// Version is the journal format version (see Version).
+	// Version is the format version of the file that carries the header
+	// (this package's Version for a journal).
 	Version uint32
-	// ConfigHash canonically hashes everything that determines measurement
-	// results (world config, fault profile, client config).
+	// ConfigHash canonically hashes everything that determines the file's
+	// contents (world config, fault profile, client config, and whatever
+	// else its writer mixes in).
 	ConfigHash uint64
 	// Seed is the world seed, kept separate from the hash for diagnostics.
 	Seed uint64
@@ -120,8 +124,9 @@ var meters = struct {
 	tornTails: telemetry.Default().Counter("checkpoint.torn_tails"),
 }
 
-// encodeHeader serializes a header record payload.
-func encodeHeader(h Header) []byte {
+// EncodeHeader serializes a header record payload:
+// version u32 | configHash u64 | seed u64 | len u16 | profile.
+func EncodeHeader(h Header) []byte {
 	buf := make([]byte, 0, 4+8+8+2+len(h.Profile))
 	buf = binary.LittleEndian.AppendUint32(buf, h.Version)
 	buf = binary.LittleEndian.AppendUint64(buf, h.ConfigHash)
@@ -130,8 +135,9 @@ func encodeHeader(h Header) []byte {
 	return append(buf, h.Profile...)
 }
 
-// decodeHeader parses a header record payload.
-func decodeHeader(payload []byte) (Header, error) {
+// DecodeHeader parses a header record payload, which must be exactly what
+// EncodeHeader writes: a short payload or trailing bytes are ErrCorrupt.
+func DecodeHeader(payload []byte) (Header, error) {
 	if len(payload) < 4+8+8+2 {
 		return Header{}, fmt.Errorf("%w: header payload too short", ErrCorrupt)
 	}
@@ -141,16 +147,26 @@ func decodeHeader(payload []byte) (Header, error) {
 		Seed:       binary.LittleEndian.Uint64(payload[12:]),
 	}
 	n := int(binary.LittleEndian.Uint16(payload[20:]))
-	if len(payload) < 22+n {
-		return Header{}, fmt.Errorf("%w: header profile truncated", ErrCorrupt)
+	if len(payload) != 22+n {
+		return Header{}, fmt.Errorf("%w: header profile length mismatch", ErrCorrupt)
 	}
-	h.Profile = string(payload[22 : 22+n])
+	h.Profile = string(payload[22:])
 	return h, nil
 }
 
-// frame serializes one record into its on-disk frame.
-func frame(k Kind, payload []byte) []byte {
-	return AppendFrame(make([]byte, 0, frameOverhead+len(payload)), k, payload)
+// FrameCRC is a frame's checksum, crc32(kind‖payload). The kind byte is
+// folded in by one step of the IEEE table, so no slice is built for it.
+func FrameCRC(k Kind, payload []byte) uint32 {
+	c := crc32.IEEETable[^byte(k)] ^ 0x00FF_FFFF
+	return crc32.Update(^c, crc32.IEEETable, payload)
+}
+
+// AppendFrameHeader appends the FrameOverhead bytes that precede payload
+// in its frame: kind, payload length and FrameCRC.
+func AppendFrameHeader(dst []byte, k Kind, payload []byte) []byte {
+	dst = append(dst, byte(k))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, FrameCRC(k, payload))
 }
 
 // AppendFrame appends one record's on-disk frame to dst and returns the
@@ -160,12 +176,7 @@ func frame(k Kind, payload []byte) []byte {
 // Unlike Journal.Append it does not police the record size limit; it is
 // for payloads of a known small size.
 func AppendFrame(dst []byte, k Kind, payload []byte) []byte {
-	dst = append(dst, byte(k))
-	crc := crc32.Update(0, crc32.IEEETable, dst[len(dst)-1:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
-	return append(dst, payload...)
+	return append(AppendFrameHeader(dst, k, payload), payload...)
 }
 
 // Decode parses a journal image. It returns the header, the records after
@@ -185,26 +196,23 @@ func Decode(data []byte) (hdr Header, recs []Record, torn bool, goodLen int64, e
 	first := true
 	for off < len(data) {
 		rest := len(data) - off
-		if rest < frameOverhead {
+		if rest < FrameOverhead {
 			torn = true
 			break
 		}
 		k := Kind(data[off])
 		plen := int(binary.LittleEndian.Uint32(data[off+1:]))
 		want := binary.LittleEndian.Uint32(data[off+5:])
-		if plen > maxPayload || rest < frameOverhead+plen {
+		if plen > maxPayload || rest < FrameOverhead+plen {
 			// The claimed payload runs past EOF (or is absurd): a frame cut
 			// mid-write, or garbage length bytes from one. Either way only
 			// the final frame can look like this.
 			torn = true
 			break
 		}
-		payload := data[off+frameOverhead : off+frameOverhead+plen]
-		crc := crc32.NewIEEE()
-		crc.Write(data[off : off+1])
-		crc.Write(payload)
-		if crc.Sum32() != want {
-			if off+frameOverhead+plen == len(data) {
+		payload := data[off+FrameOverhead : off+FrameOverhead+plen]
+		if FrameCRC(k, payload) != want {
+			if off+FrameOverhead+plen == len(data) {
 				// Bad CRC on the very last frame: a torn write that got the
 				// length down but not the payload. Drop it.
 				torn = true
@@ -213,14 +221,14 @@ func Decode(data []byte) (hdr Header, recs []Record, torn bool, goodLen int64, e
 			return Header{}, nil, false, 0, fmt.Errorf(
 				"%w: CRC mismatch at offset %d (record %d)", ErrCorrupt, off, len(recs)+1)
 		}
-		off += frameOverhead + plen
+		off += FrameOverhead + plen
 		if first {
 			first = false
 			if k != KindHeader {
 				return Header{}, nil, false, 0, fmt.Errorf(
 					"%w: first record has kind %d", ErrNoHeader, k)
 			}
-			hdr, err = decodeHeader(payload)
+			hdr, err = DecodeHeader(payload)
 			if err != nil {
 				return Header{}, nil, false, 0, err
 			}
@@ -273,7 +281,7 @@ func Create(path string, hdr Header) (*Journal, error) {
 		f.Close()
 		return nil, err
 	}
-	if err := j.Append(KindHeader, encodeHeader(hdr)); err != nil {
+	if err := j.Append(KindHeader, EncodeHeader(hdr)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -340,7 +348,7 @@ func (j *Journal) Append(k Kind, payload []byte) error {
 	if len(payload) > maxPayload {
 		return fmt.Errorf("checkpoint: record payload %d bytes exceeds limit", len(payload))
 	}
-	return j.AppendFrames(frame(k, payload), 1)
+	return j.AppendFrames(AppendFrame(make([]byte, 0, FrameOverhead+len(payload)), k, payload), 1)
 }
 
 // AppendFrames writes frames — n records framed back to back by

@@ -207,7 +207,7 @@ func lastFrameOffset(t *testing.T, data []byte) int {
 	for off < len(data) {
 		plen := int(uint32(data[off+1]) | uint32(data[off+2])<<8 | uint32(data[off+3])<<16 | uint32(data[off+4])<<24)
 		last = off
-		off += frameOverhead + plen
+		off += FrameOverhead + plen
 	}
 	return last
 }
@@ -261,13 +261,40 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	// Create force-sets Version, so build the file by hand.
 	var buf bytes.Buffer
 	buf.WriteString(Magic)
-	buf.Write(frame(KindHeader, encodeHeader(hdr)))
+	buf.Write(AppendFrame(nil, KindHeader, EncodeHeader(hdr)))
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
 	if _, _, _, _, err := Decode(data); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("err %v, want ErrBadVersion", err)
+	}
+}
+
+// TestHeaderTrailingBytesRejected: a header record is exactly what
+// EncodeHeader writes, as it is in a dataset artifact. A header payload
+// with a byte after the profile is ErrCorrupt from Decode and from
+// OpenReader alike, never a valid header.
+func TestHeaderTrailingBytesRejected(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString(Magic)
+	hdr := testHeader()
+	hdr.Version = Version
+	buf.Write(AppendFrame(nil, KindHeader, append(EncodeHeader(hdr), 0)))
+	buf.Write(AppendFrame(nil, KindRow, []byte("row")))
+	if _, _, _, _, err := Decode(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Decode: err %v, want ErrCorrupt", err)
+	}
+	path := filepath.Join(t.TempDir(), "trailing.ckpt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(path)
+	if err == nil {
+		r.Close()
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("OpenReader: err %v, want ErrCorrupt", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -66,7 +65,7 @@ func OpenReader(path string) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: first record has kind %d", ErrNoHeader, k)
 	}
-	hdr, err := decodeHeader(payload)
+	hdr, err := DecodeHeader(payload)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -101,7 +100,7 @@ func (r *Reader) Next() (Record, error) {
 // frame reads one frame, mirroring Decode's torn-vs-corrupt judgement:
 // only a frame that would end at (or past) EOF may be torn.
 func (r *Reader) frame() (Kind, []byte, error) {
-	var fh [frameOverhead]byte
+	var fh [FrameOverhead]byte
 	n, err := io.ReadFull(r.br, fh[:])
 	if err == io.EOF && n == 0 {
 		return 0, nil, io.EOF
@@ -112,7 +111,7 @@ func (r *Reader) frame() (Kind, []byte, error) {
 	k := Kind(fh[0])
 	plen := int(binary.LittleEndian.Uint32(fh[1:]))
 	want := binary.LittleEndian.Uint32(fh[5:])
-	end := r.off + frameOverhead + int64(plen)
+	end := r.off + FrameOverhead + int64(plen)
 	if plen > maxPayload || end > r.size {
 		// Garbage length bytes, or a payload running past EOF: a frame cut
 		// mid-write. Streaming can hit this before EOF only on real
@@ -126,10 +125,7 @@ func (r *Reader) frame() (Kind, []byte, error) {
 	if _, err := io.ReadFull(r.br, payload); err != nil {
 		return 0, nil, io.ErrUnexpectedEOF
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(fh[:1])
-	crc.Write(payload)
-	if crc.Sum32() != want {
+	if FrameCRC(k, payload) != want {
 		if end == r.size {
 			// Bad CRC on the very last frame: torn, not damaged.
 			return 0, nil, io.ErrUnexpectedEOF

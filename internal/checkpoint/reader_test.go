@@ -129,11 +129,11 @@ func TestReaderMidFileCorruption(t *testing.T) {
 	}
 	// Corrupt a payload byte of the third record: offset = magic + header
 	// frame + 2 records + this record's frame overhead.
-	off := len(Magic) + frameOverhead + 22 + len("realistic")
+	off := len(Magic) + FrameOverhead + 22 + len("realistic")
 	for i := 0; i < 2; i++ {
-		off += frameOverhead + len(payloads[i])
+		off += FrameOverhead + len(payloads[i])
 	}
-	off += frameOverhead
+	off += FrameOverhead
 	data[off] ^= 0x80
 	badPath := filepath.Join(dir, "bad.ckpt")
 	if err := os.WriteFile(badPath, data, 0o644); err != nil {

@@ -9,11 +9,11 @@
 // The on-disk artifact is GEODSET2, the block-indexed format laid out at
 // the top of dataset2.go: the one format this package writes (Writer2,
 // Dataset.Write, Dataset.Encode, CompileExternal) and reads (Reader2). It
-// reuses the checkpoint journal's framing style (DESIGN.md §3.3) — kind u8
-// | payloadLen u32 | crc32(kind‖payload) u32 | payload — but unlike a
-// journal a dataset file is written atomically and never appended to, so a
-// torn tail is not a crash signature but damage: the reader rejects it
-// with ErrTruncated instead of dropping it.
+// reuses the checkpoint journal's header and framing codec (DESIGN.md
+// §3.3) — kind u8 | payloadLen u32 | crc32(kind‖payload) u32 | payload —
+// but unlike a journal a dataset file is written atomically and never
+// appended to, so a torn tail is not a crash signature but damage: the
+// reader rejects it with ErrTruncated instead of dropping it.
 package dataset
 
 import (
@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"geoloc/internal/cbg"
+	"geoloc/internal/checkpoint"
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
@@ -39,14 +40,11 @@ const Version = 2
 // drive a huge allocation.
 const maxPayload = 1 << 20
 
-// frameOverhead is kind (1) + payload length (4) + CRC (4).
-const frameOverhead = 9
-
-// Frame kinds. (1 was the per-record frame of the retired flat format.)
+// Frame kinds after the header frame (checkpoint.KindHeader). 1 was the
+// per-record frame of the retired flat format.
 const (
-	kindHeader byte = 0
-	kindBlock  byte = 2
-	kindIndex  byte = 3
+	kindBlock checkpoint.Kind = 2
+	kindIndex checkpoint.Kind = 3
 )
 
 // recordPayloadLen is the fixed encoded size of one Record payload:
@@ -132,13 +130,9 @@ type Record struct {
 	Sanitized bool
 }
 
-// Header identifies the campaign a dataset was compiled from.
-type Header struct {
-	Version    uint32
-	ConfigHash uint64
-	Seed       uint64
-	Profile    string
-}
+// Header identifies the campaign a dataset was compiled from. It is the
+// checkpoint journal's header, written with the same codec.
+type Header = checkpoint.Header
 
 // Dataset is a decoded (or freshly compiled) artifact. Records are sorted
 // by prefix, one record per prefix.
@@ -158,35 +152,6 @@ var meters = struct {
 	encodes:  telemetry.Default().Counter("dataset.encodes"),
 	decodes:  telemetry.Default().Counter("dataset.decodes"),
 	badLoads: telemetry.Default().Counter("dataset.load_errors"),
-}
-
-// encodeHeader serializes a header record payload (same layout as the
-// checkpoint journal header).
-func encodeHeader(h Header) []byte {
-	buf := make([]byte, 0, 4+8+8+2+len(h.Profile))
-	buf = binary.LittleEndian.AppendUint32(buf, h.Version)
-	buf = binary.LittleEndian.AppendUint64(buf, h.ConfigHash)
-	buf = binary.LittleEndian.AppendUint64(buf, h.Seed)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(h.Profile)))
-	return append(buf, h.Profile...)
-}
-
-// decodeHeader parses a header record payload.
-func decodeHeader(payload []byte) (Header, error) {
-	if len(payload) < 4+8+8+2 {
-		return Header{}, fmt.Errorf("%w: header payload too short", ErrCorrupt)
-	}
-	h := Header{
-		Version:    binary.LittleEndian.Uint32(payload[0:]),
-		ConfigHash: binary.LittleEndian.Uint64(payload[4:]),
-		Seed:       binary.LittleEndian.Uint64(payload[12:]),
-	}
-	n := int(binary.LittleEndian.Uint16(payload[20:]))
-	if len(payload) != 22+n {
-		return Header{}, fmt.Errorf("%w: header profile length mismatch", ErrCorrupt)
-	}
-	h.Profile = string(payload[22 : 22+n])
-	return h, nil
 }
 
 // appendRecord appends r's payload (recordPayloadLen bytes) to buf.

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
+	"geoloc/internal/checkpoint"
 	"geoloc/internal/ipaddr"
 )
 
@@ -71,10 +72,10 @@ type blockMeta struct {
 type encoder struct {
 	w           io.Writer
 	blockSize   int
-	fh          [frameOverhead]byte // frame header scratch
-	block       []byte              // the open block's payload: count u16 | records
-	n           int                 // records in the open block
-	first, last ipaddr.Prefix24     // the open block's first key; the last key added
+	fh          [checkpoint.FrameOverhead]byte // frame header scratch
+	block       []byte                         // the open block's payload: count u16 | records
+	n           int                            // records in the open block
+	first, last ipaddr.Prefix24                // the open block's first key; the last key added
 	index       []blockMeta
 	off         int64
 	records     uint64
@@ -89,19 +90,16 @@ func newEncoder(w io.Writer, hdr Header, blockSize int) (*encoder, error) {
 		return nil, err
 	}
 	e.off = int64(len(Magic2))
-	return e, e.writeFrame(kindHeader, encodeHeader(hdr))
+	return e, e.writeFrame(checkpoint.KindHeader, checkpoint.EncodeHeader(hdr))
 }
 
-// writeFrame writes one frame (identical layout to checkpoint frames).
-func (e *encoder) writeFrame(kind byte, payload []byte) error {
-	e.fh[0] = kind
-	binary.LittleEndian.PutUint32(e.fh[1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(e.fh[5:], crc32.Update(crc32.ChecksumIEEE(e.fh[:1]), crc32.IEEETable, payload))
-	if _, err := e.w.Write(e.fh[:]); err != nil {
+// writeFrame writes one frame, framed exactly as a checkpoint record.
+func (e *encoder) writeFrame(kind checkpoint.Kind, payload []byte) error {
+	if _, err := e.w.Write(checkpoint.AppendFrameHeader(e.fh[:0], kind, payload)); err != nil {
 		return err
 	}
 	_, err := e.w.Write(payload)
-	e.off += int64(frameOverhead + len(payload))
+	e.off += int64(checkpoint.FrameOverhead + len(payload))
 	return err
 }
 
@@ -336,7 +334,7 @@ func NewReader2(data []byte) (*Reader2, error) {
 	if size < int64(len(Magic2)) || string(data[:len(Magic2)]) != Magic2 {
 		return nil, ErrBadMagic
 	}
-	if size < int64(len(Magic2))+frameOverhead+footerLen {
+	if size < int64(len(Magic2))+checkpoint.FrameOverhead+footerLen {
 		return nil, fmt.Errorf("%w: %d bytes is too small for a GEODSET2 file", ErrTruncated, size)
 	}
 	footer := data[size-footerLen:]
@@ -348,7 +346,7 @@ func NewReader2(data []byte) (*Reader2, error) {
 	}
 	indexOff := int64(binary.LittleEndian.Uint64(footer[0:]))
 	records := binary.LittleEndian.Uint64(footer[8:])
-	if indexOff < int64(len(Magic2))+frameOverhead || indexOff > size-footerLen-frameOverhead {
+	if indexOff < int64(len(Magic2))+checkpoint.FrameOverhead || indexOff > size-footerLen-checkpoint.FrameOverhead {
 		return nil, fmt.Errorf("%w: index offset %d out of range", ErrCorrupt, indexOff)
 	}
 
@@ -360,12 +358,13 @@ func NewReader2(data []byte) (*Reader2, error) {
 	if err != nil {
 		return nil, err
 	}
-	if kind != kindHeader {
+	if kind != checkpoint.KindHeader {
 		return nil, fmt.Errorf("%w: first frame has kind %d", ErrNoHeader, kind)
 	}
-	hdr, err := decodeHeader(payload)
+	hdr, err := checkpoint.DecodeHeader(payload)
 	if err != nil {
-		return nil, err
+		// The journal's codec names its own ErrCorrupt; report ours.
+		return nil, fmt.Errorf("%w: header payload malformed", ErrCorrupt)
 	}
 	if hdr.Version != Version {
 		return nil, fmt.Errorf("%w: artifact version %d, reader version %d",
@@ -390,7 +389,7 @@ func NewReader2(data []byte) (*Reader2, error) {
 	d.first = make([]uint32, n)
 	d.verified = make([]atomic.Uint32, (n+31)/32)
 	total := uint64(0)
-	minOff := int64(len(Magic2)) + frameOverhead
+	minOff := int64(len(Magic2)) + checkpoint.FrameOverhead
 	for i := range d.blocks {
 		e := payload[i*indexEntryLen:]
 		b := blockMeta{
@@ -410,11 +409,11 @@ func NewReader2(data []byte) (*Reader2, error) {
 				ErrCorrupt, i, b.plen, b.count)
 		// plen is bounded by the case above, so the subtraction cannot
 		// wrap the way b.off+plen would for an offset near MaxInt64.
-		case b.off < minOff || b.off > indexOff-frameOverhead-int64(b.plen):
+		case b.off < minOff || b.off > indexOff-checkpoint.FrameOverhead-int64(b.plen):
 			return nil, fmt.Errorf("%w: block %d offset out of range", ErrCorrupt, i)
 		case i > 0 && b.first <= d.blocks[i-1].last:
 			return nil, fmt.Errorf("%w: block %d keys overlap block %d", ErrCorrupt, i, i-1)
-		case i > 0 && b.off < d.blocks[i-1].off+frameOverhead+int64(d.blocks[i-1].plen):
+		case i > 0 && b.off < d.blocks[i-1].off+checkpoint.FrameOverhead+int64(d.blocks[i-1].plen):
 			return nil, fmt.Errorf("%w: block %d overlaps block %d on disk", ErrCorrupt, i, i-1)
 		}
 		d.blocks[i], d.first[i] = b, uint32(b.first)
@@ -431,23 +430,24 @@ func NewReader2(data []byte) (*Reader2, error) {
 // frameAt CRC-checks the frame at off and returns its kind and its
 // payload as a slice of data; limit is the first byte the frame must not
 // extend past.
-func frameAt(data []byte, off, limit int64, maxLen int) (byte, []byte, error) {
-	if off+frameOverhead > limit {
+func frameAt(data []byte, off, limit int64, maxLen int) (checkpoint.Kind, []byte, error) {
+	if off+checkpoint.FrameOverhead > limit {
 		return 0, nil, fmt.Errorf("%w: frame at offset %d runs past EOF", ErrTruncated, off)
 	}
-	fh := data[off : off+frameOverhead]
+	fh := data[off : off+checkpoint.FrameOverhead]
 	plen := int(binary.LittleEndian.Uint32(fh[1:]))
 	if plen > maxLen {
 		return 0, nil, fmt.Errorf("%w: frame at offset %d claims %d-byte payload", ErrCorrupt, off, plen)
 	}
-	if off+frameOverhead+int64(plen) > limit {
+	if off+checkpoint.FrameOverhead+int64(plen) > limit {
 		return 0, nil, fmt.Errorf("%w: frame at offset %d runs past EOF", ErrTruncated, off)
 	}
-	payload := data[off+frameOverhead : off+frameOverhead+int64(plen)]
-	if crc32.Update(crc32.ChecksumIEEE(fh[:1]), crc32.IEEETable, payload) != binary.LittleEndian.Uint32(fh[5:]) {
+	payload := data[off+checkpoint.FrameOverhead : off+checkpoint.FrameOverhead+int64(plen)]
+	kind := checkpoint.Kind(fh[0])
+	if checkpoint.FrameCRC(kind, payload) != binary.LittleEndian.Uint32(fh[5:]) {
 		return 0, nil, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
 	}
-	return fh[0], payload, nil
+	return kind, payload, nil
 }
 
 // Header returns the artifact's provenance header.
@@ -527,7 +527,7 @@ func (d *Reader2) blockPayload(i int) ([]byte, error) {
 	w := &d.verified[i>>5]
 	bit := uint32(1) << (uint(i) & 31)
 	if w.Load()&bit != 0 {
-		return d.data[b.off+frameOverhead : b.off+frameOverhead+int64(b.plen)], nil
+		return d.data[b.off+checkpoint.FrameOverhead : b.off+checkpoint.FrameOverhead+int64(b.plen)], nil
 	}
 	payload, err := d.verifyBlock(i)
 	if err != nil {
@@ -546,7 +546,7 @@ func (d *Reader2) blockPayload(i int) ([]byte, error) {
 // index entry's [first, last] — and returns its payload.
 func (d *Reader2) verifyBlock(i int) ([]byte, error) {
 	b := &d.blocks[i]
-	kind, payload, err := frameAt(d.data, b.off, b.off+frameOverhead+int64(b.plen), int(b.plen))
+	kind, payload, err := frameAt(d.data, b.off, b.off+checkpoint.FrameOverhead+int64(b.plen), int(b.plen))
 	if err != nil {
 		return nil, err
 	}

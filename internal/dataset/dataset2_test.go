@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"geoloc/internal/checkpoint"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
 )
@@ -133,14 +134,14 @@ func patchFrameCRC(img []byte, off int) {
 	plen := int(binary.LittleEndian.Uint32(img[off+1:]))
 	crc := crc32.NewIEEE()
 	crc.Write(img[off : off+1])
-	crc.Write(img[off+frameOverhead : off+frameOverhead+plen])
+	crc.Write(img[off+checkpoint.FrameOverhead : off+checkpoint.FrameOverhead+plen])
 	binary.LittleEndian.PutUint32(img[off+5:], crc.Sum32())
 }
 
 // firstBlockOff is where block 0's frame starts: after the magic and the
 // header frame.
 func firstBlockOff(img []byte) int {
-	return len(Magic2) + frameOverhead + int(binary.LittleEndian.Uint32(img[len(Magic2)+1:]))
+	return len(Magic2) + checkpoint.FrameOverhead + int(binary.LittleEndian.Uint32(img[len(Magic2)+1:]))
 }
 
 // badRecordCases names the ways one record can break an invariant
@@ -188,7 +189,7 @@ func badRecordImage(t *testing.T, name string) []byte {
 	img := badRecordDataset(t, name).Encode()
 	if name == "unknown-flags" {
 		off := firstBlockOff(img)
-		img[off+frameOverhead+2+recordPayloadLen+recordPayloadLen-1] |= 0x80 // middle record's flags byte
+		img[off+checkpoint.FrameOverhead+2+recordPayloadLen+recordPayloadLen-1] |= 0x80 // middle record's flags byte
 		patchFrameCRC(img, off)
 	}
 	return img
@@ -240,7 +241,7 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 
 	t.Run("bad-version", func(t *testing.T) {
 		bad := append([]byte(nil), img...)
-		bad[len(Magic2)+frameOverhead] = 3 // header payload version u32, low byte
+		bad[len(Magic2)+checkpoint.FrameOverhead] = 3 // header payload version u32, low byte
 		patchFrameCRC(bad, len(Magic2))
 		if _, err := NewReader2(bad); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("got %v, want ErrBadVersion", err)
@@ -253,7 +254,7 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 		// fooled into slicing the image with it.
 		indexOff := int(binary.LittleEndian.Uint64(img[len(img)-footerLen:]))
 		bad := append([]byte(nil), img...)
-		binary.LittleEndian.PutUint64(bad[indexOff+frameOverhead+12:], math.MaxInt64-5)
+		binary.LittleEndian.PutUint64(bad[indexOff+checkpoint.FrameOverhead+12:], math.MaxInt64-5)
 		patchFrameCRC(bad, indexOff)
 		if _, err := NewReader2(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("got %v, want ErrCorrupt", err)
@@ -265,9 +266,9 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 		// frame CRC: open succeeds (blocks are validated lazily), the read
 		// fails with ErrCorrupt.
 		hdrPlen := int(binary.LittleEndian.Uint32(img[len(Magic2)+1:]))
-		blockOff := len(Magic2) + frameOverhead + hdrPlen
+		blockOff := len(Magic2) + checkpoint.FrameOverhead + hdrPlen
 		bad := append([]byte(nil), img...)
-		bad[blockOff+frameOverhead+2+8] ^= 0x40 // a centroid byte of record 0
+		bad[blockOff+checkpoint.FrameOverhead+2+8] ^= 0x40 // a centroid byte of record 0
 		r2, err := NewReader2(bad)
 		if err != nil {
 			t.Fatalf("open rejected lazy-validated damage: %v", err)
@@ -284,9 +285,9 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 		// Swap the first two records inside block 0 and re-seal the frame
 		// CRC: the checksum passes, the ordering invariant must not.
 		hdrPlen := int(binary.LittleEndian.Uint32(img[len(Magic2)+1:]))
-		blockOff := len(Magic2) + frameOverhead + hdrPlen
+		blockOff := len(Magic2) + checkpoint.FrameOverhead + hdrPlen
 		bad := append([]byte(nil), img...)
-		r0 := blockOff + frameOverhead + 2
+		r0 := blockOff + checkpoint.FrameOverhead + 2
 		tmpRec := make([]byte, recordPayloadLen)
 		copy(tmpRec, bad[r0:r0+recordPayloadLen])
 		copy(bad[r0:r0+recordPayloadLen], bad[r0+recordPayloadLen:r0+2*recordPayloadLen])

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"geoloc/internal/checkpoint"
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
@@ -208,7 +209,7 @@ func loadBytes(t *testing.T, img []byte) (*Dataset, error) {
 // report that on the block's first touch.
 func TestDecodeNamedErrors(t *testing.T) {
 	good := compiled(t).Encode()
-	firstRecord := firstBlockOff(good) + frameOverhead + 2
+	firstRecord := firstBlockOff(good) + checkpoint.FrameOverhead + 2
 	cases := []struct {
 		name string
 		data []byte
@@ -220,7 +221,7 @@ func TestDecodeNamedErrors(t *testing.T) {
 		{"torn tail", good[:len(good)-3], ErrTruncated},
 		{"torn mid frame", good[:len(Magic2)+4], ErrTruncated},
 		{"flipped record byte", flip(good, firstRecord+8), ErrCorrupt},
-		{"flipped header byte", flip(good, len(Magic2)+frameOverhead+1), ErrCorrupt},
+		{"flipped header byte", flip(good, len(Magic2)+checkpoint.FrameOverhead+1), ErrCorrupt},
 	}
 	for _, c := range cases {
 		if _, err := loadBytes(t, c.data); !errors.Is(err, c.want) {
@@ -244,7 +245,7 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 	good := compiled(t).Encode()
 	for _, v := range []byte{Version - 1, Version + 1} {
 		bad := append([]byte(nil), good...)
-		bad[len(Magic2)+frameOverhead] = v // header payload version u32, low byte
+		bad[len(Magic2)+checkpoint.FrameOverhead] = v // header payload version u32, low byte
 		patchFrameCRC(bad, len(Magic2))
 		if _, err := loadBytes(t, bad); !errors.Is(err, ErrBadVersion) {
 			t.Errorf("version %d: err = %v, want ErrBadVersion", v, err)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"geoloc/internal/checkpoint"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
 	"geoloc/internal/rhash"
@@ -148,8 +149,8 @@ func TestFindBatchDamagedBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := ds.Records[damaged*blockSize].Prefix, ds.Records[(damaged+1)*blockSize-1].Prefix
-	off := firstBlockOff(img) + damaged*(frameOverhead+2+blockSize*recordPayloadLen)
-	img[off+frameOverhead+2+recordPayloadLen+5] ^= 0x40 // a latitude byte of the block's second record
+	off := firstBlockOff(img) + damaged*(checkpoint.FrameOverhead+2+blockSize*recordPayloadLen)
+	img[off+checkpoint.FrameOverhead+2+recordPayloadLen+5] ^= 0x40 // a latitude byte of the block's second record
 
 	var batch []ipaddr.Addr
 	for p := ds.Records[0].Prefix - 2; p <= ds.Records[len(ds.Records)-1].Prefix+2; p++ {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"geoloc/internal/checkpoint"
 	"geoloc/internal/ipaddr"
 )
 
@@ -131,7 +132,7 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 		// Same contract as over heap bytes: a cut anywhere fails at open
 		// with a named error. Sampled cuts plus the structural
 		// boundaries keep the file-backed sweep fast.
-		cuts := []int{0, 1, len(Magic2), len(Magic2) + frameOverhead,
+		cuts := []int{0, 1, len(Magic2), len(Magic2) + checkpoint.FrameOverhead,
 			len(img) - footerLen, len(img) - footerLen + 16, len(img) - 1}
 		for c := 7; c < len(img); c += 13 {
 			cuts = append(cuts, c)
@@ -162,9 +163,9 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 		// report ErrCorrupt — and keep reporting it (the verified bit is
 		// only ever set after a clean check).
 		hdrPlen := int(binary.LittleEndian.Uint32(img[len(Magic2)+1:]))
-		blockOff := len(Magic2) + frameOverhead + hdrPlen
+		blockOff := len(Magic2) + checkpoint.FrameOverhead + hdrPlen
 		bad := append([]byte(nil), img...)
-		bad[blockOff+frameOverhead+2+8] ^= 0x40
+		bad[blockOff+checkpoint.FrameOverhead+2+8] ^= 0x40
 		m, err := openMappedBytes(t, bad)
 		if err != nil {
 			t.Fatalf("open rejected lazily-validated damage: %v", err)
@@ -191,9 +192,9 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 	t.Run("reordered-block-first-touch", func(t *testing.T) {
 		// A re-sealed CRC cannot mask a sort violation.
 		hdrPlen := int(binary.LittleEndian.Uint32(img[len(Magic2)+1:]))
-		blockOff := len(Magic2) + frameOverhead + hdrPlen
+		blockOff := len(Magic2) + checkpoint.FrameOverhead + hdrPlen
 		bad := append([]byte(nil), img...)
-		r0 := blockOff + frameOverhead + 2
+		r0 := blockOff + checkpoint.FrameOverhead + 2
 		tmpRec := make([]byte, recordPayloadLen)
 		copy(tmpRec, bad[r0:r0+recordPayloadLen])
 		copy(bad[r0:r0+recordPayloadLen], bad[r0+recordPayloadLen:r0+2*recordPayloadLen])
