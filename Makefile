@@ -30,7 +30,10 @@ loc:
 # under par.For, every target sharing one mapping service, one website
 # resolver and the pipeline's bearing tables. dataset's CompileFromSource
 # and CompileExternal measure targets under par.ForWorker, and their bytes
-# must not depend on the P count. geobench's verdicts hang on worker
+# must not depend on the P count. experiments' Context shares results
+# across experiments (the trial medians Fig 2a and 2b both read, the
+# two-step rows Fig 3b, 3c and the ablations read), computed under par.For
+# by whichever experiment asks first. geobench's verdicts hang on worker
 # scheduling (where the hot-swap lands, and the window between the chaos
 # kill and the readmission), so its closed-loop runs go through it too.
 # -short only trims the oracles (core's stream selection from 50k to 5k
@@ -41,7 +44,7 @@ loc:
 # not reach it, and it compiles against this module's serving API.
 test:
 	$(GO) test ./...
-	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/streetlevel/ ./internal/dataset/ ./cmd/geobench/
+	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/streetlevel/ ./internal/dataset/ ./internal/experiments/ ./cmd/geobench/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
@@ -68,8 +71,9 @@ staticcheck:
 # Handler() against a one-replica fleet, counted process-wide — the
 # replica's net/http server included — at most 45. TestMeasureTargetAllocs
 # pins a streamed target's measurement at zero once its buffer holds K,
-# and TestPingAllocs a simulated ping at zero once its route's skeleton is
-# in the table (DESIGN.md §3.2). Run by name, so a new allocation sneaking
+# and TestPingAllocs a simulated ping, and a traceroute into a caller's
+# TraceBuf, at zero once the route's skeleton is in the table (DESIGN.md
+# §3.2). Run by name, so a new allocation sneaking
 # into a hot path fails THIS target, not a trend threshold.
 allocs-smoke:
 	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestPingAllocs' \

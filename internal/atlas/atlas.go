@@ -106,8 +106,14 @@ func (p *Platform) Ping(src, dst *world.Host, round uint64) (float64, bool) {
 
 // Traceroute runs one traceroute from src to dst.
 func (p *Platform) Traceroute(src, dst *world.Host, round uint64) netsim.Trace {
+	return p.TraceInto(new(netsim.TraceBuf), src, dst, round)
+}
+
+// TraceInto runs one traceroute from src to dst with its hops written into
+// buf (see netsim.Sim.TraceInto); it is charged as Traceroute is.
+func (p *Platform) TraceInto(buf *netsim.TraceBuf, src, dst *world.Host, round uint64) netsim.Trace {
 	p.mTraceroutes.Add(1)
-	return p.Sim.Traceroute(src, dst, round)
+	return p.Sim.TraceInto(buf, src, dst, round)
 }
 
 // Stats returns the usage so far. Credits are pings × pingCost +

@@ -1,7 +1,9 @@
 package cbg
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -16,10 +18,12 @@ import (
 //
 // A fully-populated matrix should be sealed (Seal) before the analysis
 // phases read it: sealing builds the read-optimized views — per-VP
-// trigonometry and a [target][vp] transpose — that let the locate paths
-// scan a target's measurements sequentially instead of striding across
-// rows. All read methods work on unsealed matrices too (tests hand-build
-// small ones), just without the cached views.
+// trigonometry, a [target][vp] transpose that lets the locate paths scan
+// a target's measurements sequentially instead of striding across rows,
+// and a latitude order that lets a region scan skip the VPs outside its
+// tightest circle's latitude band (LatBand). All read methods work on
+// unsealed matrices too (tests hand-build small ones), just without the
+// cached views.
 type Matrix struct {
 	// VPs holds the (reported) vantage point locations.
 	VPs []geo.Point
@@ -29,6 +33,11 @@ type Matrix struct {
 	sealOnce sync.Once
 	vpTrig   []geo.Trig  // per-VP precomputed trig; nil until sealed
 	cols     [][]float32 // [target][vp] transpose; nil until sealed
+	// byLat holds the VP indices ascending by vpTrig's LatRad, ties in
+	// index order, and lats those latitudes in the same order; nil until
+	// sealed.
+	byLat []int32
+	lats  []float64
 }
 
 // Unresponsive is the sentinel for failed measurements in a Matrix.
@@ -73,7 +82,31 @@ func (m *Matrix) Seal() {
 				m.cols[t][vp] = v
 			}
 		}
+		m.byLat = make([]int32, len(m.VPs))
+		for i := range m.byLat {
+			m.byLat[i] = int32(i)
+		}
+		slices.SortStableFunc(m.byLat, func(a, b int32) int {
+			return cmp.Compare(m.vpTrig[a].LatRad, m.vpTrig[b].LatRad)
+		})
+		m.lats = make([]float64, len(m.byLat))
+		for i, vp := range m.byLat {
+			m.lats[i] = m.vpTrig[vp].LatRad
+		}
 	})
+}
+
+// LatBand returns the VPs whose cached latitude (VPTrig's LatRad) lies in
+// [lo, hi] radians, ascending by latitude with ties in index order, and
+// true. On an unsealed matrix it returns nil and false: the caller scans
+// every VP.
+func (m *Matrix) LatBand(lo, hi float64) ([]int32, bool) {
+	if m.byLat == nil {
+		return nil, false
+	}
+	i := sort.SearchFloat64s(m.lats, lo)
+	j := i + sort.Search(len(m.lats)-i, func(k int) bool { return m.lats[i+k] > hi })
+	return m.byLat[i:j], true
 }
 
 // Sealed reports whether Seal has run.

@@ -121,7 +121,12 @@ func QuickOptions() Options {
 }
 
 // Context holds a prepared campaign and caches expensive intermediate
-// results (notably the full street-level run) shared by several figures.
+// results shared by several figures: the full street-level run, the
+// all-VP CBG errors, the greedy first-step cover, the random-subset trial
+// medians per (size, trials) — Fig 2b's sizes are Fig 2a's — and the
+// two-step errors per first-step size — the ablations' greedy arm is
+// Fig 3b's 10-VP row. Each is computed by whichever experiment asks
+// first, so no experiment depends on another having run.
 type Context struct {
 	C    *core.Campaign
 	SL   *streetlevel.Pipeline
@@ -134,14 +139,42 @@ type Context struct {
 	vpMeta        []vpsel.VPMeta
 	cover         []int
 
-	twoStepOnce sync.Once
-	twoStep     *twoStepRun
+	trials  memo[trialKey, []float64]
+	twoStep memo[int, twoStepRow]
 
 	allCBGOnce sync.Once
 	allCBGErrs []float64
 
 	allOnce    sync.Once
 	allReports []*Report
+}
+
+// memo computes one value per key, once, for whichever caller asks first;
+// callers asking for a key being computed wait for it.
+type memo[K comparable, V any] struct {
+	mu    sync.Mutex
+	cells map[K]*memoCell[V]
+}
+
+type memoCell[V any] struct {
+	once sync.Once
+	v    V
+}
+
+// get returns the value of k, computing it with f if no caller has.
+func (m *memo[K, V]) get(k K, f func() V) V {
+	m.mu.Lock()
+	if m.cells == nil {
+		m.cells = make(map[K]*memoCell[V])
+	}
+	c := m.cells[k]
+	if c == nil {
+		c = new(memoCell[V])
+		m.cells[k] = c
+	}
+	m.mu.Unlock()
+	c.once.Do(func() { c.v = f() })
+	return c.v
 }
 
 // allVPErrors returns the per-target CBG error using every vantage point

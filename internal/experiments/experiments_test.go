@@ -371,3 +371,47 @@ func TestReportRenderAligned(t *testing.T) {
 		t.Errorf("render has %d lines, want 5", len(lines))
 	}
 }
+
+// TestSharedResultsIndependentOfOrder: fig2b reads fig2a's trial medians
+// and ablations reads Fig 3b's 10-VP two-step row, computed by whichever
+// experiment asks first. Run alone on a fresh context, each must render
+// the bytes it renders inside All. QuickOptions' Fig 2a sizes share none
+// with Fig 2b's on the Tiny world's 338 VPs, so a second context sweeps
+// Fig 2a at 100 VPs too; there fig2b must render the same alone as after
+// fig2a, and the pair must run the 100-VP sweep once.
+func TestSharedResultsIndependentOfOrder(t *testing.T) {
+	inAll := make(map[string]string)
+	for _, r := range All(testCtx) {
+		inAll[r.ID] = r.Render()
+	}
+	for _, id := range []string{"fig2b", "ablations"} {
+		ctx := NewContextFromCampaign(testCtx.C, QuickOptions())
+		if got := runByID(t, ctx, id); got != inAll[id] {
+			t.Errorf("%s alone on a fresh context:\n%s\ninside All:\n%s", id, got, inAll[id])
+		}
+	}
+
+	opts := QuickOptions()
+	opts.Fig2Sizes = []int{10, 100}
+	after := NewContextFromCampaign(testCtx.C, opts)
+	runByID(t, after, "fig2a")
+	want := runByID(t, after, "fig2b")
+	if n := len(after.trials.cells); n != 2 {
+		t.Errorf("fig2a at sizes 10 and 100 then fig2b swept %d (size, trials) keys, want 2", n)
+	}
+	if got := runByID(t, NewContextFromCampaign(testCtx.C, opts), "fig2b"); got != want {
+		t.Errorf("fig2b alone:\n%s\nafter fig2a:\n%s", got, want)
+	}
+}
+
+// runByID runs the registry experiment id on ctx and renders it.
+func runByID(t *testing.T, ctx *Context, id string) string {
+	t.Helper()
+	for _, e := range Registry() {
+		if e.ID == id {
+			return e.Run(ctx).Render()
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return ""
+}

@@ -176,34 +176,34 @@ func Ablations(ctx *Context) *Report {
 		}
 	}
 
-	// Greedy vs random first step for the two-step selection.
-	meta, greedy := ctx.firstStep(10)
+	// Greedy vs random first step for the two-step selection. The greedy
+	// arm is Fig 3b's 10-VP row.
+	meta, _ := ctx.firstStep(10)
 	random := make([]int, 10)
 	for i := range random {
 		random[i] = (i * 7919) % len(c.VPs)
 	}
-	for _, tc := range []struct {
-		name      string
-		firstStep []int
+	randomErrs := make([]float64, len(c.Targets))
+	parallelFor(len(c.Targets), func(ti int) {
+		randomErrs[ti] = math.NaN()
+		res, ok := vpsel.TwoStepSelect(c.RepRTT, meta, random, ti)
+		if !ok {
+			return
+		}
+		if est, ok := c.TargetRTT.LocateSubset(ti, []int{res.SelectedVP}, geo.TwoThirdsC); ok {
+			randomErrs[ti] = c.ErrorKm(ti, est)
+		}
+	})
+	for _, arm := range []struct {
+		name string
+		errs []float64
 	}{
-		{"greedy cover", greedy},
-		{"random", random},
+		{"greedy cover", ctx.twoStepErrors(10).errs},
+		{"random", dropNaN(randomErrs)},
 	} {
-		errs := make([]float64, len(c.Targets))
-		parallelFor(len(c.Targets), func(ti int) {
-			errs[ti] = math.NaN()
-			res, ok := vpsel.TwoStepSelect(c.RepRTT, meta, tc.firstStep, ti)
-			if !ok {
-				return
-			}
-			if est, ok := c.TargetRTT.LocateSubset(ti, []int{res.SelectedVP}, geo.TwoThirdsC); ok {
-				errs[ti] = c.ErrorKm(ti, est)
-			}
-		})
-		clean := dropNaN(errs)
-		if len(clean) > 0 {
-			rep.Rows = append(rep.Rows, []string{"two-step first step", tc.name,
-				fmt.Sprintf("%.1f", stats.MustMedian(clean))})
+		if len(arm.errs) > 0 {
+			rep.Rows = append(rep.Rows, []string{"two-step first step", arm.name,
+				fmt.Sprintf("%.1f", stats.MustMedian(arm.errs))})
 		}
 	}
 	rep.Notes = append(rep.Notes,

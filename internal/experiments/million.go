@@ -87,7 +87,7 @@ func Fig2a(ctx *Context) *Report {
 		if size > len(c.VPs) {
 			size = len(c.VPs)
 		}
-		medians := trialMedians(ctx, size, ctx.Opts.Fig2Trials)
+		medians := ctx.trialMedians(size, ctx.Opts.Fig2Trials)
 		sum, err := stats.Summarize(medians)
 		if err != nil {
 			continue
@@ -107,11 +107,21 @@ func Fig2a(ctx *Context) *Report {
 	return rep
 }
 
+// trialKey names one random-subset sweep: its subsets are a pure function
+// of the size, the trial count and the context's seed.
+type trialKey struct{ size, trials int }
+
 // trialMedians runs CBG over `trials` random subsets of the given size and
-// returns the per-trial median error. The work is fanned at (trial,
-// target) grain — one locate per index — into an index-addressed grid;
-// the per-trial medians are reduced from it in trial order.
-func trialMedians(ctx *Context, size, trials int) []float64 {
+// returns the per-trial median error, once per context for each (size,
+// trials). Callers must not mutate the returned slice.
+func (ctx *Context) trialMedians(size, trials int) []float64 {
+	return ctx.trials.get(trialKey{size, trials}, func() []float64 { return computeTrialMedians(ctx, size, trials) })
+}
+
+// computeTrialMedians is trialMedians' sweep. The work is fanned at
+// (trial, target) grain — one locate per index — into an index-addressed
+// grid; the per-trial medians are reduced from it in trial order.
+func computeTrialMedians(ctx *Context, size, trials int) []float64 {
 	c := ctx.C
 	nt := len(c.Targets)
 	subsets := make([][]int, trials)
@@ -171,7 +181,7 @@ func Fig2b(ctx *Context) *Report {
 		if size > len(ctx.C.VPs) {
 			continue
 		}
-		medians := trialMedians(ctx, size, ctx.Opts.Fig2Trials)
+		medians := ctx.trialMedians(size, ctx.Opts.Fig2Trials)
 		if len(medians) == 0 {
 			continue
 		}
@@ -328,30 +338,20 @@ func (ctx *Context) firstStep(n int) ([]vpsel.VPMeta, []int) {
 	return ctx.vpMeta, ctx.cover[:n:n]
 }
 
-// twoStepRun holds the shared artifacts of the Fig 3b/3c sweep.
-type twoStepRun struct {
-	firstStepSizes []int
-	errs           map[int][]float64
-	pings          map[int]int64
+// twoStepRow is the two-step selection over every target from one
+// first-step size: the CBG errors of the located targets in target order,
+// and the pings spent.
+type twoStepRow struct {
+	errs  []float64
+	pings int64
 }
 
-func (ctx *Context) runTwoStep() *twoStepRun {
-	ctx.twoStepOnce.Do(func() { ctx.twoStep = ctx.computeTwoStep() })
-	return ctx.twoStep
-}
-
-func (ctx *Context) computeTwoStep() *twoStepRun {
-	c := ctx.C
-	run := &twoStepRun{
-		firstStepSizes: fig3FirstStepSizes,
-		errs:           make(map[int][]float64),
-		pings:          make(map[int]int64),
-	}
-	for _, size := range run.firstStepSizes {
-		if size > len(c.VPs) {
-			continue
-		}
-		meta, firstStep := ctx.firstStep(size)
+// twoStepErrors returns the two-step row of the n-VP greedy first step,
+// computed once per context for each n. Callers must not mutate errs.
+func (ctx *Context) twoStepErrors(n int) twoStepRow {
+	return ctx.twoStep.get(n, func() twoStepRow {
+		c := ctx.C
+		meta, firstStep := ctx.firstStep(n)
 		errs := make([]float64, len(c.Targets))
 		pings := make([]int64, len(c.Targets))
 		parallelFor(len(c.Targets), func(ti int) {
@@ -369,16 +369,13 @@ func (ctx *Context) computeTwoStep() *twoStepRun {
 		for _, p := range pings {
 			total += p
 		}
-		run.errs[size] = dropNaN(errs)
-		run.pings[size] = total
-	}
-	return run
+		return twoStepRow{errs: dropNaN(errs), pings: total}
+	})
 }
 
 // Fig3b reproduces Fig 3b: accuracy of the two-step VP selection for
 // different first-step subset sizes, against all VPs.
 func Fig3b(ctx *Context) *Report {
-	run := ctx.runTwoStep()
 	rep := &Report{
 		ID:       "fig3b",
 		Title:    "Two-step VP selection accuracy",
@@ -386,9 +383,9 @@ func Fig3b(ctx *Context) *Report {
 		Header:   cdfHeader("first step"),
 	}
 	rep.Rows = append(rep.Rows, cdfRow("all VPs", compactNaN(ctx.allVPErrors())))
-	for _, size := range run.firstStepSizes {
-		if errs, ok := run.errs[size]; ok {
-			rep.Rows = append(rep.Rows, cdfRow(fmt.Sprintf("%d VPs", size), errs))
+	for _, size := range fig3FirstStepSizes {
+		if size <= len(ctx.C.VPs) {
+			rep.Rows = append(rep.Rows, cdfRow(fmt.Sprintf("%d VPs", size), ctx.twoStepErrors(size).errs))
 		}
 	}
 	rep.Notes = append(rep.Notes,
@@ -400,7 +397,6 @@ func Fig3b(ctx *Context) *Report {
 // selection versus the original algorithm.
 func Fig3c(ctx *Context) *Report {
 	c := ctx.C
-	run := ctx.runTwoStep()
 	original := vpsel.OriginalOverheadPings(len(c.VPs), len(c.Targets), 10)
 	rep := &Report{
 		ID:       "fig3c",
@@ -408,11 +404,11 @@ func Fig3c(ctx *Context) *Report {
 		PaperRef: "Fig 3c / §5.1.4",
 		Header:   []string{"VPs in first step", "measurements", "% of original"},
 	}
-	for _, size := range run.firstStepSizes {
-		p, ok := run.pings[size]
-		if !ok {
+	for _, size := range fig3FirstStepSizes {
+		if size > len(c.VPs) {
 			continue
 		}
+		p := ctx.twoStepErrors(size).pings
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("%d", size),
 			fmt.Sprintf("%.2fM", float64(p)/1e6),

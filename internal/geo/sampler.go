@@ -28,7 +28,8 @@ import (
 // Same constraints in the same order give the same bits on every run and
 // at every worker count. A Sampler is single-goroutine scratch; use one per
 // worker or the package pool (Region.Centroid does). Add constraints
-// between Reset and Centroid.
+// between Reset and Centroid, or Reduce when only the survivors are
+// wanted.
 type Sampler struct {
 	cs   []samplerCircle
 	keep []int32
@@ -109,22 +110,21 @@ func (sm *Sampler) inside(p Unit) bool {
 	return true
 }
 
-// Centroid estimates the centroid of the constraint intersection on the
-// DefaultSampleRings × DefaultSampleBearings polar grid of the tightest
-// surviving circle. ok is false when no constraints were added or no grid
-// point satisfies all of them.
-func (sm *Sampler) Centroid() (Point, bool) {
+// Reduce runs the reduction half of Centroid over the constraints added
+// since Reset, replicating Region.Reduced: the tightest circle is the
+// *first* minimum-radius circle in insertion order; survivors are the
+// tightest's duplicates and every circle not wholly containing it (the
+// TrigCuts verdict, which is ContainsCircle's bit for bit); the survivor
+// order is the ascending-radius sort of the original — the indices are
+// sorted with the same comparator over the same initial order, so the
+// permutation (and with it the tie-breaking of equal radii) is identical.
+// Kept and KeptTrig read the survivors. It reports whether any constraint
+// was added.
+func (sm *Sampler) Reduce() bool {
+	sm.keep = sm.keep[:0]
 	if len(sm.cs) == 0 {
-		return Point{}, false
+		return false
 	}
-
-	// Reduction, replicating Region.Reduced: the tightest circle is the
-	// *first* minimum-radius circle in insertion order; survivors are the
-	// tightest's duplicates and every circle not wholly containing it; the
-	// survivor order is the ascending-radius sort of the original — the
-	// indices are sorted with the same comparator over the same initial
-	// order, so the permutation (and with it the tie-breaking of equal
-	// radii) is identical.
 	tightIdx := 0
 	for i := 1; i < len(sm.cs); i++ {
 		if sm.cs[i].radiusKm < sm.cs[tightIdx].radiusKm {
@@ -132,7 +132,6 @@ func (sm *Sampler) Centroid() (Point, bool) {
 		}
 	}
 	tight0 := sm.cs[tightIdx]
-	sm.keep = sm.keep[:0]
 	for i := range sm.cs {
 		c := &sm.cs[i]
 		if (c.center == tight0.center && c.radiusKm == tight0.radiusKm) ||
@@ -143,7 +142,15 @@ func (sm *Sampler) Centroid() (Point, bool) {
 	slices.SortFunc(sm.keep, func(a, b int32) int {
 		return byRadius(sm.cs[a].radiusKm, sm.cs[b].radiusKm)
 	})
-	if len(sm.keep) == 0 {
+	return len(sm.keep) > 0
+}
+
+// Centroid estimates the centroid of the constraint intersection on the
+// DefaultSampleRings × DefaultSampleBearings polar grid of the tightest
+// surviving circle. ok is false when no constraints were added or no grid
+// point satisfies all of them.
+func (sm *Sampler) Centroid() (Point, bool) {
+	if !sm.Reduce() {
 		return Point{}, false
 	}
 	// Ascending order: keep[0] is the sample circle.
@@ -222,12 +229,24 @@ func GetSampler() *Sampler {
 // PutSampler returns a sampler to the package pool.
 func PutSampler(sm *Sampler) { samplerPool.Put(sm) }
 
-// Kept invokes fn for every constraint that survived the reduction of
-// the last Centroid call, in ascending-radius order. The set is exactly
-// Region.Reduced's. Valid until the next Reset.
+// Kept invokes fn for every constraint that survived the last reduction
+// (Reduce, or the one Centroid runs), in ascending-radius order. The set
+// is exactly Region.Reduced's. Valid until the next Reset.
 func (sm *Sampler) Kept(fn func(Circle)) {
 	for _, ki := range sm.keep {
 		c := &sm.cs[ki]
 		fn(Circle{Center: c.center, RadiusKm: c.radiusKm})
 	}
+}
+
+// KeptTrig appends the survivors of the last reduction to dst as
+// TrigCircles, in Kept's order, over the centre trig each was added with:
+// MakeTrigCircle of Region.Reduced's circles, bit for bit, when that trig
+// is MakeTrig of the centre (Add's, and the CBG matrix's cached trig).
+func (sm *Sampler) KeptTrig(dst []TrigCircle) []TrigCircle {
+	for _, ki := range sm.keep {
+		c := &sm.cs[ki]
+		dst = append(dst, TrigCircle{Center: c.center, T: c.t, RadiusKm: c.radiusKm, sMax: sMaxForRadius(c.radiusKm)})
+	}
+	return dst
 }

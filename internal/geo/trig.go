@@ -206,6 +206,31 @@ func (c TrigCircle) ContainsTrig(p Trig) bool {
 	return s <= c.sMax
 }
 
+// LatBand returns the latitudes, in radians, outside which ContainsTrig
+// accepts no point: a point it accepts has T.LatRad − w ≤ LatRad ≤
+// T.LatRad + w. ContainsTrig accepts on one of two paths. Its screen
+// accepts only when R·|Δlat| fits the radius, and its full test only when
+// s ≤ sMax, where s is sin²(Δlat/2) plus a cross term no lower than
+// −2⁻⁵² — so sin²(Δlat/2) ≤ sMax + sSlack on either path (sMax is the
+// largest s within the radius, sin²(r/2R) to the ulp, and sSlack dwarfs
+// both the cross term's dip and that ulp). w solves that bound for
+// |Δlat| and is padded by distBoundMargin and 1e-12 rad for the libm and
+// subtraction rounding. The band wraps neither pole nor antimeridian: a
+// latitude past ±π/2 simply admits every point up to the pole, and a
+// circle of half the circumference or more gets the whole range. lo > hi
+// when the circle contains nothing (a negative or NaN radius).
+func (c TrigCircle) LatBand() (lo, hi float64) {
+	if !(c.sMax >= 0) {
+		return 1, -1
+	}
+	s := c.sMax + sSlack
+	if s >= 1 {
+		return math.Inf(-1), math.Inf(1)
+	}
+	w := 2*math.Asin(math.Sqrt(s))*(1+distBoundMargin) + 1e-12
+	return c.T.LatRad - w, c.T.LatRad + w
+}
+
 // TrigCuts reports !(TrigDistance(a, b) + ra <= rb) — the constraint-
 // reduction verdict "circle (a, rb) is not swallowed by disk (b, ra)" —
 // bit-identically to evaluating the distance, but paying for the asin

@@ -233,6 +233,68 @@ func TestContainsTrigEdgeRadii(t *testing.T) {
 	}
 }
 
+// TestLatBandHoldsEveryContainedPoint: a point ContainsTrig accepts lies
+// inside the circle's LatBand. The boundary points are due north and due
+// south of the centre, where a circle's latitude reach is widest, at its
+// radius and a few ulps around it; radii run from zero past half the
+// circumference, and centres include the poles.
+func TestLatBandHoldsEveryContainedPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	iters := 200000
+	if testing.Short() {
+		iters = 20000
+	}
+	half := math.Pi * EarthRadiusKm
+	accepted := 0
+	for i := 0; i < iters; i++ {
+		center := randPoint(rng)
+		switch i % 7 {
+		case 0:
+			center.Lat = 90
+		case 1:
+			center.Lat = -89.9999
+		}
+		var r float64
+		switch i % 5 {
+		case 0:
+			r = rng.Float64() * 0.01
+		case 1:
+			r = rng.Float64() * 1.2 * half
+		default:
+			r = rng.Float64() * 3000
+		}
+		tc := MakeTrigCircle(Circle{Center: center, RadiusKm: r})
+		lo, hi := tc.LatBand()
+		var p Point
+		switch i % 3 {
+		case 0:
+			p = randPoint(rng)
+		default:
+			brng := 0.0
+			if i%2 == 0 {
+				brng = 180
+			}
+			p = Destination(center, brng, r*(1+(rng.Float64()-0.5)*1e-14))
+		}
+		pt := MakeTrig(p)
+		if !tc.ContainsTrig(pt) {
+			continue
+		}
+		accepted++
+		if pt.LatRad < lo || pt.LatRad > hi {
+			t.Fatalf("circle %v r=%v accepts %v (lat %v rad) outside its band [%v, %v]", center, r, p, pt.LatRad, lo, hi)
+		}
+	}
+	if accepted < iters/4 {
+		t.Fatalf("only %d of %d points accepted", accepted, iters)
+	}
+	for _, r := range []float64{-1, math.NaN()} {
+		if lo, hi := MakeTrigCircle(Circle{RadiusKm: r}).LatBand(); lo <= hi {
+			t.Errorf("radius %v: band [%v, %v], want empty", r, lo, hi)
+		}
+	}
+}
+
 // TestSMaxMonotoneBoundary checks the calibration invariant directly: the
 // distance of sMax itself fits the radius, and the next representable s
 // does not (unless sMax is already 1).

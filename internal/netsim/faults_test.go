@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"geoloc/internal/faults"
+	"geoloc/internal/rhash"
 	"geoloc/internal/world"
 )
 
@@ -149,5 +150,77 @@ func TestHopLossSilencesHops(t *testing.T) {
 	}
 	if silenced == 0 {
 		t.Error("HopLossProb=0.5 silenced nothing")
+	}
+}
+
+// refTraceroute is Traceroute as it was before TraceInto: a fresh hop
+// slice per trace, the faults applied to it afterwards.
+func refTraceroute(s *Sim, src, dst *world.Host, salt uint64) Trace {
+	sk, cum, oneWay := s.trip(src, dst)
+	st := rhash.New(s.W.Cfg.Seed, rhash.HashString("traceroute"), uint64(src.Addr), uint64(dst.Addr), salt)
+	var hops []skeletonHop
+	if sk != nil {
+		hops = sk.hops[:sk.n]
+	}
+	tr := Trace{Hops: make([]TraceHop, len(hops))}
+	for i, h := range hops {
+		jitter := st.Exp(s.Cfg.ICMPJitterMeanMs)
+		if st.Bool(s.Cfg.ICMPSpikeProb) {
+			jitter += math.Min(st.Exp(s.Cfg.ICMPSpikeMeanMs), s.Cfg.ICMPSpikeMaxMs)
+		}
+		tr.Hops[i] = TraceHop{RouterID: h.id, ASID: int(h.asID), RTTMs: 2*cum[i] + jitter, Responded: st.Bool(0.95)}
+	}
+	tr.DstRTTMs = 2*oneWay + st.Exp(s.Cfg.PingJitterMeanMs)
+	tr.DstResponded = st.Bool(dst.RespScore)
+	if f := s.Faults; f.Enabled() {
+		seed, srcA, dstA := s.W.Cfg.Seed, uint64(src.Addr), uint64(dst.Addr)
+		if cut := f.TruncateHop(seed, srcA, dstA, salt, len(tr.Hops)); cut >= 0 {
+			tr.Hops, tr.DstRTTMs, tr.DstResponded, tr.Truncated = tr.Hops[:cut], 0, false, true
+		}
+		for i := range tr.Hops {
+			if tr.Hops[i].Responded && f.HopLost(seed, srcA, dstA, salt, i) {
+				tr.Hops[i].Responded = false
+			}
+		}
+	}
+	return tr
+}
+
+// TestTraceIntoMatchesReference holds TraceInto, writing every trace into
+// one reused buffer, and the allocating Traceroute to refTraceroute on the
+// Tiny world under the none and hostile profiles: hop by hop, DstRTTMs bit
+// for bit, Truncated and DstResponded. The sampled pairs run every VP to
+// a spread of hosts, anchors and probes alike, so the hostile run cuts
+// traces and loses hop answers.
+func TestTraceIntoMatchesReference(t *testing.T) {
+	for _, prof := range []*faults.Profile{faults.None(), faults.Hostile()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			s := New(world.Generate(world.TinyConfig()))
+			s.Faults = prof
+			w := s.W
+			var buf TraceBuf
+			pairs, truncated := 0, 0
+			for _, v := range append(append([]int(nil), w.Anchors...), w.Probes...) {
+				src := w.Host(v)
+				for j := 0; j < len(w.Hosts); j += 37 {
+					dst := &w.Hosts[(j+v)%len(w.Hosts)]
+					salt := uint64(pairs)
+					want := refTraceroute(s, src, dst, salt)
+					if got := s.TraceInto(&buf, src, dst, salt); !sameTrace(got, want) {
+						t.Fatalf("TraceInto(%d → %d) = %+v, reference %+v", src.ID, dst.ID, got, want)
+					}
+					if got := s.Traceroute(src, dst, salt); !sameTrace(got, want) {
+						t.Fatalf("Traceroute(%d → %d) = %+v, reference %+v", src.ID, dst.ID, got, want)
+					}
+					pairs++
+					if want.Truncated {
+						truncated++
+					}
+				}
+			}
+			if prof.Enabled() && truncated == 0 {
+				t.Errorf("%d pairs and none truncated: the fault path went unexercised", pairs)
+			}
+		})
 	}
 }

@@ -112,22 +112,36 @@ type Trace struct {
 	Truncated bool
 }
 
-// Traceroute simulates a traceroute from src to dst. Hop RTTs carry ICMP
-// control-plane jitter: routers answer time-exceeded probes lazily, so a
-// hop's RTT routinely exceeds the destination's, which is precisely why
-// RTT-difference delay estimation (D1+D2 in the street level paper) is
-// unreliable. With fault injection enabled the traceroute may additionally
-// lose its tail (Truncated) or individual hop answers.
+// TraceBuf is caller-owned storage for one traceroute's hops: room for
+// the longest route. TraceInto writes into it, so a caller issuing many
+// traceroutes reuses one buffer and allocates nothing per trace.
+type TraceBuf [maxRouters]TraceHop
+
+// Traceroute simulates a traceroute from src to dst into a fresh buffer.
+// It is TraceInto for callers that keep a trace past the next one.
 func (s *Sim) Traceroute(src, dst *world.Host, salt uint64) Trace {
+	return s.TraceInto(new(TraceBuf), src, dst, salt)
+}
+
+// TraceInto simulates a traceroute from src to dst, writing its hops into
+// buf: the returned Trace's Hops alias buf and are valid until buf is
+// written again. Hop RTTs carry ICMP control-plane jitter: routers answer
+// time-exceeded probes lazily, so a hop's RTT routinely exceeds the
+// destination's, which is precisely why RTT-difference delay estimation
+// (D1+D2 in the street level paper) is unreliable. With fault injection
+// enabled the traceroute may additionally lose its tail (Truncated) or
+// individual hop answers. TraceInto allocates nothing once the pair's
+// skeleton is in the table.
+func (s *Sim) TraceInto(buf *TraceBuf, src, dst *world.Host, salt uint64) Trace {
 	s.m.traceroutes.Inc()
 	sk, cum, oneWay := s.trip(src, dst)
-	st := rhash.New(s.W.Cfg.Seed, rhash.HashString("traceroute"),
-		uint64(src.Addr), uint64(dst.Addr), salt)
+	st := rhash.Keyed(rhash.Hash(s.W.Cfg.Seed, rhash.HashString("traceroute"),
+		uint64(src.Addr), uint64(dst.Addr), salt))
 	var hops []skeletonHop
 	if sk != nil {
 		hops = sk.hops[:sk.n]
 	}
-	tr := Trace{Hops: make([]TraceHop, len(hops))}
+	tr := Trace{Hops: buf[:len(hops)]}
 	for i, h := range hops {
 		jitter := st.Exp(s.Cfg.ICMPJitterMeanMs)
 		if st.Bool(s.Cfg.ICMPSpikeProb) {

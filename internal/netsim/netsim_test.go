@@ -89,7 +89,8 @@ func TestPingAtLeastBaseRTT(t *testing.T) {
 // TestPingAllocs pins a ping on a warm skeleton at zero allocations: the
 // route is walked, not built, and no per-packet slice is kept. That holds
 // for a destination outside the access table too — an ephemeral web
-// server, whose access link is computed per call.
+// server, whose access link is computed per call. A traceroute into a
+// caller's TraceBuf allocates nothing either.
 func TestPingAllocs(t *testing.T) {
 	s := New(tw)
 	src, dst := hostPair(2, 3)
@@ -110,6 +111,13 @@ func TestPingAllocs(t *testing.T) {
 			s.Ping(src, c.dst, salt)
 		}); n != 0 {
 			t.Errorf("%s: Ping on a warm skeleton: %v allocations, want 0", c.name, n)
+		}
+		var buf TraceBuf
+		if n := testing.AllocsPerRun(200, func() {
+			salt++
+			s.TraceInto(&buf, src, c.dst, salt)
+		}); n != 0 {
+			t.Errorf("%s: TraceInto on a warm skeleton: %v allocations, want 0", c.name, n)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package streetlevel
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"geoloc/internal/core"
@@ -127,6 +128,35 @@ func refGeolocate(t *testing.T, p *Pipeline, target int) Result {
 	return res
 }
 
+// refLandmarkDelay is landmarkDelay with an allocated traceroute per
+// (landmark, VP) and a growing slice of sums.
+func refLandmarkDelay(p *Pipeline, vps []int, targetTraces []netsim.Trace, site *web.Website, target int) (float64, bool) {
+	var sums []float64
+	for i, vp := range vps {
+		if targetTraces[i].Truncated {
+			continue
+		}
+		ltrace := p.C.Platform.Traceroute(p.C.VPs[vp], &site.Server, saltSL(target, 4))
+		if ltrace.Truncated || !ltrace.DstResponded {
+			continue
+		}
+		ai, bi, ok := netsim.LastCommonHop(ltrace, targetTraces[i])
+		if !ok {
+			continue
+		}
+		sums = append(sums, ltrace.DstRTTMs-ltrace.Hops[ai].RTTMs+(targetTraces[i].DstRTTMs-targetTraces[i].Hops[bi].RTTMs))
+	}
+	if len(sums) == 0 {
+		return math.NaN(), false
+	}
+	sort.Float64s(sums)
+	delay := sums[0]
+	if p.Cfg.DelayAggregation == "median" {
+		delay = sums[len(sums)/2]
+	}
+	return delay, delay >= 0
+}
+
 // refSweep is the sweep with nothing deferred: a geo.Destination per
 // sample point, Region.Contains for membership, every POI placed, and
 // every candidate site resolved whole before the checks. A site that is
@@ -176,7 +206,7 @@ func refSweep(t *testing.T, p *Pipeline, res *Result, tier int, center geo.Point
 				if !web.RunChecks(site, place.Zip).Passed() {
 					continue
 				}
-				delay, usable := p.landmarkDelay(vps, targetTraces, &site, res.Target)
+				delay, usable := refLandmarkDelay(p, vps, targetTraces, &site, res.Target)
 				seen[poi.Key] = len(res.Landmarks)
 				res.Landmarks = append(res.Landmarks, Landmark{
 					Site: site, Zip: place.Zip, Tier: tier, DelayMs: delay, Usable: usable,

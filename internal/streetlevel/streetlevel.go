@@ -19,7 +19,7 @@ package streetlevel
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
@@ -238,17 +238,12 @@ func (p *Pipeline) Geolocate(target int) Result {
 	res.TimeSeconds += p.C.Platform.RoundSeconds(saltSL(target, 0))
 
 	// The ten lowest-RTT vantage points run all traceroutes.
-	vps := p.closestAnchorVPs(target, p.Cfg.NumVPs)
-	targetHost := c.Targets[target]
-	targetTraces := make([]netsim.Trace, len(vps))
-	for i, vp := range vps {
-		targetTraces[i] = c.Platform.Traceroute(c.VPs[vp], targetHost, saltSL(target, 1))
-	}
+	pr := p.newProbe(target)
 
 	seen := make(map[uint64]int) // site key -> index in res.Landmarks
 
 	// ---- Tier 2: coarse sweep around the tier-1 centroid.
-	p.sweep(&res, 2, res.Tier1, region1, p.Cfg.Tier2StepKm, p.fan(p.Cfg.Tier2Points), p.Cfg.MaxCircles, vps, targetTraces, seen)
+	p.sweep(&res, 2, res.Tier1, region1, p.Cfg.Tier2StepKm, p.fan(p.Cfg.Tier2Points), p.Cfg.MaxCircles, pr, seen)
 	res.TimeSeconds += p.C.Platform.RoundSeconds(saltSL(target, 2))
 
 	// New region from usable landmark delays.
@@ -258,7 +253,7 @@ func (p *Pipeline) Geolocate(target int) Result {
 	}
 
 	// ---- Tier 3: fine sweep around the tier-2 centroid.
-	p.sweep(&res, 3, center2, region2, p.Cfg.Tier3StepKm, p.fan(p.Cfg.Tier3Points), p.Cfg.Tier3MaxCircles, vps, targetTraces, seen)
+	p.sweep(&res, 3, center2, region2, p.Cfg.Tier3StepKm, p.fan(p.Cfg.Tier3Points), p.Cfg.Tier3MaxCircles, pr, seen)
 	res.TimeSeconds += p.C.Platform.RoundSeconds(saltSL(target, 3))
 
 	// Final mapping: the landmark with the smallest usable delay, tier-3
@@ -340,6 +335,28 @@ func (p *Pipeline) closestAnchorVPs(target, k int) []int {
 	return out
 }
 
+// probe is what one target's landmark delays are measured from: the
+// lowest-RTT anchor VPs, their traceroutes to the target, and the buffer
+// every landmark traceroute writes its hops into in turn — each landmark
+// trace is read by one landmarkDelay step and then dead.
+type probe struct {
+	vps    []int
+	traces []netsim.Trace
+	hops   netsim.TraceBuf
+}
+
+// newProbe picks the target's NumVPs lowest-RTT anchor VPs and runs their
+// traceroutes to it.
+func (p *Pipeline) newProbe(target int) *probe {
+	c := p.C
+	pr := &probe{vps: p.closestAnchorVPs(target, p.Cfg.NumVPs)}
+	pr.traces = make([]netsim.Trace, len(pr.vps))
+	for i, vp := range pr.vps {
+		pr.traces[i] = c.Platform.Traceroute(c.VPs[vp], c.Targets[target], saltSL(target, 1))
+	}
+	return pr
+}
+
 // sweep walks concentric circles around center, collecting landmarks from
 // every zip code whose sample points fall inside the region, and measures
 // each new landmark's delay to the target. Point i of circle k is
@@ -348,7 +365,7 @@ func (p *Pipeline) closestAnchorVPs(target, k int) []int {
 // ContainsTrig: both bit for bit. A site is placed only once it passes
 // the checks, the one step that reads where it is.
 func (p *Pipeline) sweep(res *Result, tier int, center geo.Point, region geo.Region,
-	stepKm float64, fan geo.Fan, maxCircles int, vps []int, targetTraces []netsim.Trace, seen map[uint64]int) {
+	stepKm float64, fan geo.Fan, maxCircles int, pr *probe, seen map[uint64]int) {
 
 	red := region.Reduced()
 	var buf [8]geo.TrigCircle
@@ -400,7 +417,7 @@ func (p *Pipeline) sweep(res *Result, tier int, center geo.Point, region geo.Reg
 					continue
 				}
 				p.Web.Place(&site, poi, &st)
-				delay, usable := p.landmarkDelay(vps, targetTraces, &site, res.Target)
+				delay, usable := p.landmarkDelay(pr, &site, res.Target)
 				seen[poi.Key] = len(res.Landmarks)
 				res.Landmarks = append(res.Landmarks, Landmark{
 					Site:    site,
@@ -437,23 +454,27 @@ func insideAll(tcs []geo.TrigCircle, pt geo.Point) bool {
 // D2 the same in the target traceroute. Pairs whose target or landmark
 // traceroute was truncated by platform faults are skipped entirely: a cut
 // trace has no destination RTT, so its D1+D2 would be garbage rather than
-// merely noisy.
-func (p *Pipeline) landmarkDelay(vps []int, targetTraces []netsim.Trace, site *web.Website, target int) (float64, bool) {
-	sums := make([]float64, 0, len(vps))
-	for i, vp := range vps {
-		if targetTraces[i].Truncated {
+// merely noisy. Each landmark traceroute is written into pr.hops and read
+// before the next one overwrites it, and the sums live in a fixed array
+// (NumVPs is 10), so a landmark allocates nothing.
+func (p *Pipeline) landmarkDelay(pr *probe, site *web.Website, target int) (float64, bool) {
+	var arr [16]float64
+	sums := arr[:0]
+	for i, vp := range pr.vps {
+		tt := pr.traces[i]
+		if tt.Truncated {
 			continue
 		}
-		ltrace := p.C.Platform.Traceroute(p.C.VPs[vp], &site.Server, saltSL(target, 4))
-		if ltrace.Truncated || !ltrace.DstResponded {
+		lt := p.C.Platform.TraceInto(&pr.hops, p.C.VPs[vp], &site.Server, saltSL(target, 4))
+		if lt.Truncated || !lt.DstResponded {
 			continue
 		}
-		ai, bi, ok := netsim.LastCommonHop(ltrace, targetTraces[i])
+		ai, bi, ok := netsim.LastCommonHop(lt, tt)
 		if !ok {
 			continue
 		}
-		d1 := ltrace.DstRTTMs - ltrace.Hops[ai].RTTMs
-		d2 := targetTraces[i].DstRTTMs - targetTraces[i].Hops[bi].RTTMs
+		d1 := lt.DstRTTMs - lt.Hops[ai].RTTMs
+		d2 := tt.DstRTTMs - tt.Hops[bi].RTTMs
 		sums = append(sums, d1+d2)
 	}
 	if len(sums) == 0 {
@@ -461,7 +482,7 @@ func (p *Pipeline) landmarkDelay(vps []int, targetTraces []netsim.Trace, site *w
 	}
 	var delay float64
 	if p.Cfg.DelayAggregation == "median" {
-		sort.Float64s(sums)
+		slices.Sort(sums)
 		delay = sums[len(sums)/2]
 	} else {
 		delay = sums[0]

@@ -56,6 +56,7 @@ func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstSte
 	ok := make([]bool, maxRounds-1)
 	res := MultiStepResult{}
 	cur := firstStep
+	var buf [8]geo.TrigCircle
 
 	// At step r the open rounds values are out[r:], and out[r] (rounds =
 	// r+2) finishes there whatever the candidate count.
@@ -63,14 +64,14 @@ func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstSte
 		res.Rounds = r + 1
 		res.Pings += int64(len(cur)) * RepPingsPerVP
 
-		region := regionFromSubset(repRTT, cur, target, geo.TwoThirdsC)
-		if len(region.Circles) == 0 {
+		region := reducedRegion(repRTT, cur, target, geo.TwoThirdsC, buf[:0])
+		if len(region) == 0 {
 			for i := r; i < len(out); i++ {
 				out[i] = res
 			}
 			return out, ok
 		}
-		candidates := regionCandidates(repRTT, meta, region.Reduced())
+		candidates := regionCandidates(repRTT, meta, region)
 		if len(candidates) == 0 {
 			candidates = cur
 		}

@@ -128,7 +128,7 @@ func TestMultiStepSweepMatchesOracle(t *testing.T) {
 			// early fit exactly on its boundary.
 			budgets := []int{20, 100, 400}
 			if region := regionFromSubset(m, firstStep, target, geo.TwoThirdsC); len(region.Circles) > 0 {
-				if n := len(regionCandidates(m, meta, region.Reduced())); n > 0 {
+				if n := len(refRegionCandidates(m, meta, region.Reduced())); n > 0 {
 					budgets = append(budgets, n)
 				}
 			}

@@ -12,6 +12,7 @@ package vpsel
 
 import (
 	"math"
+	"math/bits"
 
 	"geoloc/internal/cbg"
 	"geoloc/internal/geo"
@@ -191,11 +192,12 @@ func TwoStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target in
 	meters.twoStepSelects.Inc()
 	res := TwoStepResult{Pings: int64(len(firstStep)) * RepPingsPerVP}
 
-	region := regionFromSubset(repRTT, firstStep, target, geo.TwoThirdsC)
-	if len(region.Circles) == 0 {
+	var buf [8]geo.TrigCircle
+	region := reducedRegion(repRTT, firstStep, target, geo.TwoThirdsC, buf[:0])
+	if len(region) == 0 {
 		return res, false
 	}
-	candidates := regionCandidates(repRTT, meta, region.Reduced())
+	candidates := regionCandidates(repRTT, meta, region)
 	if len(candidates) == 0 {
 		// Fall back to the best first-step VP.
 		candidates = firstStep
@@ -212,36 +214,50 @@ func TwoStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target in
 	return res, true
 }
 
-// regionCandidates returns one VP per (AS, city) inside the reduced region,
-// in matrix order. The region is checked against every VP; precomputed
-// circle trig plus the matrix's per-VP trig replace the per-pair
-// deg2rad/cos work (the verdicts are bit-identical to red.Contains).
-func regionCandidates(repRTT *cbg.Matrix, meta []VPMeta, red geo.Region) []int {
-	redTrig := make([]geo.TrigCircle, len(red.Circles))
-	for i, c := range red.Circles {
-		redTrig[i] = geo.MakeTrigCircle(c)
-	}
-	type key struct{ as, city int }
-	seen := make(map[key]bool)
-	var candidates []int
-	for vp := range repRTT.VPs {
+// regionCandidates returns one VP per (AS, city) inside the reduced
+// region — the first in matrix order that every circle contains. tcs is
+// reducedRegion's answer, so tcs[0] is the tightest circle and is tested
+// first. On a sealed matrix only the VPs inside tcs[0]'s latitude band
+// are tested at all (geo.TrigCircle.LatBand drops no VP ContainsTrig
+// accepts); an unsealed one has no latitude order and is scanned whole.
+// The hits are marked in a VP bitset and deduplicated in VP order, so the
+// answer is the full scan's.
+func regionCandidates(repRTT *cbg.Matrix, meta []VPMeta, tcs []geo.TrigCircle) []int {
+	hits := make([]uint64, (len(repRTT.VPs)+63)/64)
+	mark := func(vp int) {
 		pt := repRTT.VPTrig(vp)
-		inside := true
-		for _, tc := range redTrig {
-			if !tc.ContainsTrig(pt) {
-				inside = false
-				break
+		for i := range tcs {
+			if !tcs[i].ContainsTrig(pt) {
+				return
 			}
 		}
-		if !inside {
-			continue
+		hits[vp>>6] |= 1 << (vp & 63)
+	}
+	var band []int32
+	banded := false
+	if len(tcs) > 0 {
+		band, banded = repRTT.LatBand(tcs[0].LatBand())
+	}
+	if banded {
+		for _, vp := range band {
+			mark(int(vp))
 		}
-		k := key{meta[vp].AS, meta[vp].City}
-		if seen[k] {
-			continue
+	} else {
+		for vp := range repRTT.VPs {
+			mark(vp)
 		}
-		seen[k] = true
-		candidates = append(candidates, vp)
+	}
+	seen := make(map[VPMeta]bool)
+	var candidates []int
+	for w, word := range hits {
+		for word != 0 {
+			vp := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if !seen[meta[vp]] {
+				seen[meta[vp]] = true
+				candidates = append(candidates, vp)
+			}
+		}
 	}
 	return candidates
 }
@@ -262,16 +278,22 @@ func lowestRTT(repRTT *cbg.Matrix, candidates []int, target int) int {
 	return best
 }
 
-// regionFromSubset builds the CBG constraint region for a target from a VP
-// subset of the matrix.
-func regionFromSubset(m *cbg.Matrix, subset []int, target int, speed float64) geo.Region {
-	var r geo.Region
+// reducedRegion appends to dst the reduced CBG constraint region of a
+// target from a VP subset of the matrix: Region.Reduced of the subset's
+// circles, bit for bit, as TrigCircles. The reduction is geo.Sampler's,
+// which decides containment with TrigCuts over the matrix's cached VP trig
+// instead of a haversine per circle. It appends nothing when no subset VP
+// has a usable measurement.
+func reducedRegion(m *cbg.Matrix, subset []int, target int, speed float64, dst []geo.TrigCircle) []geo.TrigCircle {
+	sm := geo.GetSampler()
+	defer geo.PutSampler(sm)
 	for _, vp := range subset {
 		rtt := float64(m.RTT[vp][target])
 		if math.IsNaN(rtt) || rtt < 0 {
 			continue
 		}
-		r.Add(geo.Circle{Center: m.VPs[vp], RadiusKm: geo.RTTToDistanceKm(rtt, speed)})
+		sm.AddTrig(m.VPs[vp], m.VPTrig(vp), geo.RTTToDistanceKm(rtt, speed))
 	}
-	return r
+	sm.Reduce()
+	return sm.KeptTrig(dst)
 }
