@@ -278,7 +278,7 @@ scale-smoke:
 # also streams every input through OpenReader + Next and holds the Reader
 # to Decode: same header, same records, the same end) and the one dataset
 # artifact reader, fed arbitrary images (FuzzDataset2Decoder, which also
-# holds FindBatch to Find) and Encode's framing of arbitrary records
+# holds FindBatch to Find, and both to the scanned records) and Encode's framing of arbitrary records
 # (FuzzDatasetDecoder). The socket side: ipaddr.Parse against
 # net/netip.ParseAddr (FuzzParse), /batch bodies against an
 # encoding/json + Find reference, status and bytes (FuzzBatchBody), every

@@ -54,23 +54,48 @@ func BenchmarkSpillRunPerRecord(b *testing.B) {
 // lockstep exists to overlap.
 const benchFindRecords = 1 << 20
 
-// benchFindReader maps a 1M-record artifact with a two-/24 hole after every
-// record and draws 1M uniform addresses, 90 % of them covered.
-func benchFindReader(b *testing.B) (*Reader2, []ipaddr.Addr) {
-	path := filepath.Join(b.TempDir(), "find.geodset2")
+// benchFindImages are the layouts the Find benchmarks read: "uniform"
+// leaves a two-/24 hole after every record (a fixed stride of 3, the
+// benchmark harness's layout), so every key sits on the straight line
+// through its block; "clustered" draws 2 % of the gaps up to 256 instead,
+// which throws keys off that line.
+var benchFindImages = []string{"uniform", "clustered"}
+
+// writeFindImage writes n records in the named layout to a file in dir and
+// returns its path and the records' keys.
+func writeFindImage(tb testing.TB, dir, layout string, n int) (string, []ipaddr.Prefix24) {
+	path := filepath.Join(dir, layout+".geodset2")
 	w, err := NewWriter2(path, Header{Seed: 1, Profile: "bench"}, 0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	const base, stride = 1 << 16, 3
-	for i := 0; i < benchFindRecords; i++ {
-		if err := w.Add(Record{Prefix: ipaddr.Prefix24(base + i*stride), RadiusKm: 1}); err != nil {
-			b.Fatal(err)
+	rs := rhash.New(0xC1A5, 2)
+	keys := make([]ipaddr.Prefix24, n)
+	p := ipaddr.Prefix24(1 << 16)
+	for i := range keys {
+		if i > 0 {
+			gap := 3
+			if layout == "clustered" && rs.Bool(0.02) {
+				gap = 1 + rs.Intn(256)
+			}
+			p += ipaddr.Prefix24(gap)
+		}
+		keys[i] = p
+		if err := w.Add(Record{Prefix: p, RadiusKm: 1}); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	if _, err := w.Finish(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return path, keys
+}
+
+// benchFindReader maps a 1M-record artifact in the named layout and draws
+// 1M addresses uniformly over its records, 10 % of them moved one /24 up
+// (into the hole after the record, on the uniform image).
+func benchFindReader(b *testing.B, layout string) (*Reader2, []ipaddr.Addr) {
+	path, keys := writeFindImage(b, b.TempDir(), layout, benchFindRecords)
 	r2, err := Open2(path)
 	if err != nil {
 		b.Fatal(err)
@@ -79,49 +104,57 @@ func benchFindReader(b *testing.B) (*Reader2, []ipaddr.Addr) {
 	rs := rhash.New(0xF1D, 1)
 	addrs := make([]ipaddr.Addr, 1<<20)
 	for i := range addrs {
-		p := ipaddr.Prefix24(base + rs.Intn(benchFindRecords)*stride)
+		p := keys[rs.Intn(len(keys))]
 		if rs.Bool(0.1) {
-			p++ // the hole after the record
+			p++
 		}
 		addrs[i] = p.Addr(byte(i))
 	}
 	return r2, addrs
 }
 
-// BenchmarkFind is one Find per address, one after another.
+// BenchmarkFind is one Find per address, one after another, on each image.
 func BenchmarkFind(b *testing.B) {
-	r2, addrs := benchFindReader(b)
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := r2.Find(addrs[i%len(addrs)]); err != nil {
-			b.Fatal(err)
-		} else if ok {
-			hits++
-		}
+	for _, layout := range benchFindImages {
+		b.Run(layout, func(b *testing.B) {
+			r2, addrs := benchFindReader(b, layout)
+			b.ResetTimer()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				if _, ok, err := r2.Find(addrs[i%len(addrs)]); err != nil {
+					b.Fatal(err)
+				} else if ok {
+					hits++
+				}
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
 	}
-	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
 }
 
 // BenchmarkFindBatch is the same stream through FindBatch, 256 addresses a
 // call; one op is still one address.
 func BenchmarkFindBatch(b *testing.B) {
-	r2, addrs := benchFindReader(b)
-	out := make([]Answer, 256)
-	b.ResetTimer()
-	hits := 0
-	for done := 0; done < b.N; {
-		off := done % len(addrs)
-		n := min(len(out), b.N-done, len(addrs)-off)
-		r2.FindBatch(addrs[off:off+n], out)
-		for _, a := range out[:n] {
-			if a.Err != nil {
-				b.Fatal(a.Err)
-			} else if a.Found {
-				hits++
+	for _, layout := range benchFindImages {
+		b.Run(layout, func(b *testing.B) {
+			r2, addrs := benchFindReader(b, layout)
+			out := make([]Answer, 256)
+			b.ResetTimer()
+			hits := 0
+			for done := 0; done < b.N; {
+				off := done % len(addrs)
+				n := min(len(out), b.N-done, len(addrs)-off)
+				r2.FindBatch(addrs[off:off+n], out)
+				for _, a := range out[:n] {
+					if a.Err != nil {
+						b.Fatal(a.Err)
+					} else if a.Found {
+						hits++
+					}
+				}
+				done += n
 			}
-		}
-		done += n
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
 	}
-	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
 }

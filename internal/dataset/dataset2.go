@@ -254,12 +254,13 @@ func (w *Writer2) NumBlocks() int { return len(w.enc.index) }
 // byte slice: a read-only mapping of the file where the platform and
 // filesystem allow it (Open2), the bytes on the heap otherwise
 // (NewReader2, and Open2's fallback). Either way there is one read path:
-// a lookup binary-searches the block index, slices the block's payload
-// out of the image and binary-searches the fixed-size records in place —
-// no copies, no lock, no cache; for a mapping the page cache is the
-// cache. Each block's CRC and sort invariants are verified once, on
-// first touch, and remembered in a per-block atomic bitmap. Safe for
-// concurrent use.
+// a lookup searches the block index, slices the block's payload out of
+// the image and searches the fixed-size records in place — no copies, no
+// lock, no cache; for a mapping the page cache is the cache. Each level
+// is bisected only inside the window a straight-line guess leaves
+// (findbatch.go). Each block's CRC and sort invariants are verified once,
+// on first touch, and remembered with the block's window in one atomic
+// state word. Safe for concurrent use.
 //
 // Lifecycle: a reader is born with one owner reference; Close drops it.
 // In-flight requests that must outlive a hot-swap pin the reader
@@ -275,8 +276,13 @@ type Reader2 struct {
 	first   []uint32 // blocks[i].first, packed: the level-1 search array (findbatch.go)
 	records int
 
-	// verified is the per-block verified-on-first-touch bitmap.
-	verified []atomic.Uint32
+	// firstBelow and firstAbove are the level-1 window over first: how far
+	// guess overshoots and undershoots a first key's index (findbatch.go).
+	firstBelow, firstAbove int
+
+	// state is one word per block: zero until the block's first clean
+	// check, then its window (packWindow).
+	state []atomic.Uint32
 
 	// refs counts the owner reference plus every in-flight pin; closed
 	// makes Close idempotent.
@@ -387,7 +393,7 @@ func NewReader2(data []byte) (*Reader2, error) {
 	n := len(payload) / indexEntryLen
 	d.blocks = make([]blockMeta, n)
 	d.first = make([]uint32, n)
-	d.verified = make([]atomic.Uint32, (n+31)/32)
+	d.state = make([]atomic.Uint32, n)
 	total := uint64(0)
 	minOff := int64(len(Magic2)) + checkpoint.FrameOverhead
 	for i := range d.blocks {
@@ -423,6 +429,10 @@ func NewReader2(data []byte) (*Reader2, error) {
 		return nil, fmt.Errorf("%w: footer says %d records, index sums to %d", ErrCorrupt, records, total)
 	}
 	d.records = int(records)
+	for j, k := range d.first {
+		g := guess(k, d.first[0], d.first[n-1], n)
+		d.firstBelow, d.firstAbove = max(d.firstBelow, g-j), max(d.firstAbove, j-g)
+	}
 	meters.decodes.Inc()
 	return d, nil
 }
@@ -515,74 +525,74 @@ func (d *Reader2) release() {
 	d.data = nil
 }
 
-// blockPayload returns block i's frame payload as a slice of the image,
-// verifying the frame CRC and every record's decode and sort invariants
-// once per block: the first toucher pays the full check, every later
-// reader sees the set bit and slices straight in. A corrupt block is
-// therefore detected on first touch, with the package's named errors,
-// never a panic — and keeps being reported, since the bit is only ever
-// set after a clean check.
-func (d *Reader2) blockPayload(i int) ([]byte, error) {
+// blockPayload returns block i's frame payload as a slice of the image
+// and the block's state word, verifying the frame CRC and every record's
+// decode and sort invariants once per block: the first toucher pays the
+// full check and stores the window it measured, every later reader sees a
+// non-zero word and slices straight in. Two first touchers store the same
+// word. A corrupt block is therefore detected on first touch, with the
+// package's named errors, never a panic — and keeps being reported, since
+// the word is only ever stored after a clean check.
+func (d *Reader2) blockPayload(i int) ([]byte, uint32, error) {
 	b := &d.blocks[i]
-	w := &d.verified[i>>5]
-	bit := uint32(1) << (uint(i) & 31)
-	if w.Load()&bit != 0 {
-		return d.data[b.off+checkpoint.FrameOverhead : b.off+checkpoint.FrameOverhead+int64(b.plen)], nil
+	if st := d.state[i].Load(); st != 0 {
+		return d.data[b.off+checkpoint.FrameOverhead : b.off+checkpoint.FrameOverhead+int64(b.plen)], st, nil
 	}
-	payload, err := d.verifyBlock(i)
+	payload, st, err := d.verifyBlock(i)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	for {
-		old := w.Load()
-		if old&bit != 0 || w.CompareAndSwap(old, old|bit) {
-			return payload, nil
-		}
-	}
+	d.state[i].Store(st)
+	return payload, st, nil
 }
 
 // verifyBlock checks block i in full — frame kind, length and CRC, the
 // record count, every record's decode, strictly ascending keys, and the
-// index entry's [first, last] — and returns its payload.
-func (d *Reader2) verifyBlock(i int) ([]byte, error) {
+// index entry's [first, last] — and returns its payload and its state
+// word, the window measured in the same walk.
+func (d *Reader2) verifyBlock(i int) ([]byte, uint32, error) {
 	b := &d.blocks[i]
 	kind, payload, err := frameAt(d.data, b.off, b.off+checkpoint.FrameOverhead+int64(b.plen), int(b.plen))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if kind != kindBlock {
-		return nil, fmt.Errorf("%w: block %d frame has kind %d", ErrCorrupt, i, kind)
+		return nil, 0, fmt.Errorf("%w: block %d frame has kind %d", ErrCorrupt, i, kind)
 	}
 	if len(payload) != int(b.plen) {
-		return nil, fmt.Errorf("%w: block %d payload size mismatch", ErrCorrupt, i)
+		return nil, 0, fmt.Errorf("%w: block %d payload size mismatch", ErrCorrupt, i)
 	}
 	count := int(binary.LittleEndian.Uint16(payload))
 	if count != int(b.count) {
-		return nil, fmt.Errorf("%w: block %d holds %d records, index says %d", ErrCorrupt, i, count, b.count)
+		return nil, 0, fmt.Errorf("%w: block %d holds %d records, index says %d", ErrCorrupt, i, count, b.count)
 	}
 	var first, prev ipaddr.Prefix24
+	below, above := 0, 0
 	for k := 0; k < count; k++ {
 		r, err := decodeRecord(payload[2+k*recordPayloadLen : 2+(k+1)*recordPayloadLen])
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if k == 0 {
 			first = r.Prefix
 		} else if prev >= r.Prefix {
-			return nil, fmt.Errorf("%w: block %d records not strictly sorted at %d", ErrCorrupt, i, k)
+			return nil, 0, fmt.Errorf("%w: block %d records not strictly sorted at %d", ErrCorrupt, i, k)
 		}
 		prev = r.Prefix
+		g := guess(uint32(r.Prefix), uint32(b.first), uint32(b.last), count)
+		below, above = max(below, g-k), max(above, k-g)
 	}
 	if first != b.first || prev != b.last {
-		return nil, fmt.Errorf("%w: block %d key range does not match its index entry", ErrCorrupt, i)
+		return nil, 0, fmt.Errorf("%w: block %d key range does not match its index entry", ErrCorrupt, i)
 	}
-	return payload, nil
+	return payload, packWindow(below, above), nil
 }
 
 // Lookup returns the record for exactly prefix p, touching at most one
-// block. Fixed-size record payloads make the in-block binary search a
-// pointer-arithmetic walk over the image, and only the single matching
-// record is decoded: no copies, no lock, no allocation.
+// block. Fixed-size record payloads make the in-block binary search —
+// over the block's window only — a pointer-arithmetic walk over the
+// image, and only the single matching record is decoded: no copies, no
+// lock, no allocation.
 func (d *Reader2) Lookup(p ipaddr.Prefix24) (Record, bool, error) {
 	if d.refs.Load() <= 0 {
 		return Record{}, false, ErrClosed
@@ -596,12 +606,13 @@ func (d *Reader2) Lookup(p ipaddr.Prefix24) (Record, bool, error) {
 	if p < d.blocks[i].first || p > d.blocks[i].last {
 		return Record{}, false, nil
 	}
-	payload, err := d.blockPayload(i)
+	payload, st, err := d.blockPayload(i)
 	if err != nil {
 		return Record{}, false, err
 	}
 	n := int(d.blocks[i].count)
-	lo, hi := 0, n
+	lo, w := d.blocks[i].window(uint32(p), st)
+	hi := lo + w
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		key := ipaddr.Prefix24(binary.LittleEndian.Uint32(payload[2+mid*recordPayloadLen:]))
@@ -637,7 +648,7 @@ func (d *Reader2) All(fn func(Record) error) error {
 		return ErrClosed
 	}
 	for i := range d.blocks {
-		payload, err := d.blockPayload(i)
+		payload, _, err := d.blockPayload(i)
 		if err != nil {
 			return err
 		}

@@ -143,7 +143,8 @@ func FuzzDatasetDecoder(f *testing.F) {
 // allocations, every failure a named error — torn blocks, bad CRCs and
 // out-of-order keys included. When the file opens, a full scan must
 // yield exactly the advertised record count in strictly ascending
-// order, and every scanned record must be findable by Lookup.
+// order, every scanned record must be findable by Lookup, and every
+// edge probe must get from Find what the scanned records say.
 //
 // Run locally with:
 //
@@ -167,6 +168,7 @@ func FuzzDataset2Decoder(f *testing.F) {
 		}
 		answers := make([]Answer, len(probes))
 		r2.FindBatch(probes, answers)
+		found := make([]Answer, len(probes))
 		for i, a := range probes {
 			r, ok, err := r2.Find(a)
 			if err != nil && !namedDecodeError(err) {
@@ -175,6 +177,7 @@ func FuzzDataset2Decoder(f *testing.F) {
 			if !sameAnswer(answers[i], r, ok, err) {
 				t.Fatalf("FindBatch(%s) = %+v, Find says (%+v, %v, %v)", a, answers[i], r, ok, err)
 			}
+			found[i] = Answer{Rec: r, Found: ok, Err: err}
 		}
 		var recs []Record
 		scanErr := r2.All(func(r Record) error {
@@ -189,6 +192,18 @@ func FuzzDataset2Decoder(f *testing.F) {
 		}
 		if len(recs) != r2.NumRecords() {
 			t.Fatalf("scan yielded %d records, footer advertised %d", len(recs), r2.NumRecords())
+		}
+		// The edge probes against the scan, which reads no window: both
+		// search paths share them, so agreeing with each other is not enough.
+		scanned := make(map[ipaddr.Prefix24]Record, len(recs))
+		for _, r := range recs {
+			scanned[r.Prefix] = r
+		}
+		for i, a := range probes {
+			want, ok := scanned[ipaddr.Prefix24Of(a)]
+			if !sameAnswer(found[i], want, ok, nil) {
+				t.Fatalf("edge probe %s: Find said %+v, the scan says (%+v, %v)", a, found[i], want, ok)
+			}
 		}
 		for i, r := range recs {
 			if i > 0 && recs[i-1].Prefix >= r.Prefix {

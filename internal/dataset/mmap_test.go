@@ -160,8 +160,8 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 	t.Run("block-crc-first-touch", func(t *testing.T) {
 		// Damage inside a block is invisible to open-time validation; the
 		// first lookup that touches the block through the mapping must
-		// report ErrCorrupt — and keep reporting it (the verified bit is
-		// only ever set after a clean check).
+		// report ErrCorrupt — and keep reporting it (the block's state
+		// word is only ever stored after a clean check).
 		hdrPlen := int(binary.LittleEndian.Uint32(img[len(Magic2)+1:]))
 		blockOff := len(Magic2) + checkpoint.FrameOverhead + hdrPlen
 		bad := append([]byte(nil), img...)
@@ -330,8 +330,9 @@ func TestMappedPinLifecycle(t *testing.T) {
 }
 
 // TestMappedConcurrentFirstTouch: many goroutines race the first-touch
-// verification of the same blocks; everyone must see consistent answers
-// (run under -race in CI).
+// verification of the same blocks, which also publishes each block's
+// window — half of them through Lookup, half through FindBatch; everyone
+// must see consistent answers (run under -race in CI).
 func TestMappedConcurrentFirstTouch(t *testing.T) {
 	ds := compiled(t)
 	m, err := Open2(writeV2(t, ds, 2))
@@ -345,10 +346,21 @@ func TestMappedConcurrentFirstTouch(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			recs := ds.Records[(g*7)%len(ds.Records):]
+			addrs := make([]ipaddr.Addr, len(recs))
+			for i, r := range recs {
+				addrs[i] = r.Prefix.Addr(byte(g))
+			}
+			out := make([]Answer, len(recs))
 			for pass := 0; pass < 3; pass++ {
-				for i := (g * 7) % len(ds.Records); i < len(ds.Records); i++ {
-					want := ds.Records[i]
-					got, ok, err := m.Lookup(want.Prefix)
+				if g%2 == 1 {
+					m.FindBatch(addrs, out)
+				}
+				for i, want := range recs {
+					got, ok, err := out[i].Rec, out[i].Found, out[i].Err
+					if g%2 == 0 {
+						got, ok, err = m.Lookup(want.Prefix)
+					}
 					if err != nil || !ok || got != want {
 						errs <- fmt.Errorf("goroutine %d: lookup %s: (%+v, %v, %v)", g, want.Prefix, got, ok, err)
 						return
