@@ -99,7 +99,7 @@ func BenchmarkAblations(b *testing.B)    { benchExperiment(b, experiments.Ablati
 func BenchmarkChaos(b *testing.B) {
 	var retries, credits, failures int64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.ChaosSweep(world.TinyConfig())
+		rows := experiments.ChaosSweep(world.TinyConfig(), nil)
 		if len(rows) == 0 {
 			b.Fatal("chaos produced no rows")
 		}

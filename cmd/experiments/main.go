@@ -80,7 +80,7 @@ func main() {
 			}
 			out = filepath.Join(dir, "geodset.bin")
 		}
-		runStreamScale(n, out, *ckptDir, *resume, *keepSpill)
+		runStreamScale(n, out, *ckptDir, *resume, *keepSpill, tele.Registry())
 		return
 	}
 
@@ -113,12 +113,7 @@ func main() {
 
 	start := time.Now()
 	log.Printf("preparing %s-scale campaign (sanitize + matrices)...", *scale)
-	var c *core.Campaign
-	if prof != nil {
-		c = core.NewResilientCampaign(cfg, prof)
-	} else {
-		c = core.NewCampaign(cfg)
-	}
+	c := core.NewResilientCampaign(cfg, prof, tele.Registry())
 	tele.Attach("campaign", c.Platform.Reg)
 
 	rc := core.RunConfig{Resume: *resume}
@@ -399,7 +394,7 @@ type expSummary struct {
 // a panic into an error so one broken figure cannot take down the rest of
 // the run.
 func runProtected(e experiments.Experiment, ctx *experiments.Context) (rep *experiments.Report, err error) {
-	defer telemetry.Default().StartSpan("experiment." + e.ID).End()
+	defer ctx.C.Metrics.StartSpan("experiment." + e.ID).End()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())

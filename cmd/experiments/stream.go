@@ -9,18 +9,20 @@ import (
 
 	"geoloc/internal/core"
 	"geoloc/internal/dataset"
+	"geoloc/internal/telemetry"
 )
 
 // runStreamScale measures targets /24s in bounded windows, spills each
 // window as a sealed checkpoint run, and k-way merges the runs into a
 // GEODSET2 artifact. Peak memory is proportional to the window, not to
-// targets — the property the dataset memory-ceiling test pins.
-func runStreamScale(targets int, artifact, ckptDir string, resume, keepSpill bool) {
+// targets — the property the dataset memory-ceiling test pins. The campaign
+// and the compile meter into reg.
+func runStreamScale(targets int, artifact, ckptDir string, resume, keepSpill bool, reg *telemetry.Registry) {
 	start := time.Now()
 	window := dataset.DefaultStreamWindow
 	log.Printf("streaming campaign: %d targets, window %d", targets, window)
 
-	src, err := core.NewStreamScale(targets)
+	src, err := core.NewStreamScale(targets, reg)
 	if err != nil {
 		log.Fatalf("stream spec: %v", err)
 	}
@@ -39,6 +41,7 @@ func runStreamScale(targets int, artifact, ckptDir string, resume, keepSpill boo
 		SpillDir:  spill,
 		Resume:    resume,
 		KeepSpill: keepSpill,
+		Metrics:   reg,
 		OnWindowSpilled: func(w int) error {
 			if time.Since(lastLog) >= 5*time.Second || w == windows-1 {
 				lastLog = time.Now()

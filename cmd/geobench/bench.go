@@ -503,13 +503,13 @@ func doSwap(client *http.Client, cfg Config) (uint64, error) {
 // tally folds the samples into the ledger, percentiles, and violations.
 // Latency percentiles come from a fixed-bucket histogram over the same
 // bounds the server's own telemetry uses
-// (telemetry.DefaultLatencyBoundsMs), not from sorting every sample: at
+// (telemetry.LatencyBoundsMs), not from sorting every sample: at
 // full-routable-IPv4 request counts a sort is O(n log n) in memory the
 // bench does not need, and sharing the server's bounds means a client
 // percentile and the scraped /metrics histogram are bucketed
 // identically and can be compared directly.
 func tally(cfg Config, rep *Report, samples []sample) {
-	hist := newLatencyHist(telemetry.DefaultLatencyBoundsMs)
+	hist := newLatencyHist(telemetry.LatencyBoundsMs)
 	for _, s := range samples {
 		if s.status == 0 {
 			rep.Dropped++

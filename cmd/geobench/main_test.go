@@ -303,7 +303,7 @@ func TestPercentile(t *testing.T) {
 // that actually holds the rank, never leave [min, max], and be monotone
 // in q.
 func TestHistQuantile(t *testing.T) {
-	bounds := telemetry.DefaultLatencyBoundsMs
+	bounds := telemetry.LatencyBoundsMs
 	if h := newLatencyHist(bounds); h.quantile(0.5) != 0 {
 		t.Errorf("empty histogram quantile = %f, want 0", h.quantile(0.5))
 	}

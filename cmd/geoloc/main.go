@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys := geoloc.NewSystemFromConfig(cfg, experiments.QuickOptions())
+	sys := geoloc.NewSystemFromConfig(cfg, experiments.QuickOptions(), tele.Registry())
 	tele.Attach("campaign", sys.Campaign().Platform.Reg)
 
 	var idx []int

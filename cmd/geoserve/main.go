@@ -83,6 +83,7 @@ type options struct {
 
 	accessLog *slog.Logger
 	reg       *telemetry.Registry
+	pipeline  *telemetry.Registry // the CLI's run registry; nil meters nothing
 }
 
 func main() {
@@ -139,9 +140,10 @@ func main() {
 	flag.Parse()
 	tele.Start()
 	o.accessLog = tele.Logger()
-	// The serving registry is always enabled — GET /metrics is part of
-	// the serving contract, not an opt-in diagnostic like the global
-	// default registry (which stays gated behind the telemetry flags).
+	o.pipeline = tele.Registry()
+	// The serving registry always exists — GET /metrics is part of the
+	// serving contract, not an opt-in diagnostic like the run registry
+	// (which only the telemetry flags build).
 	o.reg = telemetry.New()
 	tele.Attach("geoserve", o.reg)
 
@@ -175,7 +177,7 @@ func run(o options) error {
 	// -write's path, or a temporary one removed when serving ends — and
 	// served from there like any other.
 	if o.dsPath == "" {
-		path, cleanup, err := compileArtifact(o.scale, o.unsanitized, o.writePath)
+		path, cleanup, err := compileArtifact(o.scale, o.unsanitized, o.writePath, o.pipeline)
 		if err != nil {
 			return err
 		}
@@ -280,8 +282,9 @@ func listenAndServe(o options, h http.Handler, servers []*serve.Server, startDra
 // the external-merge compiler, spilling into a temporary directory beside
 // the artifact. A named scale compiles its campaign, bytes identical to
 // dataset.Compile(...).Write; a target count streams a synthetic one,
-// which has no removed anchors for -unsanitized to add.
-func compileArtifact(scale string, unsanitized bool, out string) (path string, cleanup func(), err error) {
+// which has no removed anchors for -unsanitized to add. The campaign and
+// the compile meter into reg.
+func compileArtifact(scale string, unsanitized bool, out string, reg *telemetry.Registry) (path string, cleanup func(), err error) {
 	var (
 		src   dataset.Source
 		hdr   dataset.Header
@@ -292,7 +295,7 @@ func compileArtifact(scale string, unsanitized bool, out string) (path string, c
 		if unsanitized {
 			return "", nil, errors.New("-unsanitized with a target-count -scale: a streamed campaign has no removed anchors")
 		}
-		s, err := core.NewStreamScale(n)
+		s, err := core.NewStreamScale(n, reg)
 		if err != nil {
 			return "", nil, err
 		}
@@ -302,7 +305,7 @@ func compileArtifact(scale string, unsanitized bool, out string) (path string, c
 		if err != nil {
 			return "", nil, err
 		}
-		c := core.NewCampaign(cfg)
+		c := core.NewResilientCampaign(cfg, nil, reg)
 		src, hdr, extra = dataset.NewCampaignSource(c), dataset.CampaignHeader(c), dataset.CampaignExtras(c, opts)
 	}
 
@@ -324,7 +327,7 @@ func compileArtifact(scale string, unsanitized bool, out string) (path string, c
 
 	start := time.Now()
 	log.Printf("compiling %s-scale artifact to %s...", scale, out)
-	stats, err := dataset.CompileExternal(out, src, hdr, opts, extra, dataset.StreamConfig{SpillDir: spill})
+	stats, err := dataset.CompileExternal(out, src, hdr, opts, extra, dataset.StreamConfig{SpillDir: spill, Metrics: reg})
 	if err != nil {
 		cleanup()
 		return "", nil, err

@@ -37,7 +37,7 @@ func TestRunWrite(t *testing.T) {
 		}
 		return b
 	}
-	stream, err := core.NewStreamScale(3000)
+	stream, err := core.NewStreamScale(3000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

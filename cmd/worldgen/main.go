@@ -42,7 +42,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	span := telemetry.Default().StartSpan("phase.worldgen")
+	span := tele.Registry().StartSpan("phase.worldgen")
 	w := world.Generate(cfg)
 	span.End()
 	if ctx.Err() != nil {

@@ -19,7 +19,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	sys := geoloc.NewSystemFromConfig(world.MediumConfig(), experiments.QuickOptions())
+	sys := geoloc.NewSystemFromConfig(world.MediumConfig(), experiments.QuickOptions(), nil)
 	c := sys.Campaign()
 
 	mm := &geodb.MaxMindFree{W: c.W}

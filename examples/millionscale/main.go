@@ -20,7 +20,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	sys := geoloc.NewSystemFromConfig(world.MediumConfig(), experiments.QuickOptions())
+	sys := geoloc.NewSystemFromConfig(world.MediumConfig(), experiments.QuickOptions(), nil)
 	c := sys.Campaign()
 	fmt.Printf("campaign: %d VPs, %d targets\n\n", len(c.VPs), len(c.Targets))
 

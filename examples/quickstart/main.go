@@ -18,7 +18,7 @@ func main() {
 
 	// A tiny world keeps the quickstart instant; swap in
 	// geoloc.NewSystem(geoloc.PaperScale) for the full 723-target campaign.
-	sys := geoloc.NewSystemFromConfig(world.TinyConfig(), experiments.QuickOptions())
+	sys := geoloc.NewSystemFromConfig(world.TinyConfig(), experiments.QuickOptions(), nil)
 	fmt.Printf("campaign ready: %d targets\n\n", sys.NumTargets())
 
 	targets := sys.Targets()

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	sys := geoloc.NewSystemFromConfig(world.TinyConfig(), experiments.QuickOptions())
+	sys := geoloc.NewSystemFromConfig(world.TinyConfig(), experiments.QuickOptions(), nil)
 	c := sys.Campaign()
 	pipe := streetlevel.New(c)
 

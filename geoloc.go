@@ -32,6 +32,7 @@ import (
 	"geoloc/internal/experiments"
 	"geoloc/internal/geo"
 	"geoloc/internal/streetlevel"
+	"geoloc/internal/telemetry"
 	"geoloc/internal/vpsel"
 	"geoloc/internal/world"
 )
@@ -111,13 +112,14 @@ type System struct {
 // the expensive step (seconds at MediumScale, tens of seconds at
 // PaperScale); everything after it is cheap and deterministic.
 func NewSystem(s Scale) *System {
-	return NewSystemFromConfig(s.Config(), experiments.DefaultOptions())
+	return NewSystemFromConfig(s.Config(), experiments.DefaultOptions(), nil)
 }
 
 // NewSystemFromConfig prepares a campaign from an explicit world
-// configuration and experiment options.
-func NewSystemFromConfig(cfg world.Config, opts experiments.Options) *System {
-	c := core.NewCampaign(cfg)
+// configuration and experiment options, metering into reg (nil meters
+// nothing).
+func NewSystemFromConfig(cfg world.Config, opts experiments.Options, reg *telemetry.Registry) *System {
+	c := core.NewResilientCampaign(cfg, nil, reg)
 	c.BuildMatrices()
 	return &System{
 		campaign: c,

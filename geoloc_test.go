@@ -9,7 +9,7 @@ import (
 )
 
 // sys is a shared tiny-scale system for the facade tests.
-var sys = NewSystemFromConfig(world.TinyConfig(), experiments.QuickOptions())
+var sys = NewSystemFromConfig(world.TinyConfig(), experiments.QuickOptions(), nil)
 
 func TestScaleConfigs(t *testing.T) {
 	if TinyScale.Config().Probes >= PaperScale.Config().Probes {

@@ -16,7 +16,7 @@ import (
 )
 
 var mediumSys = func() *System {
-	return NewSystemFromConfig(world.MediumConfig(), experiments.QuickOptions())
+	return NewSystemFromConfig(world.MediumConfig(), experiments.QuickOptions(), nil)
 }()
 
 func TestIntegrationSanitizerExactAtMediumScale(t *testing.T) {
@@ -94,8 +94,8 @@ func TestIntegrationFig5aShape(t *testing.T) {
 }
 
 func TestIntegrationDeterministicAcrossSystems(t *testing.T) {
-	a := NewSystemFromConfig(world.TinyConfig(), experiments.QuickOptions())
-	b := NewSystemFromConfig(world.TinyConfig(), experiments.QuickOptions())
+	a := NewSystemFromConfig(world.TinyConfig(), experiments.QuickOptions(), nil)
+	b := NewSystemFromConfig(world.TinyConfig(), experiments.QuickOptions(), nil)
 	for ti := 0; ti < a.NumTargets(); ti += 3 {
 		ea, erra := a.LocateCBG(ti)
 		eb, errb := b.LocateCBG(ti)

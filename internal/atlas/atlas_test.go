@@ -10,7 +10,7 @@ import (
 
 func newPlatform() *Platform {
 	w := world.Generate(world.TinyConfig())
-	return New(w, netsim.New(w))
+	return New(w, netsim.New(w, nil))
 }
 
 func TestPingCountsAndCredits(t *testing.T) {

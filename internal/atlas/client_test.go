@@ -13,7 +13,7 @@ import (
 // faultyPlatform is a tiny world's platform whose simulator injects prof.
 func faultyPlatform(prof *faults.Profile) *Platform {
 	w := world.Generate(world.TinyConfig())
-	sim := netsim.New(w)
+	sim := netsim.New(w, nil)
 	sim.Faults = prof
 	return New(w, sim)
 }

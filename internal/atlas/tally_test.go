@@ -18,7 +18,7 @@ import (
 func TestClientStatsMatchTally(t *testing.T) {
 	w := world.Generate(world.TinyConfig())
 	for _, prof := range experiments.ChaosProfiles() {
-		sim := netsim.New(w)
+		sim := netsim.New(w, nil)
 		sim.Faults = prof
 		p := atlas.New(w, sim)
 		c := atlas.NewClient(p, prof)

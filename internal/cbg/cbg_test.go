@@ -119,7 +119,7 @@ func TestMatrixLocateSubsetMatchesSlowPath(t *testing.T) {
 	for i, m := range ms {
 		vps[i] = m.VP
 	}
-	mat := NewMatrix(vps, 1)
+	mat := NewMatrix(vps, 1, nil)
 	for i, m := range ms {
 		mat.RTT[i][0] = float32(m.RTTMs)
 	}
@@ -143,7 +143,7 @@ func TestMatrixSubsetRestricts(t *testing.T) {
 	target := geo.Point{Lat: 45.5, Lon: 9.2}
 	ms := syntheticMeasurements(target, []float64{50, 2000}, 0.1)
 	vps := []geo.Point{ms[0].VP, ms[1].VP}
-	mat := NewMatrix(vps, 1)
+	mat := NewMatrix(vps, 1, nil)
 	mat.RTT[0][0] = float32(ms[0].RTTMs)
 	mat.RTT[1][0] = float32(ms[1].RTTMs)
 
@@ -158,7 +158,7 @@ func TestMatrixSubsetRestricts(t *testing.T) {
 }
 
 func TestMatrixUnresponsiveDefault(t *testing.T) {
-	mat := NewMatrix([]geo.Point{{Lat: 1, Lon: 1}}, 2)
+	mat := NewMatrix([]geo.Point{{Lat: 1, Lon: 1}}, 2, nil)
 	if _, ok := mat.LocateSubset(0, nil, geo.TwoThirdsC); ok {
 		t.Error("all-unresponsive matrix should not locate")
 	}
@@ -169,7 +169,7 @@ func TestMatrixUnresponsiveDefault(t *testing.T) {
 
 func TestMatrixShortestPingSubset(t *testing.T) {
 	vps := []geo.Point{{Lat: 1, Lon: 1}, {Lat: 2, Lon: 2}, {Lat: 3, Lon: 3}}
-	mat := NewMatrix(vps, 1)
+	mat := NewMatrix(vps, 1, nil)
 	mat.RTT[0][0] = 10
 	mat.RTT[1][0] = 5
 	mat.RTT[2][0] = 20
@@ -185,7 +185,7 @@ func TestMatrixShortestPingSubset(t *testing.T) {
 
 func TestClosestVPs(t *testing.T) {
 	vps := []geo.Point{{}, {}, {}, {}, {}}
-	mat := NewMatrix(vps, 1)
+	mat := NewMatrix(vps, 1, nil)
 	rtts := []float32{30, 10, Unresponsive, 20, 40}
 	for i, r := range rtts {
 		mat.RTT[i][0] = r

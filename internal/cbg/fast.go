@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"geoloc/internal/geo"
+	"geoloc/internal/telemetry"
 )
 
 // Matrix is a dense vantage-point × target RTT matrix, the working format
@@ -38,15 +39,18 @@ type Matrix struct {
 	// sealed.
 	byLat []int32
 	lats  []float64
+
+	meters matrixMeters
 }
 
 // Unresponsive is the sentinel for failed measurements in a Matrix.
 var Unresponsive = float32(math.NaN())
 
 // NewMatrix allocates a matrix for the given vantage points and target
-// count, initialized to Unresponsive.
-func NewMatrix(vps []geo.Point, targets int) *Matrix {
-	m := &Matrix{VPs: vps, RTT: make([][]float32, len(vps))}
+// count, initialized to Unresponsive, whose locates meter into reg (nil
+// meters nothing).
+func NewMatrix(vps []geo.Point, targets int, reg *telemetry.Registry) *Matrix {
+	m := &Matrix{VPs: vps, RTT: make([][]float32, len(vps)), meters: newMatrixMeters(reg)}
 	cells := make([]float32, len(vps)*targets)
 	for i := range cells {
 		cells[i] = Unresponsive
@@ -151,7 +155,7 @@ var locatePool = sync.Pool{New: func() any { return new(locateScratch) }}
 // samples the survivors. The returned bool is false when no VP responded or
 // the intersection is empty.
 func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (geo.Point, bool) {
-	meters.locates.Inc()
+	m.meters.locates.Inc()
 	col := m.column(target)
 
 	// Pass 1: tightest constraint.
@@ -178,7 +182,7 @@ func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (g
 		}
 	}
 	if tightIdx < 0 {
-		meters.locatesEmpty.Inc()
+		m.meters.locatesEmpty.Inc()
 		return geo.Point{}, false
 	}
 	tightT := m.VPTrig(tightIdx)
@@ -226,7 +230,7 @@ func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (g
 		sort.Slice(kept, func(i, j int) bool { return kept[i].radius < kept[j].radius })
 		kept = kept[:maxConstraints]
 	}
-	meters.constraintsKept.Observe(float64(len(kept) + 1))
+	m.meters.constraintsKept.Observe(float64(len(kept) + 1))
 
 	sm := &sc.sm
 	sm.Reset()

@@ -2,16 +2,20 @@ package cbg
 
 import "geoloc/internal/telemetry"
 
-// meters holds the package's instrumentation handles, resolved once against
-// the global default registry (disabled unless a binary opts in, so each
-// update in the LocateSubset hot path costs one atomic load).
-var meters = struct {
+// matrixMeters holds a matrix's instrumentation handles, resolved once against
+// the registry NewMatrix is handed; all nil, each update a nil check, when
+// it is nil.
+type matrixMeters struct {
 	locates         *telemetry.Counter
 	locatesEmpty    *telemetry.Counter
 	constraintsKept *telemetry.Histogram
-}{
-	locates:      telemetry.Default().Counter("cbg.locates"),
-	locatesEmpty: telemetry.Default().Counter("cbg.locates_empty"),
-	constraintsKept: telemetry.Default().Histogram("cbg.constraints_kept",
-		[]float64{1, 2, 4, 8, 16, 32, 64}),
+}
+
+func newMatrixMeters(reg *telemetry.Registry) matrixMeters {
+	return matrixMeters{
+		locates:      reg.Counter("cbg.locates"),
+		locatesEmpty: reg.Counter("cbg.locates_empty"),
+		constraintsKept: reg.Histogram("cbg.constraints_kept",
+			[]float64{1, 2, 4, 8, 16, 32, 64}),
+	}
 }

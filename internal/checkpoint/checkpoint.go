@@ -106,22 +106,27 @@ type Record struct {
 	Payload []byte
 }
 
-// meters holds the package's instrumentation, resolved once against the
-// global default registry (observational only — accounting never reads it).
-var meters = struct {
+// journalMeters holds a journal's instrumentation, resolved once against
+// the registry Create or Open is handed (observational only — accounting
+// never reads it; all nil when the registry is).
+type journalMeters struct {
 	appends   *telemetry.Counter
 	bytes     *telemetry.Counter
 	syncs     *telemetry.Counter
 	resumes   *telemetry.Counter
 	restored  *telemetry.Counter
 	tornTails *telemetry.Counter
-}{
-	appends:   telemetry.Default().Counter("checkpoint.records_appended"),
-	bytes:     telemetry.Default().Counter("checkpoint.bytes_appended"),
-	syncs:     telemetry.Default().Counter("checkpoint.syncs"),
-	resumes:   telemetry.Default().Counter("checkpoint.resumes"),
-	restored:  telemetry.Default().Counter("checkpoint.records_restored"),
-	tornTails: telemetry.Default().Counter("checkpoint.torn_tails"),
+}
+
+func newJournalMeters(reg *telemetry.Registry) journalMeters {
+	return journalMeters{
+		appends:   reg.Counter("checkpoint.records_appended"),
+		bytes:     reg.Counter("checkpoint.bytes_appended"),
+		syncs:     reg.Counter("checkpoint.syncs"),
+		resumes:   reg.Counter("checkpoint.resumes"),
+		restored:  reg.Counter("checkpoint.records_restored"),
+		tornTails: reg.Counter("checkpoint.torn_tails"),
+	}
 }
 
 // EncodeHeader serializes a header record payload:
@@ -265,18 +270,20 @@ type Journal struct {
 	mu sync.Mutex
 	f  *os.File
 	// dirty counts appends since the last sync, for AppendEvery batching.
-	dirty int
+	dirty  int
+	meters journalMeters
 }
 
 // Create starts a fresh journal at path (truncating any previous file) and
-// writes its header record.
-func Create(path string, hdr Header) (*Journal, error) {
+// writes its header record. The journal meters into reg (nil meters
+// nothing).
+func Create(path string, hdr Header, reg *telemetry.Registry) (*Journal, error) {
 	hdr.Version = Version
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{f: f}
+	j := &Journal{f: f, meters: newJournalMeters(reg)}
 	if _, err := f.Write([]byte(Magic)); err != nil {
 		f.Close()
 		return nil, err
@@ -299,12 +306,13 @@ func Create(path string, hdr Header) (*Journal, error) {
 // is nothing to mismatch against.
 //
 // Corrupt or mismatched journals are returned as errors, never silently
-// reused; the caller decides whether to delete and restart.
-func Open(path string, want Header) (*Journal, []Record, error) {
+// reused; the caller decides whether to delete and restart. The journal
+// meters into reg, as Create's does.
+func Open(path string, want Header, reg *telemetry.Registry) (*Journal, []Record, error) {
 	want.Version = Version
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		j, err := Create(path, want)
+		j, err := Create(path, want, reg)
 		return j, nil, err
 	}
 	if err != nil {
@@ -313,7 +321,7 @@ func Open(path string, want Header) (*Journal, []Record, error) {
 	hdr, recs, torn, goodLen, err := Decode(data)
 	if errors.Is(err, ErrNoHeader) || len(data) == 0 {
 		// Crash during creation: no usable header, nothing replayable.
-		j, err := Create(path, want)
+		j, err := Create(path, want, reg)
 		return j, nil, err
 	}
 	if err != nil {
@@ -326,8 +334,9 @@ func Open(path string, want Header) (*Journal, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	j := &Journal{f: f, meters: newJournalMeters(reg)}
 	if torn {
-		meters.tornTails.Inc()
+		j.meters.tornTails.Inc()
 		if err := f.Truncate(goodLen); err != nil {
 			f.Close()
 			return nil, nil, err
@@ -337,9 +346,9 @@ func Open(path string, want Header) (*Journal, []Record, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	meters.resumes.Inc()
-	meters.restored.Add(int64(len(recs)))
-	return &Journal{f: f}, recs, nil
+	j.meters.resumes.Inc()
+	j.meters.restored.Add(int64(len(recs)))
+	return j, recs, nil
 }
 
 // Append writes one record frame. The frame hits the OS on return but is
@@ -361,8 +370,8 @@ func (j *Journal) AppendFrames(frames []byte, n int) error {
 		return err
 	}
 	j.dirty += n
-	meters.appends.Add(int64(n))
-	meters.bytes.Add(int64(len(frames)))
+	j.meters.appends.Add(int64(n))
+	j.meters.bytes.Add(int64(len(frames)))
 	return nil
 }
 
@@ -404,7 +413,7 @@ func (j *Journal) Sync() error {
 		return err
 	}
 	j.dirty = 0
-	meters.syncs.Inc()
+	j.meters.syncs.Inc()
 	return nil
 }
 

@@ -19,7 +19,7 @@ func testHeader() Header {
 func writeJournal(t *testing.T, dir string, n int) (string, [][]byte) {
 	t.Helper()
 	path := filepath.Join(dir, "j.ckpt")
-	j, err := Create(path, testHeader())
+	j, err := Create(path, testHeader(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestKillPointSweep(t *testing.T) {
 		if err := os.WriteFile(p2, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, restored, err := Open(p2, testHeader())
+		j, restored, err := Open(p2, testHeader(), nil)
 		if err != nil {
 			t.Fatalf("cut %d: Open: %v", cut, err)
 		}
@@ -220,12 +220,12 @@ func TestOpenRejectsMismatch(t *testing.T) {
 		{ConfigHash: 0xDEADBEEFCAFE, Seed: 7, Profile: "realistic"}, // wrong seed
 		{ConfigHash: 0xDEADBEEFCAFE, Seed: 42, Profile: "hostile"},  // wrong profile
 	} {
-		if _, _, err := Open(path, want); !errors.Is(err, ErrMismatch) {
+		if _, _, err := Open(path, want, nil); !errors.Is(err, ErrMismatch) {
 			t.Fatalf("Open with %+v: err %v, want ErrMismatch", want, err)
 		}
 	}
 	// And the matching header still opens.
-	j, recs, err := Open(path, testHeader())
+	j, recs, err := Open(path, testHeader(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestOpenRejectsMismatch(t *testing.T) {
 
 func TestOpenMissingFileStartsFresh(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "missing.ckpt")
-	j, recs, err := Open(path, testHeader())
+	j, recs, err := Open(path, testHeader(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestHeaderTrailingBytesRejected(t *testing.T) {
 
 func TestAppendEverySyncBatching(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.ckpt")
-	j, err := Create(path, testHeader())
+	j, err := Create(path, testHeader(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestAppendEverySyncBatching(t *testing.T) {
 
 func TestAppendRejectsOversizedPayload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "big.ckpt")
-	j, err := Create(path, testHeader())
+	j, err := Create(path, testHeader(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func TestReaderMidFileCorruption(t *testing.T) {
 // would reintroduce per-frame allocation in the merge path.
 func TestReaderPayloadAliasing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.ckpt")
-	j, err := Create(path, testHeader())
+	j, err := Create(path, testHeader(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,6 +53,11 @@ type Campaign struct {
 	// RepRTT is the [vp][target] matrix of median RTTs to each target's
 	// three /24 representatives (the VP-selection signal).
 	RepRTT *cbg.Matrix
+
+	// Metrics is the registry the campaign meters into and hands to what
+	// it builds — its simulator, matrices, journal, and the street-level
+	// pipelines and experiments run over it. Nil meters nothing.
+	Metrics *telemetry.Registry
 }
 
 // Salt namespaces for the campaign's measurement randomness.
@@ -61,17 +66,12 @@ const (
 	saltRepPing    uint64 = 0xCA09_0010 // +rep index
 )
 
-// NewCampaign generates a world from the config and prepares a campaign:
-// sanitization and hitlist construction run immediately; the RTT matrices
-// are built lazily by BuildMatrices (they are the expensive part).
+// NewCampaign generates a world from the config and prepares an unmetered,
+// fault-free campaign: sanitization and hitlist construction run
+// immediately; the RTT matrices are built lazily by BuildMatrices (they
+// are the expensive part).
 func NewCampaign(cfg world.Config) *Campaign {
-	return NewCampaignFromWorld(generateWorld(cfg))
-}
-
-// generateWorld wraps world generation in a campaign-phase span.
-func generateWorld(cfg world.Config) *world.World {
-	defer telemetry.Default().StartSpan("phase.worldgen").End()
-	return world.Generate(cfg)
+	return NewResilientCampaign(cfg, nil, nil)
 }
 
 // NewResilientCampaign generates a world and prepares a campaign whose
@@ -79,36 +79,40 @@ func generateWorld(cfg world.Config) *world.World {
 // campaigns run through the resilient client. Sanitization runs against
 // the faulty substrate too — the anchor mesh has holes, which the
 // sanitizer tolerates. With a disabled profile the campaign is
-// bit-identical to NewCampaign.
-func NewResilientCampaign(cfg world.Config, prof *faults.Profile) *Campaign {
-	w := generateWorld(cfg)
-	sim := netsim.New(w)
+// bit-identical to NewCampaign; a nil profile is NewCampaign's campaign,
+// on the raw platform. The campaign meters into reg (nil meters nothing).
+func NewResilientCampaign(cfg world.Config, prof *faults.Profile, reg *telemetry.Registry) *Campaign {
+	span := reg.StartSpan("phase.worldgen")
+	w := world.Generate(cfg)
+	span.End()
+	sim := netsim.New(w, reg)
 	sim.Faults = prof
 	p := atlas.New(w, sim)
-	c := newCampaign(w, sim, p)
-	c.Client = atlas.NewClient(p, prof)
+	c := &Campaign{W: w, Sim: sim, Platform: p, Metrics: reg}
+	c.prepare()
+	if prof != nil {
+		c.Client = atlas.NewClient(p, prof)
+	}
 	return c
 }
 
-// NewCampaignFromWorld wraps an existing world.
-func NewCampaignFromWorld(w *world.World) *Campaign {
-	sim := netsim.New(w)
-	return newCampaign(w, sim, atlas.New(w, sim))
-}
-
-func newCampaign(w *world.World, sim *netsim.Sim, p *atlas.Platform) *Campaign {
-	c := &Campaign{W: w, Sim: sim, Platform: p}
-
-	sanSpan := telemetry.Default().StartSpan("phase.sanitize")
-	aRes := sanitize.Anchors(p, w.Anchors)
-	pRes := sanitize.Probes(p, w.Probes, aRes.Kept)
+// prepare sanitizes the platform's inventories and builds the hitlist.
+func (c *Campaign) prepare() {
+	w, reg := c.W, c.Metrics
+	sanSpan := reg.StartSpan("phase.sanitize")
+	aRes := sanitize.Anchors(c.Platform, w.Anchors)
+	pRes := sanitize.Probes(c.Platform, w.Probes, aRes.Kept)
 	sanSpan.End()
 	c.SanitizedAnchors = aRes.Kept
 	c.RemovedAnchors = aRes.Removed
 	c.SanitizedProbes = pRes.Kept
 	c.RemovedProbes = pRes.Removed
+	reg.Counter("sanitize.mesh_holes").Add(int64(aRes.MeshHoles))
+	reg.Counter("sanitize.anchors_removed").Add(int64(len(aRes.Removed)))
+	reg.Counter("sanitize.probe_holes").Add(int64(pRes.Holes))
+	reg.Counter("sanitize.probes_removed").Add(int64(len(pRes.Removed)))
 
-	hlSpan := telemetry.Default().StartSpan("phase.hitlist")
+	hlSpan := reg.StartSpan("phase.hitlist")
 	c.Hitlist = hitlist.Build(w)
 	hlSpan.End()
 
@@ -121,7 +125,6 @@ func newCampaign(w *world.World, sim *netsim.Sim, p *atlas.Platform) *Campaign {
 		c.VPs = append(c.VPs, w.Host(id))
 	}
 	c.VPs = append(c.VPs, c.Targets...)
-	return c
 }
 
 // FaultProfile returns the fault profile the campaign's substrate injects:

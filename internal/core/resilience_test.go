@@ -42,7 +42,7 @@ func TestResilientCampaignDeterministic(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
 	build := func() *Campaign {
-		c := NewResilientCampaign(world.TinyConfig(), faults.Realistic())
+		c := NewResilientCampaign(world.TinyConfig(), faults.Realistic(), nil)
 		c.BuildMatrices()
 		return c
 	}
@@ -66,7 +66,7 @@ func TestResilientCampaignDeterministic(t *testing.T) {
 func TestNoneProfileCampaignBitIdentical(t *testing.T) {
 	plain := NewCampaign(world.TinyConfig())
 	plain.BuildMatrices()
-	resilient := NewResilientCampaign(world.TinyConfig(), faults.None())
+	resilient := NewResilientCampaign(world.TinyConfig(), faults.None(), nil)
 	resilient.BuildMatrices()
 
 	if len(plain.Targets) != len(resilient.Targets) || len(plain.VPs) != len(resilient.VPs) {
@@ -84,35 +84,26 @@ func TestNoneProfileCampaignBitIdentical(t *testing.T) {
 }
 
 // TestTelemetryEnabledDoesNotPerturbResults pins the observability rule of
-// DESIGN.md §3.2: enabling the global telemetry registry (what -metrics /
-// -trace do) must not change a single matrix cell or platform counter —
+// DESIGN.md §3.2: handing a campaign a registry (what -metrics / -trace
+// do) must not change a single matrix cell or platform counter —
 // telemetry is derived from results, never an input to them.
 func TestTelemetryEnabledDoesNotPerturbResults(t *testing.T) {
-	std := telemetry.Default()
-	if std.IsEnabled() {
-		t.Fatal("global registry unexpectedly enabled at test start")
-	}
-	build := func() *Campaign {
-		c := NewCampaign(world.TinyConfig())
+	build := func(reg *telemetry.Registry) *Campaign {
+		c := NewResilientCampaign(world.TinyConfig(), nil, reg)
 		c.BuildMatrices()
 		return c
 	}
-	off := build()
-
-	std.SetEnabled(true)
-	t.Cleanup(func() {
-		std.SetEnabled(false)
-		std.Reset()
-	})
-	on := build()
+	off := build(nil)
+	reg := telemetry.New()
+	on := build(reg)
 
 	matricesEqual(t, "TargetRTT", off.TargetRTT.RTT, on.TargetRTT.RTT)
 	matricesEqual(t, "RepRTT", off.RepRTT.RTT, on.RepRTT.RTT)
 	if sa, sb := off.Platform.Stats(), on.Platform.Stats(); sa != sb {
 		t.Errorf("platform stats differ with telemetry enabled:\n%+v\n%+v", sa, sb)
 	}
-	// The enabled run must actually have metered the pipeline.
-	if v := std.Counter("netsim.pings").Value(); v == 0 {
+	// The metered run must actually have metered the pipeline.
+	if v := reg.Counter("netsim.pings").Value(); v == 0 {
 		t.Error("enabled run recorded no netsim.pings")
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"geoloc/internal/netsim"
 	"geoloc/internal/par"
 	"geoloc/internal/rhash"
-	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
 )
 
@@ -107,10 +106,6 @@ type RunResult struct {
 	Journal *checkpoint.Journal
 }
 
-// metRestored counts matrix rows replayed from a journal instead of
-// measured (observational; the authoritative accounting is RunResult).
-var metRestored = telemetry.Default().Counter("core.run.rows_restored")
-
 // Run executes the bulk ping campaigns crash-safely: it restores journaled
 // rows, measures the rest, and journals each completed row. On return
 // without error and with Interrupted false, TargetRTT and RepRTT are
@@ -140,9 +135,9 @@ func (c *Campaign) Run(ctx context.Context, rc RunConfig) (*RunResult, error) {
 		var recs []checkpoint.Record
 		var err error
 		if rc.Resume {
-			r.j, recs, err = checkpoint.Open(rc.JournalPath, hdr)
+			r.j, recs, err = checkpoint.Open(rc.JournalPath, hdr, c.Metrics)
 		} else {
-			r.j, err = checkpoint.Create(rc.JournalPath, hdr)
+			r.j, err = checkpoint.Create(rc.JournalPath, hdr, c.Metrics)
 		}
 		if err != nil {
 			return nil, err
@@ -169,7 +164,8 @@ func (c *Campaign) Run(ctx context.Context, rc RunConfig) (*RunResult, error) {
 			}
 		}
 		res.Resumed = res.RestoredRows > 0 || len(res.Extra) > 0 || len(r.digests) > 0
-		metRestored.Add(int64(res.RestoredRows))
+		// Observational; the authoritative accounting is RunResult.
+		c.Metrics.Counter("core.run.rows_restored").Add(int64(res.RestoredRows))
 	}
 
 	r.prog = newProgressMeter(rc, 2*len(c.VPs), r.j)
@@ -236,7 +232,7 @@ func (c *Campaign) matrix(tag byte) *cbg.Matrix {
 		slot = &c.RepRTT
 	}
 	if *slot == nil {
-		*slot = cbg.NewMatrix(vpLocations(c.VPs), len(c.Targets))
+		*slot = cbg.NewMatrix(vpLocations(c.VPs), len(c.Targets), c.Metrics)
 	}
 	return *slot
 }
@@ -253,7 +249,7 @@ func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
 		return nil
 	}
 	name := phaseNames[tag]
-	defer telemetry.Default().StartSpan("phase." + name).End()
+	defer c.Metrics.StartSpan("phase." + name).End()
 	var reps [][]*world.Host
 	if tag == rowMatrixReps {
 		reps = c.repHosts()

@@ -28,9 +28,9 @@ func tinyCampaign(profile string) *Campaign {
 	case "":
 		return NewCampaign(cfg)
 	case "none":
-		return NewResilientCampaign(cfg, faults.None())
+		return NewResilientCampaign(cfg, faults.None(), nil)
 	case "realistic":
-		return NewResilientCampaign(cfg, faults.Realistic())
+		return NewResilientCampaign(cfg, faults.Realistic(), nil)
 	}
 	panic("unknown profile " + profile)
 }
@@ -269,7 +269,7 @@ func TestResumeRejectsMismatchedCampaign(t *testing.T) {
 	// Different seed.
 	cfg := world.TinyConfig()
 	cfg.Seed++
-	seeded := NewResilientCampaign(cfg, faults.Realistic())
+	seeded := NewResilientCampaign(cfg, faults.Realistic(), nil)
 	if _, err := seeded.Run(context.Background(), RunConfig{JournalPath: journal, Resume: true}); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("seed mismatch: err %v, want ErrMismatch", err)
 	}
@@ -353,7 +353,7 @@ func TestConfigHashSensitivity(t *testing.T) {
 	}
 	cfg := world.TinyConfig()
 	cfg.Seed++
-	if NewResilientCampaign(cfg, faults.Realistic()).ConfigHash() == base {
+	if NewResilientCampaign(cfg, faults.Realistic(), nil).ConfigHash() == base {
 		t.Fatal("ConfigHash ignores the seed")
 	}
 	// Every artifact header carries the fault-free hash, so the pinned

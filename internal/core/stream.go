@@ -20,6 +20,7 @@ import (
 	"geoloc/internal/ipaddr"
 	"geoloc/internal/par"
 	"geoloc/internal/rhash"
+	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
 )
 
@@ -121,9 +122,10 @@ func StreamScale(s string) (targets int, ok bool) {
 
 // NewStreamScale is the campaign a numeric scale names: targets synthetic
 // /24s over the Tiny world's vantage points (world generation and
-// sanitization only — no matrices; that is the point).
-func NewStreamScale(targets int) (*StreamCampaign, error) {
-	return NewStreamCampaign(NewCampaign(world.TinyConfig()), StreamSpec{Targets: targets})
+// sanitization only — no matrices; that is the point), metering into reg
+// (nil meters nothing).
+func NewStreamScale(targets int, reg *telemetry.Registry) (*StreamCampaign, error) {
+	return NewStreamCampaign(NewResilientCampaign(world.TinyConfig(), nil, reg), StreamSpec{Targets: targets})
 }
 
 // NewStreamCampaign prepares a streaming campaign over c's VP set. The

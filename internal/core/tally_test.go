@@ -61,7 +61,7 @@ func TestResumeRejectsOtherTallyLayout(t *testing.T) {
 			ConfigHash: c.ConfigHash(),
 			Seed:       c.W.Cfg.Seed,
 			Profile:    c.profileName(),
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

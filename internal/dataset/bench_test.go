@@ -36,7 +36,7 @@ var benchSpillHdr = checkpoint.Header{ConfigHash: 0xB0B, Seed: 1, Profile: "benc
 // BenchmarkSpillRun is the one-write spill (writeRun).
 func BenchmarkSpillRun(b *testing.B) {
 	benchSpill(b, func(path string, recs []Record) (err error) {
-		sinkRunBuf, err = writeRun(path, benchSpillHdr, 0, 0, recs, sinkRunBuf)
+		sinkRunBuf, err = writeRun(path, benchSpillHdr, 0, 0, recs, sinkRunBuf, nil)
 		return err
 	})
 }

@@ -30,7 +30,6 @@ import (
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
-	"geoloc/internal/telemetry"
 )
 
 // Version is the dataset format version every header carries.
@@ -141,19 +140,6 @@ type Dataset struct {
 	Records []Record
 }
 
-// meters holds the package's instrumentation (observational only).
-var meters = struct {
-	compiled *telemetry.Counter
-	encodes  *telemetry.Counter
-	decodes  *telemetry.Counter
-	badLoads *telemetry.Counter
-}{
-	compiled: telemetry.Default().Counter("dataset.records_compiled"),
-	encodes:  telemetry.Default().Counter("dataset.encodes"),
-	decodes:  telemetry.Default().Counter("dataset.decodes"),
-	badLoads: telemetry.Default().Counter("dataset.load_errors"),
-}
-
 // appendRecord appends r's payload (recordPayloadLen bytes) to buf.
 func appendRecord(buf []byte, r Record) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Prefix))
@@ -252,7 +238,6 @@ func Load(path string) (*Dataset, error) {
 	defer r.Close()
 	d, err := r.Materialize()
 	if err != nil {
-		meters.badLoads.Inc()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return d, nil
@@ -292,8 +277,10 @@ type Options struct {
 // Compile is the in-RAM compilation path and the oracle the external-merge
 // compiler (CompileExternal, stream.go) is pinned against bit for bit.
 func Compile(c *core.Campaign, opts Options) *Dataset {
-	defer telemetry.Default().StartSpan("phase.dataset").End()
-	return CompileFromSource(NewCampaignSource(c), CampaignHeader(c), opts, CampaignExtras(c, opts))
+	defer c.Metrics.StartSpan("phase.dataset").End()
+	d := CompileFromSource(NewCampaignSource(c), CampaignHeader(c), opts, CampaignExtras(c, opts))
+	c.Metrics.Counter("dataset.records_compiled").Add(int64(len(d.Records)))
+	return d
 }
 
 // CampaignHeader builds the artifact header identifying a campaign.

@@ -161,7 +161,6 @@ func (e *encoder) finish() (int64, error) {
 		return 0, err
 	}
 	e.off += footerLen
-	meters.encodes.Inc()
 	return e.off, nil
 }
 
@@ -317,7 +316,6 @@ func Open2(path string) (*Reader2, error) {
 		if mapped {
 			munmapFile(data)
 		}
-		meters.badLoads.Inc()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	d.mapped = mapped
@@ -433,7 +431,6 @@ func NewReader2(data []byte) (*Reader2, error) {
 		g := guess(k, d.first[0], d.first[n-1], n)
 		d.firstBelow, d.firstAbove = max(d.firstBelow, g-j), max(d.firstAbove, j-g)
 	}
-	meters.decodes.Inc()
 	return d, nil
 }
 
@@ -589,51 +586,18 @@ func (d *Reader2) verifyBlock(i int) ([]byte, uint32, error) {
 }
 
 // Lookup returns the record for exactly prefix p, touching at most one
-// block. Fixed-size record payloads make the in-block binary search —
-// over the block's window only — a pointer-arithmetic walk over the
-// image, and only the single matching record is decoded: no copies, no
-// lock, no allocation.
+// block: the one-lane case of FindBatch's search, with no copies, no lock
+// and no allocation.
 func (d *Reader2) Lookup(p ipaddr.Prefix24) (Record, bool, error) {
 	if d.refs.Load() <= 0 {
 		return Record{}, false, ErrClosed
 	}
-	if len(d.blocks) == 0 || uint32(p) > 0x00FF_FFFF {
+	if uint32(p) > 0x00FF_FFFF {
 		return Record{}, false, nil
 	}
-	key, at := [1]uint32{uint32(p)}, [1]int{}
-	d.searchBlocks(key[:], at[:])
-	i := at[0]
-	if p < d.blocks[i].first || p > d.blocks[i].last {
-		return Record{}, false, nil
-	}
-	payload, st, err := d.blockPayload(i)
-	if err != nil {
-		return Record{}, false, err
-	}
-	n := int(d.blocks[i].count)
-	lo, w := d.blocks[i].window(uint32(p), st)
-	hi := lo + w
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		key := ipaddr.Prefix24(binary.LittleEndian.Uint32(payload[2+mid*recordPayloadLen:]))
-		if key < p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= n {
-		return Record{}, false, nil
-	}
-	rp := payload[2+lo*recordPayloadLen : 2+(lo+1)*recordPayloadLen]
-	if ipaddr.Prefix24(binary.LittleEndian.Uint32(rp)) != p {
-		return Record{}, false, nil
-	}
-	r, err := decodeRecord(rp)
-	if err != nil {
-		return Record{}, false, err
-	}
-	return r, true, nil
+	var a [1]Answer
+	d.findLanes([batchLanes]uint32{uint32(p)}, a[:])
+	return a[0].Rec, a[0].Found, a[0].Err
 }
 
 // Find returns the record covering addr's /24, mirroring Dataset.Find.

@@ -15,8 +15,7 @@
 // spaced — every compiled artifact is a dense run of /24s — so a straight
 // line through an array's first and last key guesses a key's index, and
 // the array's window says how far that guess can be off: the search runs
-// over a few entries around the guess. Lookup uses the same windows with a
-// branchy loop.
+// over a few entries around the guess. Lookup is the one-lane case.
 package dataset
 
 import (
@@ -56,11 +55,15 @@ func (d *Reader2) FindBatch(addrs []ipaddr.Addr, out []Answer) {
 		}
 		return
 	}
-	for len(addrs) > batchLanes {
-		d.findLanes(addrs[:batchLanes], out[:batchLanes])
-		addrs, out = addrs[batchLanes:], out[batchLanes:]
+	var key [batchLanes]uint32
+	for len(addrs) > 0 {
+		m := min(len(addrs), batchLanes)
+		for l := range m {
+			key[l] = uint32(ipaddr.Prefix24Of(addrs[l]))
+		}
+		d.findLanes(key, out[:m])
+		addrs, out = addrs[m:], out[m:]
 	}
-	d.findLanes(addrs, out)
 }
 
 // idleLane is what a lane with nothing left to search probes: one record
@@ -103,7 +106,7 @@ func (b *blockMeta) window(key, st uint32) (lo, w int) {
 	return window(guess(key, uint32(b.first), uint32(b.last), n), int(st>>16)-1, int(st&0xFFFF), n)
 }
 
-// searchBlocks is the level-1 search, for one lane (Lookup) or many: at[l]
+// searchBlocks is the level-1 search for findLanes' lanes: at[l]
 // becomes the last block whose first key is <= key[l], found inside the
 // level-1 window over the compact first-key array, or block 0 when every
 // first key is greater — the caller's range check turns that into a miss.
@@ -125,8 +128,9 @@ func (d *Reader2) searchBlocks(key []uint32, at []int) {
 	}
 }
 
-// findLanes runs up to batchLanes searches in lockstep.
-func (d *Reader2) findLanes(addrs []ipaddr.Addr, out []Answer) {
+// findLanes answers the first len(out) keys in lockstep, out[l] for key[l].
+// A key is a /24 prefix of at most 24 bits.
+func (d *Reader2) findLanes(key [batchLanes]uint32, out []Answer) {
 	if len(d.first) == 0 {
 		for i := range out {
 			out[i] = Answer{}
@@ -134,16 +138,11 @@ func (d *Reader2) findLanes(addrs []ipaddr.Addr, out []Answer) {
 		return
 	}
 	var (
-		key  [batchLanes]uint32 // the /24 searched for
 		pos  [batchLanes]int    // level 1: block index; level 2: record index
 		n    [batchLanes]int    // level 2: records still in range
 		recs [batchLanes][]byte // level 2: the block's records (idleLane once the lane is answered)
 	)
-	m := len(addrs)
-	for l := 0; l < m; l++ {
-		key[l] = uint32(ipaddr.Prefix24Of(addrs[l]))
-	}
-
+	m := len(out)
 	d.searchBlocks(key[:m], pos[:m])
 
 	// Range check, first-touch verification and the block's window per

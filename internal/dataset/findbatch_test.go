@@ -221,7 +221,8 @@ func checkWindows(t *testing.T, name string, r2 *Reader2, ds *Dataset) {
 // CRC fails exactly the items that land in its key range — absent keys in
 // that range too, as with Find — with ErrCorrupt, every other item of the
 // same batch is answered, and a second batch fails the same items again:
-// the verified bit is only ever set after a clean check.
+// the block's state word (Reader2.state) is stored only after a clean
+// check.
 func TestFindBatchDamagedBlock(t *testing.T) {
 	const blockSize, damaged = 4, 5
 	ds := gappedDataset(40)

@@ -20,7 +20,7 @@ import (
 // the format oracle: whatever writeRun does to go faster, the file must
 // stay the one this leaves.
 func writeRunPerRecord(path string, hdr checkpoint.Header, window, first uint32, recs []Record) error {
-	j, err := checkpoint.Create(path, hdr)
+	j, err := checkpoint.Create(path, hdr, nil)
 	if err != nil {
 		return err
 	}
@@ -72,7 +72,7 @@ func TestSpillRunMatchesPerRecordWriter(t *testing.T) {
 		one := filepath.Join(dir, "one.ckpt")
 		per := filepath.Join(dir, "per.ckpt")
 		var err error
-		if buf, err = writeRun(one, hdr, window, first, recs, buf); err != nil {
+		if buf, err = writeRun(one, hdr, window, first, recs, buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := writeRunPerRecord(per, hdr, window, first, recs); err != nil {

@@ -129,7 +129,6 @@ func CompileFromSource(src Source, hdr Header, opts Options, extra []Record) *Da
 	}
 	d.Records = append(d.Records, extra...)
 	sortRecords(d)
-	meters.compiled.Add(int64(len(d.Records)))
 	return d
 }
 
@@ -165,6 +164,9 @@ type StreamConfig struct {
 	// error, leaving the spill dir behind — the kill/resume tests' crash
 	// injection point.
 	OnWindowSpilled func(window int) error
+	// Metrics is the registry the compilation and its spill journals
+	// meter into; nil meters nothing.
+	Metrics *telemetry.Registry
 }
 
 // StreamStats reports what a streaming compilation did.
@@ -222,9 +224,9 @@ func encodeSeal(window, first uint32, count int, crc uint32) []byte {
 // handed to the journal in one write, so a window costs one write(2) and
 // no per-record allocation; the file is byte for byte what appending the
 // records one at a time would leave. buf is returned for the next window
-// to reuse.
-func writeRun(path string, hdr checkpoint.Header, window, first uint32, recs []Record, buf []byte) ([]byte, error) {
-	j, err := checkpoint.Create(path, hdr)
+// to reuse. The run's journal meters into reg.
+func writeRun(path string, hdr checkpoint.Header, window, first uint32, recs []Record, buf []byte, reg *telemetry.Registry) ([]byte, error) {
+	j, err := checkpoint.Create(path, hdr, reg)
 	if err != nil {
 		return buf, err
 	}
@@ -358,7 +360,7 @@ func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h 
 // O(Window + runs·8KB) regardless of src.NumTargets(); the memory-ceiling
 // test enforces it.
 func CompileExternal(path string, src Source, hdr Header, opts Options, extra []Record, cfg StreamConfig) (StreamStats, error) {
-	defer telemetry.Default().StartSpan("phase.dataset_external").End()
+	defer cfg.Metrics.StartSpan("phase.dataset_external").End()
 	var stats StreamStats
 	if cfg.SpillDir == "" {
 		return stats, errors.New("dataset: CompileExternal needs a spill dir")
@@ -422,7 +424,7 @@ func CompileExternal(path string, src Source, hdr Header, opts Options, extra []
 		// in-RAM path's stable global sort would have them.
 		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Prefix < sorted[j].Prefix })
 		var err error
-		if runBuf, err = writeRun(rp, shdr, uint32(w), uint32(lo), sorted, runBuf); err != nil {
+		if runBuf, err = writeRun(rp, shdr, uint32(w), uint32(lo), sorted, runBuf, cfg.Metrics); err != nil {
 			return stats, err
 		}
 		if cfg.OnWindowSpilled != nil {
@@ -443,7 +445,7 @@ func CompileExternal(path string, src Source, hdr Header, opts Options, extra []
 		sort.SliceStable(ex, func(i, j int) bool { return ex[i].Prefix < ex[j].Prefix })
 		p := extrasPath(cfg.SpillDir)
 		if !(cfg.Resume && validRun(p, shdr, extrasWindow, uint32(n))) {
-			if _, err := writeRun(p, shdr, extrasWindow, uint32(n), ex, runBuf); err != nil {
+			if _, err := writeRun(p, shdr, extrasWindow, uint32(n), ex, runBuf, cfg.Metrics); err != nil {
 				return stats, err
 			}
 		}
@@ -468,7 +470,7 @@ func CompileExternal(path string, src Source, hdr Header, opts Options, extra []
 			os.Remove(p)
 		}
 	}
-	meters.compiled.Add(int64(records))
+	cfg.Metrics.Counter("dataset.records_compiled").Add(int64(records))
 	return stats, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"geoloc/internal/geo"
 	"geoloc/internal/stats"
 	"geoloc/internal/streetlevel"
+	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
 )
 
@@ -54,11 +55,11 @@ type ChaosRow struct {
 // degradation probe geolocates (capped by the world's target count).
 const chaosStreetTargets = 6
 
-// chaosCampaign runs one full resilient campaign under the profile and
-// measures it. The world config is fixed so every row measures the same
-// world under different fault intensities.
-func chaosCampaign(cfg world.Config, prof *faults.Profile) ChaosRow {
-	c := core.NewResilientCampaign(cfg, prof)
+// chaosCampaign runs one full resilient campaign under the profile,
+// metering into reg, and measures it. The world config is fixed so every
+// row measures the same world under different fault intensities.
+func chaosCampaign(cfg world.Config, prof *faults.Profile, reg *telemetry.Registry) ChaosRow {
+	c := core.NewResilientCampaign(cfg, prof, reg)
 	c.BuildMatrices()
 
 	row := ChaosRow{Profile: prof}
@@ -125,15 +126,16 @@ func chaosCampaign(cfg world.Config, prof *faults.Profile) ChaosRow {
 }
 
 // ChaosSweep measures every profile of ChaosProfiles against one world
-// config and returns the rows in sweep order.
-func ChaosSweep(cfg world.Config) []ChaosRow {
+// config, every campaign metering into reg (nil meters nothing), and
+// returns the rows in sweep order.
+func ChaosSweep(cfg world.Config, reg *telemetry.Registry) []ChaosRow {
 	profs := ChaosProfiles()
 	rows := make([]ChaosRow, len(profs))
 	// Campaigns are independent (each builds its own world and platform),
 	// so the sweep runs them concurrently; each campaign's internal
 	// matrix build is itself parallel, so the speedup is modest but free.
 	parallelFor(len(profs), func(i int) {
-		rows[i] = chaosCampaign(cfg, profs[i])
+		rows[i] = chaosCampaign(cfg, profs[i], reg)
 	})
 	return rows
 }
@@ -154,7 +156,11 @@ func Chaos(ctx *Context) *Report {
 			"retries", "failures", "quarantines", "credits", "campaign(h)",
 			"lookupfail", "stale", "street(lm/cbg)"},
 	}
-	rows := ChaosSweep(world.TinyConfig())
+	var reg *telemetry.Registry // ctx is read for nothing else and may be nil
+	if ctx != nil {
+		reg = ctx.C.Metrics
+	}
+	rows := ChaosSweep(world.TinyConfig(), reg)
 	var base float64
 	for i, r := range rows {
 		med := "-"

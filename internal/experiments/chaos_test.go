@@ -16,7 +16,7 @@ func TestChaosDegradationMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fault sweep")
 	}
-	rows := ChaosSweep(world.TinyConfig())
+	rows := ChaosSweep(world.TinyConfig(), nil)
 	if len(rows) < 3 {
 		t.Fatalf("sweep produced %d rows", len(rows))
 	}

@@ -17,7 +17,6 @@ import (
 	"geoloc/internal/par"
 	"geoloc/internal/stats"
 	"geoloc/internal/streetlevel"
-	"geoloc/internal/telemetry"
 	"geoloc/internal/vpsel"
 )
 
@@ -316,6 +315,6 @@ func All(ctx *Context) []*Report {
 // runOne runs a single experiment under a campaign-phase span, so a trace
 // shows one lane entry per figure.
 func runOne(ctx *Context, e Experiment) *Report {
-	defer telemetry.Default().StartSpan("experiment." + e.ID).End()
+	defer ctx.C.Metrics.StartSpan("experiment." + e.ID).End()
 	return e.Run(ctx)
 }

@@ -13,8 +13,8 @@ import (
 // carrying the given fault profile.
 func twoSims(t *testing.T, prof *faults.Profile) (*Sim, *Sim) {
 	t.Helper()
-	clean := New(world.Generate(world.TinyConfig()))
-	faulty := New(world.Generate(world.TinyConfig()))
+	clean := New(world.Generate(world.TinyConfig()), nil)
+	faulty := New(world.Generate(world.TinyConfig()), nil)
 	faulty.Faults = prof
 	return clean, faulty
 }
@@ -48,7 +48,7 @@ func TestNoneProfileBitIdentical(t *testing.T) {
 }
 
 func TestPingDetailMatchesPing(t *testing.T) {
-	s := New(world.Generate(world.TinyConfig()))
+	s := New(world.Generate(world.TinyConfig()), nil)
 	s.Faults = faults.Realistic()
 	for i := 0; i < 50; i++ {
 		src := s.W.Host(s.W.Probes[i%len(s.W.Probes)])
@@ -195,7 +195,7 @@ func refTraceroute(s *Sim, src, dst *world.Host, salt uint64) Trace {
 func TestTraceIntoMatchesReference(t *testing.T) {
 	for _, prof := range []*faults.Profile{faults.None(), faults.Hostile()} {
 		t.Run(prof.Name, func(t *testing.T) {
-			s := New(world.Generate(world.TinyConfig()))
+			s := New(world.Generate(world.TinyConfig()), nil)
 			s.Faults = prof
 			w := s.W
 			var buf TraceBuf

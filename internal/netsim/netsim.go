@@ -111,8 +111,8 @@ type Sim struct {
 }
 
 // simMeters holds the simulator's instrumentation handles, resolved once
-// at construction against the global default registry (disabled unless the
-// binary opts in, so each update costs one atomic load).
+// at construction against the registry New is handed (nil handles, each
+// update a nil check, when it is nil).
 type simMeters struct {
 	pings           *telemetry.Counter
 	pingPacketsLost *telemetry.Counter
@@ -122,8 +122,7 @@ type simMeters struct {
 	skeletonMiss    *telemetry.Counter
 }
 
-func newSimMeters() simMeters {
-	reg := telemetry.Default()
+func newSimMeters(reg *telemetry.Registry) simMeters {
 	return simMeters{
 		pings:           reg.Counter("netsim.pings"),
 		pingPacketsLost: reg.Counter("netsim.ping_packets_lost"),
@@ -134,12 +133,10 @@ func newSimMeters() simMeters {
 	}
 }
 
-// New builds a simulator over the world with default parameters.
-func New(w *world.World) *Sim { return NewWithConfig(w, DefaultConfig()) }
-
-// NewWithConfig builds a simulator with explicit delay parameters.
-func NewWithConfig(w *world.World, cfg Config) *Sim {
-	s := &Sim{W: w, Cfg: cfg, skeletons: newSkeletonTable(skeletonBits), m: newSimMeters()}
+// New builds a simulator over the world with default parameters, metering
+// into reg (nil meters nothing).
+func New(w *world.World, reg *telemetry.Registry) *Sim {
+	s := &Sim{W: w, Cfg: DefaultConfig(), skeletons: newSkeletonTable(skeletonBits), m: newSimMeters(reg)}
 	for i := range w.ASes {
 		if isTier1(w, i) {
 			s.tier1 = append(s.tier1, i)

@@ -9,7 +9,7 @@ import (
 
 var (
 	tw  = world.Generate(world.TinyConfig())
-	sim = New(tw)
+	sim = New(tw, nil)
 )
 
 func hostPair(i, j int) (*world.Host, *world.Host) {
@@ -92,7 +92,7 @@ func TestPingAtLeastBaseRTT(t *testing.T) {
 // server, whose access link is computed per call. A traceroute into a
 // caller's TraceBuf allocates nothing either.
 func TestPingAllocs(t *testing.T) {
-	s := New(tw)
+	s := New(tw, nil)
 	src, dst := hostPair(2, 3)
 	web := world.Host{ID: -1, Kind: world.WebServer, Addr: dst.Addr + 1, City: dst.City, AS: dst.AS,
 		Loc: geo.Destination(dst.Loc, 45, 1), LastMileMs: 0.3, RespScore: 1}
@@ -320,7 +320,7 @@ func TestTier1FallbackInDegenerateWorld(t *testing.T) {
 	cfg := world.TinyConfig()
 	cfg.Tier1ASes = 0
 	w := world.Generate(cfg)
-	s := New(w)
+	s := New(w, nil)
 	if len(s.tier1) == 0 {
 		t.Fatal("simulator must always have a transit AS")
 	}

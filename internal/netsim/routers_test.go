@@ -86,7 +86,7 @@ func TestRouterTable(t *testing.T) {
 		worlds = append(worlds, world.Generate(world.MediumConfig()))
 	}
 	for _, w := range worlds {
-		s := New(w)
+		s := New(w, nil)
 		var refs []routerRef
 		for as := range w.ASes {
 			refs = append(refs, routerRef{asID: as, city: w.ASes[as].Hub, role: roleBackbone})
@@ -275,7 +275,7 @@ func TestRouteThroughTableMatchesDirect(t *testing.T) {
 		worlds = append(worlds, worldCase{world.Generate(world.MediumConfig()), 30_000})
 	}
 	for _, wc := range worlds {
-		s := New(wc.w)
+		s := New(wc.w, nil)
 		pairs := oraclePairs(wc.w, wc.pairs, 31)
 		var fallback, sameAS, sameCity, ixp, transit, direct, copies, tabled, computed int
 		for _, p := range pairs {
@@ -345,7 +345,7 @@ func TestRouteThroughTableMatchesDirect(t *testing.T) {
 // contention, and holds every answer to the oracle. Each entry left in the
 // table must be the skeleton its key builds.
 func TestSkeletonTableCollisions(t *testing.T) {
-	s := New(tw)
+	s := New(tw, nil)
 	s.skeletons = newSkeletonTable(2)
 	pairs := oraclePairs(tw, 4000, 77)
 	diffs := make([]string, len(pairs))

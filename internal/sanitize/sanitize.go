@@ -12,7 +12,6 @@ import (
 	"geoloc/internal/geo"
 	"geoloc/internal/netsim"
 	"geoloc/internal/par"
-	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
 )
 
@@ -117,9 +116,6 @@ func Anchors(p *atlas.Platform, anchorIDs []int) AnchorResult {
 			res.Kept = append(res.Kept, id)
 		}
 	}
-	reg := telemetry.Default()
-	reg.Counter("sanitize.mesh_holes").Add(int64(res.MeshHoles))
-	reg.Counter("sanitize.anchors_removed").Add(int64(len(res.Removed)))
 	return res
 }
 
@@ -180,9 +176,6 @@ func Probes(p *atlas.Platform, probeIDs, trustedAnchorIDs []int) ProbeResult {
 		}
 	}
 	sort.Ints(res.Removed)
-	reg := telemetry.Default()
-	reg.Counter("sanitize.probe_holes").Add(int64(res.Holes))
-	reg.Counter("sanitize.probes_removed").Add(int64(len(res.Removed)))
 	return res
 }
 

@@ -10,7 +10,7 @@ import (
 
 func newPlatform() *atlas.Platform {
 	w := world.Generate(world.TinyConfig())
-	return atlas.New(w, netsim.New(w))
+	return atlas.New(w, netsim.New(w, nil))
 }
 
 func TestAnchorsRemovesExactlyCorrupted(t *testing.T) {
@@ -40,7 +40,7 @@ func TestAnchorsCleanMeshUntouched(t *testing.T) {
 	cfg := world.TinyConfig()
 	cfg.CorruptAnchors = 0
 	w := world.Generate(cfg)
-	p := atlas.New(w, netsim.New(w))
+	p := atlas.New(w, netsim.New(w, nil))
 	res := Anchors(p, w.Anchors)
 	if len(res.Removed) != 0 {
 		t.Errorf("clean mesh removed %d anchors", len(res.Removed))

@@ -210,7 +210,7 @@ func New(cfg Config, reg *telemetry.Registry) *Server {
 		sheds:      reg.Counter("geoserve.shed"),
 		expired:    reg.Counter("geoserve.deadline_expired"),
 		writeErrs:  reg.Counter("geoserve.write_errors"),
-		latencyMs:  reg.Histogram("geoserve.latency_ms", telemetry.DefaultLatencyBoundsMs),
+		latencyMs:  reg.Histogram("geoserve.latency_ms", telemetry.LatencyBoundsMs),
 
 		status:    obs.NewLedger(reg, "geoserve.status"),
 		statusReg: reg,

@@ -12,7 +12,7 @@ import (
 // hostileCampaign builds one shared campaign under the hostile profile —
 // the auxiliary mapping/web services inherit its faults through New.
 var hostileCampaign = func() *core.Campaign {
-	c := core.NewResilientCampaign(world.TinyConfig(), faults.Hostile())
+	c := core.NewResilientCampaign(world.TinyConfig(), faults.Hostile(), nil)
 	c.BuildTargetMatrix()
 	return c
 }()

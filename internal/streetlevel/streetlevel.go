@@ -29,21 +29,25 @@ import (
 	"geoloc/internal/web"
 )
 
-// meters holds the package's instrumentation handles, resolved once against
-// the global default registry.
-var meters = struct {
+// pipelineMeters holds a pipeline's instrumentation handles, resolved once
+// against its campaign's registry (all nil when that is).
+type pipelineMeters struct {
 	geolocations   *telemetry.Counter
 	methodLandmark *telemetry.Counter
 	methodCBG      *telemetry.Counter
 	fallbackSpeed  *telemetry.Counter
 	landmarks      *telemetry.Histogram
-}{
-	geolocations:   telemetry.Default().Counter("streetlevel.geolocations"),
-	methodLandmark: telemetry.Default().Counter("streetlevel.method_landmark"),
-	methodCBG:      telemetry.Default().Counter("streetlevel.method_cbg"),
-	fallbackSpeed:  telemetry.Default().Counter("streetlevel.fallback_speed"),
-	landmarks: telemetry.Default().Histogram("streetlevel.landmarks",
-		[]float64{0, 5, 10, 25, 50, 100, 250}),
+}
+
+func newPipelineMeters(reg *telemetry.Registry) pipelineMeters {
+	return pipelineMeters{
+		geolocations:   reg.Counter("streetlevel.geolocations"),
+		methodLandmark: reg.Counter("streetlevel.method_landmark"),
+		methodCBG:      reg.Counter("streetlevel.method_cbg"),
+		fallbackSpeed:  reg.Counter("streetlevel.fallback_speed"),
+		landmarks: reg.Histogram("streetlevel.landmarks",
+			[]float64{0, 5, 10, 25, 50, 100, 250}),
+	}
 }
 
 // Config holds the technique's tunables, defaulting to the paper's values.
@@ -163,6 +167,7 @@ type Pipeline struct {
 	// fan2 and fan3 are the bearing tables of Tier2Points and
 	// Tier3Points, shared by every sweep.
 	fan2, fan3 geo.Fan
+	meters     pipelineMeters
 }
 
 // New builds a pipeline with default configuration. The campaign's target
@@ -173,7 +178,8 @@ func New(c *core.Campaign) *Pipeline {
 
 // NewWithConfig builds a pipeline with explicit parameters. The mapping
 // and web services inherit the campaign's fault profile, so one knob
-// degrades the measurement substrate and the auxiliary services together.
+// degrades the measurement substrate and the auxiliary services together,
+// and the pipeline meters into the campaign's registry.
 func NewWithConfig(c *core.Campaign, cfg Config) *Pipeline {
 	m := mapping.NewService(c.W)
 	r := web.NewResolver(c.W)
@@ -187,6 +193,7 @@ func NewWithConfig(c *core.Campaign, cfg Config) *Pipeline {
 		anchorRows: c.AnchorVPIndices(),
 		fan2:       geo.NewFan(cfg.Tier2Points),
 		fan3:       geo.NewFan(cfg.Tier3Points),
+		meters:     newPipelineMeters(c.Metrics),
 	}
 }
 
@@ -211,16 +218,16 @@ func saltSL(target, kind int) uint64 {
 func (p *Pipeline) Geolocate(target int) Result {
 	res := Result{Target: target, Method: "cbg"}
 	defer func() {
-		meters.geolocations.Inc()
+		p.meters.geolocations.Inc()
 		if res.Method == "landmark" {
-			meters.methodLandmark.Inc()
+			p.meters.methodLandmark.Inc()
 		} else {
-			meters.methodCBG.Inc()
+			p.meters.methodCBG.Inc()
 		}
 		if res.UsedFallbackSpeed {
-			meters.fallbackSpeed.Inc()
+			p.meters.fallbackSpeed.Inc()
 		}
-		meters.landmarks.Observe(float64(len(res.Landmarks)))
+		p.meters.landmarks.Observe(float64(len(res.Landmarks)))
 	}()
 	c := p.C
 

@@ -14,15 +14,15 @@ import (
 )
 
 // CLI wires the telemetry subsystem into a command line: it registers the
-// shared -metrics / -trace / -pprof flags, enables the global default
-// registry when any of them is used, and dumps the attached registries.
-// Usage:
+// shared -metrics / -trace / -pprof flags, builds the run's registry when
+// any of them is used, and dumps the attached registries. Usage:
 //
-//	tele := telemetry.NewCLI()            // before flag.Parse
+//	tele := telemetry.NewCLI() // before flag.Parse
 //	flag.Parse()
-//	tele.Start()                          // enables + starts pprof server
-//	tele.Attach("campaign", platform.Reg) // as registries come to exist
-//	defer tele.Finish()                   // dumps -metrics, writes -trace
+//	tele.Start()               // builds the run registry, starts pprof
+//	c := core.NewResilientCampaign(cfg, prof, tele.Registry())
+//	tele.Attach("campaign", c.Platform.Reg) // as registries come to exist
+//	defer tele.Finish()        // dumps -metrics, writes -trace
 //
 // Finish must also be called explicitly before os.Exit paths (deferred
 // calls do not run through os.Exit).
@@ -49,6 +49,8 @@ type CLI struct {
 	// LogLevel is the minimum level emitted: debug, info, warn, error.
 	LogLevel string
 
+	reg *Registry // the run's registry; nil until Start sees a flag
+
 	mu         sync.Mutex
 	regs       []labeledRegistry
 	done       bool
@@ -62,7 +64,7 @@ type labeledRegistry struct {
 }
 
 // NewCLI registers the telemetry flags on flag.CommandLine and returns
-// the handle. The global default registry is pre-attached as "pipeline".
+// the handle.
 func NewCLI() *CLI {
 	c := &CLI{}
 	flag.BoolVar(&c.Metrics, "metrics", false,
@@ -76,7 +78,6 @@ func NewCLI() *CLI {
 	flag.StringVar(&c.MemProfile, "memprofile", "",
 		"write an end-of-run heap profile to this file (inspect with go tool pprof)")
 	RegisterLogFlags(&c.LogFormat, &c.LogLevel)
-	c.Attach("pipeline", Default())
 	return c
 }
 
@@ -147,12 +148,17 @@ func (c *CLI) Attach(label string, r *Registry) {
 	c.regs = append(c.regs, labeledRegistry{label, r})
 }
 
-// Start acts on the parsed flags: it enables the global default registry
-// when any telemetry flag is set and starts the pprof server when
-// requested. Call it once, after flag.Parse.
+// Registry is the run's registry, the one the command hands to what it
+// builds: nil, so nothing is metered, unless Start saw a telemetry flag.
+func (c *CLI) Registry() *Registry { return c.reg }
+
+// Start acts on the parsed flags: when any telemetry flag is set it builds
+// the run's registry and attaches it as "pipeline", and it starts the
+// pprof server when requested. Call it once, after flag.Parse.
 func (c *CLI) Start() {
 	if c.Active() {
-		Enable()
+		c.reg = New()
+		c.Attach("pipeline", c.reg)
 	}
 	if c.PprofAddr != "" {
 		go func() {

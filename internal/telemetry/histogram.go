@@ -5,11 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// DefaultLatencyBoundsMs is the canonical request-latency bucket layout
+// LatencyBoundsMs is the canonical request-latency bucket layout
 // in milliseconds, shared by the serving tier's latency histogram and
 // geobench's client-side percentile estimator so server- and
 // client-observed latencies land in comparable buckets.
-var DefaultLatencyBoundsMs = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000}
+var LatencyBoundsMs = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000}
 
 // Histogram counts observations into fixed buckets chosen at creation.
 // Bucket b counts observations v with v <= bounds[b]; the final implicit

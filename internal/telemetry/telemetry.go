@@ -4,19 +4,19 @@
 // exporter for each: Prometheus text for metrics (WritePrometheus) and
 // Chrome trace-event JSON for spans (WriteChromeTrace).
 //
-// Two kinds of registries coexist:
+// Metering is handed in. Whatever builds a metered object — a campaign,
+// a stream compile, a server, a command's CLI — hands it the registry to
+// count into, and the object resolves its handles there once. A nil
+// *Registry is valid and meters nothing: its Counter, Gauge and Histogram
+// return nil handles, whose updates are a nil check, and StartSpan returns
+// a nil span, whose End is free. So an unmetered campaign or compile runs
+// the same code as a metered one, and two campaigns in one process never
+// count into each other's registry. The atlas platform's ping and
+// traceroute counts are the one always-on registry: Platform.Stats derives
+// its credits from them, so they are accounting, not metering.
 //
-//   - The global default registry (Default) is DISABLED by default: every
-//     instrumentation call against it short-circuits on one atomic load,
-//     so pipeline-wide instrumentation costs ~nothing unless a binary
-//     opts in (the -metrics/-trace/-pprof flags call Enable). Stateless
-//     packages (netsim, cbg, vpsel, streetlevel, sanitize, core,
-//     experiments) instrument against it.
-//
-//   - Per-campaign registries (telemetry.New) are always enabled and back
-//     accounting that must work unconditionally: the atlas platform's
-//     ping and traceroute counts live in one, and Platform.Stats derives
-//     its credits from them.
+// Default is a process-wide registry that starts disabled; only the
+// deprecated ipindex counts into it.
 //
 // Instrumentation must never perturb results: telemetry only observes.
 // Counters incremented from parallel campaign workers reach deterministic
@@ -33,7 +33,7 @@ import (
 
 // Registry holds named metrics and recorded spans. All methods are safe
 // for concurrent use. The zero value is not usable; construct with New or
-// NewDisabled.
+// NewDisabled. A nil *Registry meters nothing.
 type Registry struct {
 	enabled atomic.Bool
 
@@ -64,18 +64,12 @@ func NewDisabled() *Registry {
 	}
 }
 
-// std is the process-wide default registry, disabled until a binary opts
-// in via Enable (the telemetry CLI flags do).
+// std is the process-wide default registry, disabled until SetEnabled.
 var std = NewDisabled()
 
-// Default returns the global default registry.
+// Default returns the process-wide registry the deprecated ipindex counts
+// into. Nothing else does: metering is handed in.
 func Default() *Registry { return std }
-
-// Enable switches the global default registry on.
-func Enable() { std.SetEnabled(true) }
-
-// Enabled reports whether the global default registry is on.
-func Enabled() bool { return std.IsEnabled() }
 
 // SetEnabled switches the registry's instrumentation on or off. Metrics
 // keep their values when disabled; they just stop updating.
@@ -84,10 +78,13 @@ func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 // IsEnabled reports whether instrumentation against this registry records.
 func (r *Registry) IsEnabled() bool { return r != nil && r.enabled.Load() }
 
-// Counter returns the named counter, creating it on first use. Handles
-// should be resolved once (package init or construction time), not per
-// operation.
+// Counter returns the named counter, creating it on first use; nil on a
+// nil registry. Handles should be resolved once, at construction time,
+// not per operation.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := r.counters[name]
@@ -98,8 +95,12 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
+// Gauge returns the named gauge, creating it on first use; nil on a nil
+// registry.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g := r.gauges[name]
@@ -113,7 +114,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named histogram, creating it with the given
 // bucket upper bounds (ascending; an implicit +Inf bucket is appended) on
 // first use. Later calls ignore bounds and return the existing histogram.
+// A nil registry returns nil.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.hists[name]

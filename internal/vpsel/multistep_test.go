@@ -108,7 +108,7 @@ func TestMultiStepSweepMatchesOracle(t *testing.T) {
 	}
 	const maxRounds = 5
 	nT := len(camp.Targets)
-	m := cbg.NewMatrix(camp.RepRTT.VPs, nT+3)
+	m := cbg.NewMatrix(camp.RepRTT.VPs, nT+3, nil)
 	for vp := range m.RTT {
 		copy(m.RTT[vp], camp.RepRTT.RTT[vp])
 	}

@@ -132,7 +132,7 @@ func TestRegionCandidatesSyntheticRegions(t *testing.T) {
 	for i := range meta {
 		meta[i] = VPMeta{AS: i % 97, City: (i / 3) % 211}
 	}
-	sealed, unsealed := cbg.NewMatrix(vps, 1), cbg.NewMatrix(vps, 1)
+	sealed, unsealed := cbg.NewMatrix(vps, 1, nil), cbg.NewMatrix(vps, 1, nil)
 	sealed.Seal()
 	if _, ok := unsealed.LatBand(-1, 1); ok {
 		t.Fatal("an unsealed matrix answered a latitude band")

@@ -17,20 +17,7 @@ import (
 	"geoloc/internal/cbg"
 	"geoloc/internal/geo"
 	"geoloc/internal/par"
-	"geoloc/internal/telemetry"
 )
-
-// meters holds the package's instrumentation handles, resolved once against
-// the global default registry.
-var meters = struct {
-	selects        *telemetry.Counter
-	greedyCovers   *telemetry.Counter
-	twoStepSelects *telemetry.Counter
-}{
-	selects:        telemetry.Default().Counter("vpsel.selects"),
-	greedyCovers:   telemetry.Default().Counter("vpsel.greedy_covers"),
-	twoStepSelects: telemetry.Default().Counter("vpsel.two_step_selects"),
-}
 
 // RepPingsPerVP is how many ping measurements one VP spends probing one
 // target's representative set (one ping per representative).
@@ -40,7 +27,6 @@ const RepPingsPerVP = 3
 // the target's representatives, using the full rep matrix — the million
 // scale paper's selection rule. The result is ascending by RTT.
 func OriginalSelect(repRTT *cbg.Matrix, target, k int) []int {
-	meters.selects.Inc()
 	return repRTT.ClosestVPs(target, k)
 }
 
@@ -82,7 +68,6 @@ const coverBlock = 64
 // The sums and scores are index-addressed and accumulate in pick order, so
 // neither the source nor the fan changes a bit of the answer.
 func greedyCover(p coverPairs, n int, fan bool) []int {
-	meters.greedyCovers.Inc()
 	m := len(p.tr)
 	if n <= 0 || m == 0 {
 		return nil
@@ -189,7 +174,6 @@ type TwoStepResult struct {
 // ok is false when no usable selection exists (no responsive first-step
 // measurement, or an empty region with no candidate VPs).
 func TwoStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target int) (TwoStepResult, bool) {
-	meters.twoStepSelects.Inc()
 	res := TwoStepResult{Pings: int64(len(firstStep)) * RepPingsPerVP}
 
 	var buf [8]geo.TrigCircle
