@@ -80,8 +80,8 @@ staticcheck:
 # replica's net/http server included — at most 45. TestMeasureTargetAllocs
 # pins a streamed target's measurement at zero once its buffer holds K,
 # and TestPingAllocs a simulated ping, and a traceroute into a caller's
-# TraceBuf, at zero once the route's skeleton is in the table (DESIGN.md
-# §3.2). Run by name, so a new allocation sneaking
+# TraceBuf, at zero whether the route's skeleton is in the table or is
+# built on a miss (DESIGN.md §3.2). Run by name, so a new allocation sneaking
 # into a hot path fails THIS target, not a trend threshold.
 allocs-smoke:
 	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestPingAllocs' \

@@ -31,7 +31,6 @@ import (
 	"geoloc/internal/core"
 	"geoloc/internal/experiments"
 	"geoloc/internal/geo"
-	"geoloc/internal/streetlevel"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/vpsel"
 	"geoloc/internal/world"
@@ -104,7 +103,6 @@ type Target struct {
 // reproduce the paper's experiments.
 type System struct {
 	campaign *core.Campaign
-	street   *streetlevel.Pipeline
 	ctx      *experiments.Context
 }
 
@@ -121,11 +119,7 @@ func NewSystem(s Scale) *System {
 func NewSystemFromConfig(cfg world.Config, opts experiments.Options, reg *telemetry.Registry) *System {
 	c := core.NewResilientCampaign(cfg, nil, reg)
 	c.BuildMatrices()
-	return &System{
-		campaign: c,
-		street:   streetlevel.New(c),
-		ctx:      experiments.NewContextFromCampaign(c, opts),
-	}
+	return &System{campaign: c, ctx: experiments.NewContextFromCampaign(c, opts)}
 }
 
 // Campaign exposes the underlying campaign for advanced use (examples use
@@ -209,12 +203,13 @@ type StreetLevelResult struct {
 	SimulatedSeconds float64
 }
 
-// LocateStreetLevel runs the full three-tier street level technique.
+// LocateStreetLevel runs the full three-tier street level technique,
+// through the same pipeline the experiments' street-level run uses.
 func (s *System) LocateStreetLevel(target int) (StreetLevelResult, error) {
 	if err := s.checkTarget(target); err != nil {
 		return StreetLevelResult{}, err
 	}
-	res := s.street.Geolocate(target)
+	res := s.ctx.SL.Geolocate(target)
 	return StreetLevelResult{
 		Estimate:          s.estimate(target, res.Estimate, "street-level"),
 		Method:            res.Method,

@@ -1,6 +1,7 @@
 package geoloc
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -94,6 +95,28 @@ func TestLocateStreetLevel(t *testing.T) {
 	}
 	if res.Estimate.Technique != "street-level" {
 		t.Errorf("technique = %q", res.Estimate.Technique)
+	}
+}
+
+// TestLocateStreetLevelMatchesExperiments holds LocateStreetLevel to the
+// experiments' street-level run for every target: both go through one
+// pipeline, so each field is the run's, bit for bit.
+func TestLocateStreetLevelMatchesExperiments(t *testing.T) {
+	want := sys.ctx.StreetResults()
+	if len(want) != sys.NumTargets() {
+		t.Fatalf("%d street-level results for %d targets", len(want), sys.NumTargets())
+	}
+	for ti, w := range want {
+		got, err := sys.LocateStreetLevel(ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Estimate.Location != fromGeo(w.Estimate) || got.Method != w.Method ||
+			got.Landmarks != len(w.Landmarks) ||
+			math.Float64bits(got.NegativeDelayFrac) != math.Float64bits(w.NegativeDelayFrac) ||
+			math.Float64bits(got.SimulatedSeconds) != math.Float64bits(w.TimeSeconds) {
+			t.Fatalf("target %d: LocateStreetLevel %+v, the experiments' run %+v", ti, got, w)
+		}
 	}
 }
 

@@ -156,19 +156,17 @@ func TestHopLossSilencesHops(t *testing.T) {
 // refTraceroute is Traceroute as it was before TraceInto: a fresh hop
 // slice per trace, the faults applied to it afterwards.
 func refTraceroute(s *Sim, src, dst *world.Host, salt uint64) Trace {
-	sk, cum, oneWay := s.trip(src, dst)
+	var sk skeleton
+	cum, oneWay := s.trip(src, dst, &sk)
 	st := rhash.New(s.W.Cfg.Seed, rhash.HashString("traceroute"), uint64(src.Addr), uint64(dst.Addr), salt)
-	var hops []skeletonHop
-	if sk != nil {
-		hops = sk.hops[:sk.n]
-	}
-	tr := Trace{Hops: make([]TraceHop, len(hops))}
-	for i, h := range hops {
+	tr := Trace{Hops: make([]TraceHop, sk.n)}
+	for i := range tr.Hops {
+		h := s.hop(&sk, i, src, dst)
 		jitter := st.Exp(s.Cfg.ICMPJitterMeanMs)
 		if st.Bool(s.Cfg.ICMPSpikeProb) {
 			jitter += math.Min(st.Exp(s.Cfg.ICMPSpikeMeanMs), s.Cfg.ICMPSpikeMaxMs)
 		}
-		tr.Hops[i] = TraceHop{RouterID: h.id, ASID: int(h.asID), RTTMs: 2*cum[i] + jitter, Responded: st.Bool(0.95)}
+		tr.Hops[i] = TraceHop{RouterID: h.id, ASID: int(h.as), RTTMs: 2*cum[i] + jitter, Responded: st.Bool(0.95)}
 	}
 	tr.DstRTTMs = 2*oneWay + st.Exp(s.Cfg.PingJitterMeanMs)
 	tr.DstResponded = st.Bool(dst.RespScore)

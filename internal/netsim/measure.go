@@ -28,7 +28,7 @@ type PingResult struct {
 // no packet was answered (the destination's responsiveness score governs
 // reply probability). salt distinguishes repeated measurements of the same
 // pair; reusing a salt reproduces the measurement exactly. Ping allocates
-// nothing once the pair's skeleton is in the table.
+// nothing, whether the pair's skeleton is in the table or not.
 func (s *Sim) Ping(src, dst *world.Host, salt uint64) (float64, bool) {
 	min, _, ok := s.ping(src, dst, salt, nil)
 	return min, ok
@@ -130,19 +130,16 @@ func (s *Sim) Traceroute(src, dst *world.Host, salt uint64) Trace {
 // destination's, which is precisely why RTT-difference delay estimation
 // (D1+D2 in the street level paper) is unreliable. With fault injection
 // enabled the traceroute may additionally lose its tail (Truncated) or
-// individual hop answers. TraceInto allocates nothing once the pair's
-// skeleton is in the table.
+// individual hop answers. TraceInto allocates nothing, whether the pair's
+// skeleton is in the table or not.
 func (s *Sim) TraceInto(buf *TraceBuf, src, dst *world.Host, salt uint64) Trace {
 	s.m.traceroutes.Inc()
-	sk, cum, oneWay := s.trip(src, dst)
+	var sk skeleton
+	cum, oneWay := s.trip(src, dst, &sk)
 	st := rhash.Keyed(rhash.Hash(s.W.Cfg.Seed, rhash.HashString("traceroute"),
 		uint64(src.Addr), uint64(dst.Addr), salt))
-	var hops []skeletonHop
-	if sk != nil {
-		hops = sk.hops[:sk.n]
-	}
-	tr := Trace{Hops: buf[:len(hops)]}
-	for i, h := range hops {
+	tr := Trace{Hops: buf[:sk.n]}
+	for i := range tr.Hops {
 		jitter := st.Exp(s.Cfg.ICMPJitterMeanMs)
 		if st.Bool(s.Cfg.ICMPSpikeProb) {
 			spike := st.Exp(s.Cfg.ICMPSpikeMeanMs)
@@ -152,9 +149,10 @@ func (s *Sim) TraceInto(buf *TraceBuf, src, dst *world.Host, salt uint64) Trace 
 			jitter += spike
 		}
 		responded := st.Bool(0.95)
+		h := s.hop(&sk, i, src, dst)
 		tr.Hops[i] = TraceHop{
 			RouterID:  h.id,
-			ASID:      int(h.asID),
+			ASID:      int(h.as),
 			RTTMs:     2*cum[i] + jitter,
 			Responded: responded,
 		}

@@ -209,12 +209,14 @@ func (s *Sim) routerLoc(r routerRef) geo.Point {
 	return geo.Destination(c.Loc, brng, dist)
 }
 
-// routerPlace is a router's identity and location, with the location's
-// trig for the link distances (TrigDistance is Distance bit for bit).
+// routerPlace is a router's identity, AS and location, with the
+// location's trig for the link distances (TrigDistance is Distance bit
+// for bit).
 type routerPlace struct {
 	id   uint64
 	loc  geo.Point
 	trig geo.Trig
+	as   int32
 }
 
 // placeRouters fills the router table, one AS or one city per par unit,
@@ -256,7 +258,7 @@ func (s *Sim) router(r routerRef) routerPlace {
 // computePlace derives r's place from routerID and routerLoc.
 func (s *Sim) computePlace(r routerRef) routerPlace {
 	loc := s.routerLoc(r)
-	return routerPlace{id: s.routerID(r), loc: loc, trig: geo.MakeTrig(loc)}
+	return routerPlace{id: s.routerID(r), loc: loc, trig: geo.MakeTrig(loc), as: int32(r.asID)}
 }
 
 // routerCell returns r's cell in the router table, or -1.

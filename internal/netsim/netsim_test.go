@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"geoloc/internal/geo"
+	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
 )
 
@@ -86,16 +87,21 @@ func TestPingAtLeastBaseRTT(t *testing.T) {
 	}
 }
 
-// TestPingAllocs pins a ping on a warm skeleton at zero allocations: the
-// route is walked, not built, and no per-packet slice is kept. That holds
-// for a destination outside the access table too — an ephemeral web
-// server, whose access link is computed per call. A traceroute into a
-// caller's TraceBuf allocates nothing either.
+// TestPingAllocs pins a ping at zero allocations, on a warm skeleton
+// and on a miss: a hit copies the table's entry onto the stack, a miss
+// builds it there and publishes it in place, and no per-packet slice is
+// kept. That holds for a destination outside the access table too — an
+// ephemeral web server, whose access link is computed per call. A
+// traceroute into a caller's TraceBuf allocates nothing either. A cold
+// row empties the table before every call and checks each call missed.
 func TestPingAllocs(t *testing.T) {
-	s := New(tw, nil)
+	reg := telemetry.New()
+	s := New(tw, reg)
+	misses := reg.Counter("netsim.route_skeleton_misses")
 	src, dst := hostPair(2, 3)
 	web := world.Host{ID: -1, Kind: world.WebServer, Addr: dst.Addr + 1, City: dst.City, AS: dst.AS,
 		Loc: geo.Destination(dst.Loc, 45, 1), LastMileMs: 0.3, RespScore: 1}
+	const runs = 200
 	for _, c := range []struct {
 		name   string
 		dst    *world.Host
@@ -104,20 +110,41 @@ func TestPingAllocs(t *testing.T) {
 		if got := s.hostCell(c.dst) >= 0; got != c.tabled {
 			t.Fatalf("%s: destination in the access table %v, want %v", c.name, got, c.tabled)
 		}
-		s.Ping(src, c.dst, 0)
-		salt := uint64(0)
-		if n := testing.AllocsPerRun(200, func() {
-			salt++
-			s.Ping(src, c.dst, salt)
-		}); n != 0 {
-			t.Errorf("%s: Ping on a warm skeleton: %v allocations, want 0", c.name, n)
-		}
-		var buf TraceBuf
-		if n := testing.AllocsPerRun(200, func() {
-			salt++
-			s.TraceInto(&buf, src, c.dst, salt)
-		}); n != 0 {
-			t.Errorf("%s: TraceInto on a warm skeleton: %v allocations, want 0", c.name, n)
+		for _, cold := range []bool{false, true} {
+			state := "a warm skeleton"
+			if cold {
+				state = "a skeleton miss"
+			}
+			s.Ping(src, c.dst, 0)
+			salt := uint64(0)
+			before := misses.Value()
+			if n := testing.AllocsPerRun(runs, func() {
+				if cold {
+					clear(s.skeletons.entries)
+				}
+				salt++
+				s.Ping(src, c.dst, salt)
+			}); n != 0 {
+				t.Errorf("%s: Ping on %s: %v allocations, want 0", c.name, state, n)
+			}
+			var buf TraceBuf
+			if n := testing.AllocsPerRun(runs, func() {
+				if cold {
+					clear(s.skeletons.entries)
+				}
+				salt++
+				s.TraceInto(&buf, src, c.dst, salt)
+			}); n != 0 {
+				t.Errorf("%s: TraceInto on %s: %v allocations, want 0", c.name, state, n)
+			}
+			// AllocsPerRun makes one warm-up call before its runs.
+			want := int64(0)
+			if cold {
+				want = 2 * (runs + 1)
+			}
+			if got := misses.Value() - before; got != want {
+				t.Errorf("%s: %d skeleton misses over %s runs, want %d", c.name, got, state, want)
+			}
 		}
 	}
 }

@@ -138,40 +138,43 @@ func (s *Sim) bestPeeringCity(a, b *world.AS, srcCity, dstCity int) (int, bool) 
 // pair's skeleton; only the two access links and the path noise depend on
 // the hosts themselves.
 func (s *Sim) Route(src, dst *world.Host) Path {
-	sk, cum, oneWay := s.trip(src, dst)
-	if sk == nil {
+	var sk skeleton
+	cum, oneWay := s.trip(src, dst, &sk)
+	if sk.n == 0 {
 		return Path{OneWayMs: oneWay}
 	}
 	hops := make([]PathHop, sk.n)
 	for i := range hops {
-		h := &sk.hops[i]
-		hops[i] = PathHop{RouterID: h.id, Loc: h.loc, ASID: int(h.asID), CumOneWayMs: cum[i]}
+		pl := s.hop(&sk, i, src, dst)
+		hops[i] = PathHop{RouterID: pl.id, Loc: pl.loc, ASID: int(pl.as), CumOneWayMs: cum[i]}
 	}
 	return Path{Hops: hops, OneWayMs: oneWay}
 }
 
 // trip walks the route between two hosts without building its hops. It
-// returns the route's skeleton (nil from a host to itself), the cumulative
-// one-way delay up to each of its routers, and the total one-way delay.
-// The two access links and the hosts' trig come from the access table, so
-// the path noise's haversine is the only one a route pays.
-func (s *Sim) trip(src, dst *world.Host) (sk *skeleton, cum [maxRouters]float64, oneWay float64) {
+// fills sk with the route's skeleton (no hops from a host to itself) and
+// returns the cumulative one-way delay up to each of its routers and the
+// total one-way delay. The two access links and the hosts' trig come from
+// the access table, so the path noise's haversine is the only one a route
+// pays.
+func (s *Sim) trip(src, dst *world.Host, sk *skeleton) (cum [maxRouters]float64, oneWay float64) {
 	if src.Addr == dst.Addr {
-		return nil, cum, 0.02
+		sk.n = 0
+		return cum, 0.02
 	}
-	sk = s.skeleton(src, dst)
-	d := b2i(sk.key.direct)
+	s.skeleton(src, dst, sk)
+	d := b2i(sk.direct)
 	sa, da := s.access(src), s.access(dst)
 	c := src.LastMileMs
 	c += sa.ms[d] + s.Cfg.HopProcessingMs
 	cum[0] = c
-	for i := 1; i < int(sk.n); i++ {
-		c += sk.hops[i].add
+	for i := 1; i < sk.n; i++ {
+		c += sk.adds[i]
 		cum[i] = c
 	}
 	oneWay = c + da.ms[d] + dst.LastMileMs
 	oneWay += s.pathNoiseKm(src, dst, geo.TrigDistance(sa.trig, da.trig))
-	return sk, cum, oneWay
+	return cum, oneWay
 }
 
 // adjust returns the cable factor of a link whose drawn factor is f. On a
@@ -221,6 +224,7 @@ func hostNoiseFactor(h *world.Host) float64 {
 
 // BaseRTTMs is the jitter-free round-trip time between two hosts.
 func (s *Sim) BaseRTTMs(src, dst *world.Host) float64 {
-	_, _, oneWay := s.trip(src, dst)
+	var sk skeleton
+	_, oneWay := s.trip(src, dst, &sk)
 	return 2 * oneWay
 }

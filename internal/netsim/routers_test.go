@@ -58,7 +58,7 @@ func directRoute(s *Sim, src, dst *world.Host) Path {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func samePlace(a, b routerPlace) bool {
-	return a.id == b.id && sameBits(a.loc.Lat, b.loc.Lat) && sameBits(a.loc.Lon, b.loc.Lon) &&
+	return a.id == b.id && a.as == b.as && sameBits(a.loc.Lat, b.loc.Lat) && sameBits(a.loc.Lon, b.loc.Lon) &&
 		sameBits(a.trig.LatRad, b.trig.LatRad) && sameBits(a.trig.LonRad, b.trig.LonRad) &&
 		sameBits(a.trig.CosLat, b.trig.CosLat)
 }
@@ -112,7 +112,7 @@ func TestRouterTable(t *testing.T) {
 			}
 			filled[i] = true
 			loc := s.routerLoc(r)
-			if want := (routerPlace{id: s.routerID(r), loc: loc, trig: geo.MakeTrig(loc)}); !samePlace(s.routers[i], want) {
+			if want := (routerPlace{id: s.routerID(r), loc: loc, trig: geo.MakeTrig(loc), as: int32(r.asID)}); !samePlace(s.routers[i], want) {
 				t.Fatalf("router %+v: table %+v, computed %+v", r, s.routers[i], want)
 			}
 		}
@@ -315,7 +315,7 @@ func TestRouteThroughTableMatchesDirect(t *testing.T) {
 			hits := 0
 			for n, p := range pairs {
 				src, dst := p[0], p[1]
-				if sk := s.skeletons.slot(keyOf(src, dst)).Load(); sk != nil && sk.key == keyOf(src, dst) {
+				if s.skeletons.lookup(keyOf(src, dst), new(skeleton)) {
 					hits++
 				}
 				if diff := checkOracle(s, src, dst, uint64(n)); diff != "" {
@@ -341,9 +341,10 @@ func TestRouteThroughTableMatchesDirect(t *testing.T) {
 }
 
 // TestSkeletonTableCollisions fills a four-slot table from every worker of
-// par.For at once, so entries collide and replace each other under
-// contention, and holds every answer to the oracle. Each entry left in the
-// table must be the skeleton its key builds.
+// par.For at once, so entries collide, writers skip slots other writers
+// hold and readers discard entries torn under them, and holds every
+// answer to the oracle. Every slot left occupied must decode to exactly
+// the skeleton buildSkeleton makes of its key.
 func TestSkeletonTableCollisions(t *testing.T) {
 	s := New(tw, nil)
 	s.skeletons = newSkeletonTable(2)
@@ -357,19 +358,56 @@ func TestSkeletonTableCollisions(t *testing.T) {
 			t.Fatalf("pair %d (%+v → %+v): %s", n, pairs[n][0], pairs[n][1], d)
 		}
 	}
-	byKey := make(map[skeletonKey][2]*world.Host)
+	byKey := make(map[[2]uint64][2]*world.Host)
 	for _, p := range pairs {
-		byKey[keyOf(p[0], p[1])] = p
+		a, b := keyOf(p[0], p[1]).pack()
+		byKey[[2]uint64{a, b}] = p
 	}
-	for i := range s.skeletons.slots {
-		sk := s.skeletons.slots[i].Load()
-		if sk == nil {
-			t.Fatalf("slot %d empty after %d pairs", i, len(pairs))
+	for i := range s.skeletons.entries {
+		e := &s.skeletons.entries[i]
+		if v := e.seq.Load(); v == 0 || v&1 != 0 {
+			t.Fatalf("slot %d not whole (seq %d) after %d pairs", i, v, len(pairs))
 		}
-		p := byKey[sk.key]
-		if want := s.buildSkeleton(p[0], p[1], sk.key); *sk != *want {
-			t.Fatalf("slot %d: %+v, its key builds %+v", i, *sk, *want)
+		p, ok := byKey[[2]uint64{e.key[0].Load(), e.key[1].Load()}]
+		if !ok {
+			t.Fatalf("slot %d holds a key no pair has: %#x %#x", i, e.key[0].Load(), e.key[1].Load())
 		}
+		k := keyOf(p[0], p[1])
+		var got, want skeleton
+		if !s.skeletons.lookup(k, &got) || &s.skeletons.entries[i] != s.skeletons.entry(k.pack()) {
+			t.Fatalf("slot %d: its key %+v does not look it up", i, k)
+		}
+		if !s.buildSkeleton(p[0], p[1], k.direct, &want) || got != want {
+			t.Fatalf("slot %d: %+v, its key builds %+v", i, got, want)
+		}
+	}
+}
+
+// TestSkeletonTableEmptySlot holds a fresh table to missing the all-zero
+// key (AS 0, city 0 → AS 0, city 0), whose packed words are the zero
+// entry's: a zeroed entry must never match. Once published, the key hits
+// and decodes to what buildSkeleton makes of it.
+func TestSkeletonTableEmptySlot(t *testing.T) {
+	s := New(tw, nil)
+	var zero skeletonKey
+	if a, b := zero.pack(); a != 0 || b != 0 {
+		t.Fatalf("the zero key packs to %#x %#x", a, b)
+	}
+	var got skeleton
+	if s.skeletons.lookup(zero, &got) {
+		t.Fatalf("a fresh table hits the zero key: %+v", got)
+	}
+	src, dst := world.Host{Addr: 1}, world.Host{Addr: 2}
+	if keyOf(&src, &dst) != zero {
+		t.Fatalf("key %+v, want the zero key", keyOf(&src, &dst))
+	}
+	var want skeleton
+	if !s.buildSkeleton(&src, &dst, false, &want) {
+		t.Fatal("the zero key's route leaves the router table: AS 0 has no PoP in city 0")
+	}
+	s.skeletons.publish(zero, &want)
+	if !s.skeletons.lookup(zero, &got) || got != want {
+		t.Fatalf("after publishing, lookup gives %+v, want %+v", got, want)
 	}
 }
 

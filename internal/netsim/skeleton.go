@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -9,12 +10,17 @@ import (
 	"geoloc/internal/world"
 )
 
-// skeletonBits sizes each Sim's skeleton table: 1<<skeletonBits slots. A
-// skeleton is 264 bytes (a 288-byte allocation), so a full table is 1.2 MB
-// plus 32 KB of slots. A campaign's set-up fills 88 % of it on Tiny and all
-// of it on Medium and Default. With its rows walked in PlaceOrder, Medium
-// set-up hits the table on 67 % of its routes (42 % in VP index order).
-const skeletonBits = 12
+// skeletonBits sizes each Sim's skeleton table: 1<<skeletonBits inline
+// entries of 96 bytes, 1.5 MB allocated once by New. A miss builds the
+// skeleton on the caller's stack and publishes it in place, so the table
+// allocates nothing after New. The size was measured on analysis-suite,
+// where chaos keeps five Tiny Sims live beside the Medium one: 2^13,
+// 2^14, 2^15 and 2^16 slots read peak RSS 55–56, 57–58, 65 and 86–88 MB,
+// against 56–59 MB for the 4,096-slot table of pointers to allocated
+// skeletons it replaced; 2^14 is the largest that does not raise it.
+// With campaign rows walked in PlaceOrder, a Medium pass then hits the
+// table on 68 % of set-up routes, 48 % of fig5a's and 78 % of chaos's.
+const skeletonBits = 14
 
 // skeletonKey is everything a route's router part depends on: the two
 // hosts' ASes and cities pick the routers, and an anchor-to-anchor pair
@@ -34,86 +40,167 @@ func keyOf(src, dst *world.Host) skeletonKey {
 	}
 }
 
-// skeletonHop is one router of a skeleton. add is the delay of the link
-// into it from the previous router plus the router's processing: the
-// addend a route's running sum takes at this hop. Hop 0's link starts at
-// the source host and is the host's access link, so its add is unused.
-type skeletonHop struct {
-	id   uint64
-	loc  geo.Point
-	add  float64
-	asID int32
-}
-
-// skeleton is the part of a route the world fixes, immutable once built.
-// Addends, not partial sums, are cached: a route adds them to a sum that
-// starts at the source's last mile and its access link, in hop order, so
-// every float is the bits a route computed link by link would get.
-type skeleton struct {
-	key  skeletonKey
-	n    int32
-	hops [maxRouters]skeletonHop
-}
-
-// skeletonTable is a lock-free direct-mapped table of skeletons. A slot
-// holds at most one entry and a colliding insert replaces it. A skeleton
-// is a pure function of its key, so losing or replacing one can never
-// change a result — only the hit/miss counters, which are reporting-only
-// and may vary with goroutine scheduling.
-type skeletonTable struct {
-	slots []atomic.Pointer[skeleton]
-	shift uint
-}
-
-func newSkeletonTable(bits uint) skeletonTable {
-	return skeletonTable{slots: make([]atomic.Pointer[skeleton], 1<<bits), shift: 64 - bits}
-}
-
-// slot picks k's slot with a multiplicative mix of its fields.
-func (t *skeletonTable) slot(k skeletonKey) *atomic.Pointer[skeleton] {
-	a := uint64(uint32(k.srcAS))<<32 | uint64(uint32(k.srcCity))
-	b := uint64(uint32(k.dstAS))<<32 | uint64(uint32(k.dstCity))<<1
+// pack folds k into two words, one per end; the direct flag takes the
+// low bit of the second. AS and city IDs are non-negative and far below
+// 1<<31, so distinct keys pack to distinct words.
+func (k skeletonKey) pack() (a, b uint64) {
+	a = uint64(uint32(k.srcAS))<<32 | uint64(uint32(k.srcCity))
+	b = uint64(uint32(k.dstAS))<<32 | uint64(uint32(k.dstCity))<<1
 	if k.direct {
 		b |= 1
 	}
+	return a, b
+}
+
+// skeleton is the part of a route the world fixes, held on the stack of
+// the call that walks the route. cells[i] is hop i's cell in the router
+// table, or -1 for a router off the table (a gateway in a city its AS has
+// no PoP in: the end of a route to an ephemeral web server, say). adds[i]
+// is the delay of the link into hop i from the previous router plus the
+// router's processing: the addend a route's running sum takes at this
+// hop. Hop 0's link starts at the source host and is the host's access
+// link, so adds[0] is unused. Addends, not partial sums, are kept: a
+// route adds them to a sum that starts at the source's last mile and its
+// access link, in hop order, so every float is the bits a route computed
+// link by link would get.
+type skeleton struct {
+	n      int
+	direct bool
+	cells  [maxRouters]int32
+	adds   [maxRouters]float64
+}
+
+// skeletonEntry is one slot of the table: a skeleton inline, under a
+// sequence lock. seq is 0 while the slot was never written, odd while a
+// writer fills it, and even and non-zero once an entry is whole. Every
+// field is an atomic word, so a reader racing a writer reads torn data
+// but never races; it then sees seq change and discards what it read.
+type skeletonEntry struct {
+	seq   atomic.Uint32
+	n     atomic.Uint32
+	key   [2]atomic.Uint64
+	cells [maxRouters]atomic.Int32
+	adds  [maxRouters]atomic.Uint64 // float64 bits
+}
+
+// skeletonTable is a lock-free direct-mapped table of skeletons. A slot
+// holds at most one entry and a colliding publish replaces it. A skeleton
+// is a pure function of its key, so a reader that misses on a slot a
+// writer holds, or a writer that skips a slot another writer holds, can
+// never change a result — only the hit/miss counters, which are
+// reporting-only and may vary with goroutine scheduling.
+type skeletonTable struct {
+	entries []skeletonEntry
+	shift   uint
+}
+
+func newSkeletonTable(bits uint) skeletonTable {
+	return skeletonTable{entries: make([]skeletonEntry, 1<<bits), shift: 64 - bits}
+}
+
+// entry picks the slot of the key packed to a, b with a multiplicative mix.
+func (t *skeletonTable) entry(a, b uint64) *skeletonEntry {
 	h := a*0x9E3779B97F4A7C15 ^ b*0xBF58476D1CE4E5B9
 	h ^= h >> 29
-	return &t.slots[(h*0x94D049BB133111EB)>>t.shift]
+	return &t.entries[(h*0x94D049BB133111EB)>>t.shift]
 }
 
-// skeleton returns the skeleton of the route between the two hosts, from
-// the table or built and published.
-func (s *Sim) skeleton(src, dst *world.Host) *skeleton {
+// lookup copies k's skeleton into sk when k's slot holds a whole entry
+// for k, and reports whether it did.
+func (t *skeletonTable) lookup(k skeletonKey, sk *skeleton) bool {
+	a, b := k.pack()
+	e := t.entry(a, b)
+	v := e.seq.Load()
+	if v == 0 || v&1 != 0 || e.key[0].Load() != a || e.key[1].Load() != b {
+		return false
+	}
+	sk.direct = k.direct
+	sk.n = int(e.n.Load())
+	for i := 0; i < sk.n; i++ {
+		sk.cells[i] = e.cells[i].Load()
+		sk.adds[i] = math.Float64frombits(e.adds[i].Load())
+	}
+	return e.seq.Load() == v
+}
+
+// publish writes sk into k's slot, unless another writer holds the slot.
+func (t *skeletonTable) publish(k skeletonKey, sk *skeleton) {
+	a, b := k.pack()
+	e := t.entry(a, b)
+	v := e.seq.Load()
+	if v&1 != 0 || !e.seq.CompareAndSwap(v, v+1) {
+		return
+	}
+	e.key[0].Store(a)
+	e.key[1].Store(b)
+	e.n.Store(uint32(sk.n))
+	for i := 0; i < sk.n; i++ {
+		e.cells[i].Store(sk.cells[i])
+		e.adds[i].Store(math.Float64bits(sk.adds[i]))
+	}
+	// After 2³¹ publishes the count wraps to 0 and the slot reads as
+	// empty until the next one: a miss, never a wrong hit.
+	e.seq.Store(v + 2)
+}
+
+// skeleton fills sk with the skeleton of the route between the two hosts,
+// from the table or built, and published when every router is in the
+// router table.
+func (s *Sim) skeleton(src, dst *world.Host, sk *skeleton) {
 	k := keyOf(src, dst)
-	slot := s.skeletons.slot(k)
-	if sk := slot.Load(); sk != nil && sk.key == k {
+	if s.skeletons.lookup(k, sk) {
 		s.m.skeletonHits.Inc()
-		return sk
+		return
 	}
 	s.m.skeletonMiss.Inc()
-	sk := s.buildSkeleton(src, dst, k)
-	slot.Store(sk)
-	return sk
+	if s.buildSkeleton(src, dst, k.direct, sk) {
+		s.skeletons.publish(k, sk)
+	}
 }
 
-// buildSkeleton places the routers between the two hosts and prices every
-// router-to-router link.
-func (s *Sim) buildSkeleton(src, dst *world.Host, k skeletonKey) *skeleton {
+// buildSkeleton places the routers between the two hosts into sk and
+// prices every router-to-router link, on straighter cable when direct. It
+// reports whether every router was in the router table: a skeleton with a
+// router off it is not published, since its cells cannot name that
+// router.
+func (s *Sim) buildSkeleton(src, dst *world.Host, direct bool, sk *skeleton) (tabled bool) {
 	var buf [maxRouters]routerRef
 	refs := s.routeRouters(src, dst, buf[:0])
-	sk := &skeleton{key: k, n: int32(len(refs))}
+	sk.n, sk.direct = len(refs), direct
+	tabled = true
 	var prev routerPlace
 	for i, r := range refs {
-		pl := s.router(r)
-		h := &sk.hops[i]
-		h.id, h.loc, h.asID = pl.id, pl.loc, int32(r.asID)
+		c := s.routerCell(r)
+		var pl routerPlace
+		if c >= 0 {
+			pl = s.routers[c]
+		} else {
+			pl, tabled = s.computePlace(r), false
+		}
+		sk.cells[i], sk.adds[i] = int32(c), 0
 		if i > 0 {
 			linkKm := geo.TrigDistance(prev.trig, pl.trig)
-			h.add = linkKm*s.adjust(k.direct, s.cableFactor(prev.id, pl.id))/geo.TwoThirdsC + s.Cfg.HopProcessingMs
+			sk.adds[i] = linkKm*s.adjust(direct, s.cableFactor(prev.id, pl.id))/geo.TwoThirdsC + s.Cfg.HopProcessingMs
 		}
 		prev = pl
 	}
-	return sk
+	return tabled
+}
+
+// hop returns the place of the route's i-th router: its router-table
+// cell, or for a router off the table, computed from the route's router
+// sequence again.
+func (s *Sim) hop(sk *skeleton, i int, src, dst *world.Host) routerPlace {
+	if c := sk.cells[i]; c >= 0 {
+		return s.routers[c]
+	}
+	return s.offTableHop(i, src, dst)
+}
+
+// offTableHop is hop's fallback, kept out of line so that hop inlines.
+func (s *Sim) offTableHop(i int, src, dst *world.Host) routerPlace {
+	var buf [maxRouters]routerRef
+	return s.computePlace(s.routeRouters(src, dst, buf[:0])[i])
 }
 
 // PlaceOrder returns the indices of srcs ordered by the part of a skeleton
