@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race vet staticcheck allocs-smoke profile experiments ci resume-check fuzz-smoke load-smoke chaos-smoke scale-smoke
+.PHONY: all build loc test race vet staticcheck allocs-smoke alloc-table profile experiments ci resume-check fuzz-smoke load-smoke chaos-smoke scale-smoke
 
 all: build
 
@@ -81,11 +81,23 @@ staticcheck:
 # pins a streamed target's measurement at zero once its buffer holds K,
 # and TestPingAllocs a simulated ping, and a traceroute into a caller's
 # TraceBuf, at zero whether the route's skeleton is in the table or is
-# built on a miss (DESIGN.md §3.2). Run by name, so a new allocation sneaking
-# into a hot path fails THIS target, not a trend threshold.
+# built on a miss (DESIGN.md §3.2). The analysis pass's per-call sites
+# (§3.5): a VP selection's region candidate scan at most 2 allocations,
+# a table cover one count whatever its size, a mapping-query fault draw 0,
+# and a pooled par.ForWorkers call at 2 workers at most 4. Run by name, so
+# a new allocation sneaking into a hot path fails THIS target, not a trend
+# threshold.
 allocs-smoke:
-	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestPingAllocs' \
-		./internal/serve ./internal/dataset ./internal/router ./internal/core ./internal/netsim
+	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestPingAllocs|TestRegionCandidatesAllocs|TestCoverAllocs|TestLookupFailedAllocs|TestForWorkersAllocs' \
+		./internal/serve ./internal/dataset ./internal/router ./internal/core ./internal/netsim \
+		./internal/vpsel ./internal/faults ./internal/par
+
+# The analysis pass's allocation split: one metered registry pass over a
+# Medium campaign (BenchmarkAnalysisPass), per experiment the heap objects
+# it allocates and the route skeletons it hits and builds in netsim's
+# table. A table for reading, not a gate: ROADMAP's analysis row cites it.
+alloc-table:
+	$(GO) test -run '^$$' -bench '^BenchmarkAnalysisPass$$' -benchtime 1x . | tr '\t' '\n' | grep '/pass\|/experiment'
 
 # CPU + heap profiles of the costliest analysis benchmark (Fig 2a drives
 # ~58k CBG locates through the sampling kernels). Inspect with

@@ -23,6 +23,7 @@ import (
 	"geoloc/internal/ipaddr"
 	"geoloc/internal/stats"
 	"geoloc/internal/streetlevel"
+	"geoloc/internal/telemetry"
 	"geoloc/internal/vpsel"
 	"geoloc/internal/world"
 )
@@ -89,6 +90,60 @@ func BenchmarkDeploy(b *testing.B)       { benchExperiment(b, experiments.Deploy
 func BenchmarkMultiStep(b *testing.B)    { benchExperiment(b, experiments.MultiStep) }
 func BenchmarkShortestPing(b *testing.B) { benchExperiment(b, experiments.ShortestPing) }
 func BenchmarkAblations(b *testing.B)    { benchExperiment(b, experiments.Ablations) }
+
+// BenchmarkAnalysisPass is the analysis-suite workload's pass, metered: it
+// builds a Medium campaign that meters into its own registry, runs one
+// unmeasured warm-up pass, then per iteration runs every registry
+// experiment on a fresh Context (so shared results are recomputed, as in
+// the workload) and reports, per experiment and pass, the heap objects it
+// allocated (runtime.MemStats.Mallocs, process-wide) and the route
+// skeletons it found in, and built into, netsim's table. This is the
+// analysis row's allocation split in ROADMAP; `make alloc-table` runs it.
+func BenchmarkAnalysisPass(b *testing.B) {
+	reg := telemetry.New()
+	c := core.NewResilientCampaign(world.MediumConfig(), nil, reg)
+	c.BuildMatrices()
+	hits := reg.Counter("netsim.route_skeleton_hits")
+	misses := reg.Counter("netsim.route_skeleton_misses")
+	registry := experiments.Registry()
+	allocs := make([]uint64, len(registry))
+	hit := make([]int64, len(registry))
+	miss := make([]int64, len(registry))
+	pass := func(measured bool) {
+		ctx := experiments.NewContextFromCampaign(c, experiments.QuickOptions())
+		var ms runtime.MemStats
+		for e, x := range registry {
+			runtime.ReadMemStats(&ms)
+			m0, h0, s0 := ms.Mallocs, hits.Value(), misses.Value()
+			if rep := x.Run(ctx); len(rep.Rows) == 0 {
+				b.Fatalf("%s produced no rows", x.ID)
+			}
+			runtime.ReadMemStats(&ms)
+			if measured {
+				allocs[e] += ms.Mallocs - m0
+				hit[e] += hits.Value() - h0
+				miss[e] += misses.Value() - s0
+			}
+		}
+	}
+	pass(false)
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass(true)
+	}
+	b.StopTimer()
+	n := float64(b.N)
+	var total uint64
+	for e, x := range registry {
+		total += allocs[e]
+		b.ReportMetric(float64(allocs[e])/n, x.ID+"-allocs/pass")
+		b.ReportMetric(float64(hit[e])/n, x.ID+"-skeleton-hits/pass")
+		b.ReportMetric(float64(miss[e])/n, x.ID+"-skeleton-misses/pass")
+	}
+	b.ReportMetric(float64(total)/n, "allocs/pass")
+	b.ReportMetric(float64(total)/n/float64(len(registry)), "allocs/experiment")
+}
 
 // BenchmarkChaos measures the full fault-intensity sweep: five resilient
 // campaigns (world generation, sanitization under holes, retried matrix

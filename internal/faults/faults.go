@@ -359,19 +359,16 @@ func (p *Profile) Submit(seed, src, dst, salt uint64, attempt int) SubmitOutcome
 	}
 }
 
-// LookupFailed reports whether the mapping-service query identified by
-// parts (a query-kind discriminator plus the query's own key material)
+// LookupFailed reports whether the mapping-service query identified by a
+// query-kind discriminator and two words of the query's own key material
 // fails. Like every fault draw it is persistent: re-issuing the identical
 // query fails identically, so a pipeline cannot "retry through" a failed
 // lookup — it must degrade, as with a cached upstream error.
-func (p *Profile) LookupFailed(seed uint64, parts ...uint64) bool {
+func (p *Profile) LookupFailed(seed, kind, a, b uint64) bool {
 	if p == nil || p.LookupFailProb <= 0 {
 		return false
 	}
-	all := make([]uint64, 0, len(parts)+2)
-	all = append(all, seed, kLookup)
-	all = append(all, parts...)
-	return rhash.UnitFloat(all...) < p.LookupFailProb
+	return rhash.UnitFloat(seed, kLookup, kind, a, b) < p.LookupFailProb
 }
 
 // StaleDrift returns the displacement of a stale landmark's advertised

@@ -1,11 +1,16 @@
 package faults
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"geoloc/internal/rhash"
+)
 
 func TestLookupFailedDisabled(t *testing.T) {
 	for _, p := range []*Profile{nil, None(), {}} {
 		for salt := uint64(0); salt < 100; salt++ {
-			if p.LookupFailed(1, 2, salt) {
+			if p.LookupFailed(1, 2, salt, 0) {
 				t.Fatal("disabled profile failed a mapping lookup")
 			}
 			if _, _, stale := p.StaleDrift(1, salt); stale {
@@ -18,11 +23,11 @@ func TestLookupFailedDisabled(t *testing.T) {
 func TestLookupFailedDeterministicAndPersistent(t *testing.T) {
 	p := Hostile()
 	for salt := uint64(0); salt < 200; salt++ {
-		first := p.LookupFailed(9, 1, salt)
+		first := p.LookupFailed(9, 1, salt, 0)
 		// Re-asking the identical query must fail identically — the
 		// pipeline has to degrade around a failed lookup, not retry it.
 		for i := 0; i < 3; i++ {
-			if p.LookupFailed(9, 1, salt) != first {
+			if p.LookupFailed(9, 1, salt, 0) != first {
 				t.Fatal("LookupFailed not persistent for identical query")
 			}
 		}
@@ -34,7 +39,7 @@ func TestLookupFailRateApproximatesProfile(t *testing.T) {
 	fails := 0
 	const n = 4000
 	for salt := uint64(0); salt < n; salt++ {
-		if p.LookupFailed(123, 7, salt) {
+		if p.LookupFailed(123, 7, salt, 0) {
 			fails++
 		}
 	}
@@ -87,5 +92,37 @@ func TestScaleCoversMappingKnobs(t *testing.T) {
 	}
 	if !(&Profile{LookupFailProb: 0.1}).Enabled() || !(&Profile{StaleLandmarkProb: 0.1}).Enabled() {
 		t.Fatal("Enabled ignores the mapping-service knobs")
+	}
+}
+
+// TestLookupFailedMatchesUnitFloat pins LookupFailed's draw to
+// rhash.UnitFloat(seed, kLookup, kind, a, b) bit for bit, the draw the
+// variadic form made of the same four words: a profile whose failure
+// probability is exactly the draw u passes the query (u < u is false), and
+// one a single ulp above u fails it.
+func TestLookupFailedMatchesUnitFloat(t *testing.T) {
+	s := rhash.New(45)
+	for range 10000 {
+		seed, kind, a, b := s.Uint64(), s.Uint64()%4, s.Uint64(), s.Uint64()
+		u := rhash.UnitFloat(seed, kLookup, kind, a, b)
+		if (&Profile{LookupFailProb: u}).LookupFailed(seed, kind, a, b) {
+			t.Fatalf("LookupFailed(%d, %d, %d, %d) drew below UnitFloat's %v", seed, kind, a, b, u)
+		}
+		if !(&Profile{LookupFailProb: math.Nextafter(u, 1)}).LookupFailed(seed, kind, a, b) {
+			t.Fatalf("LookupFailed(%d, %d, %d, %d) drew above UnitFloat's %v", seed, kind, a, b, u)
+		}
+	}
+}
+
+// TestLookupFailedAllocs pins a mapping-query fault draw at zero
+// allocations: the street-level sweep makes one per mapping query.
+func TestLookupFailedAllocs(t *testing.T) {
+	p := Hostile()
+	var salt uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		salt++
+		p.LookupFailed(9, 1, salt, salt>>1)
+	}); n != 0 {
+		t.Fatalf("LookupFailed makes %v allocations per call, want 0", n)
 	}
 }

@@ -26,7 +26,7 @@ import (
 // goroutine with zero scheduling overhead — the single-core path costs no
 // more than the plain loop it replaces.
 func For(n int, f func(i int)) {
-	ForWorkers(runtime.GOMAXPROCS(0), n, func(_, i int) { f(i) })
+	forWorkers(runtime.GOMAXPROCS(0), n, nil, f)
 }
 
 // ForWorker is For with the worker id (0 ≤ worker < workers) passed to f,
@@ -53,6 +53,14 @@ func Workers(n int) int {
 // effective worker count is clamped to [1, n]. A panic in any worker is
 // re-raised on the caller's goroutine after the remaining workers drain.
 func ForWorkers(workers, n int, f func(worker, i int)) {
+	forWorkers(workers, n, f, nil)
+}
+
+// forWorkers runs f(worker, i), or g(i) when f is nil, for every i in
+// [0, n). With more than one worker the call allocates its pool once and
+// one goroutine per worker beyond the first: the caller's goroutine is
+// worker 0.
+func forWorkers(workers, n int, f func(worker, i int), g func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -61,7 +69,11 @@ func ForWorkers(workers, n int, f func(worker, i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			f(0, i)
+			if g != nil {
+				g(i)
+			} else {
+				f(0, i)
+			}
 		}
 		return
 	}
@@ -72,42 +84,63 @@ func ForWorkers(workers, n int, f func(worker, i int)) {
 	// load-balanced when per-index cost is skewed, which it is for CBG
 	// locates (constraint counts vary per target). Which worker runs which
 	// index never affects the result — see the package determinism contract.
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
+	p := &pool{n: n, chunk: max(n/(workers*8), 1), f: f, g: g}
+	p.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go p.spawned(w)
 	}
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-		once   sync.Once
-		panicv any
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					once.Do(func() { panicv = r })
-				}
-			}()
-			for {
-				hi := int(cursor.Add(int64(chunk)))
-				lo := hi - chunk
-				if lo >= n {
-					return
-				}
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					f(worker, i)
-				}
+	p.run(0)
+	p.wg.Wait()
+	if p.panicked {
+		panic(p.panicv)
+	}
+}
+
+// pool is one forWorkers call's shared state: the body, the chunk cursor,
+// the spawned workers' WaitGroup and the first panic any worker raised.
+type pool struct {
+	n, chunk int
+	f        func(worker, i int)
+	g        func(i int)
+	cursor   atomic.Int64
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	panicked bool
+	panicv   any
+}
+
+func (p *pool) spawned(worker int) {
+	defer p.wg.Done()
+	p.run(worker)
+}
+
+// run claims chunks until the cursor passes n. A panic stops this worker
+// and is kept, the first one only, for the caller to re-raise.
+func (p *pool) run(worker int) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.mu.Lock()
+			if !p.panicked {
+				p.panicked, p.panicv = true, r
 			}
-		}(w)
-	}
-	wg.Wait()
-	if panicv != nil {
-		panic(panicv)
+			p.mu.Unlock()
+		}
+	}()
+	for {
+		hi := int(p.cursor.Add(int64(p.chunk)))
+		lo := hi - p.chunk
+		if lo >= p.n {
+			return
+		}
+		hi = min(hi, p.n)
+		if p.g != nil {
+			for i := lo; i < hi; i++ {
+				p.g(i)
+			}
+		} else {
+			for i := lo; i < hi; i++ {
+				p.f(worker, i)
+			}
+		}
 	}
 }

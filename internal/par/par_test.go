@@ -90,3 +90,18 @@ func TestForZeroAndNegativeN(t *testing.T) {
 		t.Fatal("f ran for n <= 0")
 	}
 }
+
+// TestForWorkersAllocs pins a pooled call's allocations: the pool's state
+// and one goroutine per worker beyond the caller. AllocsPerRun runs at
+// GOMAXPROCS 1, where For would take the inline path, so the worker count
+// is passed explicitly.
+func TestForWorkersAllocs(t *testing.T) {
+	out := make([]int, 256)
+	body := func(_, i int) { out[i] = i }
+	if n := testing.AllocsPerRun(200, func() { ForWorkers(2, len(out), body) }); n > 4 {
+		t.Fatalf("ForWorkers(2, …) makes %v allocations per call, want at most 4", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { ForWorkers(1, len(out), body) }); n != 0 {
+		t.Fatalf("ForWorkers(1, …) makes %v allocations per call, want 0", n)
+	}
+}

@@ -20,12 +20,19 @@ type City struct {
 }
 
 // Grid answers point density queries against a set of cities. Cities are
-// bucketed into 1-degree cells so a lookup only visits nearby cities.
+// bucketed into 1-degree cells so a lookup only visits nearby cities: a
+// cell's cities are the span of one shared slice that its map entry
+// names, in input order.
 type Grid struct {
-	cells map[cellKey][]City
+	cells  map[cellKey]cellSpan
+	cities []City
 	// RuralBase is the people/km² floor outside any city kernel.
 	RuralBase float64
 }
+
+// cellSpan is a cell's cities: Grid.cities[end-n : end] once Build has
+// filed them.
+type cellSpan struct{ end, n int32 }
 
 type cellKey struct{ lat, lon int }
 
@@ -33,23 +40,50 @@ func keyOf(p geo.Point) cellKey {
 	return cellKey{lat: int(math.Floor(p.Lat)), lon: int(math.Floor(p.Lon))}
 }
 
-// Build constructs a Grid from the given cities.
+// Build constructs a Grid from the given cities. A city's kernel is
+// negligible beyond ~4 sigma, so it is registered in every cell its
+// influence can reach: one pass counts each cell's cities, and a second
+// lays the cells out in the order it first reaches them and files their
+// cities in input order.
 func Build(cities []City) *Grid {
-	g := &Grid{cells: make(map[cellKey][]City), RuralBase: 2}
+	g := &Grid{cells: make(map[cellKey]cellSpan), RuralBase: 2}
+	var total int32
 	for _, c := range cities {
-		// A city's kernel is negligible beyond ~4 sigma; register the city in
-		// every cell its influence can reach.
-		reach := 4 * c.RadiusKm
-		cellsSpan := int(math.Ceil(reach/111)) + 1
-		base := keyOf(c.Loc)
-		for dl := -cellsSpan; dl <= cellsSpan; dl++ {
-			for dn := -cellsSpan; dn <= cellsSpan; dn++ {
-				k := cellKey{lat: base.lat + dl, lon: base.lon + dn}
-				g.cells[k] = append(g.cells[k], c)
+		forCells(c, func(k cellKey) {
+			sp, ok := g.cells[k]
+			if !ok {
+				sp.end = -1 // not laid out yet
 			}
-		}
+			sp.n++
+			total++
+			g.cells[k] = sp
+		})
+	}
+	g.cities = make([]City, total)
+	var next int32
+	for _, c := range cities {
+		forCells(c, func(k cellKey) {
+			sp := g.cells[k]
+			if sp.end < 0 {
+				sp.end, next = next, next+sp.n
+			}
+			g.cities[sp.end] = c
+			sp.end++
+			g.cells[k] = sp
+		})
 	}
 	return g
+}
+
+// forCells calls f with every cell city c's kernel can reach.
+func forCells(c City, f func(cellKey)) {
+	cellsSpan := int(math.Ceil(4*c.RadiusKm/111)) + 1
+	base := keyOf(c.Loc)
+	for dl := -cellsSpan; dl <= cellsSpan; dl++ {
+		for dn := -cellsSpan; dn <= cellsSpan; dn++ {
+			f(cellKey{lat: base.lat + dl, lon: base.lon + dn})
+		}
+	}
 }
 
 // DensityAt returns the population density (people/km²) at the point. The
@@ -57,7 +91,8 @@ func Build(cities []City) *Grid {
 // land, and all simulator hosts are on land).
 func (g *Grid) DensityAt(p geo.Point) float64 {
 	d := g.RuralBase * ruralLatFactor(p.Lat)
-	for _, c := range g.cells[keyOf(p)] {
+	sp := g.cells[keyOf(p)]
+	for _, c := range g.cities[sp.end-sp.n : sp.end] {
 		sigma := c.RadiusKm
 		if sigma < 1 {
 			sigma = 1

@@ -1,6 +1,8 @@
 package popdensity
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"geoloc/internal/geo"
@@ -76,5 +78,41 @@ func TestNeighboringCellLookup(t *testing.T) {
 	nearAcrossBoundary := g.DensityAt(geo.Point{Lat: 49.99, Lon: 10.01})
 	if nearAcrossBoundary < 100 {
 		t.Errorf("density across cell boundary = %.1f, city kernel not visible", nearAcrossBoundary)
+	}
+}
+
+// TestDensityMatchesCellScan holds DensityAt to a reference that files
+// each city, in input order, into a per-cell slice of its own and sums
+// the query cell's kernels in that order: bit for bit, over overlapping
+// cities of every size and queries on and between them.
+func TestDensityMatchesCellScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	cities := make([]City, 300)
+	for i := range cities {
+		cities[i] = City{
+			Loc:        geo.Point{Lat: rng.Float64()*20 + 30, Lon: rng.Float64()*20 - 10},
+			Population: rng.ExpFloat64() * 1e5,
+			RadiusKm:   rng.Float64() * 60,
+		}
+	}
+	ref := make(map[cellKey][]City)
+	for _, c := range cities {
+		forCells(c, func(k cellKey) { ref[k] = append(ref[k], c) })
+	}
+	g := Build(cities)
+	for q := 0; q < 5000; q++ {
+		p := geo.Point{Lat: rng.Float64()*24 + 28, Lon: rng.Float64()*24 - 12}
+		if q%5 == 0 {
+			p = cities[q%len(cities)].Loc
+		}
+		want := g.RuralBase * ruralLatFactor(p.Lat)
+		for _, c := range ref[keyOf(p)] {
+			sigma := max(c.RadiusKm, 1)
+			dist := geo.Distance(p, c.Loc)
+			want += c.Population / (2 * math.Pi * sigma * sigma) * math.Exp(-dist*dist/(2*sigma*sigma))
+		}
+		if got := g.DensityAt(p); got != want {
+			t.Fatalf("DensityAt(%v) = %v, per-cell scan %v", p, got, want)
+		}
 	}
 }

@@ -49,12 +49,11 @@ type CoverTable struct {
 func NewCoverTable(repRTT *cbg.Matrix, meta []VPMeta) *CoverTable {
 	n := len(repRTT.VPs)
 	p := coverPairs{tr: make([]geo.Trig, n), slot: make([]int32, n)}
-	seen := make(map[VPMeta]bool)
+	seen := newMetaSet(n)
 	var first []int
 	for vp := range repRTT.VPs {
 		p.tr[vp], p.slot[vp] = repRTT.VPTrig(vp), -1
-		if !seen[meta[vp]] {
-			seen[meta[vp]] = true
+		if seen.add(meta, vp) {
 			p.slot[vp] = int32(len(first))
 			first = append(first, vp)
 		}

@@ -72,3 +72,24 @@ func TestCoverTableMatchesGreedyCover(t *testing.T) {
 		}
 	}
 }
+
+// TestCoverAllocs pins a table cover's allocations at one constant count
+// whatever n is: the subset's pair view, the run's state, its score buffer
+// and the answer — nothing per pick.
+func TestCoverAllocs(t *testing.T) {
+	vps := make([]int, 0, len(camp.RepRTT.VPs))
+	for vp := range camp.RepRTT.VPs {
+		if vp%3 != 0 {
+			vps = append(vps, vp)
+		}
+	}
+	var counts []float64
+	for _, n := range []int{1, 10, 100, len(vps) / 2} {
+		counts = append(counts, testing.AllocsPerRun(20, func() { campTable.Cover(vps, n) }))
+	}
+	for _, c := range counts {
+		if c != counts[0] || c > 5 {
+			t.Fatalf("table covers of 1, 10, 100 and %d picks make %v allocations, want one count of at most 5", len(vps)/2, counts)
+		}
+	}
+}

@@ -96,12 +96,11 @@ func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstSte
 			return out, ok
 		}
 
-		// Intermediate round: keep an Earth-covering sample of candidates.
-		picked := tab.Cover(candidates, interBudget)
-		next := make([]int, len(picked))
-		for i, p := range picked {
-			next[i] = candidates[p]
+		// Intermediate round: keep an Earth-covering sample of candidates,
+		// mapped from cover indices to VPs in place.
+		cur = tab.Cover(candidates, interBudget)
+		for i, p := range cur {
+			cur[i] = candidates[p]
 		}
-		cur = next
 	}
 }

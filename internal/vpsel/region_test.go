@@ -175,3 +175,30 @@ func TestRegionCandidatesSyntheticRegions(t *testing.T) {
 		})
 	}
 }
+
+// TestRegionCandidatesAllocs pins a candidate scan at two allocations,
+// the dedupe set and the answer, over the campaign's real regions.
+func TestRegionCandidatesAllocs(t *testing.T) {
+	meta := campaignMeta(camp)
+	locs := make([]geo.Point, len(camp.VPs))
+	for i, h := range camp.VPs {
+		locs[i] = h.Reported
+	}
+	firstStep := GreedyCover(locs, 10)
+	var regions [][]geo.TrigCircle
+	for target := range camp.Targets {
+		if r := reducedRegion(camp.RepRTT, firstStep, target, geo.TwoThirdsC, nil); len(r) > 0 {
+			regions = append(regions, r)
+		}
+	}
+	if len(regions) == 0 {
+		t.Fatal("no target has a region")
+	}
+	i := 0
+	if n := testing.AllocsPerRun(500, func() {
+		regionCandidates(camp.RepRTT, meta, regions[i%len(regions)])
+		i++
+	}); n > 2 {
+		t.Fatalf("regionCandidates makes %v allocations per call, want at most 2", n)
+	}
+}

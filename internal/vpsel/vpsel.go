@@ -58,13 +58,15 @@ func GreedyCover(locs []geo.Point, n int) []int {
 	return greedyCover(coverPairs{tr: tr}, n, true)
 }
 
-// coverBlock is how many points one unit of a cover's row work spans, so
-// a cheap pair source is not swamped by per-point call overhead.
+// coverBlock is how many points one unit of a fanned cover's row work
+// spans, so a cheap pair source is not swamped by per-point call overhead.
 const coverBlock = 64
 
 // greedyCover is GreedyCover's loop over p's points, whatever the pair
-// source. fan spreads each row of work across the par pool; a table cover
-// runs inline, since its pairs are lookups and its caller already fans out.
+// source. fan spreads each row of work across the par pool in coverBlock
+// spans; a table cover runs its rows as plain loops, since its pairs are
+// lookups and its caller already fans out, and it allocates only its
+// state, its score buffer and the answer, whatever n is.
 // The sums and scores are index-addressed and accumulate in pick order, so
 // neither the source nor the fan changes a bit of the answer.
 func greedyCover(p coverPairs, n int, fan bool) []int {
@@ -80,67 +82,77 @@ func greedyCover(p coverPairs, n int, fan bool) []int {
 		return out
 	}
 
-	// rows runs f over [0, m) in coverBlock spans.
-	blocks := (m + coverBlock - 1) / coverBlock
-	rows := func(f func(lo, hi int)) {
-		span := func(b int) { f(b*coverBlock, min(b*coverBlock+coverBlock, m)) }
-		if fan {
-			par.For(blocks, span)
-			return
-		}
-		for b := 0; b < blocks; b++ {
-			span(b)
-		}
+	c := &coverRun{p: p, score: make([]float64, m), pick: -1}
+	rows := func() { c.rows(0, m) }
+	if fan {
+		blocks := (m + coverBlock - 1) / coverBlock
+		span := func(b int) { c.rows(b*coverBlock, min(b*coverBlock+coverBlock, m)) }
+		rows = func() { par.For(blocks, span) }
 	}
 
 	// Seed: the location with the greatest summed log-distance to a strided
 	// sample (O(V·S) rather than O(V²); the stride keeps it deterministic).
 	// The argmax scans the sums in index order.
-	stride := m/97 + 1
-	sums := make([]float64, m)
-	rows(func(lo, hi int) {
+	rows()
+	selected := make([]int, 0, n)
+	pick := max(c.argmax(), 0) // point 0 when every sum is NaN
+	clear(c.score)
+	for {
+		selected = append(selected, pick)
+		c.score[pick], c.pick = chosen, pick
+		if len(selected) == n {
+			return selected
+		}
+		rows()
+		pick = c.argmax()
+	}
+}
+
+// chosen marks a picked point's score: every other score is a sum of
+// log1p values, never −Inf, so the argmax passes it over.
+var chosen = math.Inf(-1)
+
+// coverRun is one greedy cover's state. Before the seed is picked (pick
+// −1) score[i] is i's summed log-distance to the strided sample; after,
+// it accumulates Σ log(1+dist(i, s)) over the selected s, and a selected
+// point's score is chosen.
+type coverRun struct {
+	p     coverPairs
+	score []float64
+	pick  int
+}
+
+// rows brings the scores of points [lo, hi) up to date: the seed sums, or
+// the latest pick's term added to every unselected point.
+func (c *coverRun) rows(lo, hi int) {
+	m := len(c.score)
+	if c.pick < 0 {
+		stride := m/97 + 1
 		for i := lo; i < hi; i++ {
 			var sum float64
 			for j := 0; j < m; j += stride {
-				sum += p.logDist(i, j)
+				sum += c.p.logDist(i, j)
 			}
-			sums[i] = sum
+			c.score[i] = sum
 		}
-	})
-	seed, seedScore := 0, math.Inf(-1)
-	for i, sum := range sums {
-		if sum > seedScore {
-			seed, seedScore = i, sum
+		return
+	}
+	for i := lo; i < hi; i++ {
+		if c.score[i] != chosen {
+			c.score[i] += c.p.logDist(i, c.pick)
 		}
 	}
+}
 
-	selected := make([]int, 0, n)
-	chosen := make([]bool, m)
-	// score[i] accumulates Σ log(1+dist(i, s)) over selected s.
-	score := make([]float64, m)
-
-	add := func(idx int) {
-		selected = append(selected, idx)
-		chosen[idx] = true
-		rows(func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if !chosen[i] {
-					score[i] += p.logDist(i, idx)
-				}
-			}
-		})
-	}
-	add(seed)
-	for len(selected) < n {
-		best, bestScore := -1, math.Inf(-1)
-		for i := range score {
-			if !chosen[i] && score[i] > bestScore {
-				best, bestScore = i, score[i]
-			}
+// argmax returns the first point with the highest score.
+func (c *coverRun) argmax() int {
+	best, bestScore := -1, math.Inf(-1)
+	for i, s := range c.score {
+		if s > bestScore {
+			best, bestScore = i, s
 		}
-		add(best)
 	}
-	return selected
+	return best
 }
 
 // VPMeta is the AS/city identity of a vantage point, used by the two-step
@@ -204,18 +216,17 @@ func TwoStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target in
 // first. On a sealed matrix only the VPs inside tcs[0]'s latitude band
 // are tested at all (geo.TrigCircle.LatBand drops no VP ContainsTrig
 // accepts); an unsealed one has no latitude order and is scanned whole.
-// The hits are marked in a VP bitset and deduplicated in VP order, so the
-// answer is the full scan's.
+// The hits are marked in a VP bitset (on the stack up to hitWords words)
+// and deduplicated in VP order through a metaSet sized to the hit count,
+// so the answer is the full scan's and a call makes two allocations: the
+// set and the candidate slice.
 func regionCandidates(repRTT *cbg.Matrix, meta []VPMeta, tcs []geo.TrigCircle) []int {
-	hits := make([]uint64, (len(repRTT.VPs)+63)/64)
-	mark := func(vp int) {
-		pt := repRTT.VPTrig(vp)
-		for i := range tcs {
-			if !tcs[i].ContainsTrig(pt) {
-				return
-			}
-		}
-		hits[vp>>6] |= 1 << (vp & 63)
+	var stack [hitWords]uint64
+	var hits []uint64
+	if words := (len(repRTT.VPs) + 63) / 64; words <= hitWords {
+		hits = stack[:words]
+	} else {
+		hits = make([]uint64, words)
 	}
 	var band []int32
 	banded := false
@@ -224,26 +235,82 @@ func regionCandidates(repRTT *cbg.Matrix, meta []VPMeta, tcs []geo.TrigCircle) [
 	}
 	if banded {
 		for _, vp := range band {
-			mark(int(vp))
+			markHit(repRTT, tcs, hits, int(vp))
 		}
 	} else {
 		for vp := range repRTT.VPs {
-			mark(vp)
+			markHit(repRTT, tcs, hits, vp)
 		}
 	}
-	seen := make(map[VPMeta]bool)
-	var candidates []int
+	n := 0
+	for _, word := range hits {
+		n += bits.OnesCount64(word)
+	}
+	if n == 0 {
+		return nil
+	}
+	seen := newMetaSet(n)
+	candidates := make([]int, 0, n)
 	for w, word := range hits {
 		for word != 0 {
 			vp := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			if !seen[meta[vp]] {
-				seen[meta[vp]] = true
+			if seen.add(meta, vp) {
 				candidates = append(candidates, vp)
 			}
 		}
 	}
 	return candidates
+}
+
+// hitWords is the largest VP bitset regionCandidates keeps on the stack:
+// 16,384 VPs in 2 KiB.
+const hitWords = 256
+
+// markHit sets vp's bit in hits when every circle of tcs contains it.
+func markHit(repRTT *cbg.Matrix, tcs []geo.TrigCircle, hits []uint64, vp int) {
+	pt := repRTT.VPTrig(vp)
+	for i := range tcs {
+		if !tcs[i].ContainsTrig(pt) {
+			return
+		}
+	}
+	hits[vp>>6] |= 1 << (vp & 63)
+}
+
+// metaSet is a set of (AS, city) keys for deduplicating VPs: an
+// open-addressing table of VP indices plus one (0 is an empty slot),
+// probed linearly from a hash of the VP's packed key and at most half
+// full. A slot's key is read back through meta, so keys compare exactly
+// whatever their values.
+type metaSet struct {
+	slots []int32
+	shift uint
+}
+
+// newMetaSet returns a set with room for n keys.
+func newMetaSet(n int) metaSet {
+	size, shift := 8, uint(61)
+	for size < 2*n {
+		size, shift = size<<1, shift-1
+	}
+	return metaSet{slots: make([]int32, size), shift: shift}
+}
+
+// add inserts meta[vp] and reports whether the set lacked it.
+func (s *metaSet) add(meta []VPMeta, vp int) bool {
+	k := meta[vp]
+	mask := len(s.slots) - 1
+	i := int((uint64(k.AS)<<32 ^ uint64(k.City)) * 0x9e3779b97f4a7c15 >> s.shift)
+	for ; ; i = (i + 1) & mask {
+		switch v := s.slots[i]; {
+		case v == 0:
+			s.slots[i] = int32(vp + 1)
+			return true
+		case meta[v-1] == k:
+			return false
+		}
+	}
 }
 
 // lowestRTT returns the candidate with the lowest representative RTT to the

@@ -67,13 +67,34 @@ func Generate(cfg Config) *World {
 	return w
 }
 
-// buildCityASIndex fills CityASes from the final PoP sets.
+// buildCityASIndex fills CityASes from the final PoP sets: each city's
+// ASes in index order, as a span of one shared slice.
 func (w *World) buildCityASIndex() {
-	w.CityASes = make(map[int][]int, len(w.Cities))
+	// end[c+1] first counts city c's ASes; the prefix sums make end[c]
+	// c's start, and filing the ASes advances it to c's end.
+	end := make([]int, len(w.Cities)+1)
 	for i := range w.ASes {
 		for _, city := range w.ASes[i].PoPs {
-			w.CityASes[city] = append(w.CityASes[city], i)
+			end[city+1]++
 		}
+	}
+	for c := 1; c < len(end); c++ {
+		end[c] += end[c-1]
+	}
+	all := make([]int, end[len(end)-1])
+	for i := range w.ASes {
+		for _, city := range w.ASes[i].PoPs {
+			all[end[city]] = i
+			end[city]++
+		}
+	}
+	w.CityASes = make(map[int][]int, len(w.Cities))
+	start := 0
+	for c := range w.Cities {
+		if end[c] > start {
+			w.CityASes[c] = all[start:end[c]:end[c]]
+		}
+		start = end[c]
 	}
 }
 
@@ -145,12 +166,19 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// citiesOf returns the city IDs and population weights of one continent.
+// citiesOf returns the city IDs and population weights of one continent,
+// in slices of their own: callers may rescale the weights in place.
 func (w *World) citiesOf(ct Continent) ([]int, []float64) {
-	var ids []int
-	var weights []float64
-	for _, c := range w.Cities {
-		if c.Continent == ct {
+	n := 0
+	for i := range w.Cities {
+		if w.Cities[i].Continent == ct {
+			n++
+		}
+	}
+	ids := make([]int, 0, n)
+	weights := make([]float64, 0, n)
+	for i := range w.Cities {
+		if c := &w.Cities[i]; c.Continent == ct {
 			ids = append(ids, c.ID)
 			weights = append(weights, c.Population)
 		}
@@ -196,11 +224,17 @@ func (w *World) generateASes() {
 	for i, ct := range AllContinents {
 		contWeights[i] = cityContinentWeights[ct]
 	}
+	// Each continent's cities, collected once: samplePoPs only reads them.
+	var contIDs [numContinents][]int
+	var contPops [numContinents][]float64
+	for _, ct := range AllContinents {
+		contIDs[ct], contPops[ct] = w.citiesOf(ct)
+	}
 
 	for i := 0; i < cfg.ASes; i++ {
 		cat := asCategoryWeights[s.Choice(catWeights)].cat
 		home := AllContinents[s.Choice(contWeights)]
-		homeIDs, homeWeights := w.citiesOf(home)
+		homeIDs, homeWeights := contIDs[home], contPops[home]
 
 		var nPoPs int
 		switch cat {
@@ -224,8 +258,7 @@ func (w *World) generateASes() {
 		if cat == asclass.TransitAccess && s.Bool(0.5) {
 			other := AllContinents[s.Choice(contWeights)]
 			if other != home {
-				oIDs, oWeights := w.citiesOf(other)
-				pops = mergeSorted(pops, samplePoPs(s, oIDs, oWeights, 2+s.Intn(4)))
+				pops = mergeSorted(pops, samplePoPs(s, contIDs[other], contPops[other], 2+s.Intn(4)))
 			}
 		}
 		w.ASes = append(w.ASes, AS{
@@ -289,30 +322,47 @@ func (w *World) biggestCity(ids []int) int {
 // pickAS selects an AS of the wanted category with a PoP in the city,
 // falling back to extending a same-category AS into the city. The fallback
 // keeps host placement always feasible while preserving the category mix.
+// Each draw is uniform over the matching ASes in index order, counted in
+// one scan and found in a second, so picking allocates nothing.
 func (w *World) pickAS(s *rhash.Stream, cat asclass.Category, city int) int {
-	var candidates []int
-	for i := range w.ASes {
-		if w.ASes[i].Cat == cat && w.ASes[i].HasPoP(city) {
-			candidates = append(candidates, i)
-		}
+	inCity := func(a *AS) bool { return a.Cat == cat && a.HasPoP(city) }
+	if n := w.countASes(inCity); n > 0 {
+		return w.nthAS(inCity, s.Intn(n))
 	}
-	if len(candidates) > 0 {
-		return candidates[s.Intn(len(candidates))]
-	}
-	for i := range w.ASes {
-		if w.ASes[i].Cat == cat {
-			candidates = append(candidates, i)
-		}
-	}
-	if len(candidates) == 0 {
+	ofCat := func(a *AS) bool { return a.Cat == cat }
+	var id int
+	if n := w.countASes(ofCat); n > 0 {
+		id = w.nthAS(ofCat, s.Intn(n))
+	} else {
 		// No AS of this category exists (tiny worlds); use any AS.
-		id := s.Intn(len(w.ASes))
-		w.extendPoP(id, city)
-		return id
+		id = s.Intn(len(w.ASes))
 	}
-	id := candidates[s.Intn(len(candidates))]
 	w.extendPoP(id, city)
 	return id
+}
+
+// countASes returns how many ASes match accepts.
+func (w *World) countASes(match func(*AS) bool) int {
+	n := 0
+	for i := range w.ASes {
+		if match(&w.ASes[i]) {
+			n++
+		}
+	}
+	return n
+}
+
+// nthAS returns the index of the k-th (from 0) AS that match accepts.
+func (w *World) nthAS(match func(*AS) bool, k int) int {
+	for i := range w.ASes {
+		if match(&w.ASes[i]) {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	panic("world: nthAS past the matching ASes")
 }
 
 func (w *World) extendPoP(asID, city int) {

@@ -407,3 +407,18 @@ func TestParseScale(t *testing.T) {
 		}
 	}
 }
+
+// TestCityASIndexMatchesPoPs holds CityASes to the PoP sets it indexes:
+// a city's entry lists, in index order, exactly the ASes with a PoP
+// there, and a city without one has no entry.
+func TestCityASIndexMatchesPoPs(t *testing.T) {
+	want := make(map[int][]int)
+	for i := range tiny.ASes {
+		for _, city := range tiny.ASes[i].PoPs {
+			want[city] = append(want[city], i)
+		}
+	}
+	if !reflect.DeepEqual(tiny.CityASes, want) {
+		t.Fatalf("CityASes differs from the PoP sets: %d cities indexed, %d have PoPs", len(tiny.CityASes), len(want))
+	}
+}
