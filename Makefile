@@ -26,9 +26,11 @@ loc:
 # longer hide. vpsel's cover table and netsim's router and access tables
 # are filled that way, and the cover runs inside multistep's per-target
 # par.For. sanitize's probe fan walks a place-order permutation of the
-# probes over those netsim tables. streetlevel's oracle runs Geolocate
-# under par.For, every target sharing one mapping service, one website
-# resolver and the pipeline's bearing tables. dataset's CompileFromSource
+# probes over those netsim tables. mapping's AppendPOIsInZip oracle has
+# par workers query one service into per-worker buffers. streetlevel's
+# oracle runs Geolocate under par.For, every target sharing one mapping
+# service, one website resolver, the pipeline's bearing tables and its
+# scratch pool. dataset's CompileFromSource
 # and CompileExternal measure targets under par.ForWorker, and their bytes
 # must not depend on the P count. experiments' Context shares results
 # across experiments (the trial medians Fig 2a and 2b both read, the
@@ -44,7 +46,7 @@ loc:
 # not reach it, and it compiles against this module's serving API.
 test:
 	$(GO) test ./...
-	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/streetlevel/ ./internal/dataset/ ./internal/experiments/ ./cmd/geobench/
+	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/mapping/ ./internal/streetlevel/ ./internal/dataset/ ./internal/experiments/ ./cmd/geobench/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
@@ -84,13 +86,16 @@ staticcheck:
 # built on a miss (DESIGN.md §3.2). The analysis pass's per-call sites
 # (§3.5): a VP selection's region candidate scan at most 2 allocations,
 # a table cover one count whatever its size, a mapping-query fault draw 0,
-# and a pooled par.ForWorkers call at 2 workers at most 4. Run by name, so
-# a new allocation sneaking into a hot path fails THIS target, not a trend
-# threshold.
+# a pooled par.ForWorkers call at 2 workers at most 4, a POI query into a
+# buffer that holds the zone 0, a measurement client's source-state
+# lookup 0, and a warm street-level Geolocate exactly one, its result's
+# landmark slice (none without a landmark), on every Tiny target. Run by
+# name, so a new allocation sneaking into a hot path fails THIS target,
+# not a trend threshold.
 allocs-smoke:
-	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestPingAllocs|TestRegionCandidatesAllocs|TestCoverAllocs|TestLookupFailedAllocs|TestForWorkersAllocs' \
+	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestPingAllocs|TestRegionCandidatesAllocs|TestCoverAllocs|TestLookupFailedAllocs|TestForWorkersAllocs|TestAppendPOIsInZipAllocs|TestClientStateAllocs|TestGeolocateAllocs' \
 		./internal/serve ./internal/dataset ./internal/router ./internal/core ./internal/netsim \
-		./internal/vpsel ./internal/faults ./internal/par
+		./internal/vpsel ./internal/faults ./internal/par ./internal/mapping ./internal/atlas ./internal/streetlevel
 
 # The analysis pass's allocation split: one metered registry pass over a
 # Medium campaign (BenchmarkAnalysisPass), per experiment the heap objects

@@ -38,8 +38,9 @@ type Client struct {
 	// only observes their symptoms.
 	F *faults.Profile
 
-	mu   sync.Mutex
-	srcs map[int]*srcState
+	// srcs holds every source's resilience state by host ID: sources are
+	// world hosts, whose IDs index the world's hosts.
+	srcs []srcState
 
 	// backoffSec lives in the platform's telemetry registry; it observes
 	// and is never read back.
@@ -222,7 +223,7 @@ func NewClient(p *Platform, prof *faults.Profile) *Client {
 	return &Client{
 		P:    p,
 		F:    prof,
-		srcs: make(map[int]*srcState),
+		srcs: make([]srcState, len(p.W.Hosts)),
 		backoffSec: p.Reg.Histogram("atlas.client.backoff_sec",
 			[]float64{1, 2, 5, 10, 30, 60, 120}),
 	}
@@ -237,16 +238,7 @@ type PingOutcome struct {
 	Err error
 }
 
-func (c *Client) state(srcID int) *srcState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.srcs[srcID]
-	if st == nil {
-		st = &srcState{}
-		c.srcs[srcID] = st
-	}
-	return st
-}
+func (c *Client) state(srcID int) *srcState { return &c.srcs[srcID] }
 
 // advance moves a source's clock forward; callers hold st.mu.
 func (st *srcState) advance(sec float64) {
@@ -425,14 +417,9 @@ type ClientStats struct {
 // Stats sums the client's totals over its sources. It is exact only when
 // no measurement is in flight.
 func (c *Client) Stats() ClientStats {
-	c.mu.Lock()
-	states := make([]*srcState, 0, len(c.srcs))
-	for _, st := range c.srcs {
-		states = append(states, st)
-	}
-	c.mu.Unlock()
 	var s ClientStats
-	for _, st := range states {
+	for i := range c.srcs {
+		st := &c.srcs[i]
 		st.mu.Lock()
 		s.Tally.add(&st.total)
 		if sec := st.nowSec(); sec > s.CampaignSec {

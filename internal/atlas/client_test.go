@@ -178,3 +178,20 @@ func TestTallyFieldsCoverStruct(t *testing.T) {
 		}
 	}
 }
+
+// TestClientStateAllocs pins a source's state lookup at zero allocations,
+// first touch included: every host's state is in the client from the
+// start.
+func TestClientStateAllocs(t *testing.T) {
+	c := newClient(faults.Hostile())
+	hosts := c.P.W.Hosts
+	i := 0
+	if n := testing.AllocsPerRun(len(hosts), func() {
+		if st := c.state(hosts[i%len(hosts)].ID); st != &c.srcs[hosts[i%len(hosts)].ID] {
+			t.Fatal("state is not the host's slot")
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("Client.state allocates %.2f per call", n)
+	}
+}

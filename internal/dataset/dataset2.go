@@ -586,8 +586,8 @@ func (d *Reader2) verifyBlock(i int) ([]byte, uint32, error) {
 }
 
 // Lookup returns the record for exactly prefix p, touching at most one
-// block: the one-lane case of FindBatch's search, with no copies, no lock
-// and no allocation.
+// block: FindBatch's search on one key, with no copies, no lock and no
+// allocation.
 func (d *Reader2) Lookup(p ipaddr.Prefix24) (Record, bool, error) {
 	if d.refs.Load() <= 0 {
 		return Record{}, false, ErrClosed
@@ -595,9 +595,8 @@ func (d *Reader2) Lookup(p ipaddr.Prefix24) (Record, bool, error) {
 	if uint32(p) > 0x00FF_FFFF {
 		return Record{}, false, nil
 	}
-	var a [1]Answer
-	d.findLanes([batchLanes]uint32{uint32(p)}, a[:])
-	return a[0].Rec, a[0].Found, a[0].Err
+	a := d.find(uint32(p))
+	return a.Rec, a.Found, a.Err
 }
 
 // Find returns the record covering addr's /24, mirroring Dataset.Find.

@@ -137,9 +137,14 @@ func Fig5c(ctx *Context) *Report {
 		n      int
 	}
 	var samples []sample
+	most := 0
+	for _, res := range results {
+		most = max(most, len(res.Landmarks))
+	}
+	geoD, measD := make([]float64, 0, most), make([]float64, 0, most)
 	for ti, res := range results {
 		truth := c.Targets[ti].Loc
-		var geoD, measD []float64
+		geoD, measD = geoD[:0], measD[:0]
 		for _, lm := range res.Landmarks {
 			if !lm.Usable {
 				continue

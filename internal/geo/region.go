@@ -59,20 +59,29 @@ func (r *Region) Tightest() (Circle, bool) {
 // Reduction is what keeps centroid estimation cheap even with 10k vantage
 // points: in practice only a handful of constraints survive.
 func (r *Region) Reduced() Region {
-	tight, ok := r.Tightest()
-	if !ok {
+	if len(r.Circles) == 0 {
 		return Region{}
 	}
-	out := Region{Circles: make([]Circle, 0, 8)}
+	return Region{Circles: r.AppendReduced(make([]Circle, 0, 8))}
+}
+
+// AppendReduced appends the circles of Reduced to dst and returns it, so a
+// caller reducing region after region reuses one buffer.
+func (r *Region) AppendReduced(dst []Circle) []Circle {
+	tight, ok := r.Tightest()
+	if !ok {
+		return dst
+	}
+	start := len(dst)
 	for _, c := range r.Circles {
 		if c == tight || !c.ContainsCircle(tight) {
-			out.Circles = append(out.Circles, c)
+			dst = append(dst, c)
 		}
 	}
-	slices.SortFunc(out.Circles, func(a, b Circle) int {
+	slices.SortFunc(dst[start:], func(a, b Circle) int {
 		return byRadius(a.RadiusKm, b.RadiusKm)
 	})
-	return out
+	return dst
 }
 
 // byRadius is the reduction's ascending-radius comparator. The pdqsort

@@ -1,9 +1,12 @@
 package mapping
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"geoloc/internal/faults"
+	"geoloc/internal/par"
 )
 
 // faultySvc returns a service over the shared tiny world with a heavy
@@ -87,5 +90,75 @@ func TestResetStatsClearsLookupFailures(t *testing.T) {
 	s.ResetStats()
 	if s.LookupFailures() != 0 {
 		t.Fatal("ResetStats left the failure counter")
+	}
+}
+
+// TestAppendPOIsInZipMatches holds AppendPOIsInZip, run under par.For with
+// one buffer per worker and a sentinel POI ahead of each answer, to
+// POIsInZip on a second service: for every zone of every city, plus
+// out-of-range zones and unknown cities, under none and hostile. The
+// hostile profile fails some queries, which must append nothing.
+func TestAppendPOIsInZipMatches(t *testing.T) {
+	type query struct{ city, zone int }
+	var qs []query
+	for i := range tw.Cities {
+		for z := -1; z <= tw.Cities[i].NumZones(); z++ {
+			qs = append(qs, query{i, z})
+		}
+	}
+	qs = append(qs, query{-1, 0}, query{len(tw.Cities), 0}, query{math.MaxInt, 0})
+	sentinel := POI{Key: 0xfeed}
+	for _, prof := range []*faults.Profile{faults.None(), faults.Hostile()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			prod, ref := NewService(tw), NewService(tw)
+			prod.Faults, ref.Faults = prof, prof
+			got := make([][]POI, len(qs))
+			gotOK := make([]bool, len(qs))
+			bufs := make([][]POI, par.Workers(len(qs)))
+			par.ForWorker(len(qs), func(w, i int) {
+				bufs[w], gotOK[i] = prod.AppendPOIsInZip(append(bufs[w][:0], sentinel), qs[i].city, qs[i].zone)
+				got[i] = slices.Clone(bufs[w])
+			})
+			failed, answered := 0, 0
+			for i, q := range qs {
+				want, ok := ref.POIsInZip(q.city, q.zone)
+				if gotOK[i] != ok {
+					t.Fatalf("city %d zone %d: ok %v, POIsInZip %v", q.city, q.zone, gotOK[i], ok)
+				}
+				if got[i][0] != sentinel || !slices.Equal(got[i][1:], want) {
+					t.Fatalf("city %d zone %d: appended %d POIs, POIsInZip %d", q.city, q.zone, len(got[i])-1, len(want))
+				}
+				if !ok {
+					failed++
+				} else if len(want) > 0 {
+					answered++
+				}
+			}
+			if answered == 0 || (prof.Name == "hostile") != (failed > 0) {
+				t.Errorf("%d answered, %d failed: a path went unexercised", answered, failed)
+			}
+			gr, gp := prod.Stats()
+			wr, wp := ref.Stats()
+			if gr != wr || gp != wp || prod.LookupFailures() != ref.LookupFailures() {
+				t.Errorf("stats %d/%d/%d, POIsInZip %d/%d/%d", gr, gp, prod.LookupFailures(), wr, wp, ref.LookupFailures())
+			}
+		})
+	}
+}
+
+// TestAppendPOIsInZipAllocs pins a POI query into a buffer that already
+// holds the zone at zero allocations, failed draw or not.
+func TestAppendPOIsInZipAllocs(t *testing.T) {
+	for _, prof := range []*faults.Profile{faults.None(), faults.Hostile()} {
+		s := NewService(tw)
+		s.Faults = prof
+		buf := make([]POI, 0, tw.Cfg.MaxPOIsPerZone)
+		if n := testing.AllocsPerRun(100, func() {
+			for z := range 4 {
+				buf, _ = s.AppendPOIsInZip(buf[:0], 1, z)
+			}
+		}); n != 0 {
+			t.Errorf("%s: AppendPOIsInZip into a sized buffer allocates %.0f", prof.Name, n)
+		}
 	}
 }

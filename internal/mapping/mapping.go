@@ -269,20 +269,28 @@ func maxAbs(a, b int) int {
 // world seed, so repeated queries return identical results without the
 // world storing millions of POI records. ok is false when the fault layer
 // fails the query; an unknown city or an out-of-range zone is a successful
-// empty answer.
+// empty answer, nil. It is AppendPOIsInZip into a fresh slice.
 func (s *Service) POIsInZip(cityID, zone int) ([]POI, bool) {
+	return s.AppendPOIsInZip(nil, cityID, zone)
+}
+
+// AppendPOIsInZip is POIsInZip appending the zone's POIs to dst, which it
+// returns: a caller that queries zip after zip into one buffer allocates
+// nothing once the buffer holds the largest zone. A failed query, an
+// unknown city or an out-of-range zone appends nothing.
+func (s *Service) AppendPOIsInZip(dst []POI, cityID, zone int) ([]POI, bool) {
 	s.poiQueries.Add(1)
 	if s.Faults.LookupFailed(s.W.Cfg.Seed, lookupKindPOIs, uint64(cityID), uint64(zone)) {
 		s.lookupFailures.Add(1)
-		return nil, false
+		return dst, false
 	}
 	w := s.W
 	if cityID < 0 || cityID >= len(w.Cities) {
-		return nil, true
+		return dst, true
 	}
 	city := &w.Cities[cityID]
 	if zone < 0 || zone >= city.NumZones() {
-		return nil, true
+		return dst, true
 	}
 	cfg := w.Cfg
 
@@ -298,22 +306,23 @@ func (s *Service) POIsInZip(cityID, zone int) ([]POI, bool) {
 		zoneRadius = 0.8
 	}
 	keys := rhash.Hash(cfg.Seed, rhash.HashString("poikey"), uint64(cityID), uint64(zone))
-	out := make([]POI, 0, n)
+	zip := city.Zip(zone)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		brg := st.Range(0, 360)
 		dist := zoneRadius * math.Sqrt(st.Float64())
-		out = append(out, POI{
+		dst = append(dst, POI{
 			Key:        rhash.Extend(keys, uint64(i)),
 			CityID:     cityID,
 			Zone:       zone,
-			Zip:        city.Zip(zone),
+			Zip:        zip,
 			HasWebsite: st.Bool(cfg.POIWebsiteFrac),
 			center:     zoneCenter,
 			brg:        brg,
 			distKm:     dist,
 		})
 	}
-	return out, true
+	return dst, true
 }
 
 // cityRingsApprox mirrors the ring count of the world's zoning grid for

@@ -136,7 +136,7 @@ func newSimMeters(reg *telemetry.Registry) simMeters {
 // New builds a simulator over the world with default parameters, metering
 // into reg (nil meters nothing).
 func New(w *world.World, reg *telemetry.Registry) *Sim {
-	s := &Sim{W: w, Cfg: DefaultConfig(), skeletons: newSkeletonTable(skeletonBits), m: newSimMeters(reg)}
+	s := &Sim{W: w, Cfg: DefaultConfig(), skeletons: newSkeletonTable(skeletonBitsFor(len(w.Hosts))), m: newSimMeters(reg)}
 	for i := range w.ASes {
 		if isTier1(w, i) {
 			s.tier1 = append(s.tier1, i)

@@ -411,6 +411,24 @@ func TestSkeletonTableEmptySlot(t *testing.T) {
 	}
 }
 
+// TestSkeletonTableSize holds each Sim's table to its world's size: 8
+// slots per host rounded up to a power of two, at most 2^14 — 4,096 slots
+// for the 465-host Tiny world, the cap for Medium (2,628 hosts) and paper
+// scale (13,024).
+func TestSkeletonTableSize(t *testing.T) {
+	for _, tc := range []struct {
+		hosts int
+		bits  uint
+	}{{0, 1}, {1, 3}, {2, 4}, {465, 12}, {512, 12}, {513, 13}, {2048, 14}, {2628, 14}, {13024, 14}} {
+		if got := skeletonBitsFor(tc.hosts); got != tc.bits {
+			t.Errorf("%d hosts: 2^%d slots, want 2^%d", tc.hosts, got, tc.bits)
+		}
+	}
+	if n, want := len(New(tw, nil).skeletons.entries), 1<<skeletonBitsFor(len(tw.Hosts)); n != want {
+		t.Errorf("the tiny world's Sim has %d slots, want %d", n, want)
+	}
+}
+
 // TestPlaceOrder holds PlaceOrder to its contract on the tiny world's
 // probes and anchors, shuffled: the order is a permutation, sorted by
 // (AS, city, anchor), stable (equal places keep their index order), and

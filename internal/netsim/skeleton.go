@@ -3,6 +3,7 @@ package netsim
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -10,17 +11,34 @@ import (
 	"geoloc/internal/world"
 )
 
-// skeletonBits sizes each Sim's skeleton table: 1<<skeletonBits inline
-// entries of 96 bytes, 1.5 MB allocated once by New. A miss builds the
-// skeleton on the caller's stack and publishes it in place, so the table
-// allocates nothing after New. The size was measured on analysis-suite,
-// where chaos keeps five Tiny Sims live beside the Medium one: 2^13,
-// 2^14, 2^15 and 2^16 slots read peak RSS 55–56, 57–58, 65 and 86–88 MB,
-// against 56–59 MB for the 4,096-slot table of pointers to allocated
-// skeletons it replaced; 2^14 is the largest that does not raise it.
-// With campaign rows walked in PlaceOrder, a Medium pass then hits the
-// table on 68 % of set-up routes, 48 % of fig5a's and 78 % of chaos's.
-const skeletonBits = 14
+// skeletonBitsFor sizes a Sim's skeleton table from its world: the
+// smallest power of two of at least skeletonSlotsPerHost slots per host,
+// capped at 1<<maxSkeletonBits. Entries are 96 bytes inline, allocated
+// once by New. A miss builds the skeleton on the caller's stack and
+// publishes it in place, so the table allocates nothing after New. A
+// skeleton is a pure function of its key, so the size moves hit and miss
+// counts, never a result.
+//
+// Both numbers were measured on analysis-suite, where chaos keeps five
+// Tiny Sims live beside the Medium one. The cap: one size for every world
+// at 2^13, 2^14, 2^15 and 2^16 slots read peak RSS 55–56, 57–58, 65 and
+// 86–88 MB, so 2^14 (1.5 MB) is the largest that does not raise it;
+// Medium (2,628 hosts) and paper-scale worlds get it. The ratio: a Tiny
+// world (465 hosts) at 4, 8 and 16 slots per host gets 2^11, 2^12 and
+// 2^13 slots, chaos's hit rate reads 64.7, 68.1 and 73.2 % (77.8 at
+// 2^14), and peak RSS 47.6–50.4, 48.1–49.6 and 54.0–54.4 MB, where every
+// Sim at 2^14 reads 62.1–64.9: with the street-level scratch the pass
+// makes so little garbage that the live Tiny tables set the heap goal.
+// 8 keeps the lower RSS with the better hit rate
+// (results/analysis-pass.txt).
+const (
+	skeletonSlotsPerHost = 8
+	maxSkeletonBits      = 14
+)
+
+func skeletonBitsFor(hosts int) uint {
+	return min(uint(bits.Len(uint(max(hosts*skeletonSlotsPerHost, 2)-1))), maxSkeletonBits)
+}
 
 // skeletonKey is everything a route's router part depends on: the two
 // hosts' ASes and cities pick the routers, and an anchor-to-anchor pair

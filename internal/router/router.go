@@ -333,6 +333,7 @@ func (rt *Router) proxy(w http.ResponseWriter, res upResult) {
 	if res.retryAfter != "" {
 		h.Set("Retry-After", res.retryAfter)
 	}
+	serve.SetBodyLength(h, len(res.body))
 	w.WriteHeader(res.status)
 	if _, err := w.Write(res.body); err != nil {
 		rt.writeErrs.Inc()

@@ -325,7 +325,9 @@ func rawResponse(tb testing.TB, addr, req string) []byte {
 }
 
 // upstreamSeeds returns real replica responses — hit, miss, 400, 429 with
-// Retry-After, a chunked 256-address /batch — and hostile ones.
+// Retry-After, a 256-address /batch (real[3]), and last that /batch answer
+// re-framed chunked, as a replica that does not know its body's length
+// sends it — and hostile ones.
 func upstreamSeeds(tb testing.TB) (real, hostile [][]byte) {
 	srv := serve.New(serve.Config{}, telemetry.New())
 	ds := fleetTinyDataset()
@@ -369,7 +371,32 @@ func upstreamSeeds(tb testing.TB) (real, hostile [][]byte) {
 	} {
 		hostile = append(hostile, []byte(s))
 	}
-	return real, hostile
+	return append(real, chunked(tb, real[3])), hostile
+}
+
+// chunked re-frames a Content-Length response as chunked, in chunks of at
+// most 4 KB.
+func chunked(tb testing.TB, resp []byte) []byte {
+	head, body, ok := bytes.Cut(resp, []byte("\r\n\r\n"))
+	if !ok {
+		tb.Fatalf("no header end in %q", resp)
+	}
+	var out bytes.Buffer
+	for _, line := range bytes.Split(head, []byte("\r\n")) {
+		if bytes.HasPrefix(line, []byte("Content-Length:")) {
+			line = []byte("Transfer-Encoding: chunked")
+		}
+		out.Write(line)
+		out.WriteString("\r\n")
+	}
+	out.WriteString("\r\n")
+	for len(body) > 0 {
+		n := min(len(body), 4096)
+		fmt.Fprintf(&out, "%x\r\n%s\r\n", n, body[:n])
+		body = body[n:]
+	}
+	out.WriteString("0\r\n\r\n")
+	return out.Bytes()
 }
 
 // FuzzUpstreamResponse is the hostile-replica arm: arbitrary bytes as a
@@ -380,8 +407,11 @@ func upstreamSeeds(tb testing.TB) (real, hostile [][]byte) {
 func FuzzUpstreamResponse(f *testing.F) {
 	const limit = 1 << 16
 	real, hostile := upstreamSeeds(f)
-	if !bytes.Contains(real[3], []byte("Transfer-Encoding: chunked")) {
-		f.Fatalf("the 256-address /batch seed is not chunked: %q", real[3][:200])
+	if !bytes.Contains(real[3], []byte("\r\nContent-Length: ")) || bytes.Contains(real[3], []byte("Transfer-Encoding")) {
+		f.Fatalf("the 256-address /batch seed is not framed by Content-Length: %q", real[3][:200])
+	}
+	if last := real[len(real)-1]; !bytes.Contains(last, []byte("Transfer-Encoding: chunked")) {
+		f.Fatalf("the re-framed /batch seed is not chunked: %q", last[:200])
 	}
 	for i, s := range real {
 		if _, _, err := readResponse(bufio.NewReaderSize(bytes.NewReader(s), connBufSize), limit); err != nil {

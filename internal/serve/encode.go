@@ -73,9 +73,25 @@ func (s *Server) writeBytes(w http.ResponseWriter, status int, body []byte) {
 	if _, ok := h["Content-Type"]; !ok {
 		h["Content-Type"] = ctJSON
 	}
+	SetBodyLength(h, len(body))
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
 		s.writeErrs.Inc()
+	}
+}
+
+// bufferBeforeChunking is net/http's response buffer: a handler that
+// writes more than this many bytes without a Content-Length gets a chunked
+// answer, one the client reads in more syscalls.
+const bufferBeforeChunking = 2048
+
+// SetBodyLength sets Content-Length to n for a whole body net/http would
+// otherwise chunk. A shorter body is left alone: net/http measures it when
+// the handler returns, and setting it here would allocate on every
+// /lookup.
+func SetBodyLength(h http.Header, n int) {
+	if n > bufferBeforeChunking {
+		h["Content-Length"] = []string{strconv.Itoa(n)}
 	}
 }
 

@@ -20,6 +20,7 @@ package streetlevel
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
@@ -168,6 +169,38 @@ type Pipeline struct {
 	// Tier3Points, shared by every sweep.
 	fan2, fan3 geo.Fan
 	meters     pipelineMeters
+	// scratch pools the per-target working storage (see scratch).
+	scratch sync.Pool
+}
+
+// scratch is one Geolocate call's working storage, taken from the
+// pipeline's pool and put back when the call returns: a warm call reuses
+// the buffers earlier targets grew, so it allocates only its result's
+// landmark slice. Nothing in a Result aliases it.
+type scratch struct {
+	// region1 and region2 hold the circles of the tier-1 and the landmark
+	// region, red a sweep's reduced region and tcs its trig circles.
+	region1, region2, red []geo.Circle
+	tcs                   []geo.TrigCircle
+	// pois receives each queried zip's POIs in turn.
+	pois []mapping.POI
+	// seen maps a landmark's site key to its index in landmarks, across
+	// both tiers; seenZips is the zips one sweep has queried.
+	seen      map[uint64]int
+	seenZips  map[int]bool
+	landmarks []Landmark
+	pr        probe
+}
+
+// getScratch takes a scratch from the pool, emptied.
+func (p *Pipeline) getScratch() *scratch {
+	sc, _ := p.scratch.Get().(*scratch)
+	if sc == nil {
+		return &scratch{seen: make(map[uint64]int), seenZips: make(map[int]bool)}
+	}
+	clear(sc.seen)
+	sc.landmarks = sc.landmarks[:0]
+	return sc
 }
 
 // New builds a pipeline with default configuration. The campaign's target
@@ -230,9 +263,12 @@ func (p *Pipeline) Geolocate(target int) Result {
 		p.meters.landmarks.Observe(float64(len(res.Landmarks)))
 	}()
 	c := p.C
+	sc := p.getScratch()
+	defer p.scratch.Put(sc)
 
 	// ---- Tier 1: CBG from the anchors at 4/9c (2/3c fallback).
-	region1, speed := p.tier1Region(target)
+	sc.region1 = slices.Grow(sc.region1[:0], len(p.anchorRows))
+	region1, speed := p.tier1RegionInto(sc.region1, target)
 	if est, ok := region1.Centroid(); ok {
 		res.Tier1, res.Tier1OK = est, true
 	} else if sp, ok := c.TargetRTT.ShortestPingSubset(target, p.anchorRows); ok {
@@ -245,23 +281,25 @@ func (p *Pipeline) Geolocate(target int) Result {
 	res.TimeSeconds += p.C.Platform.RoundSeconds(saltSL(target, 0))
 
 	// The ten lowest-RTT vantage points run all traceroutes.
-	pr := p.newProbe(target)
-
-	seen := make(map[uint64]int) // site key -> index in res.Landmarks
+	p.measureProbe(&sc.pr, target)
 
 	// ---- Tier 2: coarse sweep around the tier-1 centroid.
-	p.sweep(&res, 2, res.Tier1, region1, p.Cfg.Tier2StepKm, p.fan(p.Cfg.Tier2Points), p.Cfg.MaxCircles, pr, seen)
+	p.sweep(&res, sc, 2, res.Tier1, region1, p.Cfg.Tier2StepKm, p.fan(p.Cfg.Tier2Points), p.Cfg.MaxCircles)
 	res.TimeSeconds += p.C.Platform.RoundSeconds(saltSL(target, 2))
 
 	// New region from usable landmark delays.
-	region2, center2 := p.landmarkRegion(res.Landmarks, speed)
+	sc.region2 = slices.Grow(sc.region2[:0], len(sc.landmarks))
+	region2, center2 := landmarkRegionInto(sc.region2, sc.landmarks, speed)
 	if !center2.Valid() || len(region2.Circles) == 0 {
 		region2, center2 = region1, res.Tier1
 	}
 
 	// ---- Tier 3: fine sweep around the tier-2 centroid.
-	p.sweep(&res, 3, center2, region2, p.Cfg.Tier3StepKm, p.fan(p.Cfg.Tier3Points), p.Cfg.Tier3MaxCircles, pr, seen)
+	p.sweep(&res, sc, 3, center2, region2, p.Cfg.Tier3StepKm, p.fan(p.Cfg.Tier3Points), p.Cfg.Tier3MaxCircles)
 	res.TimeSeconds += p.C.Platform.RoundSeconds(saltSL(target, 3))
+	if len(sc.landmarks) > 0 {
+		res.Landmarks = slices.Clone(sc.landmarks)
+	}
 
 	// Final mapping: the landmark with the smallest usable delay, tier-3
 	// landmarks preferred, tier-2 otherwise, CBG when none — each step a
@@ -288,10 +326,17 @@ func (p *Pipeline) Geolocate(target int) Result {
 }
 
 // tier1Region builds the anchor-VP constraint region, falling back to the
-// conservative speed when 4/9c is infeasible.
+// conservative speed when 4/9c is infeasible. It is tier1RegionInto a
+// fresh buffer.
 func (p *Pipeline) tier1Region(target int) (geo.Region, float64) {
+	return p.tier1RegionInto(make([]geo.Circle, 0, len(p.anchorRows)), target)
+}
+
+// tier1RegionInto is tier1Region with the region's circles appended to
+// circles[:0], which has room for one per anchor row.
+func (p *Pipeline) tier1RegionInto(circles []geo.Circle, target int) (geo.Region, float64) {
 	build := func(speed float64) geo.Region {
-		var r geo.Region
+		r := geo.Region{Circles: circles[:0]}
 		for _, vp := range p.anchorRows {
 			rtt := float64(p.C.TargetRTT.RTT[vp][target])
 			if math.IsNaN(rtt) || rtt < 0 {
@@ -311,11 +356,21 @@ func (p *Pipeline) tier1Region(target int) (geo.Region, float64) {
 // closestAnchorVPs returns the anchor rows with the lowest RTT to the
 // target (ascending).
 func (p *Pipeline) closestAnchorVPs(target, k int) []int {
-	type cand struct {
-		vp  int
-		rtt float32
-	}
-	best := make([]cand, 0, k+1)
+	var pr probe
+	p.pickVPs(&pr, target, k)
+	return pr.vps
+}
+
+// vpRTT is a candidate vantage point of pickVPs.
+type vpRTT struct {
+	vp  int
+	rtt float32
+}
+
+// pickVPs sets pr.vps to the k anchor rows with the lowest RTT to the
+// target (ascending), by insertion into pr.best.
+func (p *Pipeline) pickVPs(pr *probe, target, k int) {
+	best := slices.Grow(pr.best[:0], k+1)
 	for _, vp := range p.anchorRows {
 		rtt := p.C.TargetRTT.RTT[vp][target]
 		if math.IsNaN(float64(rtt)) {
@@ -328,40 +383,44 @@ func (p *Pipeline) closestAnchorVPs(target, k int) []int {
 		if pos >= k {
 			continue
 		}
-		best = append(best, cand{})
+		best = append(best, vpRTT{})
 		copy(best[pos+1:], best[pos:])
-		best[pos] = cand{vp, rtt}
+		best[pos] = vpRTT{vp, rtt}
 		if len(best) > k {
 			best = best[:k]
 		}
 	}
-	out := make([]int, len(best))
-	for i, c := range best {
-		out[i] = c.vp
+	pr.best = best
+	pr.vps = slices.Grow(pr.vps[:0], len(best))
+	for _, c := range best {
+		pr.vps = append(pr.vps, c.vp)
 	}
-	return out
 }
 
 // probe is what one target's landmark delays are measured from: the
 // lowest-RTT anchor VPs, their traceroutes to the target, and the buffer
 // every landmark traceroute writes its hops into in turn — each landmark
-// trace is read by one landmarkDelay step and then dead.
+// trace is read by one landmarkDelay step and then dead. traces[i]'s hops
+// live in bufs[i].
 type probe struct {
+	best   []vpRTT
 	vps    []int
 	traces []netsim.Trace
+	bufs   []netsim.TraceBuf
 	hops   netsim.TraceBuf
 }
 
-// newProbe picks the target's NumVPs lowest-RTT anchor VPs and runs their
-// traceroutes to it.
-func (p *Pipeline) newProbe(target int) *probe {
+// measureProbe picks the target's NumVPs lowest-RTT anchor VPs into pr
+// and runs their traceroutes to it.
+func (p *Pipeline) measureProbe(pr *probe, target int) {
 	c := p.C
-	pr := &probe{vps: p.closestAnchorVPs(target, p.Cfg.NumVPs)}
-	pr.traces = make([]netsim.Trace, len(pr.vps))
+	p.pickVPs(pr, target, p.Cfg.NumVPs)
+	n := len(pr.vps)
+	pr.traces = slices.Grow(pr.traces[:0], n)[:n]
+	pr.bufs = slices.Grow(pr.bufs[:0], n)[:n]
 	for i, vp := range pr.vps {
-		pr.traces[i] = c.Platform.Traceroute(c.VPs[vp], c.Targets[target], saltSL(target, 1))
+		pr.traces[i] = c.Platform.TraceInto(&pr.bufs[i], c.VPs[vp], c.Targets[target], saltSL(target, 1))
 	}
-	return pr
 }
 
 // sweep walks concentric circles around center, collecting landmarks from
@@ -370,18 +429,20 @@ func (p *Pipeline) newProbe(target int) *probe {
 // geo.Destination(center, 360·i/points, k·stepKm) through the fan, and
 // its membership in the reduced region is Region.Contains's through
 // ContainsTrig: both bit for bit. A site is placed only once it passes
-// the checks, the one step that reads where it is.
-func (p *Pipeline) sweep(res *Result, tier int, center geo.Point, region geo.Region,
-	stepKm float64, fan geo.Fan, maxCircles int, pr *probe, seen map[uint64]int) {
+// the checks, the one step that reads where it is. Landmarks are appended
+// to sc.landmarks; every buffer the sweep fills is sc's.
+func (p *Pipeline) sweep(res *Result, sc *scratch, tier int, center geo.Point, region geo.Region,
+	stepKm float64, fan geo.Fan, maxCircles int) {
 
-	red := region.Reduced()
-	var buf [8]geo.TrigCircle
-	tcs := buf[:0]
-	for _, c := range red.Circles {
-		tcs = append(tcs, geo.MakeTrigCircle(c))
+	sc.red = region.AppendReduced(sc.red[:0])
+	sc.tcs = slices.Grow(sc.tcs[:0], len(sc.red))
+	for _, c := range sc.red {
+		sc.tcs = append(sc.tcs, geo.MakeTrigCircle(c))
 	}
+	tcs := sc.tcs
 	fan = fan.Around(center)
-	seenZips := make(map[int]bool)
+	seenZips := sc.seenZips
+	clear(seenZips)
 	for k := 1; k <= maxCircles; k++ {
 		ring := fan.At(stepKm * float64(k))
 		anyInside := false
@@ -404,18 +465,18 @@ func (p *Pipeline) sweep(res *Result, tier int, center geo.Point, region geo.Reg
 				continue
 			}
 			seenZips[place.Zip] = true
-			pois, ok := p.Map.POIsInZip(place.CityID, place.Zone)
+			sc.pois, ok = p.Map.AppendPOIsInZip(sc.pois[:0], place.CityID, place.Zone)
 			if !ok {
 				// The zip stays marked as seen: re-asking would fail
 				// identically (the failure draw is keyed by the query).
 				res.LookupFailures++
 				continue
 			}
-			for _, poi := range pois {
+			for _, poi := range sc.pois {
 				if !poi.HasWebsite {
 					continue
 				}
-				if _, dup := seen[poi.Key]; dup {
+				if _, dup := sc.seen[poi.Key]; dup {
 					continue
 				}
 				site, st := p.Web.Inspect(poi)
@@ -424,9 +485,9 @@ func (p *Pipeline) sweep(res *Result, tier int, center geo.Point, region geo.Reg
 					continue
 				}
 				p.Web.Place(&site, poi, &st)
-				delay, usable := p.landmarkDelay(pr, &site, res.Target)
-				seen[poi.Key] = len(res.Landmarks)
-				res.Landmarks = append(res.Landmarks, Landmark{
+				delay, usable := p.landmarkDelay(&sc.pr, &site, res.Target)
+				sc.seen[poi.Key] = len(sc.landmarks)
+				sc.landmarks = append(sc.landmarks, Landmark{
 					Site:    site,
 					Zip:     place.Zip,
 					Tier:    tier,
@@ -503,9 +564,22 @@ func (p *Pipeline) landmarkDelay(pr *probe, site *web.Website, target int) (floa
 }
 
 // landmarkRegion converts usable landmark delays into a CBG region and its
-// centroid for tier 3.
+// centroid for tier 3. It is landmarkRegionInto a buffer sized to the
+// usable landmarks.
 func (p *Pipeline) landmarkRegion(landmarks []Landmark, speed float64) (geo.Region, geo.Point) {
-	var r geo.Region
+	usable := 0
+	for _, lm := range landmarks {
+		if lm.Usable {
+			usable++
+		}
+	}
+	return landmarkRegionInto(make([]geo.Circle, 0, usable), landmarks, speed)
+}
+
+// landmarkRegionInto is landmarkRegion with the region's circles appended
+// to circles[:0].
+func landmarkRegionInto(circles []geo.Circle, landmarks []Landmark, speed float64) (geo.Region, geo.Point) {
+	r := geo.Region{Circles: circles[:0]}
 	for _, lm := range landmarks {
 		if !lm.Usable {
 			continue

@@ -2,6 +2,7 @@ package streetlevel
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"geoloc/internal/core"
@@ -193,5 +194,43 @@ func TestTimeAccountingComponents(t *testing.T) {
 	minRounds := 3 * (camp.Platform.Cost.APISubmitSec + camp.Platform.Cost.SchedulingMinSec)
 	if res.TimeSeconds < minRounds {
 		t.Errorf("time %.0fs below the 3-round floor %.0fs", res.TimeSeconds, minRounds)
+	}
+}
+
+// TestGeolocateAllocs pins a warm Geolocate on every Tiny target, faultless
+// and hostile, at exactly one allocation, its result's landmark slice, or
+// none for a target without a landmark: whatever the number of zips it
+// queries and landmarks it measures, every working buffer is the
+// pipeline's pooled scratch. The collector is off while it counts: a
+// cycle empties every sync.Pool, and refilling the scratch pool or geo's
+// sampler pool would count against whichever target it landed in.
+func TestGeolocateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name string
+		c    *core.Campaign
+	}{{"none", camp}, {"hostile", hostileCampaign}} {
+		p := New(tc.c)
+		minZips, maxZips, maxLandmarks := math.MaxInt, 0, 0
+		for i := range tc.c.Targets {
+			res := p.Geolocate(i)
+			want := 0.0
+			if len(res.Landmarks) > 0 {
+				want = 1
+			}
+			if n := testing.AllocsPerRun(3, func() { p.Geolocate(i) }); n != want {
+				t.Errorf("%s target %d (%d mapping queries, %d landmarks): a warm Geolocate allocates %.1f, want %.0f",
+					tc.name, i, res.MappingQueries, len(res.Landmarks), n, want)
+			}
+			minZips, maxZips = min(minZips, res.MappingQueries), max(maxZips, res.MappingQueries)
+			maxLandmarks = max(maxLandmarks, len(res.Landmarks))
+		}
+		if minZips == maxZips || maxLandmarks < 2 {
+			t.Errorf("%s: targets query %d to %d points and find at most %d landmarks: the pin proves nothing",
+				tc.name, minZips, maxZips, maxLandmarks)
+		}
 	}
 }
