@@ -56,7 +56,10 @@ race:
 # names telemetry.Default: metering is handed in by whatever builds the
 # metered object (DESIGN.md §3.2). internal/ipindex is exempt because the
 # frozen benchmark harness reads its counters from the default registry;
-# ROADMAP item 9 deletes both.
+# ROADMAP item 9 deletes both. It fails too on non-test Go outside
+# internal/geo and internal/cbg that names geo.Region: production code
+# reduces constraints with geo.Sampler only, and Region's haversine
+# reduction is the reference its tests compare against.
 vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
@@ -65,6 +68,10 @@ vet:
 		grep -v -e '^\./internal/ipindex/' -e '^\./internal/telemetry/' -e '^\./benchmark/' -e '^\./\.bench_build/')"; \
 		if [ -n "$$global" ]; then echo "telemetry.Default named outside internal/ipindex:"; \
 		echo "$$global"; exit 1; fi
+	@region="$$(grep -rn --include='*.go' 'geo\.Region\b' . | grep -v '_test\.go:' | \
+		grep -v -e '^\./internal/geo/' -e '^\./internal/cbg/' -e '^\./\.bench_build/')"; \
+		if [ -n "$$region" ]; then echo "geo.Region named outside internal/geo and internal/cbg (reduce with geo.Sampler):"; \
+		echo "$$region"; exit 1; fi
 
 # Requires staticcheck on PATH (CI installs it; locally:
 # go install honnef.co/go/tools/cmd/staticcheck@latest).

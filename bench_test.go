@@ -414,9 +414,7 @@ func BenchmarkAblationDelayAgg(b *testing.B) {
 	c := benchSetup(b)
 	for _, agg := range []string{"min", "median"} {
 		b.Run(agg, func(b *testing.B) {
-			cfg := streetlevel.DefaultConfig()
-			cfg.DelayAggregation = agg
-			pipe := streetlevel.NewWithConfig(c, cfg)
+			pipe := streetlevel.NewWithConfig(c, streetlevel.Config{DelayAggregation: agg})
 			var errs []float64
 			for i := 0; i < b.N; i++ {
 				ti := i % len(c.Targets)

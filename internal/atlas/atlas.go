@@ -93,7 +93,7 @@ func New(w *world.World, sim *netsim.Sim) *Platform {
 
 // pingCost is the credit charge of one ping: PingPackets packets.
 func (p *Platform) pingCost() int64 {
-	return int64(p.Sim.Cfg.PingPackets) * CreditsPerPingPacket
+	return int64(netsim.PingPackets) * CreditsPerPingPacket
 }
 
 // Ping runs one ping measurement from src to dst. round distinguishes

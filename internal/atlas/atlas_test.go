@@ -24,7 +24,7 @@ func TestPingCountsAndCredits(t *testing.T) {
 	if st.Pings != 1 {
 		t.Errorf("pings = %d", st.Pings)
 	}
-	wantCredits := int64(p.Sim.Cfg.PingPackets) * CreditsPerPingPacket
+	wantCredits := int64(netsim.PingPackets) * CreditsPerPingPacket
 	if st.Credits != wantCredits {
 		t.Errorf("credits = %d, want %d", st.Credits, wantCredits)
 	}
@@ -139,7 +139,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 	p := newPlatform()
 	src := p.W.Host(p.W.Probes[0])
 	dst := p.W.Host(p.W.Anchors[0])
-	pingCost := int64(p.Sim.Cfg.PingPackets) * CreditsPerPingPacket
+	pingCost := int64(netsim.PingPackets) * CreditsPerPingPacket
 
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})

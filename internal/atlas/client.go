@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"geoloc/internal/faults"
+	"geoloc/internal/netsim"
 	"geoloc/internal/rhash"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
@@ -323,7 +324,7 @@ func (c *Client) ping(ctx context.Context, st *srcState, src, dst *world.Host, s
 		st.advance(quarantineTickSec)
 		return PingOutcome{Err: ErrQuarantined}
 	}
-	pacing := float64(c.P.Sim.Cfg.PingPackets) / c.P.ProbePPS(src)
+	pacing := float64(netsim.PingPackets) / c.P.ProbePPS(src)
 
 	seed := c.P.W.Cfg.Seed
 	srcA, dstA := uint64(src.Addr), uint64(dst.Addr)

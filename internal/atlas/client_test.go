@@ -143,7 +143,7 @@ func TestClientTimeAccounting(t *testing.T) {
 		c.Ping(src, dst, uint64(i))
 	}
 	// Ten pings pace at PingPackets / pps seconds each.
-	want := 10 * float64(c.P.Sim.Cfg.PingPackets) / c.P.ProbePPS(src)
+	want := 10 * float64(netsim.PingPackets) / c.P.ProbePPS(src)
 	got := c.Stats().CampaignSec
 	if got < want*0.99 || got > want*1.01 {
 		t.Errorf("campaign sec = %v, want ~%v", got, want)

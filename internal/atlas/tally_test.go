@@ -43,7 +43,7 @@ func TestClientStatsMatchTally(t *testing.T) {
 		if cs.Measurements != n || cs.Canceled != 10 {
 			t.Fatalf("%s: %d measurements, %d canceled; want %d, 10", prof.Name, cs.Measurements, cs.Canceled, n)
 		}
-		if want := tally.Pings * int64(sim.Cfg.PingPackets) * atlas.CreditsPerPingPacket; cs.CreditsSpent != want {
+		if want := tally.Pings * int64(netsim.PingPackets) * atlas.CreditsPerPingPacket; cs.CreditsSpent != want {
 			t.Fatalf("%s: client credits %d, want %d", prof.Name, cs.CreditsSpent, want)
 		}
 		if ps := p.Stats(); ps.Pings != tally.Pings {

@@ -79,6 +79,3 @@ func ShortestPing(ms []Measurement) (geo.Point, error) {
 	}
 	return ms[best].VP, nil
 }
-
-// Region is re-exported for callers needing the raw constraint region.
-type Region = geo.Region

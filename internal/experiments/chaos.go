@@ -7,6 +7,7 @@ import (
 	"geoloc/internal/core"
 	"geoloc/internal/faults"
 	"geoloc/internal/geo"
+	"geoloc/internal/par"
 	"geoloc/internal/stats"
 	"geoloc/internal/streetlevel"
 	"geoloc/internal/telemetry"
@@ -134,7 +135,7 @@ func ChaosSweep(cfg world.Config, reg *telemetry.Registry) []ChaosRow {
 	// Campaigns are independent (each builds its own world and platform),
 	// so the sweep runs them concurrently; each campaign's internal
 	// matrix build is itself parallel, so the speedup is modest but free.
-	parallelFor(len(profs), func(i int) {
+	par.For(len(profs), func(i int) {
 		rows[i] = chaosCampaign(cfg, profs[i], reg)
 	})
 	return rows

@@ -184,7 +184,7 @@ func (ctx *Context) allVPErrors() []float64 {
 	ctx.allCBGOnce.Do(func() {
 		c := ctx.C
 		errs := make([]float64, len(c.Targets))
-		parallelFor(len(c.Targets), func(ti int) {
+		par.For(len(c.Targets), func(ti int) {
 			errs[ti] = math.NaN()
 			if est, ok := c.TargetRTT.LocateSubset(ti, nil, geo.TwoThirdsC); ok {
 				errs[ti] = c.ErrorKm(ti, est)
@@ -220,18 +220,12 @@ func (ctx *Context) StreetResults() []streetlevel.Result {
 	ctx.slOnce.Do(func() {
 		n := len(ctx.C.Targets)
 		ctx.slResults = make([]streetlevel.Result, n)
-		parallelFor(n, func(ti int) {
+		par.For(n, func(ti int) {
 			ctx.slResults[ti] = ctx.SL.Geolocate(ti)
 		})
 	})
 	return ctx.slResults
 }
-
-// parallelFor runs f(0..n-1) across all CPUs via the deterministic
-// analysis pool. Callers follow the par determinism contract: results go
-// into index-addressed slices, reductions happen in index order after it
-// returns.
-func parallelFor(n int, f func(i int)) { par.For(n, f) }
 
 // cdfThresholdsKm are the error marks every CDF row reports.
 var cdfThresholdsKm = []float64{1, 5, 10, 40, 100, 300, 1000}

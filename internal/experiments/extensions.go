@@ -5,6 +5,8 @@ import (
 	"math"
 
 	"geoloc/internal/geo"
+	"geoloc/internal/netsim"
+	"geoloc/internal/par"
 	"geoloc/internal/stats"
 	"geoloc/internal/vpsel"
 )
@@ -19,7 +21,7 @@ func Deploy(ctx *Context) *Report {
 
 	// Packets each VP must send to cover every /24 once (3 reps, 3-packet
 	// pings).
-	packetsPerVP := int64(routable24s) * vpsel.RepPingsPerVP * int64(c.Platform.Sim.Cfg.PingPackets)
+	packetsPerVP := int64(routable24s) * vpsel.RepPingsPerVP * int64(netsim.PingPackets)
 
 	probeSecs := c.Platform.CampaignSeconds(c.SanitizedProbes, int(packetsPerVP))
 	anchorSecs := c.Platform.CampaignSeconds(c.SanitizedAnchors, int(packetsPerVP))
@@ -69,14 +71,14 @@ func MultiStep(ctx *Context) *Report {
 	results := make([][]vpsel.MultiStepResult, len(c.Targets))
 	oks := make([][]bool, len(c.Targets))
 	tab := vpsel.NewCoverTable(c.RepRTT, meta)
-	parallelFor(len(c.Targets), func(ti int) {
+	par.For(len(c.Targets), func(ti int) {
 		results[ti], oks[ti] = vpsel.MultiStepSweep(c.RepRTT, meta, tab, firstStep, ti, maxRounds, 100)
 	})
 	for rounds := 2; rounds <= maxRounds; rounds++ {
 		errs := make([]float64, len(c.Targets))
 		pings := make([]int64, len(c.Targets))
 		roundsUsed := make([]int, len(c.Targets))
-		parallelFor(len(c.Targets), func(ti int) {
+		par.For(len(c.Targets), func(ti int) {
 			errs[ti] = math.NaN()
 			res := results[ti][rounds-2]
 			pings[ti] = res.Pings
@@ -184,7 +186,7 @@ func Ablations(ctx *Context) *Report {
 		random[i] = (i * 7919) % len(c.VPs)
 	}
 	randomErrs := make([]float64, len(c.Targets))
-	parallelFor(len(c.Targets), func(ti int) {
+	par.For(len(c.Targets), func(ti int) {
 		randomErrs[ti] = math.NaN()
 		res, ok := vpsel.TwoStepSelect(c.RepRTT, meta, random, ti)
 		if !ok {

@@ -130,7 +130,7 @@ func computeTrialMedians(ctx *Context, size, trials int) []float64 {
 		subsets[trial] = randomSubset(st, len(c.VPs), size)
 	}
 	grid := make([]float64, trials*nt)
-	parallelFor(trials*nt, func(i int) {
+	par.For(trials*nt, func(i int) {
 		trial, ti := i/nt, i%nt
 		grid[i] = math.NaN()
 		if est, ok := c.TargetRTT.LocateSubset(ti, subsets[trial], geo.TwoThirdsC); ok {
@@ -277,7 +277,7 @@ func Fig3a(ctx *Context) *Report {
 	}
 	for _, k := range []int{1, 3, 10} {
 		errs := make([]float64, len(c.Targets))
-		parallelFor(len(c.Targets), func(ti int) {
+		par.For(len(c.Targets), func(ti int) {
 			errs[ti] = math.NaN()
 			sel := vpsel.OriginalSelect(c.RepRTT, ti, k)
 			if len(sel) == 0 {
@@ -354,7 +354,7 @@ func (ctx *Context) twoStepErrors(n int) twoStepRow {
 		meta, firstStep := ctx.firstStep(n)
 		errs := make([]float64, len(c.Targets))
 		pings := make([]int64, len(c.Targets))
-		parallelFor(len(c.Targets), func(ti int) {
+		par.For(len(c.Targets), func(ti int) {
 			errs[ti] = math.NaN()
 			res, ok := vpsel.TwoStepSelect(c.RepRTT, meta, firstStep, ti)
 			pings[ti] = res.Pings
@@ -435,7 +435,7 @@ func Fig4(ctx *Context) *Report {
 	// the per-continent maps in target order.
 	allErrs := ctx.allVPErrors()
 	close40 := make([]bool, len(c.Targets))
-	parallelFor(len(c.Targets), func(ti int) {
+	par.For(len(c.Targets), func(ti int) {
 		tt := geo.MakeTrig(c.Targets[ti].Loc)
 		for vp, h := range c.VPs {
 			if h.ID != c.Targets[ti].ID && geo.TrigDistance(c.TargetRTT.VPTrig(vp), tt) <= 40 {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"geoloc/internal/geo"
+	"geoloc/internal/par"
 	"geoloc/internal/stats"
 	"geoloc/internal/streetlevel"
 )
@@ -63,7 +64,7 @@ func Fig5b(ctx *Context) *Report {
 
 	type flags struct{ plain, checked [4]bool }
 	perTarget := make([]flags, len(results))
-	parallelFor(len(results), func(ti int) {
+	par.For(len(results), func(ti int) {
 		res := results[ti]
 		truth := c.Targets[ti].Loc
 		var f flags

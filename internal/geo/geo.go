@@ -157,33 +157,6 @@ func InitialBearing(a, b Point) float64 {
 	return brng
 }
 
-// Centroid returns the spherical centroid (3-D vector mean) of the points.
-// It returns the zero Point and false when pts is empty or the points cancel
-// out exactly (antipodal symmetry).
-func Centroid(pts []Point) (Point, bool) {
-	if len(pts) == 0 {
-		return Point{}, false
-	}
-	var x, y, z float64
-	for _, p := range pts {
-		lat := deg2rad(p.Lat)
-		lon := deg2rad(p.Lon)
-		x += math.Cos(lat) * math.Cos(lon)
-		y += math.Cos(lat) * math.Sin(lon)
-		z += math.Sin(lat)
-	}
-	n := float64(len(pts))
-	x, y, z = x/n, y/n, z/n
-	norm := math.Sqrt(x*x + y*y + z*z)
-	if norm < 1e-12 {
-		return Point{}, false
-	}
-	return Point{
-		Lat: rad2deg(math.Asin(z / norm)),
-		Lon: rad2deg(math.Atan2(y, x)),
-	}, true
-}
-
 // RTTToDistanceKm converts a round-trip time (ms) to the maximum possible
 // one-way geographic distance (km) a signal could have covered at the given
 // propagation speed (km/ms). This is the CBG constraint radius.

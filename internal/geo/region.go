@@ -20,7 +20,10 @@ func (c Circle) ContainsCircle(other Circle) bool {
 }
 
 // Region is an intersection of constraint circles, as constructed by CBG.
-// The zero Region (no circles) represents the whole Earth.
+// The zero Region (no circles) represents the whole Earth. Production code
+// reduces and samples constraints with Sampler; Region, whose reduction
+// tests every circle with the haversine, is the reference the Sampler and
+// its callers' tests compare against, and the cbg package's plain API.
 type Region struct {
 	Circles []Circle
 }
@@ -59,29 +62,20 @@ func (r *Region) Tightest() (Circle, bool) {
 // Reduction is what keeps centroid estimation cheap even with 10k vantage
 // points: in practice only a handful of constraints survive.
 func (r *Region) Reduced() Region {
-	if len(r.Circles) == 0 {
-		return Region{}
-	}
-	return Region{Circles: r.AppendReduced(make([]Circle, 0, 8))}
-}
-
-// AppendReduced appends the circles of Reduced to dst and returns it, so a
-// caller reducing region after region reuses one buffer.
-func (r *Region) AppendReduced(dst []Circle) []Circle {
+	var red Region
 	tight, ok := r.Tightest()
 	if !ok {
-		return dst
+		return red
 	}
-	start := len(dst)
 	for _, c := range r.Circles {
 		if c == tight || !c.ContainsCircle(tight) {
-			dst = append(dst, c)
+			red.Add(c)
 		}
 	}
-	slices.SortFunc(dst[start:], func(a, b Circle) int {
+	slices.SortFunc(red.Circles, func(a, b Circle) int {
 		return byRadius(a.RadiusKm, b.RadiusKm)
 	})
-	return dst
+	return red
 }
 
 // byRadius is the reduction's ascending-radius comparator. The pdqsort
@@ -99,49 +93,6 @@ func byRadius(a, b float64) int {
 		return 1
 	}
 	return 0
-}
-
-// DefaultSampleRings and DefaultSampleBearings control the polar sampling
-// grid used to estimate the centroid of a region intersection.
-const (
-	DefaultSampleRings    = 16
-	DefaultSampleBearings = 24
-)
-
-// SamplePoints returns points covering the tightest circle of the region on
-// a polar grid (rings × bearings, plus the centre), filtered to those inside
-// every other constraint. It returns nil when the region has no circles or
-// the sampled intersection is empty.
-func (r *Region) SamplePoints(rings, bearings int) []Point {
-	red := r.Reduced()
-	tight, ok := red.Tightest()
-	if !ok {
-		return nil
-	}
-	if rings <= 0 {
-		rings = DefaultSampleRings
-	}
-	if bearings <= 0 {
-		bearings = DefaultSampleBearings
-	}
-	pts := make([]Point, 0, rings*bearings+1)
-	if red.Contains(tight.Center) {
-		pts = append(pts, tight.Center)
-	}
-	for ri := 1; ri <= rings; ri++ {
-		rad := tight.RadiusKm * float64(ri) / float64(rings)
-		for bi := 0; bi < bearings; bi++ {
-			brng := 360 * float64(bi) / float64(bearings)
-			p := Destination(tight.Center, brng, rad)
-			if red.Contains(p) {
-				pts = append(pts, p)
-			}
-		}
-	}
-	if len(pts) == 0 {
-		return nil
-	}
-	return pts
 }
 
 // Centroid estimates the centroid of the region intersection by polar-grid

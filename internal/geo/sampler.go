@@ -13,23 +13,28 @@ import (
 //   - The reduction (which circles survive, in which order, and which one
 //     is sampled) is bit-exact with Region.Reduced: same first-minimum
 //     rule, same TrigCuts verdicts, same ascending-radius sort over the
-//     same initial order, so equal radii tie-break identically.
-//   - The sampling is this kernel's own definition, not a replay of
-//     Region.SamplePoints: the 16 × 24 + centre polar grid of the sample
-//     circle is generated as unit vectors, membership in every other
-//     surviving circle is a chord comparison, the sample circle's own grid
-//     is inside it by construction (its rim included — SamplePoints leaves
-//     the 24 rim points to a half-ulp of the haversine, which put the
-//     centroid of a single circle up to 1.6 % of its radius off its own
-//     centre), and the vector mean is accumulated from the vectors. The
-//     legacy chain stays as an independent oracle the property tests hold
-//     this kernel to within grid resolution of (sampler_test.go).
+//     same initial order, so equal radii tie-break identically. It is the
+//     only reduction production code runs: Kept and KeptTrig hand its
+//     survivors to whoever tests points against the region afterwards.
+//   - The sampling is this kernel's own definition, not a replay of the
+//     legacy chain (Region.Reduced, then Region.SamplePoints, then the
+//     vector mean Centroid, both now test code): the 16 × 24 + centre
+//     polar grid of the sample circle is generated as unit vectors,
+//     membership in every other surviving circle is a chord comparison,
+//     the sample circle's own grid is inside it by construction (its rim
+//     included — SamplePoints leaves the 24 rim points to a half-ulp of
+//     the haversine, which put the centroid of a single circle up to 1.6 %
+//     of its radius off its own centre), and the vector mean is
+//     accumulated from the vectors. The legacy chain stays as an
+//     independent oracle the property tests hold this kernel to within
+//     grid resolution of (sampler_test.go).
 //
 // Same constraints in the same order give the same bits on every run and
-// at every worker count. A Sampler is single-goroutine scratch; use one per
-// worker or the package pool (Region.Centroid does). Add constraints
-// between Reset and Centroid, or Reduce when only the survivors are
-// wanted.
+// at every worker count. A Sampler is single-goroutine scratch; keep one
+// per worker (the CBG matrix, street level's pooled scratch) or borrow
+// one from the package pool (Region.Centroid and VP selection do). Add
+// constraints between Reset and Centroid, or Reduce when only the
+// survivors are wanted.
 type Sampler struct {
 	cs   []samplerCircle
 	keep []int32
@@ -69,6 +74,13 @@ func chord2ForRadius(radiusKm float64) float64 {
 	return 4 * s * s
 }
 
+// DefaultSampleRings and DefaultSampleBearings control the polar sampling
+// grid used to estimate the centroid of a region intersection.
+const (
+	DefaultSampleRings    = 16
+	DefaultSampleBearings = 24
+)
+
 // sampleBearings is the grid's bearing table, clockwise from north.
 var sampleBearings = func() (t [DefaultSampleBearings]struct{ cos, sin float64 }) {
 	for i := range t {
@@ -79,6 +91,17 @@ var sampleBearings = func() (t [DefaultSampleBearings]struct{ cos, sin float64 }
 
 // Reset clears the constraint set for reuse.
 func (sm *Sampler) Reset() { sm.cs = sm.cs[:0] }
+
+// Grow makes room for n more constraints, and for a reduction and grid
+// over all of them, so that filling a sampler with a known count allocates
+// once per buffer instead of once per doubling. A warm sampler that has
+// the room allocates nothing.
+func (sm *Sampler) Grow(n int) {
+	n += len(sm.cs)
+	sm.cs = slices.Grow(sm.cs, n-len(sm.cs))
+	sm.keep = slices.Grow(sm.keep, max(0, n-len(sm.keep)))
+	sm.cut = slices.Grow(sm.cut, max(0, n-len(sm.cut)))
+}
 
 // Add appends a constraint circle.
 func (sm *Sampler) Add(c Circle) {

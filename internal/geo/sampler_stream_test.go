@@ -8,6 +8,7 @@ import (
 	"geoloc/internal/cbg"
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
+	"geoloc/internal/par"
 	"geoloc/internal/world"
 )
 
@@ -90,6 +91,48 @@ func legacyCentroid(r *geo.Region) (geo.Point, bool) {
 	return geo.Centroid(r.SamplePoints(geo.DefaultSampleRings, geo.DefaultSampleBearings))
 }
 
+// streamCase is one stream target as both TestSamplerStream* tests read
+// it: its constraints, their reduction, and the legacy chain's answer.
+type streamCase struct {
+	cs       []geo.Circle
+	reduced  geo.Region
+	legacy   geo.Point
+	legacyOK bool
+}
+
+// streamCases holds the cases built so far, target by target from 0, over
+// one Tiny stream fixture: target t's constraints do not depend on the
+// fixture's target count, so a test wanting n cases reads a prefix.
+var streamCases struct {
+	s     *core.StreamCampaign
+	buf   []cbg.Measurement
+	cases []streamCase
+}
+
+// streamCasesUpTo returns the first n stream cases, building the fixture
+// once and the cases past those already built, their legacy answers under
+// par.For. Tests in this package run one at a time, so nothing guards it.
+func streamCasesUpTo(t testing.TB, n int) []streamCase {
+	t.Helper()
+	sc := &streamCases
+	if sc.s == nil {
+		sc.s = streamFixture(t, 20000)
+	}
+	built := len(sc.cases)
+	for ti := built; ti < n; ti++ {
+		var c streamCase
+		c.cs, sc.buf = streamCircles(sc.s, ti, sc.buf)
+		sc.cases = append(sc.cases, c)
+	}
+	par.For(max(n-built, 0), func(i int) {
+		c := &sc.cases[built+i]
+		region := geo.Region{Circles: c.cs}
+		c.reduced = region.Reduced()
+		c.legacy, c.legacyOK = legacyCentroid(&region)
+	})
+	return sc.cases[:n]
+}
+
 // TestSamplerStreamRecordsStayWithinBound is the geodiff acceptance bound
 // as a test: on stream inputs no estimate sits further than 2.5 % of the
 // record's radius from the legacy chain's (the parent kernel's, bit for
@@ -99,23 +142,18 @@ func TestSamplerStreamRecordsStayWithinBound(t *testing.T) {
 	if testing.Short() {
 		n = 2000
 	}
-	s := streamFixture(t, n)
 	var sm geo.Sampler
-	var buf []cbg.Measurement
 	var shares []float64
-	for ti := 0; ti < n; ti++ {
-		var cs []geo.Circle
-		cs, buf = streamCircles(s, ti, buf)
-		region := geo.Region{Circles: cs}
-		want, wantOK := legacyCentroid(&region)
-		got, ok := kernelCentroid(&sm, cs)
+	for ti, c := range streamCasesUpTo(t, n) {
+		want, wantOK := c.legacy, c.legacyOK
+		got, ok := kernelCentroid(&sm, c.cs)
 		if ok != wantOK {
 			t.Fatalf("target %d: kernel ok=%v, legacy chain ok=%v", ti, ok, wantOK)
 		}
 		if !ok {
 			continue
 		}
-		share := geo.Distance(got, want) / recordRadius(want, region.Reduced().Circles)
+		share := geo.Distance(got, want) / recordRadius(want, c.reduced.Circles)
 		if share > 0.025 {
 			t.Fatalf("target %d: estimate %v is %.2f%% of the record radius from the legacy chain's %v", ti, got, 100*share, want)
 		}
@@ -139,21 +177,27 @@ func TestSamplerStreamCloserToReference(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	s := streamFixture(t, n)
+	cases := streamCasesUpTo(t, n)
+	type refAnswer struct {
+		p  geo.Point
+		ok bool
+	}
+	refs := make([]refAnswer, n)
+	par.For(n, func(ti int) {
+		if cases[ti].legacyOK {
+			refs[ti].p, refs[ti].ok = halfRingReference(cases[ti].reduced)
+		}
+	})
 	var sm geo.Sampler
-	var buf []cbg.Measurement
 	var kernel, legacy []float64
-	for ti := 0; ti < n; ti++ {
-		var cs []geo.Circle
-		cs, buf = streamCircles(s, ti, buf)
-		region := geo.Region{Circles: cs}
-		reduced := region.Reduced()
-		got, ok := kernelCentroid(&sm, cs)
-		old, oldOK := legacyCentroid(&region)
+	for ti, c := range cases {
+		reduced := c.reduced
+		got, ok := kernelCentroid(&sm, c.cs)
+		old, oldOK := c.legacy, c.legacyOK
 		if !ok || !oldOK {
 			continue
 		}
-		ref, refOK := halfRingReference(reduced)
+		ref, refOK := refs[ti].p, refs[ti].ok
 		if !refOK {
 			t.Fatalf("target %d: located by both grids, empty on the reference", ti)
 		}

@@ -484,3 +484,49 @@ func TestSamplerAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSamplerGrow: growing keeps what a sampler holds, and a fresh sampler
+// grown to a region's size fills, reduces and samples it with a fixed
+// number of allocations, one per buffer, where filling it ungrown pays one
+// per doubling.
+func TestSamplerGrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	r := randRegion(rng)
+	for len(r.Circles) < 6 {
+		r = randRegion(rng)
+	}
+	want, wantOK := samplerCentroid(new(Sampler), &r)
+	var sm Sampler
+	for i, c := range r.Circles {
+		sm.Add(c)
+		sm.Grow(i)
+	}
+	if got, ok := sm.Centroid(); got != want || ok != wantOK {
+		t.Fatalf("grown while filled: %v,%v, want %v,%v", got, ok, want, wantOK)
+	}
+	repeat := func(k int) []Circle {
+		var cs []Circle
+		for range k {
+			cs = append(cs, r.Circles...)
+		}
+		return cs
+	}
+	fill := func(cs []Circle, grow bool) float64 {
+		return testing.AllocsPerRun(10, func() {
+			var sm Sampler
+			if grow {
+				sm.Grow(len(cs))
+			}
+			for _, c := range cs {
+				sm.Add(c)
+			}
+			sm.Centroid()
+		})
+	}
+	small, large := repeat(20), repeat(40)
+	grown, grownLarge, ungrown := fill(small, true), fill(large, true), fill(small, false)
+	if grown != grownLarge || grown >= ungrown {
+		t.Errorf("grown: %v allocations at %d circles, %v at %d; ungrown: %v at %d; want the grown count fixed and below the ungrown one",
+			grown, len(small), grownLarge, len(large), ungrown, len(small))
+	}
+}

@@ -58,8 +58,8 @@ func TestPingDetailMatchesPing(t *testing.T) {
 		if d.OK != ok || d.MinRTTMs != rtt {
 			t.Fatalf("PingDetail and Ping disagree: (%v,%v) vs (%v,%v)", d.MinRTTMs, d.OK, rtt, ok)
 		}
-		if d.Sent != s.Cfg.PingPackets || len(d.RTTs) != d.Sent {
-			t.Fatalf("sent %d packets, want %d", d.Sent, s.Cfg.PingPackets)
+		if d.Sent != PingPackets || len(d.RTTs) != d.Sent {
+			t.Fatalf("sent %d packets, want %d", d.Sent, PingPackets)
 		}
 		got := 0
 		min := math.Inf(1)
@@ -162,13 +162,13 @@ func refTraceroute(s *Sim, src, dst *world.Host, salt uint64) Trace {
 	tr := Trace{Hops: make([]TraceHop, sk.n)}
 	for i := range tr.Hops {
 		h := s.hop(&sk, i, src, dst)
-		jitter := st.Exp(s.Cfg.ICMPJitterMeanMs)
-		if st.Bool(s.Cfg.ICMPSpikeProb) {
-			jitter += math.Min(st.Exp(s.Cfg.ICMPSpikeMeanMs), s.Cfg.ICMPSpikeMaxMs)
+		jitter := st.Exp(icmpJitterMeanMs)
+		if st.Bool(icmpSpikeProb) {
+			jitter += math.Min(st.Exp(icmpSpikeMeanMs), icmpSpikeMaxMs)
 		}
 		tr.Hops[i] = TraceHop{RouterID: h.id, ASID: int(h.as), RTTMs: 2*cum[i] + jitter, Responded: st.Bool(0.95)}
 	}
-	tr.DstRTTMs = 2*oneWay + st.Exp(s.Cfg.PingJitterMeanMs)
+	tr.DstRTTMs = 2*oneWay + st.Exp(pingJitterMeanMs)
 	tr.DstResponded = st.Bool(dst.RespScore)
 	if f := s.Faults; f.Enabled() {
 		seed, srcA, dstA := s.W.Cfg.Seed, uint64(src.Addr), uint64(dst.Addr)

@@ -23,7 +23,7 @@ type PingResult struct {
 	OK bool
 }
 
-// Ping simulates one ping measurement (Cfg.PingPackets packets) from src to
+// Ping simulates one ping measurement (PingPackets packets) from src to
 // dst and returns the minimum observed RTT in milliseconds. ok is false when
 // no packet was answered (the destination's responsiveness score governs
 // reply probability). salt distinguishes repeated measurements of the same
@@ -41,8 +41,8 @@ func (s *Sim) Ping(src, dst *world.Host, salt uint64) (float64, bool) {
 // a packet that survives.
 func (s *Sim) PingDetail(src, dst *world.Host, salt uint64) PingResult {
 	res := PingResult{
-		RTTs: make([]float64, s.Cfg.PingPackets),
-		Sent: s.Cfg.PingPackets,
+		RTTs: make([]float64, PingPackets),
+		Sent: PingPackets,
 	}
 	res.MinRTTMs, res.Received, res.OK = s.ping(src, dst, salt, res.RTTs)
 	return res
@@ -62,11 +62,11 @@ func (s *Sim) ping(src, dst *world.Host, salt uint64, rtts []float64) (min float
 	if injecting {
 		loss = f.PathLossRate(seed, srcA, dstA)
 	}
-	for p := 0; p < s.Cfg.PingPackets; p++ {
+	for p := 0; p < PingPackets; p++ {
 		if rtts != nil {
 			rtts[p] = math.NaN()
 		}
-		jitter := st.Exp(s.Cfg.PingJitterMeanMs)
+		jitter := st.Exp(pingJitterMeanMs)
 		answered := st.Bool(dst.RespScore)
 		if !answered {
 			continue
@@ -83,7 +83,7 @@ func (s *Sim) ping(src, dst *world.Host, salt uint64, rtts []float64) (min float
 			min, ok = rtt, true
 		}
 	}
-	s.m.pingPacketsLost.Add(int64(s.Cfg.PingPackets - received))
+	s.m.pingPacketsLost.Add(int64(PingPackets - received))
 	return min, received, ok
 }
 
@@ -140,11 +140,11 @@ func (s *Sim) TraceInto(buf *TraceBuf, src, dst *world.Host, salt uint64) Trace 
 		uint64(src.Addr), uint64(dst.Addr), salt))
 	tr := Trace{Hops: buf[:sk.n]}
 	for i := range tr.Hops {
-		jitter := st.Exp(s.Cfg.ICMPJitterMeanMs)
-		if st.Bool(s.Cfg.ICMPSpikeProb) {
-			spike := st.Exp(s.Cfg.ICMPSpikeMeanMs)
-			if spike > s.Cfg.ICMPSpikeMaxMs {
-				spike = s.Cfg.ICMPSpikeMaxMs
+		jitter := st.Exp(icmpJitterMeanMs)
+		if st.Bool(icmpSpikeProb) {
+			spike := st.Exp(icmpSpikeMeanMs)
+			if spike > icmpSpikeMaxMs {
+				spike = icmpSpikeMaxMs
 			}
 			jitter += spike
 		}
@@ -157,7 +157,7 @@ func (s *Sim) TraceInto(buf *TraceBuf, src, dst *world.Host, salt uint64) Trace 
 			Responded: responded,
 		}
 	}
-	tr.DstRTTMs = 2*oneWay + st.Exp(s.Cfg.PingJitterMeanMs)
+	tr.DstRTTMs = 2*oneWay + st.Exp(pingJitterMeanMs)
 	tr.DstResponded = st.Bool(dst.RespScore)
 
 	// Fault injection happens after the base trace is fully drawn, so the

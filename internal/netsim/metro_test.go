@@ -96,7 +96,7 @@ func TestPathNoiseSmallForLocalPairs(t *testing.T) {
 }
 
 func TestPathNoiseBounded(t *testing.T) {
-	maxBand := sim.Cfg.PathNoiseMeanMs * 1.8 // 0.2m + 1.6m upper bound
+	maxBand := pathNoiseMeanMs * 1.8 // 0.2m + 1.6m upper bound
 	for i := 0; i < 200; i++ {
 		src, dst := hostPair(i, 2*i+1)
 		if n := sim.pathNoise(src, dst); n > maxBand+1e-9 {

@@ -24,63 +24,48 @@ import (
 	"geoloc/internal/world"
 )
 
-// Config tunes the delay model.
-type Config struct {
-	// HopProcessingMs is the one-way per-router forwarding delay.
-	HopProcessingMs float64
-	// CableFactorMin/Max bound the deterministic per-link ratio between
+// The delay model's parameters. They are typed so that an expression over
+// two of them folds in float64, as the same arithmetic on variables does:
+// cableFactorMax − cableFactorMin is 0.74999999999999977796, not 0.75.
+const (
+	// hopProcessingMs is the one-way per-router forwarding delay.
+	hopProcessingMs float64 = 0.02
+	// cableFactorMin/Max bound the deterministic per-link ratio between
 	// cable length and great-circle distance.
-	CableFactorMin, CableFactorMax float64
-	// PingJitterMeanMs is the mean of the exponential per-packet jitter on
+	cableFactorMin float64 = 1.55
+	cableFactorMax float64 = 2.3
+	// pingJitterMeanMs is the mean of the exponential per-packet jitter on
 	// echo replies; pings take the minimum over PingPackets packets.
-	PingJitterMeanMs float64
-	// PingPackets is the number of packets per ping measurement (RIPE Atlas
-	// default is 3).
-	PingPackets int
-	// ICMPJitterMeanMs is the mean extra delay on router-generated ICMP
+	pingJitterMeanMs float64 = 0.08
+	// PingPackets is the number of packets per ping measurement (RIPE
+	// Atlas default is 3).
+	PingPackets int = 3
+	// icmpJitterMeanMs is the mean extra delay on router-generated ICMP
 	// time-exceeded responses (control-plane processing).
-	ICMPJitterMeanMs float64
-	// ICMPSpikeProb, ICMPSpikeMeanMs and ICMPSpikeMaxMs model routers that
+	icmpJitterMeanMs float64 = 0.8
+	// icmpSpikeProb, icmpSpikeMeanMs and icmpSpikeMaxMs model routers that
 	// deprioritize ICMP generation: with the given probability a hop
-	// response gains an exponential extra delay (mean ICMPSpikeMeanMs,
-	// capped at ICMPSpikeMaxMs).
-	ICMPSpikeProb   float64
-	ICMPSpikeMeanMs float64
-	ICMPSpikeMaxMs  float64
-	// IntraASHubDetourProb is the probability an intra-AS inter-city path
+	// response gains an exponential extra delay (mean icmpSpikeMeanMs,
+	// capped at icmpSpikeMaxMs).
+	icmpSpikeProb   float64 = 0.25
+	icmpSpikeMeanMs float64 = 1.8
+	icmpSpikeMaxMs  float64 = 9
+	// intraASHubDetourProb is the probability an intra-AS inter-city path
 	// detours through the AS hub instead of following the direct backbone.
-	IntraASHubDetourProb float64
-	// PathNoiseMeanMs is the mean of the persistent per-path extra one-way
-	// delay (exponentially distributed, stable per host pair). It models
-	// lasting congestion and routing oddities; its heterogeneity is what
-	// keeps CBG with few vantage points (the 723 anchors) an order of
-	// magnitude less accurate than CBG with 10k probes, as in the paper
-	// (median 29 km vs 8 km): a dense VP set almost always contains a
-	// low-noise path to the target, a sparse one does not.
-	PathNoiseMeanMs float64
-}
-
-// DefaultConfig returns the delay-model parameters used by the replication.
-func DefaultConfig() Config {
-	return Config{
-		HopProcessingMs:      0.02,
-		CableFactorMin:       1.55,
-		CableFactorMax:       2.3,
-		PingJitterMeanMs:     0.08,
-		PingPackets:          3,
-		ICMPJitterMeanMs:     0.8,
-		ICMPSpikeProb:        0.25,
-		ICMPSpikeMeanMs:      1.8,
-		ICMPSpikeMaxMs:       9,
-		IntraASHubDetourProb: 0.4,
-		PathNoiseMeanMs:      1.2,
-	}
-}
+	intraASHubDetourProb float64 = 0.4
+	// pathNoiseMeanMs is the mean of the persistent per-path extra one-way
+	// delay (stable per host pair). It models lasting congestion and
+	// routing oddities; its heterogeneity is what keeps CBG with few
+	// vantage points (the 723 anchors) an order of magnitude less accurate
+	// than CBG with 10k probes, as in the paper (median 29 km vs 8 km): a
+	// dense VP set almost always contains a low-noise path to the target,
+	// a sparse one does not.
+	pathNoiseMeanMs float64 = 1.2
+)
 
 // Sim is a data-plane simulator bound to one world.
 type Sim struct {
-	W   *world.World
-	Cfg Config
+	W *world.World
 	// Faults, when non-nil and enabled, injects packet loss, truncated
 	// traceroutes and extra hop silence into measurements. Fault draws use
 	// label namespaces disjoint from the base delay model, so a disabled
@@ -133,10 +118,10 @@ func newSimMeters(reg *telemetry.Registry) simMeters {
 	}
 }
 
-// New builds a simulator over the world with default parameters, metering
+// New builds a simulator over the world, metering
 // into reg (nil meters nothing).
 func New(w *world.World, reg *telemetry.Registry) *Sim {
-	s := &Sim{W: w, Cfg: DefaultConfig(), skeletons: newSkeletonTable(skeletonBitsFor(len(w.Hosts))), m: newSimMeters(reg)}
+	s := &Sim{W: w, skeletons: newSkeletonTable(skeletonBitsFor(len(w.Hosts))), m: newSimMeters(reg)}
 	for i := range w.ASes {
 		if isTier1(w, i) {
 			s.tier1 = append(s.tier1, i)
@@ -291,5 +276,5 @@ func (s *Sim) cableFactor(a, b uint64) float64 {
 		lo, hi = hi, lo
 	}
 	u := rhash.UnitFloat(s.W.Cfg.Seed, rhash.HashString("cable"), lo, hi)
-	return s.Cfg.CableFactorMin + (s.Cfg.CableFactorMax-s.Cfg.CableFactorMin)*u
+	return cableFactorMin + (cableFactorMax-cableFactorMin)*u
 }

@@ -44,7 +44,7 @@ func (s *Sim) routeRouters(src, dst *world.Host, refs []routerRef) []routerRef {
 		hub := w.ASes[src.AS].Hub
 		detour := hub != src.City && hub != dst.City &&
 			rhash.UnitFloat(w.Cfg.Seed, rhash.HashString("intra"),
-				uint64(src.AS), uint64(min(src.City, dst.City)), uint64(max(src.City, dst.City))) < s.Cfg.IntraASHubDetourProb
+				uint64(src.AS), uint64(min(src.City, dst.City)), uint64(max(src.City, dst.City))) < intraASHubDetourProb
 		if detour {
 			refs = append(refs, routerRef{asID: src.AS, city: hub, role: roleBackbone})
 		}
@@ -166,7 +166,7 @@ func (s *Sim) trip(src, dst *world.Host, sk *skeleton) (cum [maxRouters]float64,
 	d := b2i(sk.direct)
 	sa, da := s.access(src), s.access(dst)
 	c := src.LastMileMs
-	c += sa.ms[d] + s.Cfg.HopProcessingMs
+	c += sa.ms[d] + hopProcessingMs
 	cum[0] = c
 	for i := 1; i < sk.n; i++ {
 		c += sk.adds[i]
@@ -178,12 +178,12 @@ func (s *Sim) trip(src, dst *world.Host, sk *skeleton) (cum [maxRouters]float64,
 }
 
 // adjust returns the cable factor of a link whose drawn factor is f. On a
-// direct (anchor-to-anchor) path it shrinks toward CableFactorMin:
+// direct (anchor-to-anchor) path it shrinks toward cableFactorMin:
 // datacenter-to-datacenter traffic rides direct backbone waves with little
 // of the access-side meandering ordinary paths have.
 func (s *Sim) adjust(direct bool, f float64) float64 {
 	if direct {
-		return s.Cfg.CableFactorMin + (f-s.Cfg.CableFactorMin)*0.08
+		return cableFactorMin + (f-cableFactorMin)*0.08
 	}
 	return f
 }
@@ -193,9 +193,6 @@ func (s *Sim) adjust(direct bool, f float64) float64 {
 // attaches to the destination access segment, so traceroute hop RTTs do not
 // include it (they measure only up to the routers).
 func (s *Sim) pathNoiseKm(src, dst *world.Host, d float64) float64 {
-	if s.Cfg.PathNoiseMeanMs <= 0 {
-		return 0
-	}
 	// Metro paths are nearly clean; beyond metro range every path carries a
 	// persistent extra delay drawn uniformly from a bounded band around the
 	// configured mean. The band is bounded (rather than heavy-tailed) so
@@ -211,7 +208,7 @@ func (s *Sim) pathNoiseKm(src, dst *world.Host, d float64) float64 {
 		lo, hi = hi, lo
 	}
 	u := rhash.UnitFloat(s.W.Cfg.Seed, rhash.HashString("pathnoise"), lo, hi)
-	m := s.Cfg.PathNoiseMeanMs
+	m := pathNoiseMeanMs // a variable: the products round as float64 math
 	return scale * (0.2*m + 1.6*m*u)
 }
 

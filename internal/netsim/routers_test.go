@@ -28,7 +28,7 @@ func directRoute(s *Sim, src, dst *world.Host) Path {
 	directPair := src.Kind == world.Anchor && dst.Kind == world.Anchor
 	adjust := func(f float64) float64 {
 		if directPair {
-			return s.Cfg.CableFactorMin + (f-s.Cfg.CableFactorMin)*0.08
+			return cableFactorMin + (f-cableFactorMin)*0.08
 		}
 		return f
 	}
@@ -45,7 +45,7 @@ func directRoute(s *Sim, src, dst *world.Host) Path {
 		} else {
 			factor = s.cableFactor(prevID, id)
 		}
-		cum += linkKm*adjust(factor)/geo.TwoThirdsC + s.Cfg.HopProcessingMs
+		cum += linkKm*adjust(factor)/geo.TwoThirdsC + hopProcessingMs
 		hops[i] = PathHop{RouterID: id, Loc: loc, ASID: r.asID, CumOneWayMs: cum}
 		prevLoc, prevID = loc, id
 	}
@@ -125,8 +125,8 @@ func TestRouterTable(t *testing.T) {
 func oraclePing(s *Sim, p Path, src, dst *world.Host, salt uint64) (float64, bool) {
 	st := rhash.New(s.W.Cfg.Seed, rhash.HashString("ping"), uint64(src.Addr), uint64(dst.Addr), salt)
 	min, ok := 0.0, false
-	for range s.Cfg.PingPackets {
-		jitter := st.Exp(s.Cfg.PingJitterMeanMs)
+	for range PingPackets {
+		jitter := st.Exp(pingJitterMeanMs)
 		if !st.Bool(dst.RespScore) {
 			continue
 		}
@@ -142,13 +142,13 @@ func oracleTrace(s *Sim, p Path, src, dst *world.Host, salt uint64) Trace {
 	st := rhash.New(s.W.Cfg.Seed, rhash.HashString("traceroute"), uint64(src.Addr), uint64(dst.Addr), salt)
 	tr := Trace{Hops: make([]TraceHop, len(p.Hops))}
 	for i, h := range p.Hops {
-		jitter := st.Exp(s.Cfg.ICMPJitterMeanMs)
-		if st.Bool(s.Cfg.ICMPSpikeProb) {
-			jitter += math.Min(st.Exp(s.Cfg.ICMPSpikeMeanMs), s.Cfg.ICMPSpikeMaxMs)
+		jitter := st.Exp(icmpJitterMeanMs)
+		if st.Bool(icmpSpikeProb) {
+			jitter += math.Min(st.Exp(icmpSpikeMeanMs), icmpSpikeMaxMs)
 		}
 		tr.Hops[i] = TraceHop{RouterID: h.RouterID, ASID: h.ASID, RTTMs: 2*h.CumOneWayMs + jitter, Responded: st.Bool(0.95)}
 	}
-	tr.DstRTTMs = 2*p.OneWayMs + st.Exp(s.Cfg.PingJitterMeanMs)
+	tr.DstRTTMs = 2*p.OneWayMs + st.Exp(pingJitterMeanMs)
 	tr.DstResponded = st.Bool(dst.RespScore)
 	return tr
 }

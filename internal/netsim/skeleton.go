@@ -198,7 +198,7 @@ func (s *Sim) buildSkeleton(src, dst *world.Host, direct bool, sk *skeleton) (ta
 		sk.cells[i], sk.adds[i] = int32(c), 0
 		if i > 0 {
 			linkKm := geo.TrigDistance(prev.trig, pl.trig)
-			sk.adds[i] = linkKm*s.adjust(direct, s.cableFactor(prev.id, pl.id))/geo.TwoThirdsC + s.Cfg.HopProcessingMs
+			sk.adds[i] = linkKm*s.adjust(direct, s.cableFactor(prev.id, pl.id))/geo.TwoThirdsC + hopProcessingMs
 		}
 		prev = pl
 	}

@@ -8,11 +8,8 @@ import (
 )
 
 func TestDelayAggregationVariantsDiffer(t *testing.T) {
-	cfgMin := DefaultConfig()
-	cfgMed := DefaultConfig()
-	cfgMed.DelayAggregation = "median"
-	pMin := NewWithConfig(camp, cfgMin)
-	pMed := NewWithConfig(camp, cfgMed)
+	pMin := NewWithConfig(camp, Config{DelayAggregation: "min"})
+	pMed := NewWithConfig(camp, Config{DelayAggregation: "median"})
 
 	// Tier-2 discovery is aggregation-independent (same tier-1 centre and
 	// region); only the delays attached to those landmarks differ. Tier 3
@@ -60,9 +57,7 @@ func TestDelayAggregationVariantsDiffer(t *testing.T) {
 }
 
 func TestMedianAggregationReducesNegatives(t *testing.T) {
-	cfgMed := DefaultConfig()
-	cfgMed.DelayAggregation = "median"
-	pMed := NewWithConfig(camp, cfgMed)
+	pMed := NewWithConfig(camp, Config{DelayAggregation: "median"})
 
 	var minNeg, medNeg, n float64
 	for target := 0; target < len(camp.Targets); target += 3 {
@@ -88,7 +83,7 @@ func TestSweepRespectsRegion(t *testing.T) {
 	// Landmarks discovered by a sweep must lie near the sweep region: every
 	// landmark's discovery zip was reverse-geocoded from an in-region point.
 	res := pipe.Geolocate(0)
-	region, _ := pipe.tier1Region(0)
+	region, _ := refTier1Region(pipe, 0)
 	red := region.Reduced()
 	tight, ok := red.Tightest()
 	if !ok {
@@ -106,10 +101,10 @@ func TestSweepRespectsRegion(t *testing.T) {
 
 func TestFallbackSpeedRegionNonEmpty(t *testing.T) {
 	for target := 0; target < len(camp.Targets); target += 5 {
-		region, speed := pipe.tier1Region(target)
-		if _, ok := region.Centroid(); !ok {
+		var sm geo.Sampler
+		if _, ok, speed := pipe.tier1Region(&sm, target); !ok {
 			// Even the fallback failed; must then be the conservative speed.
-			if speed != pipe.Cfg.FallbackSpeedKmPerMs {
+			if speed != fallbackSpeed {
 				t.Fatalf("empty region at non-fallback speed for target %d", target)
 			}
 		}

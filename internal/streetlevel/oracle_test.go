@@ -81,7 +81,7 @@ func sameResult(a, b Result) bool {
 func refGeolocate(t *testing.T, p *Pipeline, target int) Result {
 	res := Result{Target: target, Method: "cbg"}
 	c := p.C
-	region1, speed := p.tier1Region(target)
+	region1, speed := refTier1Region(p, target)
 	if est, ok := region1.Centroid(); ok {
 		res.Tier1, res.Tier1OK = est, true
 	} else if sp, ok := c.TargetRTT.ShortestPingSubset(target, p.anchorRows); ok {
@@ -89,23 +89,23 @@ func refGeolocate(t *testing.T, p *Pipeline, target int) Result {
 	} else {
 		return res
 	}
-	res.UsedFallbackSpeed = speed != p.Cfg.SpeedKmPerMs
+	res.UsedFallbackSpeed = speed != tier1Speed
 	res.Estimate = res.Tier1
 	res.TimeSeconds += c.Platform.RoundSeconds(saltSL(target, 0))
 
-	vps := p.closestAnchorVPs(target, p.Cfg.NumVPs)
+	vps := closestAnchorVPs(p, target, numVPs)
 	targetTraces := make([]netsim.Trace, len(vps))
 	for i, vp := range vps {
 		targetTraces[i] = c.Platform.Traceroute(c.VPs[vp], c.Targets[target], saltSL(target, 1))
 	}
 	seen := make(map[uint64]int)
-	refSweep(t, p, &res, 2, res.Tier1, region1, p.Cfg.Tier2StepKm, p.Cfg.Tier2Points, p.Cfg.MaxCircles, vps, targetTraces, seen)
+	refSweep(t, p, &res, 2, res.Tier1, region1, tier2StepKm, tier2Points, tier2MaxCircles, vps, targetTraces, seen)
 	res.TimeSeconds += c.Platform.RoundSeconds(saltSL(target, 2))
-	region2, center2 := p.landmarkRegion(res.Landmarks, speed)
+	region2, center2 := refLandmarkRegion(res.Landmarks, speed)
 	if !center2.Valid() || len(region2.Circles) == 0 {
 		region2, center2 = region1, res.Tier1
 	}
-	refSweep(t, p, &res, 3, center2, region2, p.Cfg.Tier3StepKm, p.Cfg.Tier3Points, p.Cfg.Tier3MaxCircles, vps, targetTraces, seen)
+	refSweep(t, p, &res, 3, center2, region2, tier3StepKm, tier3Points, tier3MaxCircles, vps, targetTraces, seen)
 	res.TimeSeconds += c.Platform.RoundSeconds(saltSL(target, 3))
 
 	res.TierCompleted = 1
@@ -126,6 +126,51 @@ func refGeolocate(t *testing.T, p *Pipeline, target int) Result {
 	res.TimeSeconds += c.Platform.MappingSeconds(res.MappingQueries) +
 		c.Platform.WebTestSeconds(res.WebsiteTests)
 	return res
+}
+
+// refTier1Region builds the anchor-VP constraint region from the
+// campaign's matrix, at the conservative speed when 4/9c is infeasible.
+func refTier1Region(p *Pipeline, target int) (geo.Region, float64) {
+	build := func(speed float64) geo.Region {
+		var r geo.Region
+		for _, vp := range p.C.AnchorVPIndices() {
+			rtt := float64(p.C.TargetRTT.RTT[vp][target])
+			if math.IsNaN(rtt) || rtt < 0 {
+				continue
+			}
+			r.Add(geo.Circle{Center: p.C.TargetRTT.VPs[vp], RadiusKm: geo.RTTToDistanceKm(rtt, speed)})
+		}
+		return r
+	}
+	r := build(tier1Speed)
+	if _, ok := r.Centroid(); ok {
+		return r, tier1Speed
+	}
+	return build(fallbackSpeed), fallbackSpeed
+}
+
+// refLandmarkRegion converts usable landmark delays into a CBG region and
+// its centroid for tier 3, a NaN centre when there is none.
+func refLandmarkRegion(landmarks []Landmark, speed float64) (geo.Region, geo.Point) {
+	var r geo.Region
+	for _, lm := range landmarks {
+		if lm.Usable {
+			r.Add(geo.Circle{Center: lm.Site.POILoc, RadiusKm: geo.RTTToDistanceKm(lm.DelayMs, speed)})
+		}
+	}
+	c, ok := r.Centroid()
+	if !ok {
+		return geo.Region{}, geo.Point{Lat: math.NaN(), Lon: math.NaN()}
+	}
+	return r, c
+}
+
+// closestAnchorVPs returns the anchor rows with the lowest RTT to the
+// target (ascending).
+func closestAnchorVPs(p *Pipeline, target, k int) []int {
+	var pr probe
+	p.pickVPs(&pr, target, k)
+	return pr.vps
 }
 
 // refLandmarkDelay is landmarkDelay with an allocated traceroute per

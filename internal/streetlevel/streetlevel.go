@@ -51,55 +51,46 @@ func newPipelineMeters(reg *telemetry.Registry) pipelineMeters {
 	}
 }
 
-// Config holds the technique's tunables, defaulting to the paper's values.
-type Config struct {
-	// Tier2StepKm and Tier2Points define tier 2's concentric circles:
-	// radius grows by Tier2StepKm and each circle carries Tier2Points
-	// sample points (360/α with α = 36°).
-	Tier2StepKm float64
-	Tier2Points int
-	// Tier3StepKm and Tier3Points define tier 3's finer sweep (α = 10°).
-	Tier3StepKm float64
-	Tier3Points int
-	// NumVPs is how many lowest-RTT vantage points run traceroutes (the
+// The street level paper's parameters (§3.2), fixed.
+const (
+	// tier2StepKm and tier2Points define tier 2's concentric circles:
+	// radius grows by tier2StepKm and each circle carries tier2Points
+	// sample points (360/α with α = 36°). tier2MaxCircles caps the sweep.
+	tier2StepKm     = 5
+	tier2Points     = 10
+	tier2MaxCircles = 40
+	// tier3StepKm and tier3Points define tier 3's finer sweep (α = 10°).
+	// tier3MaxCircles caps it: its 1 km steps make a wide sweep both
+	// pointless — the premise is street-level refinement — and expensive.
+	tier3StepKm     = 1
+	tier3Points     = 36
+	tier3MaxCircles = 20
+	// numVPs is how many lowest-RTT vantage points run traceroutes (the
 	// replication's overhead reduction, §3.2.2).
-	NumVPs int
-	// MaxCircles caps the tier-2 concentric sweep; Tier3MaxCircles caps the
-	// tier-3 sweep (its 1 km steps make a wide sweep both pointless — the
-	// premise is street-level refinement — and expensive).
-	MaxCircles      int
-	Tier3MaxCircles int
-	// LatencyCheckMaxRTTMs is the RTT ceiling of the §5.2.2 latency check.
-	// The paper uses 1 ms on the real Internet; the simulator's metro RTT
-	// floor is slightly higher (see DESIGN.md), so the threshold scales
-	// with it.
-	LatencyCheckMaxRTTMs float64
-	// SpeedKmPerMs is the tier-1 speed of Internet (4/9c per the street
-	// level paper); FallbackSpeedKmPerMs is used when the 4/9c region is
-	// empty (2/3c, needed for 5 targets in the paper).
-	SpeedKmPerMs         float64
-	FallbackSpeedKmPerMs float64
-	// DelayAggregation selects how per-VP D1+D2 sums combine into one
-	// landmark delay: "min" (the papers' choice — an upper bound argument)
-	// or "median" (an ablation that trades bias for robustness).
-	DelayAggregation string
-}
+	numVPs = 10
+	// latencyCheckMaxRTTMs is the RTT ceiling of the §5.2.2 latency
+	// check. The paper uses 1 ms on the real Internet; the simulator's
+	// metro RTT floor is slightly higher (see DESIGN.md), so the threshold
+	// scales with it.
+	latencyCheckMaxRTTMs = 1.5
+	// tier1Speed is the tier-1 speed of Internet (4/9c per the street
+	// level paper); fallbackSpeed is used when the 4/9c region is empty
+	// (2/3c, needed for 5 targets in the paper).
+	tier1Speed    = geo.FourNinthsC
+	fallbackSpeed = geo.TwoThirdsC
+)
 
-// DefaultConfig returns the street level paper's parameters.
-func DefaultConfig() Config {
-	return Config{
-		Tier2StepKm:          5,
-		Tier2Points:          10,
-		Tier3StepKm:          1,
-		Tier3Points:          36,
-		NumVPs:               10,
-		MaxCircles:           40,
-		Tier3MaxCircles:      20,
-		LatencyCheckMaxRTTMs: 1.5,
-		SpeedKmPerMs:         geo.FourNinthsC,
-		FallbackSpeedKmPerMs: geo.TwoThirdsC,
-		DelayAggregation:     "min",
-	}
+// fan2 and fan3 are the bearing tables of tier2Points and tier3Points,
+// shared by every sweep.
+var fan2, fan3 = geo.NewFan(tier2Points), geo.NewFan(tier3Points)
+
+// Config holds the technique's one ablation.
+type Config struct {
+	// DelayAggregation selects how per-VP D1+D2 sums combine into one
+	// landmark delay: "median" is an ablation that trades bias for
+	// robustness; anything else, the zero value included, is the papers'
+	// minimum (an upper bound argument).
+	DelayAggregation string
 }
 
 // Landmark is a website that passed the locally-hosted checks, with its
@@ -165,9 +156,6 @@ type Pipeline struct {
 	Cfg Config
 
 	anchorRows []int
-	// fan2 and fan3 are the bearing tables of Tier2Points and
-	// Tier3Points, shared by every sweep.
-	fan2, fan3 geo.Fan
 	meters     pipelineMeters
 	// scratch pools the per-target working storage (see scratch).
 	scratch sync.Pool
@@ -178,10 +166,11 @@ type Pipeline struct {
 // the buffers earlier targets grew, so it allocates only its result's
 // landmark slice. Nothing in a Result aliases it.
 type scratch struct {
-	// region1 and region2 hold the circles of the tier-1 and the landmark
-	// region, red a sweep's reduced region and tcs its trig circles.
-	region1, region2, red []geo.Circle
-	tcs                   []geo.TrigCircle
+	// tier1 and lm hold the constraints of the tier-1 and the landmark
+	// region; the reduction each one's centroid runs is what a sweep
+	// reads, through tcs.
+	tier1, lm geo.Sampler
+	tcs       []geo.TrigCircle
 	// pois receives each queried zip's POIs in turn.
 	pois []mapping.POI
 	// seen maps a landmark's site key to its index in landmarks, across
@@ -203,16 +192,16 @@ func (p *Pipeline) getScratch() *scratch {
 	return sc
 }
 
-// New builds a pipeline with default configuration. The campaign's target
+// New builds a pipeline with the paper's parameters. The campaign's target
 // matrix must already be built.
 func New(c *core.Campaign) *Pipeline {
-	return NewWithConfig(c, DefaultConfig())
+	return NewWithConfig(c, Config{})
 }
 
-// NewWithConfig builds a pipeline with explicit parameters. The mapping
-// and web services inherit the campaign's fault profile, so one knob
-// degrades the measurement substrate and the auxiliary services together,
-// and the pipeline meters into the campaign's registry.
+// NewWithConfig builds a pipeline with the given delay aggregation. The
+// mapping and web services inherit the campaign's fault profile, so one
+// knob degrades the measurement substrate and the auxiliary services
+// together, and the pipeline meters into the campaign's registry.
 func NewWithConfig(c *core.Campaign, cfg Config) *Pipeline {
 	m := mapping.NewService(c.W)
 	r := web.NewResolver(c.W)
@@ -224,22 +213,8 @@ func NewWithConfig(c *core.Campaign, cfg Config) *Pipeline {
 		Web:        r,
 		Cfg:        cfg,
 		anchorRows: c.AnchorVPIndices(),
-		fan2:       geo.NewFan(cfg.Tier2Points),
-		fan3:       geo.NewFan(cfg.Tier3Points),
 		meters:     newPipelineMeters(c.Metrics),
 	}
-}
-
-// fan returns the bearing table of points sample points per circle: a
-// table made with the pipeline when Cfg still asks for its size.
-func (p *Pipeline) fan(points int) geo.Fan {
-	switch {
-	case p.fan2.Len() == points:
-		return p.fan2
-	case p.fan3.Len() == points:
-		return p.fan3
-	}
-	return geo.NewFan(points)
 }
 
 // saltSL namespaces street-level measurement randomness by target.
@@ -267,16 +242,15 @@ func (p *Pipeline) Geolocate(target int) Result {
 	defer p.scratch.Put(sc)
 
 	// ---- Tier 1: CBG from the anchors at 4/9c (2/3c fallback).
-	sc.region1 = slices.Grow(sc.region1[:0], len(p.anchorRows))
-	region1, speed := p.tier1RegionInto(sc.region1, target)
-	if est, ok := region1.Centroid(); ok {
+	est, ok, speed := p.tier1Region(&sc.tier1, target)
+	if ok {
 		res.Tier1, res.Tier1OK = est, true
 	} else if sp, ok := c.TargetRTT.ShortestPingSubset(target, p.anchorRows); ok {
 		res.Tier1 = sp
 	} else {
 		return res // unreachable target: nothing responded
 	}
-	res.UsedFallbackSpeed = speed != p.Cfg.SpeedKmPerMs
+	res.UsedFallbackSpeed = speed != tier1Speed
 	res.Estimate = res.Tier1
 	res.TimeSeconds += p.C.Platform.RoundSeconds(saltSL(target, 0))
 
@@ -284,18 +258,18 @@ func (p *Pipeline) Geolocate(target int) Result {
 	p.measureProbe(&sc.pr, target)
 
 	// ---- Tier 2: coarse sweep around the tier-1 centroid.
-	p.sweep(&res, sc, 2, res.Tier1, region1, p.Cfg.Tier2StepKm, p.fan(p.Cfg.Tier2Points), p.Cfg.MaxCircles)
+	p.sweep(&res, sc, 2, res.Tier1, &sc.tier1, tier2StepKm, fan2, tier2MaxCircles)
 	res.TimeSeconds += p.C.Platform.RoundSeconds(saltSL(target, 2))
 
-	// New region from usable landmark delays.
-	sc.region2 = slices.Grow(sc.region2[:0], len(sc.landmarks))
-	region2, center2 := landmarkRegionInto(sc.region2, sc.landmarks, speed)
-	if !center2.Valid() || len(region2.Circles) == 0 {
-		region2, center2 = region1, res.Tier1
+	// New region from usable landmark delays, the tier-1 region when they
+	// give none.
+	center2, region2 := res.Tier1, &sc.tier1
+	if est, ok := landmarkRegion(&sc.lm, sc.landmarks, speed); ok {
+		center2, region2 = est, &sc.lm
 	}
 
 	// ---- Tier 3: fine sweep around the tier-2 centroid.
-	p.sweep(&res, sc, 3, center2, region2, p.Cfg.Tier3StepKm, p.fan(p.Cfg.Tier3Points), p.Cfg.Tier3MaxCircles)
+	p.sweep(&res, sc, 3, center2, region2, tier3StepKm, fan3, tier3MaxCircles)
 	res.TimeSeconds += p.C.Platform.RoundSeconds(saltSL(target, 3))
 	if len(sc.landmarks) > 0 {
 		res.Landmarks = slices.Clone(sc.landmarks)
@@ -325,40 +299,28 @@ func (p *Pipeline) Geolocate(target int) Result {
 	return res
 }
 
-// tier1Region builds the anchor-VP constraint region, falling back to the
-// conservative speed when 4/9c is infeasible. It is tier1RegionInto a
-// fresh buffer.
-func (p *Pipeline) tier1Region(target int) (geo.Region, float64) {
-	return p.tier1RegionInto(make([]geo.Circle, 0, len(p.anchorRows)), target)
-}
-
-// tier1RegionInto is tier1Region with the region's circles appended to
-// circles[:0], which has room for one per anchor row.
-func (p *Pipeline) tier1RegionInto(circles []geo.Circle, target int) (geo.Region, float64) {
-	build := func(speed float64) geo.Region {
-		r := geo.Region{Circles: circles[:0]}
+// tier1Region fills sm with the anchor-VP constraints at 4/9c and
+// estimates their centroid, refilling it at the conservative speed when
+// 4/9c is infeasible. It returns the estimate, whether there is one, and
+// the speed sm was last filled at; sm's reduction is the tier-1 region
+// either way.
+func (p *Pipeline) tier1Region(sm *geo.Sampler, target int) (geo.Point, bool, float64) {
+	m := p.C.TargetRTT
+	for _, speed := range [...]float64{tier1Speed, fallbackSpeed} {
+		sm.Reset()
+		sm.Grow(len(p.anchorRows))
 		for _, vp := range p.anchorRows {
-			rtt := float64(p.C.TargetRTT.RTT[vp][target])
+			rtt := float64(m.RTT[vp][target])
 			if math.IsNaN(rtt) || rtt < 0 {
 				continue
 			}
-			r.Add(geo.Circle{Center: p.C.TargetRTT.VPs[vp], RadiusKm: geo.RTTToDistanceKm(rtt, speed)})
+			sm.AddTrig(m.VPs[vp], m.VPTrig(vp), geo.RTTToDistanceKm(rtt, speed))
 		}
-		return r
+		if est, ok := sm.Centroid(); ok {
+			return est, true, speed
+		}
 	}
-	r := build(p.Cfg.SpeedKmPerMs)
-	if _, ok := r.Centroid(); ok {
-		return r, p.Cfg.SpeedKmPerMs
-	}
-	return build(p.Cfg.FallbackSpeedKmPerMs), p.Cfg.FallbackSpeedKmPerMs
-}
-
-// closestAnchorVPs returns the anchor rows with the lowest RTT to the
-// target (ascending).
-func (p *Pipeline) closestAnchorVPs(target, k int) []int {
-	var pr probe
-	p.pickVPs(&pr, target, k)
-	return pr.vps
+	return geo.Point{}, false, fallbackSpeed
 }
 
 // vpRTT is a candidate vantage point of pickVPs.
@@ -410,11 +372,11 @@ type probe struct {
 	hops   netsim.TraceBuf
 }
 
-// measureProbe picks the target's NumVPs lowest-RTT anchor VPs into pr
+// measureProbe picks the target's numVPs lowest-RTT anchor VPs into pr
 // and runs their traceroutes to it.
 func (p *Pipeline) measureProbe(pr *probe, target int) {
 	c := p.C
-	p.pickVPs(pr, target, p.Cfg.NumVPs)
+	p.pickVPs(pr, target, numVPs)
 	n := len(pr.vps)
 	pr.traces = slices.Grow(pr.traces[:0], n)[:n]
 	pr.bufs = slices.Grow(pr.bufs[:0], n)[:n]
@@ -425,20 +387,18 @@ func (p *Pipeline) measureProbe(pr *probe, target int) {
 
 // sweep walks concentric circles around center, collecting landmarks from
 // every zip code whose sample points fall inside the region, and measures
-// each new landmark's delay to the target. Point i of circle k is
-// geo.Destination(center, 360·i/points, k·stepKm) through the fan, and
-// its membership in the reduced region is Region.Contains's through
-// ContainsTrig: both bit for bit. A site is placed only once it passes
-// the checks, the one step that reads where it is. Landmarks are appended
-// to sc.landmarks; every buffer the sweep fills is sc's.
-func (p *Pipeline) sweep(res *Result, sc *scratch, tier int, center geo.Point, region geo.Region,
+// each new landmark's delay to the target. region is a sampler its caller
+// has run Centroid on; the sweep tests points against the survivors of
+// that reduction. Point i of circle k is geo.Destination(center,
+// 360·i/points, k·stepKm) through the fan, and its membership in a
+// survivor is Circle.Contains's through ContainsTrig: both bit for bit. A
+// site is placed only once it passes the checks, the one step that reads
+// where it is. Landmarks are appended to sc.landmarks; every buffer the
+// sweep fills is sc's.
+func (p *Pipeline) sweep(res *Result, sc *scratch, tier int, center geo.Point, region *geo.Sampler,
 	stepKm float64, fan geo.Fan, maxCircles int) {
 
-	sc.red = region.AppendReduced(sc.red[:0])
-	sc.tcs = slices.Grow(sc.tcs[:0], len(sc.red))
-	for _, c := range sc.red {
-		sc.tcs = append(sc.tcs, geo.MakeTrigCircle(c))
-	}
+	sc.tcs = region.KeptTrig(sc.tcs[:0])
 	tcs := sc.tcs
 	fan = fan.Around(center)
 	seenZips := sc.seenZips
@@ -524,7 +484,7 @@ func insideAll(tcs []geo.TrigCircle, pt geo.Point) bool {
 // trace has no destination RTT, so its D1+D2 would be garbage rather than
 // merely noisy. Each landmark traceroute is written into pr.hops and read
 // before the next one overwrites it, and the sums live in a fixed array
-// (NumVPs is 10), so a landmark allocates nothing.
+// (numVPs is 10), so a landmark allocates nothing.
 func (p *Pipeline) landmarkDelay(pr *probe, site *web.Website, target int) (float64, bool) {
 	var arr [16]float64
 	sums := arr[:0]
@@ -563,40 +523,18 @@ func (p *Pipeline) landmarkDelay(pr *probe, site *web.Website, target int) (floa
 	return delay, delay >= 0
 }
 
-// landmarkRegion converts usable landmark delays into a CBG region and its
-// centroid for tier 3. It is landmarkRegionInto a buffer sized to the
-// usable landmarks.
-func (p *Pipeline) landmarkRegion(landmarks []Landmark, speed float64) (geo.Region, geo.Point) {
-	usable := 0
+// landmarkRegion fills sm with the usable landmarks' delays as constraints
+// at speed and estimates their centroid, the centre of tier 3. ok is false
+// when no landmark is usable or the intersection is empty.
+func landmarkRegion(sm *geo.Sampler, landmarks []Landmark, speed float64) (geo.Point, bool) {
+	sm.Reset()
+	sm.Grow(len(landmarks))
 	for _, lm := range landmarks {
 		if lm.Usable {
-			usable++
+			sm.Add(geo.Circle{Center: lm.Site.POILoc, RadiusKm: geo.RTTToDistanceKm(lm.DelayMs, speed)})
 		}
 	}
-	return landmarkRegionInto(make([]geo.Circle, 0, usable), landmarks, speed)
-}
-
-// landmarkRegionInto is landmarkRegion with the region's circles appended
-// to circles[:0].
-func landmarkRegionInto(circles []geo.Circle, landmarks []Landmark, speed float64) (geo.Region, geo.Point) {
-	r := geo.Region{Circles: circles[:0]}
-	for _, lm := range landmarks {
-		if !lm.Usable {
-			continue
-		}
-		r.Add(geo.Circle{
-			Center:   lm.Site.POILoc,
-			RadiusKm: geo.RTTToDistanceKm(lm.DelayMs, speed),
-		})
-	}
-	if len(r.Circles) == 0 {
-		return geo.Region{}, geo.Point{Lat: math.NaN(), Lon: math.NaN()}
-	}
-	c, ok := r.Centroid()
-	if !ok {
-		return geo.Region{}, geo.Point{Lat: math.NaN(), Lon: math.NaN()}
-	}
-	return r, c
+	return sm.Centroid()
 }
 
 // bestLandmark returns the usable landmark with the smallest delay in the
@@ -638,8 +576,8 @@ func ClosestLandmark(res Result, truth geo.Point) (geo.Point, bool) {
 
 // LatencyCheck re-validates a landmark the way §5.2.2's third column does:
 // the target (an anchor, so it can measure) pings the landmark and keeps it
-// only when the RTT is below 1 ms.
+// only when the RTT is below latencyCheckMaxRTTMs.
 func (p *Pipeline) LatencyCheck(target int, lm Landmark) bool {
 	rtt, ok := p.C.Platform.Ping(p.C.Targets[target], &lm.Site.Server, saltSL(target, 5))
-	return ok && rtt < p.Cfg.LatencyCheckMaxRTTMs
+	return ok && rtt < latencyCheckMaxRTTMs
 }

@@ -125,7 +125,7 @@ func TestClosestLandmarkOracle(t *testing.T) {
 }
 
 func TestClosestAnchorVPsSorted(t *testing.T) {
-	vps := pipe.closestAnchorVPs(0, 10)
+	vps := closestAnchorVPs(pipe, 0, 10)
 	if len(vps) == 0 {
 		t.Fatal("no vantage points")
 	}

@@ -3,6 +3,7 @@ package world
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"geoloc/internal/asclass"
@@ -272,41 +273,38 @@ func (w *World) generateASes() {
 	}
 }
 
-// samplePoPs draws up to n distinct cities weighted by population.
+// samplePoPs draws up to n distinct cities weighted by population, sorted.
+// n is at most 54, so a scan of out is the set of cities drawn so far.
 func samplePoPs(s *rhash.Stream, ids []int, weights []float64, n int) []int {
 	if n > len(ids) {
 		n = len(ids)
 	}
-	picked := make(map[int]bool, n)
 	out := make([]int, 0, n)
 	for len(out) < n {
-		id := ids[s.Choice(weights)]
-		if !picked[id] {
-			picked[id] = true
+		if id := ids[s.Choice(weights)]; !slices.Contains(out, id) {
 			out = append(out, id)
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
+// mergeSorted merges two ascending, duplicate-free lists into one, each
+// value once.
 func mergeSorted(a, b []int) []int {
-	seen := make(map[int]bool, len(a)+len(b))
 	out := make([]int, 0, len(a)+len(b))
-	for _, v := range a {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
 		}
 	}
-	for _, v := range b {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 func (w *World) biggestCity(ids []int) int {
