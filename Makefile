@@ -88,7 +88,9 @@ staticcheck:
 # Handler() against a one-replica fleet, counted process-wide — the
 # replica's net/http server included — at most 45. TestMeasureTargetAllocs
 # pins a streamed target's measurement at zero once its buffer holds K,
-# and TestPingAllocs a simulated ping, and a traceroute into a caller's
+# TestMeasureRowAllocs a campaign row measured into its worker's buffer
+# at zero in both phases (DESIGN.md §3.3), and TestPingAllocs a simulated
+# ping, and a traceroute into a caller's
 # TraceBuf, at zero whether the route's skeleton is in the table or is
 # built on a miss (DESIGN.md §3.2). The analysis pass's per-call sites
 # (§3.5): a VP selection's region candidate scan at most 2 allocations,
@@ -100,7 +102,7 @@ staticcheck:
 # name, so a new allocation sneaking into a hot path fails THIS target,
 # not a trend threshold.
 allocs-smoke:
-	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestPingAllocs|TestRegionCandidatesAllocs|TestCoverAllocs|TestLookupFailedAllocs|TestForWorkersAllocs|TestAppendPOIsInZipAllocs|TestClientStateAllocs|TestGeolocateAllocs' \
+	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestMeasureRowAllocs|TestPingAllocs|TestRegionCandidatesAllocs|TestCoverAllocs|TestLookupFailedAllocs|TestForWorkersAllocs|TestAppendPOIsInZipAllocs|TestClientStateAllocs|TestGeolocateAllocs' \
 		./internal/serve ./internal/dataset ./internal/router ./internal/core ./internal/netsim \
 		./internal/vpsel ./internal/faults ./internal/par ./internal/mapping ./internal/atlas ./internal/streetlevel
 

@@ -8,7 +8,6 @@ package geoloc
 // -bench` output doubles as a miniature reproduction table.
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"geoloc/internal/cbg"
 	"geoloc/internal/core"
 	"geoloc/internal/dataset"
 	"geoloc/internal/experiments"
@@ -325,14 +325,13 @@ func BenchmarkAblationRegionFiltering(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ti := i % len(c.Targets)
 			var region geo.Region
-			for vp := range c.TargetRTT.RTT {
-				rtt := float64(c.TargetRTT.RTT[vp][ti])
-				if math.IsNaN(rtt) {
+			for vp, rtt := range c.TargetRTT.Column(ti) {
+				if cbg.IsUnresponsive(rtt) {
 					continue
 				}
 				region.Add(geo.Circle{
 					Center:   c.TargetRTT.VPs[vp],
-					RadiusKm: geo.RTTToDistanceKm(rtt, geo.TwoThirdsC),
+					RadiusKm: geo.RTTToDistanceKm(float64(rtt), geo.TwoThirdsC),
 				})
 			}
 			region.Centroid()

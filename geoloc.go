@@ -14,9 +14,20 @@
 // The System type is the front door:
 //
 //	sys := geoloc.NewSystem(geoloc.MediumScale)
-//	est, err := sys.LocateCBG(0)              // CBG with all vantage points
-//	res := sys.LocateStreetLevel(0)           // the three-tier technique
-//	fmt.Println(sys.Report("fig5a").Render()) // reproduce a paper figure
+//	est, err := sys.LocateCBG(0) // CBG with all vantage points
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	res, err := sys.LocateStreetLevel(0) // the three-tier technique
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	rep, err := sys.Report("fig5a") // reproduce a paper figure
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	fmt.Println(est.ErrorKm, res.Estimate.ErrorKm)
+//	fmt.Println(rep.Render())
 //
 // Everything is deterministic given the scale's seed; see DESIGN.md for
 // the substitutions made for paper resources that are not publicly
@@ -220,11 +231,12 @@ func (s *System) LocateStreetLevel(target int) (StreetLevelResult, error) {
 }
 
 // Report runs one of the paper's experiments by ID ("table1", "fig2a", ...,
-// "baseline") and returns its report.
+// "baseline") and returns its report. It runs that experiment only; an
+// unknown ID runs none.
 func (s *System) Report(id string) (*experiments.Report, error) {
-	for _, r := range experiments.All(s.ctx) {
-		if r.ID == id {
-			return r, nil
+	for _, e := range experiments.Registry() {
+		if e.ID == id {
+			return e.Run(s.ctx), nil
 		}
 	}
 	return nil, fmt.Errorf("geoloc: unknown experiment %q (see ExperimentIDs)", id)
@@ -235,16 +247,13 @@ func (s *System) AllReports() []*experiments.Report {
 	return experiments.All(s.ctx)
 }
 
-// ExperimentIDs lists the available experiment identifiers.
+// ExperimentIDs lists the available experiment identifiers, sorted: every
+// ID of the experiment registry.
 func ExperimentIDs() []string {
-	ids := []string{
-		"table1", "table2",
-		"fig2a", "fig2b", "fig2c",
-		"fig3a", "fig3b", "fig3c",
-		"fig4", "fig5a", "fig5b", "fig5c",
-		"fig6a", "fig6b", "fig6c",
-		"fig7", "fig8", "baseline",
-		"deploy", "multistep", "shortestping", "ablations",
+	reg := experiments.Registry()
+	ids := make([]string, len(reg))
+	for i, e := range reg {
+		ids[i] = e.ID
 	}
 	sort.Strings(ids)
 	return ids

@@ -2,6 +2,7 @@ package geoloc
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,8 +148,13 @@ func TestReportLookup(t *testing.T) {
 
 func TestExperimentIDsSortedAndComplete(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 22 {
-		t.Fatalf("have %d experiment IDs", len(ids))
+	var want []string
+	for _, e := range experiments.Registry() {
+		want = append(want, e.ID)
+	}
+	slices.Sort(want)
+	if !slices.Equal(ids, want) {
+		t.Fatalf("ExperimentIDs() = %v, want the registry's %v", ids, want)
 	}
 	for i := 1; i < len(ids); i++ {
 		if ids[i-1] >= ids[i] {

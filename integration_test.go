@@ -135,9 +135,9 @@ func TestIntegrationVPSelectionSignal(t *testing.T) {
 
 func TestIntegrationMatrixHasNoNegativeRTTs(t *testing.T) {
 	c := mediumSys.Campaign()
-	for vp := range c.TargetRTT.RTT {
-		for ti := range c.TargetRTT.RTT[vp] {
-			v := float64(c.TargetRTT.RTT[vp][ti])
+	for ti := range c.Targets {
+		for vp, rtt := range c.TargetRTT.Column(ti) {
+			v := float64(rtt)
 			if !math.IsNaN(v) && v <= 0 {
 				t.Fatalf("non-positive RTT %v at [%d][%d]", v, vp, ti)
 			}

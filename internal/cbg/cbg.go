@@ -8,6 +8,10 @@
 //     estimate the target as the centroid of the intersection of the
 //     resulting disks.
 //
+// Both run over a Matrix of RTTs (ShortestPingSubset, LocateSubset);
+// ShortestPing also takes one target's measurement list, the view the
+// streamed dataset compile works from.
+//
 // Vantage-point locations are always the platform-reported ones — after
 // sanitization those match the true locations for all surviving hosts.
 package cbg
@@ -30,38 +34,6 @@ type Measurement struct {
 
 // ErrNoMeasurements is returned when no usable measurement was supplied.
 var ErrNoMeasurements = errors.New("cbg: no usable measurements")
-
-// ErrEmptyRegion is returned when the constraint disks have an empty
-// intersection — in practice this means the speed constant was too
-// aggressive for this target (the paper hit this for 5 targets with 4/9c,
-// §5.2.1).
-var ErrEmptyRegion = errors.New("cbg: constraint region is empty")
-
-// Constraints converts measurements into a CBG constraint region at the
-// given propagation speed (km/ms). Unresponsive measurements are skipped.
-func Constraints(ms []Measurement, speedKmPerMs float64) geo.Region {
-	var r geo.Region
-	for _, m := range ms {
-		if m.RTTMs < 0 || math.IsNaN(m.RTTMs) {
-			continue
-		}
-		r.Add(geo.Circle{Center: m.VP, RadiusKm: geo.RTTToDistanceKm(m.RTTMs, speedKmPerMs)})
-	}
-	return r
-}
-
-// Locate runs CBG: it returns the centroid of the constraint intersection.
-func Locate(ms []Measurement, speedKmPerMs float64) (geo.Point, error) {
-	r := Constraints(ms, speedKmPerMs)
-	if len(r.Circles) == 0 {
-		return geo.Point{}, ErrNoMeasurements
-	}
-	c, ok := r.Centroid()
-	if !ok {
-		return geo.Point{}, ErrEmptyRegion
-	}
-	return c, nil
-}
 
 // ShortestPing maps the target to the vantage point with the lowest RTT.
 func ShortestPing(ms []Measurement) (geo.Point, error) {

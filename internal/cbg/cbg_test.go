@@ -2,6 +2,7 @@ package cbg
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"geoloc/internal/geo"
@@ -19,12 +20,37 @@ func syntheticMeasurements(target geo.Point, dists []float64, slackMs float64) [
 	return ms
 }
 
+// oneTarget builds a one-target matrix from measurements, one VP each.
+func oneTarget(ms []Measurement) *Matrix {
+	vps := make([]geo.Point, len(ms))
+	for i, m := range ms {
+		vps[i] = m.VP
+	}
+	mat := NewMatrix(vps, 1, nil)
+	for i, m := range ms {
+		mat.SetRow(i, []float32{float32(m.RTTMs)})
+	}
+	return mat
+}
+
+// region is the geo.Region reference of a measurement list: one circle
+// per responsive measurement, in order.
+func region(ms []Measurement, speed float64) geo.Region {
+	var r geo.Region
+	for _, m := range ms {
+		if m.RTTMs >= 0 && !math.IsNaN(m.RTTMs) {
+			r.Add(geo.Circle{Center: m.VP, RadiusKm: geo.RTTToDistanceKm(m.RTTMs, speed)})
+		}
+	}
+	return r
+}
+
 func TestLocateSurroundedTarget(t *testing.T) {
 	target := geo.Point{Lat: 48.8, Lon: 2.3}
 	ms := syntheticMeasurements(target, []float64{100, 150, 200, 120}, 0.2)
-	got, err := Locate(ms, geo.TwoThirdsC)
-	if err != nil {
-		t.Fatal(err)
+	got, ok := oneTarget(ms).LocateSubset(0, nil, geo.TwoThirdsC)
+	if !ok {
+		t.Fatal("no region")
 	}
 	if d := geo.Distance(got, target); d > 60 {
 		t.Errorf("CBG error %.1f km, want < 60", d)
@@ -41,14 +67,14 @@ func TestLocateCloseVPTightens(t *testing.T) {
 	target := geo.Point{Lat: 40, Lon: -74}
 	ms := syntheticMeasurements(target, []float64{800, 900, 1000}, 0.3)
 	ms = append(ms, syntheticMeasurements(target, []float64{10}, 0.05)...)
-	region := Constraints(ms, geo.TwoThirdsC)
-	near := region.Circles[len(region.Circles)-1]
-	if red := region.Reduced(); len(red.Circles) != 1 || red.Circles[0] != near {
+	reg := region(ms, geo.TwoThirdsC)
+	near := reg.Circles[len(reg.Circles)-1]
+	if red := reg.Reduced(); len(red.Circles) != 1 || red.Circles[0] != near {
 		t.Fatalf("reduction kept %+v, want only the near VP's disk %+v", red.Circles, near)
 	}
-	est, err := Locate(ms, geo.TwoThirdsC)
-	if err != nil {
-		t.Fatal(err)
+	est, ok := oneTarget(ms).LocateSubset(0, nil, geo.TwoThirdsC)
+	if !ok {
+		t.Fatal("no region")
 	}
 	if !near.Contains(est) {
 		t.Errorf("estimate %v outside the near VP's disk %+v", est, near)
@@ -63,25 +89,25 @@ func TestLocateSkipsUnresponsive(t *testing.T) {
 	ms := syntheticMeasurements(target, []float64{100, 200, 300}, 0.2)
 	ms = append(ms, Measurement{VP: geo.Point{Lat: 0, Lon: 0}, RTTMs: -1})
 	ms = append(ms, Measurement{VP: geo.Point{Lat: 0, Lon: 0}, RTTMs: math.NaN()})
-	if _, err := Locate(ms, geo.TwoThirdsC); err != nil {
-		t.Fatalf("unresponsive entries should be skipped: %v", err)
+	if _, ok := oneTarget(ms).LocateSubset(0, nil, geo.TwoThirdsC); !ok {
+		t.Fatal("unresponsive entries should be skipped")
 	}
 }
 
 func TestLocateErrors(t *testing.T) {
-	if _, err := Locate(nil, geo.TwoThirdsC); err != ErrNoMeasurements {
-		t.Errorf("want ErrNoMeasurements, got %v", err)
+	if _, ok := oneTarget(nil).LocateSubset(0, nil, geo.TwoThirdsC); ok {
+		t.Error("no VP: want no estimate")
 	}
-	if _, err := Locate([]Measurement{{RTTMs: -5}}, geo.TwoThirdsC); err != ErrNoMeasurements {
-		t.Errorf("want ErrNoMeasurements, got %v", err)
+	if _, ok := oneTarget([]Measurement{{RTTMs: -5}}).LocateSubset(0, nil, geo.TwoThirdsC); ok {
+		t.Error("no responsive VP: want no estimate")
 	}
 	// Disjoint constraints: two tiny disks an ocean apart.
 	ms := []Measurement{
 		{VP: geo.Point{Lat: 0, Lon: 0}, RTTMs: 1},
 		{VP: geo.Point{Lat: 0, Lon: 90}, RTTMs: 1},
 	}
-	if _, err := Locate(ms, geo.TwoThirdsC); err != ErrEmptyRegion {
-		t.Errorf("want ErrEmptyRegion, got %v", err)
+	if _, ok := oneTarget(ms).LocateSubset(0, nil, geo.TwoThirdsC); ok {
+		t.Error("empty intersection: want no estimate")
 	}
 }
 
@@ -101,12 +127,19 @@ func TestShortestPing(t *testing.T) {
 	}
 }
 
+// TestConstraintsRadiusScalesWithSpeed: a disk's radius grows with the
+// speed constant, so two VPs whose 4/9c disks are disjoint can still
+// intersect at 2/3c.
 func TestConstraintsRadiusScalesWithSpeed(t *testing.T) {
-	ms := []Measurement{{VP: geo.Point{Lat: 1, Lon: 1}, RTTMs: 10}}
-	fast := Constraints(ms, geo.TwoThirdsC)
-	slow := Constraints(ms, geo.FourNinthsC)
-	if fast.Circles[0].RadiusKm <= slow.Circles[0].RadiusKm {
-		t.Error("2/3c must produce larger (more conservative) disks than 4/9c")
+	a, b := geo.Point{Lat: 0, Lon: 0}, geo.Point{Lat: 0, Lon: 20}
+	// Each RTT covers 0.6 of the gap at 2/3c, 0.4 of it at 4/9c.
+	rtt := geo.DistanceToRTTMs(0.6*geo.Distance(a, b), geo.TwoThirdsC)
+	mat := oneTarget([]Measurement{{VP: a, RTTMs: rtt}, {VP: b, RTTMs: rtt}})
+	if _, ok := mat.LocateSubset(0, nil, geo.TwoThirdsC); !ok {
+		t.Error("2/3c disks should intersect")
+	}
+	if _, ok := mat.LocateSubset(0, nil, geo.FourNinthsC); ok {
+		t.Error("4/9c disks should be disjoint")
 	}
 }
 
@@ -115,20 +148,12 @@ func TestMatrixLocateSubsetMatchesSlowPath(t *testing.T) {
 	dists := []float64{60, 90, 150, 220, 340, 510}
 	ms := syntheticMeasurements(target, dists, 0.15)
 
-	vps := make([]geo.Point, len(ms))
-	for i, m := range ms {
-		vps[i] = m.VP
+	ref := region(ms, geo.TwoThirdsC)
+	slow, ok := ref.Centroid()
+	if !ok {
+		t.Fatal("reference region is empty")
 	}
-	mat := NewMatrix(vps, 1, nil)
-	for i, m := range ms {
-		mat.RTT[i][0] = float32(m.RTTMs)
-	}
-
-	slow, err := Locate(ms, geo.TwoThirdsC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, ok := mat.LocateSubset(0, nil, geo.TwoThirdsC)
+	fast, ok := oneTarget(ms).LocateSubset(0, nil, geo.TwoThirdsC)
 	if !ok {
 		t.Fatal("fast path found no region")
 	}
@@ -141,11 +166,7 @@ func TestMatrixLocateSubsetMatchesSlowPath(t *testing.T) {
 
 func TestMatrixSubsetRestricts(t *testing.T) {
 	target := geo.Point{Lat: 45.5, Lon: 9.2}
-	ms := syntheticMeasurements(target, []float64{50, 2000}, 0.1)
-	vps := []geo.Point{ms[0].VP, ms[1].VP}
-	mat := NewMatrix(vps, 1, nil)
-	mat.RTT[0][0] = float32(ms[0].RTTMs)
-	mat.RTT[1][0] = float32(ms[1].RTTMs)
+	mat := oneTarget(syntheticMeasurements(target, []float64{50, 2000}, 0.1))
 
 	onlyFar, ok := mat.LocateSubset(0, []int{1}, geo.TwoThirdsC)
 	if !ok {
@@ -169,10 +190,7 @@ func TestMatrixUnresponsiveDefault(t *testing.T) {
 
 func TestMatrixShortestPingSubset(t *testing.T) {
 	vps := []geo.Point{{Lat: 1, Lon: 1}, {Lat: 2, Lon: 2}, {Lat: 3, Lon: 3}}
-	mat := NewMatrix(vps, 1, nil)
-	mat.RTT[0][0] = 10
-	mat.RTT[1][0] = 5
-	mat.RTT[2][0] = 20
+	mat := oneTarget([]Measurement{{VP: vps[0], RTTMs: 10}, {VP: vps[1], RTTMs: 5}, {VP: vps[2], RTTMs: 20}})
 	got, ok := mat.ShortestPingSubset(0, nil)
 	if !ok || got != vps[1] {
 		t.Errorf("shortest ping = %v ok=%v", got, ok)
@@ -188,7 +206,7 @@ func TestClosestVPs(t *testing.T) {
 	mat := NewMatrix(vps, 1, nil)
 	rtts := []float32{30, 10, Unresponsive, 20, 40}
 	for i, r := range rtts {
-		mat.RTT[i][0] = r
+		mat.SetRow(i, []float32{r})
 	}
 	got := mat.ClosestVPs(0, 3)
 	want := []int{1, 3, 0}
@@ -203,5 +221,38 @@ func TestClosestVPs(t *testing.T) {
 	// Ask for more than available.
 	if got := mat.ClosestVPs(0, 10); len(got) != 4 {
 		t.Errorf("ClosestVPs(10) returned %d entries, want 4 responsive", len(got))
+	}
+}
+
+// TestMatrixLayout: SetRow scatters a VP's row into the target columns,
+// LatBand lists the VPs by latitude with ties in index order, and every
+// cell IsUnresponsive reads as missing is NaN or negative.
+func TestMatrixLayout(t *testing.T) {
+	vps := []geo.Point{{Lat: 10}, {Lat: -5}, {Lat: 10}, {Lat: 40}}
+	mat := NewMatrix(vps, 3, nil)
+	if mat.Targets() != 3 {
+		t.Fatalf("Targets = %d, want 3", mat.Targets())
+	}
+	mat.SetRow(2, []float32{1, 2, 3})
+	for tg, want := range []float32{1, 2, 3} {
+		col := mat.Column(tg)
+		if len(col) != len(vps) || col[2] != want || !IsUnresponsive(col[0]) {
+			t.Fatalf("column %d = %v after SetRow(2, …)", tg, col)
+		}
+	}
+	if got := mat.LatBand(math.Inf(-1), math.Inf(1)); !slices.Equal(got, []int32{1, 0, 2, 3}) {
+		t.Errorf("LatBand(all) = %v, want [1 0 2 3]", got)
+	}
+	lat10 := mat.VPTrig(0).LatRad
+	if got := mat.LatBand(lat10, lat10); !slices.Equal(got, []int32{0, 2}) {
+		t.Errorf("LatBand(10°) = %v, want [0 2]", got)
+	}
+	for _, v := range []float32{Unresponsive, -1} {
+		if !IsUnresponsive(v) {
+			t.Errorf("IsUnresponsive(%v) = false", v)
+		}
+	}
+	if IsUnresponsive(0.5) {
+		t.Error("IsUnresponsive(0.5) = true")
 	}
 }

@@ -17,26 +17,20 @@ import (
 // the runtime). RTTs are float32 milliseconds; NaN marks unresponsive
 // measurements.
 //
-// A fully-populated matrix should be sealed (Seal) before the analysis
-// phases read it: sealing builds the read-optimized views — per-VP
-// trigonometry, a [target][vp] transpose that lets the locate paths scan
-// a target's measurements sequentially instead of striding across rows,
-// and a latitude order that lets a region scan skip the VPs outside its
-// tightest circle's latitude band (LatBand). All read methods work on
-// unsealed matrices too (tests hand-build small ones), just without the
-// cached views.
+// The cells are stored one target at a time: Column(t) is target t's
+// measurements in VP order, which every locate reads sequentially, and
+// SetRow scatters one VP's batch against every target into the columns.
+// The per-VP trigonometry and the latitude order that lets a region scan
+// skip the VPs outside its tightest circle's latitude band (LatBand)
+// depend only on the VPs, so NewMatrix builds them once.
 type Matrix struct {
 	// VPs holds the (reported) vantage point locations.
 	VPs []geo.Point
-	// RTT is indexed [vp][target].
-	RTT [][]float32
 
-	sealOnce sync.Once
-	vpTrig   []geo.Trig  // per-VP precomputed trig; nil until sealed
-	cols     [][]float32 // [target][vp] transpose; nil until sealed
+	cols   [][]float32 // [target][vp]
+	vpTrig []geo.Trig  // per-VP precomputed trig
 	// byLat holds the VP indices ascending by vpTrig's LatRad, ties in
-	// index order, and lats those latitudes in the same order; nil until
-	// sealed.
+	// index order, and lats those latitudes in the same order.
 	byLat []int32
 	lats  []float64
 
@@ -46,92 +40,65 @@ type Matrix struct {
 // Unresponsive is the sentinel for failed measurements in a Matrix.
 var Unresponsive = float32(math.NaN())
 
+// IsUnresponsive reports whether a cell holds no usable measurement: NaN
+// (the Unresponsive sentinel) or negative.
+func IsUnresponsive(rtt float32) bool {
+	return rtt != rtt || rtt < 0
+}
+
 // NewMatrix allocates a matrix for the given vantage points and target
 // count, initialized to Unresponsive, whose locates meter into reg (nil
 // meters nothing).
 func NewMatrix(vps []geo.Point, targets int, reg *telemetry.Registry) *Matrix {
-	m := &Matrix{VPs: vps, RTT: make([][]float32, len(vps)), meters: newMatrixMeters(reg)}
-	cells := make([]float32, len(vps)*targets)
+	m := &Matrix{VPs: vps, cols: make([][]float32, targets), meters: newMatrixMeters(reg)}
+	cells := make([]float32, targets*len(vps))
 	for i := range cells {
 		cells[i] = Unresponsive
 	}
-	for i := range m.RTT {
-		m.RTT[i] = cells[i*targets : (i+1)*targets : (i+1)*targets]
+	for t := range m.cols {
+		m.cols[t] = cells[t*len(vps) : (t+1)*len(vps) : (t+1)*len(vps)]
+	}
+	m.vpTrig = make([]geo.Trig, len(vps))
+	m.byLat = make([]int32, len(vps))
+	for i, p := range vps {
+		m.vpTrig[i] = geo.MakeTrig(p)
+		m.byLat[i] = int32(i)
+	}
+	slices.SortStableFunc(m.byLat, func(a, b int32) int {
+		return cmp.Compare(m.vpTrig[a].LatRad, m.vpTrig[b].LatRad)
+	})
+	m.lats = make([]float64, len(m.byLat))
+	for i, vp := range m.byLat {
+		m.lats[i] = m.vpTrig[vp].LatRad
 	}
 	return m
 }
 
-// Seal freezes the matrix for analysis: it caches per-VP trigonometry and
-// a column-major copy of RTT. Call it once the RTT cells are final —
-// sealing is idempotent, but writes to RTT after Seal are not reflected
-// in the cached views. Campaigns seal right after the bulk measurement
-// phases complete.
-func (m *Matrix) Seal() {
-	m.sealOnce.Do(func() {
-		m.vpTrig = make([]geo.Trig, len(m.VPs))
-		for i, p := range m.VPs {
-			m.vpTrig[i] = geo.MakeTrig(p)
-		}
-		targets := 0
-		if len(m.RTT) > 0 {
-			targets = len(m.RTT[0])
-		}
-		flat := make([]float32, targets*len(m.RTT))
-		m.cols = make([][]float32, targets)
-		for t := range m.cols {
-			m.cols[t] = flat[t*len(m.RTT) : (t+1)*len(m.RTT)]
-		}
-		for vp, row := range m.RTT {
-			for t, v := range row {
-				m.cols[t][vp] = v
-			}
-		}
-		m.byLat = make([]int32, len(m.VPs))
-		for i := range m.byLat {
-			m.byLat[i] = int32(i)
-		}
-		slices.SortStableFunc(m.byLat, func(a, b int32) int {
-			return cmp.Compare(m.vpTrig[a].LatRad, m.vpTrig[b].LatRad)
-		})
-		m.lats = make([]float64, len(m.byLat))
-		for i, vp := range m.byLat {
-			m.lats[i] = m.vpTrig[vp].LatRad
-		}
-	})
+// Targets returns the matrix's target count.
+func (m *Matrix) Targets() int { return len(m.cols) }
+
+// Column returns target t's cells indexed by VP. It is the matrix's own
+// storage: callers read it and never write it.
+func (m *Matrix) Column(t int) []float32 { return m.cols[t] }
+
+// SetRow stores one VP's cells, row[t] for every target t. It writes only
+// that VP's cells, so calls for distinct VPs may run concurrently.
+func (m *Matrix) SetRow(vp int, row []float32) {
+	for t, v := range row {
+		m.cols[t][vp] = v
+	}
 }
 
-// LatBand returns the VPs whose cached latitude (VPTrig's LatRad) lies in
-// [lo, hi] radians, ascending by latitude with ties in index order, and
-// true. On an unsealed matrix it returns nil and false: the caller scans
-// every VP.
-func (m *Matrix) LatBand(lo, hi float64) ([]int32, bool) {
-	if m.byLat == nil {
-		return nil, false
-	}
+// LatBand returns the VPs whose latitude (VPTrig's LatRad) lies in
+// [lo, hi] radians, ascending by latitude with ties in index order.
+func (m *Matrix) LatBand(lo, hi float64) []int32 {
 	i := sort.SearchFloat64s(m.lats, lo)
 	j := i + sort.Search(len(m.lats)-i, func(k int) bool { return m.lats[i+k] > hi })
-	return m.byLat[i:j], true
+	return m.byLat[i:j]
 }
 
-// Sealed reports whether Seal has run.
-func (m *Matrix) Sealed() bool { return m.cols != nil }
-
-// VPTrig returns the precomputed trigonometry of a vantage point
-// (computed on the fly when the matrix is unsealed).
-func (m *Matrix) VPTrig(vp int) geo.Trig {
-	if m.vpTrig != nil {
-		return m.vpTrig[vp]
-	}
-	return geo.MakeTrig(m.VPs[vp])
-}
-
-// column returns the sealed [vp] column of a target, nil when unsealed.
-func (m *Matrix) column(target int) []float32 {
-	if m.cols != nil {
-		return m.cols[target]
-	}
-	return nil
-}
+// VPTrig returns the precomputed trigonometry of a vantage point.
+func (m *Matrix) VPTrig(vp int) geo.Trig { return m.vpTrig[vp] }
 
 // keptCircle is a surviving constraint in a locate: the VP and its disk
 // radius.
@@ -156,14 +123,13 @@ var locatePool = sync.Pool{New: func() any { return new(locateScratch) }}
 // the intersection is empty.
 func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (geo.Point, bool) {
 	m.meters.locates.Inc()
-	col := m.column(target)
+	col := m.cols[target]
 
 	// Pass 1: tightest constraint.
 	tightIdx, tightRadius := -1, math.Inf(1)
 	if subset == nil {
-		for vp := range m.RTT {
-			rtt := m.rtt(col, vp, target)
-			if isUnresponsive(rtt) {
+		for vp, rtt := range col {
+			if IsUnresponsive(rtt) {
 				continue
 			}
 			if r := geo.RTTToDistanceKm(float64(rtt), speedKmPerMs); r < tightRadius {
@@ -172,8 +138,8 @@ func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (g
 		}
 	} else {
 		for _, vp := range subset {
-			rtt := m.rtt(col, vp, target)
-			if isUnresponsive(rtt) {
+			rtt := col[vp]
+			if IsUnresponsive(rtt) {
 				continue
 			}
 			if r := geo.RTTToDistanceKm(float64(rtt), speedKmPerMs); r < tightRadius {
@@ -185,7 +151,7 @@ func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (g
 		m.meters.locatesEmpty.Inc()
 		return geo.Point{}, false
 	}
-	tightT := m.VPTrig(tightIdx)
+	tightT := m.vpTrig[tightIdx]
 
 	// Pass 2: keep only constraints that can cut the tightest disk (the
 	// containment test over precomputed trig, bit-identical to
@@ -193,27 +159,23 @@ func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (g
 	sc := locatePool.Get().(*locateScratch)
 	kept := sc.kept[:0]
 	if subset == nil {
-		for vp := range m.RTT {
-			rtt := m.rtt(col, vp, target)
-			if vp == tightIdx || isUnresponsive(rtt) {
+		for vp, rtt := range col {
+			if vp == tightIdx || IsUnresponsive(rtt) {
 				continue
 			}
 			r := geo.RTTToDistanceKm(float64(rtt), speedKmPerMs)
-			if geo.TrigCuts(m.VPTrig(vp), tightT, tightRadius, r) {
+			if geo.TrigCuts(m.vpTrig[vp], tightT, tightRadius, r) {
 				kept = append(kept, keptCircle{vp: int32(vp), radius: r})
 			}
 		}
 	} else {
 		for _, vp := range subset {
-			if vp == tightIdx {
-				continue
-			}
-			rtt := m.rtt(col, vp, target)
-			if isUnresponsive(rtt) {
+			rtt := col[vp]
+			if vp == tightIdx || IsUnresponsive(rtt) {
 				continue
 			}
 			r := geo.RTTToDistanceKm(float64(rtt), speedKmPerMs)
-			if geo.TrigCuts(m.VPTrig(vp), tightT, tightRadius, r) {
+			if geo.TrigCuts(m.vpTrig[vp], tightT, tightRadius, r) {
 				kept = append(kept, keptCircle{vp: int32(vp), radius: r})
 			}
 		}
@@ -235,7 +197,7 @@ func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (g
 	sm := &sc.sm
 	sm.Reset()
 	for _, k := range kept {
-		sm.AddTrig(m.VPs[k.vp], m.VPTrig(int(k.vp)), k.radius)
+		sm.AddTrig(m.VPs[k.vp], m.vpTrig[k.vp], k.radius)
 	}
 	sm.AddTrig(m.VPs[tightIdx], tightT, tightRadius)
 	p, ok := sm.Centroid()
@@ -245,37 +207,24 @@ func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (g
 	return p, ok
 }
 
-// rtt reads one cell, through the column when available.
-func (m *Matrix) rtt(col []float32, vp, target int) float32 {
-	if col != nil {
-		return col[vp]
-	}
-	return m.RTT[vp][target]
-}
-
-// ShortestPingSubset maps the target to the subset VP with the lowest RTT.
+// ShortestPingSubset maps the target to the subset VP (nil means all) with
+// the lowest RTT, the first on ties.
 func (m *Matrix) ShortestPingSubset(target int, subset []int) (geo.Point, bool) {
 	best, bestRTT := -1, float32(math.Inf(1))
-	col := m.column(target)
-	if col != nil && subset == nil {
-		for vp, rtt := range col {
-			if isUnresponsive(rtt) {
-				continue
-			}
-			if rtt < bestRTT {
-				best, bestRTT = vp, rtt
-			}
+	col := m.cols[target]
+	consider := func(vp int) {
+		if rtt := col[vp]; !IsUnresponsive(rtt) && rtt < bestRTT {
+			best, bestRTT = vp, rtt
+		}
+	}
+	if subset == nil {
+		for vp := range col {
+			consider(vp)
 		}
 	} else {
-		eachVP(m, subset, func(vp int) {
-			rtt := m.rtt(col, vp, target)
-			if isUnresponsive(rtt) {
-				return
-			}
-			if rtt < bestRTT {
-				best, bestRTT = vp, rtt
-			}
-		})
+		for _, vp := range subset {
+			consider(vp)
+		}
 	}
 	if best < 0 {
 		return geo.Point{}, false
@@ -290,23 +239,21 @@ func (m *Matrix) ClosestVPs(target, k int) []int {
 	if k <= 0 {
 		return []int{}
 	}
-	col := m.column(target)
-	if k >= len(m.RTT) {
+	col := m.cols[target]
+	type cand struct {
+		vp  int
+		rtt float32
+	}
+	if k >= len(col) {
 		// Everything responsive is returned: collect once and stable-sort
 		// by RTT instead of running the quadratic insertion below. The
 		// insertion sort keeps equal-RTT VPs in ascending-index order, so
 		// the stable sort reproduces it exactly.
-		type cand struct {
-			vp  int
-			rtt float32
-		}
-		all := make([]cand, 0, len(m.RTT))
-		for vp := range m.RTT {
-			rtt := m.rtt(col, vp, target)
-			if isUnresponsive(rtt) {
-				continue
+		all := make([]cand, 0, len(col))
+		for vp, rtt := range col {
+			if !IsUnresponsive(rtt) {
+				all = append(all, cand{vp: vp, rtt: rtt})
 			}
-			all = append(all, cand{vp: vp, rtt: rtt})
 		}
 		sort.SliceStable(all, func(i, j int) bool { return all[i].rtt < all[j].rtt })
 		out := make([]int, len(all))
@@ -315,16 +262,11 @@ func (m *Matrix) ClosestVPs(target, k int) []int {
 		}
 		return out
 	}
-	type cand struct {
-		vp  int
-		rtt float32
-	}
 	// Simple selection keeps the k best in a small sorted slice; k is ≤ 10
 	// in every use (the VP selection algorithm's subsets).
 	best := make([]cand, 0, k+1)
-	for vp := range m.RTT {
-		rtt := m.rtt(col, vp, target)
-		if isUnresponsive(rtt) {
+	for vp, rtt := range col {
+		if IsUnresponsive(rtt) {
 			continue
 		}
 		pos := len(best)
@@ -346,20 +288,4 @@ func (m *Matrix) ClosestVPs(target, k int) []int {
 		out[i] = c.vp
 	}
 	return out
-}
-
-func eachVP(m *Matrix, subset []int, f func(vp int)) {
-	if subset == nil {
-		for vp := range m.RTT {
-			f(vp)
-		}
-		return
-	}
-	for _, vp := range subset {
-		f(vp)
-	}
-}
-
-func isUnresponsive(rtt float32) bool {
-	return rtt != rtt || rtt < 0 // NaN or negative
 }

@@ -48,11 +48,14 @@ type Campaign struct {
 	// "probes + anchors" vantage-point set of Table 2.
 	VPs []*world.Host
 
-	// TargetRTT is the [vp][target] matrix of ping RTTs to the targets.
+	// TargetRTT is the VP × target matrix of ping RTTs to the targets.
 	TargetRTT *cbg.Matrix
-	// RepRTT is the [vp][target] matrix of median RTTs to each target's
+	// RepRTT is the VP × target matrix of median RTTs to each target's
 	// three /24 representatives (the VP-selection signal).
 	RepRTT *cbg.Matrix
+	// complete marks, by row tag, a phase whose every row is in its
+	// matrix: it is not measured again.
+	complete [2]bool
 
 	// Metrics is the registry the campaign meters into and hands to what
 	// it builds — its simulator, matrices, journal, and the street-level
@@ -161,13 +164,13 @@ func (c *Campaign) BuildMatrices() {
 	c.BuildRepMatrix()
 }
 
-// BuildTargetMatrix fills and seals TargetRTT. It is Run's target phase
-// with no journal or cancellation; a sealed matrix is not measured again.
+// BuildTargetMatrix fills TargetRTT. It is Run's target phase with no
+// journal or cancellation; a complete matrix is not measured again.
 func (c *Campaign) BuildTargetMatrix() { c.build(rowMatrixTargets) }
 
-// BuildRepMatrix fills and seals RepRTT: for each (VP, target) it pings the
-// target's three representatives and records the median of the responsive
-// RTTs. Like BuildTargetMatrix, it measures a sealed matrix only once.
+// BuildRepMatrix fills RepRTT: for each (VP, target) it pings the target's
+// three representatives and records the median of the responsive RTTs.
+// Like BuildTargetMatrix, it measures a complete matrix only once.
 func (c *Campaign) BuildRepMatrix() { c.build(rowMatrixReps) }
 
 // ping issues one campaign ping through the resilient client when one is
@@ -184,20 +187,22 @@ func (c *Campaign) ping(ctx context.Context, src, dst *world.Host, salt uint64, 
 	return c.Platform.Ping(src, dst, salt)
 }
 
-// measureRow fills row vp of a phase's matrix: one batch, one source. With
-// reps nil it is the target phase (one ping per target); otherwise the
-// representatives phase (the median of the responsive /24-representative
-// RTTs per target).
-func (c *Campaign) measureRow(ctx context.Context, m *cbg.Matrix, vp int, reps [][]*world.Host, rec *atlas.BatchStats) {
+// measureRow measures row vp of a phase's matrix into row, one cell per
+// target: one batch, one source. With reps nil it is the target phase (one
+// ping per target); otherwise the representatives phase (the median of the
+// responsive /24-representative RTTs per target). A cell without a
+// measurement is cbg.Unresponsive.
+func (c *Campaign) measureRow(ctx context.Context, row []float32, vp int, reps [][]*world.Host, rec *atlas.BatchStats) {
 	src := c.VPs[vp]
 	var rtts [3]float64
 	for t, dst := range c.Targets {
+		row[t] = cbg.Unresponsive
 		if src.ID == dst.ID {
 			continue // a target is never its own vantage point
 		}
 		if reps == nil {
 			if rtt, ok := c.ping(ctx, src, dst, saltTargetPing, rec); ok {
-				m.RTT[vp][t] = float32(rtt)
+				row[t] = float32(rtt)
 			}
 			continue
 		}
@@ -209,7 +214,7 @@ func (c *Campaign) measureRow(ctx context.Context, m *cbg.Matrix, vp int, reps [
 			}
 		}
 		if n > 0 {
-			m.RTT[vp][t] = float32(median3(rtts[:n]))
+			row[t] = float32(median3(rtts[:n]))
 		}
 	}
 }

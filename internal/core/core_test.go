@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"encoding/hex"
 	"math"
 	"sort"
 	"testing"
 
+	"geoloc/internal/atlas"
+	"geoloc/internal/cbg"
 	"geoloc/internal/geo"
 	"geoloc/internal/stats"
 	"geoloc/internal/world"
@@ -47,14 +51,14 @@ func TestVPSetIsProbesPlusAnchors(t *testing.T) {
 }
 
 func TestMatrixDimensions(t *testing.T) {
-	if len(campaign.TargetRTT.RTT) != len(campaign.VPs) {
-		t.Fatalf("target matrix rows = %d", len(campaign.TargetRTT.RTT))
+	if len(campaign.TargetRTT.Column(0)) != len(campaign.VPs) {
+		t.Fatalf("target matrix rows = %d", len(campaign.TargetRTT.Column(0)))
 	}
-	if len(campaign.TargetRTT.RTT[0]) != len(campaign.Targets) {
-		t.Fatalf("target matrix cols = %d", len(campaign.TargetRTT.RTT[0]))
+	if campaign.TargetRTT.Targets() != len(campaign.Targets) {
+		t.Fatalf("target matrix cols = %d", campaign.TargetRTT.Targets())
 	}
-	if len(campaign.RepRTT.RTT) != len(campaign.VPs) {
-		t.Fatalf("rep matrix rows = %d", len(campaign.RepRTT.RTT))
+	if len(campaign.RepRTT.Column(0)) != len(campaign.VPs) {
+		t.Fatalf("rep matrix rows = %d", len(campaign.RepRTT.Column(0)))
 	}
 }
 
@@ -67,7 +71,7 @@ func TestSelfVPExcluded(t *testing.T) {
 		if campaign.VPs[vp] != target {
 			t.Fatalf("target %d is not the VP at row %d", target.ID, vp)
 		}
-		if r := campaign.TargetRTT.RTT[vp][ti]; !math.IsNaN(float64(r)) {
+		if r := campaign.TargetRTT.Column(ti)[vp]; !math.IsNaN(float64(r)) {
 			t.Fatalf("target %d has self-measurement %.3f", target.ID, r)
 		}
 	}
@@ -75,13 +79,13 @@ func TestSelfVPExcluded(t *testing.T) {
 
 func TestMatrixMostlyResponsive(t *testing.T) {
 	total, responsive := 0, 0
-	for vp := range campaign.TargetRTT.RTT {
-		for ti := range campaign.TargetRTT.RTT[vp] {
+	for ti := range campaign.Targets {
+		for vp, rtt := range campaign.TargetRTT.Column(ti) {
 			if campaign.VPs[vp].ID == campaign.Targets[ti].ID {
 				continue
 			}
 			total++
-			if !math.IsNaN(float64(campaign.TargetRTT.RTT[vp][ti])) {
+			if !math.IsNaN(float64(rtt)) {
 				responsive++
 			}
 		}
@@ -94,10 +98,9 @@ func TestMatrixMostlyResponsive(t *testing.T) {
 func TestMatrixDeterministicAcrossRuns(t *testing.T) {
 	c2 := NewCampaign(world.TinyConfig())
 	c2.BuildTargetMatrix()
-	for vp := range campaign.TargetRTT.RTT {
-		for ti := range campaign.TargetRTT.RTT[vp] {
-			a := campaign.TargetRTT.RTT[vp][ti]
-			b := c2.TargetRTT.RTT[vp][ti]
+	for ti := range campaign.Targets {
+		for vp, a := range campaign.TargetRTT.Column(ti) {
+			b := c2.TargetRTT.Column(ti)[vp]
 			if a != b && !(math.IsNaN(float64(a)) && math.IsNaN(float64(b))) {
 				t.Fatalf("matrix differs at [%d][%d]: %v vs %v", vp, ti, a, b)
 			}
@@ -130,8 +133,8 @@ func TestRepMatrixCorrelatesWithTargetMatrix(t *testing.T) {
 	var diffs []float64
 	for vp := 0; vp < len(campaign.VPs); vp += 7 {
 		for ti := range campaign.Targets {
-			tr := float64(campaign.TargetRTT.RTT[vp][ti])
-			rr := float64(campaign.RepRTT.RTT[vp][ti])
+			tr := float64(campaign.TargetRTT.Column(ti)[vp])
+			rr := float64(campaign.RepRTT.Column(ti)[vp])
 			if math.IsNaN(tr) || math.IsNaN(rr) {
 				continue
 			}
@@ -192,6 +195,46 @@ func TestMedian3(t *testing.T) {
 	for _, c := range cases {
 		if got := median3(c.in); got != c.want {
 			t.Errorf("median3(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestMatrixDigestPinned pins the Tiny campaign's matrix digests. A
+// journal's phase records hold these digests, and a resumed run must
+// reproduce them, so a journal written by an earlier build still resumes
+// only while they hold.
+func TestMatrixDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *cbg.Matrix
+		want string
+	}{
+		{"TargetRTT", campaign.TargetRTT, "07275538a31979918daa8f7fff25c5523b834a258842cdaa702842d25423a0e5"},
+		{"RepRTT", campaign.RepRTT, "298b9f884cb2d5dcfce25204e0052fa92aacdc0e42d8f41a6cc3c124a61e4c4b"},
+	} {
+		if got := MatrixDigest(tc.m); hex.EncodeToString(got[:]) != tc.want {
+			t.Errorf("%s digest %x, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestMeasureRowAllocs is the campaign row's allocation gate: once warm,
+// measuring a row into the caller's buffer allocates nothing in either
+// phase.
+func TestMeasureRowAllocs(t *testing.T) {
+	c := NewCampaign(world.TinyConfig())
+	row := make([]float32, len(c.Targets))
+	for _, tc := range []struct {
+		name string
+		reps [][]*world.Host
+	}{{"targets", nil}, {"reps", c.repHosts()}} {
+		vp := 0
+		if allocs := testing.AllocsPerRun(50, func() {
+			var rec atlas.BatchStats
+			c.measureRow(context.Background(), row, vp%len(c.VPs), tc.reps, &rec)
+			vp++
+		}); allocs != 0 {
+			t.Errorf("%s: measureRow allocates %.2f times per row; want 0", tc.name, allocs)
 		}
 	}
 }

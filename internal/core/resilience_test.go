@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"geoloc/internal/cbg"
 	"geoloc/internal/faults"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
@@ -12,19 +13,16 @@ import (
 // matricesEqual compares two campaigns' RTT matrices bit-for-bit
 // (including NaN cells, compared via bit pattern by comparing both
 // directions of !=).
-func matricesEqual(t *testing.T, name string, a, b [][]float32) {
+func matricesEqual(t *testing.T, name string, a, b *cbg.Matrix) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: row count %d != %d", name, len(a), len(b))
+	if len(a.VPs) != len(b.VPs) || a.Targets() != b.Targets() {
+		t.Fatalf("%s: %d×%d != %d×%d", name, len(a.VPs), a.Targets(), len(b.VPs), b.Targets())
 	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			t.Fatalf("%s: row %d length %d != %d", name, i, len(a[i]), len(b[i]))
-		}
-		for j := range a[i] {
-			x, y := a[i][j], b[i][j]
+	for tg := range a.Targets() {
+		for vp, x := range a.Column(tg) {
+			y := b.Column(tg)[vp]
 			if x != y && !(x != x && y != y) { // differ and not both NaN
-				t.Fatalf("%s[%d][%d]: %v != %v", name, i, j, x, y)
+				t.Fatalf("%s[%d][%d]: %v != %v", name, vp, tg, x, y)
 			}
 		}
 	}
@@ -48,8 +46,8 @@ func TestResilientCampaignDeterministic(t *testing.T) {
 	}
 	a, b := build(), build()
 
-	matricesEqual(t, "TargetRTT", a.TargetRTT.RTT, b.TargetRTT.RTT)
-	matricesEqual(t, "RepRTT", a.RepRTT.RTT, b.RepRTT.RTT)
+	matricesEqual(t, "TargetRTT", a.TargetRTT, b.TargetRTT)
+	matricesEqual(t, "RepRTT", a.RepRTT, b.RepRTT)
 
 	if sa, sb := a.Platform.Stats(), b.Platform.Stats(); sa != sb {
 		t.Errorf("platform stats differ:\n%+v\n%+v", sa, sb)
@@ -73,8 +71,8 @@ func TestNoneProfileCampaignBitIdentical(t *testing.T) {
 		t.Fatalf("sanitization diverged: %d/%d targets, %d/%d VPs",
 			len(plain.Targets), len(resilient.Targets), len(plain.VPs), len(resilient.VPs))
 	}
-	matricesEqual(t, "TargetRTT", plain.TargetRTT.RTT, resilient.TargetRTT.RTT)
-	matricesEqual(t, "RepRTT", plain.RepRTT.RTT, resilient.RepRTT.RTT)
+	matricesEqual(t, "TargetRTT", plain.TargetRTT, resilient.TargetRTT)
+	matricesEqual(t, "RepRTT", plain.RepRTT, resilient.RepRTT)
 
 	// The client must not have retried anything.
 	cs := resilient.Client.Stats()
@@ -97,8 +95,8 @@ func TestTelemetryEnabledDoesNotPerturbResults(t *testing.T) {
 	reg := telemetry.New()
 	on := build(reg)
 
-	matricesEqual(t, "TargetRTT", off.TargetRTT.RTT, on.TargetRTT.RTT)
-	matricesEqual(t, "RepRTT", off.RepRTT.RTT, on.RepRTT.RTT)
+	matricesEqual(t, "TargetRTT", off.TargetRTT, on.TargetRTT)
+	matricesEqual(t, "RepRTT", off.RepRTT, on.RepRTT)
 	if sa, sb := off.Platform.Stats(), on.Platform.Stats(); sa != sb {
 		t.Errorf("platform stats differ with telemetry enabled:\n%+v\n%+v", sa, sb)
 	}

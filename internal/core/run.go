@@ -238,16 +238,16 @@ func (c *Campaign) matrix(tag byte) *cbg.Matrix {
 }
 
 // runPhase measures every row of one matrix that the journal did not
-// restore, one row per par.For item in place order, journaling each
-// completed row, and seals the matrix once every row is present. With a
-// journal the finished phase is also sealed by a digest record — or, when
-// the journal already holds one, must reproduce it. A sealed matrix is
-// not measured again.
+// restore, one row per par.ForWorker item in place order, stores and
+// journals each completed row, and marks the phase complete once every
+// row is present. With a journal the finished phase is also sealed by a
+// digest record — or, when the journal already holds one, must reproduce
+// it. A complete phase is not measured again.
 func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
-	m := c.matrix(tag)
-	if m.Sealed() {
+	if c.complete[tag] {
 		return nil
 	}
+	m := c.matrix(tag)
 	name := phaseNames[tag]
 	defer c.Metrics.StartSpan("phase." + name).End()
 	var reps [][]*world.Host
@@ -265,8 +265,12 @@ func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
 	// Rows run in place order (netsim.PlaceOrder): a worker's consecutive
 	// rows then share their source's skeletons. The journal records rows
 	// in completion order anyway, and resume restores them by VP index.
+	// Each worker measures into its own slice of rows, stores it with one
+	// SetRow, and journals the same cells.
 	order := netsim.PlaceOrder(c.VPs)
-	par.For(len(order), func(k int) {
+	nt := len(c.Targets)
+	rows := make([]float32, par.Workers(len(order))*nt)
+	par.ForWorker(len(order), func(w, k int) {
 		vp := order[k]
 		if r.restored[tag][vp] {
 			return
@@ -276,7 +280,8 @@ func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
 			return
 		}
 		var rec atlas.BatchStats
-		c.measureRow(r.hard, m, vp, reps, &rec)
+		row := rows[w*nt : (w+1)*nt]
+		c.measureRow(r.hard, row, vp, reps, &rec)
 		if r.hard.Err() != nil {
 			// Hard-canceled mid-row: the row is incomplete and its
 			// accounting is not that of a finished batch. Never journal
@@ -285,10 +290,11 @@ func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
 			interrupted()
 			return
 		}
+		m.SetRow(vp, row)
 		r.prog.row(name, rec.SrcClockUSec)
 		var err error
 		if r.j != nil {
-			err = r.j.AppendEvery(checkpoint.KindRow, encodeRow(tag, vp, m.RTT[vp], &rec), syncEveryRows)
+			err = r.j.AppendEvery(checkpoint.KindRow, encodeRow(tag, vp, row, &rec), syncEveryRows)
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -320,10 +326,9 @@ func (c *Campaign) runPhase(r *phaseRun, tag byte) error {
 			return err
 		}
 	}
-	// The matrix is final: freeze it for the analysis phases. An
-	// interrupted phase stays unsealed — the resuming run fills the
-	// remaining rows and seals.
-	m.Seal()
+	// An interrupted phase stays incomplete: the resuming run fills the
+	// remaining rows.
+	c.complete[tag] = true
 	return nil
 }
 
@@ -432,7 +437,7 @@ func (c *Campaign) restoreRow(payload []byte, r *phaseRun) error {
 		return nil // duplicate record: first wins
 	}
 	r.restored[tag][vp] = true
-	copy(c.matrix(tag).RTT[vp], cells)
+	c.matrix(tag).SetRow(vp, cells)
 	c.Platform.RestoreStats(&stats)
 	if c.Client != nil {
 		c.Client.RestoreBatch(c.VPs[vp].ID, &stats)
@@ -541,16 +546,18 @@ func decodePhase(payload []byte) (name string, digest [sha256.Size]byte, err err
 // MatrixDigest hashes a matrix's cells (dimensions included) — the
 // equality check behind resume verification and the -digest flag. Two
 // matrices digest equal iff they are bit-identical (NaN holes included).
+// It hashes the cells VP row by VP row, each row prefixed by its length,
+// which is what the phase records of every journal hold.
 func MatrixDigest(m *cbg.Matrix) [sha256.Size]byte {
 	h := sha256.New()
 	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(m.RTT)))
+	binary.LittleEndian.PutUint32(b[:], uint32(len(m.VPs)))
 	h.Write(b[:])
-	for _, row := range m.RTT {
-		binary.LittleEndian.PutUint32(b[:], uint32(len(row)))
+	for vp := range m.VPs {
+		binary.LittleEndian.PutUint32(b[:], uint32(m.Targets()))
 		h.Write(b[:])
-		for _, v := range row {
-			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+		for t := range m.Targets() {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(m.Column(t)[vp]))
 			h.Write(b[:])
 		}
 	}

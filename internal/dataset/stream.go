@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -76,12 +75,10 @@ func (s *CampaignSource) NumTargets() int { return len(s.c.Targets) }
 func (s *CampaignSource) MeasureTarget(t int, buf []cbg.Measurement) (ipaddr.Prefix24, []cbg.Measurement) {
 	m := s.c.TargetRTT
 	buf = buf[:0]
-	for vp := range s.c.VPs {
-		rtt := float64(m.RTT[vp][t])
-		if math.IsNaN(rtt) {
-			continue
+	for vp, rtt := range m.Column(t) {
+		if !cbg.IsUnresponsive(rtt) {
+			buf = append(buf, cbg.Measurement{VP: m.VPs[vp], RTTMs: float64(rtt)})
 		}
-		buf = append(buf, cbg.Measurement{VP: m.VPs[vp], RTTMs: rtt})
 	}
 	return ipaddr.Prefix24Of(s.c.Targets[t].Addr), buf
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"geoloc/internal/cbg"
 	"geoloc/internal/core"
 	"geoloc/internal/faults"
 	"geoloc/internal/geo"
@@ -66,14 +67,13 @@ func chaosCampaign(cfg world.Config, prof *faults.Profile, reg *telemetry.Regist
 	row := ChaosRow{Profile: prof}
 
 	cells, filled := 0, 0
-	for vp := range c.TargetRTT.RTT {
-		src := c.VPs[vp]
-		for t := range c.TargetRTT.RTT[vp] {
-			if src.ID == c.Targets[t].ID {
+	for t, dst := range c.Targets {
+		for vp, rtt := range c.TargetRTT.Column(t) {
+			if c.VPs[vp].ID == dst.ID {
 				continue
 			}
 			cells++
-			if rtt := c.TargetRTT.RTT[vp][t]; rtt == rtt && rtt >= 0 {
+			if !cbg.IsUnresponsive(rtt) {
 				filled++
 			}
 		}

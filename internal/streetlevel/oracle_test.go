@@ -134,7 +134,7 @@ func refTier1Region(p *Pipeline, target int) (geo.Region, float64) {
 	build := func(speed float64) geo.Region {
 		var r geo.Region
 		for _, vp := range p.C.AnchorVPIndices() {
-			rtt := float64(p.C.TargetRTT.RTT[vp][target])
+			rtt := float64(p.C.TargetRTT.Column(target)[vp])
 			if math.IsNaN(rtt) || rtt < 0 {
 				continue
 			}

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sync"
 
+	"geoloc/internal/cbg"
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
 	"geoloc/internal/mapping"
@@ -306,15 +307,14 @@ func (p *Pipeline) Geolocate(target int) Result {
 // either way.
 func (p *Pipeline) tier1Region(sm *geo.Sampler, target int) (geo.Point, bool, float64) {
 	m := p.C.TargetRTT
+	col := m.Column(target)
 	for _, speed := range [...]float64{tier1Speed, fallbackSpeed} {
 		sm.Reset()
 		sm.Grow(len(p.anchorRows))
 		for _, vp := range p.anchorRows {
-			rtt := float64(m.RTT[vp][target])
-			if math.IsNaN(rtt) || rtt < 0 {
-				continue
+			if rtt := col[vp]; !cbg.IsUnresponsive(rtt) {
+				sm.AddTrig(m.VPs[vp], m.VPTrig(vp), geo.RTTToDistanceKm(float64(rtt), speed))
 			}
-			sm.AddTrig(m.VPs[vp], m.VPTrig(vp), geo.RTTToDistanceKm(rtt, speed))
 		}
 		if est, ok := sm.Centroid(); ok {
 			return est, true, speed
@@ -333,9 +333,10 @@ type vpRTT struct {
 // target (ascending), by insertion into pr.best.
 func (p *Pipeline) pickVPs(pr *probe, target, k int) {
 	best := slices.Grow(pr.best[:0], k+1)
+	col := p.C.TargetRTT.Column(target)
 	for _, vp := range p.anchorRows {
-		rtt := p.C.TargetRTT.RTT[vp][target]
-		if math.IsNaN(float64(rtt)) {
+		rtt := col[vp]
+		if cbg.IsUnresponsive(rtt) {
 			continue
 		}
 		pos := len(best)

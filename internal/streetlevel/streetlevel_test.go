@@ -131,7 +131,7 @@ func TestClosestAnchorVPsSorted(t *testing.T) {
 	}
 	prev := float32(-1)
 	for _, vp := range vps {
-		rtt := camp.TargetRTT.RTT[vp][0]
+		rtt := camp.TargetRTT.Column(0)[vp]
 		if rtt < prev {
 			t.Fatal("VPs not ascending by RTT")
 		}

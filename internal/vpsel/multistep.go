@@ -19,7 +19,7 @@ type MultiStepResult struct {
 	Rounds int
 }
 
-// MultiStepSelect generalizes TwoStepSelect to an arbitrary number of
+// MultiStepSweep generalizes TwoStepSelect to an arbitrary number of
 // rounds. Every round probes the current subset's representatives and
 // computes a CBG region; intermediate rounds keep only an Earth-covering
 // sample (of size interBudget) of the one-VP-per-AS/city candidates inside
@@ -32,19 +32,15 @@ type MultiStepResult struct {
 //
 // tab is NewCoverTable(repRTT, meta); the intermediate samples read their
 // pair values from it, and a caller sweeping many targets builds it once.
-func MultiStepSelect(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstStep []int, target, rounds, interBudget int) (MultiStepResult, bool) {
-	out, ok := MultiStepSweep(repRTT, meta, tab, firstStep, target, rounds, interBudget)
-	return out[len(out)-1], ok[len(ok)-1]
-}
-
-// MultiStepSweep answers MultiStepSelect for every rounds value in
-// 2..maxRounds with one walk: out[i], ok[i] is the selection with i+2
-// rounds. Every rounds value takes the same steps until it finishes, and
-// rounds = R finishes at step min(R−2, the first step whose candidates fit
-// interBudget), so each step's region, candidate scan and Earth-covering
-// sample is computed once for all of them. An empty region ends every
-// rounds value still open, unselected. maxRounds < 2 is taken as 2 and
-// interBudget < 1 as 100.
+//
+// The sweep answers every rounds value in 2..maxRounds with one walk:
+// out[i], ok[i] is the selection with i+2 rounds, so the last is the one
+// with maxRounds. Every rounds value takes the same steps until it
+// finishes, and rounds = R finishes at step min(R−2, the first step whose
+// candidates fit interBudget), so each step's region, candidate scan and
+// Earth-covering sample is computed once for all of them. An empty region
+// ends every rounds value still open, unselected. maxRounds < 2 is taken
+// as 2 and interBudget < 1 as 100.
 func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstStep []int, target, maxRounds, interBudget int) ([]MultiStepResult, []bool) {
 	if maxRounds < 2 {
 		maxRounds = 2

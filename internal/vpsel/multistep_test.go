@@ -56,7 +56,7 @@ func multiStepOracle(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target,
 			res.Rounds++
 			best, bestRTT := -1, math.Inf(1)
 			for _, vp := range candidates {
-				rtt := float64(repRTT.RTT[vp][target])
+				rtt := float64(repRTT.Column(target)[vp])
 				if math.IsNaN(rtt) || rtt < 0 {
 					continue
 				}
@@ -109,14 +109,20 @@ func TestMultiStepSweepMatchesOracle(t *testing.T) {
 	const maxRounds = 5
 	nT := len(camp.Targets)
 	m := cbg.NewMatrix(camp.RepRTT.VPs, nT+3, nil)
-	for vp := range m.RTT {
-		copy(m.RTT[vp], camp.RepRTT.RTT[vp])
-	}
 	cover := GreedyCover(locs, 3)
-	for i, pair := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
-		a, b := cover[pair[0]], cover[pair[1]]
-		rtt := float32(geo.DistanceToRTTMs(0.6*geo.Distance(m.VPs[a], m.VPs[b]), geo.TwoThirdsC))
-		m.RTT[a][nT+i], m.RTT[b][nT+i] = rtt, rtt
+	lenses := [][2]int{{cover[0], cover[1]}, {cover[0], cover[2]}, {cover[1], cover[2]}}
+	row := make([]float32, nT+3)
+	for vp := range m.VPs {
+		for target := range nT {
+			row[target] = camp.RepRTT.Column(target)[vp]
+		}
+		for i, lens := range lenses {
+			row[nT+i] = cbg.Unresponsive
+			if a, b := lens[0], lens[1]; vp == a || vp == b {
+				row[nT+i] = float32(geo.DistanceToRTTMs(0.6*geo.Distance(m.VPs[a], m.VPs[b]), geo.TwoThirdsC))
+			}
+		}
+		m.SetRow(vp, row)
 	}
 
 	tab := NewCoverTable(m, meta)
@@ -143,10 +149,6 @@ func TestMultiStepSweepMatchesOracle(t *testing.T) {
 					if got, gotOK := out[rounds-2], ok[rounds-2]; got != want || gotOK != wantOK {
 						t.Fatalf("first step %d, budget %d, target %d, rounds %d: sweep %+v %v, oracle %+v %v (%s)",
 							size, budget, target, rounds, got, gotOK, want, wantOK, exit)
-					}
-					if got, gotOK := MultiStepSelect(m, meta, tab, firstStep, target, rounds, budget); got != want || gotOK != wantOK {
-						t.Fatalf("first step %d, budget %d, target %d, rounds %d: MultiStepSelect %+v %v, oracle %+v %v",
-							size, budget, target, rounds, got, gotOK, want, wantOK)
 					}
 				}
 			}
@@ -193,6 +195,12 @@ func TestGreedyCoverPrefix(t *testing.T) {
 	}
 }
 
+// lastRound is the selection MultiStepSweep makes with exactly rounds
+// rounds: its last answer.
+func lastRound(out []MultiStepResult, ok []bool) (MultiStepResult, bool) {
+	return out[len(out)-1], ok[len(ok)-1]
+}
+
 func TestMultiStepSelectBasics(t *testing.T) {
 	meta := campaignMeta(camp)
 	locs := make([]geo.Point, len(camp.VPs))
@@ -203,7 +211,7 @@ func TestMultiStepSelectBasics(t *testing.T) {
 
 	okCount := 0
 	for target := range camp.Targets {
-		res, ok := MultiStepSelect(camp.RepRTT, meta, campTable, firstStep, target, 3, 50)
+		res, ok := lastRound(MultiStepSweep(camp.RepRTT, meta, campTable, firstStep, target, 3, 50))
 		if !ok {
 			continue
 		}
@@ -235,7 +243,7 @@ func TestMultiStepTwoRoundsMatchesTwoStepShape(t *testing.T) {
 	var multiPings, twoPings int64
 	n := 0
 	for target := range camp.Targets {
-		m, ok1 := MultiStepSelect(camp.RepRTT, meta, campTable, firstStep, target, 2, 100)
+		m, ok1 := lastRound(MultiStepSweep(camp.RepRTT, meta, campTable, firstStep, target, 2, 100))
 		tw, ok2 := TwoStepSelect(camp.RepRTT, meta, firstStep, target)
 		if !ok1 || !ok2 {
 			continue
@@ -265,7 +273,7 @@ func TestMultiStepMoreRoundsNotMoreExpensivePerTargetOnAverage(t *testing.T) {
 		var total int64
 		n := 0
 		for target := range camp.Targets {
-			if res, ok := MultiStepSelect(camp.RepRTT, meta, campTable, firstStep, target, rounds, 40); ok {
+			if res, ok := lastRound(MultiStepSweep(camp.RepRTT, meta, campTable, firstStep, target, rounds, 40)); ok {
 				total += res.Pings
 				n++
 			}
@@ -294,7 +302,7 @@ func TestMultiStepRoundsClamped(t *testing.T) {
 	}
 	firstStep := GreedyCover(locs, 5)
 	// rounds < 2 clamps to 2; interBudget < 1 clamps to a sane default.
-	if _, ok := MultiStepSelect(camp.RepRTT, meta, campTable, firstStep, 0, 0, 0); !ok {
+	if _, ok := lastRound(MultiStepSweep(camp.RepRTT, meta, campTable, firstStep, 0, 0, 0)); !ok {
 		t.Skip("target 0 unselectable in tiny world")
 	}
 }

@@ -14,7 +14,7 @@ import (
 func regionFromSubset(m *cbg.Matrix, subset []int, target int, speed float64) geo.Region {
 	var r geo.Region
 	for _, vp := range subset {
-		rtt := float64(m.RTT[vp][target])
+		rtt := float64(m.Column(target)[vp])
 		if math.IsNaN(rtt) || rtt < 0 {
 			continue
 		}
@@ -74,12 +74,9 @@ func sameCircles(got []geo.TrigCircle, red geo.Region) bool {
 
 // TestRegionScanMatchesReference holds the TrigCuts reduction to
 // Region.Reduced circle for circle, and regionCandidates' latitude-band
-// scan of the sealed Tiny matrix to the plain scan, for every Tiny target
-// at first-step sizes 10, 100 and 300.
+// scan of the Tiny matrix to the plain scan, for every Tiny target at
+// first-step sizes 10, 100 and 300.
 func TestRegionScanMatchesReference(t *testing.T) {
-	if !camp.RepRTT.Sealed() {
-		t.Fatal("the campaign's rep matrix is unsealed: the band scan goes untested")
-	}
 	meta := campaignMeta(camp)
 	locs := make([]geo.Point, len(camp.VPs))
 	for i, h := range camp.VPs {
@@ -117,9 +114,8 @@ func TestRegionScanMatchesReference(t *testing.T) {
 // across the antimeridian, one whose tightest radius is half the
 // circumference or more, and ordinary ones for contrast, over VPs that
 // sit on both poles, on the antimeridian from both sides and on a 7.5°
-// grid, several sharing an (AS, city). An unsealed copy of the matrix has
-// no latitude order and must fall back to the full scan with the same
-// answer.
+// grid, several sharing an (AS, city), and no circle at all, whose band
+// is every latitude.
 func TestRegionCandidatesSyntheticRegions(t *testing.T) {
 	vps := []geo.Point{{Lat: 90, Lon: 0}, {Lat: -90, Lon: 45}, {Lat: 89.9, Lon: 180}, {Lat: 0, Lon: 180},
 		{Lat: 0, Lon: -180}, {Lat: 12, Lon: 179.99}, {Lat: 12, Lon: -179.99}}
@@ -132,11 +128,7 @@ func TestRegionCandidatesSyntheticRegions(t *testing.T) {
 	for i := range meta {
 		meta[i] = VPMeta{AS: i % 97, City: (i / 3) % 211}
 	}
-	sealed, unsealed := cbg.NewMatrix(vps, 1, nil), cbg.NewMatrix(vps, 1, nil)
-	sealed.Seal()
-	if _, ok := unsealed.LatBand(-1, 1); ok {
-		t.Fatal("an unsealed matrix answered a latitude band")
-	}
+	m := cbg.NewMatrix(vps, 1, nil)
 	half := math.Pi * geo.EarthRadiusKm
 	for _, tc := range []struct {
 		name    string
@@ -151,6 +143,7 @@ func TestRegionCandidatesSyntheticRegions(t *testing.T) {
 		{"on a grid VP", []geo.Circle{{Center: geo.Point{Lat: 15, Lon: 22.5}, RadiusKm: 0}}},
 		{"ordinary", []geo.Circle{{Center: geo.Point{Lat: 48, Lon: 2}, RadiusKm: 1200}, {Center: geo.Point{Lat: 40, Lon: -3}, RadiusKm: 1800}}},
 		{"negative radius", []geo.Circle{{Center: geo.Point{Lat: 0, Lon: 0}, RadiusKm: -1}}},
+		{"no circle", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var r geo.Region
@@ -162,15 +155,12 @@ func TestRegionCandidatesSyntheticRegions(t *testing.T) {
 			for _, c := range red.Circles {
 				tcs = append(tcs, geo.MakeTrigCircle(c))
 			}
-			want := refRegionCandidates(sealed, meta, red)
+			want := refRegionCandidates(m, meta, red)
 			if (len(want) == 0) != (tc.name == "negative radius") {
 				t.Fatalf("the plain scan finds %d candidates", len(want))
 			}
-			if got := regionCandidates(sealed, meta, tcs); !slices.Equal(got, want) {
-				t.Errorf("sealed: candidates %v, plain scan %v", got, want)
-			}
-			if got := regionCandidates(unsealed, meta, tcs); !slices.Equal(got, want) {
-				t.Errorf("unsealed: candidates %v, plain scan %v", got, want)
+			if got := regionCandidates(m, meta, tcs); !slices.Equal(got, want) {
+				t.Errorf("candidates %v, plain scan %v", got, want)
 			}
 		})
 	}

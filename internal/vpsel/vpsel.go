@@ -213,13 +213,13 @@ func TwoStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target in
 // regionCandidates returns one VP per (AS, city) inside the reduced
 // region — the first in matrix order that every circle contains. tcs is
 // reducedRegion's answer, so tcs[0] is the tightest circle and is tested
-// first. On a sealed matrix only the VPs inside tcs[0]'s latitude band
-// are tested at all (geo.TrigCircle.LatBand drops no VP ContainsTrig
-// accepts); an unsealed one has no latitude order and is scanned whole.
-// The hits are marked in a VP bitset (on the stack up to hitWords words)
-// and deduplicated in VP order through a metaSet sized to the hit count,
-// so the answer is the full scan's and a call makes two allocations: the
-// set and the candidate slice.
+// first. Only the VPs inside tcs[0]'s latitude band are tested at all
+// (geo.TrigCircle.LatBand drops no VP ContainsTrig accepts); with no
+// circle the band is every latitude. The hits are marked in a VP bitset
+// (on the stack up to hitWords words) and deduplicated in VP order through
+// a metaSet sized to the hit count, so the answer is the full scan's
+// whatever the band's order, and a call makes two allocations: the set and
+// the candidate slice.
 func regionCandidates(repRTT *cbg.Matrix, meta []VPMeta, tcs []geo.TrigCircle) []int {
 	var stack [hitWords]uint64
 	var hits []uint64
@@ -228,19 +228,12 @@ func regionCandidates(repRTT *cbg.Matrix, meta []VPMeta, tcs []geo.TrigCircle) [
 	} else {
 		hits = make([]uint64, words)
 	}
-	var band []int32
-	banded := false
+	lo, hi := math.Inf(-1), math.Inf(1)
 	if len(tcs) > 0 {
-		band, banded = repRTT.LatBand(tcs[0].LatBand())
+		lo, hi = tcs[0].LatBand()
 	}
-	if banded {
-		for _, vp := range band {
-			markHit(repRTT, tcs, hits, int(vp))
-		}
-	} else {
-		for vp := range repRTT.VPs {
-			markHit(repRTT, tcs, hits, vp)
-		}
+	for _, vp := range repRTT.LatBand(lo, hi) {
+		markHit(repRTT, tcs, hits, int(vp))
 	}
 	n := 0
 	for _, word := range hits {
@@ -316,13 +309,10 @@ func (s *metaSet) add(meta []VPMeta, vp int) bool {
 // lowestRTT returns the candidate with the lowest representative RTT to the
 // target (the first on ties), or -1 when none has a usable measurement.
 func lowestRTT(repRTT *cbg.Matrix, candidates []int, target int) int {
-	best, bestRTT := -1, math.Inf(1)
+	best, bestRTT := -1, float32(math.Inf(1))
+	col := repRTT.Column(target)
 	for _, vp := range candidates {
-		rtt := float64(repRTT.RTT[vp][target])
-		if math.IsNaN(rtt) || rtt < 0 {
-			continue
-		}
-		if rtt < bestRTT {
+		if rtt := col[vp]; !cbg.IsUnresponsive(rtt) && rtt < bestRTT {
 			best, bestRTT = vp, rtt
 		}
 	}
@@ -338,12 +328,11 @@ func lowestRTT(repRTT *cbg.Matrix, candidates []int, target int) int {
 func reducedRegion(m *cbg.Matrix, subset []int, target int, speed float64, dst []geo.TrigCircle) []geo.TrigCircle {
 	sm := geo.GetSampler()
 	defer geo.PutSampler(sm)
+	col := m.Column(target)
 	for _, vp := range subset {
-		rtt := float64(m.RTT[vp][target])
-		if math.IsNaN(rtt) || rtt < 0 {
-			continue
+		if rtt := col[vp]; !cbg.IsUnresponsive(rtt) {
+			sm.AddTrig(m.VPs[vp], m.VPTrig(vp), geo.RTTToDistanceKm(float64(rtt), speed))
 		}
-		sm.AddTrig(m.VPs[vp], m.VPTrig(vp), geo.RTTToDistanceKm(rtt, speed))
 	}
 	sm.Reduce()
 	return sm.KeptTrig(dst)

@@ -34,7 +34,7 @@ func TestOriginalSelectOrdering(t *testing.T) {
 		}
 		prev := float32(-1)
 		for _, vp := range sel {
-			rtt := camp.RepRTT.RTT[vp][target]
+			rtt := camp.RepRTT.Column(target)[vp]
 			if math.IsNaN(float64(rtt)) {
 				t.Fatalf("selected unresponsive VP %d", vp)
 			}
