@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race vet staticcheck allocs-smoke alloc-table profile experiments ci resume-check fuzz-smoke load-smoke chaos-smoke scale-smoke
+.PHONY: all build loc test race vet staticcheck allocs-smoke alloc-table profile bench-record bench-trend experiments ci resume-check fuzz-smoke load-smoke chaos-smoke scale-smoke
 
 all: build
 
@@ -35,7 +35,11 @@ loc:
 # must not depend on the P count. experiments' Context shares results
 # across experiments (the trial medians Fig 2a and 2b both read, the
 # two-step rows Fig 3b, 3c and the ablations read), computed under par.For
-# by whichever experiment asks first. geobench's verdicts hang on worker
+# by whichever experiment asks first. serve's admission tests wait on
+# handshakes with the handlers they race (a stall entered, a queue joined,
+# a request answered), never on a sleep, and its /batch counters are
+# tallied per request from concurrent batches; ipaddr's parser runs under
+# both. geobench's verdicts hang on worker
 # scheduling (where the hot-swap lands, and the window between the chaos
 # kill and the readmission), so its closed-loop runs go through it too.
 # -short only trims the oracles (core's stream selection from 50k to 5k
@@ -46,7 +50,7 @@ loc:
 # not reach it, and it compiles against this module's serving API.
 test:
 	$(GO) test ./...
-	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/mapping/ ./internal/streetlevel/ ./internal/dataset/ ./internal/experiments/ ./cmd/geobench/
+	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/mapping/ ./internal/streetlevel/ ./internal/dataset/ ./internal/experiments/ ./internal/serve/ ./internal/ipaddr/ ./cmd/geobench/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
@@ -94,7 +98,9 @@ staticcheck:
 # TraceBuf, at zero whether the route's skeleton is in the table or is
 # built on a miss (DESIGN.md §3.2). The analysis pass's per-call sites
 # (§3.5): a VP selection's region candidate scan at most 2 allocations,
-# a table cover one count whatever its size, a mapping-query fault draw 0,
+# a table cover one count whatever its size, a fanned GreedyCover at 2
+# workers one count whatever its size (a par.NewLoop call allocates 0), a
+# mapping-query fault draw 0,
 # a pooled par.ForWorkers call at 2 workers at most 4, a POI query into a
 # buffer that holds the zone 0, a measurement client's source-state
 # lookup 0, and a warm street-level Geolocate exactly one, its result's
@@ -102,7 +108,7 @@ staticcheck:
 # name, so a new allocation sneaking into a hot path fails THIS target,
 # not a trend threshold.
 allocs-smoke:
-	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestMeasureRowAllocs|TestPingAllocs|TestRegionCandidatesAllocs|TestCoverAllocs|TestLookupFailedAllocs|TestForWorkersAllocs|TestAppendPOIsInZipAllocs|TestClientStateAllocs|TestGeolocateAllocs' \
+	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestMeasureRowAllocs|TestPingAllocs|TestRegionCandidatesAllocs|TestCoverAllocs|TestGreedyCoverAllocs|TestLookupFailedAllocs|TestForWorkersAllocs|TestLoopAllocs|TestAppendPOIsInZipAllocs|TestClientStateAllocs|TestGeolocateAllocs' \
 		./internal/serve ./internal/dataset ./internal/router ./internal/core ./internal/netsim \
 		./internal/vpsel ./internal/faults ./internal/par ./internal/mapping ./internal/atlas ./internal/streetlevel
 
@@ -123,6 +129,46 @@ profile:
 	$(GO) test -bench 'Fig2a' -benchtime 1x -run '^$$' \
 		-cpuprofile profiles/fig2a.cpu.pprof -memprofile profiles/fig2a.mem.pprof .
 	@echo "profiles written to profiles/fig2a.{cpu,mem}.pprof"
+
+# One record of the benchmark trajectory: the A/A runs of every workload
+# (benchmark/aa.sh's protocol, about 20 minutes on a 2-vCPU host) into
+# .bench_build/aa-$(PR), their Markdown report beside them, and
+# BENCH_$(PR).json at the root: the commit (suffixed -dirty when the tree
+# differs from it), host, nproc, GOMAXPROCS, Go version and each metric's
+# median, Q1 and Q3. A failed A/A verdict (exit 3) still writes the
+# record; the record is kept and the verdict line printed.
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>" >&2; exit 2; }
+	mkdir -p .bench_build
+	rc=0; bash benchmark/run.sh -aa .bench_build/aa-$(PR) -baseline BENCH_$(PR).json \
+		-commit "$$(git rev-parse HEAD)$$(git diff --quiet HEAD -- . || echo -dirty)" \
+		> .bench_build/aa-$(PR).md || rc=$$?; \
+	grep '^Result' .bench_build/aa-$(PR).md; \
+	if [ $$rc -eq 3 ]; then echo "A/A verdict failed; BENCH_$(PR).json is kept"; rc=0; fi; \
+	exit $$rc
+
+# The trajectory: each metric's median in every BENCH_<pr>.json, one
+# column per record in PR order, under the record's commit, host and nproc.
+bench-trend:
+	@ls BENCH_*.json >/dev/null 2>&1 || { echo "no BENCH_*.json record (make bench-record PR=<n>)" >&2; exit 1; }
+	@jq -nr "$$TREND_JQ" BENCH_*.json | awk -F'\t' "$$COLUMNS_AWK"
+
+# bench-trend's table (six significant digits) and its column alignment.
+define TREND_JQ
+def sig: if . == 0 then 0 else pow(10; 5 - (fabs | log10 | floor)) as $$k | (. * $$k | round) / $$k end;
+[inputs | {pr: (input_filename | ltrimstr("BENCH_") | rtrimstr(".json") | tonumber), r: .}] | sort_by(.pr) as $$recs
+| (["record", "", ($$recs[] | "BENCH_\(.pr)")] | @tsv),
+  (["commit", "", ($$recs[] | .r.commit | .[0:12] + (if endswith("-dirty") then "-dirty" else "" end))] | @tsv),
+  (["host", "", ($$recs[] | .r.host)] | @tsv),
+  (["nproc", "", ($$recs[] | .r.nproc | tostring)] | @tsv),
+  ([$$recs[].r.workloads | to_entries[] | .key as $$w | .value | keys[] | [$$w, .]] | unique[] as [$$w, $$m]
+   | [$$w, $$m, ($$recs[] | .r.workloads[$$w][$$m].median | if . == null then "-" else sig | tostring end)] | @tsv)
+endef
+define COLUMNS_AWK
+{ for (i = 1; i <= NF; i++) { c[NR, i] = $$i; if (length($$i) > w[i]) w[i] = length($$i) } if (NF > nf) nf = NF }
+END { for (r = 1; r <= NR; r++) { l = ""; for (i = 1; i <= nf; i++) l = l sprintf("%-" w[i] "s  ", c[r, i]); sub(/ +$$/, "", l); print l } }
+endef
+export TREND_JQ COLUMNS_AWK
 
 experiments:
 	$(GO) run ./cmd/experiments -scale tiny -out results

@@ -4,6 +4,7 @@
 package ipaddr
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 )
@@ -18,7 +19,8 @@ func FromOctets(a, b, c, d byte) Addr {
 
 // Parse parses dotted-quad notation ("192.0.2.7"). The accepted
 // grammar is strict — exactly four dot-separated decimal octets, no
-// empty parts, no leading zeros, no signs or spaces — and the success
+// empty parts, no leading zeros, no signs or spaces — so the one text
+// it accepts for an address is the one AppendText writes. The success
 // path performs zero heap allocations (the serving hot path calls this
 // per request).
 func Parse(s string) (Addr, error) { return parse(s) }
@@ -28,27 +30,64 @@ func Parse(s string) (Addr, error) { return parse(s) }
 // body) and must not copy it out to ask.
 func ParseBytes(b []byte) (Addr, error) { return parse(b) }
 
+// Scan reads the address b starts with, for a caller that finds where its
+// text ends as it reads it (a /batch body's quoted item): it stops at the
+// first byte that cannot extend Parse's grammar and returns how many bytes
+// it read. ok reports whether those n bytes are a whole address, so b is
+// one exactly when ok and n == len(b). Scan never allocates.
+func Scan(b []byte) (a Addr, n int, ok bool) {
+	a, part, start, n := scan(b)
+	return a, n, part == 3 && n > start
+}
+
 func parse[S ~string | ~[]byte](s S) (Addr, error) {
-	var out uint32
-	rest := s
-	for i := 0; i < 4; i++ {
-		part := rest
-		dot := indexDot(rest)
-		if i < 3 {
-			if dot < 0 {
-				return 0, fmt.Errorf("ipaddr: %q is not dotted quad", s)
-			}
-			part, rest = rest[:dot], rest[dot+1:]
-		} else if dot >= 0 {
-			return 0, fmt.Errorf("ipaddr: %q is not dotted quad", s)
-		}
-		v, ok := parseOctet(part)
-		if !ok {
-			return 0, fmt.Errorf("ipaddr: bad octet %q in %q", part, s)
-		}
-		out = out<<8 | uint32(v)
+	a, part, start, n := scan(s)
+	if n == len(s) && part == 3 && n > start {
+		return a, nil
 	}
-	return Addr(out), nil
+	// The message names what a parser reading whole parts would have
+	// found first: part's structure (a dot where there must be one, none
+	// after the fourth), then the octet itself.
+	rest := s[start:]
+	dot := indexDot(rest)
+	if (part < 3) == (dot < 0) {
+		return 0, fmt.Errorf("ipaddr: %q is not dotted quad", s)
+	}
+	if dot >= 0 {
+		rest = rest[:dot]
+	}
+	return 0, fmt.Errorf("ipaddr: bad octet %q in %q", rest, s)
+}
+
+// scan is the one pass every entry point parses with. It reads s up to the
+// first byte that breaks the grammar — anything but a digit or a dot, an
+// empty part, a fifth part, a leading zero, an octet past 255 — and returns
+// the octets read so far as an address, the index of the part it stopped
+// in, the offset where that part starts, and the offset where it stopped.
+// s[:end] is an address when the stop is in the fourth part and that part
+// has a digit.
+func scan[S ~string | ~[]byte](s S) (a Addr, part, start, end int) {
+	var v uint32
+	for ; end < len(s); end++ {
+		c := s[end]
+		if c == '.' {
+			if end == start || part == 3 {
+				break
+			}
+			a, v = a<<8|Addr(v), 0
+			part, start = part+1, end+1
+			continue
+		}
+		d := uint32(c) - '0'
+		if d > 9 || (v == 0 && end > start) {
+			break
+		}
+		if d += v * 10; d > 255 {
+			break
+		}
+		v = d
+	}
+	return a<<8 | Addr(v), part, start, end
 }
 
 // indexDot is strings.IndexByte(s, '.') for either text type; an address is
@@ -60,26 +99,6 @@ func indexDot[S ~string | ~[]byte](s S) int {
 		}
 	}
 	return -1
-}
-
-// parseOctet parses one decimal octet with the package's strict rules:
-// 1–3 digits only, no leading zero (except "0" itself), value <= 255.
-func parseOctet[S ~string | ~[]byte](p S) (uint32, bool) {
-	if len(p) == 0 || len(p) > 3 || (len(p) > 1 && p[0] == '0') {
-		return 0, false
-	}
-	var v uint32
-	for i := 0; i < len(p); i++ {
-		c := p[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + uint32(c-'0')
-	}
-	if v > 255 {
-		return 0, false
-	}
-	return v, true
 }
 
 // MustParse is Parse that panics on error; for tests and literals.
@@ -98,30 +117,32 @@ func (a Addr) String() string {
 
 // AppendText appends the dotted-quad rendering to dst and returns the
 // extended slice, allocating only if dst lacks capacity — the
-// zero-allocation renderer the serving hot path encodes with.
+// zero-allocation renderer the serving hot path encodes with. Each octet is
+// one fixed-size store of its packed text into a stack buffer, and the
+// buffer one append.
 func (a Addr) AppendText(dst []byte) []byte {
-	dst = appendOctet(dst, byte(a>>24))
-	dst = append(dst, '.')
-	dst = appendOctet(dst, byte(a>>16))
-	dst = append(dst, '.')
-	dst = appendOctet(dst, byte(a>>8))
-	dst = append(dst, '.')
-	return appendOctet(dst, byte(a))
+	var buf [24]byte
+	n := 0
+	for shift := 24; shift >= 0; shift -= 8 {
+		o := octetText[byte(a>>shift)]
+		binary.LittleEndian.PutUint64(buf[n:], o)
+		n += int(o >> 56)
+	}
+	return append(dst, buf[:n-1]...)
 }
 
-// octetText[b] holds b's decimal digits in its first octetText[b][3] bytes.
-var octetText = func() (t [256][4]byte) {
+// octetText[b] packs b's decimal digits and a dot into its low bytes, first
+// digit lowest, and their count into its top byte.
+var octetText = func() (t [256]uint64) {
 	for b := range t {
-		n := copy(t[b][:3], strconv.Itoa(b))
-		t[b][3] = byte(n)
+		txt := strconv.Itoa(b) + "."
+		for i := len(txt) - 1; i >= 0; i-- {
+			t[b] = t[b]<<8 | uint64(txt[i])
+		}
+		t[b] |= uint64(len(txt)) << 56
 	}
 	return
 }()
-
-func appendOctet(dst []byte, b byte) []byte {
-	o := &octetText[b]
-	return append(dst, o[:o[3]]...)
-}
 
 // Octets returns the four octets of the address.
 func (a Addr) Octets() (byte, byte, byte, byte) {

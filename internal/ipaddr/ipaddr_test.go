@@ -1,7 +1,10 @@
 package ipaddr
 
 import (
+	"fmt"
 	"net/netip"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -123,6 +126,108 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// parseTwoPass is the parser Parse replaced, kept as the grammar's
+// reference: it cuts the text at each dot first and judges the part after.
+func parseTwoPass(s string) (Addr, error) {
+	var out uint32
+	rest := s
+	for i := 0; i < 4; i++ {
+		part := rest
+		dot := strings.IndexByte(rest, '.')
+		if i < 3 {
+			if dot < 0 {
+				return 0, fmt.Errorf("ipaddr: %q is not dotted quad", s)
+			}
+			part, rest = rest[:dot], rest[dot+1:]
+		} else if dot >= 0 {
+			return 0, fmt.Errorf("ipaddr: %q is not dotted quad", s)
+		}
+		v, ok := octetTwoPass(part)
+		if !ok {
+			return 0, fmt.Errorf("ipaddr: bad octet %q in %q", part, s)
+		}
+		out = out<<8 | v
+	}
+	return Addr(out), nil
+}
+
+// octetTwoPass judges one whole part: 1–3 digits, no leading zero (except
+// "0" itself), value <= 255.
+func octetTwoPass(p string) (uint32, bool) {
+	if len(p) == 0 || len(p) > 3 || (len(p) > 1 && p[0] == '0') {
+		return 0, false
+	}
+	var v uint32
+	for i := 0; i < len(p); i++ {
+		c := p[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + uint32(c-'0')
+	}
+	return v, v <= 255
+}
+
+// TestParseMatchesTwoPass holds the one-pass parser to parseTwoPass —
+// address, or error text — and Scan to both, on every octet 0–999 spelled
+// with 0–2 leading zeros and the empty part, in every position of texts
+// of 3 to 5 parts, bare and with a leading or a trailing dot.
+func TestParseMatchesTwoPass(t *testing.T) {
+	var octets []string
+	for v := 0; v < 1000; v++ {
+		d := strconv.Itoa(v)
+		octets = append(octets, d, "0"+d, "00"+d)
+	}
+	octets = append(octets, "")
+	fill := []string{"0", "7", "255"}
+	checked := 0
+	for parts := 3; parts <= 5; parts++ {
+		for pos := 0; pos < parts; pos++ {
+			for _, o := range octets {
+				for _, f := range fill {
+					p := make([]string, parts)
+					for i := range p {
+						p[i] = f
+					}
+					p[pos] = o
+					base := strings.Join(p, ".")
+					for _, s := range []string{base, "." + base, base + "."} {
+						want, wantErr := parseTwoPass(s)
+						got, err := checkParse(t, s)
+						if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+							t.Fatalf("Parse(%q) = (%v, %v), the two-pass parser says (%v, %v)", s, got, err, want, wantErr)
+						}
+						// A /batch item is followed by its closing quote.
+						a, n, ok := Scan([]byte(s + `"`))
+						if whole := ok && n == len(s); whole != (err == nil) || (whole && a != want) {
+							t.Fatalf("Scan(%q) = (%v, %d, %v), Parse says (%v, %v)", s+`"`, a, n, ok, want, err)
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d texts", checked)
+}
+
+func BenchmarkParse(b *testing.B) {
+	in := []string{"198.51.100.254", "10.0.0.7", "255.255.255.255", "1.2.3.4"}
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(in[i&3]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAppendText(b *testing.B) {
+	in := []Addr{MustParse("198.51.100.254"), MustParse("10.0.0.7"), MustParse("255.255.255.255"), MustParse("1.2.3.4")}
+	buf := make([]byte, 0, 16)
+	for i := 0; i < b.N; i++ {
+		buf = in[i&3].AppendText(buf[:0])
+	}
 }
 
 func TestMustParsePanics(t *testing.T) {

@@ -57,17 +57,13 @@ func ForWorkers(workers, n int, f func(worker, i int)) {
 }
 
 // forWorkers runs f(worker, i), or g(i) when f is nil, for every i in
-// [0, n). With more than one worker the call allocates its pool once and
-// one goroutine per worker beyond the first: the caller's goroutine is
-// worker 0.
+// [0, n). With more than one worker the call allocates its pool once;
+// the caller's goroutine is worker 0.
 func forWorkers(workers, n int, f func(worker, i int), g func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if workers = min(workers, n); workers <= 1 {
 		for i := 0; i < n; i++ {
 			if g != nil {
 				g(i)
@@ -77,36 +73,68 @@ func forWorkers(workers, n int, f func(worker, i int), g func(i int)) {
 		}
 		return
 	}
+	newPool(workers, n, f, g).do()
+}
 
-	// Dynamic chunked distribution: workers claim contiguous index ranges
-	// from an atomic cursor. Chunking amortizes the atomic op; claiming
-	// dynamically (rather than striping statically) keeps the pool
-	// load-balanced when per-index cost is skewed, which it is for CBG
-	// locates (constraint counts vary per target). Which worker runs which
-	// index never affects the result — see the package determinism contract.
-	p := &pool{n: n, chunk: max(n/(workers*8), 1), f: f, g: g}
-	p.wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go p.spawned(w)
+// NewLoop returns a For over n and f that a caller runs many times — a
+// greedy cover fans every pick's row update out this way: each call runs
+// f(i) for every i in [0, n) across min(workers, n) workers. The pool is
+// allocated here, once; a call starts the workers afresh (a team kept
+// waiting between calls was slower) and allocates nothing. Calls must not
+// overlap.
+func NewLoop(workers, n int, f func(i int)) func() {
+	if workers = min(workers, n); workers > 1 {
+		return newPool(workers, n, nil, f).do
+	}
+	return func() {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+	}
+}
+
+// pool is a parallel loop's shared state: the body, the chunk cursor, the
+// spawned workers' WaitGroup and the first panic any worker raised. spawn
+// is what every go statement starts: one closure per pool, so that a run
+// allocates nothing per worker.
+type pool struct {
+	n, chunk, workers int
+	f                 func(worker, i int)
+	g                 func(i int)
+	spawn             func()
+	ids               atomic.Int64 // the last worker id handed out this run
+	cursor            atomic.Int64
+	wg                sync.WaitGroup
+	mu                sync.Mutex
+	panicked          bool
+	panicv            any
+}
+
+func newPool(workers, n int, f func(worker, i int), g func(i int)) *pool {
+	p := &pool{n: n, chunk: max(n/(workers*8), 1), workers: workers, f: f, g: g}
+	p.spawn = func() { p.spawned(int(p.ids.Add(1))) }
+	return p
+}
+
+// do runs the loop once. Dynamic chunked distribution: workers claim
+// contiguous index ranges from an atomic cursor. Chunking amortizes the
+// atomic op; claiming dynamically (rather than striping statically) keeps
+// the pool load-balanced when per-index cost is skewed, which it is for
+// CBG locates (constraint counts vary per target). Which worker runs which
+// index never affects the result — see the package determinism contract.
+func (p *pool) do() {
+	p.cursor.Store(0)
+	p.ids.Store(0)
+	p.panicked, p.panicv = false, nil
+	p.wg.Add(p.workers - 1)
+	for w := 1; w < p.workers; w++ {
+		go p.spawn()
 	}
 	p.run(0)
 	p.wg.Wait()
 	if p.panicked {
 		panic(p.panicv)
 	}
-}
-
-// pool is one forWorkers call's shared state: the body, the chunk cursor,
-// the spawned workers' WaitGroup and the first panic any worker raised.
-type pool struct {
-	n, chunk int
-	f        func(worker, i int)
-	g        func(i int)
-	cursor   atomic.Int64
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	panicked bool
-	panicv   any
 }
 
 func (p *pool) spawned(worker int) {

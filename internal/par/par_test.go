@@ -105,3 +105,43 @@ func TestForWorkersAllocs(t *testing.T) {
 		t.Fatalf("ForWorkers(1, …) makes %v allocations per call, want 0", n)
 	}
 }
+
+// TestLoopRuns holds NewLoop's loop to For's contract across worker counts
+// and calls: every index once per call, and a panic reaches the caller.
+func TestLoopRuns(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 16} {
+		hits := make([]atomic.Int32, 37)
+		run := NewLoop(workers, len(hits), func(i int) { hits[i].Add(1) })
+		for r := 1; r <= 3; r++ {
+			run()
+			for i := range hits {
+				if got := hits[i].Load(); got != int32(r) {
+					t.Fatalf("workers=%d run %d: index %d ran %d times", workers, r, i, got)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Loop body's panic did not reach the caller")
+		}
+	}()
+	NewLoop(2, 8, func(i int) {
+		if i == 5 {
+			panic("boom")
+		}
+	})()
+}
+
+// TestLoopAllocs pins NewLoop's cost: the pool, its spawn closure and the
+// loop's func, once; a call at 2 workers allocates nothing.
+func TestLoopAllocs(t *testing.T) {
+	out := make([]int, 256)
+	body := func(i int) { out[i] = i }
+	if n := testing.AllocsPerRun(200, NewLoop(2, len(out), body)); n != 0 {
+		t.Fatalf("a NewLoop loop at 2 workers makes %v allocations per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { NewLoop(2, len(out), body) }); n > 3 {
+		t.Fatalf("NewLoop(2, …) makes %v allocations, want at most 3", n)
+	}
+}

@@ -70,7 +70,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	}
 	wait := time.Now()
 	span := s.stageSpan(m, "admission-wait")
-	t := time.NewTimer(s.cfg.QueueTimeout)
+	t := s.queueTimer(s.cfg.QueueTimeout)
 	leave := func() {
 		t.Stop()
 		s.queued.Add(-1)

@@ -20,21 +20,40 @@ import (
 	"geoloc/internal/obs"
 )
 
+// progress is poked by the test servers' hooks each time a request may
+// have changed what a test waits for — a request entered a stall (so holds
+// its inflight slot), joined the admission queue, or had its handler chain
+// return — so that waitUntil re-checks on events, not on a clock.
+var progress = make(chan struct{}, 1)
+
+func poke() {
+	select {
+	case progress <- struct{}{}:
+	default: // a poke is already pending; one re-check sees both
+	}
+}
+
 // blockingServer builds a published server whose fault-injected stall
 // blocks until release is closed (or the request context dies). With
 // ServeStallProb 1 every data-plane request parks in the stall, which
-// gives the tests a deterministic way to fill the inflight slots.
+// gives the tests a deterministic way to fill the inflight slots. Entering
+// the stall and joining the admission queue both poke progress.
 func blockingServer(cfg Config) (*Server, chan struct{}) {
 	cfg.Prof = &faults.Profile{Name: "block", ServeStallProb: 1, ServeStallMaxMs: 1}
 	srv := newPublished(cfg)
 	release := make(chan struct{})
 	srv.sleep = func(ctx context.Context, _ time.Duration) bool {
+		poke()
 		select {
 		case <-release:
 			return true
 		case <-ctx.Done():
 			return false
 		}
+	}
+	srv.queueTimer = func(d time.Duration) *time.Timer {
+		defer poke()
+		return time.NewTimer(d)
 	}
 	return srv, release
 }
@@ -46,21 +65,35 @@ func blockingServer(cfg Config) (*Server, chan struct{}) {
 func pinnedServer(cfg Config) (*Server, chan struct{}) {
 	srv, release := blockingServer(cfg)
 	srv.sleep = func(context.Context, time.Duration) bool {
+		poke()
 		<-release
 		return true
 	}
 	return srv, release
 }
 
-// waitUntil polls cond until it holds.
+// poking wraps h so that every request's return from it pokes progress:
+// the event behind a counter that moves after an answer, or an answer no
+// client is left to read.
+func poking(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer poke()
+		h.ServeHTTP(w, r)
+	})
+}
+
+// waitUntil blocks until cond holds, re-checking it each time progress is
+// poked. The timer only bounds a test that would otherwise hang.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	limit := time.NewTimer(5 * time.Second)
+	defer limit.Stop()
 	for !cond() {
-		if time.Now().After(deadline) {
+		select {
+		case <-progress:
+		case <-limit.C:
 			t.Fatalf("timeout waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -428,7 +461,7 @@ func TestDisconnectWhileQueued(t *testing.T) {
 		MaxInflight: 1, MaxQueue: 8,
 		QueueTimeout: 30 * time.Second, RequestTimeout: 30 * time.Second,
 	})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(poking(srv.Handler()))
 	defer ts.Close()
 
 	holder := startLookup(ts.URL)
@@ -474,12 +507,14 @@ func TestDrainCompletesInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
+	listenerClosed := make(chan struct{})
+	httpSrv.RegisterOnShutdown(func() { close(listenerClosed) })
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 
-	// Wait for the listener to answer, then park one request in-flight.
-	waitReady(t, base)
+	// The listener is bound before Serve runs, so a request sent now waits
+	// in its backlog rather than being refused. Park one in-flight.
 	inflight := startLookup(base)
 	waitInflight(t, srv, 1)
 
@@ -496,17 +531,12 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	defer cancel()
 	go func() { shutdownDone <- httpSrv.Shutdown(shCtx) }()
 
-	// New connections must be refused once the listener is closed.
-	refusedDeadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := net.DialTimeout("tcp", ln.Addr().String(), 100*time.Millisecond)
-		if err != nil {
-			break // refused: the listener is gone
-		}
-		if time.Now().After(refusedDeadline) {
-			t.Fatal("listener still accepting connections after Shutdown started")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// New connections must be refused once the listener is closed:
+	// Shutdown starts its OnShutdown hooks right after closing it.
+	<-listenerClosed
+	if c, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		c.Close()
+		t.Fatal("listener still accepting connections after Shutdown started")
 	}
 
 	// The in-flight request is still alive; release it and it completes.
@@ -519,23 +549,6 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	}
 	if err := <-serveErr; err != http.ErrServerClosed {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
-	}
-}
-
-// waitReady polls /healthz until the listener answers.
-func waitReady(t *testing.T, base string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never became reachable: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -1,9 +1,10 @@
 // The /batch request side (DESIGN.md §3.10): the body is read into a
 // pooled buffer and split into its addresses without copying any of them
 // out. A strict scanner accepts the one shape every producer in the repo
-// emits — {"ips":["…",…]} — and every body it does not accept is decoded by
-// encoding/json from the same bytes, so the scanner decides only how fast a
-// body is read, never what it means.
+// emits — {"ips":["…",…]} — and parses each item as a dotted quad in the
+// same pass; every body it does not accept is decoded by encoding/json from
+// the same bytes, so the scanner decides only how fast a body is read,
+// never what it means.
 package serve
 
 import (
@@ -19,8 +20,14 @@ import (
 // pin that much in every pooled scratch.
 const maxPooledBody = 64 << 10
 
-// span locates one item's text in batchScratch.body.
-type span struct{ lo, hi int32 }
+// span locates one item's text in batchScratch.body and holds what the
+// text parsed to: quad says it is a whole dotted quad, and addr is then
+// its address.
+type span struct {
+	lo, hi int32
+	addr   ipaddr.Addr
+	quad   bool
+}
 
 // itemState says how a batch item gets its result.
 type itemState uint8
@@ -37,7 +44,6 @@ const (
 type batchScratch struct {
 	body    bytes.Buffer     // the request body; after a fallback decode, the decoded strings too
 	spans   []span           // item i's text is body.Bytes()[spans[i].lo:spans[i].hi]
-	addrs   []ipaddr.Addr    // item i's address, if it parsed
 	states  []itemState      // item i's state
 	query   []ipaddr.Addr    // the itemQueried addresses, in item order
 	answers []dataset.Answer // FindBatch's answers to query
@@ -69,9 +75,9 @@ func sized[T any](s []T, n int) []T {
 
 // items splits the body into its items' spans and returns how many there
 // are: by scanBatchBody where it accepts, by encoding/json otherwise, with
-// the decoded strings appended to body so that either way leaves spans
-// into one buffer. Spans are recorded only for a batch of at most max
-// items; a longer one is refused by its count alone.
+// the decoded strings appended to body and parsed there, so that either
+// way leaves parsed spans into one buffer. Spans are recorded only for a
+// batch of at most max items; a longer one is refused by its count alone.
 func (sc *batchScratch) items(max int) (int, error) {
 	var ok bool
 	if sc.spans, ok = scanBatchBody(sc.body.Bytes(), sc.spans[:0], max); ok {
@@ -84,8 +90,10 @@ func (sc *batchScratch) items(max int) (int, error) {
 	sc.spans = sc.spans[:0]
 	if len(in.IPs) <= max {
 		for _, ip := range in.IPs {
-			sc.spans = append(sc.spans, span{int32(sc.body.Len()), int32(sc.body.Len() + len(ip))})
+			lo := sc.body.Len()
 			sc.body.WriteString(ip)
+			a, n, ok := ipaddr.Scan(sc.body.Bytes()[lo:])
+			sc.spans = append(sc.spans, span{int32(lo), int32(sc.body.Len()), a, ok && n == len(ip)})
 		}
 	}
 	return len(in.IPs), nil
@@ -96,7 +104,10 @@ func (sc *batchScratch) items(max int) (int, error) {
 //	ws { ws "ips" ws : ws [ ws ( string ( ws , ws string )* ws )? ] ws } ws
 //
 // where ws is JSON whitespace and a string holds only printable ASCII with
-// no backslash, so its bytes are its value. It reports false — and the
+// no backslash, so its bytes are its value. Each string is parsed as a
+// dotted quad as it is read: ipaddr.Scan stops at the first byte that
+// breaks the grammar, so the item is an address exactly when that byte is
+// the closing quote and what came before it is whole. It reports false — and the
 // spans mean nothing — for anything else, more than max items included:
 // another or a second key, a key in another case, an escape, a non-ASCII or
 // control byte, a value that is not a string, bytes after the closing
@@ -121,13 +132,14 @@ func scanBatchBody(body []byte, spans []span, max int) ([]span, bool) {
 			}
 			i++
 			lo := i
-			for i < len(body) && body[i] >= 0x20 && body[i] < 0x7F && body[i] != '"' && body[i] != '\\' {
-				i++
+			a, n, quad := ipaddr.Scan(body[i:])
+			for i += n; i < len(body) && body[i] >= 0x20 && body[i] < 0x7F && body[i] != '"' && body[i] != '\\'; i++ {
+				quad = false
 			}
 			if i >= len(body) || body[i] != '"' {
 				return spans, false
 			}
-			spans = append(spans, span{int32(lo), int32(i)})
+			spans = append(spans, span{int32(lo), int32(i), a, quad})
 			if i = skipSpace(body, i+1); i >= len(body) {
 				return spans, false
 			}

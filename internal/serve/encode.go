@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"bytes"
 	"math"
 	"net/http"
 	"net/url"
@@ -100,15 +101,36 @@ func SetBodyLength(h http.Header, n int) {
 // lat, lon, radius_km, method, sanitized, error with the same omitempty
 // semantics encoding/json applied.
 func appendLookupResult(dst []byte, a ipaddr.Addr, rec dataset.Record, kind resolveKind) []byte {
-	dst = append(dst, `{"ip":"`...)
-	dst = a.AppendText(dst)
+	dst = a.AppendText(append(dst, `{"ip":"`...))
 	if kind != resolveOK {
-		dst = append(dst, `","error":`...)
-		dst = appendJSONString(dst, kind.message())
-		return append(dst, '}')
+		return appendFailure(dst, kind)
+	}
+	return appendRecord(rec.Prefix.AppendText(append(dst, `","prefix":"`...)), rec)
+}
+
+// appendItemResult is appendLookupResult for a /batch item whose text ip
+// parsed. Parse accepts only the canonical text AppendText writes, and a
+// found record is the address's own /24, so both strings are copied from
+// ip: the address whole, the prefix as its first three octets and "0/24".
+func appendItemResult(dst, ip []byte, rec dataset.Record, kind resolveKind) []byte {
+	dst = append(append(dst, `{"ip":"`...), ip...)
+	if kind != resolveOK {
+		return appendFailure(dst, kind)
 	}
 	dst = append(dst, `","prefix":"`...)
-	dst = rec.Prefix.AppendText(dst)
+	dst = append(dst, ip[:bytes.LastIndexByte(ip, '.')+1]...)
+	return appendRecord(append(dst, "0/24"...), rec)
+}
+
+// appendFailure ends a result, its address written, with kind's error.
+func appendFailure(dst []byte, kind resolveKind) []byte {
+	dst = append(dst, `","error":`...)
+	dst = appendJSONString(dst, kind.message())
+	return append(dst, '}')
+}
+
+// appendRecord ends a result, its prefix written, with rec's fields.
+func appendRecord(dst []byte, rec dataset.Record) []byte {
 	dst = append(dst, '"')
 	if rec.Centroid.Lat != 0 {
 		dst = append(dst, `,"lat":`...)

@@ -342,7 +342,7 @@ func TestSLOGaugesOnMetrics(t *testing.T) {
 		QueueTimeout: 10 * time.Second, RequestTimeout: 10 * time.Second,
 	})
 	srv.cfg.Prof.ServeFailProb = 1 // the stalled lookups answer 503
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(poking(srv.Handler()))
 	defer ts.Close()
 	inflight := startLookup(ts.URL)
 	waitInflight(t, srv, 1)
@@ -420,7 +420,7 @@ func TestSLOShedExclusion(t *testing.T) {
 		MaxInflight: 1, MaxQueue: 1,
 		QueueTimeout: 10 * time.Second, RequestTimeout: 10 * time.Second,
 	})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(poking(srv.Handler()))
 	defer ts.Close()
 
 	inflight := startLookup(ts.URL)

@@ -160,6 +160,9 @@ type Server struct {
 	// sleep implements fault-injected stalls; injectable so tests don't
 	// actually stall. Must honour the context (see Sleep).
 	sleep func(context.Context, time.Duration) bool
+	// queueTimer starts an admission wait's QueueTimeout timer; injectable
+	// so a test can tell when a request has joined the queue.
+	queueTimer func(time.Duration) *time.Timer
 
 	reqLookup  *telemetry.Counter
 	reqBatch   *telemetry.Counter
@@ -194,9 +197,10 @@ type Server struct {
 func New(cfg Config, reg *telemetry.Registry) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		swapper: NewSwapper(reg),
-		sleep:   Sleep,
+		cfg:        cfg,
+		swapper:    NewSwapper(reg),
+		sleep:      Sleep,
+		queueTimer: time.NewTimer,
 
 		reqLookup:  reg.Counter("geoserve.requests_lookup"),
 		reqBatch:   reg.Counter("geoserve.requests_batch"),
@@ -375,29 +379,48 @@ func (s *Server) injectFaults(ctx context.Context, art *Artifact, a ipaddr.Addr)
 	return resolveOK
 }
 
-// classify counts one reader answer — Find's three results — and names its
-// outcome. It returns the bare record — rendering is the caller's problem —
-// so the steady-state path stays allocation-free.
-func (s *Server) classify(r dataset.Record, ok bool, err error) (dataset.Record, resolveKind) {
-	if err != nil {
-		s.readFails.Inc()
-		return dataset.Record{}, resolveReadFail
+// tally is one request's count of its addresses' outcomes, added to the
+// server's counters once, when the request is answered: a 256-address
+// batch makes four atomic adds, not one per address on counters every
+// handler goroutine writes.
+type tally struct{ hits, misses, readFails, bad int64 }
+
+// classify counts one reader answer — Find's ok and err — and names its
+// outcome.
+func (t *tally) classify(ok bool, err error) resolveKind {
+	switch {
+	case err != nil:
+		t.readFails++
+		return resolveReadFail
+	case !ok:
+		t.misses++
+		return resolveMiss
 	}
-	if !ok {
-		s.misses.Inc()
-		return dataset.Record{}, resolveMiss
-	}
-	s.hits.Inc()
-	return r, resolveOK
+	t.hits++
+	return resolveOK
+}
+
+// count adds t to the server's counters.
+func (s *Server) count(t *tally) {
+	s.hits.Add(t.hits)
+	s.misses.Add(t.misses)
+	s.readFails.Add(t.readFails)
+	s.badInput.Add(t.bad)
 }
 
 // resolveRec answers one parsed address against one artifact snapshot:
-// the profile's faults, then the lookup.
+// the profile's faults, then the lookup. It returns the bare record —
+// rendering is the caller's problem — so the steady-state path stays
+// allocation-free.
 func (s *Server) resolveRec(ctx context.Context, art *Artifact, a ipaddr.Addr) (dataset.Record, resolveKind) {
 	if kind := s.injectFaults(ctx, art, a); kind != resolveOK {
 		return dataset.Record{}, kind
 	}
-	return s.classify(art.R2.Find(a))
+	var t tally
+	r, ok, err := art.R2.Find(a)
+	kind := t.classify(ok, err)
+	s.count(&t)
+	return r, kind
 }
 
 // acquire captures the current artifact and pins its reader against a
@@ -472,12 +495,13 @@ type batchRequest struct {
 // failures (bad IP, no record, injected fault) are reported in place so one
 // bad address cannot fail the whole batch. The whole
 // batch resolves against one artifact snapshot, so a hot-swap mid-batch
-// cannot mix generations within one response. Each address is parsed where
-// it lies in the body and has the profile's faults applied, in input order;
-// everything still to be looked up then goes through one FindBatch
-// (batchscan.go, dataset/findbatch.go) — so a batch whose deadline dies in
-// an injected stall has counted no hit or miss. The steady-state request
-// allocates nothing per address (gated by TestServeAllocs).
+// cannot mix generations within one response. Each address is parsed as
+// the body is split (batchscan.go) and has the profile's faults applied, in
+// input order; everything still to be looked up then goes through one
+// FindBatch (dataset/findbatch.go) — so a batch whose deadline dies in an
+// injected stall has counted no hit or miss. Outcomes are tallied per
+// request and counted once. The steady-state request allocates nothing
+// per address (gated by TestServeAllocs).
 func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 	s.reqBatch.Inc()
 	if req.Method != http.MethodPost {
@@ -516,25 +540,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	m := metaFrom(req.Context())
 	sp := s.stageSpan(m, "index-lookup")
-	sc.addrs, sc.states, sc.query = sized(sc.addrs, n), sized(sc.states, n), sized(sc.query, n)[:0]
-	body := sc.body.Bytes()
+	var t tally
+	sc.states, sc.query = sized(sc.states, n), sized(sc.query, n)[:0]
 	for i, it := range sc.spans {
-		a, err := ipaddr.ParseBytes(body[it.lo:it.hi])
-		if err != nil {
-			s.badInput.Inc()
+		if !it.quad {
+			t.bad++
 			sc.states[i] = itemBadAddr
 			continue
 		}
-		sc.addrs[i] = a
-		switch s.injectFaults(req.Context(), art, a) {
+		switch s.injectFaults(req.Context(), art, it.addr) {
 		case resolveOK:
 			sc.states[i] = itemQueried
-			sc.query = append(sc.query, a)
+			sc.query = append(sc.query, it.addr)
 		case resolveInjected:
 			sc.states[i] = itemInjected
 		case resolveDeadline:
 			sp.End()
 			// The budget for the whole batch is gone.
+			s.count(&t)
 			s.deadlineExpired(w, req, " mid-batch")
 			return
 		}
@@ -547,27 +570,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 	defer enc.End()
 	buf := getBuf()
 	b := append(buf.b[:0], `{"results":[`...)
+	body := sc.body.Bytes()
 	answered := 0
 	for i, state := range sc.states {
 		if i > 0 {
 			b = append(b, ',')
 		}
+		text := body[sc.spans[i].lo:sc.spans[i].hi]
 		switch state {
 		case itemQueried:
 			ans := &sc.answers[answered]
 			answered++
-			rec, kind := s.classify(ans.Rec, ans.Found, ans.Err)
-			b = appendLookupResult(b, sc.addrs[i], rec, kind)
+			b = appendItemResult(b, text, ans.Rec, t.classify(ans.Found, ans.Err))
 		case itemInjected:
-			b = appendLookupResult(b, sc.addrs[i], dataset.Record{}, resolveInjected)
+			b = appendItemResult(b, text, dataset.Record{}, resolveInjected)
 		case itemBadAddr:
-			// Parsed a second time, for the error text the first pass had
-			// nowhere to keep.
-			raw := body[sc.spans[i].lo:sc.spans[i].hi]
-			_, err := ipaddr.ParseBytes(raw)
-			b = appendErrorResult(b, string(raw), err.Error())
+			// Parsed again, for the error text the scan does not build.
+			_, err := ipaddr.ParseBytes(text)
+			b = appendErrorResult(b, string(text), err.Error())
 		}
 	}
+	s.count(&t)
 	buf.b = append(b, "]}\n"...)
 	s.writeBytes(w, http.StatusOK, buf.b)
 	putBuf(buf)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -18,6 +19,7 @@ import (
 
 	"geoloc/internal/core"
 	"geoloc/internal/dataset"
+	"geoloc/internal/faults"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
 	"geoloc/internal/telemetry"
@@ -382,13 +384,11 @@ func writeV2File(t *testing.T, ds *dataset.Dataset, dir, name string) string {
 	return path
 }
 
-// TestReadFailureAnswers503: a lookup the artifact cannot answer — a
-// block that fails its first-touch check, a reader whose image is already
-// released — is a counted 503 read failure (clients retry), never a 404
-// and never a panic.
-func TestReadFailureAnswers503(t *testing.T) {
-	ds := tinyDataset()
-	hit := ds.Records[0].Prefix.Addr(3)
+// writeTornFile writes ds as writeV2File does, 8 records a block, and
+// damages the first block: every lookup that lands in it fails its
+// first-touch check.
+func writeTornFile(t *testing.T, ds *dataset.Dataset) string {
+	t.Helper()
 	path := writeV2File(t, ds, t.TempDir(), "torn.geodset2")
 	img, err := os.ReadFile(path)
 	if err != nil {
@@ -402,7 +402,92 @@ func TestReadFailureAnswers503(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
+// TestBatchCountersMatchItems: batches that mix hits, misses, addresses
+// that do not parse, injected faults and a damaged block move
+// geoserve.hits, misses, read_failures and bad_input by exactly their
+// items' outcomes — counted once per request, from concurrent requests,
+// through the scanner and the encoding/json fallback alike.
+func TestBatchCountersMatchItems(t *testing.T) {
+	ds := tinyDataset()
+	reg := telemetry.New()
+	srv := New(Config{Prof: &faults.Profile{Name: "some-fail", ServeFailProb: 0.3}}, reg)
+	art, err := srv.Reload(writeTornFile(t, ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []string
+	for i := 0; i < 24; i++ {
+		items = append(items, ds.Records[i].Prefix.Addr(byte(i)).String()) // block 0 is torn
+	}
+	items = append(items, "203.0.113.9", "198.51.100.1", "banana", "10.0.0.300", "")
+
+	// The oracle: the profile's draw, then the reader itself.
+	var want tally
+	injected := 0
+	for _, raw := range items {
+		a, err := ipaddr.Parse(raw)
+		switch {
+		case err != nil:
+			want.bad++
+		case srv.cfg.Prof.ServeFailed(art.Hdr.Seed, uint64(a)):
+			injected++
+		default:
+			_, ok, err := art.R2.Find(a)
+			want.classify(ok, err)
+		}
+	}
+	if want.hits == 0 || want.misses == 0 || want.readFails == 0 || want.bad == 0 || injected == 0 {
+		t.Fatalf("the batch lacks an outcome: %+v, %d injected", want, injected)
+	}
+
+	body := ipsBody(items...)
+	escaped := bytes.Replace(body, []byte("banana"), []byte(`b\u0061nana`), 1) // encoding/json's side
+	const workers, rounds = 4, 25
+	h := srv.Handler()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				b := body
+				if (g+r)%2 == 1 {
+					b = escaped
+				}
+				if status, _ := postBatch(h, b); status != http.StatusOK {
+					t.Errorf("worker %d round %d: status %d", g, r, status)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	const n = workers * rounds
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"geoserve.hits", n * want.hits}, {"geoserve.misses", n * want.misses},
+		{"geoserve.read_failures", n * want.readFails}, {"geoserve.bad_input", n * want.bad},
+		{"geoserve.injected_failures", int64(n * injected)},
+	} {
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d after %d batches, want %d", c.name, got, n, c.want)
+		}
+	}
+}
+
+// TestReadFailureAnswers503: a lookup the artifact cannot answer — a
+// block that fails its first-touch check, a reader whose image is already
+// released — is a counted 503 read failure (clients retry), never a 404
+// and never a panic.
+func TestReadFailureAnswers503(t *testing.T) {
+	ds := tinyDataset()
+	hit := ds.Records[0].Prefix.Addr(3)
+	path := writeTornFile(t, ds)
 	reg := telemetry.New()
 	srv := New(Config{}, reg)
 	art, err := srv.Reload(path)

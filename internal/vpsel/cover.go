@@ -80,5 +80,5 @@ func (t *CoverTable) Cover(vps []int, n int) []int {
 	for i, vp := range vps {
 		p.tr[i], p.slot[i] = t.all.tr[vp], t.all.slot[vp]
 	}
-	return greedyCover(p, n, false)
+	return greedyCover(p, n, 1)
 }

@@ -93,3 +93,24 @@ func TestCoverAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestGreedyCoverAllocs pins a fanned cover's allocations at one count
+// whatever n is: its state, score buffer and answer, and the one
+// par.NewLoop that every pick runs — nothing per pick. AllocsPerRun runs at
+// GOMAXPROCS 1, where GreedyCover would not fan, so the worker count is
+// passed.
+func TestGreedyCoverAllocs(t *testing.T) {
+	p := coverPairs{tr: make([]geo.Trig, len(camp.VPs))}
+	for i, h := range camp.VPs {
+		p.tr[i] = geo.MakeTrig(h.Reported)
+	}
+	var counts []float64
+	for _, n := range []int{1, 10, 100, len(p.tr) / 2} {
+		counts = append(counts, testing.AllocsPerRun(20, func() { greedyCover(p, n, 2) }))
+	}
+	for _, c := range counts {
+		if c != counts[0] || c > 6 {
+			t.Fatalf("covers of 1, 10, 100 and %d picks at 2 workers make %v allocations, want one count of at most 6", len(p.tr)/2, counts)
+		}
+	}
+}

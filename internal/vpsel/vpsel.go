@@ -13,6 +13,7 @@ package vpsel
 import (
 	"math"
 	"math/bits"
+	"runtime"
 
 	"geoloc/internal/cbg"
 	"geoloc/internal/geo"
@@ -55,7 +56,7 @@ func GreedyCover(locs []geo.Point, n int) []int {
 	for i, p := range locs {
 		tr[i] = geo.MakeTrig(p)
 	}
-	return greedyCover(coverPairs{tr: tr}, n, true)
+	return greedyCover(coverPairs{tr: tr}, n, runtime.GOMAXPROCS(0))
 }
 
 // coverBlock is how many points one unit of a fanned cover's row work
@@ -63,13 +64,14 @@ func GreedyCover(locs []geo.Point, n int) []int {
 const coverBlock = 64
 
 // greedyCover is GreedyCover's loop over p's points, whatever the pair
-// source. fan spreads each row of work across the par pool in coverBlock
-// spans; a table cover runs its rows as plain loops, since its pairs are
-// lookups and its caller already fans out, and it allocates only its
-// state, its score buffer and the answer, whatever n is.
+// source. With more than one worker it spreads each row of work in
+// coverBlock spans across one par.NewLoop, the same loop for every pick;
+// a table cover passes one worker and runs its rows as plain loops, since
+// its pairs are lookups and its caller already fans out. Either way a
+// cover allocates one count of objects, whatever n is.
 // The sums and scores are index-addressed and accumulate in pick order, so
 // neither the source nor the fan changes a bit of the answer.
-func greedyCover(p coverPairs, n int, fan bool) []int {
+func greedyCover(p coverPairs, n, workers int) []int {
 	m := len(p.tr)
 	if n <= 0 || m == 0 {
 		return nil
@@ -84,10 +86,9 @@ func greedyCover(p coverPairs, n int, fan bool) []int {
 
 	c := &coverRun{p: p, score: make([]float64, m), pick: -1}
 	rows := func() { c.rows(0, m) }
-	if fan {
+	if workers > 1 {
 		blocks := (m + coverBlock - 1) / coverBlock
-		span := func(b int) { c.rows(b*coverBlock, min(b*coverBlock+coverBlock, m)) }
-		rows = func() { par.For(blocks, span) }
+		rows = par.NewLoop(workers, blocks, func(b int) { c.rows(b*coverBlock, min(b*coverBlock+coverBlock, m)) })
 	}
 
 	// Seed: the location with the greatest summed log-distance to a strided
