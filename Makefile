@@ -39,7 +39,9 @@ loc:
 # handshakes with the handlers they race (a stall entered, a queue joined,
 # a request answered), never on a sleep, and its /batch counters are
 # tallied per request from concurrent batches; ipaddr's parser runs under
-# both. geobench's verdicts hang on worker
+# both. router's health and failover tests wait the same way: on a hook the
+# probe loop and the handler poke, on a fake replica's signal that a lookup
+# arrived, and on a restarted replica's bound listener. geobench's verdicts hang on worker
 # scheduling (where the hot-swap lands, and the window between the chaos
 # kill and the readmission), so its closed-loop runs go through it too.
 # -short only trims the oracles (core's stream selection from 50k to 5k
@@ -50,7 +52,7 @@ loc:
 # not reach it, and it compiles against this module's serving API.
 test:
 	$(GO) test ./...
-	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/mapping/ ./internal/streetlevel/ ./internal/dataset/ ./internal/experiments/ ./internal/serve/ ./internal/ipaddr/ ./cmd/geobench/
+	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/mapping/ ./internal/streetlevel/ ./internal/dataset/ ./internal/experiments/ ./internal/serve/ ./internal/ipaddr/ ./internal/router/ ./cmd/geobench/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
@@ -108,7 +110,7 @@ staticcheck:
 # name, so a new allocation sneaking into a hot path fails THIS target,
 # not a trend threshold.
 allocs-smoke:
-	$(GO) test -count 1 -run 'TestServeAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestMeasureRowAllocs|TestPingAllocs|TestRegionCandidatesAllocs|TestCoverAllocs|TestGreedyCoverAllocs|TestLookupFailedAllocs|TestForWorkersAllocs|TestLoopAllocs|TestAppendPOIsInZipAllocs|TestClientStateAllocs|TestGeolocateAllocs' \
+	$(GO) test -count 1 -run 'TestServeAllocs|TestBadBatchAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestMeasureRowAllocs|TestPingAllocs|TestRegionCandidatesAllocs|TestCoverAllocs|TestGreedyCoverAllocs|TestLookupFailedAllocs|TestForWorkersAllocs|TestLoopAllocs|TestAppendPOIsInZipAllocs|TestClientStateAllocs|TestGeolocateAllocs' \
 		./internal/serve ./internal/dataset ./internal/router ./internal/core ./internal/netsim \
 		./internal/vpsel ./internal/faults ./internal/par ./internal/mapping ./internal/atlas ./internal/streetlevel
 

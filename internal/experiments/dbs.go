@@ -12,14 +12,11 @@ import (
 // free database and IPinfo.
 func Fig7(ctx *Context) *Report {
 	c := ctx.C
-	var cbgErrs, mmErrs, iiErrs []float64
+	var mmErrs, iiErrs []float64
 	mm := &geodb.MaxMindFree{W: c.W}
 	ii := geodb.NewIPinfo(c.W)
 	for ti := range c.Targets {
 		truth := c.Targets[ti].Loc
-		if est, ok := c.TargetRTT.LocateSubset(ti, nil, geo.TwoThirdsC); ok {
-			cbgErrs = append(cbgErrs, geo.Distance(est, truth))
-		}
 		mmErrs = append(mmErrs, geo.Distance(mm.Lookup(c.Targets[ti]).Loc, truth))
 		iiErrs = append(iiErrs, geo.Distance(ii.Lookup(c.Targets[ti]).Loc, truth))
 	}
@@ -29,7 +26,7 @@ func Fig7(ctx *Context) *Report {
 		PaperRef: "Fig 7 / §6",
 		Header:   cdfHeader("source"),
 		Rows: [][]string{
-			cdfRow("All VPs (CBG)", cbgErrs),
+			cdfRow("All VPs (CBG)", compactNaN(ctx.allVPErrors())),
 			cdfRow(mm.Name(), mmErrs),
 			cdfRow(ii.Name(), iiErrs),
 		},
@@ -70,12 +67,10 @@ func Fig8(ctx *Context) *Report {
 func Baseline(ctx *Context) *Report {
 	c := ctx.C
 	results := ctx.StreetResults()
-	var cbgErrs, streetErrs []float64
+	cbgErrs := compactNaN(ctx.allVPErrors())
+	var streetErrs []float64
 	for ti := range c.Targets {
 		truth := c.Targets[ti].Loc
-		if est, ok := c.TargetRTT.LocateSubset(ti, nil, geo.TwoThirdsC); ok {
-			cbgErrs = append(cbgErrs, geo.Distance(est, truth))
-		}
 		streetErrs = append(streetErrs, geo.Distance(results[ti].Estimate, truth))
 	}
 	rep := &Report{

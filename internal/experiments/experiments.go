@@ -178,8 +178,10 @@ func (m *memo[K, V]) get(k K, f func() V) V {
 
 // allVPErrors returns the per-target CBG error using every vantage point
 // (NaN where CBG cannot locate), computed once per context: Fig 2c, 3a,
-// 3b, and 4 all report this same baseline row. Callers must not mutate
-// the returned slice.
+// 3b, 4 and 7, baseline and shortestping all report this same row (Fig 7
+// and baseline measured Distance(est, truth), which is ErrorKm's
+// Distance(truth, est) bit for bit). Callers must not mutate the returned
+// slice.
 func (ctx *Context) allVPErrors() []float64 {
 	ctx.allCBGOnce.Do(func() {
 		c := ctx.C

@@ -124,11 +124,8 @@ func MultiStep(ctx *Context) *Report {
 // ping are similar').
 func ShortestPing(ctx *Context) *Report {
 	c := ctx.C
-	var cbgErrs, spErrs []float64
+	var spErrs []float64
 	for ti := range c.Targets {
-		if est, ok := c.TargetRTT.LocateSubset(ti, nil, geo.TwoThirdsC); ok {
-			cbgErrs = append(cbgErrs, c.ErrorKm(ti, est))
-		}
 		if est, ok := c.TargetRTT.ShortestPingSubset(ti, nil); ok {
 			spErrs = append(spErrs, c.ErrorKm(ti, est))
 		}
@@ -139,7 +136,7 @@ func ShortestPing(ctx *Context) *Report {
 		PaperRef: "§3 / §5.1 (\"results with shortest ping are similar\")",
 		Header:   cdfHeader("technique"),
 		Rows: [][]string{
-			cdfRow("CBG", cbgErrs),
+			cdfRow("CBG", compactNaN(ctx.allVPErrors())),
 			cdfRow("Shortest Ping", spErrs),
 		},
 	}

@@ -48,6 +48,35 @@ func TestDistanceSymmetric(t *testing.T) {
 	}
 }
 
+// TestDistanceSymmetricBits requires Distance(a, b) and Distance(b, a) to
+// be the same float64, bit for bit — experiments read one cached error row
+// whichever order a figure named the two points in. Both orders negate
+// dlat and dlon exactly, sin is odd and squared, and the cosine product
+// commutes. Random pairs, near-antipodes, poles, the date line and
+// coincident points.
+func TestDistanceSymmetricBits(t *testing.T) {
+	check := func(a, b Point) bool {
+		return math.Float64bits(Distance(a, b)) == math.Float64bits(Distance(b, a))
+	}
+	if err := quick.Check(func(la1, lo1, la2, lo2 float64) bool {
+		return check(randomPoint(la1, lo1), randomPoint(la2, lo2))
+	}, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	edges := []Point{
+		{0, 0}, {90, 0}, {-90, 0}, {0, 180}, {0, -180}, {45, 179.9999}, {45, -179.9999},
+		{-45, 135}, {45, -45}, {1e-9, 1e-9}, {89.999999, 12}, {-33.8688, 151.2093}, {40.7128, -74.006},
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			if !check(a, b) {
+				t.Errorf("Distance(%v, %v) = %x, Distance(%v, %v) = %x", a, b,
+					math.Float64bits(Distance(a, b)), b, a, math.Float64bits(Distance(b, a)))
+			}
+		}
+	}
+}
+
 func TestDistanceNonNegativeAndBounded(t *testing.T) {
 	f := func(la1, lo1, la2, lo2 float64) bool {
 		a, b := randomPoint(la1, lo1), randomPoint(la2, lo2)

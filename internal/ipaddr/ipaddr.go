@@ -5,7 +5,7 @@ package ipaddr
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"strconv"
 )
 
@@ -45,18 +45,37 @@ func parse[S ~string | ~[]byte](s S) (Addr, error) {
 	if n == len(s) && part == 3 && n > start {
 		return a, nil
 	}
-	// The message names what a parser reading whole parts would have
-	// found first: part's structure (a dot where there must be one, none
-	// after the fourth), then the octet itself.
+	return 0, errors.New(string(appendError(nil, s, part, start)))
+}
+
+// AppendError appends to dst the text of the error Parse returns for s, and
+// appends nothing when s is an address. A caller that only reports a
+// rejected text (a /batch item) writes the message without an error value.
+func AppendError[S ~string | ~[]byte](dst []byte, s S) []byte {
+	_, part, start, n := scan(s)
+	if n == len(s) && part == 3 && n > start {
+		return dst
+	}
+	return appendError(dst, s, part, start)
+}
+
+// appendError is the one spelling of a parse error, for a text whose scan
+// stopped in part at start short of an address. The message names what a
+// parser reading whole parts would have found first: part's structure (a
+// dot where there must be one, none after the fourth), then the octet
+// itself. Texts are quoted as %q quotes them.
+func appendError[S ~string | ~[]byte](dst []byte, s S, part, start int) []byte {
 	rest := s[start:]
 	dot := indexDot(rest)
 	if (part < 3) == (dot < 0) {
-		return 0, fmt.Errorf("ipaddr: %q is not dotted quad", s)
+		dst = strconv.AppendQuote(append(dst, "ipaddr: "...), string(s))
+		return append(dst, " is not dotted quad"...)
 	}
 	if dot >= 0 {
 		rest = rest[:dot]
 	}
-	return 0, fmt.Errorf("ipaddr: bad octet %q in %q", rest, s)
+	dst = strconv.AppendQuote(append(dst, "ipaddr: bad octet "...), string(rest))
+	return strconv.AppendQuote(append(dst, " in "...), string(s))
 }
 
 // scan is the one pass every entry point parses with. It reads s up to the

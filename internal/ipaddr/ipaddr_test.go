@@ -56,7 +56,41 @@ func checkParse(t *testing.T, s string) (Addr, error) {
 	if a != b || (err == nil) != (errB == nil) || (err != nil && err.Error() != errB.Error()) {
 		t.Fatalf("Parse(%q) = (%v, %v) but ParseBytes = (%v, %v)", s, a, err, b, errB)
 	}
+	want := ""
+	if err != nil {
+		want = err.Error()
+	}
+	if got, gotB := string(AppendError(nil, s)), string(AppendError(nil, []byte(s))); got != want || gotB != want {
+		t.Fatalf("AppendError(%q) = %q, over bytes %q; Parse's error says %q", s, got, gotB, want)
+	}
 	return a, err
+}
+
+// TestAppendErrorMatchesFmt holds AppendError, over a string and over bytes,
+// to the fmt.Errorf wording parseTwoPass keeps, on every FuzzParse seed and
+// on texts %q must escape: quotes, backslashes, control bytes, invalid
+// UTF-8, printable and unprintable runes, and a text too long for a stack
+// buffer. TestParseMatchesTwoPass covers the grammar sweep through
+// checkParse. Writing a short rejected item's message into a buffer with
+// room allocates nothing.
+func TestAppendErrorMatchesFmt(t *testing.T) {
+	texts := append([]string{
+		`"1.2.3.4"`, `1.2.3.\4`, "1.2\x01.3.4", "1.2.3.4\t", "\x7f1.2.3.4", "1.2.\xff.4", "1.\xc3\xa9.3.4", "é", "\u2028",
+		"1.2.3.4\u200b", "\U0001F600.1.1.1", strings.Repeat("9", 40), strings.Repeat("1.", 30) + "1", "1.2.3." + strings.Repeat("x", 50),
+	}, parseSeeds...)
+	for _, s := range texts {
+		want := ""
+		if _, err := parseTwoPass(s); err != nil {
+			want = err.Error()
+		}
+		if got, gotB := string(AppendError(nil, s)), string(AppendError(nil, []byte(s))); got != want || gotB != want {
+			t.Errorf("AppendError(%q) = %q, over bytes %q; fmt.Errorf wrote %q", s, got, gotB, want)
+		}
+	}
+	in, buf := []byte("banana"), make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendError(buf[:0], in) }); n != 0 {
+		t.Errorf("AppendError of a short rejected text allocates %.1f times, want 0", n)
+	}
 }
 
 // parseSeeds are shapes a dotted-quad parser gets wrong: near misses of the

@@ -76,33 +76,104 @@ func forWorkers(workers, n int, f func(worker, i int), g func(i int)) {
 	newPool(workers, n, f, g).do()
 }
 
-// NewLoop returns a For over n and f that a caller runs many times — a
-// greedy cover fans every pick's row update out this way: each call runs
-// f(i) for every i in [0, n) across min(workers, n) workers. The pool is
-// allocated here, once; a call starts the workers afresh (a team kept
-// waiting between calls was slower) and allocates nothing. Calls must not
-// overlap.
-func NewLoop(workers, n int, f func(i int)) func() {
-	if workers = min(workers, n); workers > 1 {
-		return newPool(workers, n, nil, f).do
+// Loop is a For over a fixed n and body that a caller runs many times — a
+// greedy cover runs every pick's row update as one Run. Its helpers start
+// once, in NewLoop, and stay for every Run until Close.
+//
+// Each Run publishes a new generation. The helpers claim chunks from the
+// pool's cursor, as For's workers do, and then add to the done count; the
+// caller is worker 0 and, its own chunks claimed, waits for that count.
+// Between Runs a helper waits for the next generation by yielding its
+// thread (runtime.Gosched), never parking on a channel, futex or timer, so
+// a Run starts in the time a yield takes rather than a wake-up's. Runs
+// must not overlap, and Close must follow the last Run: until then the
+// helpers keep yielding.
+type Loop struct {
+	pool
+	gen  atomic.Int64 // bumped by every Run; closedGen once Close starts
+	done atomic.Int64 // helpers finished with the current generation
+}
+
+// closedGen is the generation Close publishes: a helper that sees it exits.
+const closedGen = -1
+
+// NewLoop returns a loop whose Run calls f(i) for every i in [0, n) across
+// min(workers, n) workers. It allocates the loop and starts one goroutine
+// per worker beyond the caller; a Run allocates nothing. With one worker
+// Run is the plain loop and Close does nothing.
+func NewLoop(workers, n int, f func(i int)) *Loop {
+	workers = max(min(workers, n), 1)
+	l := &Loop{pool: pool{n: n, chunk: max(n/(workers*8), 1), workers: workers, g: f}}
+	for w := 1; w < workers; w++ {
+		go l.help(w)
 	}
-	return func() {
-		for i := 0; i < n; i++ {
-			f(i)
+	return l
+}
+
+// Run runs the loop once and returns when every index has run. A panic in
+// any worker is re-raised here once the helpers are done with this Run.
+func (l *Loop) Run() {
+	if l.workers == 1 {
+		for i := 0; i < l.n; i++ {
+			l.g(i)
 		}
+		return
+	}
+	if l.gen.Load() == closedGen {
+		panic("par: Run after Close")
+	}
+	l.cursor.Store(0)
+	l.done.Store(0)
+	l.panicked, l.panicv = false, nil
+	l.gen.Add(1)
+	l.run(0)
+	for l.done.Load() < int64(l.workers-1) {
+		runtime.Gosched()
+	}
+	if l.panicked {
+		panic(l.panicv)
+	}
+}
+
+// Close ends every helper and returns once each has left its loop. It may
+// be called more than once.
+func (l *Loop) Close() {
+	if l.workers == 1 || l.gen.Load() == closedGen {
+		return
+	}
+	l.done.Store(0)
+	l.gen.Store(closedGen)
+	for l.done.Load() < int64(l.workers-1) {
+		runtime.Gosched()
+	}
+}
+
+// help is one helper's life: run each new generation's chunks, report
+// done, and yield until the next — or until Close.
+func (l *Loop) help(worker int) {
+	var seen int64
+	for {
+		g := l.gen.Load()
+		if g == seen {
+			runtime.Gosched()
+			continue
+		}
+		if g == closedGen {
+			l.done.Add(1)
+			return
+		}
+		seen = g
+		l.run(worker)
+		l.done.Add(1)
 	}
 }
 
 // pool is a parallel loop's shared state: the body, the chunk cursor, the
-// spawned workers' WaitGroup and the first panic any worker raised. spawn
-// is what every go statement starts: one closure per pool, so that a run
-// allocates nothing per worker.
+// spawned workers' WaitGroup and the first panic any worker raised.
 type pool struct {
 	n, chunk, workers int
 	f                 func(worker, i int)
 	g                 func(i int)
-	spawn             func()
-	ids               atomic.Int64 // the last worker id handed out this run
 	cursor            atomic.Int64
 	wg                sync.WaitGroup
 	mu                sync.Mutex
@@ -111,9 +182,7 @@ type pool struct {
 }
 
 func newPool(workers, n int, f func(worker, i int), g func(i int)) *pool {
-	p := &pool{n: n, chunk: max(n/(workers*8), 1), workers: workers, f: f, g: g}
-	p.spawn = func() { p.spawned(int(p.ids.Add(1))) }
-	return p
+	return &pool{n: n, chunk: max(n/(workers*8), 1), workers: workers, f: f, g: g}
 }
 
 // do runs the loop once. Dynamic chunked distribution: workers claim
@@ -123,12 +192,9 @@ func newPool(workers, n int, f func(worker, i int), g func(i int)) *pool {
 // CBG locates (constraint counts vary per target). Which worker runs which
 // index never affects the result — see the package determinism contract.
 func (p *pool) do() {
-	p.cursor.Store(0)
-	p.ids.Store(0)
-	p.panicked, p.panicv = false, nil
 	p.wg.Add(p.workers - 1)
 	for w := 1; w < p.workers; w++ {
-		go p.spawn()
+		go p.spawned(w)
 	}
 	p.run(0)
 	p.wg.Wait()

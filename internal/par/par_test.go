@@ -1,8 +1,10 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestForCoversEveryIndexOnce checks the core contract — each index runs
@@ -107,41 +109,111 @@ func TestForWorkersAllocs(t *testing.T) {
 }
 
 // TestLoopRuns holds NewLoop's loop to For's contract across worker counts
-// and calls: every index once per call, and a panic reaches the caller.
+// and runs: every index once per Run, and a panic reaches the caller.
 func TestLoopRuns(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		hits := make([]atomic.Int32, 37)
-		run := NewLoop(workers, len(hits), func(i int) { hits[i].Add(1) })
+		loop := NewLoop(workers, len(hits), func(i int) { hits[i].Add(1) })
 		for r := 1; r <= 3; r++ {
-			run()
+			loop.Run()
 			for i := range hits {
 				if got := hits[i].Load(); got != int32(r) {
 					t.Fatalf("workers=%d run %d: index %d ran %d times", workers, r, i, got)
 				}
 			}
 		}
+		loop.Close()
 	}
+	loop := NewLoop(2, 8, func(i int) {
+		if i == 5 {
+			panic("boom")
+		}
+	})
+	defer loop.Close()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a Loop body's panic did not reach the caller")
 		}
 	}()
-	NewLoop(2, 8, func(i int) {
-		if i == 5 {
-			panic("boom")
-		}
-	})()
+	loop.Run()
 }
 
-// TestLoopAllocs pins NewLoop's cost: the pool, its spawn closure and the
-// loop's func, once; a call at 2 workers allocates nothing.
+// TestLoopAllocs pins NewLoop's cost: the loop and one goroutine per helper,
+// once; a Run at 2 workers allocates nothing.
 func TestLoopAllocs(t *testing.T) {
 	out := make([]int, 256)
 	body := func(i int) { out[i] = i }
-	if n := testing.AllocsPerRun(200, NewLoop(2, len(out), body)); n != 0 {
-		t.Fatalf("a NewLoop loop at 2 workers makes %v allocations per call, want 0", n)
+	loop := NewLoop(2, len(out), body)
+	defer loop.Close()
+	if n := testing.AllocsPerRun(200, loop.Run); n != 0 {
+		t.Fatalf("a NewLoop loop's Run at 2 workers makes %v allocations, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { NewLoop(2, len(out), body) }); n > 3 {
+	if n := testing.AllocsPerRun(200, func() { NewLoop(2, len(out), body).Close() }); n > 3 {
 		t.Fatalf("NewLoop(2, …) makes %v allocations, want at most 3", n)
+	}
+}
+
+// TestLoopCloseEndsHelpers checks that Close leaves no goroutine of the
+// loop behind, whether the loop ran or not, at every worker count, and
+// that a second Close is harmless.
+func TestLoopCloseEndsHelpers(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 16} {
+		for _, runs := range []int{0, 1, 5} {
+			before := runtime.NumGoroutine()
+			loop := NewLoop(workers, 100, func(int) {})
+			for range runs {
+				loop.Run()
+			}
+			loop.Close()
+			loop.Close()
+			// A helper reports done just before it returns, and its thread
+			// may be descheduled in between; yield until it has gone, within
+			// a limit that only bounds a test that would otherwise hang.
+			left := runtime.NumGoroutine() - before
+			for limit := time.Now().Add(10 * time.Second); left > 0 && time.Now().Before(limit); {
+				runtime.Gosched()
+				left = runtime.NumGoroutine() - before
+			}
+			if left > 0 {
+				t.Fatalf("workers=%d runs=%d: %d goroutines outlive Close", workers, runs, left)
+			}
+		}
+	}
+}
+
+// TestLoopPanicPropagates checks that a panic in any index reaches the
+// caller of Run at 2 and 16 workers, at GOMAXPROCS 1 and above, and that
+// the loop still runs every index on its next Run and closes cleanly.
+func TestLoopPanicPropagates(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{2, 16} {
+			for _, bad := range []int{0, 31, 63} {
+				var hits atomic.Int32
+				armed := true
+				loop := NewLoop(workers, 64, func(i int) {
+					hits.Add(1)
+					if armed && i == bad {
+						panic("boom")
+					}
+				})
+				func() {
+					defer func() {
+						if r := recover(); r != "boom" {
+							t.Errorf("GOMAXPROCS=%d workers=%d: Run recovered %v, want the body's panic", procs, workers, r)
+						}
+					}()
+					loop.Run()
+				}()
+				armed = false
+				hits.Store(0)
+				loop.Run()
+				if got := hits.Load(); got != 64 {
+					t.Errorf("GOMAXPROCS=%d workers=%d: the Run after a panic ran %d indices, want 64", procs, workers, got)
+				}
+				loop.Close()
+			}
+		}
 	}
 }

@@ -64,9 +64,10 @@ func frontFleet(t *testing.T, fleet *LocalFleet, cfg Config) (*Router, *httptest
 	if err != nil {
 		t.Fatalf("New router: %v", err)
 	}
+	rt.onHealth = poke
 	rt.Start()
 	t.Cleanup(rt.Close)
-	ts := httptest.NewServer(rt.Handler())
+	ts := httptest.NewServer(poking(rt.Handler()))
 	t.Cleanup(ts.Close)
 	return rt, ts
 }
@@ -114,18 +115,18 @@ func TestLocalFleetStopStart(t *testing.T) {
 	if addrs2 := fleet.Addrs(); addrs2[0] != addrs[0] {
 		t.Fatalf("replica 0 moved from %s to %s on restart", addrs[0], addrs2[0])
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err = http.Get(addrs[0] + "/healthz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("restarted replica never answered: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	// StartReplica returns with the listener bound, so the first request
+	// waits in its backlog until the server accepts it: no retry. A fresh
+	// connection, not one the default client pooled before the stop.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err = client.Get(addrs[0] + "/healthz")
+	if err != nil {
+		t.Fatalf("restarted replica: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("restarted replica answered %d, want 200", resp.StatusCode)
 	}
 }
 

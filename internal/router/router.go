@@ -130,6 +130,11 @@ type Router struct {
 	// status is georouter.status{code,plane}: the ledger serve keeps as
 	// geoserve.status, so geobench cross-checks either tier the same way.
 	status *obs.Ledger
+
+	// onHealth, when set, runs after every health record — a probe's or a
+	// request's outcome — so a test can wait on the event rather than on a
+	// clock. Set it before Start and before the handler serves.
+	onHealth func()
 }
 
 // New builds a Router over the given fleet. Call Start to begin health
@@ -267,12 +272,14 @@ func (rt *Router) attempt(ctx context.Context, deadline time.Time, replica int, 
 	if err != nil {
 		if ctx.Err() == nil && !errors.Is(err, errRefused) {
 			rt.health[replica].recordOutcome(false, rt.cfg.DownAfter)
+			rt.healthRecorded()
 		}
 		return upResult{}, false
 	}
 	res.replica = replica
 	ok := res.status < http.StatusInternalServerError
 	rt.health[replica].recordOutcome(ok, rt.cfg.DownAfter)
+	rt.healthRecorded()
 	if !ok {
 		putBuf(res.buf)
 	}
@@ -553,5 +560,13 @@ func (rt *Router) probeLoop(i int) {
 			rt.mProbeFails.Inc()
 		}
 		rt.health[i].recordProbe(ok, rt.cfg.DownAfter, rt.cfg.UpAfter)
+		rt.healthRecorded()
+	}
+}
+
+// healthRecorded runs the onHealth hook, if any.
+func (rt *Router) healthRecorded() {
+	if rt.onHealth != nil {
+		rt.onHealth()
 	}
 }

@@ -61,6 +61,7 @@ func newFakeReplica(t *testing.T, id int) *fakeReplica {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/lookup", func(w http.ResponseWriter, r *http.Request) {
 		f.lookups.Add(1)
+		poke() // a lookup arrived
 		if d := f.stallDur.Load(); d > 0 {
 			select {
 			case <-time.After(time.Duration(d)):
@@ -127,8 +128,9 @@ func newTestRouter(t *testing.T, cfg Config, fakes ...*fakeReplica) (*Router, *h
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	rt.onHealth = poke
 	t.Cleanup(rt.Close)
-	ts := httptest.NewServer(rt.Handler())
+	ts := httptest.NewServer(poking(rt.Handler()))
 	t.Cleanup(ts.Close)
 	return rt, ts, reg
 }
@@ -319,17 +321,50 @@ func routerHealth(t *testing.T, url string) healthBody {
 	return body
 }
 
-// waitReplicaState polls /healthz until replica i reports the state.
+// progress is poked each time something a test waits for may have
+// changed: the router recorded a health outcome (its onHealth hook, from
+// the probe loop and the handler), a fake replica received a lookup, or
+// the router's handler chain returned. waitUntil re-checks on it.
+var progress = make(chan struct{}, 1)
+
+func poke() {
+	select {
+	case progress <- struct{}{}:
+	default: // a poke is already pending; one re-check sees both
+	}
+}
+
+// poking wraps h so that every request's return from it pokes progress:
+// the event behind a ledger entry written once the handler is done.
+func poking(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer poke()
+		h.ServeHTTP(w, r)
+	})
+}
+
+// waitUntil blocks until cond holds, re-checking it each time progress is
+// poked. The timer only bounds a test that would otherwise hang.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	limit := time.NewTimer(10 * time.Second)
+	defer limit.Stop()
+	for !cond() {
+		select {
+		case <-progress:
+		case <-limit.C:
+			t.Fatalf("timeout waiting for %s", what)
+		}
+	}
+}
+
+// waitReplicaState waits until /healthz reports replica i in the state,
+// re-reading it after every health record.
 func waitReplicaState(t *testing.T, url string, i int, state string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if routerHealth(t, url).Replicas[i].State == state {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("replica %d never reached state %q", i, state)
+	waitUntil(t, fmt.Sprintf("replica %d to be %s", i, state), func() bool {
+		return routerHealth(t, url).Replicas[i].State == state
+	})
 }
 
 // TestProbeDownAndReadmission drives the full health cycle through real
@@ -617,11 +652,7 @@ func TestClientHangupScoresNothing(t *testing.T) {
 		}
 		errc <- err
 	}()
-	for deadline := time.Now().Add(5 * time.Second); f0.lookups.Load() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the lookup never reached the replica")
-		}
-	}
+	waitUntil(t, "the lookup to reach the replica", func() bool { return f0.lookups.Load() > 0 })
 	hungUp := time.Now()
 	cancel()
 	if err := <-errc; err == nil {
@@ -630,11 +661,7 @@ func TestClientHangupScoresNothing(t *testing.T) {
 	// The router's handler returns once its attempt has been cut short; the
 	// ledger entry it then writes is the signal that scoring is over.
 	done := rt.status.Counter(http.StatusGatewayTimeout, obs.PlaneData)
-	for deadline := time.Now().Add(5 * time.Second); done.Value() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the router never finished the abandoned request")
-		}
-	}
+	waitUntil(t, "the router to finish the abandoned request", func() bool { return done.Value() > 0 })
 	// The hang-up aborts the exchange in flight; it does not wait out
 	// UpstreamTimeout (2 s here).
 	if d := time.Since(hungUp); d > 100*time.Millisecond {

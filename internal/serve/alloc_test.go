@@ -131,6 +131,39 @@ func TestServeAllocs(t *testing.T) {
 	}
 }
 
+// TestBadBatchAllocs pins a 256-item POST /batch of addresses that do not
+// parse, through Handler(): each item's error text is written straight
+// into the response from the item's bytes, so the batch costs what a batch
+// of good addresses costs, plus no more than a few objects — nothing per
+// item. make allocs-smoke runs it by name.
+func TestBadBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; a dropped scratch is rebuilt from the heap")
+	}
+	const badBatchAllocs = 40
+	shapes := []string{"bad", "1.2.3", "1.2.3.4.5", "256.1.1.1", "01.2.3.4", "", "1..2.3", "10.0.0.x", "1.2.3.4:80", "a.b.c.d"}
+	ips := make([]string, 256)
+	for i := range ips {
+		ips[i] = shapes[i%len(shapes)]
+	}
+	payload := ipsBody(ips...)
+	srv := newPublished(Config{})
+	h := srv.Handler()
+	body := &rewindBody{}
+	req := httptest.NewRequest(http.MethodPost, "/batch", nil)
+	req.Body = body
+	w := &discardWriter{h: make(http.Header)}
+	serve := func() {
+		body.Reset(payload)
+		h.ServeHTTP(w, req)
+	}
+	serve() // prime: pools grown to this batch
+	if n := testing.AllocsPerRun(200, serve); n > badBatchAllocs {
+		t.Errorf("steady-state Handler() /batch of %d bad addresses allocates %.1f per request, want at most %d",
+			len(ips), n, badBatchAllocs)
+	}
+}
+
 // rewindBody is a request body a test can replay without allocating.
 type rewindBody struct{ bytes.Reader }
 

@@ -47,6 +47,7 @@ type batchScratch struct {
 	states  []itemState      // item i's state
 	query   []ipaddr.Addr    // the itemQueried addresses, in item order
 	answers []dataset.Answer // FindBatch's answers to query
+	msg     []byte           // the error text of the itemBadAddr item being written
 }
 
 func (s *Server) getScratch() *batchScratch {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,7 +25,8 @@ const fuzzMaxBatch = 6
 // rendered by the appenders the handler has always used, so that "same
 // bytes as before" is what is tested; how those compare with encoding/json
 // is the subject of TestLookupGoldenEquivalence and
-// TestAppendLookupResultMatchesEncodingJSON.
+// TestAppendLookupResultMatchesEncodingJSON. A rejected item's error text is
+// fmtParseError's, so the handler's message is held to fmt's wording too.
 func referenceBatch(srv *Server, body []byte) (int, string) {
 	fail := func(status int, msg string) (int, string) {
 		b, _ := json.Marshal(errorBody{msg})
@@ -48,7 +50,7 @@ func referenceBatch(srv *Server, body []byte) (int, string) {
 		}
 		a, err := ipaddr.Parse(raw)
 		if err != nil {
-			b = appendErrorResult(b, raw, err.Error())
+			b = appendErrorResult(b, raw, fmtParseError(raw))
 			continue
 		}
 		r, ok, err := art.R2.Find(a)
@@ -62,6 +64,71 @@ func referenceBatch(srv *Server, body []byte) (int, string) {
 		}
 	}
 	return http.StatusOK, string(b) + "]}\n"
+}
+
+// fmtParseError is the text of ipaddr.Parse's error for a rejected s as
+// fmt.Errorf spelled it, reading s a whole part at a time: the first part
+// missing its dot (or a fourth followed by one), else the first bad octet.
+func fmtParseError(s string) string {
+	rest := s
+	for i := 0; i < 4; i++ {
+		part := rest
+		dot := strings.IndexByte(rest, '.')
+		if (i < 3) == (dot < 0) {
+			return fmt.Sprintf("ipaddr: %q is not dotted quad", s)
+		}
+		if i < 3 {
+			part, rest = rest[:dot], rest[dot+1:]
+		}
+		if v, err := strconv.Atoi(part); err != nil || v < 0 || v > 255 || strconv.Itoa(v) != part {
+			return fmt.Sprintf("ipaddr: bad octet %q in %q", part, s)
+		}
+	}
+	return ""
+}
+
+// TestBatchRejectedItemBytes holds the handler's answer for rejected items
+// to referenceBatch, fmt's wording included: batches of FuzzParse-style
+// near misses and of a grammar sweep — every octet 0–299 spelled with 0–1
+// leading zeros, the empty part and a few strangers, in every position of
+// texts of 3 to 5 parts. The FuzzBatchBody seeds run as FuzzBatchBody.
+func TestBatchRejectedItemBytes(t *testing.T) {
+	srv := newPublished(Config{})
+	h := srv.Handler()
+	check := func(items []string) {
+		t.Helper()
+		body := ipsBody(items...)
+		wantStatus, want := referenceBatch(srv, body)
+		if status, got := postBatch(h, body); status != wantStatus || got != want {
+			t.Fatalf("batch %q:\n got  %d %q\n want %d %q", items, status, got, wantStatus, want)
+		}
+	}
+	check([]string{"", "1.2.3", "1.2.3.4.5", "1.2.3.4.", ".1.2.3.4", "256.1.1.1", "1.2.3.1000", "a.b.c.d",
+		"01.2.3.4", "00.0.0.0", "-1.2.3.4", "+1.2.3.4", "1..2.3", " 1.2.3.4", "1.2.3.4 ", "1.2.3.4%eth0",
+		"0x1.2.3.4", "::", "::1", "::ffff:1.2.3.4", "1.2.3.4:80", "[::1]", `a"b`, `1.2.3.\4`, "<b>&amp;</b>"})
+	var octets []string
+	for v := 0; v < 300; v++ {
+		octets = append(octets, strconv.Itoa(v), "0"+strconv.Itoa(v))
+	}
+	octets = append(octets, "", "x", "-1", "1a")
+	var items []string
+	for parts := 3; parts <= 5; parts++ {
+		for pos := 0; pos < parts; pos++ {
+			for _, o := range octets {
+				p := make([]string, parts)
+				for i := range p {
+					p[i] = "7"
+				}
+				p[pos] = o
+				items = append(items, strings.Join(p, "."))
+				if len(items) == 256 {
+					check(items)
+					items = items[:0]
+				}
+			}
+		}
+	}
+	check(items)
 }
 
 // postBatch drives the whole handler chain without a socket.

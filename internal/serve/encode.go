@@ -163,8 +163,8 @@ var methodFields = func() (t [math.MaxUint8 + 1]string) {
 
 // appendErrorResult renders the per-item failure shape for an input that
 // never parsed into an address ({"ip": <raw>, "error": <msg>}); both
-// strings carry client input, so both are escaped.
-func appendErrorResult(dst []byte, rawIP, msg string) []byte {
+// texts carry client input, so both are escaped.
+func appendErrorResult[R, M ~string | ~[]byte](dst []byte, rawIP R, msg M) []byte {
 	dst = append(dst, `{"ip":`...)
 	dst = appendJSONString(dst, rawIP)
 	dst = append(dst, `,"error":`...)
@@ -212,7 +212,7 @@ const hexDigits = "0123456789abcdef"
 // set encoding/json escapes by default: quote, backslash, control
 // characters (with the \b \f \n \r \t short forms), the HTML trio < > &, the
 // line separators U+2028/U+2029, and invalid UTF-8 as U+FFFD.
-func appendJSONString(dst []byte, s string) []byte {
+func appendJSONString[S ~string | ~[]byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -242,7 +242,9 @@ func appendJSONString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
+		// A rune is at most UTFMax bytes, so over bytes the conversion
+		// stays on the stack.
+		c, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		switch {
 		case c == utf8.RuneError && size == 1:
 			dst = append(dst, s[start:i]...)

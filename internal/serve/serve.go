@@ -585,9 +585,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		case itemInjected:
 			b = appendItemResult(b, text, dataset.Record{}, resolveInjected)
 		case itemBadAddr:
-			// Parsed again, for the error text the scan does not build.
-			_, err := ipaddr.ParseBytes(text)
-			b = appendErrorResult(b, string(text), err.Error())
+			// The scan builds no error text; Parse's is written from the item.
+			sc.msg = ipaddr.AppendError(sc.msg[:0], text)
+			b = appendErrorResult(b, text, sc.msg)
 		}
 	}
 	s.count(&t)

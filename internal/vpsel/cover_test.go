@@ -1,12 +1,17 @@
 package vpsel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
+	"geoloc/internal/cbg"
+	"geoloc/internal/core"
 	"geoloc/internal/geo"
+	"geoloc/internal/world"
 )
 
 // TestCoverTableAt holds every pair of the tiny campaign's VPs, in both
@@ -95,8 +100,9 @@ func TestCoverAllocs(t *testing.T) {
 }
 
 // TestGreedyCoverAllocs pins a fanned cover's allocations at one count
-// whatever n is: its state, score buffer and answer, and the one
-// par.NewLoop that every pick runs — nothing per pick. AllocsPerRun runs at
+// whatever n is: its state, score blocks and answer, and the one par.Loop
+// that every pick runs (its body, the loop and its helper) — nothing per
+// pick. AllocsPerRun runs at
 // GOMAXPROCS 1, where GreedyCover would not fan, so the worker count is
 // passed.
 func TestGreedyCoverAllocs(t *testing.T) {
@@ -112,5 +118,75 @@ func TestGreedyCoverAllocs(t *testing.T) {
 		if c != counts[0] || c > 6 {
 			t.Fatalf("covers of 1, 10, 100 and %d picks at 2 workers make %v allocations, want one count of at most 6", len(p.tr)/2, counts)
 		}
+	}
+}
+
+// mediumVPs is the Medium campaign's VP set, as the first-step cover sees
+// it: each VP's reported location and its (AS, city) key. Only the cover
+// tests build it.
+var mediumVPs = sync.OnceValues(func() ([]geo.Point, []VPMeta) {
+	c := core.NewCampaign(world.MediumConfig())
+	locs := make([]geo.Point, len(c.VPs))
+	for i, h := range c.VPs {
+		locs[i] = h.Reported
+	}
+	return locs, campaignMeta(c)
+})
+
+// TestGreedyCoverWorkersAgree holds a cover fanned at 2 and 4 workers, and a
+// table cover, to the one-worker cover over the Medium VP set, pick for
+// pick, from one pick to one short of the identity.
+func TestGreedyCoverWorkersAgree(t *testing.T) {
+	locs, meta := mediumVPs()
+	m := len(locs)
+	p := coverPairs{tr: make([]geo.Trig, m)}
+	for i, l := range locs {
+		p.tr[i] = geo.MakeTrig(l)
+	}
+	table := NewCoverTable(cbg.NewMatrix(locs, 0, nil), meta)
+	all := make([]int, m)
+	for i := range all {
+		all[i] = i
+	}
+	for _, n := range []int{1, 10, 100, 1000, m - 1} {
+		want := greedyCover(p, n, 1)
+		if len(want) != n {
+			t.Fatalf("n=%d: the one-worker cover has %d picks", n, len(want))
+		}
+		for _, workers := range []int{2, 4} {
+			if got := greedyCover(p, n, workers); !slices.Equal(got, want) {
+				t.Fatalf("n=%d: the cover at %d workers differs from one worker's first at pick %d", n, workers, firstDiff(got, want))
+			}
+		}
+		if got := table.Cover(all, n); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: the table cover differs from the one-worker cover first at pick %d", n, firstDiff(got, want))
+		}
+	}
+}
+
+// firstDiff returns the first index where a and b differ.
+func firstDiff(a, b []int) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// BenchmarkGreedyCover times fig3b's first-step cover: 1,000 picks over the
+// Medium VP set, at 1 and 2 workers.
+func BenchmarkGreedyCover(b *testing.B) {
+	locs, _ := mediumVPs()
+	p := coverPairs{tr: make([]geo.Trig, len(locs))}
+	for i, l := range locs {
+		p.tr[i] = geo.MakeTrig(l)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for range b.N {
+				greedyCover(p, 1000, workers)
+			}
+		})
 	}
 }
