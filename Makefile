@@ -58,11 +58,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet also fails on any file gofmt would rewrite, and on non-test Go that
-# names telemetry.Default: metering is handed in by whatever builds the
-# metered object (DESIGN.md §3.2). internal/ipindex is exempt because the
-# frozen benchmark harness reads its counters from the default registry;
-# ROADMAP item 9 deletes both. It fails too on non-test Go outside
+# vet also fails on any file gofmt would rewrite, and on non-test Go
+# outside internal/telemetry and benchmark/ that names telemetry.Default:
+# metering is handed in by whatever builds the metered object (DESIGN.md
+# §3.2), and Default is a deprecated shim for the harness. It fails on Go
+# outside internal/serve and benchmark/ that imports internal/ipindex, a
+# shim that (*serve.Server).Index builds for the harness alone; ROADMAP
+# item 11 deletes both shims. It fails too on non-test Go outside
 # internal/geo and internal/cbg that names geo.Region: production code
 # reduces constraints with geo.Sampler only, and Region's haversine
 # reduction is the reference its tests compare against.
@@ -71,9 +73,13 @@ vet:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	@global="$$(grep -rn --include='*.go' 'telemetry\.Default' . | grep -v '_test\.go:' | \
-		grep -v -e '^\./internal/ipindex/' -e '^\./internal/telemetry/' -e '^\./benchmark/' -e '^\./\.bench_build/')"; \
-		if [ -n "$$global" ]; then echo "telemetry.Default named outside internal/ipindex:"; \
+		grep -v -e '^\./internal/telemetry/' -e '^\./benchmark/' -e '^\./\.bench_build/')"; \
+		if [ -n "$$global" ]; then echo "telemetry.Default named outside internal/telemetry and benchmark/:"; \
 		echo "$$global"; exit 1; fi
+	@ipindex="$$(grep -rn --include='*.go' '"geoloc/internal/ipindex"' . | \
+		grep -v -e '^\./internal/serve/' -e '^\./benchmark/' -e '^\./\.bench_build/')"; \
+		if [ -n "$$ipindex" ]; then echo "internal/ipindex imported outside internal/serve:"; \
+		echo "$$ipindex"; exit 1; fi
 	@region="$$(grep -rn --include='*.go' 'geo\.Region\b' . | grep -v '_test\.go:' | \
 		grep -v -e '^\./internal/geo/' -e '^\./internal/cbg/' -e '^\./\.bench_build/')"; \
 		if [ -n "$$region" ]; then echo "geo.Region named outside internal/geo and internal/cbg (reduce with geo.Sampler):"; \

@@ -54,7 +54,7 @@ func TestRunWrite(t *testing.T) {
 			return dataset.Compile(core.NewCampaign(world.TinyConfig()), dataset.Options{IncludeUnsanitized: true})
 		}},
 		{"target count", "3000", false, func() *dataset.Dataset {
-			return dataset.CompileFromSource(stream, dataset.StreamHeader(stream), dataset.Options{}, nil)
+			return dataset.CompileFromSource(stream, dataset.StreamHeader(stream), nil)
 		}},
 	} {
 		dir := t.TempDir()

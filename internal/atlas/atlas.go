@@ -74,9 +74,8 @@ type Platform struct {
 	Cost CostModel
 
 	// Reg is the platform's telemetry registry. It is per-platform and
-	// always enabled: the usage counters are the credit accounting, so
-	// they must count regardless of whether the process-global telemetry
-	// is switched on.
+	// never nil: the usage counters are the credit accounting, so they
+	// count whether or not the campaign is metered.
 	Reg *telemetry.Registry
 
 	mPings       *telemetry.Counter

@@ -234,15 +234,30 @@ func (s *StreamCampaign) TargetPrefix(t int) ipaddr.Prefix24 {
 	return s.Spec.Base + ipaddr.Prefix24(t)
 }
 
-// TargetLocation returns target t's synthetic true location: a city
-// drawn by population-independent keyed hash, then a uniform point in
-// its disk. Exposed so experiments can score streamed estimates.
-func (s *StreamCampaign) TargetLocation(t int) geo.Point {
+// draw makes target t's keyed draws, the one place they are made: a city
+// by population-independent keyed hash (its index in the world's Cities),
+// a uniform point in its disk, and the last mile, inflated in a
+// BadLastMile city.
+func (s *StreamCampaign) draw(t int) (ci int, loc geo.Point, lastMile float64) {
 	st := rhash.New(s.seed, saltStreamTarget, uint64(t))
-	city := &s.C.W.Cities[st.Intn(len(s.C.W.Cities))]
+	ci = st.Intn(len(s.C.W.Cities))
+	city := &s.C.W.Cities[ci]
 	bearing := st.Range(0, 360)
 	dist := city.RadiusKm * math.Sqrt(st.Float64())
-	return geo.Destination(city.Loc, bearing, dist)
+	loc = geo.Destination(city.Loc, bearing, dist)
+	lastMile = st.Range(0.2, 4.0)
+	if city.BadLastMile {
+		lastMile += st.Range(4, 12)
+	}
+	return ci, loc, lastMile
+}
+
+// Truth returns target t's synthetic true location and the index of its
+// city in the world's Cities. Exposed so a streamed artifact can be
+// scored against it.
+func (s *StreamCampaign) Truth(t int) (geo.Point, int) {
+	ci, loc, _ := s.draw(t)
+	return loc, ci
 }
 
 // vpRTT is one candidate measurement during VP selection.
@@ -270,16 +285,7 @@ type vpRTT struct {
 // its RTT (price) proves the same — before the log and the haversine
 // that pricing it in full would cost.
 func (s *StreamCampaign) MeasureTarget(t int, buf []cbg.Measurement) (ipaddr.Prefix24, []cbg.Measurement) {
-	st := rhash.New(s.seed, saltStreamTarget, uint64(t))
-	ci := st.Intn(len(s.C.W.Cities))
-	city := &s.C.W.Cities[ci]
-	bearing := st.Range(0, 360)
-	dist := city.RadiusKm * math.Sqrt(st.Float64())
-	loc := geo.Destination(city.Loc, bearing, dist)
-	lastMile := st.Range(0.2, 4.0)
-	if city.BadLastMile {
-		lastMile += st.Range(4, 12)
-	}
+	ci, loc, lastMile := s.draw(t)
 	tt := geo.MakeTrig(loc)
 	tu := tt.Unit()
 	tc := geo.ChordKm(tu, s.cityUnit[ci])

@@ -85,7 +85,11 @@ func TestStreamCampaignMeasurementShape(t *testing.T) {
 		if len(ms) > k {
 			t.Fatalf("target %d: %d measurements exceed K=%d", tgt, len(ms), k)
 		}
-		loc := s.TargetLocation(tgt)
+		loc, ci := s.Truth(tgt)
+		if city := c.W.Cities[ci]; geo.Distance(loc, city.Loc) > city.RadiusKm+1e-3 {
+			t.Fatalf("target %d: truth %.1f km from its city's centre, radius %.1f km",
+				tgt, geo.Distance(loc, city.Loc), city.RadiusKm)
+		}
 		for i, m := range ms {
 			if m.RTTMs <= 0 || math.IsNaN(m.RTTMs) {
 				t.Fatalf("target %d measurement %d: bad RTT %g", tgt, i, m.RTTMs)

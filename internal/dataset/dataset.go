@@ -257,9 +257,6 @@ func (d *Dataset) Find(addr ipaddr.Addr) (Record, bool) {
 
 // Options tunes Compile.
 type Options struct {
-	// SpeedKmPerMs is the CBG propagation-speed constant; 0 means the
-	// conservative geo.TwoThirdsC the paper's replication uses.
-	SpeedKmPerMs float64
 	// IncludeUnsanitized adds records for the anchors §4.3 removed, with
 	// Sanitized=false, MethodReported and their (untrusted) reported
 	// location — the dataset then documents which prefixes are known but
@@ -278,7 +275,7 @@ type Options struct {
 // compiler (CompileExternal, stream.go) is pinned against bit for bit.
 func Compile(c *core.Campaign, opts Options) *Dataset {
 	defer c.Metrics.StartSpan("phase.dataset").End()
-	d := CompileFromSource(NewCampaignSource(c), CampaignHeader(c), opts, CampaignExtras(c, opts))
+	d := CompileFromSource(NewCampaignSource(c), CampaignHeader(c), CampaignExtras(c, opts))
 	c.Metrics.Counter("dataset.records_compiled").Add(int64(len(d.Records)))
 	return d
 }
@@ -326,15 +323,15 @@ func CampaignExtras(c *core.Campaign, opts Options) []Record {
 // dist(centroid, center_i) + radius_i, so the minimum of that quantity
 // over all constraints bounds how far anything in the intersection — the
 // true location included, since RTT-derived distances are upper bounds at
-// a conservative speed constant — can sit from the centroid. A sampled
-// maximum would be tighter but loses the coverage guarantee to grid
-// resolution.
+// the conservative geo.TwoThirdsC the paper's replication uses — can sit
+// from the centroid. A sampled maximum would be tighter but loses the
+// coverage guarantee to grid resolution.
 // The constraint sampling runs through geo.Sampler: Region.Reduced's
 // reduction bit for bit, then a unit-vector polar grid with no per-point
 // libm — which is what makes million-target compiles tractable. The
 // estimator is versioned, not frozen: a change to it moves artifact bytes
 // and is judged by cmd/geodiff and the shape-target tests (DESIGN.md §3.5).
-func compileRecord(ms []cbg.Measurement, speed float64) (Record, bool) {
+func compileRecord(ms []cbg.Measurement) (Record, bool) {
 	sm := compileSamplers.Get().(*geo.Sampler)
 	defer compileSamplers.Put(sm)
 	sm.Reset()
@@ -343,7 +340,7 @@ func compileRecord(ms []cbg.Measurement, speed float64) (Record, bool) {
 		if m.RTTMs < 0 || math.IsNaN(m.RTTMs) {
 			continue
 		}
-		r := geo.RTTToDistanceKm(m.RTTMs, speed)
+		r := geo.RTTToDistanceKm(m.RTTMs, geo.TwoThirdsC)
 		sm.Add(geo.Circle{Center: m.VP, RadiusKm: r})
 		if r < tight {
 			tight = r

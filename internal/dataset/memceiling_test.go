@@ -158,7 +158,7 @@ func TestStreamingMemoryCeiling(t *testing.T) {
 	floor := uint64(largeN) * uint64(unsafe.Sizeof(Record{}))
 	var ds *Dataset
 	peakRAM := peakHeap(t, 1<<30, func() {
-		ds = CompileFromSource(src, hdr, Options{}, nil)
+		ds = CompileFromSource(src, hdr, nil)
 	})
 	t.Logf("in-RAM peak heap: %d targets → %.1f MiB (floor %.1f MiB), %d records",
 		largeN, mib(peakRAM), mib(floor), len(ds.Records))

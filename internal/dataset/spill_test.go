@@ -130,7 +130,7 @@ func TestResumeReusesPerRecordSpill(t *testing.T) {
 		for tgt := lo; tgt < hi; tgt++ {
 			var p ipaddr.Prefix24
 			p, ms = src.MeasureTarget(tgt, ms)
-			rec, ok := compileRecord(ms, geo.TwoThirdsC)
+			rec, ok := compileRecord(ms)
 			if !ok {
 				continue
 			}

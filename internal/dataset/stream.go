@@ -32,7 +32,6 @@ import (
 	"geoloc/internal/cbg"
 	"geoloc/internal/checkpoint"
 	"geoloc/internal/core"
-	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
 	"geoloc/internal/par"
 	"geoloc/internal/rhash"
@@ -92,11 +91,7 @@ func StreamHeader(s *core.StreamCampaign) Header {
 // compile a record per responsive one, append extras, stable-sort and
 // dedupe. Compile routes through it; the memory-ceiling test uses it
 // directly as the materialize-everything foil.
-func CompileFromSource(src Source, hdr Header, opts Options, extra []Record) *Dataset {
-	speed := opts.SpeedKmPerMs
-	if speed == 0 {
-		speed = geo.TwoThirdsC
-	}
+func CompileFromSource(src Source, hdr Header, extra []Record) *Dataset {
 	n := src.NumTargets()
 	d := &Dataset{Hdr: hdr}
 	d.Hdr.Version = Version
@@ -112,7 +107,7 @@ func CompileFromSource(src Source, hdr Header, opts Options, extra []Record) *Da
 		p, ms := src.MeasureTarget(t, scratch[w])
 		scratch[w] = ms
 		pfx[t] = p
-		recs[t], oks[t] = compileRecord(ms, speed)
+		recs[t], oks[t] = compileRecord(ms)
 	})
 	d.Records = make([]Record, 0, n+len(extra))
 	for t := range recs {
@@ -355,8 +350,9 @@ func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h 
 // k-way merges the runs into the artifact at path — at DefaultBlockSize,
 // bytes identical to CompileFromSource(...).Write(path). Peak heap is
 // O(Window + runs·8KB) regardless of src.NumTargets(); the memory-ceiling
-// test enforces it.
-func CompileExternal(path string, src Source, hdr Header, opts Options, extra []Record, cfg StreamConfig) (StreamStats, error) {
+// test enforces it. The Options argument is unused: options shape only a
+// campaign's extras, which the caller builds (CampaignExtras).
+func CompileExternal(path string, src Source, hdr Header, _ Options, extra []Record, cfg StreamConfig) (StreamStats, error) {
 	defer cfg.Metrics.StartSpan("phase.dataset_external").End()
 	var stats StreamStats
 	if cfg.SpillDir == "" {
@@ -367,10 +363,6 @@ func CompileExternal(path string, src Source, hdr Header, opts Options, extra []
 	}
 	if err := os.MkdirAll(cfg.SpillDir, 0o755); err != nil {
 		return stats, err
-	}
-	speed := opts.SpeedKmPerMs
-	if speed == 0 {
-		speed = geo.TwoThirdsC
 	}
 	hdr.Version = Version
 	shdr := spillHeader(hdr, cfg.Window)
@@ -405,7 +397,7 @@ func CompileExternal(path string, src Source, hdr Header, opts Options, extra []
 			p, ms := src.MeasureTarget(t, scratch[wk])
 			scratch[wk] = ms
 			pfx[i] = p
-			recs[i], oks[i] = compileRecord(ms, speed)
+			recs[i], oks[i] = compileRecord(ms)
 		})
 		sorted = sorted[:0]
 		for i := 0; i < hi-lo; i++ {

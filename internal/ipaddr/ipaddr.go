@@ -23,12 +23,13 @@ func FromOctets(a, b, c, d byte) Addr {
 // it accepts for an address is the one AppendText writes. The success
 // path performs zero heap allocations (the serving hot path calls this
 // per request).
-func Parse(s string) (Addr, error) { return parse(s) }
-
-// ParseBytes is Parse over a byte slice — same grammar, same error text —
-// for callers that hold the text inside a larger buffer (a /batch request
-// body) and must not copy it out to ask.
-func ParseBytes(b []byte) (Addr, error) { return parse(b) }
+func Parse(s string) (Addr, error) {
+	a, part, start, n := scan(s)
+	if n == len(s) && part == 3 && n > start {
+		return a, nil
+	}
+	return 0, errors.New(string(appendError(nil, s, part, start)))
+}
 
 // Scan reads the address b starts with, for a caller that finds where its
 // text ends as it reads it (a /batch body's quoted item): it stops at the
@@ -38,14 +39,6 @@ func ParseBytes(b []byte) (Addr, error) { return parse(b) }
 func Scan(b []byte) (a Addr, n int, ok bool) {
 	a, part, start, n := scan(b)
 	return a, n, part == 3 && n > start
-}
-
-func parse[S ~string | ~[]byte](s S) (Addr, error) {
-	a, part, start, n := scan(s)
-	if n == len(s) && part == 3 && n > start {
-		return a, nil
-	}
-	return 0, errors.New(string(appendError(nil, s, part, start)))
 }
 
 // AppendError appends to dst the text of the error Parse returns for s, and

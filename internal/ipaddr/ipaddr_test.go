@@ -37,6 +37,13 @@ func TestParseValid(t *testing.T) {
 			t.Errorf("Parse(%q) = %v, want %v", s, got, want)
 		}
 	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Parse("198.51.100.254"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Parse allocates %.1f times on success, want 0", n)
+	}
 }
 
 func TestParseInvalid(t *testing.T) {
@@ -47,15 +54,11 @@ func TestParseInvalid(t *testing.T) {
 	}
 }
 
-// checkParse holds Parse and ParseBytes to one answer for s — the address,
-// or the same error text — and returns it.
+// checkParse holds AppendError, over a string and over bytes, to Parse's
+// error text for s, and returns what Parse answers.
 func checkParse(t *testing.T, s string) (Addr, error) {
 	t.Helper()
 	a, err := Parse(s)
-	b, errB := ParseBytes([]byte(s))
-	if a != b || (err == nil) != (errB == nil) || (err != nil && err.Error() != errB.Error()) {
-		t.Fatalf("Parse(%q) = (%v, %v) but ParseBytes = (%v, %v)", s, a, err, b, errB)
-	}
 	want := ""
 	if err != nil {
 		want = err.Error()
@@ -102,23 +105,7 @@ var parseSeeds = []string{
 	"::", "::1", "2001:db8::1", "fe80::1%eth0", "::ffff:1.2.3.4", "::ffff:102:304", "1.2.3.4:80", "[::1]",
 }
 
-// TestParseBytesMatchesParse: the two entry points are one grammar with
-// one error text, and the byte-slice one allocates nothing on success.
-func TestParseBytesMatchesParse(t *testing.T) {
-	for _, s := range parseSeeds {
-		checkParse(t, s)
-	}
-	in := []byte("198.51.100.254")
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := ParseBytes(in); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("ParseBytes allocates %.1f times on success, want 0", n)
-	}
-}
-
-// FuzzParse runs Parse (and ParseBytes) against net/netip.ParseAddr. The
+// FuzzParse runs Parse against net/netip.ParseAddr. The
 // two must agree on every input except the one class this package refuses
 // on purpose: anything netip reads as an IPv6 address — plain, with a zone,
 // or an IPv4 address embedded in one ("::ffff:1.2.3.4") — since an Addr is

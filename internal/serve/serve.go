@@ -192,8 +192,8 @@ type Server struct {
 
 // New wires a server with no artifact yet: /readyz answers 503 and the
 // data plane 503s until the first Publish. reg receives the serving
-// metrics: geoserve passes its own telemetry.New() registry, always
-// enabled because GET /metrics serves it; tests pass a private one.
+// metrics: geoserve passes its own telemetry.New() registry, which GET
+// /metrics serves; tests pass a private one.
 func New(cfg Config, reg *telemetry.Registry) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -245,8 +245,8 @@ func (s *Server) Reload(path string) (*Artifact, error) { return s.swapper.Reloa
 // Current returns the active artifact (nil before the first Publish).
 func (s *Server) Current() *Artifact { return s.swapper.Current() }
 
-// Index builds an ipindex over the active artifact's records (entry value
-// = record position); nil before the first Publish.
+// Index builds an ipindex over the active artifact's /24 keys (Lookup
+// answers a record's position); nil before the first Publish.
 //
 // Deprecated: no request is answered from an ipindex; this is its only
 // importer. Kept for one release because benchmark/ peels it.
@@ -256,14 +256,14 @@ func (s *Server) Index() *ipindex.Index {
 		return nil
 	}
 	defer a.release()
-	entries := make([]ipindex.Entry, 0, a.Records)
+	keys := make([]ipaddr.Prefix24, 0, a.Records)
 	if err := a.R2.All(func(r dataset.Record) error {
-		entries = append(entries, ipindex.Entry{Prefix: ipindex.From24(r.Prefix), Value: int32(len(entries))})
+		keys = append(keys, r.Prefix)
 		return nil
 	}); err != nil {
 		return nil
 	}
-	return ipindex.Build(entries)
+	return ipindex.New(keys)
 }
 
 // StartDrain flips readiness: /readyz answers 503 from now on while the

@@ -14,6 +14,7 @@ import (
 	"geoloc/internal/core"
 	"geoloc/internal/dataset"
 	"geoloc/internal/faults"
+	"geoloc/internal/ipaddr"
 	"geoloc/internal/obs"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
@@ -35,7 +36,7 @@ func tinyDataset() *dataset.Dataset {
 }
 
 // newPublished builds a server over the tiny dataset with the given
-// config and a private enabled registry, and publishes the artifact.
+// config and a private registry, and publishes the artifact.
 func newPublished(cfg Config) *Server {
 	srv := New(cfg, telemetry.New())
 	srv.Publish(tinyDataset(), "test:tiny")
@@ -43,8 +44,8 @@ func newPublished(cfg Config) *Server {
 }
 
 // newTestServer spins up the real handler over the tiny dataset on an
-// httptest listener. Metrics go to a private enabled registry so tests
-// can assert on them without touching the global default.
+// httptest listener. Metrics go to a private registry so tests can
+// assert on them.
 func newTestServer(t *testing.T, prof *faults.Profile, maxBatch int) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := newPublished(Config{Prof: prof, MaxBatch: maxBatch})
@@ -374,5 +375,39 @@ func TestMetricsCounted(t *testing.T) {
 		if got := srv.status.Counter(code, obs.PlaneData).Value(); got != want {
 			t.Errorf("status ledger %d = %d, want %d", code, got, want)
 		}
+	}
+}
+
+// TestIndexMatchesReader: the deprecated Index is nil before the first
+// Publish; after it, every record's /24 answers with that record's
+// position, as Reader2.Find does, and an address no record covers misses.
+func TestIndexMatchesReader(t *testing.T) {
+	srv := New(Config{}, nil)
+	if srv.Index() != nil {
+		t.Fatal("Index before Publish is not nil")
+	}
+	ds := tinyDataset()
+	srv.Publish(ds, "test:tiny")
+	ix := srv.Index()
+	if ix == nil {
+		t.Fatal("Index after Publish is nil")
+	}
+	r2 := srv.Current().R2
+	for i, rec := range ds.Records {
+		a := rec.Prefix.Addr(byte(i))
+		want, ok, err := r2.Find(a)
+		if err != nil || !ok || want.Prefix != rec.Prefix {
+			t.Fatalf("Find(%s) = %v, %v, %v", a, want.Prefix, ok, err)
+		}
+		if at, ok := ix.Lookup(a); !ok || at != i {
+			t.Fatalf("Index().Lookup(%s) = %d, %v; want record %d", a, at, ok, i)
+		}
+	}
+	miss := ipaddr.MustParse("192.0.2.1")
+	if _, ok, _ := r2.Find(miss); ok {
+		t.Fatalf("Find(%s) hit; the miss address must lie outside the dataset", miss)
+	}
+	if at, ok := ix.Lookup(miss); ok {
+		t.Fatalf("Index().Lookup(%s) = record %d, want a miss", miss, at)
 	}
 }

@@ -18,25 +18,23 @@ var LatencyBoundsMs = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10
 // order concurrent observers land — consumers must treat Sum as a
 // reporting value, never as accounting state.
 type Histogram struct {
-	on     *atomic.Bool
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits
 }
 
-func newHistogram(on *atomic.Bool, bounds []float64) *Histogram {
+func newHistogram(bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	return &Histogram{
-		on:     on,
 		bounds: b,
 		counts: make([]atomic.Int64, len(b)+1),
 	}
 }
 
-// Observe records one value. No-op when the owning registry is disabled.
+// Observe records one value. No-op on a nil histogram.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !h.on.Load() {
+	if h == nil {
 		return
 	}
 	i := 0
@@ -79,12 +77,4 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 		counts[i] = h.counts[i].Load()
 	}
 	return bounds, counts
-}
-
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
 }

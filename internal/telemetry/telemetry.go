@@ -15,8 +15,9 @@
 // traceroute counts are the one always-on registry: Platform.Stats derives
 // its credits from them, so they are accounting, not metering.
 //
-// Default is a process-wide registry that starts disabled; only the
-// deprecated ipindex counts into it.
+// There is no switch: a registry meters, and the nil registry does not.
+// Default and SetEnabled remain as deprecated shims, Default returning
+// the nil registry.
 //
 // Instrumentation must never perturb results: telemetry only observes.
 // Counters incremented from parallel campaign workers reach deterministic
@@ -32,11 +33,9 @@ import (
 )
 
 // Registry holds named metrics and recorded spans. All methods are safe
-// for concurrent use. The zero value is not usable; construct with New or
-// NewDisabled. A nil *Registry meters nothing.
+// for concurrent use. The zero value is not usable; construct with New.
+// A nil *Registry meters nothing.
 type Registry struct {
-	enabled atomic.Bool
-
 	mu       sync.Mutex // guards the maps (metric creation, not updates)
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -46,17 +45,8 @@ type Registry struct {
 	spans  []SpanEvent
 }
 
-// New returns an enabled registry.
+// New returns an empty registry.
 func New() *Registry {
-	r := NewDisabled()
-	r.enabled.Store(true)
-	return r
-}
-
-// NewDisabled returns a registry whose instrumentation is switched off:
-// counter adds, gauge sets, histogram observations and span starts all
-// short-circuit until SetEnabled(true).
-func NewDisabled() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
@@ -64,19 +54,17 @@ func NewDisabled() *Registry {
 	}
 }
 
-// std is the process-wide default registry, disabled until SetEnabled.
-var std = NewDisabled()
+// Default returns the nil registry, which meters nothing.
+//
+// Deprecated: metering is handed in; there is no process-wide registry.
+// Kept for one release because benchmark/ names it.
+func Default() *Registry { return nil }
 
-// Default returns the process-wide registry the deprecated ipindex counts
-// into. Nothing else does: metering is handed in.
-func Default() *Registry { return std }
-
-// SetEnabled switches the registry's instrumentation on or off. Metrics
-// keep their values when disabled; they just stop updating.
-func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
-
-// IsEnabled reports whether instrumentation against this registry records.
-func (r *Registry) IsEnabled() bool { return r != nil && r.enabled.Load() }
+// SetEnabled does nothing; it is safe on a nil registry.
+//
+// Deprecated: a registry has no switch; hand in nil not to meter. Kept
+// for one release because benchmark/ names it.
+func (r *Registry) SetEnabled(bool) {}
 
 // Counter returns the named counter, creating it on first use; nil on a
 // nil registry. Handles should be resolved once, at construction time,
@@ -89,7 +77,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
-		c = &Counter{on: &r.enabled}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -105,7 +93,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
-		g = &Gauge{on: &r.enabled}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -123,40 +111,20 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = newHistogram(&r.enabled, bounds)
+		h = newHistogram(bounds)
 		r.hists[name] = h
 	}
 	return h
 }
 
-// Reset zeroes every metric and drops recorded spans. Handles stay valid.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-	r.spanMu.Lock()
-	r.spans = nil
-	r.spanMu.Unlock()
-}
-
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
-	on *atomic.Bool
-	v  atomic.Int64
+	v atomic.Int64
 }
 
-// Add increments the counter by n. No-op when the owning registry is
-// disabled or the counter is nil.
+// Add increments the counter by n. No-op on a nil counter.
 func (c *Counter) Add(n int64) {
-	if c == nil || !c.on.Load() {
+	if c == nil {
 		return
 	}
 	c.v.Add(n)
@@ -175,13 +143,12 @@ func (c *Counter) Value() int64 {
 
 // Gauge is a float64 metric holding the last set value.
 type Gauge struct {
-	on   *atomic.Bool
 	bits atomic.Uint64
 }
 
-// Set stores v. No-op when the owning registry is disabled.
+// Set stores v. No-op on a nil gauge.
 func (g *Gauge) Set(v float64) {
-	if g == nil || !g.on.Load() {
+	if g == nil {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))

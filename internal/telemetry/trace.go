@@ -17,7 +17,7 @@ type SpanEvent struct {
 }
 
 // Span is an in-flight phase measurement. A nil *Span (returned by
-// StartSpan on a disabled registry) is valid and free: End on it is a
+// StartSpan on a nil registry) is valid and free: End on it is a
 // no-op, so call sites need no enablement checks.
 type Span struct {
 	r     *Registry
@@ -25,10 +25,10 @@ type Span struct {
 	start time.Time
 }
 
-// StartSpan begins a span on the registry. On a disabled (or nil)
-// registry it returns nil without reading the clock.
+// StartSpan begins a span on the registry. On a nil registry it returns
+// nil without reading the clock.
 func (r *Registry) StartSpan(name string) *Span {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return nil
 	}
 	return &Span{r: r, name: name, start: time.Now()}

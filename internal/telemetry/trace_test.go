@@ -8,10 +8,6 @@ import (
 )
 
 func TestSpanDisabledIsNil(t *testing.T) {
-	r := NewDisabled()
-	if s := r.StartSpan("x"); s != nil {
-		t.Fatal("disabled registry must hand out nil spans")
-	}
 	var nilReg *Registry
 	if s := nilReg.StartSpan("x"); s != nil {
 		t.Fatal("nil registry must hand out nil spans")
