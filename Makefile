@@ -41,7 +41,9 @@ loc:
 # tallied per request from concurrent batches; ipaddr's parser runs under
 # both. router's health and failover tests wait the same way: on a hook the
 # probe loop and the handler poke, on a fake replica's signal that a lookup
-# arrived, and on a restarted replica's bound listener. geobench's verdicts hang on worker
+# arrived, and on a restarted replica's bound listener. obs and telemetry
+# are reached from every request goroutine: request IDs, the status
+# ledger's slots and the counters behind it. geobench's verdicts hang on worker
 # scheduling (where the hot-swap lands, and the window between the chaos
 # kill and the readmission), so its closed-loop runs go through it too.
 # -short only trims the oracles (core's stream selection from 50k to 5k
@@ -52,7 +54,7 @@ loc:
 # not reach it, and it compiles against this module's serving API.
 test:
 	$(GO) test ./...
-	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/mapping/ ./internal/streetlevel/ ./internal/dataset/ ./internal/experiments/ ./internal/serve/ ./internal/ipaddr/ ./internal/router/ ./cmd/geobench/
+	$(GO) test -short -cpu 1,2,4 ./internal/core/ ./internal/par/ ./internal/atlas/ ./internal/vpsel/ ./internal/netsim/ ./internal/sanitize/ ./internal/mapping/ ./internal/streetlevel/ ./internal/dataset/ ./internal/experiments/ ./internal/serve/ ./internal/ipaddr/ ./internal/router/ ./internal/obs/ ./internal/telemetry/ ./cmd/geobench/
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
@@ -94,11 +96,13 @@ staticcheck:
 # write path (§3.9): a steady-state /lookup — pin, parse, resolve,
 # render, write — and a steady-state GEODSET2 lookup must perform zero
 # heap allocations per request, and the middleware chain around the
-# handler may not exceed its pinned count — for one lookup, and for a
-# whole 256-address POST /batch (nothing per address). TestRouterAllocs
+# handler may not exceed its pinned count — 3 for one lookup with a
+# generated request ID, 1 with an adopted one (the router forwards one on
+# every hop; a request that never waits builds no deadline context), and 6
+# for a whole 256-address POST /batch (nothing per address). TestRouterAllocs
 # pins the routed hop (DESIGN.md §3.8): one hit through the router's
 # Handler() against a one-replica fleet, counted process-wide — the
-# replica's net/http server included — at most 45. TestMeasureTargetAllocs
+# replica's net/http server included — at most 27 (it measures 26). TestMeasureTargetAllocs
 # pins a streamed target's measurement at zero once its buffer holds K,
 # TestMeasureRowAllocs a campaign row measured into its worker's buffer
 # at zero in both phases (DESIGN.md §3.3), and TestPingAllocs a simulated

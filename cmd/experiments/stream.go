@@ -9,6 +9,7 @@ import (
 
 	"geoloc/internal/core"
 	"geoloc/internal/dataset"
+	"geoloc/internal/experiments"
 	"geoloc/internal/telemetry"
 )
 
@@ -16,7 +17,8 @@ import (
 // window as a sealed checkpoint run, and k-way merges the runs into a
 // GEODSET2 artifact. Peak memory is proportional to the window, not to
 // targets — the property the dataset memory-ceiling test pins. The campaign
-// and the compile meter into reg.
+// and the compile meter into reg. The finished artifact is then scored
+// against the campaign's truth (experiments.ScoreArtifact).
 func runStreamScale(targets int, artifact, ckptDir string, resume, keepSpill bool, reg *telemetry.Registry) {
 	start := time.Now()
 	window := dataset.DefaultStreamWindow
@@ -57,6 +59,17 @@ func runStreamScale(targets int, artifact, ckptDir string, resume, keepSpill boo
 	elapsed := time.Since(start)
 	priced, pruned := src.PricedPruned()
 	fmt.Print(streamReport(artifact, stats, elapsed, priced, pruned, len(src.C.VPs)))
+
+	r2, err := dataset.Open2(artifact)
+	if err != nil {
+		log.Fatalf("open artifact to score: %v", err)
+	}
+	defer r2.Close()
+	rep, err := experiments.ScoreArtifact(r2, src)
+	if err != nil {
+		log.Fatalf("score artifact: %v", err)
+	}
+	fmt.Print("\n", rep.Render())
 }
 
 // streamReport renders the run's stats; experiments -out and the

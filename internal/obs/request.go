@@ -40,18 +40,38 @@ var idPrefix = func() string {
 
 // RequestID extracts or mints the ID for an incoming request:
 // X-Request-Id wins, then the trace-id of a valid traceparent header,
-// then a generated "<random-prefix>-<seq>" ID. The returned bool
-// reports whether the ID was adopted from the client.
+// then a generated "<random-prefix>-<seq>" ID, built in one allocation.
+// The returned bool reports whether the ID was adopted from the client.
 func RequestID(r *http.Request) (string, bool) {
 	if id := sanitizeID(r.Header.Get(RequestIDHeader)); id != "" {
 		return id, true
 	}
-	if tid := traceparentID(r.Header.Get("traceparent")); tid != "" {
+	// The canonical spelling: Get canonicalizes any other into a new string.
+	if tid := traceparentID(r.Header.Get("Traceparent")); tid != "" {
 		return tid, true
 	}
 	var seq [8]byte
 	binary.BigEndian.PutUint64(seq[:], idCounter.Add(1))
-	return idPrefix + "-" + hex.EncodeToString(seq[:]), false
+	var buf [64]byte
+	b := append(buf[:0], idPrefix...)
+	b = append(b, '-')
+	return string(hex.AppendEncode(b, seq[:])), false
+}
+
+// EchoRequestID settles r's ID (RequestID) and stores it as out's
+// X-Request-Id. It returns the one-value slice it stored, so a caller that
+// forwards the ID can store the same slice: the inbound header's own when
+// that holds exactly the adopted ID — echoing a caller's ID allocates
+// nothing — and a new one otherwise.
+func EchoRequestID(out http.Header, r *http.Request) (ids []string, adopted bool) {
+	id, adopted := RequestID(r)
+	if in := r.Header[RequestIDHeader]; len(in) == 1 && in[0] == id {
+		ids = in
+	} else {
+		ids = []string{id}
+	}
+	out[RequestIDHeader] = ids
+	return ids, adopted
 }
 
 // sanitizeID keeps an adopted ID only when it is printable ASCII

@@ -216,9 +216,8 @@ func (rt *Router) Handler() http.Handler {
 // observe assigns/echoes the request ID and feeds the status ledger.
 func (rt *Router) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id, _ := obs.RequestID(r)
-		w.Header().Set(obs.RequestIDHeader, id)
-		r.Header.Set(obs.RequestIDHeader, id) // forwarded verbatim on every upstream hop
+		ids, _ := obs.EchoRequestID(w.Header(), r)
+		r.Header[obs.RequestIDHeader] = ids // forwarded verbatim on every upstream hop
 		sw := &obs.StatusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
 		rt.status.Counter(sw.Status(), obs.PlaneOf(r.URL.Path)).Inc()

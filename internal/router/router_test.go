@@ -213,6 +213,58 @@ func TestFailoverCarriesOriginalIDOnce(t *testing.T) {
 	}
 }
 
+// TestDuplicateRequestIDEchoedOnce: a request carrying two X-Request-Id
+// values is answered, and forwarded, with the first one only.
+func TestDuplicateRequestIDEchoedOnce(t *testing.T) {
+	var seen atomic.Value
+	mux := http.NewServeMux()
+	mux.HandleFunc("/lookup", func(w http.ResponseWriter, r *http.Request) {
+		seen.Store(r.Header.Values(obs.RequestIDHeader))
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(serve.LookupResult{IP: "x"})
+	})
+	up := httptest.NewServer(mux)
+	t.Cleanup(up.Close)
+	rt, err := New(Config{ReplicaURLs: []string{up.URL}}, telemetry.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/lookup?ip=10.0.0.1", nil)
+	req.Header.Add(obs.RequestIDHeader, "first-id")
+	req.Header.Add(obs.RequestIDHeader, "second-id")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if ids := resp.Header.Values(obs.RequestIDHeader); len(ids) != 1 || ids[0] != "first-id" {
+		t.Fatalf("answer's X-Request-Id values = %q, want exactly [first-id]", ids)
+	}
+	if ids, _ := seen.Load().([]string); len(ids) != 1 || ids[0] != "first-id" {
+		t.Fatalf("forwarded X-Request-Id values = %q, want exactly [first-id]", ids)
+	}
+}
+
+// TestRouterMetricsOnNilRegistry: a router handed the nil registry meters
+// nothing, and GET /metrics still answers 200 with an empty exposition.
+func TestRouterMetricsOnNilRegistry(t *testing.T) {
+	rt, err := New(Config{ReplicaURLs: []string{newFakeReplica(t, 0).ts.URL}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics on the nil registry = %d %q, want 200", rec.Code, rec.Body.String())
+	}
+}
+
 // TestUpstreamIDForwarded pins that the router forwards the request ID
 // on the upstream hop (the replica sees the same ID the client sent).
 func TestUpstreamIDForwarded(t *testing.T) {

@@ -272,7 +272,7 @@ func TestRouterAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; a dropped body buffer is rebuilt from the heap")
 	}
-	const maxAllocs = 45
+	const maxAllocs = 27
 	fleet, err := NewLocalFleet(1, fleetTinyDataset(), "test:tiny", serve.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -6,10 +6,11 @@
 // QueueTimeout), and everything beyond that is shed immediately with
 // 429 + Retry-After — a clean, cheap answer the client can act on,
 // instead of an unbounded goroutine pile-up that takes every request
-// down with it. Orthogonally, RequestTimeout is a deadline on the request
-// context, and every wait the server imposes — the admission queue and an
-// injected stall, on /lookup and inside the batch loop — selects on that
-// context and answers 504 through deadlineExpired when it dies. The
+// down with it. Orthogonally, RequestTimeout is a deadline from entry, and
+// every wait the server imposes — the admission queue and an injected
+// stall, on /lookup and inside the batch loop — selects on the request's
+// context bounded by it (built at the first wait) and answers 504 through
+// deadlineExpired when it dies. The
 // handler runs on the connection's goroutine against the real
 // ResponseWriter: a wait the server does not impose (reading the request,
 // writing the response) is bounded by http.Server's Read/WriteTimeout,
@@ -24,27 +25,38 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"geoloc/internal/obs"
 )
 
 // serveData wraps a data-plane handler in the deadline and admission
-// control. The slot is released by defer, so it comes back on every exit
+// control. The deadline is RequestTimeout from entry, kept in the request
+// record; the context carrying it is built only by a wait (waitCtx), so a
+// request admitted at once and never stalled arms no timer and copies no
+// request. The slot is released by defer, so it comes back on every exit
 // from h, a panic (which net/http recovers) included.
 func (s *Server) serveData(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		m := metaOf(w)
+		if m == nil {
+			// Driven without observe: the record rides in a writer of its own.
+			rw := &reqWriter{StatusWriter: obs.StatusWriter{ResponseWriter: w}}
+			rw.meta.start = time.Now()
+			w, m = rw, &rw.meta
+		}
 		if s.cfg.RequestTimeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
+			m.deadline = m.start.Add(s.cfg.RequestTimeout)
+			defer m.endWait()
 		}
 		if s.sem != nil {
-			if !s.admit(w, r) {
+			if !s.admit(w, r, m) {
 				return
 			}
 			defer func() { <-s.sem }()
-			if r.Context().Err() != nil {
-				// The deadline fired as the slot came free; this request's
-				// budget is gone.
-				s.deadlineExpired(w, r, " before execution")
+			if m.waitErr(r) != nil {
+				// The deadline fired as the slot came free, or the client
+				// hung up; this request's budget is gone.
+				s.deadlineExpired(w, " before execution")
 				return
 			}
 		}
@@ -55,14 +67,13 @@ func (s *Server) serveData(h http.HandlerFunc) http.HandlerFunc {
 // admit takes an inflight slot for r, waiting in the bounded queue when
 // none is free. It reports false after answering the request itself: 429
 // when the queue is full or QueueTimeout passes, 504 when the request's
-// context dies while it waits.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+// wait context dies while it waits.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, m *reqMeta) bool {
 	select {
 	case s.sem <- struct{}{}: // free slot, no queueing
 		return true
 	default:
 	}
-	m := metaFrom(r.Context())
 	if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
 		s.queued.Add(-1)
 		s.shed(w, m)
@@ -84,9 +95,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	case <-t.C:
 		leave()
 		s.shed(w, m)
-	case <-r.Context().Done():
+	case <-m.waitCtx(r).Done():
 		leave()
-		s.deadlineExpired(w, r, " while queued for admission")
+		s.deadlineExpired(w, " while queued for admission")
 	}
 	return false
 }
@@ -98,8 +109,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 // where names the wait the context died in. A request whose client hung
 // up, or an attempt the router gave up on, ends here too — to the
 // server both are a context that died during a wait.
-func (s *Server) deadlineExpired(w http.ResponseWriter, r *http.Request, where string) {
-	metaFrom(r.Context()).setCause("deadline")
+func (s *Server) deadlineExpired(w http.ResponseWriter, where string) {
+	metaOf(w).setCause("deadline")
 	s.expired.Inc()
 	s.writeJSON(w, http.StatusGatewayTimeout, errorBody{"request deadline expired" + where})
 }

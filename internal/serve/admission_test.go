@@ -424,6 +424,29 @@ func TestDeadlineCountsOnce(t *testing.T) {
 	}
 }
 
+// TestDeadlineWithoutObserve: serveData keeps the request deadline when
+// no observe wrapper built the request record — an injected stall on a
+// data-plane handler driven bare still answers the RequestTimeout 504.
+func TestDeadlineWithoutObserve(t *testing.T) {
+	srv, _ := blockingServer(Config{RequestTimeout: 40 * time.Millisecond})
+	srv.sleep = func(ctx context.Context, _ time.Duration) bool {
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(5 * time.Second): // no deadline reached the stall
+			return true
+		}
+	}
+	rec := httptest.NewRecorder()
+	srv.serveData(srv.handleLookup)(rec, httptest.NewRequest(http.MethodGet, "/lookup?ip=10.0.0.7", nil))
+	if want := `{"error":"request deadline expired"}` + "\n"; rec.Code != http.StatusGatewayTimeout || rec.Body.String() != want {
+		t.Errorf("answer = %d %q, want 504 %q", rec.Code, rec.Body.String(), want)
+	}
+	if got := srv.expired.Value(); got != 1 {
+		t.Errorf("geoserve.deadline_expired = %d, want 1", got)
+	}
+}
+
 // TestPanicReleasesSlot: a handler that panics is recovered by net/http,
 // which drops the connection; the admission slot it held comes back and
 // the next request is served.

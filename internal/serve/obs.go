@@ -30,21 +30,43 @@ import (
 	"geoloc/internal/telemetry"
 )
 
-// ctxKey is the private context-key namespace.
-type ctxKey int
-
-const metaKey ctxKey = iota
-
 // reqMeta is the per-request observability record, created by observe
-// and annotated by admission and the handlers. Everything that touches it
-// runs on the request's own goroutine, so it needs no lock.
+// inside the request's writer (reqWriter) and annotated by admission and
+// the handlers through metaOf. Everything that touches it runs on the
+// request's own goroutine, so it needs no lock.
 type reqMeta struct {
 	id      string
 	adopted bool
 	traced  bool
+	start   time.Time
 
 	queueWait time.Duration
 	cause     string
+
+	// deadline bounds every wait the server imposes on a data-plane
+	// request (zero: no deadline). wait is the context carrying it, built
+	// by the first wait (waitCtx) and cancelled by serveData, so a request
+	// that never waits arms no timer and registers nothing with its
+	// parent context.
+	deadline time.Time
+	wait     context.Context
+	cancel   context.CancelFunc
+}
+
+// reqWriter is the writer observe hands down the chain: the status writer
+// and the request record in one allocation.
+type reqWriter struct {
+	obs.StatusWriter
+	meta reqMeta
+}
+
+// metaOf returns the request record riding in w (nil when w did not come
+// from observe or serveData).
+func metaOf(w http.ResponseWriter) *reqMeta {
+	if rw, ok := w.(*reqWriter); ok {
+		return &rw.meta
+	}
+	return nil
 }
 
 // setQueueWait records how long the request waited for an admission
@@ -64,11 +86,34 @@ func (m *reqMeta) setCause(c string) {
 	}
 }
 
-// metaFrom returns the request's observability record (nil when the
-// request did not pass through observe).
-func metaFrom(ctx context.Context) *reqMeta {
-	m, _ := ctx.Value(metaKey).(*reqMeta)
-	return m
+// waitCtx returns the context a server-imposed wait selects on: r's own,
+// bounded by the request deadline. The first call builds it. Nil-safe: a
+// handler driven without serveData waits on r's context alone.
+func (m *reqMeta) waitCtx(r *http.Request) context.Context {
+	if m == nil || m.deadline.IsZero() {
+		return r.Context()
+	}
+	if m.wait == nil {
+		m.wait, m.cancel = context.WithDeadline(r.Context(), m.deadline)
+	}
+	return m.wait
+}
+
+// waitErr is the request's context error once it has waited: the wait
+// context's when one was built, r's own otherwise — a request that never
+// waited cannot have outlived its deadline.
+func (m *reqMeta) waitErr(r *http.Request) error {
+	if m.wait != nil {
+		return m.wait.Err()
+	}
+	return r.Context().Err()
+}
+
+// endWait releases the wait context, if the request built one.
+func (m *reqMeta) endWait() {
+	if m.cancel != nil {
+		m.cancel()
+	}
 }
 
 // stageSpan starts a span for one request stage, named with the request
@@ -85,24 +130,23 @@ func (s *Server) stageSpan(m *reqMeta, stage string) *telemetry.Span {
 // ledger, the latency histogram, and the sampled access log.
 func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id, adopted := obs.RequestID(r)
+		rw := &reqWriter{StatusWriter: obs.StatusWriter{ResponseWriter: w}}
+		m := &rw.meta
+		m.start = time.Now()
 		// Set before anything runs: every response — a shed or a deadline
 		// answer included — carries the ID.
-		w.Header().Set(obs.RequestIDHeader, id)
-		meta := &reqMeta{id: id, adopted: adopted, traced: s.sampleTrace()}
-		r = r.WithContext(context.WithValue(r.Context(), metaKey, meta))
+		ids, adopted := obs.EchoRequestID(w.Header(), r)
+		m.id, m.adopted, m.traced = ids[0], adopted, s.sampleTrace()
 
-		span := s.stageSpan(meta, "request")
-		sw := &obs.StatusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
+		span := s.stageSpan(m, "request")
+		next.ServeHTTP(rw, r)
 		span.End()
 
-		status := sw.Status()
+		status := rw.Status()
 		plane := obs.PlaneOf(r.URL.Path)
 		s.status.Counter(status, plane).Inc()
 
-		latencyMs := float64(time.Since(start)) / float64(time.Millisecond)
+		latencyMs := float64(time.Since(m.start)) / float64(time.Millisecond)
 		if plane == obs.PlaneData && status != http.StatusTooManyRequests {
 			// Timed from entry, so admission wait counts. Sheds stay out: a
 			// 429 is the designed overload answer, not a slow one, and its
@@ -110,7 +154,7 @@ func (s *Server) observe(next http.Handler) http.Handler {
 			// budget is computed from.
 			s.latencyMs.Observe(latencyMs)
 		}
-		s.accessLog(r, meta, status, plane, latencyMs)
+		s.accessLog(r, m, status, plane, latencyMs)
 	})
 }
 

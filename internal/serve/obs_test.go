@@ -72,6 +72,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsOnNilRegistry: a server handed the nil registry meters
+// nothing, and GET /metrics still answers 200 with an empty exposition.
+func TestMetricsOnNilRegistry(t *testing.T) {
+	srv := New(Config{}, nil)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+		t.Fatalf("GET /metrics on the nil registry = %d %q, want 200 and an empty exposition", rec.Code, rec.Body.String())
+	}
+}
+
 // TestMetricsReachableWhileSaturated is the acceptance criterion: with
 // every inflight slot and queue slot occupied, /metrics still answers
 // with valid exposition that shows the saturation.
@@ -204,6 +215,21 @@ func TestRequestIDLifecycle(t *testing.T) {
 	}
 	if recs[2].IDAdopted != true || recs[0].IDAdopted != false {
 		t.Errorf("id_adopted flags wrong: %+v", recs)
+	}
+}
+
+// TestDuplicateRequestIDEchoedOnce: a request carrying two X-Request-Id
+// values adopts the first, and its answer carries that one value only —
+// the inbound slice is echoed only when it holds exactly the adopted ID.
+func TestDuplicateRequestIDEchoedOnce(t *testing.T) {
+	srv := newPublished(Config{})
+	req := httptest.NewRequest(http.MethodGet, "/lookup?ip=10.0.0.7", nil)
+	req.Header.Add(obs.RequestIDHeader, "first-id")
+	req.Header.Add(obs.RequestIDHeader, "second-id")
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if ids := rec.Header().Values(obs.RequestIDHeader); len(ids) != 1 || ids[0] != "first-id" {
+		t.Fatalf("X-Request-Id values = %q, want exactly [first-id]", ids)
 	}
 }
 

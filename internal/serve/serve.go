@@ -10,9 +10,9 @@
 //     new requests see the new generation, and a reload that fails to
 //     decode rolls back by never publishing.
 //   - Admission control: a concurrency limit with a bounded, timed queue
-//     sheds overload as 429 + Retry-After, and a per-request deadline on
-//     the request context turns every wait the server imposes into a
-//     prompt 504 (admission.go). Both run inline, on the connection's
+//     sheds overload as 429 + Retry-After, and a per-request deadline
+//     turns every wait the server imposes into a prompt 504
+//     (admission.go). Both run inline, on the connection's
 //     goroutine, against the real ResponseWriter.
 //   - Drain: readiness (/readyz) flips to 503 the moment shutdown
 //     starts, so load balancers stop sending while in-flight requests
@@ -278,8 +278,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Handler returns the routing table: one mux behind the observe
 // middleware (request ID, status ledger, latency histogram, access log). The
 // data-plane endpoints (/lookup, /batch) are registered through serveData,
-// which puts the deadline on the request and takes an admission slot
-// before the handler runs; control-plane endpoints (including /metrics)
+// which sets the request's deadline and takes an admission slot before the
+// handler runs; control-plane endpoints (including /metrics)
 // bypass both so an operator can always observe and steer an overloaded
 // server.
 func (s *Server) Handler() http.Handler {
@@ -364,11 +364,12 @@ func (k resolveKind) status() int {
 // a deterministic extra stall, which honours the request deadline
 // (resolveDeadline when it dies first), then a deterministic per-IP failure
 // (resolveInjected; the caller maps it to 503 or a per-item error).
-// resolveOK means the address is to be looked up.
-func (s *Server) injectFaults(ctx context.Context, art *Artifact, a ipaddr.Addr) resolveKind {
+// resolveOK means the address is to be looked up. A stall waits on m's wait
+// context, which it builds if the request has not waited before.
+func (s *Server) injectFaults(m *reqMeta, r *http.Request, art *Artifact, a ipaddr.Addr) resolveKind {
 	if ms := s.cfg.Prof.ServeStallMs(art.Hdr.Seed, uint64(a)); ms > 0 {
 		s.injectMs.Add(int64(ms))
-		if !s.sleep(ctx, time.Duration(ms*float64(time.Millisecond))) {
+		if !s.sleep(m.waitCtx(r), time.Duration(ms*float64(time.Millisecond))) {
 			return resolveDeadline
 		}
 	}
@@ -412,8 +413,8 @@ func (s *Server) count(t *tally) {
 // the profile's faults, then the lookup. It returns the bare record —
 // rendering is the caller's problem — so the steady-state path stays
 // allocation-free.
-func (s *Server) resolveRec(ctx context.Context, art *Artifact, a ipaddr.Addr) (dataset.Record, resolveKind) {
-	if kind := s.injectFaults(ctx, art, a); kind != resolveOK {
+func (s *Server) resolveRec(m *reqMeta, req *http.Request, art *Artifact, a ipaddr.Addr) (dataset.Record, resolveKind) {
+	if kind := s.injectFaults(m, req, art, a); kind != resolveOK {
 		return dataset.Record{}, kind
 	}
 	var t tally
@@ -468,12 +469,12 @@ func (s *Server) handleLookup(w http.ResponseWriter, req *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
 	}
-	m := metaFrom(req.Context())
+	m := metaOf(w)
 	sp := s.stageSpan(m, "index-lookup")
-	rec, kind := s.resolveRec(req.Context(), art, a)
+	rec, kind := s.resolveRec(m, req, art, a)
 	sp.End()
 	if kind == resolveDeadline {
-		s.deadlineExpired(w, req, "")
+		s.deadlineExpired(w, "")
 		return
 	}
 	enc := s.stageSpan(m, "encode")
@@ -538,7 +539,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 			errorBody{fmt.Sprintf("batch of %d exceeds limit %d", n, s.cfg.MaxBatch)})
 		return
 	}
-	m := metaFrom(req.Context())
+	m := metaOf(w)
 	sp := s.stageSpan(m, "index-lookup")
 	var t tally
 	sc.states, sc.query = sized(sc.states, n), sized(sc.query, n)[:0]
@@ -548,7 +549,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 			sc.states[i] = itemBadAddr
 			continue
 		}
-		switch s.injectFaults(req.Context(), art, it.addr) {
+		switch s.injectFaults(m, req, art, it.addr) {
 		case resolveOK:
 			sc.states[i] = itemQueried
 			sc.query = append(sc.query, it.addr)
@@ -558,7 +559,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 			sp.End()
 			// The budget for the whole batch is gone.
 			s.count(&t)
-			s.deadlineExpired(w, req, " mid-batch")
+			s.deadlineExpired(w, " mid-batch")
 			return
 		}
 	}

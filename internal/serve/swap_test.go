@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -515,7 +514,7 @@ func TestReadFailureAnswers503(t *testing.T) {
 	// A request always pins the reader it resolves against, so only a
 	// caller that skips the pin can meet a released one.
 	art.R2.Close()
-	if _, kind := srv.resolveRec(context.Background(), art, hit); kind != resolveReadFail {
+	if _, kind := srv.resolveRec(nil, httptest.NewRequest(http.MethodGet, "/lookup", nil), art, hit); kind != resolveReadFail {
 		t.Fatalf("resolve against a closed reader: kind %d, want read failure", kind)
 	}
 	if got := reg.Counter("geoserve.read_failures").Value(); got != 3 {

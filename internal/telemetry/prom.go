@@ -35,8 +35,12 @@ type promMetric struct {
 // in name order, one # TYPE line each; histograms render cumulative
 // le-buckets, a +Inf bucket, _sum and _count. Two bases that render to one
 // family, or one base registered as two kinds, are an error, returned
-// before anything is written.
+// before anything is written. The nil registry writes an empty
+// exposition.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	ms := make([]promMetric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for name, c := range r.counters {

@@ -24,6 +24,13 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	var r *Registry
 	r.SetEnabled(true)
 	r.SetEnabled(false)
+	var out strings.Builder
+	if err := r.WritePrometheus(&out); err != nil || out.Len() != 0 {
+		t.Fatalf("nil registry's exposition = %q, %v; want empty, nil", out.String(), err)
+	}
+	if spans := r.Spans(); len(spans) != 0 {
+		t.Fatalf("nil registry has %d spans, want none", len(spans))
+	}
 }
 
 func TestCounterHandleIdentity(t *testing.T) {

@@ -45,8 +45,12 @@ func (s *Span) End() {
 	s.r.spanMu.Unlock()
 }
 
-// Spans returns a copy of the recorded span events.
+// Spans returns a copy of the recorded span events; none on the nil
+// registry.
 func (r *Registry) Spans() []SpanEvent {
+	if r == nil {
+		return nil
+	}
 	r.spanMu.Lock()
 	defer r.spanMu.Unlock()
 	return append([]SpanEvent(nil), r.spans...)
