@@ -194,7 +194,7 @@ func (s *Server) accessLog(r *http.Request, m *reqMeta, status int, plane obs.Pl
 		slog.String("path", r.URL.Path),
 		slog.String("plane", plane.String()),
 		slog.Int("status", status),
-		slog.Uint64("generation", s.swapper.Generation()),
+		slog.Uint64("generation", s.generation()),
 		slog.Float64("queue_wait_ms", float64(m.queueWait)/float64(time.Millisecond)),
 		slog.Float64("latency_ms", latencyMs),
 	}

@@ -142,12 +142,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server answers geolocation queries from the currently published
-// artifact. All handlers are safe for concurrent use, including
+// Server answers geolocation queries from the artifact it last published
+// (swap.go). All handlers are safe for concurrent use, including
 // concurrently with Publish/Reload.
 type Server struct {
-	cfg     Config
-	swapper *Swapper
+	cfg Config
+
+	// The published artifact: requests load cur once; publishers
+	// serialize on pubMu, which guards gen.
+	cur       atomic.Pointer[Artifact]
+	pubMu     sync.Mutex
+	gen       uint64
+	swaps     *telemetry.Counter
+	swapFails *telemetry.Counter
 
 	sem      chan struct{} // admission slots; nil = unlimited
 	queued   atomic.Int64
@@ -198,7 +205,8 @@ func New(cfg Config, reg *telemetry.Registry) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:        cfg,
-		swapper:    NewSwapper(reg),
+		swaps:      reg.Counter("geoserve.swaps"),
+		swapFails:  reg.Counter("geoserve.swap_failures"),
 		sleep:      Sleep,
 		queueTimer: time.NewTimer,
 
@@ -225,26 +233,6 @@ func New(cfg Config, reg *telemetry.Registry) *Server {
 	return s
 }
 
-// Publish makes ds the active artifact, or keeps the old one and says why
-// ds cannot be served (see Swapper.Publish).
-func (s *Server) Publish(ds *dataset.Dataset, source string) (*Artifact, error) {
-	return s.swapper.Publish(ds, source)
-}
-
-// PublishReader makes r2 the active artifact and takes ownership of it
-// (see Swapper.PublishReader) — for callers that hold an image already,
-// such as a fleet whose replicas share one.
-func (s *Server) PublishReader(r2 *dataset.Reader2, source string) *Artifact {
-	return s.swapper.PublishReader(r2, source)
-}
-
-// Reload loads and publishes the artifact file at path, keeping the old
-// artifact on any failure (see Swapper.Reload).
-func (s *Server) Reload(path string) (*Artifact, error) { return s.swapper.Reload(path) }
-
-// Current returns the active artifact (nil before the first Publish).
-func (s *Server) Current() *Artifact { return s.swapper.Current() }
-
 // Index builds an ipindex over the active artifact's /24 keys (Lookup
 // answers a record's position); nil before the first Publish.
 //
@@ -255,7 +243,7 @@ func (s *Server) Index() *ipindex.Index {
 	if a == nil {
 		return nil
 	}
-	defer a.release()
+	defer a.R2.Unpin()
 	keys := make([]ipaddr.Prefix24, 0, a.Records)
 	if err := a.R2.All(func(r dataset.Record) error {
 		keys = append(keys, r.Prefix)
@@ -426,17 +414,17 @@ func (s *Server) resolveRec(m *reqMeta, req *http.Request, art *Artifact, a ipad
 
 // acquire captures the current artifact and pins its reader against a
 // concurrent swap's close. The retry loop covers the one racy window:
-// Current loaded an artifact that a swap retired (and closed) before the
+// the load returned an artifact that a swap retired (and closed) before the
 // pin landed — the next load sees the new generation. A reader closed
 // while still current was closed by its owner shutting down
 // (LocalFleet.Close), not by a swap: there is nothing left to serve.
 func (s *Server) acquire() *Artifact {
 	for {
-		a := s.swapper.Current()
-		if a == nil || a.pin() {
+		a := s.cur.Load()
+		if a == nil || a.R2.TryPin() {
 			return a
 		}
-		if s.swapper.Current() == a {
+		if s.cur.Load() == a {
 			return nil
 		}
 	}
@@ -456,7 +444,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, req *http.Request) {
 		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{"no dataset published yet"})
 		return
 	}
-	defer art.release()
+	defer art.R2.Unpin()
 	raw := QueryIP(req.URL.RawQuery)
 	if raw == "" {
 		s.badInput.Inc()
@@ -514,7 +502,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{"no dataset published yet"})
 		return
 	}
-	defer art.release()
+	defer art.R2.Unpin()
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, req.Body, MaxBatchBody)); err != nil {

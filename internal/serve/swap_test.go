@@ -47,12 +47,12 @@ func tinyVariantDataset() *dataset.Dataset {
 // (rollback by non-publish) and counts a swap failure.
 func TestSwapGenerationAndRollback(t *testing.T) {
 	reg := telemetry.New()
-	sw := NewSwapper(reg)
-	if sw.Current() != nil || sw.Generation() != 0 {
+	sw := New(Config{}, reg)
+	if sw.Current() != nil || sw.generation() != 0 {
 		t.Fatal("fresh swapper should have no artifact, generation 0")
 	}
 	a1, _ := sw.Publish(tinyDataset(), "v1")
-	if a1.Gen != 1 || sw.Generation() != 1 {
+	if a1.Gen != 1 || sw.generation() != 1 {
 		t.Fatalf("first publish generation = %d, want 1", a1.Gen)
 	}
 	a2, _ := sw.Publish(tinyVariantDataset(), "v2")
@@ -72,7 +72,7 @@ func TestSwapGenerationAndRollback(t *testing.T) {
 	if _, err := sw.Reload(filepath.Join(dir, "missing.geodset")); err == nil {
 		t.Fatal("reload of missing file succeeded")
 	}
-	if sw.Current() != a2 || sw.Generation() != 2 {
+	if sw.Current() != a2 || sw.generation() != 2 {
 		t.Fatal("failed reload must leave the old artifact serving")
 	}
 	if got := reg.Counter("geoserve.swap_failures").Value(); got != 2 {
@@ -280,7 +280,7 @@ func TestConcurrentTrafficDuringSwaps(t *testing.T) {
 	var bad atomic.Int64
 	var wg sync.WaitGroup
 
-	// Swapper 1: direct in-process publishes alternating artifacts.
+	// Publisher 1: direct in-process publishes alternating artifacts.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -293,7 +293,7 @@ func TestConcurrentTrafficDuringSwaps(t *testing.T) {
 		}
 	}()
 
-	// Swapper 2: HTTP reloads through the admin endpoint.
+	// Publisher 2: HTTP reloads through the admin endpoint.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
