@@ -110,6 +110,9 @@ staticcheck:
 # TraceBuf, at zero whether the route's skeleton is in the table or is
 # built on a miss (DESIGN.md §3.2). The analysis pass's per-call sites
 # (§3.5): a VP selection's region candidate scan at most 2 allocations,
+# a whole TwoStepSelect at most 2 (its scan's: the region, the sweep's
+# round and the lowest-RTT pick stay on the stack), the k-lowest-RTT pick
+# (cbg's ClosestVPs) into a buffer that holds k 0,
 # a table cover one count whatever its size, a fanned GreedyCover at 2
 # workers one count whatever its size (a par.NewLoop call allocates 0), a
 # mapping-query fault draw 0,
@@ -120,9 +123,9 @@ staticcheck:
 # name, so a new allocation sneaking into a hot path fails THIS target,
 # not a trend threshold.
 allocs-smoke:
-	$(GO) test -count 1 -run 'TestServeAllocs|TestBadBatchAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestMeasureRowAllocs|TestPingAllocs|TestRegionCandidatesAllocs|TestCoverAllocs|TestGreedyCoverAllocs|TestLookupFailedAllocs|TestForWorkersAllocs|TestLoopAllocs|TestAppendPOIsInZipAllocs|TestClientStateAllocs|TestGeolocateAllocs' \
+	$(GO) test -count 1 -run 'TestServeAllocs|TestBadBatchAllocs|TestMappedLookupAllocs|TestRouterAllocs|TestMeasureTargetAllocs|TestMeasureRowAllocs|TestPingAllocs|TestRegionCandidatesAllocs|TestTwoStepSelectAllocs|TestClosestVPsAllocs|TestCoverAllocs|TestGreedyCoverAllocs|TestLookupFailedAllocs|TestForWorkersAllocs|TestLoopAllocs|TestAppendPOIsInZipAllocs|TestClientStateAllocs|TestGeolocateAllocs' \
 		./internal/serve ./internal/dataset ./internal/router ./internal/core ./internal/netsim \
-		./internal/vpsel ./internal/faults ./internal/par ./internal/mapping ./internal/atlas ./internal/streetlevel
+		./internal/vpsel ./internal/cbg ./internal/faults ./internal/par ./internal/mapping ./internal/atlas ./internal/streetlevel
 
 # The analysis pass's allocation split: one metered registry pass over a
 # Medium campaign (BenchmarkAnalysisPass), per experiment the heap objects

@@ -103,7 +103,7 @@ func main() {
 // traceroute from the lowest-RTT vantage point.
 func printTrace(sys *geoloc.System, target int) {
 	c := sys.Campaign()
-	best := c.TargetRTT.ClosestVPs(target, 1)
+	best := c.TargetRTT.ClosestVPs(nil, target, nil, 1)
 	if len(best) == 0 {
 		fmt.Println("  (no responsive vantage point)")
 		return

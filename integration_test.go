@@ -120,7 +120,7 @@ func TestIntegrationVPSelectionSignal(t *testing.T) {
 	c := mediumSys.Campaign()
 	var selDist, medianAll []float64
 	for ti := range c.Targets {
-		sel := c.RepRTT.ClosestVPs(ti, 1)
+		sel := c.RepRTT.ClosestVPs(nil, ti, nil, 1)
 		if len(sel) == 0 {
 			continue
 		}

@@ -208,18 +208,13 @@ func TestClosestVPs(t *testing.T) {
 	for i, r := range rtts {
 		mat.SetRow(i, []float32{r})
 	}
-	got := mat.ClosestVPs(0, 3)
+	got := mat.ClosestVPs(nil, 0, nil, 3)
 	want := []int{1, 3, 0}
-	if len(got) != 3 {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ClosestVPs = %v, want %v", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ClosestVPs = %v, want %v", got, want)
 	}
 	// Ask for more than available.
-	if got := mat.ClosestVPs(0, 10); len(got) != 4 {
+	if got := mat.ClosestVPs(nil, 0, nil, 10); len(got) != 4 {
 		t.Errorf("ClosestVPs(10) returned %d entries, want 4 responsive", len(got))
 	}
 }

@@ -23,12 +23,17 @@ import (
 // The per-VP trigonometry and the latitude order that lets a region scan
 // skip the VPs outside its tightest circle's latitude band (LatBand)
 // depend only on the VPs, so NewMatrix builds them once.
+//
+// Every reader of a target's column over a VP subset takes the subset as
+// a list of VP indices, nil meaning every VP, and walks it through
+// rows: one loop whichever the subset.
 type Matrix struct {
 	// VPs holds the (reported) vantage point locations.
 	VPs []geo.Point
 
 	cols   [][]float32 // [target][vp]
 	vpTrig []geo.Trig  // per-VP precomputed trig
+	all    []int       // every VP index in order, the nil subset
 	// byLat holds the VP indices ascending by vpTrig's LatRad, ties in
 	// index order, and lats those latitudes in the same order.
 	byLat []int32
@@ -59,9 +64,11 @@ func NewMatrix(vps []geo.Point, targets int, reg *telemetry.Registry) *Matrix {
 		m.cols[t] = cells[t*len(vps) : (t+1)*len(vps) : (t+1)*len(vps)]
 	}
 	m.vpTrig = make([]geo.Trig, len(vps))
+	m.all = make([]int, len(vps))
 	m.byLat = make([]int32, len(vps))
 	for i, p := range vps {
 		m.vpTrig[i] = geo.MakeTrig(p)
+		m.all[i] = i
 		m.byLat[i] = int32(i)
 	}
 	slices.SortStableFunc(m.byLat, func(a, b int32) int {
@@ -100,6 +107,27 @@ func (m *Matrix) LatBand(lo, hi float64) []int32 {
 // VPTrig returns the precomputed trigonometry of a vantage point.
 func (m *Matrix) VPTrig(vp int) geo.Trig { return m.vpTrig[vp] }
 
+// rows returns the VPs a subset names: subset itself, or every VP in
+// index order when it is nil.
+func (m *Matrix) rows(subset []int) []int {
+	if subset == nil {
+		return m.all
+	}
+	return subset
+}
+
+// AddConstraints adds to sm one circle per responsive subset VP (nil
+// means all), in subset order: the VP's disk at the given speed.
+func (m *Matrix) AddConstraints(sm *geo.Sampler, target int, subset []int, speedKmPerMs float64) {
+	col, subset := m.cols[target], m.rows(subset)
+	sm.Grow(len(subset))
+	for _, vp := range subset {
+		if rtt := col[vp]; !IsUnresponsive(rtt) {
+			sm.AddTrig(m.VPs[vp], m.vpTrig[vp], geo.RTTToDistanceKm(float64(rtt), speedKmPerMs))
+		}
+	}
+}
+
 // keptCircle is a surviving constraint in a locate: the VP and its disk
 // radius.
 type keptCircle struct {
@@ -123,28 +151,17 @@ var locatePool = sync.Pool{New: func() any { return new(locateScratch) }}
 // the intersection is empty.
 func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (geo.Point, bool) {
 	m.meters.locates.Inc()
-	col := m.cols[target]
 
 	// Pass 1: tightest constraint.
+	col, subset := m.cols[target], m.rows(subset)
 	tightIdx, tightRadius := -1, math.Inf(1)
-	if subset == nil {
-		for vp, rtt := range col {
-			if IsUnresponsive(rtt) {
-				continue
-			}
-			if r := geo.RTTToDistanceKm(float64(rtt), speedKmPerMs); r < tightRadius {
-				tightIdx, tightRadius = vp, r
-			}
+	for _, vp := range subset {
+		rtt := col[vp]
+		if IsUnresponsive(rtt) {
+			continue
 		}
-	} else {
-		for _, vp := range subset {
-			rtt := col[vp]
-			if IsUnresponsive(rtt) {
-				continue
-			}
-			if r := geo.RTTToDistanceKm(float64(rtt), speedKmPerMs); r < tightRadius {
-				tightIdx, tightRadius = vp, r
-			}
+		if r := geo.RTTToDistanceKm(float64(rtt), speedKmPerMs); r < tightRadius {
+			tightIdx, tightRadius = vp, r
 		}
 	}
 	if tightIdx < 0 {
@@ -158,26 +175,14 @@ func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (g
 	// Circle.ContainsCircle).
 	sc := locatePool.Get().(*locateScratch)
 	kept := sc.kept[:0]
-	if subset == nil {
-		for vp, rtt := range col {
-			if vp == tightIdx || IsUnresponsive(rtt) {
-				continue
-			}
-			r := geo.RTTToDistanceKm(float64(rtt), speedKmPerMs)
-			if geo.TrigCuts(m.vpTrig[vp], tightT, tightRadius, r) {
-				kept = append(kept, keptCircle{vp: int32(vp), radius: r})
-			}
+	for _, vp := range subset {
+		rtt := col[vp]
+		if vp == tightIdx || IsUnresponsive(rtt) {
+			continue
 		}
-	} else {
-		for _, vp := range subset {
-			rtt := col[vp]
-			if vp == tightIdx || IsUnresponsive(rtt) {
-				continue
-			}
-			r := geo.RTTToDistanceKm(float64(rtt), speedKmPerMs)
-			if geo.TrigCuts(m.vpTrig[vp], tightT, tightRadius, r) {
-				kept = append(kept, keptCircle{vp: int32(vp), radius: r})
-			}
+		r := geo.RTTToDistanceKm(float64(rtt), speedKmPerMs)
+		if geo.TrigCuts(m.vpTrig[vp], tightT, tightRadius, r) {
+			kept = append(kept, keptCircle{vp: int32(vp), radius: r})
 		}
 	}
 
@@ -210,82 +215,52 @@ func (m *Matrix) LocateSubset(target int, subset []int, speedKmPerMs float64) (g
 // ShortestPingSubset maps the target to the subset VP (nil means all) with
 // the lowest RTT, the first on ties.
 func (m *Matrix) ShortestPingSubset(target int, subset []int) (geo.Point, bool) {
-	best, bestRTT := -1, float32(math.Inf(1))
-	col := m.cols[target]
-	consider := func(vp int) {
-		if rtt := col[vp]; !IsUnresponsive(rtt) && rtt < bestRTT {
-			best, bestRTT = vp, rtt
-		}
+	var buf [1]int
+	if best := m.ClosestVPs(buf[:0], target, subset, 1); len(best) > 0 {
+		return m.VPs[best[0]], true
 	}
-	if subset == nil {
-		for vp := range col {
-			consider(vp)
-		}
-	} else {
-		for _, vp := range subset {
-			consider(vp)
-		}
-	}
-	if best < 0 {
-		return geo.Point{}, false
-	}
-	return m.VPs[best], true
+	return geo.Point{}, false
 }
 
-// ClosestVPs returns the indices of the k responsive vantage points with
-// the lowest RTT to the target, ascending by RTT. Fewer than k are returned
-// when the target has fewer responsive VPs.
-func (m *Matrix) ClosestVPs(target, k int) []int {
+// ClosestVPs appends to dst the k responsive subset VPs (nil means all)
+// with the lowest RTT to the target, ascending by RTT, ties in subset
+// order. Fewer than k are appended when the subset has fewer responsive
+// VPs. It allocates nothing when dst has room for k more.
+func (m *Matrix) ClosestVPs(dst []int, target int, subset []int, k int) []int {
+	col, subset, base := m.cols[target], m.rows(subset), len(dst)
 	if k <= 0 {
-		return []int{}
+		return dst
 	}
-	col := m.cols[target]
-	type cand struct {
-		vp  int
-		rtt float32
-	}
-	if k >= len(col) {
-		// Everything responsive is returned: collect once and stable-sort
-		// by RTT instead of running the quadratic insertion below. The
-		// insertion sort keeps equal-RTT VPs in ascending-index order, so
-		// the stable sort reproduces it exactly.
-		all := make([]cand, 0, len(col))
-		for vp, rtt := range col {
-			if !IsUnresponsive(rtt) {
-				all = append(all, cand{vp: vp, rtt: rtt})
+	if k >= len(subset) {
+		// Every responsive VP is picked: collect them and stable-sort by
+		// RTT, which is the insertion below without its quadratic cost.
+		for _, vp := range subset {
+			if !IsUnresponsive(col[vp]) {
+				dst = append(dst, vp)
 			}
 		}
-		sort.SliceStable(all, func(i, j int) bool { return all[i].rtt < all[j].rtt })
-		out := make([]int, len(all))
-		for i, c := range all {
-			out[i] = c.vp
-		}
-		return out
+		slices.SortStableFunc(dst[base:], func(a, b int) int { return cmp.Compare(col[a], col[b]) })
+		return dst
 	}
-	// Simple selection keeps the k best in a small sorted slice; k is ≤ 10
-	// in every use (the VP selection algorithm's subsets).
-	best := make([]cand, 0, k+1)
-	for vp, rtt := range col {
-		if IsUnresponsive(rtt) {
+	// Insertion into the k best so far. Once k are picked, a VP no faster
+	// than the last pick is passed over, and an inserted VP goes after
+	// every pick of equal RTT, so ties keep subset order.
+	var last float32 // the last pick's RTT once k are picked
+	for _, vp := range subset {
+		rtt := col[vp]
+		if IsUnresponsive(rtt) || len(dst)-base == k && rtt >= last {
 			continue
 		}
-		pos := len(best)
-		for pos > 0 && best[pos-1].rtt > rtt {
+		pos := len(dst)
+		for pos > base && col[dst[pos-1]] > rtt {
 			pos--
 		}
-		if pos >= k {
-			continue
+		if len(dst)-base < k {
+			dst = append(dst, 0)
 		}
-		best = append(best, cand{})
-		copy(best[pos+1:], best[pos:])
-		best[pos] = cand{vp: vp, rtt: rtt}
-		if len(best) > k {
-			best = best[:k]
-		}
+		copy(dst[pos+1:], dst[pos:len(dst)-1])
+		dst[pos] = vp
+		last = col[dst[len(dst)-1]]
 	}
-	out := make([]int, len(best))
-	for i, c := range best {
-		out[i] = c.vp
-	}
-	return out
+	return dst
 }

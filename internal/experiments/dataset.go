@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"geoloc/internal/geo"
+	"geoloc/internal/vpsel"
 )
 
 // WriteBaselineDataset writes the per-target baseline dataset the paper
@@ -52,7 +53,7 @@ func WriteBaselineDataset(ctx *Context, w io.Writer) error {
 		}
 		var selEst geo.Point
 		selOK := false
-		if sel := c.RepRTT.ClosestVPs(ti, 1); len(sel) > 0 {
+		if sel := vpsel.OriginalSelect(c.RepRTT, ti, 1); len(sel) > 0 {
 			selEst, selOK = c.TargetRTT.LocateSubset(ti, sel, geo.TwoThirdsC)
 		}
 		if err := writeEst(w, selEst, selOK, truth); err != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"geoloc/internal/geo"
 	"geoloc/internal/netsim"
@@ -79,16 +78,9 @@ func MultiStep(ctx *Context) *Report {
 		pings := make([]int64, len(c.Targets))
 		roundsUsed := make([]int, len(c.Targets))
 		par.For(len(c.Targets), func(ti int) {
-			errs[ti] = math.NaN()
 			res := results[ti][rounds-2]
-			pings[ti] = res.Pings
-			roundsUsed[ti] = res.Rounds
-			if !oks[ti][rounds-2] {
-				return
-			}
-			if est, ok := c.TargetRTT.LocateSubset(ti, []int{res.SelectedVP}, geo.TwoThirdsC); ok {
-				errs[ti] = c.ErrorKm(ti, est)
-			}
+			pings[ti], roundsUsed[ti] = res.Pings, res.Rounds
+			errs[ti] = ctx.selectedError(ti, res.SelectedVP, oks[ti][rounds-2])
 		})
 		clean := dropNaN(errs)
 		if len(clean) == 0 {
@@ -184,14 +176,8 @@ func Ablations(ctx *Context) *Report {
 	}
 	randomErrs := make([]float64, len(c.Targets))
 	par.For(len(c.Targets), func(ti int) {
-		randomErrs[ti] = math.NaN()
 		res, ok := vpsel.TwoStepSelect(c.RepRTT, meta, random, ti)
-		if !ok {
-			return
-		}
-		if est, ok := c.TargetRTT.LocateSubset(ti, []int{res.SelectedVP}, geo.TwoThirdsC); ok {
-			randomErrs[ti] = c.ErrorKm(ti, est)
-		}
+		randomErrs[ti] = ctx.selectedError(ti, res.SelectedVP, ok)
 	})
 	for _, arm := range []struct {
 		name string

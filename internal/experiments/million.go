@@ -355,15 +355,8 @@ func (ctx *Context) twoStepErrors(n int) twoStepRow {
 		errs := make([]float64, len(c.Targets))
 		pings := make([]int64, len(c.Targets))
 		par.For(len(c.Targets), func(ti int) {
-			errs[ti] = math.NaN()
 			res, ok := vpsel.TwoStepSelect(c.RepRTT, meta, firstStep, ti)
-			pings[ti] = res.Pings
-			if !ok {
-				return
-			}
-			if est, ok := c.TargetRTT.LocateSubset(ti, []int{res.SelectedVP}, geo.TwoThirdsC); ok {
-				errs[ti] = c.ErrorKm(ti, est)
-			}
+			pings[ti], errs[ti] = res.Pings, ctx.selectedError(ti, res.SelectedVP, ok)
 		})
 		var total int64
 		for _, p := range pings {
@@ -371,6 +364,18 @@ func (ctx *Context) twoStepErrors(n int) twoStepRow {
 		}
 		return twoStepRow{errs: dropNaN(errs), pings: total}
 	})
+}
+
+// selectedError is the CBG error of target ti located from its one
+// selected VP, NaN when there is no selection (ok false) or the VP's disk
+// gives no estimate.
+func (ctx *Context) selectedError(ti, vp int, ok bool) float64 {
+	if ok {
+		if est, ok := ctx.C.TargetRTT.LocateSubset(ti, []int{vp}, geo.TwoThirdsC); ok {
+			return ctx.C.ErrorKm(ti, est)
+		}
+	}
+	return math.NaN()
 }
 
 // Fig3b reproduces Fig 3b: accuracy of the two-step VP selection for

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"geoloc/internal/cbg"
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
 	"geoloc/internal/netsim"
@@ -165,12 +166,19 @@ func refLandmarkRegion(landmarks []Landmark, speed float64) (geo.Region, geo.Poi
 	return r, c
 }
 
-// closestAnchorVPs returns the anchor rows with the lowest RTT to the
-// target (ascending).
+// closestAnchorVPs returns the k anchor rows with the lowest RTT to the
+// target: the responsive rows stable-sorted by RTT, so ties keep anchor
+// row order.
 func closestAnchorVPs(p *Pipeline, target, k int) []int {
-	var pr probe
-	p.pickVPs(&pr, target, k)
-	return pr.vps
+	col := p.C.TargetRTT.Column(target)
+	var vps []int
+	for _, vp := range p.anchorRows {
+		if !cbg.IsUnresponsive(col[vp]) {
+			vps = append(vps, vp)
+		}
+	}
+	sort.SliceStable(vps, func(i, j int) bool { return col[vps[i]] < col[vps[j]] })
+	return vps[:min(k, len(vps))]
 }
 
 // refLandmarkDelay is landmarkDelay with an allocated traceroute per

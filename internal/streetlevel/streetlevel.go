@@ -22,7 +22,6 @@ import (
 	"slices"
 	"sync"
 
-	"geoloc/internal/cbg"
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
 	"geoloc/internal/mapping"
@@ -306,58 +305,14 @@ func (p *Pipeline) Geolocate(target int) Result {
 // the speed sm was last filled at; sm's reduction is the tier-1 region
 // either way.
 func (p *Pipeline) tier1Region(sm *geo.Sampler, target int) (geo.Point, bool, float64) {
-	m := p.C.TargetRTT
-	col := m.Column(target)
 	for _, speed := range [...]float64{tier1Speed, fallbackSpeed} {
 		sm.Reset()
-		sm.Grow(len(p.anchorRows))
-		for _, vp := range p.anchorRows {
-			if rtt := col[vp]; !cbg.IsUnresponsive(rtt) {
-				sm.AddTrig(m.VPs[vp], m.VPTrig(vp), geo.RTTToDistanceKm(float64(rtt), speed))
-			}
-		}
+		p.C.TargetRTT.AddConstraints(sm, target, p.anchorRows, speed)
 		if est, ok := sm.Centroid(); ok {
 			return est, true, speed
 		}
 	}
 	return geo.Point{}, false, fallbackSpeed
-}
-
-// vpRTT is a candidate vantage point of pickVPs.
-type vpRTT struct {
-	vp  int
-	rtt float32
-}
-
-// pickVPs sets pr.vps to the k anchor rows with the lowest RTT to the
-// target (ascending), by insertion into pr.best.
-func (p *Pipeline) pickVPs(pr *probe, target, k int) {
-	best := slices.Grow(pr.best[:0], k+1)
-	col := p.C.TargetRTT.Column(target)
-	for _, vp := range p.anchorRows {
-		rtt := col[vp]
-		if cbg.IsUnresponsive(rtt) {
-			continue
-		}
-		pos := len(best)
-		for pos > 0 && best[pos-1].rtt > rtt {
-			pos--
-		}
-		if pos >= k {
-			continue
-		}
-		best = append(best, vpRTT{})
-		copy(best[pos+1:], best[pos:])
-		best[pos] = vpRTT{vp, rtt}
-		if len(best) > k {
-			best = best[:k]
-		}
-	}
-	pr.best = best
-	pr.vps = slices.Grow(pr.vps[:0], len(best))
-	for _, c := range best {
-		pr.vps = append(pr.vps, c.vp)
-	}
 }
 
 // probe is what one target's landmark delays are measured from: the
@@ -366,7 +321,6 @@ func (p *Pipeline) pickVPs(pr *probe, target, k int) {
 // trace is read by one landmarkDelay step and then dead. traces[i]'s hops
 // live in bufs[i].
 type probe struct {
-	best   []vpRTT
 	vps    []int
 	traces []netsim.Trace
 	bufs   []netsim.TraceBuf
@@ -377,7 +331,7 @@ type probe struct {
 // and runs their traceroutes to it.
 func (p *Pipeline) measureProbe(pr *probe, target int) {
 	c := p.C
-	p.pickVPs(pr, target, numVPs)
+	pr.vps = c.TargetRTT.ClosestVPs(slices.Grow(pr.vps[:0], numVPs), target, p.anchorRows, numVPs)
 	n := len(pr.vps)
 	pr.traces = slices.Grow(pr.traces[:0], n)[:n]
 	pr.bufs = slices.Grow(pr.bufs[:0], n)[:n]

@@ -3,6 +3,7 @@ package streetlevel
 import (
 	"math"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"geoloc/internal/core"
@@ -141,6 +142,14 @@ func TestClosestAnchorVPsSorted(t *testing.T) {
 	for _, vp := range vps {
 		if camp.VPs[vp].Kind != world.Anchor {
 			t.Fatal("non-anchor VP selected")
+		}
+	}
+	// The pipeline's own pick is the reference's on every target.
+	var pr probe
+	for target := range camp.Targets {
+		pipe.measureProbe(&pr, target)
+		if want := closestAnchorVPs(pipe, target, numVPs); !slices.Equal(pr.vps, want) {
+			t.Fatalf("target %d: measureProbe picks %v, reference %v", target, pr.vps, want)
 		}
 	}
 }

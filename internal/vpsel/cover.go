@@ -8,26 +8,36 @@ import (
 	"geoloc/internal/par"
 )
 
-// coverPairs is the pair source of one cover's point set: logDist(i, j) is
-// log1p(TrigDistance(tr[i], tr[j])), read from a CoverTable's triangle when
-// both points have a cell row there and computed otherwise. slot is nil
-// when there is no table.
+// coverPairs is the pair source of one cover's point set: the pair (i, j)
+// is log1p(TrigDistance(tr[i], tr[j])), read from a CoverTable's triangle
+// when both points have a cell row there and computed otherwise. slot is
+// nil when there is no table.
 type coverPairs struct {
 	tr   []geo.Trig
 	slot []int32   // per point: its row in tri, or -1
 	tri  []float64 // the pair of rows a < b at b(b−1)/2 + a
 }
 
-func (p *coverPairs) logDist(i, j int) float64 {
-	if p.slot != nil {
-		a, b := p.slot[i], p.slot[j]
-		if a > b {
-			a, b = b, a
-		}
-		if a >= 0 && a != b {
-			return p.tri[int(b)*(int(b)-1)/2+int(a)]
-		}
+// logDist returns the table's value of pair (i, j), ok false when either
+// point has no row in it or both share one; direct computes any pair.
+// The miss is out of line so that logDist inlines: in the cover's loops a
+// table hit is a load, not a call.
+func (p *coverPairs) logDist(i, j int) (float64, bool) {
+	if p.slot == nil {
+		return 0, false
 	}
+	a, b := p.slot[i], p.slot[j]
+	if a > b {
+		a, b = b, a
+	}
+	if a < 0 || a == b {
+		return 0, false
+	}
+	return p.tri[int(b)*(int(b)-1)/2+int(a)], true
+}
+
+// direct computes pair (i, j).
+func (p *coverPairs) direct(i, j int) float64 {
 	return math.Log1p(geo.TrigDistance(p.tr[i], p.tr[j]))
 }
 
@@ -71,7 +81,12 @@ func NewCoverTable(repRTT *cbg.Matrix, meta []VPMeta) *CoverTable {
 }
 
 // At returns log1p(TrigDistance) between VPs i and j.
-func (t *CoverTable) At(i, j int) float64 { return t.all.logDist(i, j) }
+func (t *CoverTable) At(i, j int) float64 {
+	if d, ok := t.all.logDist(i, j); ok {
+		return d
+	}
+	return t.all.direct(i, j)
+}
 
 // Cover is GreedyCover over the locations of vps, with the pair values
 // read from the table: the picks index vps.

@@ -42,14 +42,19 @@ type MultiStepResult struct {
 // ends every rounds value still open, unselected. maxRounds < 2 is taken
 // as 2 and interBudget < 1 as 100.
 func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstStep []int, target, maxRounds, interBudget int) ([]MultiStepResult, []bool) {
-	if maxRounds < 2 {
-		maxRounds = 2
-	}
 	if interBudget < 1 {
 		interBudget = 100
 	}
-	out := make([]MultiStepResult, maxRounds-1)
-	ok := make([]bool, maxRounds-1)
+	n := max(maxRounds, 2) - 1
+	out, ok := make([]MultiStepResult, n), make([]bool, n)
+	sweep(repRTT, meta, tab, firstStep, target, interBudget, out, ok)
+	return out, ok
+}
+
+// sweep is MultiStepSweep's walk into out and ok, one element per rounds
+// value from 2 up: their length sets maxRounds. With one element the walk
+// ends at its first candidate scan, so tab and interBudget are never read.
+func sweep(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstStep []int, target, interBudget int, out []MultiStepResult, ok []bool) {
 	res := MultiStepResult{}
 	cur := firstStep
 	var buf [8]geo.TrigCircle
@@ -65,7 +70,7 @@ func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstSte
 			for i := r; i < len(out); i++ {
 				out[i] = res
 			}
-			return out, ok
+			return
 		}
 		candidates := regionCandidates(repRTT, meta, region)
 		if len(candidates) == 0 {
@@ -76,9 +81,10 @@ func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstSte
 		final := res
 		final.Pings += int64(len(candidates)) * RepPingsPerVP
 		final.Rounds++
-		best := lowestRTT(repRTT, candidates, target)
-		if best >= 0 {
-			final.SelectedVP = best
+		var best [1]int
+		picked := len(repRTT.ClosestVPs(best[:0], target, candidates, 1)) > 0
+		if picked {
+			final.SelectedVP = best[0]
 			final.Pings++ // final ping to the target itself
 		}
 		done := r + 1
@@ -86,10 +92,10 @@ func MultiStepSweep(repRTT *cbg.Matrix, meta []VPMeta, tab *CoverTable, firstSte
 			done = len(out)
 		}
 		for i := r; i < done; i++ {
-			out[i], ok[i] = final, best >= 0
+			out[i], ok[i] = final, picked
 		}
 		if done == len(out) {
-			return out, ok
+			return
 		}
 
 		// Intermediate round: keep an Earth-covering sample of candidates,

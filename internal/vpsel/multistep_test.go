@@ -1,6 +1,7 @@
 package vpsel
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -231,33 +232,40 @@ func TestMultiStepSelectBasics(t *testing.T) {
 	}
 }
 
-func TestMultiStepTwoRoundsMatchesTwoStepShape(t *testing.T) {
-	// With rounds=2 the multi-step algorithm degenerates to the two-step
-	// one: same probing structure, comparable cost.
+// TestTwoStepIsTwoRoundSweep holds TwoStepSelect to the last round of a
+// two-round MultiStepSweep on every Tiny target, from the greedy covers of
+// 10, 100 and 300 VPs and from the ablations' strided random 10: the
+// selected VP, the ping count and ok all agree exactly.
+func TestTwoStepIsTwoRoundSweep(t *testing.T) {
 	meta := campaignMeta(camp)
 	locs := make([]geo.Point, len(camp.VPs))
 	for i, h := range camp.VPs {
 		locs[i] = h.Reported
 	}
-	firstStep := GreedyCover(locs, 10)
-	var multiPings, twoPings int64
-	n := 0
-	for target := range camp.Targets {
-		m, ok1 := lastRound(MultiStepSweep(camp.RepRTT, meta, campTable, firstStep, target, 2, 100))
-		tw, ok2 := TwoStepSelect(camp.RepRTT, meta, firstStep, target)
-		if !ok1 || !ok2 {
-			continue
+	random := make([]int, 10)
+	for i := range random {
+		random[i] = (i * 7919) % len(camp.VPs)
+	}
+	firstSteps := map[string][]int{"random 10": random}
+	for _, n := range []int{10, 100, 300} {
+		firstSteps[fmt.Sprintf("cover %d", n)] = GreedyCover(locs, n)
+	}
+	selected := 0
+	for name, firstStep := range firstSteps {
+		for target := range camp.Targets {
+			want, wantOK := lastRound(MultiStepSweep(camp.RepRTT, meta, campTable, firstStep, target, 2, 100))
+			got, ok := TwoStepSelect(camp.RepRTT, meta, firstStep, target)
+			if got.SelectedVP != want.SelectedVP || got.Pings != want.Pings || ok != wantOK {
+				t.Fatalf("%s, target %d: TwoStepSelect (VP %d, %d pings, %v), two-round sweep (VP %d, %d pings, %v)",
+					name, target, got.SelectedVP, got.Pings, ok, want.SelectedVP, want.Pings, wantOK)
+			}
+			if ok {
+				selected++
+			}
 		}
-		multiPings += m.Pings
-		twoPings += tw.Pings
-		n++
 	}
-	if n == 0 {
-		t.Skip("no comparable targets")
-	}
-	ratio := float64(multiPings) / float64(twoPings)
-	if ratio < 0.5 || ratio > 2 {
-		t.Errorf("2-round multi-step cost ratio vs two-step = %.2f, want ~1", ratio)
+	if selected == 0 {
+		t.Fatal("no first step selects a VP for any target")
 	}
 }
 

@@ -2,6 +2,7 @@ package vpsel
 
 import (
 	"math"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -190,5 +191,30 @@ func TestRegionCandidatesAllocs(t *testing.T) {
 		i++
 	}); n > 2 {
 		t.Fatalf("regionCandidates makes %v allocations per call, want at most 2", n)
+	}
+}
+
+// TestTwoStepSelectAllocs pins a two-step selection at the two allocations
+// of its region candidate scan over the campaign's targets: the region,
+// the sweep's round and the lowest-RTT pick live on the stack, and the
+// region's sampler comes from geo's pool. The collector is off while it
+// counts, since a cycle empties the pool.
+func TestTwoStepSelectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	meta := campaignMeta(camp)
+	locs := make([]geo.Point, len(camp.VPs))
+	for i, h := range camp.VPs {
+		locs[i] = h.Reported
+	}
+	firstStep := GreedyCover(locs, 10)
+	i := 0
+	if n := testing.AllocsPerRun(500, func() {
+		TwoStepSelect(camp.RepRTT, meta, firstStep, i%len(camp.Targets))
+		i++
+	}); n > 2 {
+		t.Fatalf("TwoStepSelect makes %v allocations per call, want at most 2", n)
 	}
 }

@@ -26,9 +26,10 @@ const RepPingsPerVP = 3
 
 // OriginalSelect returns the k vantage points with the lowest median RTT to
 // the target's representatives, using the full rep matrix — the million
-// scale paper's selection rule. The result is ascending by RTT.
+// scale paper's selection rule. The result is ascending by RTT, and never
+// nil: LocateSubset reads an empty selection as no VP, not as every VP.
 func OriginalSelect(repRTT *cbg.Matrix, target, k int) []int {
-	return repRTT.ClosestVPs(target, k)
+	return repRTT.ClosestVPs(make([]int, 0, min(max(k, 0), len(repRTT.VPs))), target, nil, k)
 }
 
 // OriginalOverheadPings returns the measurement cost of running the
@@ -195,7 +196,11 @@ func (c *coverRun) seedSums(score []float64, lo int) {
 	for k := range score {
 		var sum float64
 		for j := 0; j < m; j += stride {
-			sum += c.p.logDist(lo+k, j)
+			d, ok := c.p.logDist(lo+k, j)
+			if !ok {
+				d = c.p.direct(lo+k, j)
+			}
+			sum += d
 		}
 		score[k] = sum
 	}
@@ -203,12 +208,18 @@ func (c *coverRun) seedSums(score []float64, lo int) {
 
 // addPick adds the latest pick's term to the score of every unselected
 // point lo+k. The loop carries no running maximum and little else across
-// the pair call, so a table cover's lookups overlap as in a plain loop.
+// the pair, and a table hit makes no call, so a table cover's lookups
+// overlap as in a plain loop.
 func (c *coverRun) addPick(score []float64, lo int) {
 	for k, s := range score {
-		if s != chosen {
-			score[k] = s + c.p.logDist(lo+k, c.pick)
+		if s == chosen {
+			continue
 		}
+		d, ok := c.p.logDist(lo+k, c.pick)
+		if !ok {
+			d = c.p.direct(lo+k, c.pick)
+		}
+		score[k] = s + d
 	}
 }
 
@@ -219,52 +230,27 @@ type VPMeta struct {
 	City int
 }
 
-// TwoStepResult describes one target's two-step selection.
-type TwoStepResult struct {
-	// SelectedVP is the single chosen vantage point (matrix index).
-	SelectedVP int
-	// SecondStep lists the VPs (one per AS/city inside the first-step CBG
-	// region) that probed the representatives in step two.
-	SecondStep []int
-	// Pings is the per-target measurement cost: first-step representative
-	// pings + second-step representative pings + the final ping to the
-	// target from the selected VP.
-	Pings int64
-}
+// TwoStepResult is one target's two-step selection: MultiStepSweep's
+// answer with two rounds.
+type TwoStepResult = MultiStepResult
 
 // TwoStepSelect runs the paper's two-step VP selection for one target:
 //
 //  1. The firstStep subset probes the representatives; their RTTs give a
 //     CBG region for the target.
 //  2. One VP per (AS, city) whose location falls inside the region probes
-//     the representatives; the VP with the lowest median representative RTT
-//     is selected to geolocate the target.
+//     the representatives (the firstStep subset when none does); the VP
+//     with the lowest median representative RTT is selected to geolocate
+//     the target.
 //
+// It is MultiStepSweep's walk for two rounds, run on arrays of its own.
 // ok is false when no usable selection exists (no responsive first-step
-// measurement, or an empty region with no candidate VPs).
+// measurement, or no candidate with a usable measurement).
 func TwoStepSelect(repRTT *cbg.Matrix, meta []VPMeta, firstStep []int, target int) (TwoStepResult, bool) {
-	res := TwoStepResult{Pings: int64(len(firstStep)) * RepPingsPerVP}
-
-	var buf [8]geo.TrigCircle
-	region := reducedRegion(repRTT, firstStep, target, geo.TwoThirdsC, buf[:0])
-	if len(region) == 0 {
-		return res, false
-	}
-	candidates := regionCandidates(repRTT, meta, region)
-	if len(candidates) == 0 {
-		// Fall back to the best first-step VP.
-		candidates = firstStep
-	}
-	res.SecondStep = candidates
-	res.Pings += int64(len(candidates)) * RepPingsPerVP
-
-	best := lowestRTT(repRTT, candidates, target)
-	if best < 0 {
-		return res, false
-	}
-	res.SelectedVP = best
-	res.Pings++ // the selected VP pings the target itself
-	return res, true
+	var out [1]MultiStepResult
+	var ok [1]bool
+	sweep(repRTT, meta, nil, firstStep, target, 0, out[:], ok[:])
+	return out[0], ok[0]
 }
 
 // regionCandidates returns one VP per (AS, city) inside the reduced
@@ -363,19 +349,6 @@ func (s *metaSet) add(meta []VPMeta, vp int) bool {
 	}
 }
 
-// lowestRTT returns the candidate with the lowest representative RTT to the
-// target (the first on ties), or -1 when none has a usable measurement.
-func lowestRTT(repRTT *cbg.Matrix, candidates []int, target int) int {
-	best, bestRTT := -1, float32(math.Inf(1))
-	col := repRTT.Column(target)
-	for _, vp := range candidates {
-		if rtt := col[vp]; !cbg.IsUnresponsive(rtt) && rtt < bestRTT {
-			best, bestRTT = vp, rtt
-		}
-	}
-	return best
-}
-
 // reducedRegion appends to dst the reduced CBG constraint region of a
 // target from a VP subset of the matrix: Region.Reduced of the subset's
 // circles, bit for bit, as TrigCircles. The reduction is geo.Sampler's,
@@ -385,12 +358,7 @@ func lowestRTT(repRTT *cbg.Matrix, candidates []int, target int) int {
 func reducedRegion(m *cbg.Matrix, subset []int, target int, speed float64, dst []geo.TrigCircle) []geo.TrigCircle {
 	sm := geo.GetSampler()
 	defer geo.PutSampler(sm)
-	col := m.Column(target)
-	for _, vp := range subset {
-		if rtt := col[vp]; !cbg.IsUnresponsive(rtt) {
-			sm.AddTrig(m.VPs[vp], m.VPTrig(vp), geo.RTTToDistanceKm(float64(rtt), speed))
-		}
-	}
+	m.AddConstraints(sm, target, subset, speed)
 	sm.Reduce()
 	return sm.KeptTrig(dst)
 }
